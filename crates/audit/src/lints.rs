@@ -43,7 +43,7 @@ pub const LINTS: &[LintSpec] = &[
     LintSpec {
         id: "D001",
         name: "wall-clock-read",
-        summary: "Instant::now / SystemTime::now in a seeded crate outside the obs/bench/criterion timing layers",
+        summary: "Instant::now / SystemTime::now in a seeded crate outside the obs/bench timing layers",
         rationale: "Seeded crates promise output that is a pure function of the seed; a wall-clock read is ambient state that can leak into results and break the jobs=1 == jobs=N bit-identity guarantee.",
         example: "let t = std::time::Instant::now(); // in crates/core/src/",
         suppression: "audit:allow(D001): <reason> on the offending line; legitimate only in timing layers that never feed results (the obs/ subtree is already exempt).",
@@ -217,7 +217,7 @@ impl Profile {
     pub fn lbchat() -> Self {
         let s = |v: &[&str]| v.iter().map(|p| (*p).to_string()).collect();
         Profile {
-            exclude_crates: s(&["rand", "proptest", "criterion"]),
+            exclude_crates: s(&["rand", "proptest"]),
             skip_paths: s(&["crates/audit/tests/fixtures/"]),
             seeded: s(&[
                 "crates/core/src/",

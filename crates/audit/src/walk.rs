@@ -84,8 +84,7 @@ mod tests {
         assert!(files.iter().all(|f| f.ends_with(".rs")));
         assert!(
             files.iter().all(|f| !f.starts_with("crates/rand/")
-                && !f.starts_with("crates/proptest/")
-                && !f.starts_with("crates/criterion/")),
+                && !f.starts_with("crates/proptest/")),
             "vendored stand-ins are excluded"
         );
         assert!(

@@ -2,13 +2,12 @@
 //! machine-readable `BENCH_<name>.json` result file.
 //!
 //! ```text
-//! cargo run --release -p lbchat-bench -- [--smoke] [--reference]
-//!     [--filter SUBSTR] [--out DIR] [--name LABEL]
+//! cargo run --release -p lbchat-bench -- [--smoke] [--filter SUBSTR]
+//!     [--out DIR] [--name LABEL]
 //! ```
 //!
-//! Defaults: full sampling, optimized hot paths, all cells, output under
-//! `results/bench/`, label `current` (`baseline` when `--reference`).
-//! See `docs/BENCHMARKS.md` for the workflow.
+//! Defaults: full sampling, all cells, output under `results/bench/`,
+//! label `current`. See `docs/BENCHMARKS.md` for the workflow.
 
 use lbchat_bench::results::BenchRun;
 use lbchat_bench::suite::{self, SuiteOpts};
@@ -18,18 +17,17 @@ use std::process::ExitCode;
 struct Args {
     opts: SuiteOpts,
     out: PathBuf,
-    name: Option<String>,
+    name: String,
 }
 
-fn usage() -> &'static str {
-    "usage: lbchat-bench [--smoke] [--reference] [--filter SUBSTR] [--out DIR] [--name LABEL]"
-}
+const USAGE: &str = "usage: lbchat-bench [--smoke] [--filter SUBSTR] [--out DIR] [--name LABEL]";
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
+/// `Ok(None)` is a request for the usage text.
+fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
     let mut args = Args {
         opts: SuiteOpts::default(),
         out: PathBuf::from("results/bench"),
-        name: None,
+        name: "current".to_string(),
     };
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
@@ -38,33 +36,32 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         };
         match arg.as_str() {
             "--smoke" => args.opts.smoke = true,
-            "--reference" => args.opts.reference = true,
             "--filter" => args.opts.filter = Some(value("--filter")?),
             "--out" => args.out = PathBuf::from(value("--out")?),
-            "--name" => args.name = Some(value("--name")?),
-            "--help" | "-h" => return Err(usage().to_string()),
-            other => return Err(format!("unknown flag `{other}`\n{}", usage())),
+            "--name" => args.name = value("--name")?,
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
         }
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_args(&argv) {
-        Ok(a) => a,
+        Ok(Some(a)) => a,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::FAILURE;
         }
     };
-    let name = args.name.clone().unwrap_or_else(|| {
-        if args.opts.reference { "baseline".to_string() } else { "current".to_string() }
-    });
     eprintln!(
-        "running {} suite ({} hot paths){}",
+        "running {} suite{}",
         args.opts.mode(),
-        args.opts.implementation(),
         args.opts
             .filter
             .as_deref()
@@ -79,22 +76,10 @@ fn main() -> ExitCode {
     for r in &results {
         eprintln!("{:<44} mean {:?}  ({} iters)", r.id, r.mean, r.iters);
     }
-    let run = BenchRun::from_results(
-        &name,
-        args.opts.mode(),
-        args.opts.implementation(),
-        &results,
-    );
+    let run = BenchRun::from_results(&args.name, args.opts.mode(), &results);
     match run.write_to(&args.out) {
         Ok(path) => {
             println!("{}", path.display());
-            // Keep a repo-root copy of the latest optimized run so a bench
-            // refresh is always one `git diff BENCH_current.json` away.
-            if name == "current" {
-                if let Err(e) = std::fs::copy(&path, "BENCH_current.json") {
-                    eprintln!("warning: could not copy to BENCH_current.json: {e}");
-                }
-            }
             ExitCode::SUCCESS
         }
         Err(e) => {

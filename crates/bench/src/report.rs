@@ -124,13 +124,11 @@ fn fmt_ns(ns: u64) -> String {
 pub fn render(old: &BenchRun, new: &BenchRun, report: &Report) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "comparing {} ({} / {}) -> {} ({} / {}), threshold {:.0}%\n\n",
+        "comparing {} ({}) -> {} ({}), threshold {:.0}%\n\n",
         old.name,
         old.mode,
-        old.implementation,
         new.name,
         new.mode,
-        new.implementation,
         report.threshold * 100.0,
     ));
     out.push_str(&format!(
@@ -175,7 +173,6 @@ mod tests {
         BenchRun {
             name: "t".into(),
             mode: "smoke".into(),
-            implementation: "optimized".into(),
             entries: entries
                 .iter()
                 .map(|&(id, mean, min)| Entry {

@@ -5,9 +5,8 @@
 //! ```json
 //! {
 //!   "schema": "lbchat-bench/v1",
-//!   "name": "baseline",
+//!   "name": "current",
 //!   "mode": "full",
-//!   "impl": "reference",
 //!   "results": [
 //!     {"id": "coreset/construct_10k_to_150", "mean_ns": 1234567,
 //!      "min_ns": 1200000, "max_ns": 1300000, "iters": 40}
@@ -16,11 +15,11 @@
 //! ```
 //!
 //! Durations are integer nanoseconds ([`lbchat::obs::json::Json::UInt`], so
-//! they round-trip exactly); `impl` records whether the hot paths ran their
-//! optimized or pinned-reference implementations, and `bench_report`
-//! matches rows across files purely by `id`.
+//! they round-trip exactly), and `bench_report` matches rows across files
+//! purely by `id`. Files recorded while the suite still had a reference
+//! arm carry an extra `impl` field; it is ignored on read.
 
-use criterion::BenchResult;
+use crate::timer::BenchResult;
 use lbchat::obs::json::{parse, Json};
 use std::path::{Path, PathBuf};
 
@@ -46,8 +45,6 @@ pub struct BenchRun {
     pub name: String,
     /// Sampling mode: `"full"` or `"smoke"`.
     pub mode: String,
-    /// Hot-path implementation timed: `"optimized"` or `"reference"`.
-    pub implementation: String,
     /// All recorded rows, in execution order.
     pub entries: Vec<Entry>,
 }
@@ -56,17 +53,11 @@ pub struct BenchRun {
 pub const SCHEMA: &str = "lbchat-bench/v1";
 
 impl BenchRun {
-    /// Wraps criterion results under run metadata.
-    pub fn from_results(
-        name: &str,
-        mode: &str,
-        implementation: &str,
-        results: &[BenchResult],
-    ) -> Self {
+    /// Wraps suite results under run metadata.
+    pub fn from_results(name: &str, mode: &str, results: &[BenchResult]) -> Self {
         Self {
             name: name.to_string(),
             mode: mode.to_string(),
-            implementation: implementation.to_string(),
             entries: results
                 .iter()
                 .map(|r| Entry {
@@ -91,7 +82,6 @@ impl BenchRun {
             ("schema".into(), Json::Str(SCHEMA.into())),
             ("name".into(), Json::Str(self.name.clone())),
             ("mode".into(), Json::Str(self.mode.clone())),
-            ("impl".into(), Json::Str(self.implementation.clone())),
             (
                 "results".into(),
                 Json::Arr(
@@ -169,7 +159,6 @@ impl BenchRun {
         Ok(Self {
             name: string("name")?,
             mode: string("mode")?,
-            implementation: string("impl")?,
             entries,
         })
     }
@@ -209,7 +198,6 @@ mod tests {
         BenchRun::from_results(
             "unit",
             "smoke",
-            "optimized",
             &[
                 BenchResult {
                     id: "coreset/construct_10k_to_150".into(),

@@ -1,14 +1,12 @@
 //! The benchmark cells: every hot path the LbChat pipeline executes,
 //! timed under stable ids so `bench_report` can match rows across runs.
 //!
-//! Ids are `group/name` and are identical whether the suite times the
-//! optimized hot paths or their pinned `reference` implementations
-//! (`SuiteOpts::reference`) — that is what makes a
-//! `BENCH_baseline.json`-vs-`BENCH_current.json` diff meaningful. All
-//! inputs are seeded, so two runs of the same binary time the same work.
+//! Ids are `group/name` and every cell times exactly one implementation,
+//! the one the pipeline runs. All inputs are seeded, so two runs of the
+//! same binary time the same work — which is what makes a diff between two
+//! commits' result files meaningful.
 
-use criterion::{BatchSize, BenchResult, Criterion};
-use experiments::{run_method, Condition, Method, Scale, Scenario};
+use crate::timer::{BenchResult, Sampling, Timer};
 use lbchat::adaptive::AdaptiveSizer;
 use lbchat::compress::top_k;
 use lbchat::coreset::{self, construct_with_scratch, CoresetConfig, CoresetScratch};
@@ -28,7 +26,6 @@ use simnet::grid::EncounterGrid;
 use simnet::loss::LossModel;
 use simnet::trace::MobilityTrace;
 use simworld::bev::{self, BevConfig, Pose};
-use simworld::reference;
 use simworld::world::{FleetScale, World, WorldConfig};
 use std::time::Duration;
 use vnn::adam::Adam;
@@ -42,10 +39,6 @@ use vnn::{
 pub struct SuiteOpts {
     /// Short sampling for CI smoke runs (fewer samples, tighter budgets).
     pub smoke: bool,
-    /// Time the pinned `reference` implementations of the optimized hot
-    /// paths (coreset construction/reduction, BEV rasterization) instead of
-    /// the optimized ones. Ids are unchanged.
-    pub reference: bool,
     /// Substring filter: only benchmark ids containing this run.
     pub filter: Option<String>,
 }
@@ -60,12 +53,17 @@ impl SuiteOpts {
         }
     }
 
-    /// The implementation string recorded in the result file.
-    pub fn implementation(&self) -> &'static str {
-        if self.reference {
-            "reference"
-        } else {
-            "optimized"
+    /// Ten samples under a group's own budget — `smoke_ms` milliseconds in
+    /// smoke runs, `full_s` seconds otherwise — for cells too slow for the
+    /// default sampling.
+    fn group_sampling(&self, smoke_ms: u64, full_s: u64) -> Sampling {
+        Sampling {
+            sample_size: 10,
+            measurement_time: if self.smoke {
+                Duration::from_millis(smoke_ms)
+            } else {
+                Duration::from_secs(full_s)
+            },
         }
     }
 
@@ -80,16 +78,12 @@ impl SuiteOpts {
 
 /// Runs the suite and returns one result per executed cell.
 pub fn run(opts: &SuiteOpts) -> Vec<BenchResult> {
-    let (samples, budget) = if opts.smoke {
-        (5, Duration::from_millis(60))
+    let mut c = Timer::new(if opts.smoke {
+        Sampling { sample_size: 5, measurement_time: Duration::from_millis(60) }
     } else {
-        (20, Duration::from_secs(2))
-    };
-    let mut c = Criterion::default()
-        .quiet()
-        .sample_size(samples)
-        .measurement_time(budget);
-    type Cell = fn(&mut Criterion, &SuiteOpts);
+        Sampling { sample_size: 20, measurement_time: Duration::from_secs(2) }
+    });
+    type Cell = fn(&mut Timer, &SuiteOpts);
     let cells: &[(&str, Cell)] = &[
         ("coreset", bench_coreset),
         ("valuation", bench_valuation),
@@ -100,14 +94,13 @@ pub fn run(opts: &SuiteOpts) -> Vec<BenchResult> {
         ("vnn", bench_vnn),
         ("simnet", bench_simnet),
         ("runtime", bench_runtime),
-        ("e2e", bench_e2e),
     ];
     for (group, cell) in cells {
         if opts.group_enabled(group) {
             cell(&mut c, opts);
         }
     }
-    let mut results = c.take_results();
+    let mut results = c.into_results();
     if let Some(f) = &opts.filter {
         results.retain(|r| r.id.contains(f.as_str()));
     }
@@ -115,8 +108,7 @@ pub fn run(opts: &SuiteOpts) -> Vec<BenchResult> {
 }
 
 /// A line-fitting learner: cheap per-sample losses isolate the coreset
-/// machinery under test from network-forward costs (same idiom as
-/// `benches/micro.rs`).
+/// machinery under test from network-forward costs.
 #[derive(Debug, Clone)]
 struct Line(ParamVec);
 
@@ -162,9 +154,8 @@ fn dataset(n: usize) -> WeightedDataset<Pt> {
     )
 }
 
-fn bench_coreset(c: &mut Criterion, opts: &SuiteOpts) {
+fn bench_coreset(c: &mut Timer, _opts: &SuiteOpts) {
     let learner = line();
-    let reference = opts.reference;
     for (n, size) in [(2_000usize, 150usize), (10_000, 150), (10_000, 400)] {
         let data = dataset(n);
         let id = format!("coreset/construct_{}k_to_{size}", n / 1000);
@@ -172,13 +163,7 @@ fn bench_coreset(c: &mut Criterion, opts: &SuiteOpts) {
             let mut rng = rand::rngs::StdRng::seed_from_u64(1);
             let mut scratch = CoresetScratch::new();
             let cfg = CoresetConfig { size };
-            b.iter(|| {
-                if reference {
-                    coreset::reference::construct(&learner, &data, &cfg, &mut rng)
-                } else {
-                    construct_with_scratch(&learner, &data, &cfg, &mut rng, &mut scratch)
-                }
-            });
+            b.measure(|| construct_with_scratch(&learner, &data, &cfg, &mut rng, &mut scratch));
         });
     }
     let data = dataset(10_000);
@@ -190,21 +175,14 @@ fn bench_coreset(c: &mut Criterion, opts: &SuiteOpts) {
     );
     c.bench_function("coreset/merge_reduce_600_to_150", |b| {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        b.iter_batched(
+        b.measure_batched(
             || (big.clone(), big.clone()),
-            |(a, bb)| {
-                if reference {
-                    coreset::reference::reduce(a.merge(bb), 150, &mut rng)
-                } else {
-                    coreset::reduce(a.merge(bb), 150, &mut rng)
-                }
-            },
-            BatchSize::SmallInput,
+            |(a, bb)| coreset::reduce(a.merge(bb), 150, &mut rng),
         );
     });
 }
 
-fn bench_valuation(c: &mut Criterion, _opts: &SuiteOpts) {
+fn bench_valuation(c: &mut Timer, _opts: &SuiteOpts) {
     let learner = line();
     let data = dataset(5_000);
     let coreset = coreset::construct(
@@ -215,22 +193,22 @@ fn bench_valuation(c: &mut Criterion, _opts: &SuiteOpts) {
     );
     let pen = PenaltyConfig::none();
     c.bench_function("valuation/coreset_loss_150", |b| {
-        b.iter(|| coreset_loss(&learner, learner.params(), &coreset, &pen));
+        b.measure(|| coreset_loss(&learner, learner.params(), &coreset, &pen));
     });
 }
 
-fn bench_compress(c: &mut Criterion, _opts: &SuiteOpts) {
+fn bench_compress(c: &mut Timer, _opts: &SuiteOpts) {
     use lbchat::compress::Codec;
     let params = ParamVec::from_vec(
         (0..25_000).map(|i| ((i * 37) % 101) as f32 / 50.0 - 1.0).collect(),
     );
-    c.bench_function("compress/topk_25k_psi_0.1", |b| b.iter(|| top_k(&params, 0.1)));
+    c.bench_function("compress/topk_25k_psi_0.1", |b| b.measure(|| top_k(&params, 0.1)));
     // One encode + one decode cell per codec: the share-path hot loops of
     // docs/COMPRESSION.md. Fixed seed keeps the stochastic quantizers
-    // deterministic across ref/opt arms.
+    // deterministic across runs.
     for codec in Codec::ALL {
         c.bench_function(format!("compress/{codec}_encode_25k_psi_0.1"), |b| {
-            b.iter(|| {
+            b.measure(|| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(9);
                 codec.encode(&params, 0.1, &mut rng)
             });
@@ -238,12 +216,12 @@ fn bench_compress(c: &mut Criterion, _opts: &SuiteOpts) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let wire = codec.encode(&params, 0.1, &mut rng);
         c.bench_function(format!("compress/{codec}_decode_25k_psi_0.1"), |b| {
-            b.iter(|| wire.decode().expect("own encode decodes"));
+            b.measure(|| wire.decode().expect("own encode decodes"));
         });
     }
     print_wire_size_table();
     c.bench_function("compress/adaptive_sizer_cycle", |b| {
-        b.iter(|| {
+        b.measure(|| {
             let mut sizer = AdaptiveSizer::new(150, 40, 400);
             for k in 0..32 {
                 sizer.observe_epsilon(0.05 + (k % 7) as f32 * 0.01);
@@ -278,7 +256,7 @@ fn print_wire_size_table() {
     }
 }
 
-fn bench_solver(c: &mut Criterion, _opts: &SuiteOpts) {
+fn bench_solver(c: &mut Timer, _opts: &SuiteOpts) {
     let phi = PhiCurve::from_points(
         vec![0.02, 0.1, 0.3, 0.6, 1.0],
         vec![2.0, 1.6, 1.1, 0.7, 0.5],
@@ -294,10 +272,10 @@ fn bench_solver(c: &mut Criterion, _opts: &SuiteOpts) {
         contact: 40.0,
         lambda_c: 0.01,
     };
-    c.bench_function("solver/eq7_solve", |b| b.iter(|| problem.solve()));
+    c.bench_function("solver/eq7_solve", |b| b.measure(|| problem.solve()));
 }
 
-fn bench_bev(c: &mut Criterion, opts: &SuiteOpts) {
+fn bench_bev(c: &mut Timer, _opts: &SuiteOpts) {
     // Mirror `World::observe_expert`'s exact inputs — a live expert's pose,
     // every other agent, and the 60 m route polyline — so the cell times the
     // workload data collection actually runs once per expert per frame.
@@ -309,91 +287,43 @@ fn bench_bev(c: &mut Criterion, opts: &SuiteOpts) {
     let v = world.expert_view(0);
     let pose = Pose { pos: v.position(world.map()), heading: v.heading(world.map()).angle() };
     let route: Vec<Vec2> = world.route_ahead_polyline(v, 60.0);
-    let reference = opts.reference;
     let id = format!("bev/rasterize_{}", cfg.cells);
     c.bench_function(id, |b| {
         let mut frame = bev::Bev::blank(cfg.cells);
-        b.iter(|| {
-            if reference {
-                frame = bev::reference::rasterize(&cfg, pose, 8.0, road, &cars, &peds, &route);
-            } else {
-                bev::rasterize_into(&cfg, pose, 8.0, road, &cars, &peds, &route, &mut frame);
-            }
+        b.measure(|| {
+            bev::rasterize_into(&cfg, pose, 8.0, road, &cars, &peds, &route, &mut frame);
         });
     });
 }
 
-fn bench_simworld(c: &mut Criterion, opts: &SuiteOpts) {
-    let reference = opts.reference;
-    let mut g = c.benchmark_group("simworld");
-    g.sample_size(10);
-    g.measurement_time(if opts.smoke {
-        Duration::from_millis(60)
-    } else {
-        Duration::from_secs(2)
-    });
-
+fn bench_simworld(c: &mut Timer, opts: &SuiteOpts) {
+    let sampling = opts.group_sampling(60, 2);
     // City-scale tick: the structure-of-arrays world carrying N fleet
-    // vehicles on the park → dwell → drive cycle vs the retained
-    // per-agent-struct reference world carrying the same N as
-    // always-driving background traffic (the only shape it supports).
-    // The diff is the whole architecture change: SoA columns, the
-    // precomputed routing table, and the wake queue.
-    for (name, fleet) in [("tick_1k", FleetScale::K1), ("tick_100k", FleetScale::K100)] {
+    // vehicles on the park → dwell → drive cycle. `wake_queue` is the same
+    // tick at 10k, where what sleeping parked vehicles saves is largest
+    // relative to the driving set.
+    for (name, fleet) in [
+        ("tick_1k", FleetScale::K1),
+        ("tick_100k", FleetScale::K100),
+        ("wake_queue", FleetScale::K10),
+    ] {
         // Warm past the first spawn staggers so the fleet is churning —
         // waking, driving, parking — rather than uniformly garaged.
         const WARM_TICKS: usize = 50;
-        if reference {
-            let mut w = reference::World::new(WorldConfig {
-                n_background: 50 + fleet.n_fleet(),
-                ..WorldConfig::default()
-            });
-            for _ in 0..WARM_TICKS {
-                w.step();
-            }
-            g.bench_function(name, |b| {
-                b.iter(|| {
-                    w.step();
-                    w.time()
-                });
-            });
-        } else {
-            let mut w = World::new(WorldConfig::with_fleet(0, fleet));
-            for _ in 0..WARM_TICKS {
-                w.step();
-            }
-            g.bench_function(name, |b| {
-                b.iter(|| {
-                    w.step();
-                    w.time()
-                });
-            });
-        }
-    }
-
-    // Wake-queue isolation: identical 10k-fleet SoA worlds, the reference
-    // arm keeping every parked vehicle in the awake list (skipped inline,
-    // bit-identical trajectories). The diff is exactly what sleeping
-    // saves per tick.
-    {
-        let mut w = World::new(WorldConfig {
-            wake_queue: !reference,
-            ..WorldConfig::with_fleet(0, FleetScale::K10)
-        });
-        for _ in 0..50 {
+        let mut w = World::new(WorldConfig::with_fleet(0, fleet));
+        for _ in 0..WARM_TICKS {
             w.step();
         }
-        g.bench_function("wake_queue", |b| {
-            b.iter(|| {
+        c.bench_sampled(format!("simworld/{name}"), sampling, |b| {
+            b.measure(|| {
                 w.step();
                 w.time()
             });
         });
     }
-    g.finish();
 }
 
-fn bench_vnn(c: &mut Criterion, opts: &SuiteOpts) {
+fn bench_vnn(c: &mut Timer, _opts: &SuiteOpts) {
     let spec = MlpSpec::relu(vec![32, 64, 64, 4]);
     let mlp = Mlp::new(spec, 0);
     let n = mlp.param_count();
@@ -401,16 +331,15 @@ fn bench_vnn(c: &mut Criterion, opts: &SuiteOpts) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     mlp.init(&mut params, &mut rng);
     let input: Vec<f32> = (0..32).map(|i| (i as f32 / 32.0) - 0.5).collect();
-    // Single-sample cells, ids pinned since PR 3 (no reference arm: the
-    // per-sample kernels *are* the reference).
+    // Single-sample cells, ids pinned since PR 3.
     c.bench_function("vnn/mlp_forward_32x64x64x4", |b| {
-        b.iter(|| mlp.forward(&params, &input));
+        b.measure(|| mlp.forward(&params, &input));
     });
     let cache = mlp.forward(&params, &input);
     let d_out = vec![1.0f32, -0.5, 0.25, 0.0];
     c.bench_function("vnn/mlp_backward_32x64x64x4", |b| {
         let mut grad = vec![0.0f32; n];
-        b.iter(|| {
+        b.measure(|| {
             grad.iter_mut().for_each(|g| *g = 0.0);
             mlp.backward(&params, &cache, &d_out, &mut grad)
         });
@@ -419,14 +348,10 @@ fn bench_vnn(c: &mut Criterion, opts: &SuiteOpts) {
     c.bench_function("vnn/adam_step", |b| {
         let mut adam = Adam::new(1e-3);
         let mut p = params.as_slice().to_vec();
-        b.iter(|| adam.step(&mut p, &grad));
+        b.measure(|| adam.step(&mut p, &grad));
     });
 
-    // Batched minibatch kernels (PR 5) against the per-sample reference
-    // composition. The reference arm times exactly what local training did
-    // before batching: one allocating forward/backward per sample, folded in
-    // sample order.
-    let reference = opts.reference;
+    // Batched minibatch kernels: what local training runs per iteration.
     let inputs: Vec<Vec<f32>> = (0..64)
         .map(|s| (0..32).map(|i| ((s * 31 + i * 7) % 97) as f32 / 97.0 - 0.5).collect())
         .collect();
@@ -435,59 +360,35 @@ fn bench_vnn(c: &mut Criterion, opts: &SuiteOpts) {
         let id = format!("vnn/mlp_forward_batch_b{bsz}");
         c.bench_function(id, |b| {
             let mut scratch = MlpScratch::new();
-            b.iter(|| {
-                if reference {
-                    let mut acc = 0.0f32;
-                    for x in &inputs[..bsz] {
-                        acc += vnn::reference::forward(&mlp, &params, x).output()[0];
-                    }
-                    acc
-                } else {
-                    let stage = mlp.stage_batch(&mut scratch, bsz);
-                    for (row, x) in stage.chunks_mut(32).zip(&inputs) {
-                        row.copy_from_slice(x);
-                    }
-                    mlp.forward_batch(&params, &mut scratch, bsz);
-                    mlp.batch_outputs(&scratch, bsz)[0]
-                }
-            });
-        });
-    }
-    let caches: Vec<vnn::mlp::Cache> =
-        inputs.iter().map(|x| mlp.forward(&params, x)).collect();
-    for bsz in [1usize, 16, 64] {
-        let id = format!("vnn/mlp_backward_batch_b{bsz}");
-        c.bench_function(id, |b| {
-            let mut scratch = MlpScratch::new();
-            if !reference {
-                // Activations staged once; each iteration restages d_out and
-                // times the weighted batched backward pass alone.
+            b.measure(|| {
                 let stage = mlp.stage_batch(&mut scratch, bsz);
                 for (row, x) in stage.chunks_mut(32).zip(&inputs) {
                     row.copy_from_slice(x);
                 }
                 mlp.forward_batch(&params, &mut scratch, bsz);
+                mlp.batch_outputs(&scratch, bsz)[0]
+            });
+        });
+    }
+    for bsz in [1usize, 16, 64] {
+        let id = format!("vnn/mlp_backward_batch_b{bsz}");
+        c.bench_function(id, |b| {
+            let mut scratch = MlpScratch::new();
+            // Activations staged once; each iteration restages d_out and
+            // times the weighted batched backward pass alone.
+            let stage = mlp.stage_batch(&mut scratch, bsz);
+            for (row, x) in stage.chunks_mut(32).zip(&inputs) {
+                row.copy_from_slice(x);
             }
+            mlp.forward_batch(&params, &mut scratch, bsz);
             let mut grad = vec![0.0f32; n];
-            b.iter(|| {
+            b.measure(|| {
                 grad.iter_mut().for_each(|g| *g = 0.0);
-                if reference {
-                    // PR 3's composition: per-sample backward into a fresh
-                    // gradient vector, weighted fold in sample order.
-                    for s in 0..bsz {
-                        let mut g = vec![0.0f32; n];
-                        vnn::reference::backward(&mlp, &params, &caches[s], &d_out, &mut g);
-                        for (acc, gi) in grad.iter_mut().zip(&g) {
-                            *acc += weights[s] * gi;
-                        }
-                    }
-                } else {
-                    let staged = mlp.stage_d_out(&mut scratch, bsz);
-                    for row in staged.chunks_mut(4) {
-                        row.copy_from_slice(&d_out);
-                    }
-                    mlp.backward_batch(&params, &mut scratch, bsz, &weights, &mut grad);
+                let staged = mlp.stage_d_out(&mut scratch, bsz);
+                for row in staged.chunks_mut(4) {
+                    row.copy_from_slice(&d_out);
                 }
+                mlp.backward_batch(&params, &mut scratch, bsz, &weights, &mut grad);
                 grad[0]
             });
         });
@@ -495,19 +396,8 @@ fn bench_vnn(c: &mut Criterion, opts: &SuiteOpts) {
     c.bench_function("vnn/adam_step_fused", |b| {
         let mut adam = Adam::new(1e-3);
         let mut p = params.as_slice().to_vec();
-        let mut scaled = vec![0.0f32; n];
         let scale = 1.0 / 64.0f32;
-        b.iter(|| {
-            if reference {
-                // Separate scaling pass, then the plain step.
-                for (d, g) in scaled.iter_mut().zip(&grad) {
-                    *d = g * scale;
-                }
-                adam.step(&mut p, &scaled);
-            } else {
-                adam.step_scaled(&mut p, &grad, scale);
-            }
-        });
+        b.measure(|| adam.step_scaled(&mut p, &grad, scale));
     });
 
     // A full local-training round on a driving-scale branched policy: the
@@ -535,24 +425,19 @@ fn bench_vnn(c: &mut Criterion, opts: &SuiteOpts) {
         .collect();
     c.bench_function("vnn/policy_train_round_b64", |b| {
         let mut scratch = TrainScratch::new();
-        b.iter_batched(
+        b.measure_batched(
             || (policy.clone(), Sgd::new(5e-3, 0.9, 1e-5)),
             |(mut pol, mut opt)| {
-                if reference {
-                    vnn::reference::policy_train_step(&mut pol, &mut opt, &batch)
-                } else {
-                    let n = batch.len();
-                    let shards = scratch.shards_mut(n);
-                    for (s, shard) in shards.iter_mut().enumerate() {
-                        pol.train_shard(&batch[..], s * SHARD, shard);
-                    }
-                    let out = pol.reduce_shards(&mut scratch, n);
-                    let inv = 1.0 / out.weight_sum;
-                    opt.step_scaled(pol.params_mut().as_mut_slice(), scratch.grad(), inv);
-                    out.loss_sum * inv
+                let n = batch.len();
+                let shards = scratch.shards_mut(n);
+                for (s, shard) in shards.iter_mut().enumerate() {
+                    pol.train_shard(&batch[..], s * SHARD, shard);
                 }
+                let out = pol.reduce_shards(&mut scratch, n);
+                let inv = 1.0 / out.weight_sum;
+                opt.step_scaled(pol.params_mut().as_mut_slice(), scratch.grad(), inv);
+                out.loss_sum * inv
             },
-            BatchSize::SmallInput,
         );
     });
 }
@@ -570,15 +455,14 @@ fn crossing_trace() -> MobilityTrace {
     MobilityTrace::new(10.0, vec![a, b])
 }
 
-fn bench_simnet(c: &mut Criterion, opts: &SuiteOpts) {
-    let reference = opts.reference;
+fn bench_simnet(c: &mut Timer, opts: &SuiteOpts) {
     let ch = Channel::new(RadioConfig::default(), LossModel::distance_default());
     c.bench_function("simnet/channel_transfer_0.6MB", |b| {
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        b.iter(|| ch.transfer(614_400, 100.0, |_| 150.0, &mut rng));
+        b.measure(|| ch.transfer(614_400, 100.0, |_| 150.0, &mut rng));
     });
     c.bench_function("simnet/trace_build_and_scan", |b| {
-        b.iter(|| {
+        b.measure(|| {
             let trace = crossing_trace();
             let active = [0usize, 1];
             let mut hits = 0usize;
@@ -597,45 +481,23 @@ fn bench_simnet(c: &mut Criterion, opts: &SuiteOpts) {
     // walks a real in-range window instead of early-exiting.
     let route_a = trace.future(0, 25.0, 0.5, 60);
     let route_b = trace.future(1, 25.0, 0.5, 60);
-    // `--reference` times the retained two-pass estimate the fused
-    // single-pass version is proptested bit-identical against.
     c.bench_function("simnet/contact_estimate_60pt", |b| {
-        if reference {
-            b.iter(|| predictor.estimate_reference(&route_a, &route_b, 0.5));
-        } else {
-            b.iter(|| predictor.estimate(&route_a, &route_b, 0.5));
-        }
+        b.measure(|| predictor.estimate(&route_a, &route_b, 0.5));
     });
-    // Encounter discovery at fleet scale: the spatial-hash grid against
-    // the retained all-pairs sweep (`--reference`), over parked lattice
-    // fleets where every node has a handful of radio neighbors. The two
-    // arms return byte-identical encounter lists (pinned by proptest);
-    // the diff is pure discovery cost — O(local density) vs O(n²).
-    {
-        let mut g = c.benchmark_group("simnet");
-        g.sample_size(10);
-        g.measurement_time(if opts.smoke {
-            Duration::from_millis(80)
-        } else {
-            Duration::from_secs(4)
-        });
-        for (label, n) in [("encounters_1k", 1_000usize), ("encounters_10k", 10_000)] {
-            let trace = grid_trace(n, 1.0);
-            let active: Vec<usize> = (0..n).collect();
-            g.bench_function(label, |b| {
-                if reference {
-                    b.iter(|| trace.encounters_at(0.25, 150.0, &active).len());
-                } else {
-                    let mut grid = EncounterGrid::new();
-                    let mut out = Vec::new();
-                    b.iter(|| {
-                        grid.encounters_into(&trace, 0.25, 150.0, &active, &mut out);
-                        out.len()
-                    });
-                }
+    // Spatial-hash encounter discovery at fleet scale, over parked lattice
+    // fleets where every node has a handful of radio neighbors.
+    let sampling = opts.group_sampling(80, 4);
+    for (label, n) in [("encounters_1k", 1_000usize), ("encounters_10k", 10_000)] {
+        let trace = grid_trace(n, 1.0);
+        let active: Vec<usize> = (0..n).collect();
+        c.bench_sampled(format!("simnet/{label}"), sampling, |b| {
+            let mut grid = EncounterGrid::new();
+            let mut out = Vec::new();
+            b.measure(|| {
+                grid.encounters_into(&trace, 0.25, 150.0, &active, &mut out);
+                out.len()
             });
-        }
-        g.finish();
+        });
     }
     // The per-window bookkeeping of the shared medium under saturating
     // load: 64 contenders across 8 cells, 40 windows of share / collision
@@ -643,7 +505,7 @@ fn bench_simnet(c: &mut Criterion, opts: &SuiteOpts) {
     // contention-mode transfer batch.
     c.bench_function("simnet/contention_step", |b| {
         let cfg = MediumConfig::default();
-        b.iter(|| {
+        b.measure(|| {
             let mut medium = Medium::new(cfg.clone());
             let mut acc = 0.0f64;
             for w in 0..40 {
@@ -750,18 +612,10 @@ fn grid_trace(n: usize, seconds: f64) -> MobilityTrace {
     MobilityTrace::new(fps, positions)
 }
 
-fn bench_runtime(c: &mut Criterion, opts: &SuiteOpts) {
-    let reference = opts.reference;
-    let mut g = c.benchmark_group("runtime");
-    g.sample_size(10);
-    g.measurement_time(if opts.smoke {
-        Duration::from_millis(60)
-    } else {
-        Duration::from_secs(4)
-    });
-    // Event scheduler vs the retained frame loop over identical fleets:
-    // under `--reference` these cells time `run_reference`, so the
-    // baseline-vs-current diff is exactly the scheduler's overhead.
+fn bench_runtime(c: &mut Timer, opts: &SuiteOpts) {
+    let sampling = opts.group_sampling(60, 4);
+    // The event scheduler over parked fleets: matching, queue churn, and
+    // the session lifecycle with learning costs stripped out.
     for n in [32usize, 256] {
         let seconds = if n == 32 { 60.0 } else { 20.0 };
         let trace = grid_trace(n, seconds);
@@ -773,25 +627,18 @@ fn bench_runtime(c: &mut Criterion, opts: &SuiteOpts) {
             ..RuntimeConfig::default()
         };
         let rt = Runtime::new(cfg);
-        g.bench_function(format!("event_loop_{n}nodes"), |b| {
-            b.iter(|| {
+        c.bench_sampled(format!("runtime/event_loop_{n}nodes"), sampling, |b| {
+            b.measure(|| {
                 let mut algo =
                     ProbeAlgo { n, params: ParamVec::zeros(1), bytes: 20_000, greedy: false, decline: false };
-                let run = if reference {
-                    rt.run_reference(&mut algo, &trace, &[])
-                } else {
-                    rt.run(&mut algo, &trace, &[])
-                };
-                run.map_or(0, |m| m.sessions)
+                rt.run(&mut algo, &trace, &[]).map_or(0, |m| m.sessions)
             });
         });
     }
     // Frame matching in isolation: a declining probe never opens a
     // session, and a zero pair cooldown means every frame re-runs full
     // encounter discovery, route sampling, and contact estimation over
-    // the 256-node fleet. Both engines share the grid + route-cache
-    // discovery path, so the `--reference` diff (frame loop vs event
-    // scheduler) stays within noise like the other runtime/ cells.
+    // the 256-node fleet.
     {
         let n = 256usize;
         let seconds = 20.0;
@@ -804,8 +651,8 @@ fn bench_runtime(c: &mut Criterion, opts: &SuiteOpts) {
             ..RuntimeConfig::default()
         };
         let rt = Runtime::new(cfg);
-        g.bench_function("frame_match_256", |b| {
-            b.iter(|| {
+        c.bench_sampled("runtime/frame_match_256", sampling, |b| {
+            b.measure(|| {
                 let mut algo = ProbeAlgo {
                     n,
                     params: ParamVec::zeros(1),
@@ -813,18 +660,12 @@ fn bench_runtime(c: &mut Criterion, opts: &SuiteOpts) {
                     greedy: false,
                     decline: true,
                 };
-                let run = if reference {
-                    rt.run_reference(&mut algo, &trace, &[])
-                } else {
-                    rt.run(&mut algo, &trace, &[])
-                };
-                run.map_or(0, |m| m.train_iterations)
+                rt.run(&mut algo, &trace, &[]).map_or(0, |m| m.train_iterations)
             });
         });
     }
     // Saturating contention: 16 isolated pairs stream unbounded payloads
     // through one shared medium cell — the windowed streaming hot path.
-    // (Identical under `--reference`; the frame loop has no medium.)
     {
         let fps = 2.0;
         let seconds = 15.0;
@@ -845,60 +686,14 @@ fn bench_runtime(c: &mut Criterion, opts: &SuiteOpts) {
             ..RuntimeConfig::default()
         };
         let rt = Runtime::new(cfg);
-        g.bench_function("contended_16pairs", |b| {
-            b.iter(|| {
+        c.bench_sampled("runtime/contended_16pairs", sampling, |b| {
+            b.measure(|| {
                 let mut algo =
                     ProbeAlgo { n: 32, params: ParamVec::zeros(1), bytes: 2_000_000, greedy: true, decline: false };
                 rt.run(&mut algo, &trace, &[]).map_or(0, |m| m.bytes_delivered)
             });
         });
     }
-    g.finish();
-}
-
-/// A scenario small enough to re-run inside a bench iteration; the smoke
-/// variant is smaller still so CI stays fast.
-fn e2e_scale(smoke: bool) -> Scale {
-    if smoke {
-        Scale {
-            n_vehicles: 2,
-            n_background: 4,
-            n_pedestrians: 10,
-            data_seconds: 30.0,
-            train_seconds: 60.0,
-            eval_every: 60.0,
-            eval_per_vehicle: 4,
-            trials: 1,
-            ..Scale::quick()
-        }
-    } else {
-        Scale {
-            n_vehicles: 3,
-            n_background: 6,
-            n_pedestrians: 20,
-            data_seconds: 60.0,
-            train_seconds: 180.0,
-            eval_every: 90.0,
-            eval_per_vehicle: 10,
-            trials: 2,
-            ..Scale::quick()
-        }
-    }
-}
-
-fn bench_e2e(c: &mut Criterion, opts: &SuiteOpts) {
-    let s = Scenario::build(e2e_scale(opts.smoke));
-    let mut g = c.benchmark_group("e2e");
-    g.sample_size(3);
-    g.measurement_time(if opts.smoke {
-        Duration::from_millis(50)
-    } else {
-        Duration::from_secs(8)
-    });
-    g.bench_function("lbchat_quick_no_loss", |b| {
-        b.iter(|| run_method(Method::LbChat, &s, Condition::NoLoss).map_or(0, |o| o.metrics.sessions));
-    });
-    g.finish();
 }
 
 #[cfg(test)]
@@ -907,37 +702,15 @@ mod tests {
 
     #[test]
     fn filter_narrows_to_matching_ids() {
-        let opts = SuiteOpts {
-            smoke: true,
-            reference: false,
-            filter: Some("solver".into()),
-        };
+        let opts = SuiteOpts { smoke: true, filter: Some("solver".into()) };
         let results = run(&opts);
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].id, "solver/eq7_solve");
     }
 
     #[test]
-    fn reference_and_optimized_emit_identical_ids() {
-        let base = SuiteOpts {
-            smoke: true,
-            reference: false,
-            filter: Some("coreset".into()),
-        };
-        let reference = SuiteOpts { reference: true, ..base.clone() };
-        let a: Vec<String> = run(&base).into_iter().map(|r| r.id).collect();
-        let b: Vec<String> = run(&reference).into_iter().map(|r| r.id).collect();
-        assert_eq!(a, b);
-        assert!(a.contains(&"coreset/construct_10k_to_150".to_string()));
-    }
-
-    #[test]
-    fn mode_and_implementation_strings() {
-        let opts = SuiteOpts { smoke: true, reference: true, filter: None };
-        assert_eq!(opts.mode(), "smoke");
-        assert_eq!(opts.implementation(), "reference");
-        let opts = SuiteOpts::default();
-        assert_eq!(opts.mode(), "full");
-        assert_eq!(opts.implementation(), "optimized");
+    fn mode_strings() {
+        assert_eq!(SuiteOpts { smoke: true, filter: None }.mode(), "smoke");
+        assert_eq!(SuiteOpts::default().mode(), "full");
     }
 }

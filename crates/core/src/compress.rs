@@ -278,8 +278,8 @@ fn sketch_decode_chunk(chunk_idx: usize, latents: &[f32], chunk_len: usize, out:
 // The Compressor trait and the Codec enum
 // ---------------------------------------------------------------------------
 
-/// A model codec: the single entry point every share path (both engines,
-/// all four baselines) routes model exchange through.
+/// A model codec: the single entry point every share path (LbChat and all
+/// four baselines) routes model exchange through.
 ///
 /// The three views stay consistent by construction: [`Compressor::apply`]
 /// is bit-identical to `encode(..).decode()` under the same rng state, and

@@ -326,8 +326,7 @@ pub fn reduce<S: Clone, R: Rng + ?Sized>(
 /// The pre-optimization implementations, kept verbatim as the golden
 /// baseline: the optimized [`construct`] and [`reduce`] must match them
 /// bit for bit (`tests/coreset_properties.rs` proves it on random inputs,
-/// `tests/golden.rs` on pinned fixtures), and `lbchat-bench --reference`
-/// times them to quantify the speedup.
+/// `tests/golden.rs` on pinned fixtures).
 pub mod reference {
     use super::{Coreset, CoresetConfig};
     use crate::dataset::WeightedDataset;

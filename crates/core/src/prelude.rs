@@ -16,7 +16,7 @@ pub use crate::learner::{Learner, TrainStats};
 pub use crate::metrics::Metrics;
 pub use crate::obs::ObsSink;
 pub use crate::runtime::{
-    CollabAlgorithm, FrameCtx, LinkCtx, Runtime, RuntimeConfig, RuntimeConfigBuilder,
+    CollabAlgorithm, FrameCtx, Runtime, RuntimeConfig, RuntimeConfigBuilder,
     RuntimeError, SessionCtx, SessionStep,
 };
 pub use simnet::channel::{MediumConfig, TransferLoss, TransferOutcome, TransferSpec};

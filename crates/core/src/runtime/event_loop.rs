@@ -4,11 +4,10 @@
 //! and evaluations are events on the deterministic queue in [`super::sched`].
 //! Two execution modes share the scaffolding:
 //!
-//! * **Compatibility** ([`RuntimeConfig::contention`] = `None`): each frame
+//! * **Synchronous** ([`RuntimeConfig::contention`] = `None`): each frame
 //!   pushes its sessions, training slices, and evaluation as same-timestamp
-//!   events in phase order, and every session runs synchronously at its
-//!   `ContactOpen` through [`super::drive_session`] on the shared RNG —
-//!   which reproduces [`super::reference`] bit for bit.
+//!   events in phase order, and every session runs to completion at its
+//!   `ContactOpen` through [`drive_session`] on the shared RNG.
 //! * **Contention**: sessions become long-lived records whose transfers
 //!   stream packet windows that contend for per-cell airtime on a
 //!   [`Medium`]. Each session draws from its own seeded RNG, and a window's
@@ -19,8 +18,8 @@
 
 use super::sched::{Event, EventQueue};
 use super::{
-    emit_round, record_transfer_obs, CollabAlgorithm, FrameCtx, PairCooldown, RuntimeConfig,
-    SessionCtx, SessionStep,
+    drive_session, emit_round, record_transfer_obs, CollabAlgorithm, FrameCtx, PairCooldown,
+    RuntimeConfig, SessionCtx, SessionStep,
 };
 use crate::exec;
 use crate::metrics::Metrics;
@@ -117,6 +116,17 @@ struct Live<S> {
     closed: bool,
 }
 
+/// What a [`SessionCtx`] is built from: a session's endpoints, contact
+/// estimate, open time, and the protocol time consumed so far.
+#[derive(Clone, Copy)]
+struct Link {
+    start: f64,
+    i: usize,
+    j: usize,
+    est: ContactEstimate,
+    elapsed: f64,
+}
+
 /// A streaming transfer in flight.
 struct Pending {
     spec: TransferSpec,
@@ -211,8 +221,8 @@ struct EventLoop<'a, A: CollabAlgorithm> {
     dt: f64,
     channel: Channel,
     predictor: ContactPredictor,
-    /// The shared (frame-order) RNG: frame hooks, compat-mode sessions, and
-    /// training draw from it in event order, exactly like the reference loop.
+    /// The shared (frame-order) RNG: frame hooks, synchronous sessions, and
+    /// training draw from it in event order.
     rng: rand::rngs::StdRng,
     metrics: Metrics,
     busy_until: Vec<f64>,
@@ -296,11 +306,10 @@ impl<A: CollabAlgorithm> EventLoop<'_, A> {
             algo.on_frame(&mut fctx);
         }
 
-        // Pair matching (identical to the reference loop, with the dense
-        // cooldown matrix replaced by the triangular PairCooldown).
-        // Encounters come from the spatial hash — bit-identical to the
-        // all-pairs sweep — and each agent's shared route is interpolated
-        // at most once per frame through the route cache.
+        // Pair matching. Encounters come from the spatial hash —
+        // bit-identical to the all-pairs sweep — and each agent's shared
+        // route is interpolated at most once per frame through the route
+        // cache.
         self.routes.begin_frame();
         let stats = self.grid.encounters_into(
             self.trace,
@@ -351,8 +360,8 @@ impl<A: CollabAlgorithm> EventLoop<'_, A> {
             self.queue.push(t, Event::Eval);
             self.next_eval += self.cfg.eval_every;
         }
-        // Frame times accumulate by repeated `+ dt` — the same float
-        // sequence as the reference loop's `time += dt`.
+        // Frame times accumulate by repeated `+ dt`; the recorded fixtures
+        // pin that float sequence.
         if t + self.dt < self.cfg.duration {
             self.queue.push(t + self.dt, Event::Frame);
         }
@@ -377,8 +386,58 @@ impl<A: CollabAlgorithm> EventLoop<'_, A> {
         }
     }
 
-    /// Compat-mode session: runs the whole lifecycle synchronously at the
-    /// open event on the shared RNG — the reference loop's session phase.
+    /// Runs one algorithm callback `f` over a freshly built [`SessionCtx`]
+    /// — the only place one is built. `rng` is the session's own RNG, or
+    /// `None` for the shared frame-order RNG a synchronous session draws
+    /// from. Returns `f`'s result and the session clock it left behind.
+    fn with_ctx<R>(
+        &mut self,
+        link: Link,
+        rng: Option<&mut rand::rngs::StdRng>,
+        f: impl FnOnce(&mut SessionCtx<'_>) -> R,
+    ) -> (R, f64) {
+        let mut ctx = SessionCtx {
+            start: link.start,
+            i: link.i,
+            j: link.j,
+            trace: self.trace,
+            channel: &self.channel,
+            rng: rng.unwrap_or(&mut self.rng),
+            metrics: &mut self.metrics,
+            est: link.est,
+            elapsed: link.elapsed,
+            codec: self.cfg.codec,
+            obs: &self.cfg.obs,
+        };
+        let ret = f(&mut ctx);
+        (ret, ctx.elapsed)
+    }
+
+    /// [`EventLoop::with_ctx`] for a live (contention-mode) session: checks
+    /// the session's RNG and protocol state out of its record for the call
+    /// and checks them back in, with the session clock, afterwards. `f`
+    /// leaves in the state slot whatever the session should carry on with.
+    /// `None` when the RNG is already checked out.
+    fn with_live_ctx<R>(
+        &mut self,
+        sid: usize,
+        f: impl FnOnce(&mut Option<A::Session>, &mut SessionCtx<'_>) -> R,
+    ) -> Option<R> {
+        let live = &mut self.sessions[sid];
+        let mut rng = live.rng.take()?;
+        let mut state = live.state.take();
+        let link =
+            Link { start: live.start, i: live.i, j: live.j, est: live.est, elapsed: live.elapsed };
+        let (ret, elapsed) = self.with_ctx(link, Some(&mut rng), |ctx| f(&mut state, ctx));
+        let live = &mut self.sessions[sid];
+        live.elapsed = elapsed;
+        live.rng = Some(rng);
+        live.state = state;
+        Some(ret)
+    }
+
+    /// Synchronous session: runs the whole lifecycle at the open event on
+    /// the shared RNG.
     fn open_synchronous(
         &mut self,
         algo: &mut A,
@@ -389,20 +448,8 @@ impl<A: CollabAlgorithm> EventLoop<'_, A> {
         t: f64,
     ) {
         self.metrics.sessions += 1;
-        let mut link = SessionCtx {
-            start: t,
-            i,
-            j,
-            trace: self.trace,
-            channel: &self.channel,
-            rng: &mut self.rng,
-            metrics: &mut self.metrics,
-            est,
-            elapsed: 0.0,
-            codec: self.cfg.codec,
-            obs: &self.cfg.obs,
-        };
-        let duration = algo.encounter(i, j, &mut link);
+        let link = Link { start: t, i, j, est, elapsed: 0.0 };
+        let (duration, _) = self.with_ctx(link, None, |ctx| drive_session(algo, ctx));
         if self.cfg.obs.enabled() {
             self.cfg.obs.add("sessions", 1);
             self.cfg.obs.emit(
@@ -456,38 +503,21 @@ impl<A: CollabAlgorithm> EventLoop<'_, A> {
                 &[("i", i.into()), ("j", j.into()), ("t", t.into()), ("priority", score.into())],
             );
         }
-        let opened = {
-            let live = &mut self.sessions[sid];
-            let Some(mut rng) = live.rng.take() else { return };
-            let mut ctx = SessionCtx {
-                start: live.start,
-                i,
-                j,
-                trace: self.trace,
-                channel: &self.channel,
-                rng: &mut rng,
-                metrics: &mut self.metrics,
-                est,
-                elapsed: live.elapsed,
-                codec: self.cfg.codec,
-                obs: &self.cfg.obs,
-            };
-            let opened = algo.session_open(&mut ctx);
-            let elapsed = ctx.elapsed;
-            let live = &mut self.sessions[sid];
-            live.elapsed = elapsed;
-            live.rng = Some(rng);
-            opened
+        let Some(first) = self.with_live_ctx(sid, |state, ctx| {
+            let (opened, first) = algo.session_open(ctx)?;
+            *state = Some(opened);
+            Some(first)
+        }) else {
+            return;
         };
-        match opened {
+        match first {
             None => {
-                // Declined pairing: a zero-duration session, like an
-                // encounter returning 0 — busy one frame, cooldown applies.
+                // Declined pairing: a zero-duration session — busy one
+                // frame, cooldown applies.
                 self.sessions[sid].closed = true;
                 self.finish_session(sid, t, 0.0);
             }
-            Some((state, step)) => {
-                self.sessions[sid].state = Some(state);
+            Some(step) => {
                 self.busy_until[i] = f64::INFINITY;
                 self.busy_until[j] = f64::INFINITY;
                 self.queue.push(t + est.duration.max(self.dt), Event::ContactClose { session: sid });
@@ -512,7 +542,7 @@ impl<A: CollabAlgorithm> EventLoop<'_, A> {
                         // Instant, like the synchronous channel.
                         let out = TransferOutcome::Delivered { elapsed: 0.0 };
                         record_transfer_obs(&self.cfg.obs, live.i, live.j, t0, 0, &out);
-                        step = self.call_step(algo, sid, out, t);
+                        step = self.call_step(algo, sid, out);
                         continue;
                     }
                     live.pending = Some(Pending {
@@ -617,38 +647,18 @@ impl<A: CollabAlgorithm> EventLoop<'_, A> {
             let live = &mut self.sessions[sid];
             live.elapsed += out.elapsed();
             record_transfer_obs(&self.cfg.obs, live.i, live.j, t0, bytes, &out);
-            let step = self.call_step(algo, sid, out, t);
+            let step = self.call_step(algo, sid, out);
             self.apply_step(algo, sid, step, t);
         }
     }
 
-    /// Hands a transfer outcome to the algorithm's `session_step` with the
-    /// session's context checked out.
-    fn call_step(&mut self, algo: &mut A, sid: usize, out: TransferOutcome, _t: f64) -> SessionStep {
-        let live = &mut self.sessions[sid];
-        let (Some(mut state), Some(mut rng)) = (live.state.take(), live.rng.take()) else {
-            return SessionStep::Done;
-        };
-        let mut ctx = SessionCtx {
-            start: live.start,
-            i: live.i,
-            j: live.j,
-            trace: self.trace,
-            channel: &self.channel,
-            rng: &mut rng,
-            metrics: &mut self.metrics,
-            est: live.est,
-            elapsed: live.elapsed,
-            codec: self.cfg.codec,
-            obs: &self.cfg.obs,
-        };
-        let step = algo.session_step(&mut state, out, &mut ctx);
-        let elapsed = ctx.elapsed;
-        let live = &mut self.sessions[sid];
-        live.elapsed = elapsed;
-        live.state = Some(state);
-        live.rng = Some(rng);
-        step
+    /// Hands a transfer outcome to the algorithm's `session_step`.
+    fn call_step(&mut self, algo: &mut A, sid: usize, out: TransferOutcome) -> SessionStep {
+        self.with_live_ctx(sid, |state, ctx| match state {
+            Some(state) => algo.session_step(state, out, ctx),
+            None => SessionStep::Done,
+        })
+        .unwrap_or(SessionStep::Done)
     }
 
     /// Force-closes a still-open session at `t` (contact window ended or
@@ -664,7 +674,7 @@ impl<A: CollabAlgorithm> EventLoop<'_, A> {
             let live = &mut self.sessions[sid];
             live.elapsed += p.airtime;
             record_transfer_obs(&self.cfg.obs, live.i, live.j, p.t0, p.spec.bytes, &out);
-            let mut step = self.call_step(algo, sid, out, t);
+            let mut step = self.call_step(algo, sid, out);
             let mut feeds = 0u32;
             while let SessionStep::Transfer(spec) = step {
                 feeds += 1;
@@ -675,7 +685,7 @@ impl<A: CollabAlgorithm> EventLoop<'_, A> {
                 let live = &self.sessions[sid];
                 let t0 = live.start + live.elapsed;
                 record_transfer_obs(&self.cfg.obs, live.i, live.j, t0, spec.bytes, &out);
-                step = self.call_step(algo, sid, out, t);
+                step = self.call_step(algo, sid, out);
             }
         }
         self.close_session(algo, sid, t);
@@ -688,31 +698,10 @@ impl<A: CollabAlgorithm> EventLoop<'_, A> {
             return;
         }
         self.sessions[sid].closed = true;
-        let duration = {
-            let live = &mut self.sessions[sid];
-            let (Some(state), Some(mut rng)) = (live.state.take(), live.rng.take()) else {
-                return;
-            };
-            let mut ctx = SessionCtx {
-                start: live.start,
-                i: live.i,
-                j: live.j,
-                trace: self.trace,
-                channel: &self.channel,
-                rng: &mut rng,
-                metrics: &mut self.metrics,
-                est: live.est,
-                elapsed: live.elapsed,
-                codec: self.cfg.codec,
-                obs: &self.cfg.obs,
-            };
-            let duration = algo.session_close(state, &mut ctx);
-            let elapsed = ctx.elapsed;
-            let live = &mut self.sessions[sid];
-            live.elapsed = elapsed;
-            live.rng = Some(rng);
-            duration
-        };
+        let closed = self.with_live_ctx(sid, |state, ctx| {
+            state.take().map(|state| algo.session_close(state, ctx))
+        });
+        let Some(Some(duration)) = closed else { return };
         self.finish_session(sid, t, duration);
     }
 

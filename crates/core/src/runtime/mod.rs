@@ -8,23 +8,26 @@
 //! radio. Methods differ only in the [`CollabAlgorithm`] implementation, so
 //! comparisons are apples-to-apples.
 //!
-//! Since the event-runtime redesign the simulator is a discrete-event
-//! scheduler ([`sched`]): frames, session opens/closes, streaming transfer
-//! steps, training slices, and evaluations are events on a deterministic
-//! priority queue. Algorithms speak a session lifecycle —
+//! The simulator is one discrete-event scheduler ([`sched`]) behind one
+//! entry point, [`Runtime::run`]: frames, session opens/closes, streaming
+//! transfer steps, training slices, and evaluations are events on a
+//! deterministic priority queue. Algorithms speak a session lifecycle —
 //! [`CollabAlgorithm::session_open`] → [`CollabAlgorithm::session_step`] per
 //! completed transfer → [`CollabAlgorithm::session_close`] — through a
 //! [`SessionCtx`], and declare each payload they want moved as a
 //! [`TransferSpec`] instead of blocking on an all-at-once transfer call.
-//! With contention disabled (the default) the event loop replays the
-//! retained synchronous frame loop ([`mod@reference`]) bit for bit; with a
-//! [`MediumConfig`] installed, transfers stream packet-granularly and
-//! contend for per-cell airtime so the network can actually saturate.
+//! With contention disabled (the default) every session runs to completion
+//! at its open event; with a [`MediumConfig`] installed, transfers stream
+//! packet-granularly and contend for per-cell airtime so the network can
+//! actually saturate.
 
-pub mod reference;
 pub mod sched;
 
 mod event_loop;
+/// The synchronous frame loop the scheduler replaced, kept as the oracle
+/// the unit tests below compare [`Runtime::run`] against.
+#[cfg(test)]
+mod reference;
 
 use crate::compress::Codec;
 use crate::config::ConfigError;
@@ -64,16 +67,16 @@ pub struct RuntimeConfig {
     /// RNG seed for communication randomness.
     pub seed: u64,
     /// Model codec every share path routes model exchange through (the
-    /// `--codec` CLI axis): both engines hand it to algorithms via
+    /// `--codec` CLI axis): the runtime hands it to algorithms via
     /// [`SessionCtx::codec`] / [`FrameCtx::codec`]. The default
     /// [`Codec::TopK`] reproduces the paper's §III-C top-k path bit for
     /// bit; see docs/COMPRESSION.md for the alternatives.
     pub codec: Codec,
     /// Shared-medium contention for streaming transfers. `None` (the
-    /// default) runs sessions synchronously at their open event — the
-    /// compatibility mode that reproduces [`mod@reference`] bit for bit. With a
-    /// config installed, sessions stream packet windows that contend for
-    /// per-cell airtime, with backoff and collision drops under congestion.
+    /// default, and how every paper table runs) completes each session
+    /// synchronously at its open event. With a config installed, sessions
+    /// stream packet windows that contend for per-cell airtime, with
+    /// backoff and collision drops under congestion.
     pub contention: Option<MediumConfig>,
     /// Observability sink for structured run events (`round`, `session`,
     /// `transfer`, `backend`, `chat`, and the streaming `session.*`
@@ -260,11 +263,11 @@ impl std::fmt::Display for RuntimeError {
 impl std::error::Error for RuntimeError {}
 
 /// A pairwise radio link during one session, advancing its own elapsed time
-/// as transfers are charged. This context subsumes the pre-event-runtime
-/// `LinkCtx`: algorithms either declare transfers as [`TransferSpec`]s
-/// through the session lifecycle (streamed by the event loop) or move them
-/// synchronously with [`SessionCtx::transfer`] / [`SessionCtx::run_spec`];
-/// the runtime uses the accumulated time to mark both endpoints busy.
+/// as transfers are charged. Algorithms either declare transfers as
+/// [`TransferSpec`]s through the session lifecycle (streamed by the event
+/// loop) or move them synchronously with [`SessionCtx::transfer`] /
+/// [`SessionCtx::run_spec`]; the runtime uses the accumulated time to mark
+/// both endpoints busy.
 pub struct SessionCtx<'a> {
     /// Session start in simulated seconds.
     start: f64,
@@ -282,10 +285,6 @@ pub struct SessionCtx<'a> {
     codec: Codec,
     obs: &'a ObsSink,
 }
-
-/// The pre-event-runtime name for [`SessionCtx`], kept so algorithm code and
-/// the retained [`mod@reference`] loop read unchanged.
-pub type LinkCtx<'a> = SessionCtx<'a>;
 
 impl SessionCtx<'_> {
     /// The contact estimate (duration, z, p) computed from shared routes.
@@ -345,7 +344,7 @@ impl SessionCtx<'_> {
 
     /// The session's model codec ([`RuntimeConfig`]'s `codec` field): the
     /// single entry point model exchange is routed through, for every
-    /// method and both engines.
+    /// method.
     pub fn codec(&self) -> Codec {
         self.codec
     }
@@ -479,10 +478,7 @@ pub enum SessionStep {
 /// requested [`SessionStep::Transfer`] comes back through
 /// [`CollabAlgorithm::session_step`] with its outcome; and
 /// [`CollabAlgorithm::session_close`] finalizes state — also when the
-/// runtime force-closes a session at contact end. The provided
-/// [`CollabAlgorithm::encounter`] drives the whole lifecycle synchronously
-/// over one [`SessionCtx`], which is how the retained [`mod@reference`] loop
-/// (and the event loop's no-contention mode) executes sessions.
+/// runtime force-closes a session at contact end.
 pub trait CollabAlgorithm {
     /// The task sample type (evaluation needs a held-out set of these).
     type Sample;
@@ -509,7 +505,13 @@ pub trait CollabAlgorithm {
 
     /// Opens a pairwise session between `ctx.i` and `ctx.j`. Return the
     /// initial protocol state plus the first step, or `None` to decline the
-    /// pairing (no session happens; both nodes stay free).
+    /// pairing. A declined pairing moves no payload and never reaches
+    /// [`CollabAlgorithm::session_close`], but the runtime still treats it
+    /// as a zero-duration session: it counts in [`Metrics::sessions`], both
+    /// nodes are held busy for one frame, and
+    /// [`RuntimeConfig::pair_cooldown`] applies to the pair. To skip a
+    /// pairing at no cost, return `-inf` from
+    /// [`CollabAlgorithm::pair_priority`] instead.
     fn session_open(&mut self, ctx: &mut SessionCtx<'_>) -> Option<(Self::Session, SessionStep)>;
 
     /// Handles the outcome of the previously requested transfer and returns
@@ -527,18 +529,6 @@ pub trait CollabAlgorithm {
     /// contact end — finalizing protocol state. Returns the session
     /// duration in seconds (both nodes were busy that long).
     fn session_close(&mut self, state: Self::Session, ctx: &mut SessionCtx<'_>) -> f64;
-
-    /// Handles a pairwise encounter synchronously; returns the session
-    /// duration in seconds (both nodes stay busy that long). The default
-    /// drives the session lifecycle to completion over `link` — override
-    /// only to bypass the lifecycle entirely.
-    fn encounter(&mut self, i: usize, j: usize, link: &mut SessionCtx<'_>) -> f64
-    where
-        Self: Sized,
-    {
-        debug_assert!(i == link.i && j == link.j, "encounter ids must match the session ctx");
-        drive_session(self, link)
-    }
 
     /// Ranks a potential encounter for greedy pair matching (higher =
     /// served first). The default is 0 — no prioritization; pairs are
@@ -563,10 +553,10 @@ pub trait CollabAlgorithm {
 }
 
 /// Drives one session's full lifecycle synchronously over `ctx`: open, run
-/// every requested transfer to completion in place, step, close. This is
-/// the execution mode of the [`mod@reference`] loop and of the event loop with
-/// contention disabled.
-pub fn drive_session<A: CollabAlgorithm>(algo: &mut A, ctx: &mut SessionCtx<'_>) -> f64 {
+/// every requested transfer to completion in place, step, close — how the
+/// event loop executes sessions with contention disabled. Returns the
+/// session duration in seconds (0 for a declined pairing).
+fn drive_session<A: CollabAlgorithm>(algo: &mut A, ctx: &mut SessionCtx<'_>) -> f64 {
     let Some((mut state, mut step)) = algo.session_open(ctx) else {
         return 0.0;
     };
@@ -627,12 +617,9 @@ impl Runtime {
     }
 
     /// Runs `algo` over `trace` for the configured duration on the
-    /// discrete-event scheduler, evaluating on `eval` along the way.
-    /// Returns the collected metrics, or a [`RuntimeError`] when the trace
-    /// cannot host the algorithm.
-    ///
-    /// With [`RuntimeConfig::contention`] unset this reproduces
-    /// [`Runtime::run_reference`] bit for bit.
+    /// discrete-event scheduler, evaluating on `eval` along the way — the
+    /// one way to run a method. Returns the collected metrics, or a
+    /// [`RuntimeError`] when the trace cannot host the algorithm.
     // audit:entry(hot)
     pub fn run<A: CollabAlgorithm>(
         &self,
@@ -640,29 +627,12 @@ impl Runtime {
         trace: &MobilityTrace,
         eval: &[A::Sample],
     ) -> Result<Metrics, RuntimeError> {
-        check_trace(trace, algo.n_nodes())?;
+        let nodes = algo.n_nodes();
+        if trace.n_agents() < nodes {
+            return Err(RuntimeError::TraceTooSmall { agents: trace.n_agents(), nodes });
+        }
         Ok(event_loop::run(&self.config, algo, trace, eval))
     }
-
-    /// Runs `algo` on the retained synchronous frame loop ([`mod@reference`]) —
-    /// the pre-event-runtime semantics, kept as the equivalence baseline.
-    pub fn run_reference<A: CollabAlgorithm>(
-        &self,
-        algo: &mut A,
-        trace: &MobilityTrace,
-        eval: &[A::Sample],
-    ) -> Result<Metrics, RuntimeError> {
-        check_trace(trace, algo.n_nodes())?;
-        Ok(reference::run(&self.config, algo, trace, eval))
-    }
-}
-
-/// Validates that `trace` can host `nodes` agents.
-fn check_trace(trace: &MobilityTrace, nodes: usize) -> Result<(), RuntimeError> {
-    if trace.n_agents() < nodes {
-        return Err(RuntimeError::TraceTooSmall { agents: trace.n_agents(), nodes });
-    }
-    Ok(())
 }
 
 /// One `round` event per loss-curve sample: the quantity Fig. 2 plots.
@@ -676,6 +646,7 @@ fn emit_round(obs: &ObsSink, method: &str, t: f64, loss: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngExt as _;
     use simnet::geom::Vec2;
 
     /// A do-nothing algorithm counting callbacks — exercises the loop
@@ -983,8 +954,6 @@ mod tests {
         let mut probe = Probe::new(5);
         let err = runtime(10.0).run(&mut probe, &trace, &[]);
         assert_eq!(err.err(), Some(RuntimeError::TraceTooSmall { agents: 2, nodes: 5 }));
-        let err = runtime(10.0).run_reference(&mut probe, &trace, &[]);
-        assert_eq!(err.err(), Some(RuntimeError::TraceTooSmall { agents: 2, nodes: 5 }));
         let msg = RuntimeError::TraceTooSmall { agents: 2, nodes: 5 }.to_string();
         assert!(msg.contains("trace has 2 agents"), "{msg}");
     }
@@ -1003,11 +972,45 @@ mod tests {
         assert_eq!(cd.get(1, 3), 42.0);
     }
 
+    // ---- Equivalence with the retained frame loop -----------------------
+    //
+    // With contention disabled, `Runtime::run` must reproduce
+    // `reference::run` bit for bit — same loss curve, same counters, same
+    // airtime accounting, same final models — for any trace geometry, loss
+    // model, cooldown, training rate, and seed.
+
+    /// Runs `event` through [`Runtime::run`] and `oracle` through the frame
+    /// loop under the same config, asserts bit-equal metrics, and returns
+    /// them.
+    fn assert_same_run<A: CollabAlgorithm>(
+        cfg: RuntimeConfig,
+        trace: &MobilityTrace,
+        eval: &[A::Sample],
+        event: &mut A,
+        oracle: &mut A,
+    ) -> Metrics {
+        let me = Runtime::new(cfg.clone()).run(event, trace, eval).expect("trace fits");
+        let mr = reference::run(&cfg, oracle, trace, eval);
+        assert_eq!(me.loss_curve.len(), mr.loss_curve.len());
+        for ((te, le), (tr, lr)) in me.loss_curve.iter().zip(&mr.loss_curve) {
+            assert_eq!(te.to_bits(), tr.to_bits(), "loss-curve time diverged");
+            assert_eq!(le.to_bits(), lr.to_bits(), "loss-curve value diverged");
+        }
+        assert_eq!(me.sessions, mr.sessions);
+        assert_eq!(me.coreset_sends, mr.coreset_sends);
+        assert_eq!(me.coreset_receives, mr.coreset_receives);
+        assert_eq!(me.model_sends, mr.model_sends);
+        assert_eq!(me.model_receives, mr.model_receives);
+        assert_eq!(me.bytes_delivered, mr.bytes_delivered);
+        assert_eq!(me.comm_seconds.to_bits(), mr.comm_seconds.to_bits());
+        assert_eq!(me.train_iterations, mr.train_iterations);
+        me
+    }
+
     #[test]
     fn event_loop_matches_reference_bit_for_bit() {
-        // Contention disabled: identical metrics, counters, and loss curves
-        // from both engines — including under distance loss, where every
-        // packet draws from the shared RNG.
+        // Including under distance loss, where every packet draws from the
+        // shared RNG.
         for loss in [LossModel::None, LossModel::distance_default()] {
             let trace = two_vehicle_trace(150.0);
             let cfg = RuntimeConfig {
@@ -1017,24 +1020,225 @@ mod tests {
                 loss_model: loss,
                 ..RuntimeConfig::default()
             };
-            let rt = Runtime::new(cfg);
-            let mut pe = Probe::new(2);
-            let me = run_ok(&rt, &mut pe, &trace);
-            let mut pr = Probe::new(2);
-            let mr = match rt.run_reference(&mut pr, &trace, &[]) {
-                Ok(m) => m,
-                Err(e) => panic!("{e}"),
-            };
-            assert_eq!(me.loss_curve, mr.loss_curve);
-            assert_eq!(me.sessions, mr.sessions);
-            assert_eq!(me.coreset_sends, mr.coreset_sends);
-            assert_eq!(me.coreset_receives, mr.coreset_receives);
-            assert_eq!(me.bytes_delivered, mr.bytes_delivered);
-            assert_eq!(me.comm_seconds.to_bits(), mr.comm_seconds.to_bits());
-            assert_eq!(me.train_iterations, mr.train_iterations);
+            let (mut pe, mut pr) = (Probe::new(2), Probe::new(2));
+            assert_same_run(cfg, &trace, &[], &mut pe, &mut pr);
             assert_eq!(pe.encounters, pr.encounters);
             assert_eq!(pe.train_calls, pr.train_calls);
             assert_eq!(pe.frames, pr.frames);
+        }
+    }
+
+    /// A chatty probe: each session draws its transfer count and payload
+    /// sizes from the protocol RNG, declines a fraction of pairings, and
+    /// records every payload in the metrics — a miniature of the real
+    /// multi-phase LbChat session without any learning, so a divergence in
+    /// RNG order, matching order, or transfer accounting between the two
+    /// loops is caught rather than masked by a trivial protocol.
+    struct Chatter {
+        n: usize,
+        params: ParamVec,
+    }
+
+    struct ChatterSession {
+        remaining: u32,
+    }
+
+    impl CollabAlgorithm for Chatter {
+        type Sample = ();
+        type Session = ChatterSession;
+
+        fn n_nodes(&self) -> usize {
+            self.n
+        }
+        fn model(&self, _node: usize) -> &ParamVec {
+            &self.params
+        }
+        fn local_training(
+            &mut self,
+            _node: usize,
+            _iters: usize,
+            rng: &mut rand::rngs::StdRng,
+        ) -> crate::learner::TrainStats {
+            // Consume shared randomness so training order matters too.
+            let _: f32 = rng.random();
+            crate::learner::TrainStats::default()
+        }
+        fn session_open(
+            &mut self,
+            ctx: &mut SessionCtx<'_>,
+        ) -> Option<(ChatterSession, SessionStep)> {
+            let decline: f32 = ctx.rng().random();
+            if decline < 0.125 {
+                return None;
+            }
+            let remaining = (ctx.rng().random::<f32>() * 3.0) as u32;
+            let bytes = 10_000 + (ctx.rng().random::<f32>() * 40_000.0) as usize;
+            Some((
+                ChatterSession { remaining },
+                SessionStep::Transfer(TransferSpec::link(bytes, 8.0)),
+            ))
+        }
+        fn session_step(
+            &mut self,
+            state: &mut ChatterSession,
+            out: TransferOutcome,
+            ctx: &mut SessionCtx<'_>,
+        ) -> SessionStep {
+            ctx.metrics.record_coreset_send(out.is_delivered(), 10_000, out.elapsed());
+            if !out.is_delivered() || state.remaining == 0 {
+                return SessionStep::Done;
+            }
+            state.remaining -= 1;
+            let bytes = 5_000 + (ctx.rng().random::<f32>() * 20_000.0) as usize;
+            SessionStep::Transfer(TransferSpec::link(bytes, 6.0))
+        }
+        fn session_close(&mut self, _state: ChatterSession, ctx: &mut SessionCtx<'_>) -> f64 {
+            ctx.elapsed()
+        }
+        fn mean_eval_loss(&self, _eval: &[()]) -> f64 {
+            1.0
+        }
+        fn name(&self) -> &'static str {
+            "chatter"
+        }
+    }
+
+    /// Vehicles on parallel lanes drifting along x at per-vehicle speeds
+    /// `(x0, vx)`, so pairs move in and out of radio range over the run.
+    fn lane_trace(vehicles: &[(f32, f32)], duration: f64) -> MobilityTrace {
+        let fps = 2.0;
+        let frames = (duration * fps) as usize + 1;
+        let positions = vehicles
+            .iter()
+            .enumerate()
+            .map(|(k, &(x0, vx))| {
+                (0..frames)
+                    .map(|f| {
+                        let t = f as f32 / fps as f32;
+                        Vec2::new(x0 + vx * t, k as f32 * 30.0)
+                    })
+                    .collect()
+            })
+            .collect();
+        MobilityTrace::new(fps, positions)
+    }
+
+    fn assert_same_chatter_run(cfg: RuntimeConfig, vehicles: &[(f32, f32)]) {
+        let trace = lane_trace(vehicles, cfg.duration);
+        let chatter = || Chatter { n: vehicles.len(), params: ParamVec::zeros(1) };
+        assert_same_run(cfg, &trace, &[], &mut chatter(), &mut chatter());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn event_loop_matches_reference_without_contention(
+            vehicles in proptest::prelude::prop::collection::vec(
+                (-400.0f32..400.0, -12.0f32..12.0),
+                2..5,
+            ),
+            duration in 30.0f64..90.0,
+            seed in 0u64..1_000,
+            cooldown in 0.0f64..40.0,
+            lossy in 0u32..2,
+            train_rate in 0.0f64..4.0,
+        ) {
+            let cfg = RuntimeConfig {
+                duration,
+                train_iters_per_second: train_rate,
+                loss_model: if lossy == 1 {
+                    LossModel::distance_default()
+                } else {
+                    LossModel::None
+                },
+                eval_every: 25.0,
+                pair_cooldown: cooldown,
+                seed,
+                ..RuntimeConfig::default()
+            };
+            assert_same_chatter_run(cfg, &vehicles);
+        }
+    }
+
+    /// The paper-shaped corner cases the strategy may not hit every run:
+    /// zero-length cooldowns, sub-frame durations, and a dense fleet.
+    #[test]
+    fn event_loop_matches_reference_on_edge_configs() {
+        for (duration, cooldown, seed) in [(0.6, 0.0, 7), (45.0, 0.0, 1), (45.0, 200.0, 2)] {
+            let cfg = RuntimeConfig {
+                duration,
+                pair_cooldown: cooldown,
+                eval_every: 10.0,
+                seed,
+                loss_model: LossModel::distance_default(),
+                ..RuntimeConfig::default()
+            };
+            let fleet: Vec<(f32, f32)> =
+                (0..6).map(|k| (k as f32 * 90.0, if k % 2 == 0 { 3.0 } else { -3.0 })).collect();
+            assert_same_chatter_run(cfg, &fleet);
+        }
+    }
+
+    /// The full LbChat protocol — assist, coreset exchange, compression
+    /// optimization, model exchange, aggregation — and the SCO ablation,
+    /// with and without wireless loss: identical metrics *and final models*
+    /// from both loops.
+    #[test]
+    fn event_loop_matches_reference_on_lbchat_and_sco() {
+        use crate::config::LbChatConfig;
+        use crate::dataset::WeightedDataset;
+        use crate::learner::testutil::{line_data, LineLearner};
+        use crate::node::LbChatAlgorithm;
+        use rand::SeedableRng;
+
+        let base = LbChatConfig {
+            coreset_size: 30,
+            coreset_bytes_per_sample: 256,
+            model_wire_bytes: 4 * 1024 * 1024, // small model: fits contacts
+            coreset_refresh_iters: 20,
+            batch_size: 16,
+            ..LbChatConfig::default()
+        };
+        // Four vehicles, each fitting its own line, drifting through each
+        // other's radio range.
+        let lines = [(2.0, -1.0), (-1.0, 2.0), (0.5, 0.5), (-2.0, 0.0)];
+        let vehicles = [(0.0, 2.0), (120.0, -2.0), (260.0, -4.0), (-150.0, 5.0)];
+        let trace = lane_trace(&vehicles, 300.0);
+        let eval = line_data(1.0, 1.0, 40);
+        for lbchat in [base.clone(), base.sco()] {
+            for loss_model in [LossModel::None, LossModel::distance_default()] {
+                let method = if lbchat.share_model { "LbChat" } else { "SCO" };
+                let cell = format!("{method} / {loss_model:?}");
+                let fleet = || {
+                    let learners = vec![LineLearner::new(0.0, 0.0); lines.len()];
+                    let datasets = lines
+                        .iter()
+                        .map(|&(a, b)| WeightedDataset::uniform(line_data(a, b, 200)))
+                        .collect();
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+                    LbChatAlgorithm::new(learners, datasets, lbchat.clone(), &mut rng)
+                };
+                let cfg = RuntimeConfig {
+                    duration: 300.0,
+                    eval_every: 60.0,
+                    pair_cooldown: 30.0,
+                    loss_model,
+                    seed: 11,
+                    ..RuntimeConfig::default()
+                };
+                let (mut event, mut oracle) = (fleet(), fleet());
+                let m = assert_same_run(cfg, &trace, &eval, &mut event, &mut oracle);
+                assert!(m.coreset_receives > 0, "{cell}: the fleet must chat");
+                assert_eq!(m.model_sends > 0, lbchat.share_model, "{cell}: model sends");
+                for v in 0..lines.len() {
+                    assert_eq!(
+                        event.model(v).as_slice(),
+                        oracle.model(v).as_slice(),
+                        "{cell}: vehicle {v} model diverged"
+                    );
+                }
+            }
         }
     }
 }

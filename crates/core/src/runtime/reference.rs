@@ -1,19 +1,22 @@
-//! The retained synchronous frame loop — the pre-event-runtime semantics,
-//! verbatim (the `coreset::reference` / `vnn::reference` pattern).
+//! The synchronous frame loop the event scheduler replaced, kept verbatim
+//! as a test-only oracle (the `coreset::reference` / `vnn::reference`
+//! pattern): compiled under `#[cfg(test)]`, reachable from nowhere but the
+//! runtime's own unit tests.
 //!
 //! The discrete-event loop with contention disabled must reproduce this
-//! loop's metrics bit for bit; the equivalence tests pin that. Keep this
-//! file boring: no optimizations, no restructuring — it is the spec.
+//! loop's metrics and final models bit for bit; the equivalence tests in
+//! `runtime::tests` pin that. Keep this file boring: no optimizations, no
+//! restructuring — it is the spec.
 //!
 //! One shared exception: encounter discovery and route sampling go through
 //! [`EncounterGrid`] and [`RouteCache`], the same components the event loop
 //! uses. Both carry their *own* verbatim reference arms inside `simnet`
 //! ([`MobilityTrace::encounters_at`] / [`MobilityTrace::future`]) and are
 //! proptested byte-identical to them, so this loop's semantics are
-//! unchanged — and the two engines keep emitting identical
+//! unchanged — and the two loops keep emitting identical
 //! `net.encounter.*` counters.
 
-use super::{emit_round, CollabAlgorithm, FrameCtx, RuntimeConfig, SessionCtx};
+use super::{drive_session, emit_round, CollabAlgorithm, FrameCtx, RuntimeConfig, SessionCtx};
 use crate::metrics::Metrics;
 use rand::SeedableRng;
 use simnet::channel::Channel;
@@ -21,9 +24,9 @@ use simnet::contact::{ContactEstimate, ContactPredictor};
 use simnet::grid::EncounterGrid;
 use simnet::trace::{Encounter, MobilityTrace, RouteCache};
 
-/// Runs `algo` over `trace` with the synchronous frame loop. The caller
-/// ([`super::Runtime::run_reference`]) has already validated the trace size.
-pub fn run<A: CollabAlgorithm>(
+/// Runs `algo` over `trace` with the synchronous frame loop. The trace must
+/// have at least `algo.n_nodes()` agents.
+pub(super) fn run<A: CollabAlgorithm>(
     cfg: &RuntimeConfig,
     algo: &mut A,
     trace: &MobilityTrace,
@@ -119,7 +122,7 @@ pub fn run<A: CollabAlgorithm>(
                 codec: cfg.codec,
                 obs: &cfg.obs,
             };
-            let duration = algo.encounter(i, j, &mut link);
+            let duration = drive_session(algo, &mut link);
             if cfg.obs.enabled() {
                 cfg.obs.add("sessions", 1);
                 cfg.obs.emit(

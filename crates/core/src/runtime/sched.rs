@@ -4,7 +4,7 @@
 //! Events are ordered by `(time, insertion sequence)` — ties at the same
 //! simulated time pop in the order they were pushed, never by pointer,
 //! hash, or payload. That guarantee is what lets the event-driven runtime
-//! reproduce the retained frame loop bit for bit (the frame loop's phases
+//! reproduce the frame loop it replaced bit for bit (the frame loop's phases
 //! become same-timestamp events pushed in phase order) and keeps every run
 //! independent of allocator or thread scheduling.
 

@@ -1,18 +1,17 @@
 //! Shared drivers used by the per-table/figure binaries.
 //!
 //! Both drivers fan work out over the [`lbchat::exec`] worker pool:
-//! [`success_table`] runs its (method, condition) training cells
-//! concurrently and [`train_and_evaluate`] evaluates the five tasks
+//! [`success_table_obs`] runs its (method, condition) training cells
+//! concurrently and [`train_and_evaluate_obs`] evaluates the five tasks
 //! concurrently. Every cell seeds its own RNGs from the scenario seed, so
 //! the numbers are bit-identical for any `--jobs` setting.
 //!
-//! The `_obs` variants additionally emit structured events into an
-//! [`ObsSink`] (see `lbchat::obs` and `docs/OBSERVABILITY.md`): each cell
-//! is bracketed by `cell_start`/`cell_finish` events carrying the
-//! method, condition, and the cell's final metrics, and everything the
-//! cell does — runtime rounds, radio transfers, chats, eval trials —
-//! is scoped under the cell's label. The plain variants delegate with a
-//! disabled sink and cost nothing extra.
+//! The drivers emit structured events into an [`ObsSink`] (see
+//! `lbchat::obs` and `docs/OBSERVABILITY.md`): each cell is bracketed by
+//! `cell_start`/`cell_finish` events carrying the method, condition, and
+//! the cell's final metrics, and everything the cell does — runtime
+//! rounds, radio transfers, chats, eval trials — is scoped under the
+//! cell's label. Pass [`ObsSink::disabled`] to record nothing at no cost.
 
 use crate::methods::{cell_label, run_method_obs, Condition, Method, RunOutput};
 use lbchat::prelude::RuntimeError;
@@ -37,20 +36,10 @@ pub fn eval_config(s: &Scenario) -> EvalConfig {
 
 /// Trains `method` and measures its driving success rate on all five tasks.
 /// Returns the per-task percentages in `Task::ALL` order plus the run
-/// output.
-pub fn train_and_evaluate(
-    method: Method,
-    s: &Scenario,
-    condition: Condition,
-) -> Result<(Vec<f64>, RunOutput), RuntimeError> {
-    train_and_evaluate_obs(method, s, condition, &ObsSink::disabled(), 0)
-}
-
-/// [`train_and_evaluate`] with observability: emits `cell_start` /
-/// `cell_finish` (with per-task rates) around the cell and scopes every
-/// event the cell produces under its [`cell_label`]. `index` is the
-/// cell's position in the caller's fan-out, recorded for cross-reference
-/// with `work_unit` events.
+/// output. Emits `cell_start` / `cell_finish` (with per-task rates) around
+/// the cell and scopes every event the cell produces under its
+/// [`cell_label`]. `index` is the cell's position in the caller's fan-out,
+/// recorded for cross-reference with `work_unit` events.
 // audit:entry(seeded)
 pub fn train_and_evaluate_obs(
     method: Method,
@@ -144,17 +133,8 @@ fn emit_cell_finish(
 }
 
 /// Builds a Table II/III-shaped table: rows = tasks, columns = methods.
-pub fn success_table(
-    title: &str,
-    methods: &[Method],
-    s: &Scenario,
-    condition: Condition,
-) -> Result<(Table, Vec<RunOutput>), RuntimeError> {
-    success_table_obs(title, methods, s, condition, &ObsSink::disabled())
-}
-
-/// [`success_table`] with observability; each (method, condition) cell
-/// records its events as described on [`train_and_evaluate_obs`].
+/// Each (method, condition) cell records its events as described on
+/// [`train_and_evaluate_obs`].
 pub fn success_table_obs(
     title: &str,
     methods: &[Method],

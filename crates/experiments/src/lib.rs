@@ -31,7 +31,7 @@ pub mod scenario;
 pub mod stats;
 
 pub use manifest::RunManifest;
-pub use methods::{run_method, run_method_engine, Condition, Engine, Method, RunOutput};
+pub use methods::{run_method, Condition, Method, RunOutput};
 pub use report::{write_csv, Table};
 pub use scenario::{Scale, Scenario};
 

@@ -124,16 +124,6 @@ impl Method {
     }
 }
 
-/// Which runtime loop executes a training cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The discrete-event session runtime ([`Runtime::run`]).
-    #[default]
-    Event,
-    /// The retained synchronous frame loop ([`Runtime::run_reference`]).
-    Reference,
-}
-
 /// Output of one training run.
 pub struct RunOutput {
     /// Training metrics (loss curve, receiving rates, airtime).
@@ -169,30 +159,17 @@ fn lbchat_config(s: &Scenario) -> LbChatConfig {
     }
 }
 
-fn drive<A>(
-    rt: &Runtime,
-    engine: Engine,
-    algo: &mut A,
-    s: &Scenario,
-) -> Result<Metrics, RuntimeError>
+/// Runs `algo` on the scenario and collects its final models.
+fn run_algo<A>(rt: &Runtime, mut algo: A, s: &Scenario) -> Result<RunOutput, RuntimeError>
 where
     A: CollabAlgorithm<Sample = Frame>,
 {
-    match engine {
-        Engine::Event => rt.run(algo, &s.trace, &s.eval),
-        Engine::Reference => rt.run_reference(algo, &s.trace, &s.eval),
-    }
-}
-
-fn finish<A>(algo: A, metrics: Metrics, s: &Scenario) -> RunOutput
-where
-    A: CollabAlgorithm<Sample = Frame>,
-{
+    let metrics = rt.run(&mut algo, &s.trace, &s.eval)?;
     let models: Vec<ParamVec> = (0..algo.n_nodes()).map(|i| algo.model(i).clone()).collect();
     let mut rng = rand::rngs::StdRng::seed_from_u64(s.scale.seed ^ 0xABCD);
     let mut representative = DrivingLearner::new(&s.spec, s.scale.lr, &mut rng);
     lbchat::Learner::set_params(&mut representative, models[0].clone());
-    RunOutput { metrics, models, representative }
+    Ok(RunOutput { metrics, models, representative })
 }
 
 /// Trains `method` on the scenario under `condition` and returns metrics +
@@ -218,86 +195,42 @@ pub fn run_method_obs(
     condition: Condition,
     obs: &ObsSink,
 ) -> Result<RunOutput, RuntimeError> {
-    run_method_engine(method, s, condition, obs, Engine::Event)
-}
-
-/// [`run_method_obs`] on an explicit [`Engine`] — the equivalence tests and
-/// benches drive both loops over identical cells through this entry point.
-pub fn run_method_engine(
-    method: Method,
-    s: &Scenario,
-    condition: Condition,
-    obs: &ObsSink,
-    engine: Engine,
-) -> Result<RunOutput, RuntimeError> {
     let rt = Runtime::new(runtime_config(s, condition, obs.clone()));
     let mut seed_rng = rand::rngs::StdRng::seed_from_u64(s.scale.seed ^ 0x5EED);
     let learners = s.make_learners();
     let datasets = s.datasets.clone();
+    let model_bytes = s.scale.model_wire_bytes;
     match method {
-        Method::LbChat => {
-            let mut algo =
-                LbChatAlgorithm::new(learners, datasets, lbchat_config(s), &mut seed_rng);
-            let m = drive(&rt, engine, &mut algo, s)?;
-            Ok(finish(algo, m, s))
-        }
-        Method::LbChatCoreset(size) => {
-            let cfg = lbchat_config(s).with_coreset_size(size);
-            let mut algo = LbChatAlgorithm::new(learners, datasets, cfg, &mut seed_rng);
-            let m = drive(&rt, engine, &mut algo, s)?;
-            Ok(finish(algo, m, s))
-        }
-        Method::LbChatEqualComp => {
-            let cfg = lbchat_config(s).with_equal_compression();
-            let mut algo = LbChatAlgorithm::new(learners, datasets, cfg, &mut seed_rng);
-            let m = drive(&rt, engine, &mut algo, s)?;
-            Ok(finish(algo, m, s))
-        }
-        Method::LbChatAvgAgg => {
-            let cfg = lbchat_config(s).with_average_aggregation();
-            let mut algo = LbChatAlgorithm::new(learners, datasets, cfg, &mut seed_rng);
-            let m = drive(&rt, engine, &mut algo, s)?;
-            Ok(finish(algo, m, s))
-        }
-        Method::Sco => {
-            let cfg = lbchat_config(s).sco();
-            let mut algo = LbChatAlgorithm::new(learners, datasets, cfg, &mut seed_rng);
-            let m = drive(&rt, engine, &mut algo, s)?;
-            Ok(finish(algo, m, s))
+        Method::LbChat
+        | Method::LbChatCoreset(_)
+        | Method::LbChatEqualComp
+        | Method::LbChatAvgAgg
+        | Method::Sco => {
+            let base = lbchat_config(s);
+            let cfg = match method {
+                Method::LbChatCoreset(size) => base.with_coreset_size(size),
+                Method::LbChatEqualComp => base.with_equal_compression(),
+                Method::LbChatAvgAgg => base.with_average_aggregation(),
+                Method::Sco => base.sco(),
+                _ => base, // Method::LbChat: the defaults
+            };
+            run_algo(&rt, LbChatAlgorithm::new(learners, datasets, cfg, &mut seed_rng), s)
         }
         Method::ProxSkip => {
-            let cfg = ProxSkipConfig {
-                model_bytes: s.scale.model_wire_bytes,
-                ..ProxSkipConfig::default()
-            };
-            let mut algo = ProxSkip::new(learners, datasets, cfg);
-            let m = drive(&rt, engine, &mut algo, s)?;
-            Ok(finish(algo, m, s))
+            let cfg = ProxSkipConfig { model_bytes, ..ProxSkipConfig::default() };
+            run_algo(&rt, ProxSkip::new(learners, datasets, cfg), s)
         }
         Method::RsuL => {
-            let cfg = RsuLConfig {
-                model_bytes: s.scale.model_wire_bytes,
-                ..RsuLConfig::default()
-            };
-            let mut algo = RsuL::new(learners, datasets, s.rsu_positions.clone(), cfg);
-            let m = drive(&rt, engine, &mut algo, s)?;
-            Ok(finish(algo, m, s))
+            let cfg = RsuLConfig { model_bytes, ..RsuLConfig::default() };
+            run_algo(&rt, RsuL::new(learners, datasets, s.rsu_positions.clone(), cfg), s)
         }
         Method::DflDds => {
-            let cfg = DflDdsConfig {
-                model_bytes: s.scale.model_wire_bytes,
-                ..DflDdsConfig::default()
-            };
-            let mut algo = DflDds::new(learners, datasets, cfg);
-            let m = drive(&rt, engine, &mut algo, s)?;
-            Ok(finish(algo, m, s))
+            let cfg = DflDdsConfig { model_bytes, ..DflDdsConfig::default() };
+            run_algo(&rt, DflDds::new(learners, datasets, cfg), s)
         }
         Method::Dp => {
-            let cfg =
-                DpConfig { model_bytes: s.scale.model_wire_bytes, ..DpConfig::default() };
-            let mut algo = Dp::new(learners, datasets, cfg);
-            let m = drive(&rt, engine, &mut algo, s)?;
-            Ok(finish(algo, m, s))
+            let cfg = DpConfig { model_bytes, ..DpConfig::default() };
+            run_algo(&rt, Dp::new(learners, datasets, cfg), s)
         }
     }
 }

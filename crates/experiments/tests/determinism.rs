@@ -6,7 +6,7 @@
 //! [`lbchat::exec::set_jobs`] is process-global — two tests toggling it
 //! concurrently would race.
 
-use experiments::harness::{run_cell_obs, train_and_evaluate};
+use experiments::harness::{run_cell_obs, train_and_evaluate_obs};
 use experiments::{Condition, Method, Scale, Scenario};
 use lbchat::exec;
 use lbchat::prelude::{
@@ -111,11 +111,15 @@ fn grid_runtime_metrics() -> Metrics {
 fn results_are_bit_identical_for_any_job_count() {
     let s = Scenario::build(Scale::quick());
 
+    let cell = || {
+        train_and_evaluate_obs(Method::LbChat, &s, Condition::NoLoss, &ObsSink::disabled(), 0)
+            .expect("scenario fits")
+    };
     exec::set_jobs(1);
-    let (serial_rates, serial_out) = train_and_evaluate(Method::LbChat, &s, Condition::NoLoss).expect("scenario fits");
+    let (serial_rates, serial_out) = cell();
 
     exec::set_jobs(4);
-    let (parallel_rates, parallel_out) = train_and_evaluate(Method::LbChat, &s, Condition::NoLoss).expect("scenario fits");
+    let (parallel_rates, parallel_out) = cell();
 
     exec::set_jobs(1);
 

@@ -16,7 +16,7 @@ const KNOWN_FLAGS: &[&str] = &[
     "tables",
     // lbchat-bench / bench_report (see crates/bench/src/main.rs and
     // crates/bench/src/bin/bench_report.rs)
-    "smoke", "reference", "filter", "out", "name", "threshold",
+    "smoke", "filter", "out", "name", "threshold",
     // lbchat-audit (see crates/audit/src/main.rs)
     "root", "baseline", "list-lints", "explain", "github", "write-reference-manifest",
     // cargo itself

@@ -10,8 +10,9 @@
 //! `LBCHAT_GOLDEN_WRITE=1 cargo test -p experiments --test golden_quick`
 //! and commit the diff.
 
-use experiments::harness::success_table;
+use experiments::harness::success_table_obs;
 use experiments::{Condition, Method, Scale, Scenario};
+use lbchat::prelude::ObsSink;
 use std::path::PathBuf;
 
 /// Tiny but end-to-end: two vehicles chat, train, and drive all five
@@ -33,11 +34,12 @@ fn golden_scale() -> Scale {
 #[test]
 fn quick_success_table_matches_golden_fixture() {
     let s = Scenario::build(golden_scale());
-    let (table, outputs) = success_table(
+    let (table, outputs) = success_table_obs(
         "Golden — LbChat quick cell (no loss)",
         &[Method::LbChat],
         &s,
         Condition::NoLoss,
+        &ObsSink::disabled(),
     )
     .expect("scenario fits");
     // Success rates round to integers (and are all zero at this scale), so

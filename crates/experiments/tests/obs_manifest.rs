@@ -95,9 +95,10 @@ fn disabled_sink_changes_nothing_and_records_nothing() {
     assert!(sink.counters().is_empty());
     assert!(sink.gauges().is_empty());
 
-    // And the plain (sink-free) API gives bit-identical results.
-    let (rates2, out2) = experiments::harness::train_and_evaluate(Method::Sco, &s, Condition::NoLoss)
-        .expect("scenario fits");
+    // And a recording sink gives bit-identical results.
+    let (rates2, out2) =
+        train_and_evaluate_obs(Method::Sco, &s, Condition::NoLoss, &ObsSink::recording(), 0)
+            .expect("scenario fits");
     assert_eq!(rates, rates2);
     assert_eq!(out.metrics.loss_curve, out2.metrics.loss_curve);
 }

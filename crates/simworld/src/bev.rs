@@ -331,8 +331,7 @@ pub fn rasterize_into(
 
 /// The pre-optimization rasterizer, kept verbatim as the golden baseline:
 /// [`rasterize`] must produce the same occupancy bit for bit
-/// (`tests/properties.rs` proves it on random scenes), and
-/// `lbchat-bench --reference` times it to quantify the speedup.
+/// (`tests/properties.rs` proves it on random scenes).
 pub mod reference {
     use super::{channel, Bev, BevConfig, Pose};
     use crate::world::RoadRaster;

@@ -18,11 +18,10 @@
 //!   same fixed [`SHARD`]-sized reduction the optimized path uses. The
 //!   optimized minibatch gradient must equal this exactly.
 //! * [`policy_train_step`] — the pre-batching sequential training step
-//!   (allocating, sample-at-a-time), kept as the performance baseline for
-//!   the `--reference` bench arm.
+//!   (allocating, sample-at-a-time): what the batched round replaced.
 //!
 //! This module trades speed for auditability on purpose; nothing outside
-//! tests and the benchmark harness should call it.
+//! tests should call it.
 
 use crate::loss::mean_loss_and_grad;
 use crate::mlp::{Cache, Mlp};
@@ -251,7 +250,7 @@ pub fn batch_loss_and_grad<S: BatchSource + ?Sized>(
 /// freshly allocated full-length buffer, normalized by the total weight,
 /// then one plain [`Sgd::step`]. Returns the weighted mean loss.
 ///
-/// This is the *performance* baseline for the `--reference` bench arm; for
+/// This is the pre-batching *performance* baseline; for
 /// batches larger than [`SHARD`] its accumulation order differs from the
 /// sharded reduction, so it is **not** the bit-identity oracle — that is
 /// [`batch_loss_and_grad`].
