@@ -1,5 +1,6 @@
 //! Shared plain-SGD vehicle node for the model-sharing-only baselines.
 
+use lbchat::learner::mean_loss;
 use lbchat::prelude::Learner;
 use lbchat::WeightedDataset;
 use rand::Rng;
@@ -47,15 +48,9 @@ impl<L: Learner> BaseNode<L> {
 
     /// Mean loss of an arbitrary parameter vector on the validation split.
     pub fn validation_loss(&self, params: &vnn::ParamVec) -> f32 {
-        let n = self.dataset.len();
-        if self.validation_from >= n {
-            return 0.0;
-        }
-        let mut acc = 0.0f64;
-        for i in self.validation_from..n {
-            acc += self.learner.loss_with(params, self.dataset.sample(i)) as f64;
-        }
-        (acc / (n - self.validation_from) as f64) as f32
+        let held_out: Vec<&L::Sample> =
+            self.dataset.samples()[self.validation_from..].iter().collect();
+        mean_loss(&self.learner, params, &held_out) as f32
     }
 }
 
@@ -65,13 +60,10 @@ pub fn mean_eval_loss<L: Learner>(nodes: &[BaseNode<L>], eval: &[L::Sample]) -> 
     if eval.is_empty() || nodes.is_empty() {
         return 0.0;
     }
+    let refs: Vec<&L::Sample> = eval.iter().collect();
     let mut total = 0.0f64;
     for node in nodes {
-        let mut acc = 0.0f64;
-        for s in eval {
-            acc += node.learner.loss(s) as f64;
-        }
-        total += acc / eval.len() as f64;
+        total += mean_loss(&node.learner, node.learner.params(), &refs);
     }
     total / nodes.len() as f64
 }

@@ -7,12 +7,14 @@
 //! commits' result files meaningful.
 
 use crate::timer::{BenchResult, Sampling, Timer};
+use driving::frame::Frame;
+use driving::learner::DrivingLearner;
 use lbchat::adaptive::AdaptiveSizer;
 use lbchat::compress::top_k;
 use lbchat::coreset::{self, construct_with_scratch, CoresetConfig, CoresetScratch};
 use lbchat::optimize::CompressionProblem;
 use lbchat::penalty::PenaltyConfig;
-use lbchat::phi::PhiCurve;
+use lbchat::phi::{PhiCurve, DEFAULT_PSI_GRID};
 use lbchat::valuation::coreset_loss;
 use lbchat::{Learner, WeightedDataset};
 use lbchat::prelude::{
@@ -26,6 +28,7 @@ use simnet::grid::EncounterGrid;
 use simnet::loss::LossModel;
 use simnet::trace::MobilityTrace;
 use simworld::bev::{self, BevConfig, Pose};
+use simworld::expert::Command;
 use simworld::world::{FleetScale, World, WorldConfig};
 use std::time::Duration;
 use vnn::adam::Adam;
@@ -94,6 +97,9 @@ pub fn run(opts: &SuiteOpts) -> Vec<BenchResult> {
         ("vnn", bench_vnn),
         ("simnet", bench_simnet),
         ("runtime", bench_runtime),
+        // Driving-scale cells, appended so the ids above keep their order.
+        ("vnn", bench_vnn_driving_scale),
+        ("phi", bench_phi),
     ];
     for (group, cell) in cells {
         if opts.group_enabled(group) {
@@ -439,6 +445,75 @@ fn bench_vnn(c: &mut Timer, _opts: &SuiteOpts) {
                 out.loss_sum * inv
             },
         );
+    });
+}
+
+/// The paper-scale policy (147 inputs, 96→64 trunk, four 66→32→10 heads)
+/// a few steps into training, and `n` random frames over all four commands:
+/// what valuation, φ and coreset construction evaluate in a real run. The
+/// 32×64×64×4 toy net of the cells above is too small to show the forward
+/// kernel's behaviour at this width.
+fn driving_fixture(n: usize) -> (DrivingLearner, Vec<Frame>) {
+    use rand::RngExt;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(19);
+    let spec = DrivingLearner::spec_for(145, 5);
+    let mut learner = DrivingLearner::new(&spec, 1e-2, &mut rng);
+    let frames: Vec<Frame> = (0..n)
+        .map(|_| Frame {
+            features: (0..spec.input_dim).map(|_| rng.random_range(-1.0f32..1.0)).collect(),
+            command: Command::from_index(rng.random_range(0..Command::COUNT)),
+            waypoints: (0..spec.head_dim()).map(|_| rng.random_range(-2.0f32..2.0)).collect(),
+        })
+        .collect();
+    let batch: Vec<(&Frame, f32)> = frames.iter().take(64).map(|f| (f, 1.0)).collect();
+    for _ in 0..3 {
+        learner.train_step(&batch);
+    }
+    (learner, frames)
+}
+
+fn bench_vnn_driving_scale(c: &mut Timer, _opts: &SuiteOpts) {
+    // The shared trunk alone: per-call times, so per-sample cost is the
+    // median divided by the batch size.
+    let mlp = Mlp::new(MlpSpec::relu(vec![147, 96, 64]), 0);
+    let mut params = ParamVec::zeros(mlp.param_count());
+    mlp.init(&mut params, &mut rand::rngs::StdRng::seed_from_u64(23));
+    let inputs: Vec<f32> =
+        (0..64 * 147).map(|k| ((k * 31) % 197) as f32 / 197.0 - 0.5).collect();
+    for bsz in [1usize, 16, 64] {
+        let id = format!("vnn/mlp_forward_batch_147x96x64_b{bsz}");
+        c.bench_function(id, |b| {
+            let mut scratch = MlpScratch::new();
+            b.measure(|| {
+                mlp.stage_batch(&mut scratch, bsz).copy_from_slice(&inputs[..bsz * 147]);
+                mlp.forward_batch(&params, &mut scratch, bsz);
+                mlp.batch_outputs(&scratch, bsz)[0]
+            });
+        });
+    }
+    // The whole policy's forward-only loss pass: one coreset, one dataset.
+    let (learner, frames) = driving_fixture(720);
+    let refs: Vec<&Frame> = frames.iter().collect();
+    for n in [60usize, 720] {
+        let id = format!("vnn/policy_losses_b{n}");
+        c.bench_function(id, |b| {
+            let mut out = Vec::new();
+            b.measure(|| {
+                learner.losses_with(learner.params(), &refs[..n], &mut out);
+                out[0]
+            });
+        });
+    }
+}
+
+fn bench_phi(c: &mut Timer, _opts: &SuiteOpts) {
+    // φ over the default seven-point grid on a 60-frame coreset: one
+    // magnitude sort, seven compressed copies, 7 × 60 evaluations.
+    let (learner, frames) = driving_fixture(60);
+    let coreset = lbchat::Coreset::new(frames, vec![1.0; 60]);
+    let pen = PenaltyConfig::default();
+    c.bench_function("phi/sample_7x60_driving", |b| {
+        b.measure(|| PhiCurve::sample(&learner, &coreset, DEFAULT_PSI_GRID, &pen));
     });
 }
 

@@ -22,6 +22,65 @@ use rand::RngExt;
 use vnn::wire::{SparseModel, WireError, WireReader};
 use vnn::ParamVec;
 
+/// The magnitude order of a parameter vector — component indices by `|v|`
+/// descending, ties by index ascending (a stable sort) — computed once.
+/// The top-k selection at any ψ is a prefix of it, so sampling a whole ψ
+/// grid ([`crate::phi::PhiCurve::sample`]) costs one sort instead of one
+/// per ψ. Non-finite parameters order by their IEEE total order (NaN sorts
+/// past every finite magnitude), so any input is accepted.
+#[derive(Debug)]
+pub struct MagnitudeOrder<'a> {
+    params: &'a ParamVec,
+    order: Vec<u32>,
+}
+
+impl<'a> MagnitudeOrder<'a> {
+    /// Sorts the components of `params` by magnitude.
+    pub fn new(params: &'a ParamVec) -> Self {
+        let p = params.as_slice();
+        let mut order: Vec<u32> = (0..p.len() as u32).collect();
+        order.sort_by(|&a, &b| p[b as usize].abs().total_cmp(&p[a as usize].abs()));
+        Self { params, order }
+    }
+
+    /// The `ceil(psi * n)` largest-magnitude component indices, in
+    /// magnitude order.
+    ///
+    /// # Panics
+    /// Panics if `psi` is outside `[0, 1]`.
+    fn survivors(&self, psi: f32) -> &[u32] {
+        assert!((0.0..=1.0).contains(&psi), "psi must be in [0, 1]");
+        &self.order[..top_k_count(self.order.len(), psi)]
+    }
+
+    /// [`top_k`] of the vector at `psi`.
+    ///
+    /// # Panics
+    /// Panics if `psi` is outside `[0, 1]`.
+    pub fn top_k(&self, psi: f32) -> SparseModel {
+        let mut indices = self.survivors(psi).to_vec();
+        indices.sort_unstable();
+        let p = self.params.as_slice();
+        let values = indices.iter().map(|&i| p[i as usize]).collect();
+        SparseModel::new(p.len(), indices, values)
+    }
+
+    /// [`compress_dense`] of the vector at `psi` — the survivors scattered
+    /// over zeros, bit-identical to `self.top_k(psi).to_dense()` without
+    /// ordering the indices first.
+    ///
+    /// # Panics
+    /// Panics if `psi` is outside `[0, 1]`.
+    pub fn dense(&self, psi: f32) -> ParamVec {
+        let p = self.params.as_slice();
+        let mut data = vec![0.0f32; p.len()];
+        for &i in self.survivors(psi) {
+            data[i as usize] = p[i as usize];
+        }
+        ParamVec::from_vec(data)
+    }
+}
+
 /// Top-k sparsification at reciprocal compression ratio `psi`: keeps the
 /// `ceil(psi * n)` largest-magnitude components.
 ///
@@ -33,23 +92,11 @@ use vnn::ParamVec;
 /// Panics if `psi` is outside `[0, 1]`.
 pub fn top_k(params: &ParamVec, psi: f32) -> SparseModel {
     assert!((0.0..=1.0).contains(&psi), "psi must be in [0, 1]");
-    let n = params.len();
-    let k = top_k_count(n, psi);
-    if k == 0 {
-        return SparseModel::new(n, Vec::new(), Vec::new());
+    if top_k_count(params.len(), psi) == 0 {
+        // Nothing survives: skip the sort.
+        return SparseModel::new(params.len(), Vec::new(), Vec::new());
     }
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by(|&a, &b| {
-        let (ma, mb) = (
-            params.as_slice()[a as usize].abs(),
-            params.as_slice()[b as usize].abs(),
-        );
-        mb.total_cmp(&ma)
-    });
-    let mut indices: Vec<u32> = order[..k].to_vec();
-    indices.sort_unstable();
-    let values = indices.iter().map(|&i| params.as_slice()[i as usize]).collect();
-    SparseModel::new(n, indices, values)
+    MagnitudeOrder::new(params).top_k(psi)
 }
 
 /// Survivor count of top-k at `psi` over `n` components: `ceil(ψ·n)`,
@@ -892,6 +939,39 @@ mod tests {
         let s = top_k(&p, 0.5);
         assert_eq!(s.nnz(), 2);
         assert_eq!(s.indices, vec![1, 3]);
+    }
+
+    /// Top-k as first implemented: a stable `|v|`-descending sort per call.
+    fn top_k_dense_oracle(p: &ParamVec, psi: f32) -> ParamVec {
+        let v = p.as_slice();
+        let mut order: Vec<usize> = (0..v.len()).collect();
+        order.sort_by(|&a, &b| v[b].abs().total_cmp(&v[a].abs()));
+        let mut out = vec![0.0f32; v.len()];
+        for &i in &order[..top_k_count(v.len(), psi)] {
+            out[i] = v[i];
+        }
+        ParamVec::from_vec(out)
+    }
+
+    #[test]
+    fn magnitude_order_prefixes_match_top_k_on_ties() {
+        // ±v pairs, repeated values, zeros and -0.0: every cut of the grid
+        // lands inside a run of equal magnitudes somewhere, where only the
+        // stable index-ascending tie-break decides who survives.
+        let mut values = Vec::new();
+        for i in 0..120 {
+            let m = ((i * 7) % 11) as f32 * 0.25;
+            values.extend_from_slice(&[m, -m, 0.0, -0.0, m]);
+        }
+        let p = ParamVec::from_vec(values);
+        let order = MagnitudeOrder::new(&p);
+        let bits = |v: &ParamVec| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for &psi in crate::phi::DEFAULT_PSI_GRID.iter().chain(&[1.0, 0.0, 0.013]) {
+            let dense = order.dense(psi);
+            assert_eq!(bits(&dense), bits(&compress_dense(&p, psi)), "psi={psi}");
+            assert_eq!(bits(&dense), bits(&top_k_dense_oracle(&p, psi)), "psi={psi}");
+            assert_eq!(order.top_k(psi), top_k(&p, psi), "psi={psi}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! yielding a data-independent size, unlike sensitivity-based methods.
 
 use crate::dataset::WeightedDataset;
-use crate::learner::Learner;
+use crate::learner::{slice_losses, Learner};
 use rand::{Rng, RngExt};
 
 /// A weighted coreset: samples with their coreset weights `w_C(d)`.
@@ -212,9 +212,8 @@ where
         return Coreset::new(dataset.samples().to_vec(), dataset.weights().to_vec());
     }
 
-    // Per-sample losses under the current model.
-    scratch.losses.clear();
-    scratch.losses.extend(dataset.samples().iter().map(|s| learner.loss(s)));
+    // Per-sample losses under the current model, in one evaluation pass.
+    slice_losses(learner, learner.params(), dataset.samples(), &mut scratch.losses);
     let losses = &scratch.losses;
     let center = losses.iter().copied().fold(f32::INFINITY, f32::min);
     let weighted_total: f32 = losses
@@ -444,16 +443,13 @@ pub fn empirical_epsilon<L: Learner>(
     coreset: &Coreset<L::Sample>,
     dataset: &WeightedDataset<L::Sample>,
 ) -> f32 {
-    let f_d: f32 = dataset
-        .pairs()
-        .iter()
-        .map(|(s, w)| w * learner.loss(s))
-        .sum();
-    let f_c: f32 = coreset
-        .pairs()
-        .iter()
-        .map(|(s, w)| w * learner.loss(s))
-        .sum();
+    let mut losses = Vec::new();
+    let mut weighted_loss = |samples: &[L::Sample], weights: &[f32]| -> f32 {
+        slice_losses(learner, learner.params(), samples, &mut losses);
+        weights.iter().zip(&losses).map(|(w, l)| w * l).sum()
+    };
+    let f_d = weighted_loss(dataset.samples(), dataset.weights());
+    let f_c = weighted_loss(coreset.samples(), coreset.weights());
     if f_d.abs() < 1e-12 {
         0.0
     } else {

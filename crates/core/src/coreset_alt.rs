@@ -21,8 +21,16 @@
 
 use crate::coreset::Coreset;
 use crate::dataset::WeightedDataset;
-use crate::learner::Learner;
+use crate::learner::{slice_losses, Learner};
 use rand::{Rng, RngExt};
+
+/// Per-sample losses of the whole dataset under the learner's current model,
+/// in one evaluation pass.
+fn dataset_losses<L: Learner>(learner: &L, dataset: &WeightedDataset<L::Sample>) -> Vec<f32> {
+    let mut losses = Vec::new();
+    slice_losses(learner, learner.params(), dataset.samples(), &mut losses);
+    losses
+}
 
 /// Sensitivity-proportional importance sampling.
 ///
@@ -50,11 +58,10 @@ where
         return Coreset::new(dataset.samples().to_vec(), dataset.weights().to_vec());
     }
     let floor = 1e-6f64;
-    let scores: Vec<f64> = dataset
-        .samples()
+    let scores: Vec<f64> = dataset_losses(learner, dataset)
         .iter()
         .zip(dataset.weights())
-        .map(|(s, w)| (*w as f64) * (learner.loss(s) as f64 + floor))
+        .map(|(l, w)| (*w as f64) * (*l as f64 + floor))
         .collect();
     let total: f64 = scores.iter().sum();
     // Cumulative distribution for O(log n) draws.
@@ -114,10 +121,10 @@ where
     }
     // 1-D feature: the per-sample loss (the same signal Alg. 1 layers on);
     // group id breaks ties so different commands cluster separately.
-    let feats: Vec<(f32, usize)> = dataset
-        .samples()
-        .iter()
-        .map(|s| (learner.loss(s), learner.group_of(s)))
+    let feats: Vec<(f32, usize)> = dataset_losses(learner, dataset)
+        .into_iter()
+        .zip(dataset.samples())
+        .map(|(l, s)| (l, learner.group_of(s)))
         .collect();
     let dist = |a: (f32, usize), b: (f32, usize)| -> f32 {
         (a.0 - b.0).abs() + if a.1 == b.1 { 0.0 } else { 10.0 }

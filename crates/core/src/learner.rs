@@ -37,6 +37,20 @@ pub trait Learner {
     /// cloning the learner.
     fn loss_with(&self, params: &ParamVec, sample: &Self::Sample) -> f32;
 
+    /// [`Learner::loss_with`] of every sample of `samples`, written to
+    /// `out` (cleared first) in sample order — the one evaluation pass
+    /// every loss consumer (valuation, φ, Eq. 8 weighting, coreset
+    /// construction, eval curves) goes through.
+    ///
+    /// Contract: `out[k]` must equal `loss_with(params, samples[k])` to the
+    /// bit. The default is that per-sample loop; override it only to
+    /// *batch* the same arithmetic (one forward pass over many samples),
+    /// never to change it.
+    fn losses_with(&self, params: &ParamVec, samples: &[&Self::Sample], out: &mut Vec<f32>) {
+        out.clear();
+        out.extend(samples.iter().map(|s| self.loss_with(params, s)));
+    }
+
     /// Performs one weighted minibatch SGD step; `batch` pairs samples with
     /// their weights. Returns the weighted mean loss of the batch before the
     /// step. Implementations should no-op on an empty batch and return 0.
@@ -64,17 +78,41 @@ pub trait Learner {
     }
 }
 
-/// Convenience: weighted mean loss of a learner over `(sample, weight)`
-/// pairs, `Σ w·f(x;d) / Σ w`. Returns 0 for an empty set.
-pub fn weighted_mean_loss<L: Learner>(
+/// Per-sample losses of a contiguous run of samples under `params`, written
+/// to `out` through one [`Learner::losses_with`] pass.
+pub(crate) fn slice_losses<L: Learner>(
+    learner: &L,
+    params: &ParamVec,
+    samples: &[L::Sample],
+    out: &mut Vec<f32>,
+) {
+    let refs: Vec<&L::Sample> = samples.iter().collect();
+    learner.losses_with(params, &refs, out);
+}
+
+/// Per-sample losses of the samples of `pairs` under `params`, in pair
+/// order, through one [`Learner::losses_with`] pass — the buffer
+/// [`weighted_mean`] and `penalty::group_means` both read, so a penalized
+/// loss evaluates each sample once.
+pub(crate) fn pair_losses<L: Learner>(
     learner: &L,
     params: &ParamVec,
     pairs: &[(&L::Sample, f32)],
-) -> f32 {
+) -> Vec<f32> {
+    let samples: Vec<&L::Sample> = pairs.iter().map(|(s, _)| *s).collect();
+    let mut losses = Vec::new();
+    learner.losses_with(params, &samples, &mut losses);
+    losses
+}
+
+/// `Σ w·loss / Σ w` of already-evaluated per-sample `losses` (parallel to
+/// `pairs`), accumulated in f64 in pair order. Returns 0 for an empty (or
+/// zero-weight) set.
+pub(crate) fn weighted_mean<S>(pairs: &[(&S, f32)], losses: &[f32]) -> f32 {
     let mut num = 0.0f64;
     let mut den = 0.0f64;
-    for (s, w) in pairs {
-        num += (*w as f64) * learner.loss_with(params, s) as f64;
+    for ((_, w), l) in pairs.iter().zip(losses) {
+        num += (*w as f64) * *l as f64;
         den += *w as f64;
     }
     if den == 0.0 {
@@ -82,6 +120,31 @@ pub fn weighted_mean_loss<L: Learner>(
     } else {
         (num / den) as f32
     }
+}
+
+/// Convenience: weighted mean loss of a learner over `(sample, weight)`
+/// pairs, `Σ w·f(x;d) / Σ w`. Returns 0 for an empty set.
+pub fn weighted_mean_loss<L: Learner>(
+    learner: &L,
+    params: &ParamVec,
+    pairs: &[(&L::Sample, f32)],
+) -> f32 {
+    weighted_mean(pairs, &pair_losses(learner, params, pairs))
+}
+
+/// Unweighted mean loss of `samples` under `params`, accumulated in f64 in
+/// sample order — the eval-curve statistic. Returns 0 for an empty set.
+pub fn mean_loss<L: Learner>(learner: &L, params: &ParamVec, samples: &[&L::Sample]) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    let mut losses = Vec::new();
+    learner.losses_with(params, samples, &mut losses);
+    let mut acc = 0.0f64;
+    for &l in &losses {
+        acc += l as f64;
+    }
+    acc / samples.len() as f64
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ use crate::compress::{Codec, ErrorFeedback};
 use crate::config::LbChatConfig;
 use crate::coreset::{construct_with_scratch, reduce, Coreset, CoresetConfig, CoresetScratch};
 use crate::dataset::WeightedDataset;
-use crate::learner::Learner;
+use crate::learner::{mean_loss, Learner};
 use crate::optimize::{equal_compression_choice, CompressionChoice, CompressionProblem};
 use crate::penalty::penalized_loss;
 use crate::phi::PhiCurve;
@@ -210,13 +210,18 @@ impl<L: Learner> LbChatNode<L> {
         self.coreset_stale = true;
     }
 
-    /// Penalized loss of an arbitrary parameter vector on this node's
-    /// *joint* view `C_self ∪ C_peer` — the Eq. (8) weighting set,
-    /// approximating `D_i ∪ C_j` per §III-D.
-    fn joint_loss(&self, params: &ParamVec, peer: &Coreset<L::Sample>) -> f32 {
+    /// Penalized losses of this node's own model and of `peer_params` on the
+    /// node's *joint* view `C_self ∪ C_peer` — the Eq. (8) weighting set,
+    /// approximating `D_i ∪ C_j` per §III-D. Returns `(own, peer)`; the
+    /// merged pair list is built once and both models are evaluated over it.
+    fn joint_losses(&self, peer_params: &ParamVec, peer: &Coreset<L::Sample>) -> (f32, f32) {
         let mut pairs = self.coreset.pairs();
         pairs.extend(peer.pairs());
-        penalized_loss(&self.learner, params, &pairs, &self.config.penalty)
+        let pen = &self.config.penalty;
+        (
+            penalized_loss(&self.learner, self.learner.params(), &pairs, pen),
+            penalized_loss(&self.learner, peer_params, &pairs, pen),
+        )
     }
 }
 
@@ -340,7 +345,6 @@ impl<L: Learner> LbChatAlgorithm<L> {
         state: &mut ChatSession<L::Sample>,
         ctx: &mut SessionCtx<'_>,
     ) -> SessionStep {
-        let cfg = self.config.clone();
         let (i, j) = (ctx.i, ctx.j);
         let (Some(coreset_i), Some(coreset_j)) = (&state.coreset_i, &state.coreset_j) else {
             return SessionStep::Done;
@@ -348,7 +352,7 @@ impl<L: Learner> LbChatAlgorithm<L> {
 
         // --- 3. Mutual valuation (computation, §IV-A: not charged to the
         // simulated clock). ---
-        let pen = cfg.penalty;
+        let pen = self.config.penalty;
         state.loss_i_on_cj = coreset_loss(
             &self.nodes[i].learner,
             self.nodes[i].learner.params(),
@@ -363,23 +367,23 @@ impl<L: Learner> LbChatAlgorithm<L> {
         );
 
         // --- 4. Compression-ratio optimization (Eq. 7) or ablations. ---
-        if !cfg.share_model {
+        if !self.config.share_model {
             // SCO: no model exchange at all.
             state.choice =
                 CompressionChoice { psi_i: 0.0, psi_j: 0.0, transfer_time: 0.0, objective: 0.0 };
-        } else if cfg.equal_compression {
+        } else if self.config.equal_compression {
             let remaining = Self::remaining(state.time_limit, ctx);
             state.choice = equal_compression_choice(
-                cfg.model_wire_bytes,
+                self.config.model_wire_bytes,
                 ctx.contact().p.max(0.01) * 31e6, // effective rate under loss
-                cfg.time_budget,
+                self.config.time_budget,
                 remaining,
             );
         } else {
             state.phi_i =
-                Some(PhiCurve::sample(&self.nodes[i].learner, coreset_i, &cfg.psi_grid, &pen));
+                Some(PhiCurve::sample(&self.nodes[i].learner, coreset_i, &self.config.psi_grid, &pen));
             state.phi_j =
-                Some(PhiCurve::sample(&self.nodes[j].learner, coreset_j, &cfg.psi_grid, &pen));
+                Some(PhiCurve::sample(&self.nodes[j].learner, coreset_j, &self.config.psi_grid, &pen));
             let (Some(phi_i), Some(phi_j)) = (&state.phi_i, &state.phi_j) else {
                 return SessionStep::Done;
             };
@@ -546,7 +550,6 @@ impl<L: Learner> CollabAlgorithm for LbChatAlgorithm<L> {
         out: TransferOutcome,
         ctx: &mut SessionCtx<'_>,
     ) -> SessionStep {
-        let cfg = self.config.clone();
         let (i, j) = (ctx.i, ctx.j);
         match state.phase {
             ChatPhase::Assist => {
@@ -566,12 +569,12 @@ impl<L: Learner> CollabAlgorithm for LbChatAlgorithm<L> {
                 }
                 state.phase = ChatPhase::CoresetIJ;
                 SessionStep::Transfer(TransferSpec::link(
-                    cfg.coreset_wire_bytes(),
+                    self.config.coreset_wire_bytes(),
                     Self::remaining(state.time_limit, ctx),
                 ))
             }
             ChatPhase::CoresetIJ => {
-                let coreset_bytes = cfg.coreset_wire_bytes();
+                let coreset_bytes = self.config.coreset_wire_bytes();
                 ctx.metrics.record_coreset_send(out.is_delivered(), coreset_bytes, out.elapsed());
                 state.c_ij_ok = out.is_delivered();
                 state.phase = ChatPhase::CoresetJI;
@@ -581,19 +584,19 @@ impl<L: Learner> CollabAlgorithm for LbChatAlgorithm<L> {
                 ))
             }
             ChatPhase::CoresetJI => {
-                let coreset_bytes = cfg.coreset_wire_bytes();
+                let coreset_bytes = self.config.coreset_wire_bytes();
                 ctx.metrics.record_coreset_send(out.is_delivered(), coreset_bytes, out.elapsed());
                 if !state.c_ij_ok || !out.is_delivered() {
                     // Without both coresets there is no valuation; end the
                     // session. A failed coreset exchange is the strongest
                     // oversize signal.
-                    if cfg.adaptive_coreset {
+                    if self.config.adaptive_coreset {
                         self.nodes[i].observe_exchange_share(1.5);
                         self.nodes[j].observe_exchange_share(1.5);
                     }
                     return SessionStep::Done;
                 }
-                if cfg.adaptive_coreset && state.time_limit > 0.0 {
+                if self.config.adaptive_coreset && state.time_limit > 0.0 {
                     let share = ctx.elapsed() / state.time_limit;
                     self.nodes[i].observe_exchange_share(share);
                     self.nodes[j].observe_exchange_share(share);
@@ -625,11 +628,11 @@ impl<L: Learner> CollabAlgorithm for LbChatAlgorithm<L> {
                     phi_j,
                     loss_j_on_ci: state.loss_j_on_ci,
                     loss_i_on_cj: state.loss_i_on_cj,
-                    model_bytes: cfg.model_wire_bytes,
+                    model_bytes: self.config.model_wire_bytes,
                     bandwidth_bps: goodput,
                     time_budget: remaining,
                     contact: (ctx.contact().duration - ctx.elapsed()).max(0.0),
-                    lambda_c: cfg.lambda_c,
+                    lambda_c: self.config.lambda_c,
                 }
                 .solve();
                 self.emit_chat(state, ctx);
@@ -639,14 +642,14 @@ impl<L: Learner> CollabAlgorithm for LbChatAlgorithm<L> {
                 // --- 5. Model exchange (codec-compressed both ways). ---
                 let codec = ctx.codec();
                 let psi = state.choice.psi_i;
-                let bytes = codec.wire_bytes(cfg.model_wire_bytes, psi);
+                let bytes = codec.wire_bytes(self.config.model_wire_bytes, psi);
                 ctx.metrics.record_model_send(out.is_delivered(), bytes, out.elapsed());
                 self.record_compress_obs(codec, psi, ctx);
                 if out.is_delivered() {
-                    if cfg.adaptive_coreset {
+                    if self.config.adaptive_coreset {
                         self.nodes[i].observe_compression(f64::from(psi));
                     }
-                    if cfg.error_feedback && ctx.obs().enabled() {
+                    if self.config.error_feedback && ctx.obs().enabled() {
                         ctx.obs().add("compress.feedback_folds", 1);
                     }
                     let rng = ctx.rng();
@@ -657,14 +660,14 @@ impl<L: Learner> CollabAlgorithm for LbChatAlgorithm<L> {
             ChatPhase::ModelJI => {
                 let codec = ctx.codec();
                 let psi = state.choice.psi_j;
-                let bytes = codec.wire_bytes(cfg.model_wire_bytes, psi);
+                let bytes = codec.wire_bytes(self.config.model_wire_bytes, psi);
                 ctx.metrics.record_model_send(out.is_delivered(), bytes, out.elapsed());
                 self.record_compress_obs(codec, psi, ctx);
                 if out.is_delivered() {
-                    if cfg.adaptive_coreset {
+                    if self.config.adaptive_coreset {
                         self.nodes[j].observe_compression(f64::from(psi));
                     }
-                    if cfg.error_feedback && ctx.obs().enabled() {
+                    if self.config.error_feedback && ctx.obs().enabled() {
                         ctx.obs().add("compress.feedback_folds", 1);
                     }
                     let rng = ctx.rng();
@@ -680,32 +683,29 @@ impl<L: Learner> CollabAlgorithm for LbChatAlgorithm<L> {
         state: ChatSession<L::Sample>,
         ctx: &mut SessionCtx<'_>,
     ) -> f64 {
-        let cfg = self.config.clone();
         let (i, j) = (ctx.i, ctx.j);
         // --- 6. Aggregation (Eq. 8) on the joint coreset view. ---
         if let (Some(peer_params), Some(coreset_j)) = (&state.received_i, &state.coreset_j) {
             let node = &self.nodes[i];
-            let own_loss = node.joint_loss(node.learner.params(), coreset_j);
-            let peer_loss = node.joint_loss(peer_params, coreset_j);
+            let (own_loss, peer_loss) = node.joint_losses(peer_params, coreset_j);
             let merged = aggregate_sparse_aware(
                 node.learner.params(),
                 own_loss,
                 peer_params,
                 peer_loss,
-                cfg.aggregation,
+                self.config.aggregation,
             );
             self.nodes[i].adopt_model(merged);
         }
         if let (Some(peer_params), Some(coreset_i)) = (&state.received_j, &state.coreset_i) {
             let node = &self.nodes[j];
-            let own_loss = node.joint_loss(node.learner.params(), coreset_i);
-            let peer_loss = node.joint_loss(peer_params, coreset_i);
+            let (own_loss, peer_loss) = node.joint_losses(peer_params, coreset_i);
             let merged = aggregate_sparse_aware(
                 node.learner.params(),
                 own_loss,
                 peer_params,
                 peer_loss,
-                cfg.aggregation,
+                self.config.aggregation,
             );
             self.nodes[j].adopt_model(merged);
         }
@@ -726,13 +726,10 @@ impl<L: Learner> CollabAlgorithm for LbChatAlgorithm<L> {
         if eval.is_empty() || self.nodes.is_empty() {
             return 0.0;
         }
+        let refs: Vec<&L::Sample> = eval.iter().collect();
         let mut total = 0.0f64;
         for node in &self.nodes {
-            let mut acc = 0.0f64;
-            for s in eval {
-                acc += node.learner.loss(s) as f64;
-            }
-            total += acc / eval.len() as f64;
+            total += mean_loss(&node.learner, node.learner.params(), &refs);
         }
         total / self.nodes.len() as f64
     }

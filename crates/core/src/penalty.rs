@@ -14,7 +14,7 @@
 //! of the paper's "entropy of the losses observed with data samples of
 //! different driving commands".
 
-use crate::learner::Learner;
+use crate::learner::{pair_losses, weighted_mean, Learner};
 use vnn::ParamVec;
 
 /// Coefficients of the Eq. (6) penalty terms.
@@ -39,6 +39,22 @@ impl PenaltyConfig {
     }
 }
 
+/// Per-group weighted mean of already-evaluated per-sample `losses`
+/// (parallel to `pairs`), accumulated in f64 in pair order.
+fn group_means<L: Learner>(learner: &L, pairs: &[(&L::Sample, f32)], losses: &[f32]) -> Vec<f32> {
+    let g = learner.n_groups();
+    let mut num = vec![0.0f64; g];
+    let mut den = vec![0.0f64; g];
+    for ((s, w), l) in pairs.iter().zip(losses) {
+        let gi = learner.group_of(s);
+        num[gi] += (*w as f64) * *l as f64;
+        den[gi] += *w as f64;
+    }
+    (0..g)
+        .map(|i| if den[i] > 0.0 { (num[i] / den[i]) as f32 } else { 0.0 })
+        .collect()
+}
+
 /// Per-group mean losses of `pairs` under `params`, for `n_groups` groups.
 /// Groups with no samples get loss 0 and are excluded from σ.
 pub fn group_losses<L: Learner>(
@@ -46,17 +62,7 @@ pub fn group_losses<L: Learner>(
     params: &ParamVec,
     pairs: &[(&L::Sample, f32)],
 ) -> Vec<f32> {
-    let g = learner.n_groups();
-    let mut num = vec![0.0f64; g];
-    let mut den = vec![0.0f64; g];
-    for (s, w) in pairs {
-        let gi = learner.group_of(s);
-        num[gi] += (*w as f64) * learner.loss_with(params, s) as f64;
-        den[gi] += *w as f64;
-    }
-    (0..g)
-        .map(|i| if den[i] > 0.0 { (num[i] / den[i]) as f32 } else { 0.0 })
-        .collect()
+    group_means(learner, pairs, &pair_losses(learner, params, pairs))
 }
 
 /// σ(x): imbalance of the per-group losses, `log G' − H(p)` where `p` is the
@@ -91,13 +97,16 @@ pub fn penalized_loss<L: Learner>(
     pairs: &[(&L::Sample, f32)],
     cfg: &PenaltyConfig,
 ) -> f32 {
-    let base = crate::learner::weighted_mean_loss(learner, params, pairs);
+    // One evaluation pass: the weighted mean and the per-group means both
+    // derive from the same per-sample losses.
+    let losses = pair_losses(learner, params, pairs);
+    let base = weighted_mean(pairs, &losses);
     if cfg.lambda1 == 0.0 && cfg.lambda2 == 0.0 {
         return base;
     }
     let l2 = params.l2_norm();
     let s = if cfg.lambda2 != 0.0 {
-        sigma(&group_losses(learner, params, pairs))
+        sigma(&group_means(learner, pairs, &losses))
     } else {
         0.0
     };
@@ -168,6 +177,64 @@ mod tests {
             &PenaltyConfig { lambda1: 0.1, lambda2: 0.1 },
         );
         assert!(pen > plain);
+    }
+
+    /// A [`LineLearner`] that counts its per-sample evaluations.
+    struct Counting {
+        inner: LineLearner,
+        calls: std::cell::Cell<usize>,
+    }
+
+    impl Learner for Counting {
+        type Sample = Pt;
+
+        fn params(&self) -> &ParamVec {
+            self.inner.params()
+        }
+
+        fn set_params(&mut self, params: ParamVec) {
+            self.inner.set_params(params);
+        }
+
+        fn loss(&self, s: &Pt) -> f32 {
+            self.loss_with(self.inner.params(), s)
+        }
+
+        fn loss_with(&self, p: &ParamVec, s: &Pt) -> f32 {
+            self.calls.set(self.calls.get() + 1);
+            self.inner.loss_with(p, s)
+        }
+
+        fn train_step(&mut self, batch: &[(&Pt, f32)]) -> f32 {
+            self.inner.train_step(batch)
+        }
+
+        fn group_of(&self, s: &Pt) -> usize {
+            self.inner.group_of(s)
+        }
+
+        fn n_groups(&self) -> usize {
+            self.inner.n_groups()
+        }
+    }
+
+    #[test]
+    fn penalized_loss_evaluates_each_pair_once() {
+        // The weighted mean and the per-group means of a λ₂ ≠ 0 call share
+        // one evaluation pass: n model evaluations, not 2n.
+        let l = Counting { inner: LineLearner::new(2.0, -1.0), calls: std::cell::Cell::new(0) };
+        let pts: Vec<Pt> =
+            (0..9).map(|i| Pt { x: i as f32 * 0.3, y: 0.1 * i as f32, group: i % 4 }).collect();
+        let pairs: Vec<(&Pt, f32)> = pts.iter().map(|p| (p, 1.0 + p.x)).collect();
+        let cfg = PenaltyConfig { lambda1: 1e-4, lambda2: 1e-2 };
+        let pen = penalized_loss(&l, l.params(), &pairs, &cfg);
+        assert_eq!(l.calls.get(), pairs.len());
+        // Same value as composing the two public wrappers (2n evaluations).
+        let composed = crate::learner::weighted_mean_loss(&l, l.params(), &pairs)
+            + cfg.lambda1 * l.params().l2_norm()
+            + cfg.lambda2 * sigma(&group_losses(&l, l.params(), &pairs));
+        assert_eq!(pen.to_bits(), composed.to_bits());
+        assert_eq!(l.calls.get(), 3 * pairs.len());
     }
 
     #[test]

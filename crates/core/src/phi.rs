@@ -9,6 +9,7 @@
 //! resulting φ is exchanged (as its sample points) and drives the Eq. (7)
 //! optimization.
 
+use crate::compress::MagnitudeOrder;
 use crate::learner::Learner;
 use crate::penalty::{penalized_loss, PenaltyConfig};
 use crate::Coreset;
@@ -145,8 +146,10 @@ impl PhiCurve {
         let pairs = coreset.pairs();
         let mut psi = Vec::with_capacity(grid.len());
         let mut loss = Vec::with_capacity(grid.len());
+        // One magnitude sort serves every ψ of the grid.
+        let order = MagnitudeOrder::new(learner.params());
         for &p in grid {
-            let compressed = crate::compress::compress_dense(learner.params(), p);
+            let compressed = order.dense(p);
             psi.push(p);
             loss.push(penalized_loss(learner, &compressed, &pairs, penalty));
         }

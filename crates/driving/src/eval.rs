@@ -660,8 +660,9 @@ mod tests {
                 learner.train_step(&batch);
             }
         }
-        let mean_loss: f32 =
-            all.iter().map(|f| learner.loss(f)).sum::<f32>() / all.len() as f32;
+        let mut losses = Vec::new();
+        learner.losses_with(learner.params(), &all, &mut losses);
+        let mean_loss: f32 = losses.iter().sum::<f32>() / all.len() as f32;
         assert!(mean_loss < 1.2, "imitation must fit the experts: {mean_loss}");
         let r = success_rate(&learner, Task::Straight, &quick_cfg());
         assert!(

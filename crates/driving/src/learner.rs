@@ -15,6 +15,16 @@ use vnn::{
     BatchSource, BranchedPolicy, ParamVec, PolicySample, PolicySpec, Sgd, TrainScratch, SHARD,
 };
 
+/// `frame` as the batched `vnn` kernels see it.
+fn policy_sample(frame: &Frame, weight: f32) -> PolicySample<'_> {
+    PolicySample {
+        input: &frame.features,
+        branch: frame.command.index(),
+        target: &frame.waypoints,
+        weight,
+    }
+}
+
 /// A minibatch view over the `(frame, weight)` pairs the [`Learner`] trait
 /// hands to [`DrivingLearner::train_step`].
 struct FrameBatch<'a, 'b>(&'a [(&'b Frame, f32)]);
@@ -25,13 +35,22 @@ impl BatchSource for FrameBatch<'_, '_> {
     }
 
     fn at(&self, i: usize) -> PolicySample<'_> {
-        let (frame, weight) = &self.0[i];
-        PolicySample {
-            input: &frame.features,
-            branch: frame.command.index(),
-            target: &frame.waypoints,
-            weight: *weight,
-        }
+        let (frame, weight) = self.0[i];
+        policy_sample(frame, weight)
+    }
+}
+
+/// A forward-only view over the frames [`Learner::losses_with`] is handed;
+/// the loss pass reads no weights.
+struct FrameRefs<'a, 'b>(&'a [&'b Frame]);
+
+impl BatchSource for FrameRefs<'_, '_> {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn at(&self, i: usize) -> PolicySample<'_> {
+        policy_sample(self.0[i], 1.0)
     }
 }
 
@@ -122,6 +141,13 @@ impl Learner for DrivingLearner {
     fn loss_with(&self, params: &ParamVec, sample: &Frame) -> f32 {
         self.policy
             .loss_with(params, &sample.features, sample.command.index(), &sample.waypoints)
+    }
+
+    /// One forward-only batch pass through the lane kernel instead of
+    /// `samples.len()` allocating per-sample forwards; bit-identical to them
+    /// (see [`BranchedPolicy::losses_with`]).
+    fn losses_with(&self, params: &ParamVec, samples: &[&Frame], out: &mut Vec<f32>) {
+        self.policy.losses_with(params, &FrameRefs(samples), out);
     }
 
     fn train_step(&mut self, batch: &[(&Frame, f32)]) -> f32 {

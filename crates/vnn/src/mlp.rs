@@ -9,9 +9,24 @@ use crate::param::ParamVec;
 use crate::scratch::MlpScratch;
 use rand::Rng;
 
-/// Output units per blocked strip of the batched forward pass: a strip of
-/// weight rows stays cache-resident while the batch streams through it.
-const J_BLOCK: usize = 16;
+/// Samples per lane block of the batched forward pass: a block is transposed
+/// feature-major so one `[f32; LANES]` holds the same input feature of
+/// `LANES` consecutive samples, and every accumulator lane is one sample.
+pub const LANES: usize = 8;
+
+/// Output units per register tile: `J_TILE` units × [`LANES`] samples of
+/// accumulators stay in registers across the whole input dimension.
+const J_TILE: usize = 4;
+
+/// `acc[lane] += x[lane] * w` — one multiply, then one add per lane (no
+/// fused multiply-add), exactly the per-sample kernel's `acc += xi * wji`.
+/// Fixed-size arrays so the loop compiles to packed multiplies and adds.
+#[inline(always)]
+fn axpy(acc: &mut [f32; LANES], x: &[f32; LANES], w: f32) {
+    for (a, xv) in acc.iter_mut().zip(x) {
+        *a += xv * w;
+    }
+}
 
 /// Activation function applied after each hidden layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -299,8 +314,20 @@ impl Mlp {
     /// layer's activations in `scratch` (read the last with
     /// [`Mlp::batch_outputs`]).
     ///
-    /// Bit-identical to `n` calls of [`Mlp::forward`]: each output element
-    /// is the same bias-first, ascending-index dot product.
+    /// Samples are processed in blocks of [`LANES`]: a block's inputs are
+    /// transposed feature-major, and a register tile of `J_TILE` output
+    /// units × `LANES` samples is carried across the input dimension with
+    /// `acc_j[lane] += x[lane] * w_j`. A lane never mixes with another
+    /// lane, and within its lane every output unit is the same bias-first,
+    /// ascending-input-index chain of separately rounded multiplies and
+    /// adds as [`Mlp::forward`] — so the result is bit-identical to `n`
+    /// calls of [`Mlp::forward`], while the compiler emits packed
+    /// arithmetic across the lanes. A block of one sample (a batch of one
+    /// above all: [`crate::BranchedPolicy::forward_into`]) keeps the
+    /// per-sample dot product: a tile with one live lane costs as much as
+    /// a block of three, which is more than one scalar pass but less than
+    /// two.
+    /// Activations stay sample-major, as [`Mlp::backward_batch`] reads them.
     ///
     /// # Panics
     /// Panics if the batch was not staged via [`Mlp::stage_batch`].
@@ -322,19 +349,68 @@ impl Mlp {
             let (lo, hi) = scratch.acts.split_at_mut(l + 1);
             let xs = &lo[l][..n * fan_in];
             let ys = &mut hi[0][..n * fan_out];
-            for jb in (0..fan_out).step_by(J_BLOCK) {
-                let je = (jb + J_BLOCK).min(fan_out);
-                for b in 0..n {
-                    let x = &xs[b * fan_in..(b + 1) * fan_in];
-                    let yrow = &mut ys[b * fan_out..(b + 1) * fan_out];
-                    for j in jb..je {
-                        let row = &weights[j * fan_in..(j + 1) * fan_in];
-                        let mut acc = biases[j];
-                        for (xi, wji) in x.iter().zip(row) {
+            let xt = &mut scratch.lanes[..fan_in];
+            for (xblock, yblock) in
+                xs.chunks(LANES * fan_in).zip(ys.chunks_mut(LANES * fan_out))
+            {
+                let m = xblock.len() / fan_in;
+                if m == 1 {
+                    for ((yj, row), &bias) in
+                        yblock.iter_mut().zip(weights.chunks_exact(fan_in)).zip(biases)
+                    {
+                        let mut acc = bias;
+                        for (xi, wji) in xblock.iter().zip(row) {
                             acc += xi * wji;
                         }
-                        yrow[j] = act.apply(acc);
+                        *yj = act.apply(acc);
                     }
+                    continue;
+                }
+                // Feature-major copy of the block; lanes past a ragged
+                // tail compute on zeros and are never stored.
+                for (i, col) in xt.iter_mut().enumerate() {
+                    *col = [0.0; LANES];
+                    for (lane, x) in col.iter_mut().zip(xblock.chunks_exact(fan_in)) {
+                        *lane = x[i];
+                    }
+                }
+                let mut store = |j: usize, acc: &[f32; LANES]| {
+                    for (yrow, &a) in yblock.chunks_exact_mut(fan_out).zip(acc) {
+                        yrow[j] = act.apply(a);
+                    }
+                };
+                let mut j = 0;
+                let mut tiles = weights.chunks_exact(J_TILE * fan_in);
+                for tile in &mut tiles {
+                    let (r0, rest) = tile.split_at(fan_in);
+                    let (r1, rest) = rest.split_at(fan_in);
+                    let (r2, r3) = rest.split_at(fan_in);
+                    let mut a0 = [biases[j]; LANES];
+                    let mut a1 = [biases[j + 1]; LANES];
+                    let mut a2 = [biases[j + 2]; LANES];
+                    let mut a3 = [biases[j + 3]; LANES];
+                    for ((((x, &w0), &w1), &w2), &w3) in
+                        xt.iter().zip(r0).zip(r1).zip(r2).zip(r3)
+                    {
+                        axpy(&mut a0, x, w0);
+                        axpy(&mut a1, x, w1);
+                        axpy(&mut a2, x, w2);
+                        axpy(&mut a3, x, w3);
+                    }
+                    store(j, &a0);
+                    store(j + 1, &a1);
+                    store(j + 2, &a2);
+                    store(j + 3, &a3);
+                    j += J_TILE;
+                }
+                // The `fan_out % J_TILE` units left over, one at a time.
+                for row in tiles.remainder().chunks_exact(fan_in) {
+                    let mut a = [biases[j]; LANES];
+                    for (x, &w) in xt.iter().zip(row) {
+                        axpy(&mut a, x, w);
+                    }
+                    store(j, &a);
+                    j += 1;
                 }
             }
             off += fan_in * fan_out + fan_out;

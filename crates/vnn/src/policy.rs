@@ -12,6 +12,12 @@ use crate::param::ParamVec;
 use crate::scratch::{ensure, PolicyShard, TrainScratch, SHARD};
 use rand::Rng;
 
+/// Samples per forward-only block of [`BranchedPolicy::losses_with`]: bounds
+/// the scratch a loss pass over a whole dataset holds (a block's
+/// activations stay cache-resident) while leaving every branch group a few
+/// full lane blocks.
+const LOSS_BLOCK: usize = 64;
+
 /// One imitation-learning sample as seen by the batched training kernels.
 ///
 /// Borrows its feature and target rows from the caller's dataset, so staging
@@ -272,7 +278,145 @@ impl BranchedPolicy {
         &self.heads
     }
 
-    // ----- batched training ------------------------------------------------
+    // ----- batched kernels -------------------------------------------------
+
+    /// The forward half every batched pass shares: stages samples
+    /// `[start, start + n)` of `src`, runs the trunk over them under
+    /// `params`, builds the head-input rows (ReLU of the trunk output plus
+    /// the skip tail, exactly as in the per-sample path) and groups the
+    /// local sample indices by branch — stable, ascending within each
+    /// group; `counts[br]` ends up holding the END offset of group `br`
+    /// inside `order`. Returns whether any buffer had to allocate.
+    fn forward_trunk<S: BatchSource + ?Sized>(
+        &self,
+        params: &ParamVec,
+        src: &S,
+        start: usize,
+        n: usize,
+        shard: &mut PolicyShard,
+    ) -> bool {
+        let input_dim = self.spec.input_dim;
+        let skip = self.spec.skip_inputs;
+        let nb = self.spec.n_branches;
+        let mut grew = false;
+        if shard.branches.len() < n {
+            grew |= shard.branches.capacity() < n;
+            shard.branches.resize(n, 0);
+        }
+        if shard.order.len() < n {
+            grew |= shard.order.capacity() < n;
+            shard.order.resize(n, 0);
+        }
+        if shard.counts.len() < nb {
+            grew |= shard.counts.capacity() < nb;
+            shard.counts.resize(nb, 0);
+        }
+
+        let staged = self.trunk.stage_batch(&mut shard.trunk, n);
+        for k in 0..n {
+            let s = src.at(start + k);
+            assert_eq!(s.input.len(), input_dim, "input dimension mismatch");
+            assert!(s.branch < nb, "branch out of range");
+            staged[k * input_dim..(k + 1) * input_dim].copy_from_slice(s.input);
+            shard.branches[k] = s.branch;
+        }
+        self.trunk.forward_batch(params, &mut shard.trunk, n);
+
+        let trunk_out_dim = self.trunk.spec().output_dim();
+        let feat_dim = trunk_out_dim + skip;
+        grew |= ensure(&mut shard.feats, n * feat_dim);
+        let trunk_y = self.trunk.batch_outputs(&shard.trunk, n);
+        for k in 0..n {
+            let y = &trunk_y[k * trunk_out_dim..(k + 1) * trunk_out_dim];
+            let frow = &mut shard.feats[k * feat_dim..(k + 1) * feat_dim];
+            for (f, &v) in frow.iter_mut().zip(y) {
+                *f = v.max(0.0);
+            }
+            frow[trunk_out_dim..].copy_from_slice(&src.at(start + k).input[input_dim - skip..]);
+        }
+
+        // Counting sort of the local indices by branch.
+        shard.counts[..nb].fill(0);
+        for &br in &shard.branches[..n] {
+            shard.counts[br] += 1;
+        }
+        let mut base = 0usize;
+        for c in &mut shard.counts[..nb] {
+            let cnt = *c;
+            *c = base;
+            base += cnt;
+        }
+        for k in 0..n {
+            let br = shard.branches[k];
+            shard.order[shard.counts[br]] = k;
+            shard.counts[br] += 1;
+        }
+        grew
+    }
+
+    /// Gathers the head-input rows of `order[group]` (one branch group of
+    /// the last [`Self::forward_trunk`]) and runs head `br` over them under
+    /// `params`; row `local` of the head batch is sample `order[group][local]`.
+    fn forward_head(
+        &self,
+        params: &ParamVec,
+        br: usize,
+        group: std::ops::Range<usize>,
+        shard: &mut PolicyShard,
+    ) {
+        let head = &self.heads[br];
+        let feat_dim = head.spec().input_dim();
+        let m = group.len();
+        let staged = head.stage_batch(&mut shard.head, m);
+        for (row, &k) in staged.chunks_exact_mut(feat_dim).zip(&shard.order[group]) {
+            row.copy_from_slice(&shard.feats[k * feat_dim..(k + 1) * feat_dim]);
+        }
+        head.forward_batch(params, &mut shard.head, m);
+    }
+
+    /// Per-sample losses of every sample of `src` under `params`, written
+    /// to `out` in sample order — [`BranchedPolicy::loss_with`] for a whole
+    /// batch in one forward-only pass through the batched kernels
+    /// (sample weights are not read). Bit-identical to the per-sample
+    /// calls: each prediction is the same chain of roundings (see
+    /// [`Mlp::forward_batch`]) and each loss the same `mean_loss` over it.
+    ///
+    /// # Panics
+    /// Panics if `params` has the wrong length, a sample's input dimension
+    /// is wrong, or a branch index is out of range.
+    pub fn losses_with<S: BatchSource + ?Sized>(
+        &self,
+        params: &ParamVec,
+        src: &S,
+        out: &mut Vec<f32>,
+    ) {
+        assert_eq!(params.len(), self.params.len(), "parameter length mismatch");
+        let head_dim = self.spec.head_dim();
+        out.clear();
+        out.resize(src.len(), 0.0);
+        let mut shard = PolicyShard::default();
+        for start in (0..src.len()).step_by(LOSS_BLOCK) {
+            let n = (src.len() - start).min(LOSS_BLOCK);
+            self.forward_trunk(params, src, start, n, &mut shard);
+            let mut group_start = 0usize;
+            for br in 0..self.spec.n_branches {
+                let group_end = shard.counts[br];
+                if group_end > group_start {
+                    self.forward_head(params, br, group_start..group_end, &mut shard);
+                    let preds =
+                        self.heads[br].batch_outputs(&shard.head, group_end - group_start);
+                    for (pred, &k) in preds
+                        .chunks_exact(head_dim)
+                        .zip(&shard.order[group_start..group_end])
+                    {
+                        out[start + k] =
+                            mean_loss(self.loss_kind, pred, src.at(start + k).target);
+                    }
+                }
+                group_start = group_end;
+            }
+        }
+    }
 
     /// Computes one gradient shard of a weighted minibatch: processes
     /// samples `[start, start + SHARD)` of `src` (clamped to the batch
@@ -298,74 +442,17 @@ impl BranchedPolicy {
     ) {
         assert!(start < src.len(), "shard start out of range");
         let n = (src.len() - start).min(SHARD);
-        let input_dim = self.spec.input_dim;
-        let skip = self.spec.skip_inputs;
         let head_dim = self.spec.head_dim();
-        let nb = self.spec.n_branches;
         let plen = self.params.len();
-        let mut grew = false;
 
-        // Per-sample metadata buffers.
+        let mut grew = self.forward_trunk(&self.params, src, start, n, shard);
+        let trunk_out_dim = self.trunk.spec().output_dim();
+        let feat_dim = trunk_out_dim + self.spec.skip_inputs;
         grew |= ensure(&mut shard.weights, n);
         grew |= ensure(&mut shard.losses, n);
-        if shard.branches.len() < n {
-            grew |= shard.branches.capacity() < n;
-            shard.branches.resize(n, 0);
-        }
-        if shard.order.len() < n {
-            grew |= shard.order.capacity() < n;
-            shard.order.resize(n, 0);
-        }
-        if shard.counts.len() < nb {
-            grew |= shard.counts.capacity() < nb;
-            shard.counts.resize(nb, 0);
-        }
-
-        // Stage the trunk inputs and run the shared trunk over the shard.
-        let staged = self.trunk.stage_batch(&mut shard.trunk, n);
-        for k in 0..n {
-            let s = src.at(start + k);
-            assert_eq!(s.input.len(), input_dim, "input dimension mismatch");
-            assert!(s.branch < nb, "branch out of range");
-            staged[k * input_dim..(k + 1) * input_dim].copy_from_slice(s.input);
-            shard.weights[k] = s.weight;
-            shard.branches[k] = s.branch;
-        }
-        self.trunk.forward_batch(&self.params, &mut shard.trunk, n);
-
-        // Head-input rows: ReLU of the trunk output plus the skip tail,
-        // exactly as in the per-sample path.
-        let trunk_out_dim = self.trunk.spec().output_dim();
-        let feat_dim = trunk_out_dim + skip;
-        grew |= ensure(&mut shard.feats, n * feat_dim);
         grew |= ensure(&mut shard.d_feats, n * feat_dim);
-        let trunk_y = self.trunk.batch_outputs(&shard.trunk, n);
-        for k in 0..n {
-            let y = &trunk_y[k * trunk_out_dim..(k + 1) * trunk_out_dim];
-            let frow = &mut shard.feats[k * feat_dim..(k + 1) * feat_dim];
-            for (f, &v) in frow.iter_mut().zip(y) {
-                *f = v.max(0.0);
-            }
-            frow[trunk_out_dim..].copy_from_slice(&src.at(start + k).input[input_dim - skip..]);
-        }
-
-        // Group local sample indices by branch (stable, ascending within
-        // each group) with a counting sort; `counts[br]` ends up holding the
-        // END offset of group `br` inside `order`.
-        shard.counts[..nb].fill(0);
-        for &br in &shard.branches[..n] {
-            shard.counts[br] += 1;
-        }
-        let mut base = 0usize;
-        for c in &mut shard.counts[..nb] {
-            let cnt = *c;
-            *c = base;
-            base += cnt;
-        }
-        for k in 0..n {
-            let br = shard.branches[k];
-            shard.order[shard.counts[br]] = k;
-            shard.counts[br] += 1;
+        for (k, w) in shard.weights[..n].iter_mut().enumerate() {
+            *w = src.at(start + k).weight;
         }
 
         // This shard's weighted partial gradient accumulates from +0.0.
@@ -374,25 +461,20 @@ impl BranchedPolicy {
 
         // One batched pass per populated command head.
         let mut group_start = 0usize;
-        for br in 0..nb {
+        for br in 0..self.spec.n_branches {
             let group_end = shard.counts[br];
             let m = group_end - group_start;
             if m > 0 {
                 let head = &self.heads[br];
+                self.forward_head(&self.params, br, group_start..group_end, shard);
                 grew |= ensure(&mut shard.head_w, m);
-                let h_staged = head.stage_batch(&mut shard.head, m);
-                for (local, &k) in shard.order[group_start..group_end].iter().enumerate() {
-                    h_staged[local * feat_dim..(local + 1) * feat_dim]
-                        .copy_from_slice(&shard.feats[k * feat_dim..(k + 1) * feat_dim]);
-                    shard.head_w[local] = shard.weights[k];
-                }
-                head.forward_batch(&self.params, &mut shard.head, m);
                 let (preds, d_out) = head.batch_outputs_and_d_out(&mut shard.head, m);
                 for (local, &k) in shard.order[group_start..group_end].iter().enumerate() {
                     let s = src.at(start + k);
                     let pred = &preds[local * head_dim..(local + 1) * head_dim];
                     let d = &mut d_out[local * head_dim..(local + 1) * head_dim];
                     shard.losses[k] = mean_loss_and_grad_into(self.loss_kind, pred, s.target, d);
+                    shard.head_w[local] = shard.weights[k];
                 }
                 head.backward_batch(
                     &self.params,

@@ -9,7 +9,9 @@
 //!
 //! * [`MlpScratch`] — batched per-layer activations plus ping-pong delta
 //!   buffers for one [`crate::Mlp`], laid out sample-major
-//!   (`acts[l][b * width + j]`).
+//!   (`acts[l][b * width + j]`), and the feature-major copy of one
+//!   [`crate::mlp::LANES`]-sample block that the forward kernel's register
+//!   tile reads (lane = sample; see [`crate::Mlp::forward_batch`]).
 //! * [`PolicyShard`] — everything one gradient shard of a
 //!   [`crate::BranchedPolicy`] minibatch needs: trunk and head scratches,
 //!   feature rows, per-sample losses, and the shard's weighted partial
@@ -27,6 +29,8 @@
 //! shard structure is a function of `n` alone, running the shards serially
 //! or on any number of workers produces bit-identical gradients
 //! (`jobs=1 ≡ jobs=4`).
+
+use crate::mlp::LANES;
 
 /// Samples per gradient shard. Fixed (not derived from the worker count) so
 /// the floating-point reduction tree — and therefore every trained bit — is
@@ -79,10 +83,13 @@ pub(crate) fn ensure(buf: &mut Vec<f32>, len: usize) -> bool {
 /// the staged input), sample-major: row `b` occupies
 /// `[b * width, (b + 1) * width)`. The two delta buffers ping-pong through
 /// the backward pass; after [`crate::Mlp::backward_batch`] the final swap leaves
-/// the input gradients in `delta`.
+/// the input gradients in `delta`. `lanes` is the forward kernel's
+/// feature-major staging of one sample block: `lanes[i][k]` is input feature
+/// `i` of the block's `k`-th sample, rewritten for every block and layer.
 #[derive(Debug, Clone, Default)]
 pub struct MlpScratch {
     pub(crate) acts: Vec<Vec<f32>>,
+    pub(crate) lanes: Vec<[f32; LANES]>,
     pub(crate) delta: Vec<f32>,
     pub(crate) delta_lower: Vec<f32>,
     pub(crate) grew: bool,
@@ -106,6 +113,10 @@ impl MlpScratch {
             grew |= ensure(buf, n * w);
         }
         let wmax = sizes.iter().copied().max().unwrap_or(0);
+        if self.lanes.len() < wmax {
+            grew |= self.lanes.capacity() < wmax;
+            self.lanes.resize(wmax, [0.0; LANES]);
+        }
         grew |= ensure(&mut self.delta, n * wmax);
         grew |= ensure(&mut self.delta_lower, n * wmax);
         self.grew |= grew;

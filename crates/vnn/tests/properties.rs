@@ -4,9 +4,10 @@ use proptest::prelude::*;
 use rand::{RngExt, SeedableRng};
 use vnn::loss::{mean_loss, mean_loss_and_grad, LossKind};
 use vnn::wire::{from_dense_bytes, to_dense_bytes, SparseModel};
+use vnn::mlp::LANES;
 use vnn::{
-    Adam, BranchedPolicy, Minibatcher, ParamVec, PolicySample, PolicySpec, Sgd, TrainScratch,
-    SHARD,
+    Activation, Adam, BranchedPolicy, Minibatcher, Mlp, MlpScratch, MlpSpec, ParamVec,
+    PolicySample, PolicySpec, Sgd, TrainScratch, SHARD,
 };
 
 proptest! {
@@ -314,6 +315,67 @@ proptest! {
                 bits(live.params().as_slice()),
                 bits(reference.params().as_slice())
             );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Bit-identity of the lane-tile forward kernel against `Mlp::forward`, and of
+// the forward-only loss pass against `BranchedPolicy::loss_with`.
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn forward_batch_matches_forward_bits(seed in 0u64..1 << 48) {
+        // Every batch size around the lane-block boundaries (scalar blocks
+        // of 1–2, ragged tails, full blocks), output widths that are not a
+        // multiple of the register tile, the narrowest and the
+        // driving-scale input, every activation — through ONE scratch, so
+        // each shape runs over buffers dirtied by the previous ones.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut scratch = MlpScratch::new();
+        for activation in [Activation::Relu, Activation::Tanh, Activation::Identity] {
+            for sizes in [vec![1, 10, 3], vec![147, 33, 10], vec![5, 4, 8, 1]] {
+                let mlp = Mlp::new(MlpSpec { sizes: sizes.clone(), hidden_activation: activation }, 3);
+                let mut params = ParamVec::zeros(3 + mlp.param_count());
+                mlp.init(&mut params, &mut rng);
+                for n in 1..=2 * LANES + 3 {
+                    let inputs: Vec<f32> =
+                        (0..n * sizes[0]).map(|_| rng.random_range(-2.0f32..2.0)).collect();
+                    mlp.stage_batch(&mut scratch, n).copy_from_slice(&inputs);
+                    mlp.forward_batch(&params, &mut scratch, n);
+                    let out_dim = mlp.spec().output_dim();
+                    for (b, x) in inputs.chunks_exact(sizes[0]).enumerate() {
+                        let single = mlp.forward(&params, x);
+                        prop_assert_eq!(
+                            bits(&mlp.batch_outputs(&scratch, n)[b * out_dim..(b + 1) * out_dim]),
+                            bits(single.output()),
+                            "{:?} {:?} n={} sample {}", activation, &sizes, n, b
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_losses_match_per_sample_bits(seed in 0u64..1 << 48, n in 0usize..150) {
+        // Mixed branches across more than two loss blocks, under the
+        // policy's own parameters and under a foreign vector of the same
+        // layout (the compressed-copy case).
+        let (policy, data) = seeded_policy_and_batch(seed, n);
+        let samples = as_samples(&data);
+        let (other, _) = seeded_policy_and_batch(seed ^ 0x5EED, 0);
+        let mut out = vec![7.0f32; 3];
+        for params in [policy.params(), other.params()] {
+            policy.losses_with(params, &samples[..], &mut out);
+            let single: Vec<f32> = data
+                .iter()
+                .map(|(x, b, t, _)| policy.loss_with(params, x, *b, t))
+                .collect();
+            prop_assert_eq!(bits(&out), bits(&single));
         }
     }
 }
