@@ -530,12 +530,71 @@ fn crossing_trace() -> MobilityTrace {
     MobilityTrace::new(10.0, vec![a, b])
 }
 
+/// 64 vehicles driving the default map, recorded at the world's 2 fps: the
+/// fleet of `lbchat_e2e`'s `fleet256_w` at a quarter of its size (and the
+/// scenario of `fleet_traffic_golden`). Real motion — speeds change, routes
+/// turn — unlike the straight-line and parked traces of the other cells.
+fn fleet_trace(seconds: f64) -> MobilityTrace {
+    World::new(WorldConfig {
+        seed: 42,
+        n_experts: 64,
+        n_background: 0,
+        n_pedestrians: 0,
+        n_fleet: 0,
+        ..WorldConfig::default()
+    })
+    .record_trace(seconds)
+}
+
+/// The first pair of `trace` (in `(i, j)` order) with a whole contact inside
+/// it: out of `range` at the start, within 150 m at some frame, out of range
+/// again later. Returns the pair and the frame span it spends in range.
+fn passing_pair(trace: &MobilityTrace, range: f32) -> Option<(usize, usize, usize, usize)> {
+    let dist = |i, j, f: usize| trace.distance(i, j, f as f64 / trace.fps());
+    for i in 0..trace.n_agents() {
+        for j in i + 1..trace.n_agents() {
+            let Some(enter) = (0..trace.n_frames()).find(|&f| dist(i, j, f) <= range) else {
+                continue;
+            };
+            let Some(exit) = (enter..trace.n_frames()).find(|&f| dist(i, j, f) > range) else {
+                continue;
+            };
+            if enter > 0 && (enter..exit).any(|f| dist(i, j, f) < 150.0) {
+                return Some((i, j, enter, exit));
+            }
+        }
+    }
+    None
+}
+
 fn bench_simnet(c: &mut Timer, opts: &SuiteOpts) {
     let ch = Channel::new(RadioConfig::default(), LossModel::distance_default());
     c.bench_function("simnet/channel_transfer_0.6MB", |b| {
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         b.measure(|| ch.transfer(614_400, 100.0, |_| 150.0, &mut rng));
     });
+    // What `SessionCtx::run_spec` actually sends: a 4 MiB model between two
+    // vehicles of a recorded trace, under the distance→PER table, once
+    // every two seconds from the frame the pair comes into range, through
+    // its closest approach, to the frame it leaves — closing and separating,
+    // every PER the table holds.
+    {
+        let trace = fleet_trace(180.0);
+        let (i, j, enter, exit) =
+            passing_pair(&trace, ch.config().range_m).expect("a pair passes within the trace");
+        let spec = TransferSpec::link(4 * 1024 * 1024, 15.0);
+        c.bench_sampled("simnet/channel_transfer_4MB_trace", opts.group_sampling(80, 3), |b| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+            b.measure(|| {
+                let mut airtime = 0.0;
+                for f in (enter..exit).step_by(4) {
+                    let link = trace.pair_track(i, j).starting_at(f as f64 / trace.fps());
+                    airtime += ch.run(&spec, link, &mut rng).elapsed();
+                }
+                airtime
+            });
+        });
+    }
     c.bench_function("simnet/trace_build_and_scan", |b| {
         b.measure(|| {
             let trace = crossing_trace();
@@ -736,6 +795,36 @@ fn bench_runtime(c: &mut Timer, opts: &SuiteOpts) {
                     decline: true,
                 };
                 rt.run(&mut algo, &trace, &[]).map_or(0, |m| m.train_iterations)
+            });
+        });
+    }
+    // The traffic `fleet256_w` sends, at a quarter of the fleet: 64 moving
+    // vehicles gossiping a 4 MiB payload each way under the distance→PER
+    // table for 60 simulated seconds — `fleet_traffic_golden`'s fleet, radio
+    // and payload under the scheduler probe. Unlike the parked, loss-free
+    // 20 kB cells above, nearly all of this run is `Channel::run` following
+    // two recorded tracks through ~2 800 packets a transfer.
+    {
+        let seconds = 60.0;
+        let trace = fleet_trace(seconds + 60.0);
+        let cfg = RuntimeConfig {
+            duration: seconds,
+            eval_every: seconds,
+            loss_model: LossModel::distance_default(),
+            seed: 9,
+            ..RuntimeConfig::default()
+        };
+        let rt = Runtime::new(cfg);
+        c.bench_sampled("runtime/gossip_64_moving_4MB_loss", sampling, |b| {
+            b.measure(|| {
+                let mut algo = ProbeAlgo {
+                    n: 64,
+                    params: ParamVec::zeros(1),
+                    bytes: 4 * 1024 * 1024,
+                    greedy: false,
+                    decline: false,
+                };
+                rt.run(&mut algo, &trace, &[]).map_or(0, |m| m.bytes_delivered)
             });
         });
     }

@@ -40,6 +40,13 @@ pub enum ConfigError {
         /// The offending field.
         field: &'static str,
     },
+    /// A distance→PER lookup table the radio could only misread.
+    LossTable {
+        /// The offending field.
+        field: &'static str,
+        /// What is wrong with the table.
+        error: simnet::loss::LossTableError,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -54,6 +61,7 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroCount { field } => {
                 write!(f, "{field} must be at least 1")
             }
+            ConfigError::LossTable { field, error } => write!(f, "{field}: {error}"),
         }
     }
 }

@@ -43,34 +43,7 @@ pub(super) fn run<A: CollabAlgorithm>(
     trace: &MobilityTrace,
     eval: &[A::Sample],
 ) -> Metrics {
-    let n = algo.n_nodes();
-    let mut el = EventLoop {
-        cfg,
-        trace,
-        eval,
-        n,
-        dt: 1.0 / trace.fps(),
-        channel: Channel::new(cfg.radio.clone(), cfg.loss_model.clone()),
-        predictor: ContactPredictor::new(
-            cfg.radio.range_m,
-            cfg.radio.max_retx,
-            cfg.loss_model.clone(),
-            cfg.contact_reference_time,
-        ),
-        rng: rand::rngs::StdRng::seed_from_u64(cfg.seed.wrapping_add(0xC0FFEE)),
-        metrics: Metrics::new(),
-        busy_until: vec![0.0f64; n],
-        cooldown: PairCooldown::new(n),
-        train_debt: vec![0.0f64; n],
-        next_eval: 0.0,
-        queue: EventQueue::new(),
-        medium: cfg.contention.clone().map(Medium::new),
-        sessions: Vec::new(),
-        active: (0..n).collect(),
-        grid: EncounterGrid::new(),
-        encounters: Vec::new(),
-        routes: RouteCache::new(n, cfg.route_share_samples),
-    };
+    let mut el = EventLoop::new(cfg, trace, eval, algo.n_nodes());
     el.queue.push(0.0, Event::Frame);
     while let Some(t) = el.queue.peek_time() {
         if t >= cfg.duration {
@@ -233,19 +206,72 @@ struct EventLoop<'a, A: CollabAlgorithm> {
     /// `Some` iff contention mode is on.
     medium: Option<Medium>,
     sessions: Vec<Live<A::Session>>,
-    /// The full node roster (every node participates in matching).
-    active: Vec<usize>,
     /// Spatial-hash encounter discovery — bit-identical to the all-pairs
     /// sweep ([`MobilityTrace::encounters_at`]), O(local density) per frame.
     grid: EncounterGrid,
-    /// Reused encounter list the grid refills each frame.
-    encounters: Vec<Encounter>,
     /// Per-frame shared-route cache: each agent's future route is sampled
     /// at most once per frame, however many candidate pairs it appears in.
     routes: RouteCache,
+    // Buffers below are refilled every frame (or every transfer batch) and
+    // kept for their capacity; none carries state from one use to the next.
+    /// The frame's roster: vehicles not in a session, ascending.
+    free: Vec<usize>,
+    /// In-range pairs among `free`, refilled by the grid.
+    encounters: Vec<Encounter>,
+    /// `(priority, i, j, estimate)` of every pairing the frame may open.
+    candidates: Vec<(f64, usize, usize, ContactEstimate)>,
+    /// Per node: already matched this frame.
+    taken: Vec<bool>,
+    /// Sessions stepping in the current medium window.
+    batch: Vec<usize>,
+    /// Their shares of that window, one job per session still streaming.
+    jobs: Vec<WindowJob>,
+    /// `(session, bytes, t0, outcome)` of the transfers a window finished.
+    finished: Vec<(usize, usize, f64, TransferOutcome)>,
 }
 
-impl<A: CollabAlgorithm> EventLoop<'_, A> {
+impl<'a, A: CollabAlgorithm> EventLoop<'a, A> {
+    /// An idle loop over `n` nodes at simulated time zero.
+    fn new(
+        cfg: &'a RuntimeConfig,
+        trace: &'a MobilityTrace,
+        eval: &'a [A::Sample],
+        n: usize,
+    ) -> Self {
+        EventLoop {
+            cfg,
+            trace,
+            eval,
+            n,
+            dt: 1.0 / trace.fps(),
+            channel: Channel::new(cfg.radio.clone(), cfg.loss_model.clone()),
+            predictor: ContactPredictor::new(
+                cfg.radio.range_m,
+                cfg.radio.max_retx,
+                cfg.loss_model.clone(),
+                cfg.contact_reference_time,
+            ),
+            rng: rand::rngs::StdRng::seed_from_u64(cfg.seed.wrapping_add(0xC0FFEE)),
+            metrics: Metrics::new(),
+            busy_until: vec![0.0f64; n],
+            cooldown: PairCooldown::new(n),
+            train_debt: vec![0.0f64; n],
+            next_eval: 0.0,
+            queue: EventQueue::new(),
+            medium: cfg.contention.clone().map(Medium::new),
+            sessions: Vec::new(),
+            grid: EncounterGrid::new(),
+            routes: RouteCache::new(n, cfg.route_share_samples),
+            free: Vec::with_capacity(n),
+            encounters: Vec::new(),
+            candidates: Vec::new(),
+            taken: vec![false; n],
+            batch: Vec::new(),
+            jobs: Vec::new(),
+            finished: Vec::new(),
+        }
+    }
+
     fn dispatch(&mut self, algo: &mut A, t: f64, ev: Event) {
         match ev {
             Event::Frame => self.handle_frame(algo, t),
@@ -265,18 +291,19 @@ impl<A: CollabAlgorithm> EventLoop<'_, A> {
                 // Batch all same-timestamp transfer steps: their window
                 // shares come from the previous window's load, so they are
                 // order-independent and shard across workers.
-                let mut batch = vec![session];
+                self.batch.clear();
+                self.batch.push(session);
                 loop {
                     match self.queue.peek() {
                         Some((t2, Event::TransferStep { session: s })) if t2 == t => {
                             let s = *s;
                             self.queue.pop();
-                            batch.push(s);
+                            self.batch.push(s);
                         }
                         _ => break,
                     }
                 }
-                self.handle_transfer_batch(algo, t, batch);
+                self.handle_transfer_batch(algo, t);
             }
             Event::TrainSlice { node } => self.handle_train_slice(algo, t, node),
             Event::Eval => {
@@ -306,29 +333,30 @@ impl<A: CollabAlgorithm> EventLoop<'_, A> {
             algo.on_frame(&mut fctx);
         }
 
-        // Pair matching. Encounters come from the spatial hash —
+        // Pair matching, over the vehicles free at this frame only: a busy
+        // vehicle can open no session, and the grid emits pairs in roster
+        // order, so scanning the free roster yields exactly the pairs a
+        // whole-fleet scan would keep after dropping the busy ones, in the
+        // same order (DESIGN.md §4). Encounters come from the spatial hash —
         // bit-identical to the all-pairs sweep — and each agent's shared
         // route is interpolated at most once per frame through the route
         // cache.
+        self.free.clear();
+        self.free.extend((0..self.n).filter(|&v| self.busy_until[v] <= t));
         self.routes.begin_frame();
         let stats = self.grid.encounters_into(
             self.trace,
             t,
             self.cfg.radio.range_m,
-            &self.active,
+            &self.free,
             &mut self.encounters,
         );
         if self.cfg.obs.enabled() {
             self.cfg.obs.add("net.encounter.candidates", stats.candidates);
             self.cfg.obs.add("net.encounter.cells", stats.cells);
         }
-        let mut candidates: Vec<(f64, usize, usize, ContactEstimate)> = Vec::new();
-        for k in 0..self.encounters.len() {
-            let e = self.encounters[k];
-            let (i, j) = (e.a, e.b);
-            if self.busy_until[i] > t || self.busy_until[j] > t {
-                continue;
-            }
+        self.candidates.clear();
+        for &Encounter { a: i, b: j, .. } in &self.encounters {
             if self.cooldown.get(i, j) > t {
                 continue;
             }
@@ -338,18 +366,18 @@ impl<A: CollabAlgorithm> EventLoop<'_, A> {
             if !score.is_finite() {
                 continue; // method opted out of this pairing
             }
-            candidates.push((score, i, j, est));
+            self.candidates.push((score, i, j, est));
         }
         // Greedy matching by descending priority — each vehicle serves its
         // best-scored neighbor first (§III-A). total_cmp: scores are finite.
-        candidates.sort_by(|a, b| b.0.total_cmp(&a.0));
-        let mut taken = vec![false; self.n];
-        for (score, i, j, est) in candidates {
-            if taken[i] || taken[j] {
+        self.candidates.sort_by(|a, b| b.0.total_cmp(&a.0));
+        self.taken.fill(false);
+        for &(score, i, j, est) in &self.candidates {
+            if self.taken[i] || self.taken[j] {
                 continue;
             }
-            taken[i] = true;
-            taken[j] = true;
+            self.taken[i] = true;
+            self.taken[j] = true;
             self.queue.push(t, Event::ContactOpen { i, j, est, priority: score });
         }
 
@@ -574,13 +602,13 @@ impl<A: CollabAlgorithm> EventLoop<'_, A> {
     /// serial load registration, parallel packet streaming, then a serial
     /// fixed-order reduction applying outcomes — identical for any worker
     /// count because shares and losses come from the previous window.
-    fn handle_transfer_batch(&mut self, algo: &mut A, t: f64, batch: Vec<usize>) {
+    fn handle_transfer_batch(&mut self, algo: &mut A, t: f64) {
         let Some(medium) = &mut self.medium else { return };
         medium.advance_to(t);
         let t_next = (medium.window_index(t) + 1) as f64 * medium.config().window_s;
         let pt = self.channel.config().packet_time();
-        let mut jobs: Vec<WindowJob> = Vec::with_capacity(batch.len());
-        for sid in batch {
+        self.jobs.clear();
+        for &sid in &self.batch {
             let live = &mut self.sessions[sid];
             if live.closed {
                 continue;
@@ -594,7 +622,7 @@ impl<A: CollabAlgorithm> EventLoop<'_, A> {
             let extra = medium.collision_per(cell);
             medium.register(cell);
             let base = self.channel.per_for(pending.spec.loss, self.trace.distance(live.i, live.j, t));
-            jobs.push(WindowJob {
+            self.jobs.push(WindowJob {
                 session: sid,
                 cell,
                 pending,
@@ -609,11 +637,12 @@ impl<A: CollabAlgorithm> EventLoop<'_, A> {
             });
         }
 
-        exec::par_for_each_mut(&mut jobs, |_, job| stream_window(job));
+        exec::par_for_each_mut(&mut self.jobs, |_, job| stream_window(job));
 
-        // Fixed-order reduction, in pop order.
-        let mut finished: Vec<(usize, usize, f64, TransferOutcome)> = Vec::new();
-        for job in jobs {
+        // Fixed-order reduction, in pop order. `finished` is checked out of
+        // `self` because the callbacks it feeds need all of `&mut self`.
+        let mut finished = std::mem::take(&mut self.finished);
+        for job in self.jobs.drain(..) {
             let sid = job.session;
             medium.book(job.cell, job.consumed);
             if self.cfg.obs.enabled() && job.drops > 0 {
@@ -643,13 +672,14 @@ impl<A: CollabAlgorithm> EventLoop<'_, A> {
                 }
             }
         }
-        for (sid, bytes, t0, out) in finished {
+        for (sid, bytes, t0, out) in finished.drain(..) {
             let live = &mut self.sessions[sid];
             live.elapsed += out.elapsed();
             record_transfer_obs(&self.cfg.obs, live.i, live.j, t0, bytes, &out);
             let step = self.call_step(algo, sid, out);
             self.apply_step(algo, sid, step, t);
         }
+        self.finished = finished;
     }
 
     /// Hands a transfer outcome to the algorithm's `session_step`.
@@ -734,5 +764,70 @@ impl<A: CollabAlgorithm> EventLoop<'_, A> {
                 &[("i", i.into()), ("j", j.into()), ("t", t.into()), ("duration_s", duration.into())],
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::Probe;
+    use super::*;
+
+    /// 32 vehicles parked on a 140 m lattice: every vehicle has several
+    /// radio neighbours, so matching, sessions and cooldowns stay busy.
+    fn parked_lattice(n: usize, seconds: f64) -> MobilityTrace {
+        let frames = (seconds * 2.0) as usize + 1;
+        let cols = (n as f64).sqrt().ceil() as usize;
+        let positions = (0..n)
+            .map(|k| vec![Vec2::new((k % cols) as f32 * 140.0, (k / cols) as f32 * 140.0); frames])
+            .collect();
+        MobilityTrace::new(2.0, positions)
+    }
+
+    /// The frame-matching buffers live on the loop and are refilled, not
+    /// reallocated: once the first frames have sized them (frame 0 is the
+    /// peak — everyone free, nothing cooling down) no later frame grows the
+    /// roster, the candidate list or the taken marks, nor the grid and the
+    /// route cache behind them.
+    #[test]
+    fn warm_frames_do_not_grow_the_matching_buffers() {
+        const WARM_FRAMES: usize = 2;
+        let n = 32;
+        let cfg = RuntimeConfig {
+            duration: 60.0,
+            eval_every: 60.0,
+            pair_cooldown: 10.0,
+            seed: 9,
+            ..RuntimeConfig::default()
+        };
+        let trace = parked_lattice(n, cfg.duration);
+        let mut probe = Probe::new(n);
+        let mut el = EventLoop::new(&cfg, &trace, &[], n);
+        el.queue.push(0.0, Event::Frame);
+        let capacities = |el: &EventLoop<'_, Probe>| {
+            (el.free.capacity(), el.candidates.capacity(), el.taken.capacity())
+        };
+        let (mut frames, mut matched, mut warm) = (0usize, 0usize, None);
+        while let Some((t, ev)) = el.queue.pop() {
+            if t >= cfg.duration {
+                break;
+            }
+            let is_frame = matches!(ev, Event::Frame);
+            el.dispatch(&mut probe, t, ev);
+            if !is_frame {
+                continue;
+            }
+            frames += 1;
+            matched += usize::from(!el.candidates.is_empty());
+            if frames == WARM_FRAMES {
+                warm = Some(capacities(&el));
+            } else if frames > WARM_FRAMES {
+                assert_eq!(Some(capacities(&el)), warm, "frame {frames} grew a matching buffer");
+                assert!(!el.grid.grew(), "frame {frames} grew the encounter grid");
+                assert!(!el.routes.grew(), "frame {frames} grew the route cache");
+            }
+        }
+        assert_eq!(frames, 120, "2 fps over 60 s");
+        assert!(matched > 10, "cooldowns expire, so matching keeps finding pairs: {matched}");
+        assert!(el.metrics.sessions > n as u64, "the fleet kept chatting: {}", el.metrics.sessions);
     }
 }

@@ -111,8 +111,9 @@ impl RuntimeConfig {
     }
 
     /// Checks every field against its domain (positive duration and eval
-    /// cadence, non-negative rates). Struct-literal construction stays
-    /// possible for tests; the builder calls this on [`RuntimeConfigBuilder::build`].
+    /// cadence, non-negative rates, a well-formed loss table).
+    /// Struct-literal construction stays possible for tests; the builder
+    /// calls this on [`RuntimeConfigBuilder::build`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         ConfigError::require_positive("duration", self.duration)?;
         ConfigError::require_non_negative(
@@ -122,6 +123,9 @@ impl RuntimeConfig {
         ConfigError::require_positive("eval_every", self.eval_every)?;
         ConfigError::require_non_negative("pair_cooldown", self.pair_cooldown)?;
         ConfigError::require_positive("contact_reference_time", self.contact_reference_time)?;
+        self.loss_model
+            .validate()
+            .map_err(|error| ConfigError::LossTable { field: "loss_model", error })?;
         if let Some(medium) = &self.contention {
             ConfigError::require_positive("contention.window_s", medium.window_s)?;
             ConfigError::require_positive("contention.cell_m", medium.cell_m as f64)?;
@@ -323,9 +327,9 @@ impl SessionCtx<'_> {
     /// consumed and records the transfer observability events.
     pub fn run_spec(&mut self, spec: &TransferSpec) -> TransferOutcome {
         let t0 = self.now();
-        let trace = self.trace;
         let (i, j) = (self.i, self.j);
-        let out = self.channel.run(spec, |t| trace.distance(i, j, t0 + t), self.rng);
+        let link = self.trace.pair_track(i, j).starting_at(t0);
+        let out = self.channel.run(spec, link, self.rng);
         self.elapsed += out.elapsed();
         record_transfer_obs(self.obs, i, j, t0, spec.bytes, &out);
         out
@@ -946,6 +950,21 @@ mod tests {
         assert!(RuntimeConfig::builder().train_iters_per_second(f64::INFINITY).build().is_err());
         let bad_medium = simnet::channel::MediumConfig { window_s: 0.0, ..Default::default() };
         assert!(RuntimeConfig::builder().contention(bad_medium).build().is_err());
+        // A loss table the radio would silently misread: unsorted, with a
+        // repeated breakpoint, with a NaN, or with a PER that is no
+        // probability.
+        use simnet::loss::LossTableError;
+        for (table, error) in [
+            (vec![], LossTableError::Empty),
+            (vec![(0.0, 0.1), (200.0, 0.5), (100.0, 0.3)], LossTableError::NotIncreasing { index: 2 }),
+            (vec![(0.0, 0.1), (100.0, 0.3), (100.0, 0.5)], LossTableError::NotIncreasing { index: 2 }),
+            (vec![(0.0, 0.1), (f32::NAN, 0.3)], LossTableError::NonFinite { index: 1 }),
+            (vec![(0.0, 0.1), (100.0, 1.5)], LossTableError::PerOutOfRange { index: 1 }),
+        ] {
+            let built = RuntimeConfig::builder().loss_model(LossModel::Distance(table)).build();
+            assert_eq!(built.err(), Some(ConfigError::LossTable { field: "loss_model", error }));
+        }
+        assert!(RuntimeConfig::builder().loss_model(LossModel::distance_default()).build().is_ok());
     }
 
     #[test]

@@ -13,8 +13,13 @@
 //! uses. Both carry their *own* verbatim reference arms inside `simnet`
 //! ([`MobilityTrace::encounters_at`] / [`MobilityTrace::future`]) and are
 //! proptested byte-identical to them, so this loop's semantics are
-//! unchanged — and the two loops keep emitting identical
-//! `net.encounter.*` counters.
+//! unchanged.
+//!
+//! This loop scans the **whole roster** every frame and drops busy vehicles
+//! pair by pair, on purpose: the event loop scans only the vehicles free at
+//! the frame, and `assert_same_run` pins that free-roster scan against this
+//! one. The two loops therefore emit *different* `net.encounter.*` counters
+//! (whole fleet here, free vehicles there) and identical everything else.
 
 use super::{drive_session, emit_round, CollabAlgorithm, FrameCtx, RuntimeConfig, SessionCtx};
 use crate::metrics::Metrics;

@@ -133,21 +133,81 @@ impl TransferOutcome {
     }
 }
 
+/// Where a transfer's endpoint distance comes from.
+///
+/// Any `FnMut(f64) -> f32` closure is one (`|t| distance t seconds in`), so
+/// the channel composes with every mobility source. A source that can also
+/// *bound* its distance over a stretch of time — [`crate::trace::PairTrack`]
+/// does, per trace segment — lets [`Channel::run`] settle most packet
+/// attempts from the random draw alone, without evaluating the distance.
+pub trait LinkDistance {
+    /// Endpoint distance in meters `t` seconds into the transfer.
+    fn distance_at(&mut self, t: f64) -> f32;
+
+    /// Conservative bounds on [`LinkDistance::distance_at`] from `t` on, or
+    /// `None` when the source has none to offer at `t` (the default): the
+    /// channel then evaluates that attempt exactly and asks again at the
+    /// next one.
+    fn bounds(&mut self, _t: f64) -> Option<DistanceBounds> {
+        None
+    }
+}
+
+impl<F: FnMut(f64) -> f32> LinkDistance for F {
+    fn distance_at(&mut self, t: f64) -> f32 {
+        self(t)
+    }
+}
+
+/// What [`LinkDistance::bounds`] promises at time `t`: every `t'` in
+/// `[t, until]` has `lo <= distance_at(t') <= hi` — for the distance *as
+/// computed*, rounding included.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DistanceBounds {
+    /// Lower bound, meters.
+    pub lo: f32,
+    /// Upper bound, meters.
+    pub hi: f32,
+    /// Last transfer-local time the bounds cover, seconds.
+    pub until: f64,
+}
+
+/// Bounds on the per-packet error rate of every attempt that starts in
+/// `..= until`; what one attempt of [`Channel::run`] is decided against.
+#[derive(Debug, Clone, Copy)]
+struct PerWindow {
+    lo: f32,
+    hi: f32,
+    until: f64,
+}
+
+impl PerWindow {
+    /// Nothing known: `lo <= 0 < hi` sends the attempt down the exact path,
+    /// and `until` makes the next attempt ask again.
+    const UNKNOWN: PerWindow = PerWindow { lo: 0.0, hi: f32::INFINITY, until: f64::NEG_INFINITY };
+}
+
 /// A point-to-point radio link between two (possibly moving) agents.
 ///
 /// The distance between the endpoints over the course of a transfer is
-/// supplied by a caller-provided sampler, so the channel composes with any
-/// mobility source (live world or recorded trace).
+/// supplied by a caller-provided [`LinkDistance`], so the channel composes
+/// with any mobility source (live world or recorded trace).
 #[derive(Debug, Clone)]
 pub struct Channel {
     config: RadioConfig,
     loss: LossModel,
+    /// Whether `loss` passes [`LossModel::validate`], checked once here:
+    /// [`LossModel::per_bounds`] is only sound on such a table, so a
+    /// malformed one (a struct-literal config that bypassed the builder)
+    /// keeps evaluating every attempt exactly.
+    boundable: bool,
 }
 
 impl Channel {
     /// Creates a channel with the given radio parameters and loss model.
     pub fn new(config: RadioConfig, loss: LossModel) -> Self {
-        Self { config, loss }
+        let boundable = loss.validate().is_ok();
+        Self { config, loss, boundable }
     }
 
     /// Radio parameters in use.
@@ -170,16 +230,16 @@ impl Channel {
     /// straight times (sustained dead link).
     ///
     /// Zero-byte transfers complete instantly.
-    pub fn transfer<R, F>(
+    pub fn transfer<R, D>(
         &self,
         bytes: usize,
         deadline: f64,
-        distance_at: F,
+        distance_at: D,
         rng: &mut R,
     ) -> TransferOutcome
     where
         R: Rng + ?Sized,
-        F: FnMut(f64) -> f32,
+        D: LinkDistance,
     {
         self.run(&TransferSpec::link(bytes, deadline), distance_at, rng)
     }
@@ -216,17 +276,45 @@ impl Channel {
         }
     }
 
-    /// Per-packet error rate `t` seconds into a transfer described by
-    /// `spec`, with the endpoint distance supplied by `distance_at`.
-    fn packet_per<F: FnMut(f64) -> f32>(
-        &self,
-        loss: TransferLoss,
-        t: f64,
-        distance_at: &mut F,
-    ) -> f32 {
+    /// Per-packet error rate of the attempt starting `t` seconds into a
+    /// transfer under `loss`, with the endpoint distance supplied by `link`.
+    fn packet_per<D: LinkDistance>(&self, loss: TransferLoss, t: f64, link: &mut D) -> f32 {
         match loss {
             TransferLoss::FixedPer(per) => per,
-            TransferLoss::Link => self.per_for(loss, distance_at(t)),
+            TransferLoss::Link => self.per_for(loss, link.distance_at(t)),
+        }
+    }
+
+    /// Bounds on [`Channel::packet_per`] for the attempts starting at `t`
+    /// and after: the whole transfer for a fixed PER, as far as `link` can
+    /// bound its distance for a link transfer.
+    fn per_window<D: LinkDistance>(&self, loss: TransferLoss, t: f64, link: &mut D) -> PerWindow {
+        match loss {
+            TransferLoss::FixedPer(per) => PerWindow { lo: per, hi: per, until: f64::INFINITY },
+            TransferLoss::Link if self.boundable => match link.bounds(t) {
+                Some(d) => {
+                    let (lo, hi) = self.link_per_bounds(d.lo, d.hi);
+                    PerWindow { lo, hi, until: d.until }
+                }
+                None => PerWindow::UNKNOWN,
+            },
+            TransferLoss::Link => PerWindow::UNKNOWN,
+        }
+    }
+
+    /// [`Channel::per_for`]`(Link, d)` bounded over `d_lo <= d <= d_hi`: the
+    /// table's bounds over the part of the interval within radio range,
+    /// and `1.0` for the part beyond it.
+    fn link_per_bounds(&self, d_lo: f32, d_hi: f32) -> (f32, f32) {
+        let range = self.config.range_m;
+        if d_lo > range {
+            return (1.0, 1.0);
+        }
+        if d_hi > range {
+            let (lo, hi) = self.loss.per_bounds(d_lo, range);
+            (lo.min(1.0), hi.max(1.0))
+        } else {
+            self.loss.per_bounds(d_lo, d_hi)
         }
     }
 
@@ -234,12 +322,22 @@ impl Channel {
     /// starting at time 0 under `spec.loss`, aborting when `spec.deadline`
     /// passes or a packet fails [`DEAD_LINK_ATTEMPTS`] straight times.
     ///
-    /// `distance_at(t)` is only consulted for [`TransferLoss::Link`]
-    /// transfers. Zero-byte transfers complete instantly.
-    pub fn run<R, F>(&self, spec: &TransferSpec, mut distance_at: F, rng: &mut R) -> TransferOutcome
+    /// `link` is only consulted for [`TransferLoss::Link`] transfers.
+    /// Zero-byte transfers complete instantly.
+    ///
+    /// An attempt with error rate `per` is delivered when `per <= 0` (no
+    /// draw) or when its draw `u` satisfies `u >= per`. While `per` is only
+    /// known to lie in `[lo, hi]` that rule still settles most attempts:
+    /// `hi <= 0` delivers without a draw, and with `lo > 0` the draw happens
+    /// whatever `per` is, `u >= hi` delivers and `u < lo` loses. Only a draw
+    /// landing between the bounds, or bounds with `lo <= 0 < hi` — where
+    /// whether a draw happens at all depends on the exact value — evaluate
+    /// `per` itself. Outcomes, airtime and the RNG stream are those of
+    /// evaluating it on every attempt, bit for bit.
+    pub fn run<R, D>(&self, spec: &TransferSpec, mut link: D, rng: &mut R) -> TransferOutcome
     where
         R: Rng + ?Sized,
-        F: FnMut(f64) -> f32,
+        D: LinkDistance,
     {
         if spec.bytes == 0 {
             return TransferOutcome::Delivered { elapsed: 0.0 };
@@ -247,6 +345,7 @@ impl Channel {
         let n_packets = self.config.packets_for(spec.bytes);
         let pt = self.config.packet_time();
         let mut t = 0.0f64;
+        let mut known = PerWindow::UNKNOWN;
         for pkt in 0..n_packets {
             let mut delivered = false;
             for _attempt in 0..DEAD_LINK_ATTEMPTS {
@@ -256,9 +355,21 @@ impl Channel {
                         delivered_bytes: pkt * self.config.packet_bytes,
                     };
                 }
-                let per = self.packet_per(spec.loss, t, &mut distance_at);
+                if t > known.until {
+                    known = self.per_window(spec.loss, t, &mut link);
+                }
+                let arrived = if known.hi <= 0.0 {
+                    true
+                } else if known.lo > 0.0 {
+                    let u = rng.random::<f32>();
+                    u >= known.hi
+                        || (u >= known.lo && u >= self.packet_per(spec.loss, t, &mut link))
+                } else {
+                    let per = self.packet_per(spec.loss, t, &mut link);
+                    per <= 0.0 || rng.random::<f32>() >= per
+                };
                 t += pt;
-                if per <= 0.0 || rng.random::<f32>() >= per {
+                if arrived {
                     delivered = true;
                     break;
                 }

@@ -2,7 +2,7 @@
 //!
 //! [`MobilityTrace::encounters_at`] — the retained reference arm — is an
 //! O(n²) distance sweep over every active pair. At city-scale fleets the
-//! sweep dominates frame matching, so both runtime engines discover
+//! sweep dominates frame matching, so the runtime discovers
 //! encounters through an [`EncounterGrid`] instead: a uniform spatial hash
 //! rebuilt each frame from a per-frame position snapshot (each agent's
 //! interpolated position computed once per frame, not once per pair), with
@@ -38,7 +38,7 @@ use crate::geom::Vec2;
 use crate::trace::{AgentId, Encounter, MobilityTrace};
 
 /// Per-scan statistics, surfaced as the `net.encounter.*` observability
-/// counters by the runtime engines (docs/OBSERVABILITY.md).
+/// counters by the runtime (docs/OBSERVABILITY.md).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GridStats {
     /// Candidate pairs the 3×3 gather produced — each cost one exact

@@ -9,9 +9,11 @@
 //! * [`geom`] — 2-D geometry primitives shared across the workspace.
 //! * [`loss`] — the distance→packet-error-rate lookup table.
 //! * [`channel`] — packetized transfer simulation with retransmissions and
-//!   deadline (contact end) handling.
+//!   deadline (contact end) handling, over any [`channel::LinkDistance`].
 //! * [`trace`] — mobility traces: agent positions sampled at a fixed frame
-//!   rate, encounter detection within radio range.
+//!   rate, encounter detection within radio range, and the
+//!   [`trace::PairTrack`] cursor that follows (and bounds) the distance
+//!   between two agents for the packet loop.
 //! * [`contact`] — contact-duration prediction and delivery-probability
 //!   estimation from shared future routes (the 184-byte assist messages).
 //! * [`grid`] — spatial-hash encounter discovery, bit-identical to the

@@ -34,16 +34,93 @@ pub enum LossModel {
     Distance(Vec<(f32, f32)>),
 }
 
+/// Why a distance→PER table is malformed; see [`LossModel::validate`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum LossTableError {
+    /// The table has no entries.
+    Empty,
+    /// Entry `index` holds a NaN or infinite distance or PER.
+    NonFinite {
+        /// Position of the offending entry.
+        index: usize,
+    },
+    /// Entry `index`'s distance does not exceed its predecessor's
+    /// (unsorted table or repeated breakpoint).
+    NotIncreasing {
+        /// Position of the offending entry.
+        index: usize,
+    },
+    /// Entry `index`'s PER is not a probability.
+    PerOutOfRange {
+        /// Position of the offending entry.
+        index: usize,
+    },
+}
+
+impl std::fmt::Display for LossTableError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LossTableError::Empty => write!(f, "loss table is empty"),
+            LossTableError::NonFinite { index } => {
+                write!(f, "loss table entry {index} is not finite")
+            }
+            LossTableError::NotIncreasing { index } => write!(
+                f,
+                "loss table entry {index}: distances must be strictly increasing"
+            ),
+            LossTableError::PerOutOfRange { index } => {
+                write!(f, "loss table entry {index}: PER must lie in [0, 1]")
+            }
+        }
+    }
+}
+
+impl std::error::Error for LossTableError {}
+
 impl LossModel {
     /// The paper's default distance-based model.
     pub fn distance_default() -> Self {
         LossModel::Distance(DEFAULT_LOOKUP.to_vec())
     }
 
+    /// Checks a lookup table against what [`LossModel::per`] reads it as:
+    /// non-empty, every entry finite, distances strictly increasing, PER in
+    /// `[0, 1]`. `per` itself takes any table as it comes (an unsorted one is
+    /// silently misread, a non-finite one can yield NaN, and a NaN PER loses
+    /// every packet), so configs are checked where they enter —
+    /// `RuntimeConfig::validate` calls this. [`LossModel::None`] is always
+    /// valid.
+    pub fn validate(&self) -> Result<(), LossTableError> {
+        let LossModel::Distance(table) = self else { return Ok(()) };
+        if table.is_empty() {
+            return Err(LossTableError::Empty);
+        }
+        let mut previous = f32::NEG_INFINITY;
+        for (index, &(d, p)) in table.iter().enumerate() {
+            if !(d.is_finite() && p.is_finite()) {
+                return Err(LossTableError::NonFinite { index });
+            }
+            if d <= previous {
+                return Err(LossTableError::NotIncreasing { index });
+            }
+            if !(0.0..=1.0).contains(&p) {
+                return Err(LossTableError::PerOutOfRange { index });
+            }
+            previous = d;
+        }
+        Ok(())
+    }
+
     /// Packet error rate at `distance_m` meters.
     ///
     /// Lookup tables interpolate linearly between entries; distances past the
     /// last entry lose every packet (out of range).
+    ///
+    /// The scan enters a segment only with `d0 < distance_m <= d1` (the
+    /// previous test `distance_m <= d0` has just failed), so a repeated or
+    /// out-of-order breakpoint is skipped rather than divided by: `d1 - d0`
+    /// is positive whenever it is used. Only non-finite entries can make the
+    /// result NaN; [`LossModel::validate`] rejects those.
     pub fn per(&self, distance_m: f32) -> f32 {
         match self {
             LossModel::None => 0.0,
@@ -65,6 +142,34 @@ impl LossModel {
                 1.0
             }
         }
+    }
+
+    /// Bounds `(per_lo, per_hi)` containing [`LossModel::per`]`(d)` for
+    /// every `d` in `[d_lo, d_hi]` — what lets the packet loop settle an
+    /// attempt from its draw alone while the link distance is only known to
+    /// an interval. Requires a table that passes [`LossModel::validate`]
+    /// and `d_lo <= d_hi`; the PER column need not be monotone.
+    ///
+    /// Sound against `per`'s own rounding, not just the ideal interpolant:
+    /// inside one table segment every operation of `p0 + t * (p1 - p0)` is
+    /// monotone in `d`, so the computed PER over a sub-interval lies between
+    /// its values at the two ends. The bounds are therefore the extremes of
+    /// `per` at `d_lo`, at `d_hi`, and on both sides of every breakpoint in
+    /// between: `per(d_k)` (the computed end of the segment on its left) and
+    /// the table value itself (where the segment on its right starts).
+    pub fn per_bounds(&self, d_lo: f32, d_hi: f32) -> (f32, f32) {
+        let (a, b) = (self.per(d_lo), self.per(d_hi));
+        let (mut lo, mut hi) = (a.min(b), a.max(b));
+        if let LossModel::Distance(table) = self {
+            for &(d, p) in table {
+                if d_lo <= d && d <= d_hi {
+                    let left = self.per(d);
+                    lo = lo.min(left).min(p);
+                    hi = hi.max(left).max(p);
+                }
+            }
+        }
+        (lo, hi)
     }
 
     /// Probability a packet is delivered within `1 + retx` attempts at
@@ -139,6 +244,74 @@ mod tests {
         assert!(p3 > p0);
         // PER 0.58 at 400 m: delivery within 4 attempts = 1 - 0.58^4
         assert!((p3 - (1.0 - 0.58f32.powi(4))).abs() < 1e-5);
+    }
+
+    #[test]
+    fn validate_names_what_is_wrong() {
+        assert_eq!(LossModel::None.validate(), Ok(()));
+        assert_eq!(LossModel::distance_default().validate(), Ok(()));
+        let table = |entries: &[(f32, f32)]| LossModel::Distance(entries.to_vec());
+        assert_eq!(table(&[]).validate(), Err(LossTableError::Empty));
+        assert_eq!(
+            table(&[(0.0, 0.1), (50.0, f32::NAN)]).validate(),
+            Err(LossTableError::NonFinite { index: 1 })
+        );
+        assert_eq!(
+            table(&[(0.0, 0.1), (f32::INFINITY, 0.2)]).validate(),
+            Err(LossTableError::NonFinite { index: 1 })
+        );
+        assert_eq!(
+            table(&[(0.0, 0.1), (50.0, 0.2), (50.0, 0.3)]).validate(),
+            Err(LossTableError::NotIncreasing { index: 2 })
+        );
+        assert_eq!(
+            table(&[(100.0, 0.1), (50.0, 0.2)]).validate(),
+            Err(LossTableError::NotIncreasing { index: 1 })
+        );
+        assert_eq!(
+            table(&[(0.0, -0.1)]).validate(),
+            Err(LossTableError::PerOutOfRange { index: 0 })
+        );
+        assert!(table(&[(0.0, 0.0), (500.0, 1.0)]).validate().is_ok());
+    }
+
+    #[test]
+    fn repeated_and_unsorted_breakpoints_never_divide_by_zero() {
+        // A table that bypassed `validate`: `per` stays a number everywhere,
+        // the repeated breakpoint acting as a step.
+        let m = LossModel::Distance(vec![
+            (0.0, 0.1),
+            (100.0, 0.2),
+            (100.0, 0.6),
+            (80.0, 0.9),
+            (200.0, 0.8),
+        ]);
+        for k in 0..=2500 {
+            let d = k as f32 * 0.1;
+            assert!(m.per(d).is_finite(), "per({d}) = {}", m.per(d));
+        }
+        assert_eq!(m.per(100.0), 0.2);
+        assert!(m.per(100.001) >= 0.6);
+    }
+
+    #[test]
+    fn per_bounds_bracket_the_table() {
+        let m = LossModel::distance_default();
+        // Inside one segment: the two ends.
+        assert_eq!(m.per_bounds(310.0, 330.0), (m.per(310.0), m.per(330.0)));
+        // Across a breakpoint, and past the last entry.
+        let (lo, hi) = m.per_bounds(340.0, 360.0);
+        assert!(lo <= m.per(340.0) && hi >= m.per(360.0) && lo <= 0.40 && 0.40 <= hi);
+        assert_eq!(m.per_bounds(490.0, 510.0), (m.per(490.0), 1.0));
+        assert_eq!(m.per_bounds(600.0, 700.0), (1.0, 1.0));
+        // A dip between the ends is found — on both sides of its
+        // breakpoint: the falling segment's computed end lands an ulp
+        // under the table value the rising one starts from.
+        let dip = LossModel::Distance(vec![(0.0, 0.5), (100.0, 0.1), (200.0, 0.5)]);
+        assert!(dip.per(100.0) < 0.1);
+        assert_eq!(dip.per_bounds(90.0, 110.0).0, dip.per(100.0));
+        assert_eq!(dip.per_bounds(100.0, 110.0), (dip.per(100.0), dip.per(110.0)));
+        assert_eq!(LossModel::None.per_bounds(0.0, 1e6), (0.0, 0.0));
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! recording: one position series per agent at a fixed frame rate, with
 //! helpers to query interpolated positions and detect radio-range encounters.
 
+use crate::channel::{DistanceBounds, LinkDistance};
 use crate::geom::Vec2;
 
 /// Identifier of an agent (vehicle) inside a trace, dense from zero.
@@ -93,6 +94,23 @@ impl MobilityTrace {
         self.position(a, t).distance(self.position(b, t))
     }
 
+    /// A cursor over the distance between agents `a` and `b`: the same
+    /// values as [`MobilityTrace::distance`], to the bit, with both series
+    /// borrowed once and the current trace segment cached — plus distance
+    /// *bounds* per stretch of a segment, which is what a packet loop wants.
+    ///
+    /// # Panics
+    /// Panics if either agent is out of range.
+    pub fn pair_track(&self, a: AgentId, b: AgentId) -> PairTrack<'_> {
+        PairTrack {
+            fps: self.fps,
+            t0: 0.0,
+            a: &self.positions[a],
+            b: &self.positions[b],
+            seg: None,
+        }
+    }
+
     /// All agent pairs within `range_m` of each other at time `t`,
     /// restricted to the agents in `active` (e.g. the learning vehicles, not
     /// background traffic).
@@ -133,7 +151,7 @@ impl MobilityTrace {
     /// Buffer-reusing [`MobilityTrace::encounters_at`]: refills `out` with
     /// the byte-identical encounter list via the same all-pairs sweep.
     /// Returns whether `out` had to reallocate. For the spatial-hash
-    /// discovery path both runtime engines use, see
+    /// discovery path the runtime uses, see
     /// [`crate::grid::EncounterGrid`]; this method keeps the buffer-reuse
     /// API available on the reference sweep itself.
     pub fn encounters_into(
@@ -159,9 +177,147 @@ impl MobilityTrace {
     }
 }
 
+/// How far ahead one [`PairTrack::bounds`] answer reaches, seconds: about
+/// 130 packets of the paper's radio, a tenth of a 2 fps trace segment. Two
+/// vehicles closing at 60 m/s move 3 m in it, which at the steepest slope of
+/// the default distance→PER table is a PER interval 0.01 wide.
+const TRACK_WINDOW_S: f64 = 0.05;
+
+/// A clipped bounds window ends this fraction of a frame period before the
+/// frame time that closes its segment.
+const TRACK_CLIP: f64 = 1.0 / (1u64 << 20) as f64;
+
+/// [`PairTrack::bounds`] widens both ends by this times the largest
+/// coordinate magnitude of the segment. Worst-case `f32` rounding of the
+/// interpolated distance is below `24 · 2⁻²⁴ ≈ 1.4e-6` of that magnitude
+/// (three roundings per interpolated coordinate, one per difference, the
+/// squares, sum and root), and a bound has to absorb it twice — once in the
+/// end values it is built from, once in the value it is compared with.
+/// `2⁻¹²` is 85 times that: 0.25 m on a 1 km map.
+const TRACK_MARGIN: f32 = 1.0 / (1u32 << 12) as f32;
+
+/// One trace segment of a pair, as [`PairTrack`] caches it.
+#[derive(Debug, Clone, Copy)]
+struct PairSegment {
+    /// Frame index the segment starts at; every index at or past the last
+    /// frame is the one parked segment `n_frames - 1`.
+    index: usize,
+    /// Both agents at frame `index` and at frame `index + 1`; `None` for
+    /// the parked segment, where positions are the last frame's.
+    next: Option<(Vec2, Vec2)>,
+    a: Vec2,
+    b: Vec2,
+}
+
+/// The distance between two agents of a [`MobilityTrace`] as a function of
+/// time since an origin — see [`MobilityTrace::pair_track`].
+#[derive(Debug, Clone)]
+pub struct PairTrack<'a> {
+    fps: f64,
+    /// Trace time of the cursor's `t = 0`.
+    t0: f64,
+    a: &'a [Vec2],
+    b: &'a [Vec2],
+    seg: Option<PairSegment>,
+}
+
+impl PairTrack<'_> {
+    /// Moves the cursor's clock origin: `distance_at(t)` reads the trace at
+    /// `t0 + t`.
+    pub fn starting_at(mut self, t0: f64) -> Self {
+        self.t0 = t0;
+        self
+    }
+
+    /// Frame index and in-segment fraction of transfer-local time `t` —
+    /// [`MobilityTrace::position`]'s own arithmetic. Every operation is
+    /// monotone in `t`, which [`PairTrack::bounds`] relies on.
+    fn locate(&self, t: f64) -> (usize, f32) {
+        let ft = ((self.t0 + t) * self.fps).max(0.0);
+        let i = ft.floor() as usize;
+        (i, (ft - i as f64) as f32)
+    }
+
+    /// The cached segment holding frame index `i`, loading it on a miss.
+    fn segment(&mut self, i: usize) -> PairSegment {
+        let (a, b) = (self.a, self.b);
+        assert!(!a.is_empty(), "trace has no frames");
+        let last = a.len() - 1;
+        let index = i.min(last);
+        match self.seg {
+            Some(seg) if seg.index == index => seg,
+            _ => {
+                // Both series have `last + 1` frames: `None` on the last one.
+                let next = a.get(index + 1).copied().zip(b.get(index + 1).copied());
+                let seg = PairSegment { index, next, a: a[index], b: b[index] };
+                self.seg = Some(seg);
+                seg
+            }
+        }
+    }
+}
+
+impl PairSegment {
+    /// The pair's distance at fraction `frac` of the segment — the
+    /// expression [`MobilityTrace::distance`] evaluates.
+    fn distance(&self, frac: f32) -> f32 {
+        match self.next {
+            Some((a1, b1)) => self.a.lerp(a1, frac).distance(self.b.lerp(b1, frac)),
+            None => self.a.distance(self.b),
+        }
+    }
+}
+
+impl LinkDistance for PairTrack<'_> {
+    fn distance_at(&mut self, t: f64) -> f32 {
+        let (i, frac) = self.locate(t);
+        self.segment(i).distance(frac)
+    }
+
+    /// Bounds over the next `TRACK_WINDOW_S` seconds, or up to the end of
+    /// the current trace segment if that comes first.
+    ///
+    /// Inside a segment both agents move linearly in the interpolation
+    /// fraction `s`, so the exact distance `|p + q·s|` is convex in `s`: over
+    /// `[s0, s1]` it is at most the larger end value, and — being
+    /// `|q|`-Lipschitz — at least `(d(s0) + d(s1) − |q|·(s1 − s0)) / 2`. The
+    /// computed fraction is monotone in time, so the fractions of `t` and of
+    /// the window's last instant bracket every one in between. Both ends
+    /// are then widened by `TRACK_MARGIN` to cover the rounding between
+    /// the exact and the computed distance.
+    fn bounds(&mut self, t: f64) -> Option<DistanceBounds> {
+        let (i, s0) = self.locate(t);
+        let seg = self.segment(i);
+        let Some((a1, b1)) = seg.next else {
+            // Parked on the last frame: one value, for good.
+            let d = seg.distance(0.0);
+            return d.is_finite().then_some(DistanceBounds { lo: d, hi: d, until: f64::INFINITY });
+        };
+        let mut until = t + TRACK_WINDOW_S;
+        let (mut j, mut s1) = self.locate(until);
+        if j != i {
+            until = ((i + 1) as f64 - TRACK_CLIP) / self.fps - self.t0;
+            (j, s1) = self.locate(until);
+            if j != i || until < t {
+                // Too close to the frame time to fit a window in.
+                return None;
+            }
+        }
+        let (d0, d1) = (f64::from(seg.distance(s0)), f64::from(seg.distance(s1)));
+        let reach = f64::from(((a1 - seg.a) - (b1 - seg.b)).norm()) * f64::from(s1 - s0);
+        let size = [seg.a, seg.b, a1, b1]
+            .iter()
+            .fold(0.0f32, |m, p| m.max(p.x.abs()).max(p.y.abs()));
+        let margin = f64::from(size * TRACK_MARGIN);
+        let lo = (0.5 * (d0 + d1 - reach) - margin).max(0.0) as f32;
+        let hi = (d0.max(d1) + margin) as f32;
+        (lo.is_finite() && hi.is_finite()).then_some(DistanceBounds { lo, hi, until })
+    }
+}
+
 /// Per-frame cache of shared future routes.
 ///
-/// The runtime engines evaluate [`crate::contact::ContactPredictor`] on
+/// The runtime evaluates [`crate::contact::ContactPredictor`] on
 /// every candidate encounter pair, and an agent in a dense cell appears in
 /// many pairs per frame. Without a cache its route is resampled (one
 /// [`MobilityTrace::position`] interpolation per sample) for every pair;

@@ -1,0 +1,397 @@
+//! The interval-bounded packet loop against the per-attempt loop.
+//!
+//! [`Channel::run`] decides most attempts of a link transfer from the draw
+//! alone once its distance source can bound the distance over a stretch of
+//! time ([`PairTrack`] does, per trace segment). These tests pin that path
+//! to the loop it replaced — kept here verbatim as [`oracle_run`] — bit for
+//! bit, RNG stream included, and pin the two bounding steps it rests on:
+//! the cursor's distance bounds contain every computed distance, and the
+//! table's PER bounds contain every computed PER.
+
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, RngExt, SeedableRng};
+use simnet::channel::{
+    Channel, LinkDistance, RadioConfig, TransferLoss, TransferOutcome, TransferSpec,
+    DEAD_LINK_ATTEMPTS,
+};
+use simnet::geom::Vec2;
+use simnet::loss::LossModel;
+use simnet::trace::MobilityTrace;
+
+/// `Channel::run` as it was before the PER windows: the exact error rate is
+/// evaluated on every attempt. The spec the fast path must reproduce.
+fn oracle_run<R: Rng + ?Sized>(
+    ch: &Channel,
+    spec: &TransferSpec,
+    mut distance_at: impl FnMut(f64) -> f32,
+    rng: &mut R,
+) -> TransferOutcome {
+    if spec.bytes == 0 {
+        return TransferOutcome::Delivered { elapsed: 0.0 };
+    }
+    let n_packets = ch.config().packets_for(spec.bytes);
+    let pt = ch.config().packet_time();
+    let mut t = 0.0f64;
+    for pkt in 0..n_packets {
+        let mut delivered = false;
+        for _attempt in 0..DEAD_LINK_ATTEMPTS {
+            if t + pt > spec.deadline {
+                return TransferOutcome::Failed {
+                    elapsed: t,
+                    delivered_bytes: pkt * ch.config().packet_bytes,
+                };
+            }
+            let per = match spec.loss {
+                TransferLoss::FixedPer(per) => per,
+                TransferLoss::Link => ch.per_for(spec.loss, distance_at(t)),
+            };
+            t += pt;
+            if per <= 0.0 || rng.random::<f32>() >= per {
+                delivered = true;
+                break;
+            }
+        }
+        if !delivered {
+            return TransferOutcome::Failed {
+                elapsed: t,
+                delivered_bytes: pkt * ch.config().packet_bytes,
+            };
+        }
+    }
+    TransferOutcome::Delivered { elapsed: t }
+}
+
+/// Outcome as comparable bits: variant, elapsed bits, delivered bytes.
+fn bits(out: TransferOutcome) -> (bool, u64, usize) {
+    match out {
+        TransferOutcome::Delivered { elapsed } => (true, elapsed.to_bits(), usize::MAX),
+        TransferOutcome::Failed { elapsed, delivered_bytes } => {
+            (false, elapsed.to_bits(), delivered_bytes)
+        }
+    }
+}
+
+/// A PER column that rises, falls and rises again.
+fn non_monotone_table() -> LossModel {
+    LossModel::Distance(vec![
+        (0.0, 0.02),
+        (80.0, 0.30),
+        (160.0, 0.05),
+        (240.0, 0.45),
+        (320.0, 0.20),
+        (400.0, 0.85),
+        (500.0, 0.60),
+    ])
+}
+
+/// Stretches of PER exactly 0 (no draw at all) and exactly 1 (every attempt
+/// lost: a `DEAD_LINK_ATTEMPTS` streak aborts the transfer).
+fn zero_one_table() -> LossModel {
+    LossModel::Distance(vec![
+        (0.0, 0.0),
+        (120.0, 0.0),
+        (200.0, 0.35),
+        (280.0, 1.0),
+        (360.0, 1.0),
+        (420.0, 0.25),
+        (500.0, 0.9),
+    ])
+}
+
+/// Unsorted with a repeated breakpoint: fails `validate`, so the channel
+/// must keep evaluating it attempt by attempt, misreadings and all.
+fn malformed_table() -> LossModel {
+    LossModel::Distance(vec![(0.0, 0.1), (300.0, 0.4), (100.0, 0.2), (100.0, 0.7), (500.0, 0.9)])
+}
+
+fn loss_model(which: u32) -> LossModel {
+    match which % 5 {
+        0 => LossModel::None,
+        1 => LossModel::distance_default(),
+        2 => non_monotone_table(),
+        3 => zero_one_table(),
+        _ => malformed_table(),
+    }
+}
+
+/// A two-agent trace drawn from `seed`: agent 0 wanders, agent 1 circles it
+/// at a radius that swings across the 500 m radio range and back (up to
+/// 30 m/s radially, 10 m/s around) with its own velocity noise on top — the
+/// gap opens and closes at up to 60 m/s, pairs leave range and re-enter.
+/// `origin` shifts the whole scene to exercise the margin at large
+/// coordinates.
+fn wandering_pair(seed: u64, frames: usize, fps: f64, origin: f32) -> MobilityTrace {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let dt = (1.0 / fps) as f32;
+    let base = rng.random_range(60.0f32..520.0);
+    let swing = rng.random_range(1.0f32..260.0);
+    let omega = rng.random_range(0.0f32..30.0) * dt / swing;
+    let spin = rng.random_range(-10.0f32..10.0) * dt / base;
+    let phase = rng.random_range(0.0f32..6.0);
+    let bearing = rng.random_range(0.0f32..6.0);
+    let mut a = Vec2::new(origin, origin * 0.5);
+    let mut drift = Vec2::ZERO;
+    let (mut pa, mut pb) = (Vec::with_capacity(frames), Vec::with_capacity(frames));
+    for f in 0..frames {
+        let k = f as f32;
+        let r = base + swing * (omega * k + phase).sin();
+        let th = bearing + spin * k;
+        pa.push(a);
+        pb.push(a + Vec2::new(r * th.cos(), r * th.sin()) + drift);
+        let mut step = |v: f32| Vec2::new(rng.random_range(-v..v), rng.random_range(-v..v)) * dt;
+        a = a + step(30.0);
+        drift = drift + step(14.0);
+    }
+    MobilityTrace::new(fps, vec![pa, pb])
+}
+
+/// Runs `spec` three ways from the same seed — the oracle over the closure,
+/// `Channel::run` over the closure, `Channel::run` over the cursor — and
+/// asserts equal outcome bits and an equal next draw.
+fn assert_three_ways_agree(
+    ch: &Channel,
+    spec: &TransferSpec,
+    trace: &MobilityTrace,
+    t0: f64,
+    rng_seed: u64,
+) -> Result<TransferOutcome, TestCaseError> {
+    let mut r_oracle = StdRng::seed_from_u64(rng_seed);
+    let want = oracle_run(ch, spec, |t| trace.distance(0, 1, t0 + t), &mut r_oracle);
+    let mut r_closure = StdRng::seed_from_u64(rng_seed);
+    let closure = ch.run(spec, |t| trace.distance(0, 1, t0 + t), &mut r_closure);
+    let mut r_cursor = StdRng::seed_from_u64(rng_seed);
+    let cursor = ch.run(spec, trace.pair_track(0, 1).starting_at(t0), &mut r_cursor);
+    prop_assert_eq!(bits(closure), bits(want), "closure path diverged from the oracle");
+    prop_assert_eq!(bits(cursor), bits(want), "cursor path diverged from the oracle");
+    let next = r_oracle.random::<u64>();
+    prop_assert_eq!(r_closure.random::<u64>(), next, "closure path left the RNG elsewhere");
+    prop_assert_eq!(r_cursor.random::<u64>(), next, "cursor path left the RNG elsewhere");
+    Ok(want)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// (a) The cursor reads the trace exactly as `MobilityTrace::distance`
+    /// does — before the trace starts, on frame times, on the last frame,
+    /// past the end — whatever order the times come in.
+    #[test]
+    fn pair_track_distance_is_trace_distance(
+        seed in 0u64..1_000_000,
+        frames in 1usize..24,
+        fps_pick in 0u32..3,
+        t0 in -3.0f64..12.0,
+        times in prop::collection::vec(-4.0f64..16.0, 1..40),
+    ) {
+        let fps = [2.0, 10.0, 3.7][fps_pick as usize];
+        let trace = wandering_pair(seed, frames, fps, 0.0);
+        let mut track = trace.pair_track(0, 1).starting_at(t0);
+        let last = (frames - 1) as f64 / fps;
+        let frame_times = (0..frames).map(|f| f as f64 / fps - t0);
+        let edges = [-t0, last - t0, last - t0 + 1e-9, last - t0 + 50.0, -t0 - 1.0];
+        for t in times.iter().copied().chain(frame_times).chain(edges) {
+            let want = trace.distance(0, 1, t0 + t);
+            let got = track.distance_at(t);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "t0={} t={}", t0, t);
+        }
+    }
+
+    /// The cursor's bounds contain the computed distance at every sampled
+    /// instant of the window they claim, ends included.
+    #[test]
+    fn pair_track_bounds_contain_every_distance(
+        seed in 0u64..1_000_000,
+        frames in 1usize..16,
+        fps_pick in 0u32..3,
+        origin in -80_000.0f32..80_000.0,
+        far in 0u32..3,
+        t0 in -1.0f64..6.0,
+        t in 0.0f64..8.0,
+    ) {
+        // Two cases in three sit on a paper-sized map, where the margin is
+        // centimetres and cannot paper over a wrong bound.
+        let origin = if far == 0 { origin } else { origin / 100.0 };
+        let fps = [2.0, 10.0, 3.7][fps_pick as usize];
+        let trace = wandering_pair(seed, frames, fps, origin);
+        let mut track = trace.pair_track(0, 1).starting_at(t0);
+        if let Some(b) = track.bounds(t) {
+            prop_assert!(b.until >= t && b.lo <= b.hi, "{:?}", b);
+            let end = if b.until.is_finite() { b.until } else { t + 100.0 };
+            for k in 0..=64 {
+                let at = t + (end - t) * f64::from(k) / 64.0;
+                let at = at.min(end);
+                let d = trace.distance(0, 1, t0 + at);
+                prop_assert!(b.lo <= d && d <= b.hi, "d({})={} outside {:?}", at, d, b);
+            }
+            // Tight enough to be worth having: two vehicles cannot open or
+            // close more than 60 m/s · window, plus the margin.
+            let size = origin.abs() + 1_000.0;
+            prop_assert!(f64::from(b.hi - b.lo) <= 60.0 * 0.06 + f64::from(size) * 1e-3, "{:?}", b);
+        }
+    }
+
+    /// (b) Equal `TransferOutcome` bits and an equal next draw, cursor and
+    /// closure against the verbatim old loop, across loss tables, payloads
+    /// from one packet to several MiB, deadlines that cut a window, and
+    /// start times anywhere in a segment.
+    #[test]
+    fn channel_run_matches_the_per_attempt_loop(
+        seed in 0u64..1_000_000,
+        which_loss in 0u32..5,
+        size_pick in 0u32..4,
+        raw_bytes in 1usize..6_000_000,
+        deadline in 0.0f64..14.0,
+        t0 in -0.7f64..9.0,
+        origin in -4_000.0f32..4_000.0,
+        fps_pick in 0u32..2,
+    ) {
+        let fps = [2.0, 10.0][fps_pick as usize];
+        let frames = (12.0 * fps) as usize;
+        let trace = wandering_pair(seed, frames, fps, origin);
+        let ch = Channel::new(RadioConfig::default(), loss_model(which_loss));
+        let bytes = match size_pick {
+            0 => 1 + raw_bytes % 1500,          // one packet
+            1 => 1 + raw_bytes % 60_000,        // a coreset's worth
+            _ => raw_bytes,                     // up to several MiB
+        };
+        // Every other case runs to the end of the payload or the link.
+        let deadline = if seed % 2 == 0 { deadline } else { 1e9 };
+        let spec = TransferSpec::link(bytes, deadline);
+        assert_three_ways_agree(&ch, &spec, &trace, t0, seed ^ 0x5EED)?;
+    }
+
+    /// Fixed-PER transfers never look at the link; `0.0` draws nothing,
+    /// `1.0` dies after one streak, NaN loses every draw.
+    #[test]
+    fn fixed_per_transfers_match_the_per_attempt_loop(
+        seed in 0u64..1_000_000,
+        per_pick in 0u32..6,
+        per in 0.0f32..1.0,
+        bytes in 1usize..400_000,
+        deadline in 0.0f64..3.0,
+    ) {
+        let per = [per, 0.0, 1.0, f32::NAN, -0.5, 1.5][per_pick as usize];
+        let trace = wandering_pair(seed, 8, 2.0, 0.0);
+        let ch = Channel::new(RadioConfig::default(), LossModel::distance_default());
+        let spec = TransferSpec::fixed_per(bytes, deadline, per);
+        assert_three_ways_agree(&ch, &spec, &trace, 0.3, seed)?;
+    }
+
+    /// (c) `per_bounds` contains `per(d)` for every sampled `d` of the
+    /// interval, on the default table, a non-monotone one, one with flat
+    /// 0/1 stretches, and random valid tables.
+    #[test]
+    fn per_bounds_contain_every_per(
+        seed in 0u64..1_000_000,
+        which in 0u32..4,
+        lo in -20.0f32..620.0,
+        width in 0.0f32..90.0,
+    ) {
+        let model = match which {
+            0 => LossModel::distance_default(),
+            1 => non_monotone_table(),
+            2 => zero_one_table(),
+            _ => {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut d = rng.random_range(-10.0f32..40.0);
+                let table = (0..rng.random_range(1usize..12))
+                    .map(|_| {
+                        d += rng.random_range(0.001f32..120.0);
+                        (d, rng.random_range(0.0f32..1.0))
+                    })
+                    .collect();
+                LossModel::Distance(table)
+            }
+        };
+        prop_assert!(model.validate().is_ok());
+        let hi = lo + width;
+        let (p_lo, p_hi) = model.per_bounds(lo, hi);
+        let mut probes: Vec<f32> = (0..=200).map(|k| lo + width * k as f32 / 200.0).collect();
+        if let LossModel::Distance(table) = &model {
+            // Either side of every breakpoint, to the ulp.
+            for &(d, _) in table {
+                let ulp = |by: i32| f32::from_bits(d.to_bits().wrapping_add_signed(by));
+                probes.extend([ulp(-1), d, ulp(1)]);
+            }
+        }
+        for d in probes {
+            if lo <= d && d <= hi {
+                let p = model.per(d);
+                prop_assert!(p_lo <= p && p <= p_hi, "per({})={} outside {:?}", d, p, (p_lo, p_hi));
+            }
+        }
+    }
+}
+
+/// The cases the strategy above only reaches by luck, each pinned once.
+#[test]
+fn channel_run_matches_on_hand_picked_links() {
+    let radio = RadioConfig::default;
+    let straight = |x0: f32, v: f32, frames: usize| {
+        let a = vec![Vec2::ZERO; frames];
+        let b = (0..frames).map(|f| Vec2::new(x0 + v * 0.5 * f as f32, 0.0)).collect();
+        MobilityTrace::new(2.0, vec![a, b])
+    };
+    let check = |ch: &Channel, spec: TransferSpec, trace: &MobilityTrace, t0: f64| {
+        match assert_three_ways_agree(ch, &spec, trace, t0, 99) {
+            Ok(out) => out,
+            Err(e) => panic!("{spec:?} at t0={t0}: {e:?}"),
+        }
+    };
+
+    // Closing head-on at 60 m/s from beyond range: dead air first (the
+    // streak must abort exactly where the old loop did), and from inside
+    // range a 4 MiB model rides the PER table all the way down.
+    let closing = straight(700.0, -60.0, 40);
+    let lossy = Channel::new(radio(), LossModel::distance_default());
+    assert!(!check(&lossy, TransferSpec::link(4 << 20, 1e9), &closing, 0.0).is_delivered());
+    assert!(check(&lossy, TransferSpec::link(4 << 20, 1e9), &closing, 4.1).is_delivered());
+
+    // Receding through the range boundary mid-transfer.
+    let receding = straight(470.0, 25.0, 40);
+    assert!(!check(&lossy, TransferSpec::link(8 << 20, 1e9), &receding, 0.25).is_delivered());
+
+    // The loss-free radio in range draws nothing at all, and out of range
+    // loses every attempt to a draw against PER 1.
+    let clean = Channel::new(radio(), LossModel::None);
+    assert!(check(&clean, TransferSpec::link(2 << 20, 1e9), &receding, 0.0).is_delivered());
+    assert!(!check(&clean, TransferSpec::link(2 << 20, 1e9), &receding, 3.0).is_delivered());
+
+    // Flat PER-0 and PER-1 stretches of a lossy table.
+    let zero_one = Channel::new(radio(), zero_one_table());
+    let creeping = straight(60.0, 12.0, 120);
+    check(&zero_one, TransferSpec::link(6 << 20, 1e9), &creeping, 0.0);
+    check(&zero_one, TransferSpec::link(6 << 20, 1e9), &creeping, 9.9);
+
+    // Transfers that start before the trace, outlive it, or sit on a
+    // one-frame trace.
+    check(&lossy, TransferSpec::link(1 << 20, 1e9), &straight(300.0, -5.0, 3), -2.0);
+    check(&lossy, TransferSpec::link(3 << 20, 1e9), &straight(300.0, -5.0, 3), 0.9);
+    check(&lossy, TransferSpec::link(1 << 20, 1e9), &straight(350.0, 0.0, 1), 5.0);
+
+    // A deadline one packet time long, and one that cuts mid-window.
+    let pt = lossy.config().packet_time();
+    check(&lossy, TransferSpec::link(9000, pt), &closing, 5.0);
+    check(&lossy, TransferSpec::link(1 << 20, 0.0731), &closing, 5.0);
+}
+
+/// A distance source without bounds — any closure — takes the exact path on
+/// every attempt: one distance evaluation per attempt, as before.
+#[test]
+fn closures_are_evaluated_once_per_attempt() {
+    let ch = Channel::new(RadioConfig::default(), LossModel::distance_default());
+    let mut calls = 0u32;
+    let mut rng = StdRng::seed_from_u64(3);
+    let out = ch.run(
+        &TransferSpec::link(150_000, 1e9),
+        |_| {
+            calls += 1;
+            250.0
+        },
+        &mut rng,
+    );
+    let attempts = (out.elapsed() / ch.config().packet_time()).round() as u32;
+    assert!(out.is_delivered());
+    assert_eq!(calls, attempts);
+}
