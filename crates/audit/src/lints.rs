@@ -157,7 +157,7 @@ pub const LINTS: &[LintSpec] = &[
         name: "reference-drift",
         summary: "a retained-verbatim reference oracle's content hash no longer matches the committed manifest",
         rationale: "Optimized paths are proptested bit-identical to retained reference modules; if an oracle is edited, every equivalence proof against it silently weakens. The manifest pin makes oracle edits a reviewed, explicit act.",
-        example: "edit crates/vnn/src/reference.rs without re-running --write-reference-manifest",
+        example: "edit crates/simworld/src/reference.rs without re-running --write-reference-manifest",
         suppression: "not suppressable — re-pin deliberately with `lbchat-audit --write-reference-manifest`.",
     },
     LintSpec {
@@ -259,11 +259,6 @@ impl Profile {
                 crate::refs::RefModule {
                     name: "simworld::reference".to_string(),
                     file: "crates/simworld/src/reference.rs".to_string(),
-                    inline_mod: None,
-                },
-                crate::refs::RefModule {
-                    name: "vnn::reference".to_string(),
-                    file: "crates/vnn/src/reference.rs".to_string(),
                     inline_mod: None,
                 },
             ],

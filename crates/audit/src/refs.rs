@@ -1,7 +1,7 @@
 //! R001: reference-oracle drift detection.
 //!
 //! The perf story of this tree rests on "retained verbatim" reference
-//! modules — `coreset::reference`, `bev::reference`, `vnn::reference`,
+//! modules — `coreset::reference`, `bev::reference`,
 //! `runtime::reference`, `simworld::reference` — that the optimized
 //! paths are proptested bit-identical against. Nothing stops a refactor
 //! from quietly editing an oracle *and* its fixture together, at which

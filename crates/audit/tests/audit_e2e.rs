@@ -178,7 +178,7 @@ fn injected_rng_draw_in_intent_for_is_caught_statically() {
 fn reference_manifest_missing_then_pinned() {
     let root = build_multi_tree(
         "R001",
-        &[("crates/vnn/src/reference.rs", "//! Golden oracle.\n\n/// Reference path.\npub fn golden() {}\n")],
+        &[("crates/simworld/src/reference.rs", "//! Golden oracle.\n\n/// Reference path.\npub fn golden() {}\n")],
     );
     let (code, report, stdout) = run_audit(&root, &[]);
     assert_eq!(code, 1, "{stdout}");
@@ -194,7 +194,7 @@ fn reference_manifest_missing_then_pinned() {
     assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stdout));
     let manifest = std::fs::read_to_string(root.join("crates/audit/reference_manifest.txt"))
         .expect("manifest written");
-    assert!(manifest.contains("vnn::reference crates/vnn/src/reference.rs"), "{manifest}");
+    assert!(manifest.contains("simworld::reference crates/simworld/src/reference.rs"), "{manifest}");
 
     let (code, report, stdout) = run_audit(&root, &[]);
     assert_eq!(code, 0, "{stdout}");

@@ -11,10 +11,10 @@
 //! model compression ratio for each encounter to ensure the vehicle pair
 //! can finish the model exchange within the contact duration".
 
-use crate::node::{mean_eval_loss, BaseNode};
-use lbchat::optimize::equal_compression_choice;
+use crate::node::{BaseNode, FittedSwap};
+use lbchat::learner::mean_eval_loss;
 use lbchat::prelude::{
-    CollabAlgorithm, FrameCtx, Learner, SessionCtx, SessionStep, TransferOutcome, TransferSpec,
+    CollabAlgorithm, FrameCtx, Learner, SessionCtx, SessionStep, TransferOutcome,
 };
 use lbchat::WeightedDataset;
 use vnn::ParamVec;
@@ -42,41 +42,6 @@ impl Default for DflDdsConfig {
             batch_size: 64,
         }
     }
-}
-
-/// Blends `peer` into `local` with weight `w` only on the peer's
-/// transmitted support (non-zero components of the densified top-k model) —
-/// the standard way sparsified models are applied.
-fn merge_on_support(local: &ParamVec, peer: &ParamVec, w: f32) -> ParamVec {
-    let data = local
-        .as_slice()
-        .iter()
-        .zip(peer.as_slice())
-        .map(|(l, p)| if *p == 0.0 { *l } else { (1.0 - w) * l + w * p })
-        .collect();
-    ParamVec::from_vec(data)
-}
-
-/// Which directed model transfer a DFL-DDS session is waiting on.
-enum DdsPhase {
-    /// `i → j` model in flight.
-    ModelIJ,
-    /// `j → i` model in flight.
-    ModelJI,
-}
-
-/// In-flight state of one DFL-DDS round exchange.
-pub struct DdsSession {
-    phase: DdsPhase,
-    /// Compressed wire size used for both directions.
-    bytes: usize,
-    /// Contact-fitted compression ratios.
-    psi_i: f32,
-    psi_j: f32,
-    /// Model received by `j` (i.e. `i`'s compressed model), if delivered.
-    model_i: Option<ParamVec>,
-    /// Model received by `i` (i.e. `j`'s compressed model), if delivered.
-    model_j: Option<ParamVec>,
 }
 
 /// The synchronous decentralized baseline with data-source diversification.
@@ -131,11 +96,30 @@ impl<L: Learner> DflDds<L> {
     fn diversity_gain(own: &[f32], peer: &[f32]) -> f32 {
         own.iter().zip(peer).map(|(a, b)| (a - b).abs()).sum::<f32>() * 0.5
     }
+
+    /// Merges the model `node` received from `peer` with a
+    /// diversity-boosted weight and blends the peer's source mix into the
+    /// node's own.
+    fn merge_received(&mut self, node: usize, peer: usize, model: &ParamVec) {
+        let gain = Self::diversity_gain(&self.sources[node], &self.sources[peer]);
+        let w = (self.config.base_weight * (0.5 + gain)).clamp(0.05, 0.8);
+        self.nodes[node].merge_peer(model, w);
+        let (own, theirs) = if node < peer {
+            let (a, b) = self.sources.split_at_mut(peer);
+            (&mut a[node], &b[0])
+        } else {
+            let (a, b) = self.sources.split_at_mut(node);
+            (&mut b[0], &a[peer])
+        };
+        for (a, b) in own.iter_mut().zip(theirs) {
+            *a = (1.0 - w) * *a + w * b;
+        }
+    }
 }
 
 impl<L: Learner> CollabAlgorithm for DflDds<L> {
     type Sample = L::Sample;
-    type Session = DdsSession;
+    type Session = FittedSwap;
 
     fn n_nodes(&self) -> usize {
         self.nodes.len()
@@ -151,10 +135,7 @@ impl<L: Learner> CollabAlgorithm for DflDds<L> {
         iters: usize,
         rng: &mut rand::rngs::StdRng,
     ) -> lbchat::TrainStats {
-        for _ in 0..iters {
-            self.nodes[node].local_iteration(rng);
-        }
-        self.nodes[node].learner.take_train_stats()
+        self.nodes[node].train(iters, rng)
     }
 
     fn on_frame(&mut self, ctx: &mut FrameCtx<'_>) {
@@ -162,7 +143,7 @@ impl<L: Learner> CollabAlgorithm for DflDds<L> {
         self.current_round = (ctx.time / self.config.round_seconds) as u64;
     }
 
-    fn session_open(&mut self, ctx: &mut SessionCtx<'_>) -> Option<(DdsSession, SessionStep)> {
+    fn session_open(&mut self, ctx: &mut SessionCtx<'_>) -> Option<(FittedSwap, SessionStep)> {
         let (i, j) = (ctx.i, ctx.j);
         // Synchronous gating: one exchange per node per round.
         let round = self.current_round;
@@ -171,112 +152,34 @@ impl<L: Learner> CollabAlgorithm for DflDds<L> {
         }
         self.last_round[i] = round;
         self.last_round[j] = round;
-
         // Contact-fitted equal compression (per §IV-B's adaptation).
-        let contact = ctx.contact().duration;
-        let choice = equal_compression_choice(
-            self.config.model_bytes,
-            31e6,
-            self.config.round_seconds,
-            contact,
-        );
-        if choice.psi_i <= 0.0 {
-            return None;
-        }
-        let bytes = ctx.codec().wire_bytes(self.config.model_bytes, choice.psi_i);
-        let limit = self.config.round_seconds.min(contact);
-
-        // i → j.
-        // Sized to fit min(T_B, contact) at nominal bandwidth, but the pair
-        // keeps transmitting while still in range — failures come from the
-        // contact actually ending (or retransmission storms), not from an
-        // artificial cutoff.
-        let deadline =
-            (contact - ctx.elapsed()).max(limit - ctx.elapsed()).max(0.0);
-        let state = DdsSession {
-            phase: DdsPhase::ModelIJ,
-            bytes,
-            psi_i: choice.psi_i,
-            psi_j: choice.psi_j,
-            model_i: None,
-            model_j: None,
-        };
-        Some((state, SessionStep::Transfer(TransferSpec::link(bytes, deadline))))
+        FittedSwap::open(self.config.model_bytes, self.config.round_seconds, ctx)
     }
 
     fn session_step(
         &mut self,
-        state: &mut DdsSession,
+        state: &mut FittedSwap,
         out: TransferOutcome,
         ctx: &mut SessionCtx<'_>,
     ) -> SessionStep {
-        let (i, j) = (ctx.i, ctx.j);
-        match state.phase {
-            DdsPhase::ModelIJ => {
-                ctx.metrics.record_model_send(out.is_delivered(), state.bytes, out.elapsed());
-                state.model_i = out.is_delivered().then(|| {
-                    let codec = ctx.codec();
-                    codec.apply(self.nodes[i].learner.params(), state.psi_i, ctx.rng())
-                });
-                // j → i.
-                state.phase = DdsPhase::ModelJI;
-                let deadline = (ctx.contact().duration - ctx.elapsed()).max(0.0);
-                SessionStep::Transfer(TransferSpec::link(state.bytes, deadline))
-            }
-            DdsPhase::ModelJI => {
-                ctx.metrics.record_model_send(out.is_delivered(), state.bytes, out.elapsed());
-                state.model_j = out.is_delivered().then(|| {
-                    let codec = ctx.codec();
-                    codec.apply(self.nodes[j].learner.params(), state.psi_j, ctx.rng())
-                });
-                SessionStep::Done
-            }
-        }
+        state.step(&self.nodes, out, ctx)
     }
 
-    fn session_close(&mut self, state: DdsSession, ctx: &mut SessionCtx<'_>) -> f64 {
+    fn session_close(&mut self, state: FittedSwap, ctx: &mut SessionCtx<'_>) -> f64 {
         let (i, j) = (ctx.i, ctx.j);
-        let DdsSession { model_i, model_j, .. } = state;
-        // Aggregate with diversity-boosted weights and update source mixes.
-        if let Some(m) = model_j {
-            let gain = Self::diversity_gain(&self.sources[i], &self.sources[j]);
-            let w = (self.config.base_weight * (0.5 + gain)).clamp(0.05, 0.8);
-            let merged = merge_on_support(self.nodes[i].learner.params(), &m, w);
-            self.nodes[i].learner.set_params(merged);
-            self.nodes[i].learner.on_params_replaced();
-            let (si, sj) = if i < j {
-                let (a, b) = self.sources.split_at_mut(j);
-                (&mut a[i], &b[0])
-            } else {
-                let (a, b) = self.sources.split_at_mut(i);
-                (&mut b[0], &a[j])
-            };
-            for (a, b) in si.iter_mut().zip(sj) {
-                *a = (1.0 - w) * *a + w * b;
-            }
+        let (for_i, for_j) = state.into_received();
+        // `j`'s merge reads the source mix `i`'s merge just updated.
+        if let Some(m) = for_i {
+            self.merge_received(i, j, &m);
         }
-        if let Some(m) = model_i {
-            let gain = Self::diversity_gain(&self.sources[j], &self.sources[i]);
-            let w = (self.config.base_weight * (0.5 + gain)).clamp(0.05, 0.8);
-            let merged = merge_on_support(self.nodes[j].learner.params(), &m, w);
-            self.nodes[j].learner.set_params(merged);
-            self.nodes[j].learner.on_params_replaced();
-            let (sj, si) = if j < i {
-                let (a, b) = self.sources.split_at_mut(i);
-                (&mut a[j], &b[0])
-            } else {
-                let (a, b) = self.sources.split_at_mut(j);
-                (&mut b[0], &a[i])
-            };
-            for (a, b) in sj.iter_mut().zip(si) {
-                *a = (1.0 - w) * *a + w * b;
-            }
+        if let Some(m) = for_j {
+            self.merge_received(j, i, &m);
         }
         ctx.elapsed()
     }
 
     fn mean_eval_loss(&self, eval: &[L::Sample]) -> f64 {
-        mean_eval_loss(&self.nodes, eval)
+        mean_eval_loss(self.nodes.iter().map(|n| &n.learner), eval)
     }
 
     fn name(&self) -> &'static str {

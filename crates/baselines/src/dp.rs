@@ -8,11 +8,9 @@
 //! normalized logarithmic function of the loss" evaluated on the local
 //! validation dataset — a lower-loss peer model earns a larger share.
 
-use crate::node::{mean_eval_loss, BaseNode};
-use lbchat::optimize::equal_compression_choice;
-use lbchat::prelude::{
-    CollabAlgorithm, Learner, SessionCtx, SessionStep, TransferOutcome, TransferSpec,
-};
+use crate::node::{BaseNode, FittedSwap};
+use lbchat::learner::mean_eval_loss;
+use lbchat::prelude::{CollabAlgorithm, Learner, SessionCtx, SessionStep, TransferOutcome};
 use lbchat::WeightedDataset;
 use vnn::ParamVec;
 
@@ -33,44 +31,10 @@ impl Default for DpConfig {
     }
 }
 
-/// Blends `peer` into `local` with weight `w` only on the peer's
-/// transmitted support (non-zero components of the densified top-k model).
-fn merge_on_support(local: &ParamVec, peer: &ParamVec, w: f32) -> ParamVec {
-    let data = local
-        .as_slice()
-        .iter()
-        .zip(peer.as_slice())
-        .map(|(l, p)| if *p == 0.0 { *l } else { (1.0 - w) * l + w * p })
-        .collect();
-    ParamVec::from_vec(data)
-}
-
 /// The gossip-learning baseline.
 pub struct Dp<L: Learner> {
     nodes: Vec<BaseNode<L>>,
     config: DpConfig,
-}
-
-/// Which directed model transfer a DP session is waiting on.
-enum DpPhase {
-    /// `i → j` model in flight.
-    ModelIJ,
-    /// `j → i` model in flight.
-    ModelJI,
-}
-
-/// In-flight state of one DP gossip session.
-pub struct DpSession {
-    phase: DpPhase,
-    /// Compressed wire size used for both directions.
-    bytes: usize,
-    /// Contact-fitted compression ratios.
-    psi_i: f32,
-    psi_j: f32,
-    /// Model received by `j` (i.e. `i`'s compressed model), if delivered.
-    model_i: Option<ParamVec>,
-    /// Model received by `i` (i.e. `j`'s compressed model), if delivered.
-    model_j: Option<ParamVec>,
 }
 
 impl<L: Learner> Dp<L> {
@@ -105,11 +69,20 @@ impl<L: Learner> Dp<L> {
             a / (a + b)
         }
     }
+
+    /// Merges a received peer model into `node`, weighted by both models'
+    /// losses on the node's validation split.
+    fn merge_received(&mut self, node: usize, peer: &ParamVec) {
+        let n = &mut self.nodes[node];
+        let own = n.validation_loss(n.learner.params());
+        let w_peer = Self::merge_weight(own, n.validation_loss(peer));
+        n.merge_peer(peer, w_peer);
+    }
 }
 
 impl<L: Learner> CollabAlgorithm for Dp<L> {
     type Sample = L::Sample;
-    type Session = DpSession;
+    type Session = FittedSwap;
 
     fn n_nodes(&self) -> usize {
         self.nodes.len()
@@ -125,95 +98,35 @@ impl<L: Learner> CollabAlgorithm for Dp<L> {
         iters: usize,
         rng: &mut rand::rngs::StdRng,
     ) -> lbchat::TrainStats {
-        for _ in 0..iters {
-            self.nodes[node].local_iteration(rng);
-        }
-        self.nodes[node].learner.take_train_stats()
+        self.nodes[node].train(iters, rng)
     }
 
-    fn session_open(&mut self, ctx: &mut SessionCtx<'_>) -> Option<(DpSession, SessionStep)> {
-        let contact = ctx.contact().duration;
-        let choice = equal_compression_choice(
-            self.config.model_bytes,
-            31e6,
-            self.config.time_budget,
-            contact,
-        );
-        if choice.psi_i <= 0.0 {
-            return None;
-        }
-        let bytes = ctx.codec().wire_bytes(self.config.model_bytes, choice.psi_i);
-        let limit = self.config.time_budget.min(contact);
-
-        // Sized to fit min(T_B, contact) at nominal bandwidth, but the pair
-        // keeps transmitting while still in range — failures come from the
-        // contact actually ending (or retransmission storms), not from an
-        // artificial cutoff.
-        let deadline =
-            (contact - ctx.elapsed()).max(limit - ctx.elapsed()).max(0.0);
-        let state = DpSession {
-            phase: DpPhase::ModelIJ,
-            bytes,
-            psi_i: choice.psi_i,
-            psi_j: choice.psi_j,
-            model_i: None,
-            model_j: None,
-        };
-        Some((state, SessionStep::Transfer(TransferSpec::link(bytes, deadline))))
+    fn session_open(&mut self, ctx: &mut SessionCtx<'_>) -> Option<(FittedSwap, SessionStep)> {
+        FittedSwap::open(self.config.model_bytes, self.config.time_budget, ctx)
     }
 
     fn session_step(
         &mut self,
-        state: &mut DpSession,
+        state: &mut FittedSwap,
         out: TransferOutcome,
         ctx: &mut SessionCtx<'_>,
     ) -> SessionStep {
-        let (i, j) = (ctx.i, ctx.j);
-        match state.phase {
-            DpPhase::ModelIJ => {
-                ctx.metrics.record_model_send(out.is_delivered(), state.bytes, out.elapsed());
-                state.model_i = out.is_delivered().then(|| {
-                    let codec = ctx.codec();
-                    codec.apply(self.nodes[i].learner.params(), state.psi_i, ctx.rng())
-                });
-                state.phase = DpPhase::ModelJI;
-                let deadline = (ctx.contact().duration - ctx.elapsed()).max(0.0);
-                SessionStep::Transfer(TransferSpec::link(state.bytes, deadline))
-            }
-            DpPhase::ModelJI => {
-                ctx.metrics.record_model_send(out.is_delivered(), state.bytes, out.elapsed());
-                state.model_j = out.is_delivered().then(|| {
-                    let codec = ctx.codec();
-                    codec.apply(self.nodes[j].learner.params(), state.psi_j, ctx.rng())
-                });
-                SessionStep::Done
-            }
-        }
+        state.step(&self.nodes, out, ctx)
     }
 
-    fn session_close(&mut self, state: DpSession, ctx: &mut SessionCtx<'_>) -> f64 {
-        let (i, j) = (ctx.i, ctx.j);
-        if let Some(m) = state.model_j {
-            let own = self.nodes[i].validation_loss(self.nodes[i].learner.params());
-            let peer = self.nodes[i].validation_loss(&m);
-            let w_peer = Self::merge_weight(own, peer);
-            let merged = merge_on_support(self.nodes[i].learner.params(), &m, w_peer);
-            self.nodes[i].learner.set_params(merged);
-            self.nodes[i].learner.on_params_replaced();
+    fn session_close(&mut self, state: FittedSwap, ctx: &mut SessionCtx<'_>) -> f64 {
+        let (for_i, for_j) = state.into_received();
+        if let Some(m) = for_i {
+            self.merge_received(ctx.i, &m);
         }
-        if let Some(m) = state.model_i {
-            let own = self.nodes[j].validation_loss(self.nodes[j].learner.params());
-            let peer = self.nodes[j].validation_loss(&m);
-            let w_peer = Self::merge_weight(own, peer);
-            let merged = merge_on_support(self.nodes[j].learner.params(), &m, w_peer);
-            self.nodes[j].learner.set_params(merged);
-            self.nodes[j].learner.on_params_replaced();
+        if let Some(m) = for_j {
+            self.merge_received(ctx.j, &m);
         }
         ctx.elapsed()
     }
 
     fn mean_eval_loss(&self, eval: &[L::Sample]) -> f64 {
-        mean_eval_loss(&self.nodes, eval)
+        mean_eval_loss(self.nodes.iter().map(|n| &n.learner), eval)
     }
 
     fn name(&self) -> &'static str {
@@ -226,6 +139,7 @@ mod tests {
     use super::*;
     use crate::node::testutil::{line_data, LineLearner};
     use lbchat::prelude::{Runtime, RuntimeConfig};
+    use simnet::channel::RadioConfig;
     use simnet::geom::Vec2;
     use simnet::trace::MobilityTrace;
 
@@ -266,5 +180,38 @@ mod tests {
         // Merged models should sit between the two pure slopes.
         let slope0 = algo.model(0).as_slice()[0];
         assert!(slope0.abs() < 2.0, "merging pulls slopes together: {slope0}");
+    }
+
+    #[test]
+    fn exchange_is_sized_for_the_configured_radio() {
+        // A loss-free 6 Mbps radio and the paper's 52 MB model: ψ must be
+        // fitted to the link the channel actually times packets on, so one
+        // exchange (both directions) stays within T_B = 15 s. Sized for the
+        // paper's 31 Mbps instead, the same exchange takes ≈ 74 s.
+        let config = DpConfig::default();
+        let budget = config.time_budget;
+        let learners = vec![LineLearner::new(), LineLearner::new()];
+        let datasets = vec![
+            WeightedDataset::uniform(line_data(2.0, 0.0, 50)),
+            WeightedDataset::uniform(line_data(-2.0, 0.0, 50)),
+        ];
+        let mut algo = Dp::new(learners, datasets, config);
+        let frames = 61;
+        let trace = MobilityTrace::new(
+            2.0,
+            vec![vec![Vec2::ZERO; frames], vec![Vec2::new(70.0, 0.0); frames]],
+        );
+        let radio = RadioConfig { bandwidth_bps: 6e6, ..RadioConfig::default() };
+        // Each direction rounds its payload up to whole packets.
+        let slack = 2.0 * radio.packet_time();
+        let runtime =
+            Runtime::new(RuntimeConfig { duration: 30.0, radio, ..RuntimeConfig::default() });
+        let m = runtime.run(&mut algo, &trace, &line_data(0.0, 0.0, 5)).expect("trace fits");
+        assert_eq!((m.sessions, m.model_receives), (1, 2), "one exchange, both directions");
+        assert!(
+            m.comm_seconds <= budget + slack,
+            "exchange took {} s of a {budget} s budget",
+            m.comm_seconds
+        );
     }
 }

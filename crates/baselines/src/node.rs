@@ -1,10 +1,15 @@
-//! Shared plain-SGD vehicle node for the model-sharing-only baselines.
+//! Shared plain-SGD vehicle node for the model-sharing-only baselines, and
+//! the contact-fitted model swap the two gossip baselines (DP, DFL-DDS)
+//! run on every encounter.
 
 use lbchat::learner::mean_loss;
-use lbchat::prelude::Learner;
+use lbchat::optimize::equal_compression_choice;
+use lbchat::prelude::{
+    Learner, SessionCtx, SessionStep, TrainStats, TransferOutcome, TransferSpec,
+};
 use lbchat::WeightedDataset;
 use rand::Rng;
-use vnn::Minibatcher;
+use vnn::{Minibatcher, ParamVec};
 
 /// One vehicle in a baseline method: a learner and its fixed local dataset
 /// (baselines never absorb peer data — they exchange models only).
@@ -46,26 +51,115 @@ impl<L: Learner> BaseNode<L> {
         self.learner.train_step(&batch)
     }
 
+    /// `iters` local iterations, then the training-kernel statistics they
+    /// accumulated — the body of `CollabAlgorithm::local_training`.
+    pub(crate) fn train<R: Rng + ?Sized>(&mut self, iters: usize, rng: &mut R) -> TrainStats {
+        for _ in 0..iters {
+            self.local_iteration(rng);
+        }
+        self.learner.take_train_stats()
+    }
+
     /// Mean loss of an arbitrary parameter vector on the validation split.
-    pub fn validation_loss(&self, params: &vnn::ParamVec) -> f32 {
+    pub fn validation_loss(&self, params: &ParamVec) -> f32 {
         let held_out: Vec<&L::Sample> =
             self.dataset.samples()[self.validation_from..].iter().collect();
         mean_loss(&self.learner, params, &held_out) as f32
     }
+
+    /// Adopts [`merge_on_support`]`(own, peer, w)` as the node's model and
+    /// resets the optimizer state.
+    pub(crate) fn merge_peer(&mut self, peer: &ParamVec, w: f32) {
+        let merged = merge_on_support(self.learner.params(), peer, w);
+        self.learner.set_params(merged);
+        self.learner.on_params_replaced();
+    }
 }
 
-/// Mean eval loss across nodes — every baseline reports the same statistic
-/// as LbChat.
-pub fn mean_eval_loss<L: Learner>(nodes: &[BaseNode<L>], eval: &[L::Sample]) -> f64 {
-    if eval.is_empty() || nodes.is_empty() {
-        return 0.0;
+/// Blends `peer` into `local` with weight `w` only on the peer's
+/// transmitted support (non-zero components of the densified top-k model) —
+/// the standard way sparsified models are applied.
+fn merge_on_support(local: &ParamVec, peer: &ParamVec, w: f32) -> ParamVec {
+    let data = local
+        .as_slice()
+        .iter()
+        .zip(peer.as_slice())
+        .map(|(l, p)| if *p == 0.0 { *l } else { (1.0 - w) * l + w * p })
+        .collect();
+    ParamVec::from_vec(data)
+}
+
+/// The session both gossip baselines run: each side sends its model once,
+/// `i → j` then `j → i`, compressed at one contact-fitted ratio ("compute a
+/// model compression ratio for each encounter to ensure the vehicle pair
+/// can finish the model exchange within the contact duration", §IV-B).
+pub struct FittedSwap {
+    /// Whether the `j → i` transfer is the one in flight.
+    returning: bool,
+    /// Compressed wire size used for both directions.
+    bytes: usize,
+    /// The contact-fitted compression ratio.
+    psi: f32,
+    /// `i`'s compressed model as received by `j`, if delivered.
+    model_i: Option<ParamVec>,
+    /// `j`'s compressed model as received by `i`, if delivered.
+    model_j: Option<ParamVec>,
+}
+
+impl FittedSwap {
+    /// Sizes the swap so both directions of a `model_bytes` model fit
+    /// `min(budget, contact)` at the session radio's bandwidth, and requests
+    /// the `i → j` transfer; `None` when nothing fits.
+    pub(crate) fn open(
+        model_bytes: usize,
+        budget: f64,
+        ctx: &SessionCtx<'_>,
+    ) -> Option<(Self, SessionStep)> {
+        let contact = ctx.contact().duration;
+        let psi =
+            equal_compression_choice(model_bytes, ctx.bandwidth_bps(), budget, contact).psi_i;
+        if psi <= 0.0 {
+            return None;
+        }
+        let bytes = ctx.codec().wire_bytes(model_bytes, psi);
+        let limit = budget.min(contact);
+        // Sized to fit min(T_B, contact) at nominal bandwidth, but the pair
+        // keeps transmitting while still in range — failures come from the
+        // contact actually ending (or retransmission storms), not from an
+        // artificial cutoff.
+        let deadline = (contact - ctx.elapsed()).max(limit - ctx.elapsed()).max(0.0);
+        let state = Self { returning: false, bytes, psi, model_i: None, model_j: None };
+        Some((state, SessionStep::Transfer(TransferSpec::link(bytes, deadline))))
     }
-    let refs: Vec<&L::Sample> = eval.iter().collect();
-    let mut total = 0.0f64;
-    for node in nodes {
-        total += mean_loss(&node.learner, node.learner.params(), &refs);
+
+    /// Books the finished transfer, keeps the sender's codec-compressed
+    /// model if it arrived, and requests the return leg after the first.
+    pub(crate) fn step<L: Learner>(
+        &mut self,
+        nodes: &[BaseNode<L>],
+        out: TransferOutcome,
+        ctx: &mut SessionCtx<'_>,
+    ) -> SessionStep {
+        ctx.metrics.record_model_send(out.is_delivered(), self.bytes, out.elapsed());
+        let sender = if self.returning { ctx.j } else { ctx.i };
+        let received = out.is_delivered().then(|| {
+            let codec = ctx.codec();
+            codec.apply(nodes[sender].learner.params(), self.psi, ctx.rng())
+        });
+        if self.returning {
+            self.model_j = received;
+            return SessionStep::Done;
+        }
+        self.model_i = received;
+        self.returning = true;
+        let deadline = (ctx.contact().duration - ctx.elapsed()).max(0.0);
+        SessionStep::Transfer(TransferSpec::link(self.bytes, deadline))
     }
-    total / nodes.len() as f64
+
+    /// What each side received: `(i got from j, j got from i)`.
+    pub(crate) fn into_received(self) -> (Option<ParamVec>, Option<ParamVec>) {
+        (self.model_j, self.model_i)
+    }
 }
 
 #[cfg(test)]
@@ -181,12 +275,12 @@ mod tests {
     #[test]
     fn mean_eval_loss_averages() {
         let data = WeightedDataset::uniform(line_data(1.0, 0.0, 50));
-        let nodes = vec![
+        let nodes = [
             BaseNode::new(LineLearner::new(), data.clone(), 16),
             BaseNode::new(LineLearner::new(), data, 16),
         ];
         let eval = line_data(1.0, 0.0, 10);
-        let m = mean_eval_loss(&nodes, &eval);
+        let m = lbchat::learner::mean_eval_loss(nodes.iter().map(|n| &n.learner), &eval);
         assert!(m > 0.0);
     }
 }

@@ -15,7 +15,8 @@
 //! and downloads are instant; under wireless loss each message draws a loss
 //! uniformly from the distance-loss table.
 
-use crate::node::{mean_eval_loss, BaseNode};
+use crate::node::BaseNode;
+use lbchat::learner::mean_eval_loss;
 use lbchat::prelude::{CollabAlgorithm, FrameCtx, Learner, SessionCtx, SessionStep};
 use lbchat::WeightedDataset;
 use rand::RngExt;
@@ -186,7 +187,7 @@ impl<L: Learner> CollabAlgorithm for ProxSkip<L> {
     }
 
     fn mean_eval_loss(&self, eval: &[L::Sample]) -> f64 {
-        mean_eval_loss(&self.nodes, eval)
+        mean_eval_loss(self.nodes.iter().map(|n| &n.learner), eval)
     }
 
     fn name(&self) -> &'static str {

@@ -8,7 +8,8 @@
 //! unconstrained ("we assume no backend bandwidth constraint at RSUs");
 //! message losses follow the same uniform table draw as ProxSkip.
 
-use crate::node::{mean_eval_loss, BaseNode};
+use crate::node::BaseNode;
+use lbchat::learner::mean_eval_loss;
 use lbchat::prelude::{CollabAlgorithm, FrameCtx, Learner, SessionCtx, SessionStep};
 use lbchat::WeightedDataset;
 use simnet::geom::Vec2;
@@ -105,10 +106,7 @@ impl<L: Learner> CollabAlgorithm for RsuL<L> {
         iters: usize,
         rng: &mut rand::rngs::StdRng,
     ) -> lbchat::TrainStats {
-        for _ in 0..iters {
-            self.nodes[node].local_iteration(rng);
-        }
-        self.nodes[node].learner.take_train_stats()
+        self.nodes[node].train(iters, rng)
     }
 
     /// No V2V exchanges in RSU-L: sessions never open
@@ -186,7 +184,7 @@ impl<L: Learner> CollabAlgorithm for RsuL<L> {
     }
 
     fn mean_eval_loss(&self, eval: &[L::Sample]) -> f64 {
-        mean_eval_loss(&self.nodes, eval)
+        mean_eval_loss(self.nodes.iter().map(|n| &n.learner), eval)
     }
 
     fn name(&self) -> &'static str {

@@ -4,7 +4,7 @@
 //!
 //! * [`suite`] — the benchmark cells (coreset construct/reduce, peer
 //!   valuation, compression + the Eq. (7) solver, BEV rasterization, the
-//!   world tick, MLP forward/backward/Adam, simnet channel + contact
+//!   world tick, MLP forward/backward/SGD, simnet channel + contact
 //!   traces, and the session runtime), each timing the one implementation
 //!   the pipeline runs.
 //! * [`timer`] — the wall-clock sampling loop the cells are timed with.

@@ -9,7 +9,6 @@
 use crate::timer::{BenchResult, Sampling, Timer};
 use driving::frame::Frame;
 use driving::learner::DrivingLearner;
-use lbchat::adaptive::AdaptiveSizer;
 use lbchat::compress::top_k;
 use lbchat::coreset::{self, construct_with_scratch, CoresetConfig, CoresetScratch};
 use lbchat::optimize::CompressionProblem;
@@ -31,7 +30,6 @@ use simworld::bev::{self, BevConfig, Pose};
 use simworld::expert::Command;
 use simworld::world::{FleetScale, World, WorldConfig};
 use std::time::Duration;
-use vnn::adam::Adam;
 use vnn::mlp::{Mlp, MlpSpec};
 use vnn::{
     BranchedPolicy, MlpScratch, ParamVec, PolicySample, PolicySpec, Sgd, TrainScratch, SHARD,
@@ -226,16 +224,6 @@ fn bench_compress(c: &mut Timer, _opts: &SuiteOpts) {
         });
     }
     print_wire_size_table();
-    c.bench_function("compress/adaptive_sizer_cycle", |b| {
-        b.measure(|| {
-            let mut sizer = AdaptiveSizer::new(150, 40, 400);
-            for k in 0..32 {
-                sizer.observe_epsilon(0.05 + (k % 7) as f32 * 0.01);
-                sizer.observe_exchange(0.4 + (k % 5) as f64 * 0.1);
-            }
-            sizer.adjust()
-        });
-    });
 }
 
 /// Prints the cost model's two wire-size accountings side by side for
@@ -351,10 +339,11 @@ fn bench_vnn(c: &mut Timer, _opts: &SuiteOpts) {
         });
     });
     let grad: Vec<f32> = (0..n).map(|i| ((i % 13) as f32 - 6.0) / 100.0).collect();
-    c.bench_function("vnn/adam_step", |b| {
-        let mut adam = Adam::new(1e-3);
+    // The optimizer local training steps (`DrivingLearner`'s settings).
+    c.bench_function("vnn/sgd_step", |b| {
+        let mut sgd = Sgd::new(1e-3, 0.9, 1e-5);
         let mut p = params.as_slice().to_vec();
-        b.measure(|| adam.step(&mut p, &grad));
+        b.measure(|| sgd.step(&mut p, &grad));
     });
 
     // Batched minibatch kernels: what local training runs per iteration.
@@ -399,11 +388,11 @@ fn bench_vnn(c: &mut Timer, _opts: &SuiteOpts) {
             });
         });
     }
-    c.bench_function("vnn/adam_step_fused", |b| {
-        let mut adam = Adam::new(1e-3);
+    c.bench_function("vnn/sgd_step_fused", |b| {
+        let mut sgd = Sgd::new(1e-3, 0.9, 1e-5);
         let mut p = params.as_slice().to_vec();
         let scale = 1.0 / 64.0f32;
-        b.measure(|| adam.step_scaled(&mut p, &grad, scale));
+        b.measure(|| sgd.step_scaled(&mut p, &grad, scale));
     });
 
     // A full local-training round on a driving-scale branched policy: the
@@ -571,7 +560,7 @@ fn bench_simnet(c: &mut Timer, opts: &SuiteOpts) {
     let ch = Channel::new(RadioConfig::default(), LossModel::distance_default());
     c.bench_function("simnet/channel_transfer_0.6MB", |b| {
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        b.measure(|| ch.transfer(614_400, 100.0, |_| 150.0, &mut rng));
+        b.measure(|| ch.run(&TransferSpec::link(614_400, 100.0), |_| 150.0, &mut rng));
     });
     // What `SessionCtx::run_spec` actually sends: a 4 MiB model between two
     // vehicles of a recorded trace, under the distance→PER table, once

@@ -97,48 +97,6 @@ pub fn aggregate_sparse_aware(
     ParamVec::from_vec(data)
 }
 
-/// A cache of previously computed losses, keyed by an opaque version
-/// counter — "caching these losses can further reduce repeated future
-/// computations" (§III-C). The node bumps the version whenever the model or
-/// the referenced set changes.
-#[derive(Debug, Clone, Default)]
-pub struct LossCache {
-    version: u64,
-    value: Option<f32>,
-}
-
-impl LossCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the cached loss if `version` still matches.
-    pub fn get(&self, version: u64) -> Option<f32> {
-        if self.version == version {
-            self.value
-        } else {
-            None
-        }
-    }
-
-    /// Stores a loss for `version`.
-    pub fn put(&mut self, version: u64, value: f32) {
-        self.version = version;
-        self.value = Some(value);
-    }
-
-    /// Fetches the loss for `version`, computing and caching it on a miss.
-    pub fn get_or_insert_with<F: FnOnce() -> f32>(&mut self, version: u64, f: F) -> f32 {
-        if let Some(v) = self.get(version) {
-            return v;
-        }
-        let v = f();
-        self.put(version, v);
-        v
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,19 +156,6 @@ mod tests {
         let (local, peer) = models();
         let merged = aggregate(&local, 0.0, &peer, 5.0, AggregationRule::InverseLoss);
         assert_eq!(merged.as_slice(), local.as_slice());
-    }
-
-    #[test]
-    fn loss_cache_hits_and_misses() {
-        let mut c = LossCache::new();
-        assert_eq!(c.get(1), None);
-        let v = c.get_or_insert_with(1, || 0.7);
-        assert_eq!(v, 0.7);
-        assert_eq!(c.get(1), Some(0.7));
-        // New version invalidates.
-        assert_eq!(c.get(2), None);
-        let v2 = c.get_or_insert_with(2, || 0.9);
-        assert_eq!(v2, 0.9);
     }
 
     #[test]

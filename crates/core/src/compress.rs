@@ -5,17 +5,13 @@
 //! small. The *compression ratio* is `φ = S / S_c` and its reciprocal
 //! `ψ = 1/φ ∈ [0, 1]`: `ψ = 0` sends nothing, `ψ = 1` sends the dense
 //! model. The paper notes "other biased/unbiased model compression methods
-//! can also be applied"; this module makes that pluggable behind the
-//! [`Compressor`] trait with four deterministic codecs ([`Codec`]), a tagged
-//! byte encoding ([`WireModel`]) shared with the vnn/driving wire formats,
-//! and an [`ErrorFeedback`] wrapper that folds each round's dropped mass
-//! into the next encode.
+//! can also be applied"; this module makes that pluggable as the [`Codec`]
+//! registry (top-k, its quantized variants, a random-sign sketch) with a
+//! tagged byte encoding ([`WireModel`]) built on the vnn wire primitives.
 //!
 //! docs/COMPRESSION.md is the normative spec: byte-for-byte wire layouts,
-//! the ψ/φ notation mapping, both wire-size accountings, and the
-//! error-feedback semantics. Keep the two in sync.
-
-use std::collections::BTreeMap;
+//! the ψ/φ notation mapping and both wire-size accountings. Keep the two
+//! in sync.
 
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -180,17 +176,6 @@ impl QuantizedModel {
     }
 }
 
-/// Relative L2 reconstruction error of compressing `params` at `psi`:
-/// `‖x − x̂‖ / ‖x‖`. 0 at `psi = 1`, 1 at `psi = 0` (for non-zero models).
-pub fn reconstruction_error(params: &ParamVec, psi: f32) -> f32 {
-    let norm = params.l2_norm();
-    if norm == 0.0 {
-        return 0.0;
-    }
-    let hat = compress_dense(params, psi);
-    params.distance(&hat) / norm
-}
-
 // ---------------------------------------------------------------------------
 // Chunked quantize/dequantize inner loops
 // ---------------------------------------------------------------------------
@@ -322,39 +307,8 @@ fn sketch_decode_chunk(chunk_idx: usize, latents: &[f32], chunk_len: usize, out:
 }
 
 // ---------------------------------------------------------------------------
-// The Compressor trait and the Codec enum
+// The Codec enum
 // ---------------------------------------------------------------------------
-
-/// A model codec: the single entry point every share path (LbChat and all
-/// four baselines) routes model exchange through.
-///
-/// The three views stay consistent by construction: [`Compressor::apply`]
-/// is bit-identical to `encode(..).decode()` under the same rng state, and
-/// [`Compressor::wire_bytes`] is the simulation's cost-model figure for the
-/// same send. Codecs that use randomness (stochastic rounding) draw only
-/// from the `rng` argument — the seeded per-session generator — never from
-/// ambient entropy; deterministic codecs draw nothing, which is what keeps
-/// the default top-k path bit-identical to the historical output.
-pub trait Compressor {
-    /// Stable lowercase key of this codec (the `--codec` CLI value).
-    fn name(&self) -> &'static str;
-
-    /// The receiver's reconstructed dense model for a given ψ.
-    fn apply(&self, params: &ParamVec, psi: f32, rng: &mut StdRng) -> ParamVec;
-
-    /// Encodes `params` at ψ into the tagged byte format of
-    /// docs/COMPRESSION.md.
-    fn encode(&self, params: &ParamVec, psi: f32, rng: &mut StdRng) -> WireModel;
-
-    /// Bytes charged by the simulation cost model for a model whose dense
-    /// wire size is `dense_wire_bytes`, sent at ψ (the paper-style `ψ·S`
-    /// family; see docs/COMPRESSION.md for the per-codec formulas).
-    fn wire_bytes(&self, dense_wire_bytes: usize, psi: f32) -> usize;
-
-    /// Bytes under the honest pair accounting (`min(2ψ, 1)·S` family) —
-    /// what the encoding actually costs once indices are counted.
-    fn pair_wire_bytes(&self, dense_wire_bytes: usize, psi: f32) -> usize;
-}
 
 /// Wire-format magic byte of each codec (first byte of every
 /// [`WireModel`]).
@@ -375,8 +329,17 @@ const INT4_BIAS: i16 = 7;
 /// Nibble value reserved for padding the final half-byte when k is odd.
 const INT4_PAD: u8 = 0xF;
 
-/// The built-in codecs. `TopK` is the default and reproduces the paper's
-/// §III-C share path bit-for-bit.
+/// The built-in codecs — the single entry point every share path (LbChat
+/// and all four baselines) routes model exchange through. `TopK` is the
+/// default and reproduces the paper's §III-C share path bit-for-bit.
+///
+/// The three views stay consistent by construction: [`Codec::apply`] is
+/// bit-identical to `encode(..).decode()` under the same rng state, and
+/// [`Codec::wire_bytes`] is the simulation's cost-model figure for the same
+/// send. Codecs that use randomness (stochastic rounding) draw only from
+/// the `rng` argument — the seeded per-session generator — never from
+/// ambient entropy; deterministic codecs draw nothing, which is what keeps
+/// the default top-k path bit-identical to the historical output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Codec {
     /// Magnitude top-k sparsification only (the paper's main choice).
@@ -638,36 +601,14 @@ impl std::fmt::Display for Codec {
     }
 }
 
-impl Compressor for Codec {
-    fn name(&self) -> &'static str {
-        Codec::name(*self)
-    }
-
-    fn apply(&self, params: &ParamVec, psi: f32, rng: &mut StdRng) -> ParamVec {
-        Codec::apply(*self, params, psi, rng)
-    }
-
-    fn encode(&self, params: &ParamVec, psi: f32, rng: &mut StdRng) -> WireModel {
-        Codec::encode(*self, params, psi, rng)
-    }
-
-    fn wire_bytes(&self, dense_wire_bytes: usize, psi: f32) -> usize {
-        Codec::wire_bytes(*self, dense_wire_bytes, psi)
-    }
-
-    fn pair_wire_bytes(&self, dense_wire_bytes: usize, psi: f32) -> usize {
-        Codec::pair_wire_bytes(*self, dense_wire_bytes, psi)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // WireModel: the tagged byte encoding
 // ---------------------------------------------------------------------------
 
 /// An encoded model: one magic byte tagging the codec, then the codec's
 /// layout (docs/COMPRESSION.md, all integers/floats little-endian).
-/// Produced by [`Codec::encode`] / [`Compressor::encode`]; decoded with
-/// [`WireModel::decode`], which dispatches on the tag.
+/// Produced by [`Codec::encode`]; decoded with [`WireModel::decode`], which
+/// dispatches on the tag.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireModel {
     bytes: Vec<u8>,
@@ -818,79 +759,6 @@ impl WireModel {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Error feedback
-// ---------------------------------------------------------------------------
-
-/// Error-feedback compensation (EF-SGD style) around any codec: the mass a
-/// lossy encode drops is banked in a per-peer residual and folded into the
-/// *next* encode toward that peer, so compression error accumulates into a
-/// delayed correction instead of being lost.
-///
-/// Per-peer because each peer sees a different exchange history; residuals
-/// live in a `BTreeMap` so iteration order (and thus any downstream float
-/// accumulation) is deterministic. A residual whose length no longer
-/// matches the model is discarded — the model was resized and the banked
-/// correction is meaningless.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ErrorFeedback {
-    residuals: BTreeMap<usize, ParamVec>,
-}
-
-impl ErrorFeedback {
-    /// An empty accumulator (all residuals zero).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// `params` plus the residual banked for `peer` (or `params` verbatim
-    /// when none is banked or the model was resized).
-    pub fn compensated(&self, peer: usize, params: &ParamVec) -> ParamVec {
-        match self.residuals.get(&peer) {
-            Some(res) if res.len() == params.len() => {
-                let mut out = params.clone();
-                out.axpy(1.0, res);
-                out
-            }
-            _ => params.clone(),
-        }
-    }
-
-    /// Encodes through `codec` with compensation: feeds
-    /// `params + residual[peer]` to the codec, banks the new residual
-    /// `input − output`, and returns the receiver's reconstruction.
-    pub fn apply(
-        &mut self,
-        peer: usize,
-        codec: Codec,
-        params: &ParamVec,
-        psi: f32,
-        rng: &mut StdRng,
-    ) -> ParamVec {
-        let input = self.compensated(peer, params);
-        let out = codec.apply(&input, psi, rng);
-        let mut residual = input;
-        residual.axpy(-1.0, &out);
-        self.residuals.insert(peer, residual);
-        out
-    }
-
-    /// The residual currently banked for `peer`, if any.
-    pub fn residual(&self, peer: usize) -> Option<&ParamVec> {
-        self.residuals.get(&peer)
-    }
-
-    /// Number of peers with a banked residual.
-    pub fn peers(&self) -> usize {
-        self.residuals.len()
-    }
-
-    /// Drops every banked residual.
-    pub fn clear(&mut self) {
-        self.residuals.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -981,18 +849,6 @@ mod tests {
         for w in s.indices.windows(2) {
             assert!(w[0] < w[1]);
         }
-    }
-
-    #[test]
-    fn reconstruction_error_monotone_in_psi() {
-        let p = ParamVec::from_vec((0..256).map(|i| ((i * 37) % 101) as f32 / 50.0 - 1.0).collect());
-        let mut last = f32::INFINITY;
-        for psi in [0.0, 0.1, 0.3, 0.6, 1.0] {
-            let e = reconstruction_error(&p, psi);
-            assert!(e <= last + 1e-6, "error must shrink as psi grows");
-            last = e;
-        }
-        assert_eq!(reconstruction_error(&p, 1.0), 0.0);
     }
 
     #[test]
@@ -1183,46 +1039,5 @@ mod tests {
         // But it tracks the signal: closer at psi=1 than at psi=0.1.
         let coarse = Codec::Sketch.apply(&p, 0.1, &mut rng());
         assert!(p.distance(&full) < p.distance(&coarse));
-    }
-
-    #[test]
-    fn error_feedback_banks_exactly_the_dropped_mass() {
-        let p = sample_params();
-        let mut ef = ErrorFeedback::new();
-        let out = ef.apply(3, Codec::TopK, &p, 0.25, &mut rng());
-        let res = ef.residual(3).expect("banked").clone();
-        let mut sum = out;
-        sum.axpy(1.0, &res);
-        // First round: no prior residual, so the codec input was `p` itself
-        // and output + residual must reassemble it bit for bit.
-        assert_eq!(sum, p, "input = output + residual, bit for bit");
-        assert_eq!(ef.peers(), 1);
-        assert!(ef.residual(5).is_none());
-    }
-
-    #[test]
-    fn error_feedback_resets_on_model_resize() {
-        let mut ef = ErrorFeedback::new();
-        let _ = ef.apply(1, Codec::TopK, &sample_params(), 0.25, &mut rng());
-        let grown = ParamVec::from_vec(vec![1.0; 16]);
-        // The stale 8-component residual must not contaminate the new model.
-        assert_eq!(ef.compensated(1, &grown), grown);
-    }
-
-    #[test]
-    fn error_feedback_recovers_mass_over_rounds() {
-        // With a fixed model, EF top-k alternates coverage so the running
-        // average approaches the full model: the second round's encode must
-        // touch components the first round dropped.
-        let p = ParamVec::from_vec(vec![4.0, 1.0, 1.0, 1.0]);
-        let mut ef = ErrorFeedback::new();
-        let first = ef.apply(0, Codec::TopK, &p, 0.25, &mut rng());
-        assert_eq!(first.as_slice(), &[4.0, 0.0, 0.0, 0.0]);
-        let second = ef.apply(0, Codec::TopK, &p, 0.25, &mut rng());
-        // Round 2 input is [4, 2, 2, 2]: the top slot is still 4.0 but the
-        // residual now carries double the small components.
-        assert_eq!(second.as_slice(), &[4.0, 0.0, 0.0, 0.0]);
-        let third_res = ef.residual(0).expect("banked");
-        assert_eq!(third_res.as_slice(), &[0.0, 2.0, 2.0, 2.0]);
     }
 }

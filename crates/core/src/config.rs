@@ -1,11 +1,11 @@
 //! LbChat configuration with the paper's §IV-A defaults.
 //!
 //! [`LbChatConfig`] gathers every knob of the algorithm — coreset size and
-//! refresh policy, the ψ grid behind the Eq. (7) optimizer, error-feedback
-//! compensation, aggregation rule, penalty weights, wire sizes — pre-set to the
-//! values §IV-A reports (coreset 150 frames ≈ 0.6 MB, T_B = 15 s,
-//! lr 1e-4, batch 64). Variants are derived with the chainable `with_*`
-//! methods (e.g. [`LbChatConfig::with_coreset_size`] for the Table IV
+//! refresh policy, the ψ grid behind the Eq. (7) optimizer, aggregation
+//! rule, penalty weights, wire sizes — pre-set to the values §IV-A reports
+//! (coreset 150 frames ≈ 0.6 MB, T_B = 15 s, lr 1e-4, batch 64). Variants
+//! are derived with the chainable `with_*` methods (e.g.
+//! [`LbChatConfig::with_coreset_size`] for the Table IV
 //! sweep, [`LbChatConfig::with_equal_compression`] /
 //! [`LbChatConfig::with_average_aggregation`] for the Table V/VI
 //! ablations, [`LbChatConfig::sco`] for coreset-only sharing). This module
@@ -127,21 +127,8 @@ pub struct LbChatConfig {
     /// Local iterations between coreset rebuilds (the coreset tracks the
     /// evolving model and dataset).
     pub coreset_refresh_iters: usize,
-    /// Maintain the coreset by merge-and-reduce on absorption (§III-D)
-    /// instead of waiting for the next full rebuild.
-    pub merge_reduce: bool,
     /// Minibatch size for local training (paper: 64).
     pub batch_size: usize,
-    /// Enable adaptive coreset sizing (the paper's stated future work; see
-    /// [`crate::adaptive`]). The configured `coreset_size` becomes the
-    /// starting point, bounded to one decade either side.
-    pub adaptive_coreset: bool,
-    /// Wrap model encodes in [`crate::compress::ErrorFeedback`]: each
-    /// round's dropped compression mass is banked per peer and folded into
-    /// the next encode toward that peer. Off by default (the paper has no
-    /// residual accumulation). The codec itself is a runtime concern —
-    /// [`crate::RuntimeConfig`]'s `codec` field / the `--codec` CLI axis.
-    pub error_feedback: bool,
 }
 
 impl Default for LbChatConfig {
@@ -158,10 +145,7 @@ impl Default for LbChatConfig {
             equal_compression: false,
             share_model: true,
             coreset_refresh_iters: 50,
-            merge_reduce: true,
             batch_size: 64,
-            adaptive_coreset: false,
-            error_feedback: false,
         }
     }
 }
@@ -195,19 +179,6 @@ impl LbChatConfig {
         self.coreset_size = size;
         self
     }
-
-    /// Enables adaptive coreset sizing (extension beyond the paper).
-    pub fn with_adaptive_coreset(mut self) -> Self {
-        self.adaptive_coreset = true;
-        self
-    }
-
-    /// Enables error-feedback compensation around the session codec
-    /// (extension beyond the paper; see docs/COMPRESSION.md).
-    pub fn with_error_feedback(mut self) -> Self {
-        self.error_feedback = true;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -216,13 +187,36 @@ mod tests {
 
     #[test]
     fn defaults_match_paper() {
+        // Destructured without `..`: adding or removing a field fails to
+        // compile here, so the option count cannot drift unnoticed.
         let c = LbChatConfig::default();
-        assert_eq!(c.coreset_size, 150);
-        assert_eq!(c.model_wire_bytes, 52 * 1024 * 1024);
-        assert_eq!(c.time_budget, 15.0);
-        assert_eq!(c.batch_size, 64);
-        // 150 frames at 4096 B ≈ 0.6 MB.
-        assert_eq!(c.coreset_wire_bytes(), 614_400);
+        assert_eq!(c.coreset_wire_bytes(), 614_400, "150 frames at 4096 B ≈ 0.6 MB");
+        let LbChatConfig {
+            coreset_size,
+            coreset_bytes_per_sample,
+            model_wire_bytes,
+            time_budget,
+            lambda_c,
+            penalty,
+            psi_grid,
+            aggregation,
+            equal_compression,
+            share_model,
+            coreset_refresh_iters,
+            batch_size,
+        } = c;
+        assert_eq!(coreset_size, 150);
+        assert_eq!(coreset_bytes_per_sample, 4096);
+        assert_eq!(model_wire_bytes, 52 * 1024 * 1024);
+        assert_eq!(time_budget, 15.0);
+        assert_eq!(lambda_c, 0.01);
+        assert_eq!(penalty, PenaltyConfig::default());
+        assert_eq!(psi_grid, DEFAULT_PSI_GRID);
+        assert_eq!(aggregation, AggregationRule::InverseLoss);
+        assert!(!equal_compression);
+        assert!(share_model);
+        assert_eq!(coreset_refresh_iters, 50);
+        assert_eq!(batch_size, 64);
     }
 
     #[test]
@@ -234,8 +228,5 @@ mod tests {
             AggregationRule::Average
         );
         assert_eq!(LbChatConfig::default().with_coreset_size(15).coreset_size, 15);
-        assert!(LbChatConfig::default().with_adaptive_coreset().adaptive_coreset);
-        assert!(LbChatConfig::default().with_error_feedback().error_feedback);
-        assert!(!LbChatConfig::default().error_feedback);
     }
 }

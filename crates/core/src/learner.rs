@@ -147,6 +147,26 @@ pub fn mean_loss<L: Learner>(learner: &L, params: &ParamVec, samples: &[&L::Samp
     acc / samples.len() as f64
 }
 
+/// Mean over `learners` of each one's [`mean_loss`] on `eval` under its own
+/// parameters — the eval-curve statistic every method reports. Returns 0
+/// for an empty fleet or an empty evaluation set.
+pub fn mean_eval_loss<'a, L: Learner + 'a>(
+    learners: impl IntoIterator<Item = &'a L>,
+    eval: &[L::Sample],
+) -> f64 {
+    let refs: Vec<&L::Sample> = eval.iter().collect();
+    let (mut total, mut n) = (0.0f64, 0usize);
+    for learner in learners {
+        total += mean_loss(learner, learner.params(), &refs);
+        n += 1;
+    }
+    if n == 0 {
+        0.0
+    } else {
+        total / n as f64
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod testutil {
     //! A tiny analytic learner used by the crate's unit tests: scalar

@@ -9,8 +9,10 @@
 //!
 //! The pipeline of one pairwise "chat" (paper §III, Fig. 1):
 //!
-//! 1. **Sequence determination** ([`priority`]) — neighbors are ranked by
-//!    `c = z · p · min(B_i, B_j)` (Eq. 5) from shared routes and bandwidth.
+//! 1. **Sequence determination** ([`runtime`] frame matching →
+//!    [`CollabAlgorithm::pair_priority`] → `simnet::contact`) — each frame's
+//!    candidate pairs are ranked by `c = z · p · min(B_i, B_j)` (Eq. 5) from
+//!    shared routes and bandwidth, and matched greedily.
 //! 2. **Coreset exchange** ([`coreset`]) — each vehicle maintains a compact
 //!    ε-coreset of its local dataset built by layered sampling (Alg. 1).
 //! 3. **Valuation** ([`valuation`]) — each vehicle evaluates its model on
@@ -38,12 +40,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod aggregate;
 pub mod compress;
 pub mod config;
 pub mod coreset;
-pub mod coreset_alt;
 pub mod dataset;
 pub mod exec;
 pub mod learner;
@@ -54,7 +54,6 @@ pub mod optimize;
 pub mod penalty;
 pub mod phi;
 pub mod prelude;
-pub mod priority;
 pub mod runtime;
 pub mod valuation;
 

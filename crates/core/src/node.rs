@@ -7,20 +7,18 @@
 //! valuation, Eq. (7) compression optimization, model exchange, Eq. (8)
 //! aggregation, and dataset expansion.
 
-use crate::adaptive::AdaptiveSizer;
 use crate::aggregate::aggregate_sparse_aware;
-use crate::compress::{Codec, ErrorFeedback};
 use crate::config::LbChatConfig;
 use crate::coreset::{construct_with_scratch, reduce, Coreset, CoresetConfig, CoresetScratch};
 use crate::dataset::WeightedDataset;
-use crate::learner::{mean_loss, Learner};
+use crate::learner::{mean_eval_loss, Learner};
 use crate::optimize::{equal_compression_choice, CompressionChoice, CompressionProblem};
 use crate::penalty::penalized_loss;
 use crate::phi::PhiCurve;
 use crate::runtime::{CollabAlgorithm, SessionCtx, SessionStep};
 use crate::valuation::coreset_loss;
 use rand::Rng;
-use simnet::channel::{TransferOutcome, TransferSpec};
+use simnet::channel::{TransferOutcome, TransferSpec, PAPER_BANDWIDTH_BPS};
 use simnet::contact::ContactEstimate;
 use vnn::{Minibatcher, ParamVec};
 
@@ -38,10 +36,6 @@ pub struct LbChatNode<L: Learner> {
     iters_since_refresh: usize,
     coreset_stale: bool,
     config: LbChatConfig,
-    sizer: Option<AdaptiveSizer>,
-    /// Per-peer error-feedback residuals; only consulted when the config
-    /// enables `error_feedback` (empty and inert otherwise).
-    feedback: ErrorFeedback,
     /// Reused by every coreset rebuild; results are bit-identical to a
     /// fresh construction (see [`CoresetScratch`]).
     scratch: CoresetScratch,
@@ -64,13 +58,6 @@ impl<L: Learner> LbChatNode<L> {
             &mut scratch,
         );
         let batcher = Minibatcher::new(dataset.len(), config.batch_size);
-        let sizer = config.adaptive_coreset.then(|| {
-            AdaptiveSizer::new(
-                config.coreset_size,
-                (config.coreset_size / 10).max(5),
-                config.coreset_size * 10,
-            )
-        });
         Self {
             learner,
             dataset,
@@ -79,55 +66,7 @@ impl<L: Learner> LbChatNode<L> {
             iters_since_refresh: 0,
             coreset_stale: false,
             config,
-            sizer,
-            feedback: ErrorFeedback::new(),
             scratch,
-        }
-    }
-
-    /// Encodes this node's current model for `peer` through the session
-    /// codec at ψ — every model this node puts on the wire passes through
-    /// here. With `error_feedback` enabled, the residual banked toward
-    /// `peer` is folded into the encode and the newly dropped mass banked
-    /// back (see [`ErrorFeedback`]).
-    pub fn encode_model_for(
-        &mut self,
-        peer: usize,
-        codec: Codec,
-        psi: f32,
-        rng: &mut rand::rngs::StdRng,
-    ) -> ParamVec {
-        if self.config.error_feedback {
-            self.feedback.apply(peer, codec, self.learner.params(), psi, rng)
-        } else {
-            codec.apply(self.learner.params(), psi, rng)
-        }
-    }
-
-    /// The error-feedback residual bank (empty unless `error_feedback` is
-    /// enabled and models have been exchanged).
-    pub fn feedback(&self) -> &ErrorFeedback {
-        &self.feedback
-    }
-
-    /// Records the realized model-compression ratio ψ of one model send
-    /// for adaptive sizing: cheap model exchanges leave contact budget the
-    /// coreset may claim (see [`AdaptiveSizer::observe_compression`]).
-    pub fn observe_compression(&mut self, psi: f64) {
-        if let Some(s) = self.sizer.as_mut() {
-            s.observe_compression(psi);
-        }
-    }
-
-    /// The adaptive sizer, when enabled.
-    pub fn sizer(&self) -> Option<&AdaptiveSizer> {
-        self.sizer.as_ref()
-    }
-
-    /// Records a coreset-exchange observation for adaptive sizing.
-    pub fn observe_exchange_share(&mut self, share: f64) {
-        if let Some(s) = self.sizer.as_mut() {
-            s.observe_exchange(share);
         }
     }
 
@@ -162,44 +101,28 @@ impl<L: Learner> LbChatNode<L> {
     }
 
     /// Rebuilds the coreset from the (possibly expanded) dataset with the
-    /// current model (Algorithm 1). With adaptive sizing enabled, folds the
-    /// fresh coreset's empirical ε into the controller and adopts its next
-    /// recommended size.
+    /// current model (Algorithm 1).
     pub fn refresh_coreset<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        let size = match self.sizer.as_mut() {
-            Some(s) => s.adjust(),
-            None => self.config.coreset_size,
-        };
         self.coreset = construct_with_scratch(
             &self.learner,
             &self.dataset,
-            &CoresetConfig { size },
+            &CoresetConfig { size: self.config.coreset_size },
             rng,
             &mut self.scratch,
         );
-        if let Some(s) = self.sizer.as_mut() {
-            let eps =
-                crate::coreset::empirical_epsilon(&self.learner, &self.coreset, &self.dataset);
-            s.observe_epsilon(eps);
-        }
         self.iters_since_refresh = 0;
         self.coreset_stale = false;
     }
 
     /// Absorbs a received peer coreset: expands the local dataset (§III-D)
-    /// and maintains the local coreset — by merge-and-reduce when
-    /// configured (cheap, suits frequent encounters), otherwise by marking
-    /// it stale for the next scheduled rebuild.
+    /// and maintains the local coreset by merge-and-reduce (cheap, suits
+    /// frequent encounters) instead of waiting for the next full rebuild.
     pub fn absorb<R: Rng + ?Sized>(&mut self, peer_coreset: &Coreset<L::Sample>, rng: &mut R) {
         self.dataset.absorb_coreset(peer_coreset);
         self.batcher.grow(self.dataset.len());
-        if self.config.merge_reduce {
-            let merged = std::mem::replace(&mut self.coreset, Coreset::empty())
-                .merge(peer_coreset.clone());
-            self.coreset = reduce(merged, self.config.coreset_size, rng);
-        } else {
-            self.coreset_stale = true;
-        }
+        let merged =
+            std::mem::replace(&mut self.coreset, Coreset::empty()).merge(peer_coreset.clone());
+        self.coreset = reduce(merged, self.config.coreset_size, rng);
     }
 
     /// Replaces the model with an aggregated one and resets optimizer
@@ -210,18 +133,24 @@ impl<L: Learner> LbChatNode<L> {
         self.coreset_stale = true;
     }
 
-    /// Penalized losses of this node's own model and of `peer_params` on the
-    /// node's *joint* view `C_self ∪ C_peer` — the Eq. (8) weighting set,
-    /// approximating `D_i ∪ C_j` per §III-D. Returns `(own, peer)`; the
-    /// merged pair list is built once and both models are evaluated over it.
-    fn joint_losses(&self, peer_params: &ParamVec, peer: &Coreset<L::Sample>) -> (f32, f32) {
+    /// Eq. (8): merges a received peer model into this node's, weighted by
+    /// both models' penalized losses on the node's *joint* view
+    /// `C_self ∪ C_peer` (approximating `D_i ∪ C_j` per §III-D). The merged
+    /// pair list is built once and both models are evaluated over it.
+    fn aggregate_received(&mut self, peer_params: &ParamVec, peer: &Coreset<L::Sample>) {
         let mut pairs = self.coreset.pairs();
         pairs.extend(peer.pairs());
         let pen = &self.config.penalty;
-        (
-            penalized_loss(&self.learner, self.learner.params(), &pairs, pen),
-            penalized_loss(&self.learner, peer_params, &pairs, pen),
-        )
+        let own_loss = penalized_loss(&self.learner, self.learner.params(), &pairs, pen);
+        let peer_loss = penalized_loss(&self.learner, peer_params, &pairs, pen);
+        let merged = aggregate_sparse_aware(
+            self.learner.params(),
+            own_loss,
+            peer_params,
+            peer_loss,
+            self.config.aggregation,
+        );
+        self.adopt_model(merged);
     }
 }
 
@@ -257,11 +186,6 @@ impl<L: Learner> LbChatAlgorithm<L> {
     /// Access to a node (tests, inspection).
     pub fn node(&self, i: usize) -> &LbChatNode<L> {
         &self.nodes[i]
-    }
-
-    /// Mutable access to a node.
-    pub fn node_mut(&mut self, i: usize) -> &mut LbChatNode<L> {
-        &mut self.nodes[i]
     }
 
     /// The configuration in use.
@@ -375,7 +299,7 @@ impl<L: Learner> LbChatAlgorithm<L> {
             let remaining = Self::remaining(state.time_limit, ctx);
             state.choice = equal_compression_choice(
                 self.config.model_wire_bytes,
-                ctx.contact().p.max(0.01) * 31e6, // effective rate under loss
+                ctx.contact().p.max(0.01) * ctx.bandwidth_bps(), // effective rate under loss
                 self.config.time_budget,
                 remaining,
             );
@@ -431,17 +355,29 @@ impl<L: Learner> LbChatAlgorithm<L> {
         );
     }
 
-    /// Records the `compress.*` byte counters for one model send: the
-    /// bytes the cost model charged (the paper's `ψ·S` family) next to the
-    /// honest `min(2ψ, 1)·S` pair accounting. See docs/OBSERVABILITY.md
-    /// and docs/COMPRESSION.md.
-    fn record_compress_obs(&self, codec: Codec, psi: f32, ctx: &SessionCtx<'_>) {
+    /// Books one finished model send from `sender` at ψ — the metrics, and
+    /// the `compress.*` byte counters: the bytes the cost model charged (the
+    /// paper's `ψ·S` family) next to the honest `min(2ψ, 1)·S` pair
+    /// accounting (docs/OBSERVABILITY.md, docs/COMPRESSION.md) — and returns
+    /// the receiver's codec reconstruction if it arrived.
+    fn model_received(
+        &self,
+        sender: usize,
+        psi: f32,
+        out: TransferOutcome,
+        ctx: &mut SessionCtx<'_>,
+    ) -> Option<ParamVec> {
+        let codec = ctx.codec();
+        let dense = self.config.model_wire_bytes;
+        let bytes = codec.wire_bytes(dense, psi);
+        ctx.metrics.record_model_send(out.is_delivered(), bytes, out.elapsed());
         let obs = ctx.obs();
         if obs.enabled() {
-            let dense = self.config.model_wire_bytes;
-            obs.add("compress.model_bytes", codec.wire_bytes(dense, psi) as u64);
+            obs.add("compress.model_bytes", bytes as u64);
             obs.add("compress.pair_bytes", codec.pair_wire_bytes(dense, psi) as u64);
         }
+        out.is_delivered()
+            .then(|| codec.apply(self.nodes[sender].learner.params(), psi, ctx.rng()))
     }
 
     /// Phase 5 sequencing: request the `i → j` model transfer if ψ_i
@@ -508,10 +444,10 @@ impl<L: Learner> CollabAlgorithm for LbChatAlgorithm<L> {
     }
 
     /// Eq. (5): `c = z · p · min(B_i, B_j)`. Bandwidths are homogeneous in
-    /// the paper's setup, so the runtime's min-bandwidth is a constant
-    /// factor — we use the radio bandwidth directly.
+    /// the paper's setup, so the min-bandwidth is a constant factor that
+    /// cannot reorder pairs — the paper's radio bandwidth stands in for it.
     fn pair_priority(&self, _i: usize, _j: usize, est: &ContactEstimate) -> f64 {
-        est.z * est.p * 31e6
+        est.z * est.p * PAPER_BANDWIDTH_BPS
     }
 
     fn session_open(
@@ -588,18 +524,8 @@ impl<L: Learner> CollabAlgorithm for LbChatAlgorithm<L> {
                 ctx.metrics.record_coreset_send(out.is_delivered(), coreset_bytes, out.elapsed());
                 if !state.c_ij_ok || !out.is_delivered() {
                     // Without both coresets there is no valuation; end the
-                    // session. A failed coreset exchange is the strongest
-                    // oversize signal.
-                    if self.config.adaptive_coreset {
-                        self.nodes[i].observe_exchange_share(1.5);
-                        self.nodes[j].observe_exchange_share(1.5);
-                    }
+                    // session.
                     return SessionStep::Done;
-                }
-                if self.config.adaptive_coreset && state.time_limit > 0.0 {
-                    let share = ctx.elapsed() / state.time_limit;
-                    self.nodes[i].observe_exchange_share(share);
-                    self.nodes[j].observe_exchange_share(share);
                 }
                 state.coreset_i = Some(self.nodes[i].coreset.clone());
                 state.coreset_j = Some(self.nodes[j].coreset.clone());
@@ -622,7 +548,7 @@ impl<L: Learner> CollabAlgorithm for LbChatAlgorithm<L> {
                 // bandwidth overrun their deadline whenever the channel is
                 // lossy — the failure mode the paper's 87 % receiving rate
                 // shows LbChat avoiding.
-                let goodput = 31e6 * ctx.contact().p.clamp(0.05, 1.0);
+                let goodput = ctx.bandwidth_bps() * ctx.contact().p.clamp(0.05, 1.0);
                 state.choice = CompressionProblem {
                     phi_i,
                     phi_j,
@@ -640,39 +566,11 @@ impl<L: Learner> CollabAlgorithm for LbChatAlgorithm<L> {
             }
             ChatPhase::ModelIJ => {
                 // --- 5. Model exchange (codec-compressed both ways). ---
-                let codec = ctx.codec();
-                let psi = state.choice.psi_i;
-                let bytes = codec.wire_bytes(self.config.model_wire_bytes, psi);
-                ctx.metrics.record_model_send(out.is_delivered(), bytes, out.elapsed());
-                self.record_compress_obs(codec, psi, ctx);
-                if out.is_delivered() {
-                    if self.config.adaptive_coreset {
-                        self.nodes[i].observe_compression(f64::from(psi));
-                    }
-                    if self.config.error_feedback && ctx.obs().enabled() {
-                        ctx.obs().add("compress.feedback_folds", 1);
-                    }
-                    let rng = ctx.rng();
-                    state.received_j = Some(self.nodes[i].encode_model_for(j, codec, psi, rng));
-                }
+                state.received_j = self.model_received(i, state.choice.psi_i, out, ctx);
                 self.model_ji_step(state, ctx)
             }
             ChatPhase::ModelJI => {
-                let codec = ctx.codec();
-                let psi = state.choice.psi_j;
-                let bytes = codec.wire_bytes(self.config.model_wire_bytes, psi);
-                ctx.metrics.record_model_send(out.is_delivered(), bytes, out.elapsed());
-                self.record_compress_obs(codec, psi, ctx);
-                if out.is_delivered() {
-                    if self.config.adaptive_coreset {
-                        self.nodes[j].observe_compression(f64::from(psi));
-                    }
-                    if self.config.error_feedback && ctx.obs().enabled() {
-                        ctx.obs().add("compress.feedback_folds", 1);
-                    }
-                    let rng = ctx.rng();
-                    state.received_i = Some(self.nodes[j].encode_model_for(i, codec, psi, rng));
-                }
+                state.received_i = self.model_received(j, state.choice.psi_j, out, ctx);
                 SessionStep::Done
             }
         }
@@ -686,28 +584,10 @@ impl<L: Learner> CollabAlgorithm for LbChatAlgorithm<L> {
         let (i, j) = (ctx.i, ctx.j);
         // --- 6. Aggregation (Eq. 8) on the joint coreset view. ---
         if let (Some(peer_params), Some(coreset_j)) = (&state.received_i, &state.coreset_j) {
-            let node = &self.nodes[i];
-            let (own_loss, peer_loss) = node.joint_losses(peer_params, coreset_j);
-            let merged = aggregate_sparse_aware(
-                node.learner.params(),
-                own_loss,
-                peer_params,
-                peer_loss,
-                self.config.aggregation,
-            );
-            self.nodes[i].adopt_model(merged);
+            self.nodes[i].aggregate_received(peer_params, coreset_j);
         }
         if let (Some(peer_params), Some(coreset_i)) = (&state.received_j, &state.coreset_i) {
-            let node = &self.nodes[j];
-            let (own_loss, peer_loss) = node.joint_losses(peer_params, coreset_i);
-            let merged = aggregate_sparse_aware(
-                node.learner.params(),
-                own_loss,
-                peer_params,
-                peer_loss,
-                self.config.aggregation,
-            );
-            self.nodes[j].adopt_model(merged);
+            self.nodes[j].aggregate_received(peer_params, coreset_i);
         }
 
         // --- 7. Dataset expansion with the received coresets (§III-D). ---
@@ -723,15 +603,7 @@ impl<L: Learner> CollabAlgorithm for LbChatAlgorithm<L> {
     }
 
     fn mean_eval_loss(&self, eval: &[L::Sample]) -> f64 {
-        if eval.is_empty() || self.nodes.is_empty() {
-            return 0.0;
-        }
-        let refs: Vec<&L::Sample> = eval.iter().collect();
-        let mut total = 0.0f64;
-        for node in &self.nodes {
-            total += mean_loss(&node.learner, node.learner.params(), &refs);
-        }
-        total / self.nodes.len() as f64
+        mean_eval_loss(self.nodes.iter().map(|n| &n.learner), eval)
     }
 
     fn name(&self) -> &'static str {
@@ -847,6 +719,23 @@ mod tests {
             algo.node(0).dataset().len() > before_a,
             "dataset must expand by absorbed coresets"
         );
+    }
+
+    #[test]
+    fn every_chat_merge_reduces_to_the_configured_size() {
+        // Algorithm 1 only approximates its target size, so scheduled
+        // rebuilds are switched off: what is left is what the chats'
+        // absorptions leave behind (§III-D), which is exactly `coreset_size`.
+        let cfg = LbChatConfig { coreset_refresh_iters: usize::MAX, ..small_config() };
+        let mut algo = two_node_algo(cfg);
+        let runtime = Runtime::new(RuntimeConfig { duration: 600.0, ..RuntimeConfig::default() });
+        let metrics = runtime
+            .run(&mut algo, &parked_trace(600.0), &line_data(2.0, -1.0, 20))
+            .expect("trace fits");
+        assert!(metrics.coreset_receives >= 6, "several chats: {}", metrics.coreset_receives);
+        for node in 0..2 {
+            assert_eq!(algo.node(node).coreset().len(), 30, "node {node}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! plus the config/builder types needed to construct a run. Narrower
 //! imports stay available through the individual modules.
 
-pub use crate::compress::{Codec, Compressor, ErrorFeedback, WireModel};
+pub use crate::compress::{Codec, WireModel};
 pub use crate::config::{ConfigError, LbChatConfig};
 pub use crate::learner::{Learner, TrainStats};
 pub use crate::metrics::Metrics;

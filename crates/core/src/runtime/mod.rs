@@ -269,9 +269,8 @@ impl std::error::Error for RuntimeError {}
 /// A pairwise radio link during one session, advancing its own elapsed time
 /// as transfers are charged. Algorithms either declare transfers as
 /// [`TransferSpec`]s through the session lifecycle (streamed by the event
-/// loop) or move them synchronously with [`SessionCtx::transfer`] /
-/// [`SessionCtx::run_spec`]; the runtime uses the accumulated time to mark
-/// both endpoints busy.
+/// loop) or move them synchronously with [`SessionCtx::run_spec`]; the
+/// runtime uses the accumulated time to mark both endpoints busy.
 pub struct SessionCtx<'a> {
     /// Session start in simulated seconds.
     start: f64,
@@ -314,17 +313,10 @@ impl SessionCtx<'_> {
         self.start + self.elapsed
     }
 
-    /// Transfers `bytes` over the link with `deadline` seconds of session
-    /// time remaining allowed (measured from now). Advances the session
-    /// clock by the airtime consumed and returns whether the payload fully
-    /// arrived. Distance-based loss follows the live trace positions.
-    pub fn transfer(&mut self, bytes: usize, deadline: f64) -> TransferOutcome {
-        self.run_spec(&TransferSpec::link(bytes, deadline))
-    }
-
-    /// Runs a [`TransferSpec`] synchronously over the link — the unified
-    /// transfer entry point. Advances the session clock by the airtime
-    /// consumed and records the transfer observability events.
+    /// Runs a [`TransferSpec`] synchronously over the link, its deadline
+    /// measured from now. Advances the session clock by the airtime
+    /// consumed and records the transfer observability events;
+    /// distance-based loss follows the live trace positions.
     pub fn run_spec(&mut self, spec: &TransferSpec) -> TransferOutcome {
         let t0 = self.now();
         let (i, j) = (self.i, self.j);
@@ -344,6 +336,12 @@ impl SessionCtx<'_> {
     /// The RNG for protocol-level randomness.
     pub fn rng(&mut self) -> &mut rand::rngs::StdRng {
         self.rng
+    }
+
+    /// Bandwidth of the radio this session runs over, in bits per second
+    /// — what ψ and the Eq. (7) budgets must be sized against.
+    pub fn bandwidth_bps(&self) -> f64 {
+        self.channel.config().bandwidth_bps
     }
 
     /// The session's model codec ([`RuntimeConfig`]'s `codec` field): the

@@ -1,5 +1,5 @@
 //! The synchronous frame loop the event scheduler replaced, kept verbatim
-//! as a test-only oracle (the `coreset::reference` / `vnn::reference`
+//! as a test-only oracle (the `coreset::reference` / `bev::reference`
 //! pattern): compiled under `#[cfg(test)]`, reachable from nowhere but the
 //! runtime's own unit tests.
 //!

@@ -5,7 +5,8 @@
 //! (possibly in parallel, via [`lbchat::exec::par_for_each_mut`]) into a
 //! reusable [`TrainScratch`] arena, and the fixed-order reduction plus a
 //! fused scaled SGD step make the result bit-identical for every `--jobs`
-//! setting — and to the per-sample `vnn::reference` composition.
+//! setting — and to folding per-sample
+//! [`BranchedPolicy::loss_and_grad`] gradients shard by shard.
 
 use crate::frame::Frame;
 use lbchat::{Learner, TrainStats};
@@ -53,12 +54,6 @@ impl BatchSource for FrameRefs<'_, '_> {
         policy_sample(self.0[i], 1.0)
     }
 }
-
-/// The paper's learning-rate default (§IV-A: 1e-4). Our model is three
-/// orders of magnitude smaller than the 52 MB CNN, so the effective default
-/// used by [`DrivingLearner::spec_for`] scales it up; the value here is kept
-/// for reference and paper-scale runs.
-pub const PAPER_LEARNING_RATE: f32 = 1e-4;
 
 /// A command-branched waypoint regressor + SGD optimizer, implementing the
 /// [`Learner`] interface LbChat trains through.

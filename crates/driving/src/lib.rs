@@ -24,7 +24,6 @@ pub mod collect;
 pub mod eval;
 pub mod frame;
 pub mod learner;
-pub mod wire;
 
 pub use collect::{collect_datasets, CollectConfig};
 pub use eval::{success_rate, success_rate_obs, EvalConfig, EvalConfigBuilder, Task, TaskResult};

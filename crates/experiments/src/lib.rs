@@ -28,7 +28,6 @@ pub mod manifest;
 pub mod methods;
 pub mod report;
 pub mod scenario;
-pub mod stats;
 
 pub use manifest::RunManifest;
 pub use methods::{run_method, Condition, Method, RunOutput};

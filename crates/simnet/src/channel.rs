@@ -17,6 +17,11 @@ use std::collections::BTreeMap;
 /// keeps re-queueing the packet, each attempt costing airtime.
 pub const DEAD_LINK_ATTEMPTS: u32 = 40;
 
+/// The paper's §IV-A link bandwidth in bits per second: the default of
+/// [`RadioConfig::bandwidth_bps`], and the homogeneous `min(B_i, B_j)`
+/// factor of the Eq. (5) neighbour priority.
+pub const PAPER_BANDWIDTH_BPS: f64 = 31e6;
+
 /// Radio parameters (defaults are the paper's §IV-A values).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RadioConfig {
@@ -36,7 +41,7 @@ impl Default for RadioConfig {
     fn default() -> Self {
         Self {
             packet_bytes: 1500,
-            bandwidth_bps: 31e6,
+            bandwidth_bps: PAPER_BANDWIDTH_BPS,
             range_m: 500.0,
             max_retx: 3,
             assist_bytes: 184,
@@ -75,9 +80,7 @@ pub enum TransferLoss {
 
 /// One requested payload movement: how many bytes, how much airtime may be
 /// spent (measured from the transfer's first packet), and which loss source
-/// applies. The single entry point behind [`Channel::run`]; both legacy
-/// helpers ([`Channel::transfer`], [`Channel::transfer_fixed_per`]) build one
-/// of these.
+/// applies — the argument of [`Channel::run`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferSpec {
     /// Payload size in bytes.
@@ -220,44 +223,6 @@ impl Channel {
         &self.loss
     }
 
-    /// Simulates transferring `bytes` of payload starting at time 0.
-    ///
-    /// `distance_at(t)` returns the endpoint distance `t` seconds into the
-    /// transfer; packets sent beyond `self.config.range_m` always fail.
-    /// Packets are retried persistently (each attempt costs airtime, so a
-    /// lossy link has proportionally lower goodput); the transfer aborts
-    /// when `deadline` passes or a packet fails [`DEAD_LINK_ATTEMPTS`]
-    /// straight times (sustained dead link).
-    ///
-    /// Zero-byte transfers complete instantly.
-    pub fn transfer<R, D>(
-        &self,
-        bytes: usize,
-        deadline: f64,
-        distance_at: D,
-        rng: &mut R,
-    ) -> TransferOutcome
-    where
-        R: Rng + ?Sized,
-        D: LinkDistance,
-    {
-        self.run(&TransferSpec::link(bytes, deadline), distance_at, rng)
-    }
-
-    /// Simulates a transfer over a link whose loss is a fixed PER rather than
-    /// distance-based — the paper's model for ProxSkip / RSU-L backend links
-    /// under wireless loss ("a wireless loss uniformly sampled from the
-    /// distance-loss lookup table").
-    pub fn transfer_fixed_per<R: Rng + ?Sized>(
-        &self,
-        bytes: usize,
-        deadline: f64,
-        per: f32,
-        rng: &mut R,
-    ) -> TransferOutcome {
-        self.run(&TransferSpec::fixed_per(bytes, deadline, per), |_| 0.0, rng)
-    }
-
     /// Per-packet error rate under `loss` at endpoint distance `distance_m`.
     /// Distance-based transfers beyond `range_m` always lose the packet;
     /// fixed-PER transfers ignore the distance entirely. The event-driven
@@ -322,8 +287,11 @@ impl Channel {
     /// starting at time 0 under `spec.loss`, aborting when `spec.deadline`
     /// passes or a packet fails [`DEAD_LINK_ATTEMPTS`] straight times.
     ///
-    /// `link` is only consulted for [`TransferLoss::Link`] transfers.
-    /// Zero-byte transfers complete instantly.
+    /// `link` is only consulted for [`TransferLoss::Link`] transfers, where
+    /// packets sent beyond `range_m` always fail. Packets are retried
+    /// persistently (each attempt costs airtime, so a lossy link has
+    /// proportionally lower goodput). Zero-byte transfers complete
+    /// instantly.
     ///
     /// An attempt with error rate `per` is delivered when `per <= 0` (no
     /// draw) or when its draw `u` satisfies `u >= per`. While `per` is only
@@ -556,7 +524,7 @@ mod tests {
     #[test]
     fn lossless_transfer_delivers_at_ideal_time() {
         let ch = Channel::new(RadioConfig::default(), LossModel::None);
-        let out = ch.transfer(150_000, 100.0, |_| 10.0, &mut rng());
+        let out = ch.run(&TransferSpec::link(150_000, 100.0), |_| 10.0, &mut rng());
         match out {
             TransferOutcome::Delivered { elapsed } => {
                 let ideal = ch.config().ideal_transfer_time(150_000);
@@ -569,7 +537,7 @@ mod tests {
     #[test]
     fn deadline_aborts_transfer() {
         let ch = Channel::new(RadioConfig::default(), LossModel::None);
-        let out = ch.transfer(52 * 1024 * 1024, 1.0, |_| 10.0, &mut rng());
+        let out = ch.run(&TransferSpec::link(52 * 1024 * 1024, 1.0), |_| 10.0, &mut rng());
         match out {
             TransferOutcome::Failed { elapsed, delivered_bytes } => {
                 assert!(elapsed <= 1.0);
@@ -583,7 +551,7 @@ mod tests {
     #[test]
     fn out_of_range_fails_fast() {
         let ch = Channel::new(RadioConfig::default(), LossModel::None);
-        let out = ch.transfer(3000, 100.0, |_| 600.0, &mut rng());
+        let out = ch.run(&TransferSpec::link(3000, 100.0), |_| 600.0, &mut rng());
         assert!(!out.is_delivered(), "beyond range nothing can be delivered");
     }
 
@@ -595,32 +563,19 @@ mod tests {
         let bytes = 1_500_000;
         // At 350 m PER is 0.40: expect noticeably more airtime than clean.
         let mut r = rng();
-        let t_lossy = match lossy.transfer(bytes, 1000.0, |_| 350.0, &mut r) {
+        let t_lossy = match lossy.run(&TransferSpec::link(bytes, 1000.0), |_| 350.0, &mut r) {
             TransferOutcome::Delivered { elapsed } => elapsed,
             TransferOutcome::Failed { .. } => return, // rare: retx exhausted is acceptable
         };
-        let t_clean = clean.transfer(bytes, 1000.0, |_| 350.0, &mut r).elapsed();
+        let t_clean = clean.run(&TransferSpec::link(bytes, 1000.0), |_| 350.0, &mut r).elapsed();
         assert!(t_lossy > t_clean * 1.2, "lossy {t_lossy} vs clean {t_clean}");
     }
 
     #[test]
     fn zero_bytes_deliver_instantly() {
         let ch = Channel::new(RadioConfig::default(), LossModel::distance_default());
-        let out = ch.transfer(0, 0.0, |_| 100.0, &mut rng());
+        let out = ch.run(&TransferSpec::link(0, 0.0), |_| 100.0, &mut rng());
         assert_eq!(out, TransferOutcome::Delivered { elapsed: 0.0 });
-    }
-
-    #[test]
-    fn spec_entry_point_matches_legacy_helpers() {
-        // The unified `run` must consume the RNG identically to the legacy
-        // helpers — same seed, same outcome, bit for bit.
-        let ch = Channel::new(RadioConfig::default(), LossModel::distance_default());
-        let a = ch.transfer(600_000, 50.0, |_| 320.0, &mut rng());
-        let b = ch.run(&TransferSpec::link(600_000, 50.0), |_| 320.0, &mut rng());
-        assert_eq!(a, b);
-        let a = ch.transfer_fixed_per(600_000, 50.0, 0.3, &mut rng());
-        let b = ch.run(&TransferSpec::fixed_per(600_000, 50.0, 0.3), |_| 0.0, &mut rng());
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -677,9 +632,8 @@ mod tests {
     fn moving_apart_kills_transfer() {
         let ch = Channel::new(RadioConfig::default(), LossModel::distance_default());
         // Start at 480 m, recede at 20 m/s: leaves range in one second.
-        let out = ch.transfer(
-            10 * 1024 * 1024,
-            1000.0,
+        let out = ch.run(
+            &TransferSpec::link(10 * 1024 * 1024, 1000.0),
             |t| 480.0 + 20.0 * t as f32,
             &mut rng(),
         );

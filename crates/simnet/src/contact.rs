@@ -147,20 +147,6 @@ impl ContactPredictor {
         let p = if n == 0 { 0.0 } else { p_sum / n as f64 };
         ContactEstimate { duration, z, p }
     }
-
-    /// The paper's Eq. (5) priority score
-    /// `c = z * p * min(B_i, B_j)` with bandwidths in bits per second.
-    pub fn priority_score(
-        &self,
-        route_a: &[Vec2],
-        route_b: &[Vec2],
-        dt: f64,
-        bandwidth_a: f64,
-        bandwidth_b: f64,
-    ) -> f64 {
-        let est = self.estimate(route_a, route_b, dt);
-        est.z * est.p * bandwidth_a.min(bandwidth_b)
-    }
 }
 
 #[cfg(test)]
@@ -220,16 +206,6 @@ mod tests {
         let e_near = p.estimate(&a, &near, 0.5);
         let e_far = p.estimate(&a, &far, 0.5);
         assert!(e_near.p > e_far.p);
-    }
-
-    #[test]
-    fn priority_uses_min_bandwidth() {
-        let p = predictor();
-        let a = straight_route(Vec2::ZERO, Vec2::ZERO, 61, 0.5);
-        let b = straight_route(Vec2::new(50.0, 0.0), Vec2::ZERO, 61, 0.5);
-        let hi = p.priority_score(&a, &b, 0.5, 31e6, 31e6);
-        let lo = p.priority_score(&a, &b, 0.5, 31e6, 10e6);
-        assert!((hi / lo - 3.1).abs() < 1e-6);
     }
 
     #[test]

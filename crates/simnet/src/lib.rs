@@ -29,7 +29,6 @@ pub mod contact;
 pub mod geom;
 pub mod grid;
 pub mod loss;
-pub mod profiles;
 pub mod trace;
 
 pub use channel::{Channel, RadioConfig, TransferOutcome};

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use rand::SeedableRng;
-use simnet::channel::{Channel, RadioConfig};
+use simnet::channel::{Channel, RadioConfig, TransferSpec};
 use simnet::contact::ContactPredictor;
 use simnet::geom::Vec2;
 use simnet::loss::LossModel;
@@ -25,7 +25,7 @@ proptest! {
         let ideal = cfg.ideal_transfer_time(bytes);
         let ch = Channel::new(cfg, LossModel::distance_default());
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let out = ch.transfer(bytes, f64::INFINITY, |_| d, &mut rng);
+        let out = ch.run(&TransferSpec::link(bytes, f64::INFINITY), |_| d, &mut rng);
         prop_assert!(out.elapsed() >= ideal - 1e-9,
             "elapsed {} < ideal {}", out.elapsed(), ideal);
     }
@@ -36,7 +36,7 @@ proptest! {
         let ideal = cfg.ideal_transfer_time(bytes);
         let ch = Channel::new(cfg, LossModel::None);
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let out = ch.transfer(bytes, f64::INFINITY, |_| 100.0, &mut rng);
+        let out = ch.run(&TransferSpec::link(bytes, f64::INFINITY), |_| 100.0, &mut rng);
         prop_assert!(out.is_delivered());
         prop_assert!((out.elapsed() - ideal).abs() < 1e-9);
     }
@@ -45,7 +45,7 @@ proptest! {
     fn deadline_is_respected(bytes in 1usize..10_000_000, deadline in 0.0f64..5.0) {
         let ch = Channel::new(RadioConfig::default(), LossModel::distance_default());
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let out = ch.transfer(bytes, deadline, |_| 200.0, &mut rng);
+        let out = ch.run(&TransferSpec::link(bytes, deadline), |_| 200.0, &mut rng);
         prop_assert!(out.elapsed() <= deadline + 1e-9);
     }
 
@@ -53,7 +53,7 @@ proptest! {
     fn fixed_per_transfer_matches_distance_free_behavior(bytes in 1usize..200_000) {
         let ch = Channel::new(RadioConfig::default(), LossModel::None);
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        let out = ch.transfer_fixed_per(bytes, f64::INFINITY, 0.0, &mut rng);
+        let out = ch.run(&TransferSpec::fixed_per(bytes, f64::INFINITY, 0.0), |_| 0.0, &mut rng);
         prop_assert!(out.is_delivered());
     }
 
@@ -114,7 +114,7 @@ fn lossy_links_have_lower_goodput_proportional_to_per() {
     let ch = Channel::new(cfg, LossModel::distance_default());
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
     // 300 m -> PER 0.26.
-    let out = ch.transfer(1_500_000, f64::INFINITY, |_| 300.0, &mut rng);
+    let out = ch.run(&TransferSpec::link(1_500_000, f64::INFINITY), |_| 300.0, &mut rng);
     assert!(out.is_delivered());
     let inflation = out.elapsed() / ideal;
     let expected = 1.0 / (1.0 - 0.26);

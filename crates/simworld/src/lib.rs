@@ -36,7 +36,6 @@ pub mod bev;
 pub mod expert;
 pub mod map;
 pub mod reference;
-pub mod render;
 pub mod route;
 pub mod world;
 

@@ -2,7 +2,7 @@
 //!
 //! This is the per-agent-struct `World` exactly as it stood before the
 //! structure-of-arrays refactor (the `coreset::reference` /
-//! `vnn::reference` / `runtime::reference` pattern): vehicles and
+//! `bev::reference` / `runtime::reference` pattern): vehicles and
 //! pedestrians as owned structs, a fresh per-step [`Router`], and a
 //! single serial step loop interleaving movement with RNG reroute draws.
 //! `crate::world::World` must reproduce this world bit for bit at seed

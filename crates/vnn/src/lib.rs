@@ -41,18 +41,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adam;
 pub mod batch;
 pub mod loss;
 pub mod mlp;
 pub mod param;
 pub mod policy;
-pub mod reference;
 pub mod scratch;
 pub mod sgd;
 pub mod wire;
 
-pub use adam::Adam;
 pub use batch::Minibatcher;
 pub use mlp::{Activation, Mlp, MlpSpec};
 pub use param::ParamVec;

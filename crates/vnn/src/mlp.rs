@@ -117,7 +117,7 @@ pub struct Mlp {
 #[derive(Debug, Clone)]
 pub struct Cache {
     /// `acts[0]` is the input; `acts[l]` the output of layer `l - 1`.
-    pub(crate) acts: Vec<Vec<f32>>,
+    acts: Vec<Vec<f32>>,
 }
 
 impl Cache {
@@ -285,8 +285,8 @@ impl Mlp {
     //
     // The methods below run a whole minibatch through the network using
     // caller-owned [`MlpScratch`] buffers: zero allocation after warmup, and
-    // bit-identical outputs/gradients to the per-sample kernels above (which
-    // [`crate::reference`] retains verbatim). Identity holds because every
+    // bit-identical outputs/gradients to the per-sample kernels above, which
+    // the property tests use as the oracle. Identity holds because every
     // per-dot-product order (bias first, then ascending input index) and
     // every per-element accumulation order (ascending sample index,
     // ascending output-unit index) matches the per-sample kernels; batching
@@ -450,12 +450,11 @@ impl Mlp {
     /// Every gradient element visits samples in ascending order and adds
     /// `w[b] * (delta * x)` with exactly the per-sample kernel's rounding,
     /// so the result is bit-identical to backpropagating each sample alone
-    /// and folding the weighted per-sample gradients in sample order (the
-    /// [`crate::reference`] composition). Zero deltas — dead ReLU units,
-    /// inactive heads — contribute exactly `±0.0` in the per-sample kernel,
-    /// which never changes an accumulator that starts at `+0.0`, so they
-    /// are skipped outright. Consumes the staged `d_out`; restage before
-    /// calling again.
+    /// ([`Mlp::backward`]) and folding the weighted per-sample gradients in
+    /// sample order. Zero deltas — dead ReLU units, inactive heads —
+    /// contribute exactly `±0.0` in the per-sample kernel, which never
+    /// changes an accumulator that starts at `+0.0`, so they are skipped
+    /// outright. Consumes the staged `d_out`; restage before calling again.
     ///
     /// # Panics
     /// Panics if `sample_w` has fewer than `n` entries or `grad` is shorter

@@ -47,11 +47,6 @@ impl ParamVec {
         &mut self.data
     }
 
-    /// Consumes the wrapper and returns the raw vector.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Fills a segment `[offset, offset + fan_out * (fan_in + 1))` with
     /// Xavier/Glorot-uniform weights for a dense layer (bias zeroed).
     ///

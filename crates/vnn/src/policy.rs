@@ -267,17 +267,6 @@ impl BranchedPolicy {
         (loss, grad)
     }
 
-    /// The shared trunk network (for the verbatim reference compositions).
-    pub(crate) fn trunk(&self) -> &Mlp {
-        &self.trunk
-    }
-
-    /// The per-command head networks (for the verbatim reference
-    /// compositions).
-    pub(crate) fn heads(&self) -> &[Mlp] {
-        &self.heads
-    }
-
     // ----- batched kernels -------------------------------------------------
 
     /// The forward half every batched pass shares: stages samples
@@ -427,8 +416,8 @@ impl BranchedPolicy {
     /// worker threads — and always cover the same fixed sample ranges, so
     /// the reduction in [`BranchedPolicy::reduce_shards`] is bit-identical
     /// for every worker count. The result is also bit-identical to
-    /// backpropagating each sample alone and folding the weighted gradients
-    /// in sample order (the [`crate::reference`] composition): see
+    /// backpropagating each sample alone ([`BranchedPolicy::loss_and_grad`])
+    /// and folding the weighted gradients in sample order: see
     /// [`Mlp::backward_batch`] for the accumulation-order argument.
     ///
     /// # Panics

@@ -30,15 +30,6 @@ impl Sgd {
         self.lr
     }
 
-    /// Updates the learning rate (e.g. for decay schedules).
-    ///
-    /// # Panics
-    /// Panics if `lr <= 0`.
-    pub fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-
     /// Clears the momentum buffer. Call after replacing the model parameters
     /// with an aggregated model, so stale velocity does not drag the new
     /// model back toward the old one.

@@ -6,7 +6,7 @@ use vnn::loss::{mean_loss, mean_loss_and_grad, LossKind};
 use vnn::wire::{from_dense_bytes, to_dense_bytes, SparseModel};
 use vnn::mlp::LANES;
 use vnn::{
-    Activation, Adam, BranchedPolicy, Minibatcher, Mlp, MlpScratch, MlpSpec, ParamVec,
+    Activation, BranchedPolicy, Minibatcher, Mlp, MlpScratch, MlpSpec, ParamVec,
     PolicySample, PolicySpec, Sgd, TrainScratch, SHARD,
 };
 
@@ -149,7 +149,8 @@ fn policy_loss_decreases_under_training_on_random_data() {
 }
 
 // ---------------------------------------------------------------------------
-// Bit-identity of the batched kernels against `vnn::reference`.
+// Bit-identity of the batched kernels against the per-sample kernels
+// (`BranchedPolicy::forward` / `loss_and_grad`).
 //
 // The batched hot path (PR 5) reorders loops for cache locality but must
 // keep every per-dot-product and per-sample accumulation order fixed; these
@@ -212,6 +213,38 @@ fn live_batch_grad(
     (out.loss_sum, out.weight_sum)
 }
 
+/// Per-sample gradients composed with the fixed `SHARD`-sized reduction of
+/// the batched path: each shard of consecutive samples folds its weighted
+/// per-sample gradients in sample order into a zeroed partial, and partials
+/// are added into `grad` in shard order. Returns `(Σ w·loss, Σ w)`, both
+/// accumulated in global sample order. This composition *defines* the bits
+/// `train_shard` + `reduce_shards` must reproduce, for any worker count.
+fn per_sample_batch_grad(
+    policy: &BranchedPolicy,
+    samples: &[PolicySample<'_>],
+    grad: &mut [f32],
+) -> (f32, f32) {
+    grad.fill(0.0);
+    let mut loss_sum = 0.0f32;
+    let mut weight_sum = 0.0f32;
+    let mut partial = vec![0.0f32; grad.len()];
+    for shard in samples.chunks(SHARD) {
+        partial.fill(0.0);
+        for s in shard {
+            let (l, g) = policy.loss_and_grad(s.input, s.branch, s.target);
+            for (acc, gi) in partial.iter_mut().zip(&g) {
+                *acc += s.weight * *gi;
+            }
+            loss_sum += s.weight * l;
+            weight_sum += s.weight;
+        }
+        for (g, p) in grad.iter_mut().zip(&partial) {
+            *g += *p;
+        }
+    }
+    (loss_sum, weight_sum)
+}
+
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
@@ -226,7 +259,7 @@ proptest! {
         let mut out = Vec::new();
         for (x, b, _, _) in &data {
             policy.forward_into(x, *b, &mut out, &mut scratch);
-            let reference = vnn::reference::policy_forward(&policy, x, *b);
+            let reference = policy.forward(x, *b);
             prop_assert_eq!(bits(&out), bits(&reference));
         }
     }
@@ -239,8 +272,7 @@ proptest! {
         let (loss_sum, weight_sum) =
             live_batch_grad(&policy, &samples, &mut scratch, false);
         let mut ref_grad = vec![0.0f32; policy.param_count()];
-        let (ref_loss, ref_weight) =
-            vnn::reference::batch_loss_and_grad(&policy, &samples[..], &mut ref_grad);
+        let (ref_loss, ref_weight) = per_sample_batch_grad(&policy, &samples, &mut ref_grad);
         prop_assert_eq!(loss_sum.to_bits(), ref_loss.to_bits());
         prop_assert_eq!(weight_sum.to_bits(), ref_weight.to_bits());
         prop_assert_eq!(bits(scratch.grad()), bits(&ref_grad));
@@ -286,25 +318,24 @@ proptest! {
     }
 
     #[test]
-    fn full_adam_epoch_matches_reference_bits(seed in 0u64..1 << 48, n in 1usize..40) {
-        // A whole training epoch — batched kernels + fused scaled Adam step,
-        // scratch reused across steps — against the reference composition
+    fn full_sgd_epoch_matches_reference_bits(seed in 0u64..1 << 48, n in 1usize..40) {
+        // A whole training epoch — batched kernels + fused scaled SGD step,
+        // scratch reused across steps — against the per-sample composition
         // with a separate gradient-scaling pass.
         let (policy, data) = seeded_policy_and_batch(seed, n);
         let samples = as_samples(&data);
         let mut live = policy.clone();
         let mut reference = policy;
-        let mut live_opt = Adam::new(3e-3);
-        let mut ref_opt = Adam::new(3e-3);
+        let mut live_opt = Sgd::new(3e-3, 0.9, 1e-4);
+        let mut ref_opt = live_opt.clone();
         let mut scratch = TrainScratch::new();
         let mut ref_grad = vec![0.0f32; reference.param_count()];
         for _ in 0..4 {
             let (loss, weight) = live_batch_grad(&live, &samples, &mut scratch, false);
             let inv = 1.0 / weight;
             live_opt.step_scaled(live.params_mut().as_mut_slice(), scratch.grad(), inv);
-            ref_grad.fill(0.0);
             let (ref_loss, ref_weight) =
-                vnn::reference::batch_loss_and_grad(&reference, &samples[..], &mut ref_grad);
+                per_sample_batch_grad(&reference, &samples, &mut ref_grad);
             let ref_inv = 1.0 / ref_weight;
             for g in &mut ref_grad {
                 *g *= ref_inv;
