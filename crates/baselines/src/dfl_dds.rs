@@ -178,6 +178,13 @@ impl<L: Learner> CollabAlgorithm for DflDds<L> {
         ctx.elapsed()
     }
 
+    /// Model-sharing only: no shared routes, so pairs are served in
+    /// encounter order and no contact is predicted for a pair that does
+    /// not open.
+    fn static_priority(&self, _i: usize, _j: usize) -> Option<f64> {
+        Some(0.0)
+    }
+
     fn mean_eval_loss(&self, eval: &[L::Sample]) -> f64 {
         mean_eval_loss(self.nodes.iter().map(|n| &n.learner), eval)
     }

@@ -110,7 +110,7 @@ impl<L: Learner> CollabAlgorithm for RsuL<L> {
     }
 
     /// No V2V exchanges in RSU-L: sessions never open
-    /// (and `pair_priority` already opts out of matching).
+    /// (and `static_priority` already opts out of matching).
     fn session_open(&mut self, _ctx: &mut SessionCtx<'_>) -> Option<((), SessionStep)> {
         None
     }
@@ -128,8 +128,8 @@ impl<L: Learner> CollabAlgorithm for RsuL<L> {
         ctx.elapsed()
     }
 
-    fn pair_priority(&self, _i: usize, _j: usize, _est: &simnet::contact::ContactEstimate) -> f64 {
-        f64::NEG_INFINITY
+    fn static_priority(&self, _i: usize, _j: usize) -> Option<f64> {
+        Some(f64::NEG_INFINITY) // never matched
     }
 
     fn on_frame(&mut self, ctx: &mut FrameCtx<'_>) {

@@ -98,6 +98,8 @@ pub fn run(opts: &SuiteOpts) -> Vec<BenchResult> {
         // Driving-scale cells, appended so the ids above keep their order.
         ("vnn", bench_vnn_driving_scale),
         ("phi", bench_phi),
+        ("vnn", bench_vnn_bev),
+        ("runtime", bench_runtime_static),
     ];
     for (group, cell) in cells {
         if opts.group_enabled(group) {
@@ -383,8 +385,7 @@ fn bench_vnn(c: &mut Timer, _opts: &SuiteOpts) {
                 for row in staged.chunks_mut(4) {
                     row.copy_from_slice(&d_out);
                 }
-                mlp.backward_batch(&params, &mut scratch, bsz, &weights, &mut grad);
-                grad[0]
+                mlp.backward_batch_d_input(&params, &mut scratch, bsz, &weights, &mut grad)[0]
             });
         });
     }
@@ -454,10 +455,7 @@ fn driving_fixture(n: usize) -> (DrivingLearner, Vec<Frame>) {
             waypoints: (0..spec.head_dim()).map(|_| rng.random_range(-2.0f32..2.0)).collect(),
         })
         .collect();
-    let batch: Vec<(&Frame, f32)> = frames.iter().take(64).map(|f| (f, 1.0)).collect();
-    for _ in 0..3 {
-        learner.train_step(&batch);
-    }
+    warm_up(&mut learner, &frames);
     (learner, frames)
 }
 
@@ -493,6 +491,88 @@ fn bench_vnn_driving_scale(c: &mut Timer, _opts: &SuiteOpts) {
             });
         });
     }
+}
+
+/// Three training steps over the first 64 `frames`, so losses spread and
+/// ReLU units die as they do a few iterations into a run.
+fn warm_up(learner: &mut DrivingLearner, frames: &[Frame]) {
+    let batch: Vec<(&Frame, f32)> = frames.iter().take(64).map(|f| (f, 1.0)).collect();
+    for _ in 0..3 {
+        learner.train_step(&batch);
+    }
+}
+
+/// The paper-scale policy a few steps into training over frames vehicles
+/// really record: a small [`World`] driven through
+/// [`driving::collect::collect_datasets`], every vehicle's frames pooled
+/// round-robin. The BEV is a sparse binary occupancy tensor, so most input
+/// values are exactly `0.0` — which [`driving_fixture`]'s uniform random
+/// features never are, and which the first trunk layer's kernels skip.
+fn bev_fixture(n: usize) -> (DrivingLearner, Vec<Frame>) {
+    use driving::collect::{collect_datasets, CollectConfig};
+    let mut world = World::new(WorldConfig::small(19));
+    let per_vehicle = n.div_ceil(world.n_experts());
+    let collect = CollectConfig {
+        seconds: per_vehicle as f64 / world.config().fps,
+        stride: 1,
+        balance_commands: false,
+    };
+    let datasets = collect_datasets(&mut world, &collect);
+    let frames: Vec<Frame> = (0..per_vehicle)
+        .flat_map(|k| datasets.iter().map(move |d| d.sample(k).clone()))
+        .take(n)
+        .collect();
+    let (zeros, values) = frames.iter().fold((0usize, 0usize), |(z, v), f| {
+        (z + f.features.iter().filter(|x| **x == 0.0).count(), v + f.features.len())
+    });
+    assert!(4 * zeros >= 3 * values, "BEV frames must be sparse: {zeros} zeros of {values}");
+    let bev = &world.config().bev;
+    let spec = DrivingLearner::spec_for(bev.feature_len(), world.config().n_waypoints);
+    let mut learner =
+        DrivingLearner::new(&spec, 1e-2, &mut rand::rngs::StdRng::seed_from_u64(19));
+    warm_up(&mut learner, &frames);
+    (learner, frames)
+}
+
+/// The two passes a run spends its learner time in, over recorded frames:
+/// one local-training round and one coreset-sized loss pass.
+fn bench_vnn_bev(c: &mut Timer, _opts: &SuiteOpts) {
+    let (learner, frames) = bev_fixture(64);
+    // `vnn/policy_train_round_b64`'s round, shard by shard on this thread.
+    let batch: Vec<PolicySample<'_>> = frames
+        .iter()
+        .enumerate()
+        .map(|(k, f)| PolicySample {
+            input: &f.features,
+            branch: f.command.index(),
+            target: &f.waypoints,
+            weight: 0.5 + (k % 5) as f32 * 0.3,
+        })
+        .collect();
+    c.bench_function("vnn/policy_train_round_b64_bev", |b| {
+        let mut scratch = TrainScratch::new();
+        b.measure_batched(
+            || (learner.policy().clone(), Sgd::new(1e-2, 0.9, 1e-5)),
+            |(mut pol, mut opt)| {
+                let n = batch.len();
+                for (s, shard) in scratch.shards_mut(n).iter_mut().enumerate() {
+                    pol.train_shard(&batch[..], s * SHARD, shard);
+                }
+                let out = pol.reduce_shards(&mut scratch, n);
+                let inv = 1.0 / out.weight_sum;
+                opt.step_scaled(pol.params_mut().as_mut_slice(), scratch.grad(), inv);
+                out.loss_sum * inv
+            },
+        );
+    });
+    c.bench_function("vnn/policy_losses_b60_bev", |b| {
+        let refs: Vec<&Frame> = frames.iter().take(60).collect();
+        let mut out = Vec::new();
+        b.measure(|| {
+            learner.losses_with(learner.params(), &refs, &mut out);
+            out[0]
+        });
+    });
 }
 
 fn bench_phi(c: &mut Timer, _opts: &SuiteOpts) {
@@ -658,6 +738,24 @@ struct ProbeAlgo {
     /// run times frame matching — discovery, route sampling, estimation —
     /// in isolation.
     decline: bool,
+    /// State the priority without the contact estimate, as the baselines
+    /// do: the runtime then predicts contacts for opened pairs only.
+    stated: bool,
+}
+
+impl ProbeAlgo {
+    /// A probe ranked eagerly, moving `bytes` per transfer.
+    fn new(n: usize, bytes: usize) -> Self {
+        Self { n, params: ParamVec::zeros(1), bytes, greedy: false, decline: false, stated: false }
+    }
+
+    fn priority(&self) -> f64 {
+        if self.decline {
+            f64::NEG_INFINITY
+        } else {
+            0.0
+        }
+    }
 }
 
 impl CollabAlgorithm for ProbeAlgo {
@@ -703,12 +801,12 @@ impl CollabAlgorithm for ProbeAlgo {
         ctx.elapsed()
     }
 
+    fn static_priority(&self, _i: usize, _j: usize) -> Option<f64> {
+        self.stated.then(|| self.priority())
+    }
+
     fn pair_priority(&self, _i: usize, _j: usize, _est: &simnet::contact::ContactEstimate) -> f64 {
-        if self.decline {
-            f64::NEG_INFINITY
-        } else {
-            0.0
-        }
+        self.priority()
     }
 
     fn mean_eval_loss(&self, _eval: &[()]) -> f64 {
@@ -735,6 +833,37 @@ fn grid_trace(n: usize, seconds: f64) -> MobilityTrace {
     MobilityTrace::new(fps, positions)
 }
 
+/// Frame matching in isolation: a declining probe never opens a session,
+/// and a zero pair cooldown means every frame re-runs full encounter
+/// discovery over the 256-node fleet — plus, unless the probe states its
+/// priority (`stated`), route sampling and contact estimation for every
+/// candidate pair.
+fn frame_match_cell(c: &mut Timer, sampling: Sampling, id: &str, stated: bool) {
+    let n = 256usize;
+    let seconds = 20.0;
+    let trace = grid_trace(n, seconds);
+    let cfg = RuntimeConfig {
+        duration: seconds,
+        eval_every: seconds,
+        pair_cooldown: 0.0,
+        seed: 9,
+        ..RuntimeConfig::default()
+    };
+    let rt = Runtime::new(cfg);
+    c.bench_sampled(id, sampling, |b| {
+        b.measure(|| {
+            let mut algo = ProbeAlgo { decline: true, stated, ..ProbeAlgo::new(n, 20_000) };
+            rt.run(&mut algo, &trace, &[]).map_or(0, |m| m.train_iterations)
+        });
+    });
+}
+
+/// `runtime/frame_match_256` for a method that ranks pairs without the
+/// contact estimate (appended so the ids above keep their order).
+fn bench_runtime_static(c: &mut Timer, opts: &SuiteOpts) {
+    frame_match_cell(c, opts.group_sampling(60, 4), "runtime/frame_match_256_static", true);
+}
+
 fn bench_runtime(c: &mut Timer, opts: &SuiteOpts) {
     let sampling = opts.group_sampling(60, 4);
     // The event scheduler over parked fleets: matching, queue churn, and
@@ -752,41 +881,12 @@ fn bench_runtime(c: &mut Timer, opts: &SuiteOpts) {
         let rt = Runtime::new(cfg);
         c.bench_sampled(format!("runtime/event_loop_{n}nodes"), sampling, |b| {
             b.measure(|| {
-                let mut algo =
-                    ProbeAlgo { n, params: ParamVec::zeros(1), bytes: 20_000, greedy: false, decline: false };
+                let mut algo = ProbeAlgo::new(n, 20_000);
                 rt.run(&mut algo, &trace, &[]).map_or(0, |m| m.sessions)
             });
         });
     }
-    // Frame matching in isolation: a declining probe never opens a
-    // session, and a zero pair cooldown means every frame re-runs full
-    // encounter discovery, route sampling, and contact estimation over
-    // the 256-node fleet.
-    {
-        let n = 256usize;
-        let seconds = 20.0;
-        let trace = grid_trace(n, seconds);
-        let cfg = RuntimeConfig {
-            duration: seconds,
-            eval_every: seconds,
-            pair_cooldown: 0.0,
-            seed: 9,
-            ..RuntimeConfig::default()
-        };
-        let rt = Runtime::new(cfg);
-        c.bench_sampled("runtime/frame_match_256", sampling, |b| {
-            b.measure(|| {
-                let mut algo = ProbeAlgo {
-                    n,
-                    params: ParamVec::zeros(1),
-                    bytes: 20_000,
-                    greedy: false,
-                    decline: true,
-                };
-                rt.run(&mut algo, &trace, &[]).map_or(0, |m| m.train_iterations)
-            });
-        });
-    }
+    frame_match_cell(c, sampling, "runtime/frame_match_256", false);
     // The traffic `fleet256_w` sends, at a quarter of the fleet: 64 moving
     // vehicles gossiping a 4 MiB payload each way under the distance→PER
     // table for 60 simulated seconds — `fleet_traffic_golden`'s fleet, radio
@@ -806,13 +906,7 @@ fn bench_runtime(c: &mut Timer, opts: &SuiteOpts) {
         let rt = Runtime::new(cfg);
         c.bench_sampled("runtime/gossip_64_moving_4MB_loss", sampling, |b| {
             b.measure(|| {
-                let mut algo = ProbeAlgo {
-                    n: 64,
-                    params: ParamVec::zeros(1),
-                    bytes: 4 * 1024 * 1024,
-                    greedy: false,
-                    decline: false,
-                };
+                let mut algo = ProbeAlgo::new(64, 4 * 1024 * 1024);
                 rt.run(&mut algo, &trace, &[]).map_or(0, |m| m.bytes_delivered)
             });
         });
@@ -841,8 +935,7 @@ fn bench_runtime(c: &mut Timer, opts: &SuiteOpts) {
         let rt = Runtime::new(cfg);
         c.bench_sampled("runtime/contended_16pairs", sampling, |b| {
             b.measure(|| {
-                let mut algo =
-                    ProbeAlgo { n: 32, params: ParamVec::zeros(1), bytes: 2_000_000, greedy: true, decline: false };
+                let mut algo = ProbeAlgo { greedy: true, ..ProbeAlgo::new(32, 2_000_000) };
                 rt.run(&mut algo, &trace, &[]).map_or(0, |m| m.bytes_delivered)
             });
         });

@@ -218,8 +218,10 @@ struct EventLoop<'a, A: CollabAlgorithm> {
     free: Vec<usize>,
     /// In-range pairs among `free`, refilled by the grid.
     encounters: Vec<Encounter>,
-    /// `(priority, i, j, estimate)` of every pairing the frame may open.
-    candidates: Vec<(f64, usize, usize, ContactEstimate)>,
+    /// `(priority, i, j, estimate)` of every pairing the frame may open;
+    /// the estimate is `None` until matching opens a pair whose method
+    /// stated its priority without one.
+    candidates: Vec<(f64, usize, usize, Option<ContactEstimate>)>,
     /// Per node: already matched this frame.
     taken: Vec<bool>,
     /// Sessions stepping in the current medium window.
@@ -355,14 +357,29 @@ impl<'a, A: CollabAlgorithm> EventLoop<'a, A> {
             self.cfg.obs.add("net.encounter.candidates", stats.candidates);
             self.cfg.obs.add("net.encounter.cells", stats.cells);
         }
+        // A method that states a pair's priority without the contact
+        // estimate is ranked with no route sampled; its estimate is computed
+        // below, for the pairs matching opens only. The estimate is a pure
+        // function of (trace, i, j, t) and draws no RNG, so either order
+        // hands `ContactOpen` the same bits (DESIGN.md §4).
+        let mut estimates = 0u64;
+        let mut estimate = |i, j| {
+            estimates += 1;
+            let (fut_i, fut_j) = self.routes.pair(self.trace, i, j, t, self.dt);
+            self.predictor.estimate(fut_i, fut_j, self.dt)
+        };
         self.candidates.clear();
         for &Encounter { a: i, b: j, .. } in &self.encounters {
             if self.cooldown.get(i, j) > t {
                 continue;
             }
-            let (fut_i, fut_j) = self.routes.pair(self.trace, i, j, t, self.dt);
-            let est = self.predictor.estimate(fut_i, fut_j, self.dt);
-            let score = algo.pair_priority(i, j, &est);
+            let (score, est) = match algo.static_priority(i, j) {
+                Some(score) => (score, None),
+                None => {
+                    let est = estimate(i, j);
+                    (algo.pair_priority(i, j, &est), Some(est))
+                }
+            };
             if !score.is_finite() {
                 continue; // method opted out of this pairing
             }
@@ -378,7 +395,20 @@ impl<'a, A: CollabAlgorithm> EventLoop<'a, A> {
             }
             self.taken[i] = true;
             self.taken[j] = true;
+            let est = est.unwrap_or_else(|| {
+                let est = estimate(i, j);
+                debug_assert_eq!(
+                    algo.pair_priority(i, j, &est).to_bits(),
+                    score.to_bits(),
+                    "{}: a static priority must not depend on the estimate",
+                    algo.name()
+                );
+                est
+            });
             self.queue.push(t, Event::ContactOpen { i, j, est, priority: score });
+        }
+        if self.cfg.obs.enabled() {
+            self.cfg.obs.add("net.contact.estimates", estimates);
         }
 
         for v in 0..self.n {

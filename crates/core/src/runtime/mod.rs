@@ -512,8 +512,9 @@ pub trait CollabAlgorithm {
     /// as a zero-duration session: it counts in [`Metrics::sessions`], both
     /// nodes are held busy for one frame, and
     /// [`RuntimeConfig::pair_cooldown`] applies to the pair. To skip a
-    /// pairing at no cost, return `-inf` from
-    /// [`CollabAlgorithm::pair_priority`] instead.
+    /// pairing at no cost, answer `-inf` from
+    /// [`CollabAlgorithm::static_priority`] (or
+    /// [`CollabAlgorithm::pair_priority`]) instead.
     fn session_open(&mut self, ctx: &mut SessionCtx<'_>) -> Option<(Self::Session, SessionStep)>;
 
     /// Handles the outcome of the previously requested transfer and returns
@@ -532,15 +533,33 @@ pub trait CollabAlgorithm {
     /// duration in seconds (both nodes were busy that long).
     fn session_close(&mut self, state: Self::Session, ctx: &mut SessionCtx<'_>) -> f64;
 
+    /// The pair's matching priority when the method can state it without
+    /// the contact estimate; `None` (the default) means "I rank by the
+    /// estimate" and the runtime asks [`CollabAlgorithm::pair_priority`]
+    /// instead. Only LbChat ranks neighbours by what shared routes predict
+    /// (§III-A); the model-sharing baselines pair in encounter order
+    /// (`Some(0.0)`) and the infrastructure-only ones opt out of V2V
+    /// pairing (`Some(-inf)`). For a pair that answers `Some`, the runtime
+    /// samples no route and predicts no contact while ranking: it computes
+    /// the estimate a session reads through [`SessionCtx::contact`] only
+    /// for the pairs greedy matching opens, in the same frame at the same
+    /// time — the same value, since the estimate is a pure function of the
+    /// trace, the pair and the frame time. A method defines exactly one of
+    /// `static_priority` and `pair_priority`; the value must not depend on
+    /// anything a session changes within the frame.
+    fn static_priority(&self, _i: usize, _j: usize) -> Option<f64> {
+        None
+    }
+
     /// Ranks a potential encounter for greedy pair matching (higher =
-    /// served first). The default is 0 — no prioritization; pairs are
-    /// served in arbitrary (encounter-enumeration) order, which is what the
-    /// model-sharing-only baselines do. LbChat overrides this with the
-    /// Eq. (5) score computed from shared routes — its route-sharing
-    /// advantage. Return `-inf` to opt out of V2V pairing entirely
-    /// (infrastructure-only methods).
-    fn pair_priority(&self, _i: usize, _j: usize, _est: &ContactEstimate) -> f64 {
-        0.0
+    /// served first, `-inf` = never matched) from its contact estimate.
+    /// LbChat overrides this with the Eq. (5) score computed from shared
+    /// routes — its route-sharing advantage. The default answers
+    /// [`CollabAlgorithm::static_priority`], or 0 when the method states
+    /// neither: no prioritization, pairs are served in
+    /// encounter-enumeration order.
+    fn pair_priority(&self, i: usize, j: usize, _est: &ContactEstimate) -> f64 {
+        self.static_priority(i, j).unwrap_or(0.0)
     }
 
     /// Per-frame hook for infrastructure communication (server rounds,
@@ -1054,6 +1073,17 @@ mod tests {
     struct Chatter {
         n: usize,
         params: ParamVec,
+        /// What `static_priority` answers: `None` ranks by the estimate.
+        stated: Option<f64>,
+        /// `pair_priority` calls seen — one per estimate an eager ranking
+        /// computes.
+        ranked: std::cell::Cell<u64>,
+    }
+
+    impl Chatter {
+        fn new(n: usize, stated: Option<f64>) -> Self {
+            Self { n, params: ParamVec::zeros(1), stated, ranked: std::cell::Cell::new(0) }
+        }
     }
 
     struct ChatterSession {
@@ -1089,7 +1119,12 @@ mod tests {
                 return None;
             }
             let remaining = (ctx.rng().random::<f32>() * 3.0) as u32;
-            let bytes = 10_000 + (ctx.rng().random::<f32>() * 40_000.0) as usize;
+            // Sized by the predicted contact, as the gossip baselines do: a
+            // session handed another pair's or another instant's estimate
+            // moves different traffic.
+            let est = ctx.contact();
+            let fitted = (est.duration.clamp(0.0, 60.0) * 100.0 + est.p * 1000.0) as usize;
+            let bytes = 10_000 + fitted + (ctx.rng().random::<f32>() * 40_000.0) as usize;
             Some((
                 ChatterSession { remaining },
                 SessionStep::Transfer(TransferSpec::link(bytes, 8.0)),
@@ -1111,6 +1146,13 @@ mod tests {
         }
         fn session_close(&mut self, _state: ChatterSession, ctx: &mut SessionCtx<'_>) -> f64 {
             ctx.elapsed()
+        }
+        fn static_priority(&self, _i: usize, _j: usize) -> Option<f64> {
+            self.stated
+        }
+        fn pair_priority(&self, _i: usize, _j: usize, est: &ContactEstimate) -> f64 {
+            self.ranked.set(self.ranked.get() + 1);
+            self.stated.unwrap_or(est.z * est.p)
         }
         fn mean_eval_loss(&self, _eval: &[()]) -> f64 {
             1.0
@@ -1142,8 +1184,16 @@ mod tests {
 
     fn assert_same_chatter_run(cfg: RuntimeConfig, vehicles: &[(f32, f32)]) {
         let trace = lane_trace(vehicles, cfg.duration);
-        let chatter = || Chatter { n: vehicles.len(), params: ParamVec::zeros(1) };
-        assert_same_run(cfg, &trace, &[], &mut chatter(), &mut chatter());
+        // Ranked by the estimate, then with a static priority: the event
+        // loop predicts the second run's contacts after matching, the frame
+        // loop before, and a method that never matches opens nothing.
+        for stated in [None, Some(0.0), Some(f64::NEG_INFINITY)] {
+            let chatter = || Chatter::new(vehicles.len(), stated);
+            let m = assert_same_run(cfg.clone(), &trace, &[], &mut chatter(), &mut chatter());
+            if stated == Some(f64::NEG_INFINITY) {
+                assert_eq!(m.sessions, 0, "a method that opts out opens nothing");
+            }
+        }
     }
 
     proptest::proptest! {
@@ -1176,6 +1226,45 @@ mod tests {
             };
             assert_same_chatter_run(cfg, &vehicles);
         }
+    }
+
+    /// A contact is predicted only where something reads the prediction:
+    /// for a method that states its priority, once per session the frame
+    /// opens; for one that ranks by the estimate, once per candidate that
+    /// survived the cooldown, as before.
+    #[test]
+    fn a_static_priority_costs_one_estimate_per_opened_session() {
+        // 48 vehicles on 30 m lanes crossing each other at 2–9 m/s.
+        let fleet: Vec<(f32, f32)> = (0..48)
+            .map(|k| {
+                let speed = 2.0 + (k % 8) as f32;
+                ((k % 6) as f32 * 150.0 - 400.0, if k % 2 == 0 { speed } else { -speed })
+            })
+            .collect();
+        let trace = lane_trace(&fleet, 90.0);
+        let run = |stated: Option<f64>| {
+            let sink = ObsSink::recording();
+            let cfg = RuntimeConfig {
+                duration: 90.0,
+                eval_every: 45.0,
+                pair_cooldown: 20.0,
+                loss_model: LossModel::distance_default(),
+                seed: 5,
+                obs: sink.clone(),
+                ..RuntimeConfig::default()
+            };
+            let mut chatter = Chatter::new(fleet.len(), stated);
+            let m = Runtime::new(cfg).run(&mut chatter, &trace, &[]).expect("trace fits");
+            (m.sessions, sink.counters()["net.contact.estimates"], chatter.ranked.get())
+        };
+        let (sessions, estimates, _) = run(Some(0.0));
+        assert!(sessions > 100, "the fleet must keep chatting: {sessions}");
+        assert_eq!(estimates, sessions, "one estimate per ContactOpen");
+        let (sessions, estimates, ranked) = run(None);
+        assert_eq!(estimates, ranked, "one estimate per post-cooldown candidate");
+        assert!(ranked > 2 * sessions, "most candidates lose the matching: {ranked} vs {sessions}");
+        let (sessions, estimates, _) = run(Some(f64::NEG_INFINITY));
+        assert_eq!((sessions, estimates), (0, 0), "nothing opens, nothing is predicted");
     }
 
     /// The paper-shaped corner cases the strategy may not hit every run:

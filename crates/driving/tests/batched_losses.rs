@@ -76,6 +76,22 @@ fn frames(n: usize, only: Option<Command>, rng: &mut rand::rngs::StdRng) -> Vec<
         .collect()
 }
 
+/// [`frames`] shaped like recorded ones: the BEV part a sparse occupancy
+/// tensor — five values in six exactly zero, a `-0.0` among them, the first
+/// 20 features zero in every frame, every seventh frame empty — and the
+/// navigation scalars left as drawn. What the forward kernel steps over.
+fn bev_frames(n: usize, only: Option<Command>, rng: &mut rand::rngs::StdRng) -> Vec<Frame> {
+    let mut data = frames(n, only, rng);
+    for (k, frame) in data.iter_mut().enumerate() {
+        for (i, x) in frame.features[..BEV_FEATURES].iter_mut().enumerate() {
+            if i < 20 || k % 7 == 6 || rng.random_range(0..6) != 0 {
+                *x = if rng.random_range(0..8) == 0 { -0.0 } else { 0.0 };
+            }
+        }
+    }
+    data
+}
+
 /// A driving-scale learner a few steps into training, so losses spread.
 fn learner(rng: &mut rand::rngs::StdRng) -> DrivingLearner {
     let spec = DrivingLearner::spec_for(BEV_FEATURES, WAYPOINTS);
@@ -103,13 +119,14 @@ proptest! {
         let mut out = vec![-1.0f32; 5];
         for n in [0usize, 1, 2, 3, 7, 8, 9, 63, 64, 65, 720] {
             for only in [None, Some(COMMANDS[n % COMMANDS.len()])] {
-                let data = frames(n, only, &mut rng);
-                let refs: Vec<&Frame> = data.iter().collect();
-                for params in [learner.params(), &compressed] {
-                    learner.losses_with(params, &refs, &mut out);
-                    let single: Vec<f32> =
-                        data.iter().map(|f| learner.loss_with(params, f)).collect();
-                    prop_assert_eq!(bits(&out), bits(&single), "n={} only={:?}", n, only);
+                for data in [frames(n, only, &mut rng), bev_frames(n, only, &mut rng)] {
+                    let refs: Vec<&Frame> = data.iter().collect();
+                    for params in [learner.params(), &compressed] {
+                        learner.losses_with(params, &refs, &mut out);
+                        let single: Vec<f32> =
+                            data.iter().map(|f| learner.loss_with(params, f)).collect();
+                        prop_assert_eq!(bits(&out), bits(&single), "n={} only={:?}", n, only);
+                    }
                 }
             }
         }
@@ -120,7 +137,9 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let batched = learner(&mut rng);
         let plain = PerSample(batched.clone());
-        let dataset = WeightedDataset::uniform(frames(400, None, &mut rng));
+        let mut recorded = frames(200, None, &mut rng);
+        recorded.extend(bev_frames(200, None, &mut rng));
+        let dataset = WeightedDataset::uniform(recorded);
         let cfg = CoresetConfig { size: 60 };
         let pen = PenaltyConfig::default();
 

@@ -14,9 +14,30 @@ use rand::Rng;
 /// `LANES` consecutive samples, and every accumulator lane is one sample.
 pub const LANES: usize = 8;
 
+/// Bit pattern of `-0.0f32`: the sign bit alone.
+const NEG_ZERO_BITS: u32 = 0x8000_0000;
+
 /// Output units per register tile: `J_TILE` units × [`LANES`] samples of
 /// accumulators stay in registers across the whole input dimension.
 const J_TILE: usize = 4;
+
+/// Collects into `runs` the maximal runs of live columns of `xt` — a column
+/// is dead when every lane is `±0.0` — and returns how many there are.
+fn live_runs(xt: &[[f32; LANES]], runs: &mut [std::ops::Range<usize>]) -> usize {
+    let mut n = 0;
+    for (i, col) in xt.iter().enumerate() {
+        if col.iter().fold(0, |any, x| any | x.to_bits()) & !NEG_ZERO_BITS == 0 {
+            continue;
+        }
+        if n > 0 && runs[n - 1].end == i {
+            runs[n - 1].end = i + 1;
+        } else {
+            runs[n] = i..i + 1;
+            n += 1;
+        }
+    }
+    n
+}
 
 /// `acc[lane] += x[lane] * w` — one multiply, then one add per lane (no
 /// fused multiply-add), exactly the per-sample kernel's `acc += xi * wji`.
@@ -320,14 +341,29 @@ impl Mlp {
     /// `acc_j[lane] += x[lane] * w_j`. A lane never mixes with another
     /// lane, and within its lane every output unit is the same bias-first,
     /// ascending-input-index chain of separately rounded multiplies and
-    /// adds as [`Mlp::forward`] — so the result is bit-identical to `n`
-    /// calls of [`Mlp::forward`], while the compiler emits packed
+    /// adds as [`Mlp::forward`], while the compiler emits packed
     /// arithmetic across the lanes. A block of one sample (a batch of one
     /// above all: [`crate::BranchedPolicy::forward_into`]) keeps the
     /// per-sample dot product: a tile with one live lane costs as much as
     /// a block of three, which is more than one scalar pass but less than
     /// two.
-    /// Activations stay sample-major, as [`Mlp::backward_batch`] reads them.
+    ///
+    /// In the first layer — the one that reads the data — the tile visits
+    /// only the input columns that are non-zero in at least one lane of the
+    /// block (dense input keeps every column; the driving BEV, a sparse
+    /// binary occupancy tensor, keeps about a third).
+    /// A skipped term is `±0.0 · w = ±0.0` for finite `w`, and adding
+    /// `±0.0` changes no accumulator except `-0.0 + +0.0`. An accumulator
+    /// can only be `-0.0` if it started there — a sum is `-0.0` only when
+    /// both addends are — so a layer with a `-0.0` bias (compared by bits)
+    /// keeps every column, and everywhere else the skip is exact. Hence
+    /// the contract: **bit-identical to `n` calls of [`Mlp::forward`] for
+    /// finite parameters and inputs**. A NaN or infinite weight still
+    /// poisons every sample of a block in which some sample reads its
+    /// column, but not a block whose samples are all zero there (where
+    /// [`Mlp::forward`] computes `0 · NaN`): code that must detect a
+    /// poisoned model inspects the parameters, not the outputs.
+    /// Activations stay sample-major, as the backward passes read them.
     ///
     /// # Panics
     /// Panics if the batch was not staged via [`Mlp::stage_batch`].
@@ -350,6 +386,12 @@ impl Mlp {
             let xs = &lo[l][..n * fan_in];
             let ys = &mut hi[0][..n * fan_out];
             let xt = &mut scratch.lanes[..fan_in];
+            let live = &mut scratch.live[..];
+            // Only the layer that reads the data looks for dead columns: a
+            // hidden layer's inputs are activations, zero element by element
+            // but hardly ever down a whole block column, so the scan would
+            // be paid for nothing. A `-0.0` bias keeps every column.
+            let scan = l == 0 && biases.iter().all(|b| b.to_bits() != NEG_ZERO_BITS);
             for (xblock, yblock) in
                 xs.chunks(LANES * fan_in).zip(ys.chunks_mut(LANES * fan_out))
             {
@@ -374,6 +416,13 @@ impl Mlp {
                         *lane = x[i];
                     }
                 }
+                let live = if scan {
+                    let n_runs = live_runs(xt, live);
+                    &live[..n_runs]
+                } else {
+                    live[0] = 0..fan_in;
+                    &live[..1]
+                };
                 let mut store = |j: usize, acc: &[f32; LANES]| {
                     for (yrow, &a) in yblock.chunks_exact_mut(fan_out).zip(acc) {
                         yrow[j] = act.apply(a);
@@ -389,13 +438,17 @@ impl Mlp {
                     let mut a1 = [biases[j + 1]; LANES];
                     let mut a2 = [biases[j + 2]; LANES];
                     let mut a3 = [biases[j + 3]; LANES];
-                    for ((((x, &w0), &w1), &w2), &w3) in
-                        xt.iter().zip(r0).zip(r1).zip(r2).zip(r3)
-                    {
-                        axpy(&mut a0, x, w0);
-                        axpy(&mut a1, x, w1);
-                        axpy(&mut a2, x, w2);
-                        axpy(&mut a3, x, w3);
+                    for run in live {
+                        let (w0, w1) = (&r0[run.clone()], &r1[run.clone()]);
+                        let (w2, w3) = (&r2[run.clone()], &r3[run.clone()]);
+                        for ((((x, &w0), &w1), &w2), &w3) in
+                            xt[run.clone()].iter().zip(w0).zip(w1).zip(w2).zip(w3)
+                        {
+                            axpy(&mut a0, x, w0);
+                            axpy(&mut a1, x, w1);
+                            axpy(&mut a2, x, w2);
+                            axpy(&mut a3, x, w3);
+                        }
                     }
                     store(j, &a0);
                     store(j + 1, &a1);
@@ -406,8 +459,10 @@ impl Mlp {
                 // The `fan_out % J_TILE` units left over, one at a time.
                 for row in tiles.remainder().chunks_exact(fan_in) {
                     let mut a = [biases[j]; LANES];
-                    for (x, &w) in xt.iter().zip(row) {
-                        axpy(&mut a, x, w);
+                    for run in live {
+                        for (x, &w) in xt[run.clone()].iter().zip(&row[run.clone()]) {
+                            axpy(&mut a, x, w);
+                        }
                     }
                     store(j, &a);
                     j += 1;
@@ -444,8 +499,9 @@ impl Mlp {
 
     /// Backpropagates the staged output gradients through the activations of
     /// the last [`Mlp::forward_batch`], accumulating each sample's parameter
-    /// gradient scaled by its `sample_w` entry into `grad`; the input
-    /// gradients are left behind for [`Mlp::batch_d_input`].
+    /// gradient scaled by its `sample_w` entry into `grad`, and returns the
+    /// per-sample input gradients: `n` rows of `input_dim` floats. This is
+    /// the form for a network fed by another network's output.
     ///
     /// Every gradient element visits samples in ascending order and adds
     /// `w[b] * (delta * x)` with exactly the per-sample kernel's rounding,
@@ -459,6 +515,44 @@ impl Mlp {
     /// # Panics
     /// Panics if `sample_w` has fewer than `n` entries or `grad` is shorter
     /// than the parameter vector.
+    pub fn backward_batch_d_input<'s>(
+        &self,
+        params: &ParamVec,
+        scratch: &'s mut MlpScratch,
+        n: usize,
+        sample_w: &[f32],
+        grad: &mut [f32],
+    ) -> &'s [f32] {
+        self.backward_layers(params, scratch, n, sample_w, grad, 0);
+        &scratch.delta[..n * self.spec.input_dim()]
+    }
+
+    /// [`Mlp::backward_batch_d_input`] for the network that reads the data:
+    /// nothing consumes the gradient with respect to a constant input, so
+    /// it is not computed, and the first layer's weight gradient is
+    /// accumulated over each sample's **non-zero inputs only** (the driving
+    /// BEV is a sparse binary occupancy tensor: five input values in six
+    /// are exactly `0.0`).
+    ///
+    /// To make that a contiguous update — `g[i][..] += w[b] * (delta[..] *
+    /// x[i])` across the layer's output units — the first layer's weight
+    /// block is left **input-major** in `grad`: element `(i, j)` sits at
+    /// `offset() + i * fan_out + j`, not at the parameter layout's
+    /// `offset() + j * fan_in + i`. Partial gradients in that layout add
+    /// elementwise; [`Mlp::first_weights_to_param_layout`] converts the
+    /// sum, once. Every other block is in parameter layout.
+    ///
+    /// A skipped term is `w[b] * (delta * ±0.0) = ±0.0` for finite deltas,
+    /// and an accumulator that starts at `+0.0` can never hold `-0.0` (a
+    /// sum is `-0.0` only when both addends are), so skipping changes no
+    /// bit. Each element still folds its samples in ascending order, and
+    /// the converted gradient is **bit-identical, for finite parameters
+    /// and inputs**, to the per-sample fold
+    /// [`Mlp::backward_batch_d_input`] documents.
+    ///
+    /// # Panics
+    /// Panics if `sample_w` has fewer than `n` entries or `grad` is shorter
+    /// than the parameter vector.
     pub fn backward_batch(
         &self,
         params: &ParamVec,
@@ -467,26 +561,92 @@ impl Mlp {
         sample_w: &[f32],
         grad: &mut [f32],
     ) {
+        self.backward_layers(params, scratch, n, sample_w, grad, 1);
+        let (fan_in, fan_out) = (self.spec.sizes[0], self.spec.sizes[1]);
+        self.delta_through_activation(scratch, 0, n);
+        let block = self.first_weight_block();
+        let (gw, gb) = grad[block.start..block.end + fan_out].split_at_mut(block.len());
+        let xs = scratch.acts[0][..n * fan_in].chunks_exact(fan_in);
+        let deltas = scratch.delta[..n * fan_out].chunks_exact(fan_out);
+        for ((x, delta), &wb) in xs.zip(deltas).zip(sample_w) {
+            for (g, dj) in gb.iter_mut().zip(delta) {
+                *g += wb * dj;
+            }
+            for (grow, &xi) in gw.chunks_exact_mut(fan_out).zip(x) {
+                if xi != 0.0 {
+                    for (g, dj) in grow.iter_mut().zip(delta) {
+                        *g += wb * (dj * xi);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The first layer's weights inside the shared parameter vector — the
+    /// block [`Mlp::backward_batch`] leaves input-major.
+    fn first_weight_block(&self) -> std::ops::Range<usize> {
+        self.offset..self.offset + self.spec.sizes[0] * self.spec.sizes[1]
+    }
+
+    /// Rewrites the first layer's weight block of `grad` from the
+    /// input-major layout of [`Mlp::backward_batch`] to the parameter
+    /// layout, staging the block through `staging` — any spare buffer as
+    /// long as `grad`, e.g. a partial gradient that has already been added
+    /// into `grad`; its first-layer block is overwritten.
+    ///
+    /// # Panics
+    /// Panics if either buffer is shorter than the parameter vector.
+    pub fn first_weights_to_param_layout(&self, grad: &mut [f32], staging: &mut [f32]) {
+        let (fan_in, fan_out) = (self.spec.sizes[0], self.spec.sizes[1]);
+        let block = &mut grad[self.first_weight_block()];
+        let staged = &mut staging[self.first_weight_block()];
+        staged.copy_from_slice(block);
+        for (j, row) in block.chunks_exact_mut(fan_in).enumerate() {
+            for (g, col) in row.iter_mut().zip(staged.chunks_exact(fan_out)) {
+                *g = col[j];
+            }
+        }
+    }
+
+    /// Layer `l`'s staged deltas through its activation — exact per-element
+    /// match with the per-sample kernel; `* 1.0` on the linear layer is
+    /// skipped (multiplying by 1.0 is the identity for every f32 bit
+    /// pattern).
+    fn delta_through_activation(&self, scratch: &mut MlpScratch, l: usize, n: usize) {
+        let act = self.layer_activation(l);
+        if act != Activation::Identity {
+            let width = n * self.spec.sizes[l + 1];
+            let ys = &scratch.acts[l + 1][..width];
+            for (d, yj) in scratch.delta[..width].iter_mut().zip(ys) {
+                *d *= act.grad_from_output(*yj);
+            }
+        }
+    }
+
+    /// The shared body of the two backward passes: layers from the last
+    /// down to `stop`, each accumulating its weighted parameter gradients
+    /// in parameter layout and leaving its input gradients in
+    /// `scratch.delta` for the layer below.
+    fn backward_layers(
+        &self,
+        params: &ParamVec,
+        scratch: &mut MlpScratch,
+        n: usize,
+        sample_w: &[f32],
+        grad: &mut [f32],
+        stop: usize,
+    ) {
         assert!(sample_w.len() >= n, "sample weight length mismatch");
         assert!(grad.len() >= self.offset + self.param_count(), "gradient buffer too short");
         let sizes = &self.spec.sizes;
         let p = params.as_slice();
         let n_layers = sizes.len() - 1;
         let mut layer_end = self.offset + self.param_count();
-        for l in (0..n_layers).rev() {
+        for l in (stop..n_layers).rev() {
             let (fan_in, fan_out) = (sizes[l], sizes[l + 1]);
             let w_off = layer_end - (fan_in * fan_out + fan_out);
             let b_off = w_off + fan_in * fan_out;
-            let act = self.layer_activation(l);
-            // Delta through the activation — exact per-element match with
-            // the per-sample kernel; `* 1.0` on the linear layer is skipped
-            // (multiplying by 1.0 is the identity for every f32 bit pattern).
-            if act != Activation::Identity {
-                let ys = &scratch.acts[l + 1][..n * fan_out];
-                for (d, yj) in scratch.delta[..n * fan_out].iter_mut().zip(ys) {
-                    *d *= act.grad_from_output(*yj);
-                }
-            }
+            self.delta_through_activation(scratch, l, n);
             let xs = &scratch.acts[l][..n * fan_in];
             let deltas = &scratch.delta[..n * fan_out];
             // Weighted parameter gradients, one output unit at a time so the
@@ -528,12 +688,6 @@ impl Mlp {
             std::mem::swap(&mut scratch.delta, &mut scratch.delta_lower);
             layer_end = w_off;
         }
-    }
-
-    /// The per-sample input gradients computed by the last
-    /// [`Mlp::backward_batch`]: `n` rows of `input_dim` floats.
-    pub fn batch_d_input<'s>(&self, scratch: &'s MlpScratch, n: usize) -> &'s [f32] {
-        &scratch.delta[..n * self.spec.input_dim()]
     }
 }
 
@@ -687,7 +841,8 @@ mod tests {
             row.copy_from_slice(d);
         }
         let mut batched = vec![0.0f32; params.len()];
-        mlp.backward_batch(&params, &mut scratch, n, &weights, &mut batched);
+        let batched_d_in =
+            mlp.backward_batch_d_input(&params, &mut scratch, n, &weights, &mut batched).to_vec();
 
         let mut folded = vec![0.0f32; params.len()];
         let mut d_ins = Vec::new();
@@ -700,6 +855,17 @@ mod tests {
         }
         assert_eq!(batched, folded, "weighted gradient bits differ");
         let flat: Vec<f32> = d_ins.concat();
-        assert_eq!(mlp.batch_d_input(&scratch, n), &flat[..], "input gradient bits differ");
+        assert_eq!(batched_d_in, flat, "input gradient bits differ");
+
+        // The data-input form: same gradient once the first block is
+        // converted, no input gradient computed.
+        let d_out = mlp.stage_d_out(&mut scratch, n);
+        for (row, (_, d)) in d_out.chunks_exact_mut(2).zip(&d_rows) {
+            row.copy_from_slice(d);
+        }
+        let mut sparse = vec![0.0f32; params.len()];
+        mlp.backward_batch(&params, &mut scratch, n, &weights, &mut sparse);
+        mlp.first_weights_to_param_layout(&mut sparse, &mut vec![0.0; params.len()]);
+        assert_eq!(sparse, folded, "input-major gradient bits differ");
     }
 }

@@ -367,8 +367,9 @@ impl BranchedPolicy {
     /// to `out` in sample order — [`BranchedPolicy::loss_with`] for a whole
     /// batch in one forward-only pass through the batched kernels
     /// (sample weights are not read). Bit-identical to the per-sample
-    /// calls: each prediction is the same chain of roundings (see
-    /// [`Mlp::forward_batch`]) and each loss the same `mean_loss` over it.
+    /// calls for finite parameters and inputs: each prediction is the same
+    /// chain of roundings (see [`Mlp::forward_batch`], which also says what
+    /// a non-finite weight does) and each loss the same `mean_loss` over it.
     ///
     /// # Panics
     /// Panics if `params` has the wrong length, a sample's input dimension
@@ -417,8 +418,11 @@ impl BranchedPolicy {
     /// the reduction in [`BranchedPolicy::reduce_shards`] is bit-identical
     /// for every worker count. The result is also bit-identical to
     /// backpropagating each sample alone ([`BranchedPolicy::loss_and_grad`])
-    /// and folding the weighted gradients in sample order: see
-    /// [`Mlp::backward_batch`] for the accumulation-order argument.
+    /// and folding the weighted gradients in sample order, for finite
+    /// parameters and inputs: see [`Mlp::backward_batch_d_input`] for the
+    /// accumulation-order argument and [`Mlp::backward_batch`] for the
+    /// trunk's skipped zero inputs. The shard's partial keeps the trunk's
+    /// first weight block input-major until the reduction.
     ///
     /// # Panics
     /// Panics if `start` is outside the batch, a sample's input/target
@@ -465,14 +469,13 @@ impl BranchedPolicy {
                     shard.losses[k] = mean_loss_and_grad_into(self.loss_kind, pred, s.target, d);
                     shard.head_w[local] = shard.weights[k];
                 }
-                head.backward_batch(
+                let d_in = head.backward_batch_d_input(
                     &self.params,
                     &mut shard.head,
                     m,
                     &shard.head_w[..m],
                     &mut shard.grad,
                 );
-                let d_in = head.batch_d_input(&shard.head, m);
                 for (local, &k) in shard.order[group_start..group_end].iter().enumerate() {
                     shard.d_feats[k * feat_dim..(k + 1) * feat_dim]
                         .copy_from_slice(&d_in[local * feat_dim..(local + 1) * feat_dim]);
@@ -483,7 +486,8 @@ impl BranchedPolicy {
 
         // Backprop through the manual ReLU between trunk and head — masked
         // on the RAW trunk output, as in the per-sample path — then through
-        // the trunk for the whole shard.
+        // the trunk for the whole shard: the data-input form, which leaves
+        // the first weight block input-major for `reduce_shards` to convert.
         let (trunk_y, trunk_d) = self.trunk.batch_outputs_and_d_out(&mut shard.trunk, n);
         for k in 0..n {
             let y = &trunk_y[k * trunk_out_dim..(k + 1) * trunk_out_dim];
@@ -509,8 +513,10 @@ impl BranchedPolicy {
 
     /// Reduces the shards of an `n`-sample batch (each filled by
     /// [`BranchedPolicy::train_shard`]) into the arena's gradient buffer —
-    /// partials added in shard order on the calling thread — and returns
-    /// the weighted loss/weight sums accumulated in global sample order.
+    /// partials added in shard order on the calling thread, the result in
+    /// parameter layout — and returns the weighted loss/weight sums
+    /// accumulated in global sample order. Spends the shards' partial
+    /// gradients: reduce once per round of `train_shard` calls.
     /// Updates the arena's [`crate::TrainStats`].
     pub fn reduce_shards(&self, scratch: &mut TrainScratch, n: usize) -> BatchOutcome {
         let plen = self.params.len();
@@ -528,6 +534,12 @@ impl BranchedPolicy {
                 weight_sum += w;
             }
             grew |= shard.grew;
+        }
+        // The shards' trunk passes left the first weight block input-major;
+        // the sum above is layout-blind, so one conversion serves the step,
+        // staged through the first shard's partial, which is spent.
+        if let Some(spent) = scratch.shards[..k].first_mut() {
+            self.trunk.first_weights_to_param_layout(&mut scratch.grad, &mut spent.grad);
         }
         scratch.stats.batches += 1;
         scratch.stats.samples += n as u64;

@@ -82,14 +82,15 @@ pub(crate) fn ensure(buf: &mut Vec<f32>, len: usize) -> bool {
 /// `acts[l]` holds the batch's activations of layer `l - 1` (`acts[0]` is
 /// the staged input), sample-major: row `b` occupies
 /// `[b * width, (b + 1) * width)`. The two delta buffers ping-pong through
-/// the backward pass; after [`crate::Mlp::backward_batch`] the final swap leaves
-/// the input gradients in `delta`. `lanes` is the forward kernel's
+/// the backward pass, layer by layer. `lanes` is the forward kernel's
 /// feature-major staging of one sample block: `lanes[i][k]` is input feature
-/// `i` of the block's `k`-th sample, rewritten for every block and layer.
+/// `i` of the block's `k`-th sample, rewritten for every block and layer;
+/// `live` holds the runs of first-layer input columns the block reads.
 #[derive(Debug, Clone, Default)]
 pub struct MlpScratch {
     pub(crate) acts: Vec<Vec<f32>>,
     pub(crate) lanes: Vec<[f32; LANES]>,
+    pub(crate) live: Vec<std::ops::Range<usize>>,
     pub(crate) delta: Vec<f32>,
     pub(crate) delta_lower: Vec<f32>,
     pub(crate) grew: bool,
@@ -116,6 +117,12 @@ impl MlpScratch {
         if self.lanes.len() < wmax {
             grew |= self.lanes.capacity() < wmax;
             self.lanes.resize(wmax, [0.0; LANES]);
+        }
+        // Runs of live first-layer columns are separated by a dead one.
+        let max_runs = sizes[0].div_ceil(2).max(1);
+        if self.live.len() < max_runs {
+            grew |= self.live.capacity() < max_runs;
+            self.live.resize(max_runs, 0..0);
         }
         grew |= ensure(&mut self.delta, n * wmax);
         grew |= ensure(&mut self.delta_lower, n * wmax);
@@ -152,7 +159,9 @@ pub struct PolicyShard {
     pub(crate) order: Vec<usize>,
     /// Samples per branch for the current minibatch.
     pub(crate) counts: Vec<usize>,
-    /// This shard's weighted partial gradient (full parameter length).
+    /// This shard's weighted partial gradient (full parameter length; the
+    /// trunk's first weight block input-major, see
+    /// [`crate::Mlp::backward_batch`]).
     pub(crate) grad: Vec<f32>,
     /// Samples in this shard for the current minibatch.
     pub(crate) len: usize,
@@ -194,7 +203,7 @@ impl TrainScratch {
     }
 
     /// The reduced weighted-sum gradient of the last
-    /// [`crate::BranchedPolicy::reduce_shards`] call.
+    /// [`crate::BranchedPolicy::reduce_shards`] call, in parameter layout.
     pub fn grad(&self) -> &[f32] {
         &self.grad
     }

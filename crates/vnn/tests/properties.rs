@@ -410,3 +410,206 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Sparse inputs: the forward tile steps over first-layer input columns that
+// are zero in every lane of a block, and the trunk's first-layer weight
+// gradient visits a sample's non-zero inputs only. Both must leave every bit
+// where the per-sample kernels put it — signed zeros included.
+// ---------------------------------------------------------------------------
+
+/// Batch sizes around the lane-block and shard boundaries.
+const RAGGED: [usize; 6] = [1, 7, 8, 9, 17, 65];
+
+/// `n` rows of `dim` values shaped like the driving input: four rows in
+/// five mostly zero (the BEV keeps about one value in six), every fifth
+/// row all zero, columns `0, 1, 2` and `dim - 3` zero in every row, and a
+/// `-0.0` in place of some zeros.
+fn sparse_rows(rng: &mut rand::rngs::StdRng, n: usize, dim: usize) -> Vec<f32> {
+    let mut rows = vec![0.0f32; n * dim];
+    for (b, row) in rows.chunks_exact_mut(dim).enumerate() {
+        for (i, x) in row.iter_mut().enumerate() {
+            let dead_column = i < 3 || i == dim - 3;
+            let keep = if b % 5 == 4 { 0.0 } else if b % 5 == 3 { 0.9 } else { 0.15 };
+            if !dead_column && rng.random_range(0.0f32..1.0) < keep {
+                *x = rng.random_range(-2.0f32..2.0);
+            } else if rng.random_range(0..4) == 0 {
+                *x = -0.0;
+            }
+        }
+    }
+    rows
+}
+
+const SPARSE_INPUT_DIM: usize = 37;
+
+/// [`seeded_policy_and_batch`] at a wider input fed [`sparse_rows`], with
+/// the parameters the skip arguments lean on planted in the trunk's first
+/// layer: a `-0.0` bias, a `+0.0` bias, and an all-zero weight row.
+fn sparse_policy_and_batch(seed: u64, n: usize, neg_zero_bias: bool) -> (BranchedPolicy, OwnedBatch) {
+    let spec = PolicySpec {
+        input_dim: SPARSE_INPUT_DIM,
+        trunk: vec![18, 12],
+        n_branches: 4,
+        waypoints: PROP_WAYPOINTS,
+        skip_inputs: 2,
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut policy = BranchedPolicy::new(&spec, &mut rng);
+    let p = policy.params_mut().as_mut_slice();
+    p[5 * SPARSE_INPUT_DIM..6 * SPARSE_INPUT_DIM].fill(0.0);
+    let biases = SPARSE_INPUT_DIM * 18;
+    p[biases + 1] = 0.0;
+    if neg_zero_bias {
+        p[biases + 5] = -0.0;
+    }
+    let rows = sparse_rows(&mut rng, n, SPARSE_INPUT_DIM);
+    let zeros = rows.iter().filter(|x| **x == 0.0).count();
+    assert!(n < 8 || 10 * zeros >= 7 * rows.len(), "fixture must be sparse: {zeros}/{}", rows.len());
+    let data = rows
+        .chunks_exact(SPARSE_INPUT_DIM)
+        .map(|x| {
+            let b = rng.random_range(0..4usize);
+            let t: Vec<f32> =
+                (0..2 * PROP_WAYPOINTS).map(|_| rng.random_range(-1.5f32..1.5)).collect();
+            (x.to_vec(), b, t, rng.random_range(0.25f32..3.0))
+        })
+        .collect();
+    (policy, data)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn forward_batch_matches_forward_bits_on_sparse_input(seed in 0u64..1 << 48) {
+        // One linear layer so the accumulator itself is the output and a
+        // `-0.0` that should have become `+0.0` shows; then a deep net.
+        // Planted: a `-0.0` bias over a zero weight row (the reference
+        // turns it into `+0.0` at the first `+0.0` product), a `-0.0` bias
+        // over live weights, a `+0.0` bias, zero weights under live columns.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut scratch = MlpScratch::new();
+        for (sizes, neg_zero_bias) in [
+            (vec![21, 6], true),
+            (vec![21, 6], false),
+            (vec![21, 9, 5], true),
+            (vec![SPARSE_INPUT_DIM, 18, 12], false),
+        ] {
+            let (fan_in, fan_out) = (sizes[0], sizes[1]);
+            let mlp = Mlp::new(MlpSpec { sizes: sizes.clone(), hidden_activation: Activation::Tanh }, 2);
+            let mut params = ParamVec::zeros(2 + mlp.param_count());
+            mlp.init(&mut params, &mut rng);
+            let p = params.as_mut_slice();
+            p[2 + fan_in..2 + 2 * fan_in].fill(0.0);
+            p[2 + 3 * fan_in + 7] = 0.0;
+            let biases = 2 + fan_in * fan_out;
+            p[biases] = 0.0;
+            if neg_zero_bias {
+                p[biases + 1] = -0.0;
+                p[biases + 2] = -0.0;
+            }
+            for n in RAGGED {
+                let inputs = sparse_rows(&mut rng, n, fan_in);
+                mlp.stage_batch(&mut scratch, n).copy_from_slice(&inputs);
+                mlp.forward_batch(&params, &mut scratch, n);
+                let out_dim = mlp.spec().output_dim();
+                for (b, x) in inputs.chunks_exact(fan_in).enumerate() {
+                    prop_assert_eq!(
+                        bits(&mlp.batch_outputs(&scratch, n)[b * out_dim..(b + 1) * out_dim]),
+                        bits(mlp.forward(&params, x).output()),
+                        "{:?} -0.0 bias {} n={} sample {}", &sizes, neg_zero_bias, n, b
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_losses_and_gradients_match_per_sample_bits_on_sparse_input(seed in 0u64..1 << 48) {
+        let mut scratch = TrainScratch::new();
+        let mut losses = Vec::new();
+        for n in RAGGED {
+            for neg_zero_bias in [false, true] {
+                let (policy, data) = sparse_policy_and_batch(seed ^ n as u64, n, neg_zero_bias);
+                let samples = as_samples(&data);
+                policy.losses_with(policy.params(), &samples[..], &mut losses);
+                let single: Vec<f32> =
+                    data.iter().map(|(x, b, t, _)| policy.loss(x, *b, t)).collect();
+                prop_assert_eq!(bits(&losses), bits(&single), "n={}", n);
+
+                // `scratch.grad()` against the per-sample fold, which is in
+                // parameter layout by construction.
+                let (loss_sum, weight_sum) =
+                    live_batch_grad(&policy, &samples, &mut scratch, false);
+                let mut ref_grad = vec![0.0f32; policy.param_count()];
+                let (ref_loss, ref_weight) =
+                    per_sample_batch_grad(&policy, &samples, &mut ref_grad);
+                prop_assert_eq!(loss_sum.to_bits(), ref_loss.to_bits());
+                prop_assert_eq!(weight_sum.to_bits(), ref_weight.to_bits());
+                prop_assert_eq!(bits(scratch.grad()), bits(&ref_grad), "n={}", n);
+            }
+        }
+    }
+}
+
+/// The skip is exact for finite parameters only — what a non-finite one
+/// still does: a NaN weight reaches the output of every sample that reads
+/// its column, and of its block mates. (A block whose samples are all zero
+/// there stays finite, where the per-sample kernel computes `0 · NaN`; and
+/// a ReLU, being `max(x, 0)`, turns a NaN pre-activation into `0.0` on
+/// either path, so the driving policy's loss never shows a poisoned trunk
+/// weight at all: whoever must reject a poisoned model inspects `params`.)
+#[test]
+fn nan_weight_in_a_read_column_poisons_that_sample() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+    let (fan_in, column, n) = (SPARSE_INPUT_DIM, 11, 24);
+    let mlp = Mlp::new(MlpSpec { sizes: vec![fan_in, 9, 4], hidden_activation: Activation::Tanh }, 0);
+    let mut params = ParamVec::zeros(mlp.param_count());
+    mlp.init(&mut params, &mut rng);
+    params.as_mut_slice()[4 * fan_in + column] = f32::NAN;
+    let inputs = sparse_rows(&mut rng, n, fan_in);
+    let mut scratch = MlpScratch::new();
+    mlp.stage_batch(&mut scratch, n).copy_from_slice(&inputs);
+    mlp.forward_batch(&params, &mut scratch, n);
+    let outputs = mlp.batch_outputs(&scratch, n);
+    let readers: Vec<usize> = (0..n).filter(|&b| inputs[b * fan_in + column] != 0.0).collect();
+    assert!(readers.len() >= 3, "the fixture must read column {column}: {readers:?}");
+    for b in readers {
+        let single = mlp.forward(&params, &inputs[b * fan_in..(b + 1) * fan_in]);
+        assert!(single.output().iter().all(|y| y.is_nan()), "sample {b} reads the NaN weight");
+        assert!(outputs[b * 4..(b + 1) * 4].iter().all(|y| y.is_nan()), "sample {b}, batched");
+    }
+}
+
+/// The one accumulator state a skipped `+0.0` product would have changed: a
+/// `-0.0` bias under a zero weight row, a dead `+0.0` column, and a live
+/// column of negative inputs. Per sample the sum runs `-0.0 + +0.0 = +0.0`
+/// then `+0.0 + -0.0 = +0.0`; stepping over the dead column would leave
+/// `-0.0 + -0.0 = -0.0`, so a layer with such a bias must keep every column.
+#[test]
+fn neg_zero_bias_keeps_every_column() {
+    let (fan_in, fan_out) = (3, 5);
+    let mlp = Mlp::new(MlpSpec { sizes: vec![fan_in, fan_out], hidden_activation: Activation::Relu }, 0);
+    let mut params = ParamVec::zeros(mlp.param_count());
+    // Unit 0 sits in the register tile, unit 4 in the one-at-a-time tail.
+    for unit in [0, 4] {
+        params.as_mut_slice()[fan_in * fan_out + unit] = -0.0;
+    }
+    let mut scratch = MlpScratch::new();
+    for n in [8, 9, 16] {
+        let inputs: Vec<f32> =
+            (0..n).flat_map(|b| [0.0, -1.0 - b as f32, 0.0]).collect();
+        mlp.stage_batch(&mut scratch, n).copy_from_slice(&inputs);
+        mlp.forward_batch(&params, &mut scratch, n);
+        for (b, x) in inputs.chunks_exact(fan_in).enumerate() {
+            let single = mlp.forward(&params, x);
+            assert_eq!(bits(single.output()), vec![0; fan_out], "the per-sample sum is +0.0");
+            assert_eq!(
+                bits(&mlp.batch_outputs(&scratch, n)[b * fan_out..(b + 1) * fan_out]),
+                bits(single.output()),
+                "n={n} sample {b}"
+            );
+        }
+    }
+}
