@@ -19,7 +19,7 @@ use lbchat::{Learner, WeightedDataset};
 use lbchat::prelude::{
     CollabAlgorithm, Runtime, RuntimeConfig, SessionCtx, SessionStep, TrainStats,
 };
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 use simnet::channel::{Channel, Medium, MediumConfig, RadioConfig, TransferOutcome, TransferSpec};
 use simnet::contact::ContactPredictor;
 use simnet::geom::Vec2;
@@ -205,9 +205,13 @@ fn bench_valuation(c: &mut Timer, _opts: &SuiteOpts) {
 
 fn bench_compress(c: &mut Timer, _opts: &SuiteOpts) {
     use lbchat::compress::Codec;
-    let params = ParamVec::from_vec(
-        (0..25_000).map(|i| ((i * 37) % 101) as f32 / 50.0 - 1.0).collect(),
-    );
+    // Seeded uniform draws: like a trained model's weights, (nearly) all
+    // distinct. A vector cycling through a few dozen magnitudes would let a
+    // stable magnitude sort finish in almost linear time, which no model a
+    // run compresses offers.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(25);
+    let params =
+        ParamVec::from_vec((0..25_000).map(|_| rng.random_range(-1.0f32..1.0)).collect());
     c.bench_function("compress/topk_25k_psi_0.1", |b| b.measure(|| top_k(&params, 0.1)));
     // One encode + one decode cell per codec: the share-path hot loops of
     // docs/COMPRESSION.md. Fixed seed keeps the stochastic quantizers
@@ -642,6 +646,20 @@ fn bench_simnet(c: &mut Timer, opts: &SuiteOpts) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         b.measure(|| ch.run(&TransferSpec::link(614_400, 100.0), |_| 150.0, &mut rng));
     });
+    // The price of one attempt against its PER: 4 MiB (2 797 packets) at a
+    // fixed error rate, no deadline — 2 797 / (1 − PER) attempts a transfer
+    // on average, so divide the cell by 2 825 / 3 108 / 3 996. A loop that
+    // branches on each outcome pays more the less predictable the outcome
+    // is; one that books it arithmetically reads the same at every PER. The
+    // generator runs on across iterations: reseeding would replay one
+    // outcome sequence, which a branch predictor learns.
+    for (label, per) in [("per01", 0.01f32), ("per10", 0.10), ("per30", 0.30)] {
+        let spec = TransferSpec::fixed_per(4 << 20, f64::INFINITY, per);
+        c.bench_function(format!("simnet/channel_attempt_{label}"), |b| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+            b.measure(|| ch.run(&spec, |_| 0.0, &mut rng));
+        });
+    }
     // What `SessionCtx::run_spec` actually sends: a 4 MiB model between two
     // vehicles of a recorded trace, under the distance→PER table, once
     // every two seconds from the frame the pair comes into range, through

@@ -33,9 +33,19 @@ pub struct MagnitudeOrder<'a> {
 impl<'a> MagnitudeOrder<'a> {
     /// Sorts the components of `params` by magnitude.
     pub fn new(params: &'a ParamVec) -> Self {
-        let p = params.as_slice();
-        let mut order: Vec<u32> = (0..p.len() as u32).collect();
-        order.sort_by(|&a, &b| p[b as usize].abs().total_cmp(&p[a as usize].abs()));
+        // One packed key per component: the complement of `|v|`'s bits above
+        // the index. With the sign cleared, IEEE total order is the unsigned
+        // order of the bits, so ascending keys are `|v|` descending by
+        // `total_cmp`, ties by index ascending — what a stable sort through
+        // the indices gives, without an indirect load per comparison.
+        let mut keys: Vec<u64> = params
+            .as_slice()
+            .iter()
+            .enumerate()
+            .map(|(i, v)| u64::from(!(v.to_bits() & 0x7fff_ffff)) << 32 | i as u64)
+            .collect();
+        keys.sort_unstable();
+        let order = keys.into_iter().map(|key| key as u32).collect();
         Self { params, order }
     }
 
@@ -826,10 +836,22 @@ mod tests {
         // ±v pairs, repeated values, zeros and -0.0: every cut of the grid
         // lands inside a run of equal magnitudes somewhere, where only the
         // stable index-ascending tie-break decides who survives.
+        // Next to them the values whose order only `total_cmp` defines: NaNs
+        // of either sign and payload, ±inf, subnormals.
+        let odd = [
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7fc0_0001),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MIN_POSITIVE / 2.0,
+        ];
         let mut values = Vec::new();
         for i in 0..120 {
             let m = ((i * 7) % 11) as f32 * 0.25;
-            values.extend_from_slice(&[m, -m, 0.0, -0.0, m]);
+            values.extend_from_slice(&[m, -m, 0.0, -0.0, m, odd[i % odd.len()]]);
         }
         let p = ParamVec::from_vec(values);
         let order = MagnitudeOrder::new(&p);
@@ -838,7 +860,10 @@ mod tests {
             let dense = order.dense(psi);
             assert_eq!(bits(&dense), bits(&compress_dense(&p, psi)), "psi={psi}");
             assert_eq!(bits(&dense), bits(&top_k_dense_oracle(&p, psi)), "psi={psi}");
-            assert_eq!(order.top_k(psi), top_k(&p, psi), "psi={psi}");
+            // NaN survivors: compare the sparse form through its bits too.
+            let (a, b) = (order.top_k(psi), top_k(&p, psi));
+            assert_eq!((a.dense_len, &a.indices), (b.dense_len, &b.indices), "psi={psi}");
+            assert_eq!(bits(&a.to_dense()), bits(&dense), "psi={psi}");
         }
     }
 

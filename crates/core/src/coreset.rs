@@ -147,7 +147,7 @@ fn sampling_key<R: Rng + ?Sized>(rng: &mut R, weight: f32) -> f32 {
 /// from it.
 #[inline]
 fn key_order(a: &(f32, usize), b: &(f32, usize)) -> std::cmp::Ordering {
-    b.0.partial_cmp(&a.0).expect("keys are finite").then(a.1.cmp(&b.1))
+    b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
 }
 
 /// Keeps the `quota` best entries of `keyed` under [`key_order`], sorted,

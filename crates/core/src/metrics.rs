@@ -61,9 +61,7 @@ impl Metrics {
     /// time ranges interleave is well-defined (points sort stably by time).
     pub fn merge(&mut self, other: &Metrics) {
         self.loss_curve.extend_from_slice(&other.loss_curve);
-        self.loss_curve
-            // audit:allow(P005): curve times are sim-clock f64 counters, never NaN; a NaN here is a corrupted run worth aborting
-            .sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite loss-curve times"));
+        self.loss_curve.sort_by(|a, b| a.0.total_cmp(&b.0));
         self.model_sends += other.model_sends;
         self.model_receives += other.model_receives;
         self.coreset_sends += other.coreset_sends;

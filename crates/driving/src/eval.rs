@@ -335,8 +335,44 @@ fn steer(wp: &[f32], command: Command, speed: f32, dt: f32) -> (f32, f32) {
     (yaw_rate, target_speed)
 }
 
-/// Drives one trial; returns `(success, collided, timed_out)`.
-fn run_trial(learner: &DrivingLearner, world: &mut World, route: Route, cfg: &EvalConfig) -> (bool, bool, bool) {
+/// How a closed-loop trial ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TrialEnd {
+    /// Reached the destination within the budget.
+    Success,
+    /// Hit a car or a pedestrian.
+    Collision,
+    /// Strayed hopelessly far from the route: a (fast-forwarded) timeout.
+    OffRoute,
+    /// Ran out of budget.
+    Timeout,
+}
+
+/// One control tick of a trial as its observer sees it: the state the
+/// policy was shown and what it answered, before the vehicle moves.
+struct Tick<'a> {
+    /// Seconds since the trial started.
+    t: f64,
+    ego: &'a FreeVehicle,
+    /// Distance from the tracked route point.
+    deviation: f32,
+    command: Command,
+    /// Predicted waypoints, ego frame, `x, y` interleaved.
+    waypoints: &'a [f32],
+    /// Straight-line distance to the destination.
+    to_destination: f32,
+}
+
+/// Drives one trial, showing `observe` every control tick; returns how it
+/// ended and when — the tick the verdict fell in, or the whole budget for a
+/// timeout.
+fn run_trial(
+    learner: &DrivingLearner,
+    world: &mut World,
+    route: Route,
+    cfg: &EvalConfig,
+    observe: &mut impl FnMut(&Tick),
+) -> (TrialEnd, f64) {
     let map_len = route.length(world.map());
     let budget = (map_len as f64 * cfg.seconds_per_meter).max(60.0);
     let dt = (1.0 / world.config().fps) as f32;
@@ -361,7 +397,7 @@ fn run_trial(learner: &DrivingLearner, world: &mut World, route: Route, cfg: &Ev
         tracker.update(world.map(), ego.pos, 25.0);
         // Arrived?
         if ego.pos.distance(destination) <= cfg.arrival_radius {
-            return (true, false, false);
+            return (TrialEnd::Success, t);
         }
         // Observe.
         let cars = world.car_positions();
@@ -389,6 +425,14 @@ fn run_trial(learner: &DrivingLearner, world: &mut World, route: Route, cfg: &Ev
         features.push(nav_d);
         features.push(nav_s);
         learner.predict_into(&features, command, &mut wp, &mut scratch);
+        observe(&Tick {
+            t,
+            ego: &ego,
+            deviation: tracker.deviation(world.map(), ego.pos),
+            command,
+            waypoints: &wp,
+            to_destination: ego.pos.distance(destination),
+        });
 
         // Low-level control: pure pursuit on the second waypoint, speed
         // from the first (time-spaced at dt).
@@ -397,16 +441,15 @@ fn run_trial(learner: &DrivingLearner, world: &mut World, route: Route, cfg: &Ev
 
         // Judge.
         if world.collides(ego.pos, 1.5, None) {
-            return (false, true, false);
+            return (TrialEnd::Collision, t);
         }
         if tracker.deviation(world.map(), ego.pos) > 35.0 {
-            // Hopelessly off the route: count as a (fast-forwarded) timeout.
-            return (false, false, true);
+            return (TrialEnd::OffRoute, t);
         }
         world.step();
         t += dt as f64;
     }
-    (false, false, true)
+    (TrialEnd::Timeout, budget)
 }
 
 /// Drives one route of `task` printing per-frame telemetry to stderr —
@@ -425,72 +468,24 @@ pub fn debug_one_trial(learner: &DrivingLearner, task: Task, cfg: &EvalConfig) {
     let route = draw_route(&world, task, &mut rng);
     let map_len = route.length(world.map());
     eprintln!("== {} route: {:.0} m, {} turns ==", task.name(), map_len, route.turn_count(world.map()));
-    let dt = (1.0 / world.config().fps) as f32;
-    let pool = world.config().bev.pool;
-    let first_edge = route.edges[0];
-    let start = world.map().position_on_edge(first_edge, 0.0);
-    let heading = world.map().tangent_on_edge(first_edge, 0.0).angle();
-    let mut ego = FreeVehicle::new(start, heading);
-    let mut tracker = RouteTracker::new(route);
-    let destination = tracker.destination(world.map());
-    let budget = (map_len as f64 * cfg.seconds_per_meter).max(60.0);
-    let mut bev = Bev::blank(world.config().bev.cells);
-    let mut features: Vec<f32> = Vec::new();
-    let mut wp: Vec<f32> = Vec::new();
-    let mut scratch = TrainScratch::new();
-    let mut t = 0.0f64;
     let mut frame = 0u64;
-    while t < budget {
-        tracker.update(world.map(), ego.pos, 25.0);
-        if ego.pos.distance(destination) <= cfg.arrival_radius {
-            eprintln!("SUCCESS at t={t:.0}s");
-            return;
-        }
-        let cars_p = world.car_positions();
-        let peds_p = world.pedestrian_positions();
-        let route_ahead =
-            world.route_polyline_from(&tracker.route, tracker.edge_idx, tracker.s, 60.0);
-        let pose = Pose { pos: ego.pos, heading: ego.heading };
-        rasterize_into(
-            &world.config().bev.clone(),
-            pose,
-            ego.speed,
-            world.raster(),
-            &cars_p,
-            &peds_p,
-            &route_ahead,
-            &mut bev,
-        );
-        let command = tracker.command(world.map());
-        bev.features_into(pool, &mut features);
-        let (nav_d, nav_s) = tracker.nav_features(world.map());
-        features.push(nav_d);
-        features.push(nav_s);
-        learner.predict_into(&features, command, &mut wp, &mut scratch);
+    let mut print_every_tenth = |tick: &Tick| {
         if frame % 10 == 0 {
+            let (ego, wp) = (tick.ego, tick.waypoints);
             eprintln!(
-                "t={t:>5.1} pos=({:>5.0},{:>5.0}) v={:>4.1} dev={:>5.1} cmd={:?} w1=({:.1},{:.1}) w2=({:.1},{:.1}) dest={:>4.0}",
-                ego.pos.x, ego.pos.y, ego.speed,
-                tracker.deviation(world.map(), ego.pos),
-                command, wp[0], wp[1], wp[2], wp[3],
-                ego.pos.distance(destination),
+                "t={:>5.1} pos=({:>5.0},{:>5.0}) v={:>4.1} dev={:>5.1} cmd={:?} w1=({:.1},{:.1}) w2=({:.1},{:.1}) dest={:>4.0}",
+                tick.t, ego.pos.x, ego.pos.y, ego.speed, tick.deviation,
+                tick.command, wp[0], wp[1], wp[2], wp[3], tick.to_destination,
             );
         }
-        let (yaw_rate, target_speed) = steer(&wp, command, ego.speed, dt);
-        ego.step(yaw_rate, target_speed, dt);
-        if world.collides(ego.pos, 1.5, None) {
-            eprintln!("COLLISION at t={t:.0}s");
-            return;
-        }
-        if tracker.deviation(world.map(), ego.pos) > 35.0 {
-            eprintln!("OFF-ROUTE at t={t:.0}s");
-            return;
-        }
-        world.step();
-        t += dt as f64;
         frame += 1;
+    };
+    match run_trial(learner, &mut world, route, cfg, &mut print_every_tenth) {
+        (TrialEnd::Success, t) => eprintln!("SUCCESS at t={t:.0}s"),
+        (TrialEnd::Collision, t) => eprintln!("COLLISION at t={t:.0}s"),
+        (TrialEnd::OffRoute, t) => eprintln!("OFF-ROUTE at t={t:.0}s"),
+        (TrialEnd::Timeout, budget) => eprintln!("TIMEOUT after {budget:.0}s"),
     }
-    eprintln!("TIMEOUT after {budget:.0}s");
 }
 
 /// Evaluates a trained learner on `task`: `cfg.trials` routes, each driven
@@ -539,21 +534,19 @@ pub fn success_rate_obs(
             trial as u64,
         ));
         let route = draw_route(&world, task, &mut route_rng);
-        let (ok, hit, slow) = run_trial(learner, &mut world, route, cfg);
+        let (end, _) = run_trial(learner, &mut world, route, cfg, &mut |_| {});
         if obs.enabled() {
             obs.add("trials", 1);
-            if hit {
-                obs.add("collisions", 1);
-            }
-            if slow {
-                obs.add("timeouts", 1);
-            }
-            let outcome = if ok {
-                "success"
-            } else if hit {
-                "collision"
-            } else {
-                "timeout"
+            let outcome = match end {
+                TrialEnd::Success => "success",
+                TrialEnd::Collision => {
+                    obs.add("collisions", 1);
+                    "collision"
+                }
+                TrialEnd::OffRoute | TrialEnd::Timeout => {
+                    obs.add("timeouts", 1);
+                    "timeout"
+                }
             };
             obs.emit(
                 "trial",
@@ -564,17 +557,15 @@ pub fn success_rate_obs(
                 ],
             );
         }
-        (ok, hit, slow)
+        end
     });
-    let mut successes = 0;
-    let mut collisions = 0;
-    let mut timeouts = 0;
-    for (ok, hit, slow) in outcomes {
-        successes += ok as usize;
-        collisions += hit as usize;
-        timeouts += slow as usize;
+    let count = |ends: &[TrialEnd]| outcomes.iter().filter(|end| ends.contains(end)).count();
+    TaskResult {
+        successes: count(&[TrialEnd::Success]),
+        trials: cfg.trials,
+        collisions: count(&[TrialEnd::Collision]),
+        timeouts: count(&[TrialEnd::OffRoute, TrialEnd::Timeout]),
     }
-    TaskResult { successes, trials: cfg.trials, collisions, timeouts }
 }
 
 #[cfg(test)]

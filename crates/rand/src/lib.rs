@@ -257,6 +257,22 @@ mod tests {
         }
     }
 
+    /// `simnet::channel::Channel::run` compares the integer numerator of a
+    /// draw with integer thresholds; that is only the `f32` comparison if
+    /// the `f32` draw is this function of the `u32` one.
+    #[test]
+    fn f32_draw_is_the_top_24_bits_of_the_u32_draw() {
+        let mut floats = StdRng::seed_from_u64(9);
+        let mut words = floats.clone();
+        for _ in 0..10_000 {
+            let k = words.random::<u32>() >> 8;
+            let want = k as f32 * (1.0 / (1u32 << 24) as f32);
+            assert_eq!(floats.random::<f32>().to_bits(), want.to_bits());
+            assert_eq!(f64::from(want) * f64::from(1u32 << 24), f64::from(k), "k · 2⁻²⁴ is exact");
+        }
+        assert_eq!(floats, words, "one generator step per draw either way");
+    }
+
     #[test]
     fn ranges_respect_bounds() {
         let mut rng = StdRng::seed_from_u64(2);

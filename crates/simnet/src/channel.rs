@@ -175,19 +175,131 @@ pub struct DistanceBounds {
     pub until: f64,
 }
 
-/// Bounds on the per-packet error rate of every attempt that starts in
-/// `..= until`; what one attempt of [`Channel::run`] is decided against.
+/// Draws are 24-bit: `rand::RngExt::random::<f32>()` is
+/// `(random::<u32>() >> 8) as f32 * 2⁻²⁴` (pinned by a test in the `rand`
+/// stand-in), so a draw is its integer numerator `k` and this many values
+/// are possible.
+const DRAW_RANGE: u32 = 1 << 24;
+
+/// The `f32` draw with numerator `k`, exactly.
+fn draw_value(k: u32) -> f32 {
+    k as f32 * (1.0 / DRAW_RANGE as f32)
+}
+
+/// The smallest draw numerator that survives error rate `per`: for every
+/// `k < 2²⁴`, `k as f32 * 2⁻²⁴ >= per` exactly when `k >= draw_threshold(per)`.
+///
+/// The same comparison, moved to the integers: `k · 2⁻²⁴` is exact in `f32`
+/// and `per · 2²⁴` is exact in `f64`, so `u >= per ⇔ k >= per · 2²⁴ ⇔
+/// k >= ceil(per · 2²⁴)`. The clamp to `2²⁴` (one past the largest `k`) keeps
+/// `per > 1` and `+inf` from ever delivering; `per <= 0` and NaN give `0`,
+/// which [`Channel::run`] never asks for.
+pub fn draw_threshold(per: f32) -> u32 {
+    (f64::from(per) * f64::from(DRAW_RANGE)).ceil().min(f64::from(DRAW_RANGE)) as u32
+}
+
+/// How the attempts of one [`PerWindow`] are decided, from the bounds
+/// `lo <= per <= hi` on their error rate.
+#[derive(Debug, Clone, Copy)]
+enum Settle {
+    /// `hi <= 0`: delivered, no draw.
+    Free,
+    /// `0 < lo <= hi`: every attempt draws, and the draw alone settles it —
+    /// numerator `k < lo_k` is lost (`u < lo`), `k >= hi_k` delivered
+    /// (`u >= hi`), with `lo_k`/`hi_k` the [`draw_threshold`]s of the bounds.
+    /// Only `lo_k <= k < hi_k` needs the exact rate.
+    Draw { lo_k: u32, hi_k: u32 },
+    /// Anything else — `lo <= 0 < hi`, where whether a draw happens at all
+    /// depends on the exact rate, or NaN bounds: the rate is evaluated on
+    /// every attempt.
+    Exact,
+}
+
+/// What [`Channel::run`] knows about the error rate of every attempt that
+/// starts in `..= until`.
 #[derive(Debug, Clone, Copy)]
 struct PerWindow {
-    lo: f32,
-    hi: f32,
+    settle: Settle,
     until: f64,
 }
 
 impl PerWindow {
-    /// Nothing known: `lo <= 0 < hi` sends the attempt down the exact path,
-    /// and `until` makes the next attempt ask again.
-    const UNKNOWN: PerWindow = PerWindow { lo: 0.0, hi: f32::INFINITY, until: f64::NEG_INFINITY };
+    /// Nothing known: every attempt is evaluated exactly, and `until` makes
+    /// the next one ask again.
+    const UNKNOWN: PerWindow = PerWindow { settle: Settle::Exact, until: f64::NEG_INFINITY };
+
+    /// The window over which the error rate stays within `[lo, hi]`.
+    fn new(lo: f32, hi: f32, until: f64) -> Self {
+        let settle = if hi <= 0.0 {
+            Settle::Free
+        } else if 0.0 < lo && lo <= hi {
+            Settle::Draw { lo_k: draw_threshold(lo), hi_k: draw_threshold(hi) }
+        } else {
+            Settle::Exact
+        };
+        Self { settle, until }
+    }
+}
+
+/// A transfer between two attempts: what it may spend, and where it stands.
+struct Progress {
+    /// Packets to deliver.
+    n_packets: usize,
+    /// Airtime of one attempt.
+    pt: f64,
+    /// Airtime budget.
+    deadline: f64,
+    /// Airtime spent, accumulated one packet time per attempt.
+    t: f64,
+    /// Packets delivered.
+    pkt: usize,
+    /// Attempts the current packet has lost in a row.
+    streak: u32,
+}
+
+impl Progress {
+    /// Whether the payload is across.
+    fn complete(&self) -> bool {
+        self.pkt == self.n_packets
+    }
+
+    /// Whether the next attempt may not start: the link is dead, or the
+    /// attempt would end past the deadline. Written so that a NaN deadline
+    /// never expires.
+    fn cut_off(&self) -> bool {
+        self.streak == DEAD_LINK_ATTEMPTS || self.t + self.pt > self.deadline
+    }
+
+    /// Books one attempt. Arithmetic on the outcome, not a branch: which way
+    /// an attempt goes is the one thing in the loop a predictor cannot learn.
+    fn book(&mut self, arrived: bool) {
+        let arrived = u32::from(arrived);
+        self.t += self.pt;
+        self.pkt += arrived as usize;
+        // `streak + 1` when lost (the mask is all ones), 0 when arrived.
+        self.streak = (self.streak + 1) & arrived.wrapping_sub(1);
+    }
+
+    /// Settles attempts of a [`Settle::Draw`] window from the draw alone,
+    /// for as long as nothing else needs doing. Returns the numerator of a
+    /// draw that landed in `lo_k..hi_k`, its attempt not yet booked, or
+    /// `None` once the transfer is complete or cut off or the window (which
+    /// covers attempts starting in `..= until`) has run out.
+    fn burst<R>(&mut self, lo_k: u32, hi_k: u32, until: f64, rng: &mut R) -> Option<u32>
+    where
+        R: Rng + ?Sized,
+    {
+        loop {
+            let k = rng.random::<u32>() >> 8;
+            if k.wrapping_sub(lo_k) < hi_k - lo_k {
+                return Some(k);
+            }
+            self.book(k >= hi_k);
+            if self.complete() || self.cut_off() || self.t > until {
+                return None;
+            }
+        }
+    }
 }
 
 /// A point-to-point radio link between two (possibly moving) agents.
@@ -255,11 +367,11 @@ impl Channel {
     /// bound its distance for a link transfer.
     fn per_window<D: LinkDistance>(&self, loss: TransferLoss, t: f64, link: &mut D) -> PerWindow {
         match loss {
-            TransferLoss::FixedPer(per) => PerWindow { lo: per, hi: per, until: f64::INFINITY },
+            TransferLoss::FixedPer(per) => PerWindow::new(per, per, f64::INFINITY),
             TransferLoss::Link if self.boundable => match link.bounds(t) {
                 Some(d) => {
                     let (lo, hi) = self.link_per_bounds(d.lo, d.hi);
-                    PerWindow { lo, hi, until: d.until }
+                    PerWindow::new(lo, hi, d.until)
                 }
                 None => PerWindow::UNKNOWN,
             },
@@ -293,15 +405,32 @@ impl Channel {
     /// proportionally lower goodput). Zero-byte transfers complete
     /// instantly.
     ///
-    /// An attempt with error rate `per` is delivered when `per <= 0` (no
-    /// draw) or when its draw `u` satisfies `u >= per`. While `per` is only
-    /// known to lie in `[lo, hi]` that rule still settles most attempts:
-    /// `hi <= 0` delivers without a draw, and with `lo > 0` the draw happens
-    /// whatever `per` is, `u >= hi` delivers and `u < lo` loses. Only a draw
-    /// landing between the bounds, or bounds with `lo <= 0 < hi` — where
-    /// whether a draw happens at all depends on the exact value — evaluate
-    /// `per` itself. Outcomes, airtime and the RNG stream are those of
-    /// evaluating it on every attempt, bit for bit.
+    /// # Contract
+    ///
+    /// An attempt may start while packets remain, the current packet has
+    /// lost fewer than [`DEAD_LINK_ATTEMPTS`] attempts in a row, and
+    /// `t + packet_time > deadline` does not hold (a NaN deadline never
+    /// expires). With error rate `per` it is delivered when `per <= 0` (no
+    /// draw) or when its draw `u` satisfies `u >= per`; either way it costs
+    /// one `t += packet_time`. Outcomes, airtime and the RNG stream are
+    /// those of evaluating `per` on every attempt, bit for bit — but `per`
+    /// is evaluated only where the answer depends on it:
+    ///
+    /// * The outer loop owns every exit, asks `link` for a new window of PER
+    ///   bounds `[lo, hi]` once the last one has run out, and books the
+    ///   attempts that need care: all of them where a window has `hi <= 0`
+    ///   (delivered, no draw) or is not `0 < lo <= hi` (`lo <= 0 < hi`,
+    ///   where whether a draw happens depends on the exact rate; NaN bounds;
+    ///   a malformed table or a source without bounds, which have no
+    ///   window) — those take the rule above as written.
+    /// * In a window with `0 < lo <= hi` every attempt draws whatever `per`
+    ///   is, so the inner *burst* settles attempts from the draw alone, in
+    ///   the integer domain ([`draw_threshold`]): numerator `k >= hi_k` is
+    ///   delivered, `k < lo_k` lost, and the bookkeeping is arithmetic on
+    ///   that one comparison — no branch depends on the outcome. A draw with
+    ///   `lo_k <= k < hi_k` is handed back, attempt not yet booked, and the
+    ///   outer loop compares it with the exact rate. A fixed PER is the
+    ///   zero-width window `lo = hi`, which never hands one back.
     pub fn run<R, D>(&self, spec: &TransferSpec, mut link: D, rng: &mut R) -> TransferOutcome
     where
         R: Rng + ?Sized,
@@ -310,46 +439,41 @@ impl Channel {
         if spec.bytes == 0 {
             return TransferOutcome::Delivered { elapsed: 0.0 };
         }
-        let n_packets = self.config.packets_for(spec.bytes);
-        let pt = self.config.packet_time();
-        let mut t = 0.0f64;
+        let mut at = Progress {
+            n_packets: self.config.packets_for(spec.bytes),
+            pt: self.config.packet_time(),
+            deadline: spec.deadline,
+            t: 0.0,
+            pkt: 0,
+            streak: 0,
+        };
         let mut known = PerWindow::UNKNOWN;
-        for pkt in 0..n_packets {
-            let mut delivered = false;
-            for _attempt in 0..DEAD_LINK_ATTEMPTS {
-                if t + pt > spec.deadline {
-                    return TransferOutcome::Failed {
-                        elapsed: t,
-                        delivered_bytes: pkt * self.config.packet_bytes,
-                    };
-                }
-                if t > known.until {
-                    known = self.per_window(spec.loss, t, &mut link);
-                }
-                let arrived = if known.hi <= 0.0 {
-                    true
-                } else if known.lo > 0.0 {
-                    let u = rng.random::<f32>();
-                    u >= known.hi
-                        || (u >= known.lo && u >= self.packet_per(spec.loss, t, &mut link))
-                } else {
-                    let per = self.packet_per(spec.loss, t, &mut link);
-                    per <= 0.0 || rng.random::<f32>() >= per
-                };
-                t += pt;
-                if arrived {
-                    delivered = true;
-                    break;
-                }
+        loop {
+            if at.complete() {
+                return TransferOutcome::Delivered { elapsed: at.t };
             }
-            if !delivered {
+            if at.cut_off() {
                 return TransferOutcome::Failed {
-                    elapsed: t,
-                    delivered_bytes: pkt * self.config.packet_bytes,
+                    elapsed: at.t,
+                    delivered_bytes: at.pkt * self.config.packet_bytes,
                 };
             }
+            if at.t > known.until {
+                known = self.per_window(spec.loss, at.t, &mut link);
+            }
+            let arrived = match known.settle {
+                Settle::Free => true,
+                Settle::Exact => {
+                    let per = self.packet_per(spec.loss, at.t, &mut link);
+                    per <= 0.0 || rng.random::<f32>() >= per
+                }
+                Settle::Draw { lo_k, hi_k } => match at.burst(lo_k, hi_k, known.until, rng) {
+                    Some(k) => draw_value(k) >= self.packet_per(spec.loss, at.t, &mut link),
+                    None => continue,
+                },
+            };
+            at.book(arrived);
         }
-        TransferOutcome::Delivered { elapsed: t }
     }
 }
 

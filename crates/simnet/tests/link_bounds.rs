@@ -2,21 +2,23 @@
 //!
 //! [`Channel::run`] decides most attempts of a link transfer from the draw
 //! alone once its distance source can bound the distance over a stretch of
-//! time ([`PairTrack`] does, per trace segment). These tests pin that path
-//! to the loop it replaced — kept here verbatim as [`oracle_run`] — bit for
-//! bit, RNG stream included, and pin the two bounding steps it rests on:
-//! the cursor's distance bounds contain every computed distance, and the
-//! table's PER bounds contain every computed PER.
+//! time ([`PairTrack`] does, per trace segment), in a burst that compares
+//! the draw's integer numerator with integer thresholds. These tests pin
+//! that path to the loop it replaced — kept here verbatim as [`oracle_run`]
+//! — bit for bit, RNG stream included, and pin the three steps it rests on:
+//! the cursor's distance bounds contain every computed distance, the
+//! table's PER bounds contain every computed PER, and the integer threshold
+//! is the float comparison.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, RngExt, SeedableRng};
+use rand::{Rng, RngCore, RngExt, SeedableRng};
 use simnet::channel::{
-    Channel, LinkDistance, RadioConfig, TransferLoss, TransferOutcome, TransferSpec,
-    DEAD_LINK_ATTEMPTS,
+    draw_threshold, Channel, DistanceBounds, LinkDistance, RadioConfig, TransferLoss,
+    TransferOutcome, TransferSpec, DEAD_LINK_ATTEMPTS,
 };
 use simnet::geom::Vec2;
-use simnet::loss::LossModel;
+use simnet::loss::{LossModel, DEFAULT_LOOKUP};
 use simnet::trace::MobilityTrace;
 
 /// `Channel::run` as it was before the PER windows: the exact error rate is
@@ -146,9 +148,33 @@ fn wandering_pair(seed: u64, frames: usize, fps: f64, origin: f32) -> MobilityTr
     MobilityTrace::new(fps, vec![pa, pb])
 }
 
-/// Runs `spec` three ways from the same seed — the oracle over the closure,
-/// `Channel::run` over the closure, `Channel::run` over the cursor — and
-/// asserts equal outcome bits and an equal next draw.
+/// Runs `spec` three ways from clones of `rng` — the oracle over `distance`,
+/// `Channel::run` over `distance` (a closure: no bounds), `Channel::run`
+/// over `bounded`, which must report the same distances — and asserts equal
+/// outcome bits and an equal next draw.
+fn assert_runs_agree<R: Rng + Clone>(
+    ch: &Channel,
+    spec: &TransferSpec,
+    distance: impl Fn(f64) -> f32,
+    bounded: impl LinkDistance,
+    rng: &R,
+) -> Result<TransferOutcome, TestCaseError> {
+    let mut r_oracle = rng.clone();
+    let want = oracle_run(ch, spec, &distance, &mut r_oracle);
+    let mut r_closure = rng.clone();
+    let closure = ch.run(spec, &distance, &mut r_closure);
+    let mut r_bounded = rng.clone();
+    let bounded = ch.run(spec, bounded, &mut r_bounded);
+    prop_assert_eq!(bits(closure), bits(want), "closure path diverged from the oracle");
+    prop_assert_eq!(bits(bounded), bits(want), "bounded path diverged from the oracle");
+    let next = r_oracle.random::<u64>();
+    prop_assert_eq!(r_closure.random::<u64>(), next, "closure path left the RNG elsewhere");
+    prop_assert_eq!(r_bounded.random::<u64>(), next, "bounded path left the RNG elsewhere");
+    Ok(want)
+}
+
+/// [`assert_runs_agree`] for agents 0 and 1 of `trace` from `t0` on: the
+/// bounded source is the trace's cursor.
 fn assert_three_ways_agree(
     ch: &Channel,
     spec: &TransferSpec,
@@ -156,18 +182,62 @@ fn assert_three_ways_agree(
     t0: f64,
     rng_seed: u64,
 ) -> Result<TransferOutcome, TestCaseError> {
-    let mut r_oracle = StdRng::seed_from_u64(rng_seed);
-    let want = oracle_run(ch, spec, |t| trace.distance(0, 1, t0 + t), &mut r_oracle);
-    let mut r_closure = StdRng::seed_from_u64(rng_seed);
-    let closure = ch.run(spec, |t| trace.distance(0, 1, t0 + t), &mut r_closure);
-    let mut r_cursor = StdRng::seed_from_u64(rng_seed);
-    let cursor = ch.run(spec, trace.pair_track(0, 1).starting_at(t0), &mut r_cursor);
-    prop_assert_eq!(bits(closure), bits(want), "closure path diverged from the oracle");
-    prop_assert_eq!(bits(cursor), bits(want), "cursor path diverged from the oracle");
-    let next = r_oracle.random::<u64>();
-    prop_assert_eq!(r_closure.random::<u64>(), next, "closure path left the RNG elsewhere");
-    prop_assert_eq!(r_cursor.random::<u64>(), next, "cursor path left the RNG elsewhere");
-    Ok(want)
+    let distance = |t| trace.distance(0, 1, t0 + t);
+    let cursor = trace.pair_track(0, 1).starting_at(t0);
+    assert_runs_agree(ch, spec, distance, cursor, &StdRng::seed_from_u64(rng_seed))
+}
+
+/// A distance source whose bounds windows are written by the test.
+struct Windowed<D, B> {
+    distance: D,
+    bounds: B,
+}
+
+impl<D: Fn(f64) -> f32, B: Fn(f64) -> Option<DistanceBounds>> LinkDistance for Windowed<D, B> {
+    fn distance_at(&mut self, t: f64) -> f32 {
+        (self.distance)(t)
+    }
+
+    fn bounds(&mut self, t: f64) -> Option<DistanceBounds> {
+        (self.bounds)(t)
+    }
+}
+
+/// Draws the scripted 24-bit numerators first (as `random::<f32>()` and
+/// `random::<u32>() >> 8` both read them), then whatever `rest` holds.
+#[derive(Clone)]
+struct ScriptedRng {
+    script: Vec<u32>,
+    rest: StdRng,
+}
+
+impl RngCore for ScriptedRng {
+    fn next_u64(&mut self) -> u64 {
+        if self.script.is_empty() {
+            self.rest.next_u64()
+        } else {
+            u64::from(self.script.remove(0)) << 40
+        }
+    }
+}
+
+/// `u >= p` for the draw with numerator `k`, as the per-attempt loop has it.
+fn draw_survives(k: u32, p: f32) -> bool {
+    k as f32 * (1.0 / (1u32 << 24) as f32) >= p
+}
+
+/// `draw_threshold(p)` splits the numerators exactly where `u >= p` does,
+/// checked around the split (computed here by truncation, so a wrong
+/// rounding in the kernel cannot hide) and at both ends of the range.
+fn assert_threshold_is_the_float_comparison(p: f32) -> Result<(), TestCaseError> {
+    let threshold = draw_threshold(p);
+    let around = (f64::from(p) * f64::from(1u32 << 24)) as i64;
+    for k in (around - 2..=around + 3).chain([0, (1 << 24) - 1]) {
+        if let Some(k) = u32::try_from(k).ok().filter(|&k| k < 1 << 24) {
+            prop_assert_eq!(draw_survives(k, p), k >= threshold, "p={:e} k={}", p, k);
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -278,6 +348,14 @@ proptest! {
         assert_three_ways_agree(&ch, &spec, &trace, 0.3, seed)?;
     }
 
+    /// The integer threshold is the float comparison, for PERs of every
+    /// magnitude (the mantissa and exponent are drawn separately, so tiny
+    /// rates are as likely as large ones).
+    #[test]
+    fn draw_threshold_is_the_float_comparison(mantissa in 1.0f32..2.0, exponent in -30i32..1) {
+        assert_threshold_is_the_float_comparison(mantissa * 2f32.powi(exponent))?;
+    }
+
     /// (c) `per_bounds` contains `per(d)` for every sampled `d` of the
     /// interval, on the default table, a non-monotone one, one with flat
     /// 0/1 stretches, and random valid tables.
@@ -374,6 +452,120 @@ fn channel_run_matches_on_hand_picked_links() {
     let pt = lossy.config().packet_time();
     check(&lossy, TransferSpec::link(9000, pt), &closing, 5.0);
     check(&lossy, TransferSpec::link(1 << 20, 0.0731), &closing, 5.0);
+}
+
+/// The PERs the threshold has to get right by name: nothing, the smallest
+/// positive rate, the table's entries, the largest rate below 1, and the
+/// rates no draw survives.
+#[test]
+fn draw_threshold_matches_on_hand_picked_rates() {
+    let named = [0.0, f32::MIN_POSITIVE, 0.005, 1.0 - 1.0 / (1u32 << 24) as f32, 1.0, 1.5];
+    for p in named.into_iter().chain(DEFAULT_LOOKUP.iter().map(|&(_, p)| p)) {
+        assert_threshold_is_the_float_comparison(p).unwrap_or_else(|e| panic!("{e:?}"));
+    }
+    assert_eq!(draw_threshold(f32::MIN_POSITIVE), 1, "only the zero draw is lost");
+    assert_eq!(draw_threshold(1.5), 1 << 24, "clamped one past the largest draw");
+    assert_eq!(draw_threshold(f32::INFINITY), 1 << 24);
+}
+
+/// Transfers built to end *inside* a burst — the exits and the hand-back
+/// must fire at the attempt the per-attempt loop fires them at.
+#[test]
+fn bursts_end_where_the_per_attempt_loop_does() {
+    let ch = Channel::new(RadioConfig::default(), LossModel::distance_default());
+    let pt = ch.config().packet_time();
+    fn check<R: Rng + Clone>(
+        ch: &Channel,
+        spec: TransferSpec,
+        distance: impl Fn(f64) -> f32 + Copy,
+        bounds: impl Fn(f64) -> Option<DistanceBounds>,
+        rng: &R,
+    ) -> TransferOutcome {
+        assert_runs_agree(ch, &spec, distance, Windowed { distance, bounds }, rng)
+            .unwrap_or_else(|e| panic!("{spec:?}: {e:?}"))
+    }
+
+    // A dead-link streak that starts in one window and reaches 40 in the
+    // next: in range (PER 0.54) for 51 attempts, out of range after, in
+    // windows 50 attempts wide. A streak that forgot itself at the window
+    // edge would die 40 attempts past it — later than every run below that
+    // was already losing when it crossed.
+    let edge = 50.5 * pt;
+    let receding = |t: f64| if t < edge { 390.0 } else { 600.0 };
+    let windows = |t: f64| {
+        let d = receding(t);
+        let until = if t < edge { edge - 0.25 * pt } else { t + 49.5 * pt };
+        Some(DistanceBounds { lo: d, hi: d, until })
+    };
+    let mut crossed = 0;
+    for seed in 0..16 {
+        let rng = StdRng::seed_from_u64(seed);
+        let out = check(&ch, TransferSpec::link(1 << 20, 1e9), receding, windows, &rng);
+        assert!(!out.is_delivered());
+        crossed += u32::from(out.elapsed() < (51 + DEAD_LINK_ATTEMPTS) as f64 * pt - 0.5 * pt);
+    }
+    assert!(crossed >= 4, "only {crossed} of 16 streaks crossed the window edge");
+
+    // One endless window with a real band (150–250 m around a 200 m link):
+    // a last packet and a deadline that fall mid-window.
+    let steady = |_: f64| 200.0;
+    let endless = |_: f64| Some(DistanceBounds { lo: 150.0, hi: 250.0, until: f64::INFINITY });
+    for seed in 0..8 {
+        let rng = StdRng::seed_from_u64(seed);
+        let (last_packet, deadline) =
+            (TransferSpec::link(20 * 1500, 1e9), TransferSpec::link(1 << 20, 37.5 * pt));
+        assert!(check(&ch, last_packet, steady, endless, &rng).is_delivered());
+        assert!(!check(&ch, deadline, steady, endless, &rng).is_delivered());
+    }
+
+    // Draws landing on the band's edges, with the exact rate sitting on the
+    // matching bound: `lo_k` is the first draw that survives `lo` (and so the
+    // first to need the exact rate), `hi_k - 1` the last that `hi` loses.
+    let (lo, hi) = ch.loss_model().per_bounds(100.0, 200.0);
+    assert_eq!((lo, hi), (ch.per_for(TransferLoss::Link, 100.0), ch.per_for(TransferLoss::Link, 200.0)));
+    let (lo_k, hi_k) = (draw_threshold(lo), draw_threshold(hi));
+    assert!(0 < lo_k && lo_k + 1 < hi_k);
+    let band = |_: f64| Some(DistanceBounds { lo: 100.0, hi: 200.0, until: f64::INFINITY });
+    for (d, survivors) in [(100.0f32, 3usize), (200.0, 1)] {
+        let at = move |_: f64| d;
+        let script = vec![lo_k - 1, lo_k, hi_k - 1, hi_k];
+        let rng = ScriptedRng { script, rest: StdRng::seed_from_u64(17) };
+        // Four packets, four scripted attempts: the survivors say which.
+        let spec = TransferSpec::link(4 * 1500, 4.5 * pt);
+        let out = check(&ch, spec, at, band, &rng);
+        assert_eq!(bits(out), (false, (4.0 * pt).to_bits(), survivors * 1500), "at {d} m");
+    }
+}
+
+/// Nothing that never ends hangs the loop: a NaN deadline never expires
+/// (`t + pt > NaN` is false — and so is `t + pt <= NaN`, which is why the
+/// exits are written in the first form), an infinite one neither; a parked
+/// pair's window runs until +inf, a closure's `UNKNOWN` until -inf.
+#[test]
+fn unbounded_deadlines_and_windows_terminate_with_the_oracle() {
+    let parked = MobilityTrace::new(2.0, vec![vec![Vec2::ZERO], vec![Vec2::new(320.0, 0.0)]]);
+    let gone = MobilityTrace::new(2.0, vec![vec![Vec2::ZERO], vec![Vec2::new(620.0, 0.0)]]);
+    let moving = wandering_pair(7, 24, 2.0, 0.0);
+    let lossy = Channel::new(RadioConfig::default(), LossModel::distance_default());
+    for deadline in [f64::NAN, f64::INFINITY] {
+        for (trace, link_delivers) in [(&parked, Some(true)), (&gone, Some(false)), (&moving, None)] {
+            for spec in [
+                TransferSpec::link(300_000, deadline),
+                TransferSpec::fixed_per(300_000, deadline, 0.3),
+                TransferSpec::fixed_per(300_000, deadline, 1.0),
+            ] {
+                let out = assert_three_ways_agree(&lossy, &spec, trace, 0.0, 5)
+                    .unwrap_or_else(|e| panic!("{spec:?}: {e:?}"));
+                let expected = match spec.loss {
+                    TransferLoss::FixedPer(per) => Some(per < 1.0),
+                    TransferLoss::Link => link_delivers,
+                };
+                if let Some(delivered) = expected {
+                    assert_eq!(out.is_delivered(), delivered, "{spec:?}");
+                }
+            }
+        }
+    }
 }
 
 /// A distance source without bounds — any closure — takes the exact path on
