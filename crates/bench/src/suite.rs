@@ -7,6 +7,7 @@
 //! commits' result files meaningful.
 
 use crate::timer::{BenchResult, Sampling, Timer};
+use driving::eval::{EvalConfig, Rollout, Task};
 use driving::frame::Frame;
 use driving::learner::DrivingLearner;
 use lbchat::compress::top_k;
@@ -100,6 +101,7 @@ pub fn run(opts: &SuiteOpts) -> Vec<BenchResult> {
         ("phi", bench_phi),
         ("vnn", bench_vnn_bev),
         ("runtime", bench_runtime_static),
+        ("driving", bench_driving),
     ];
     for (group, cell) in cells {
         if opts.group_enabled(group) {
@@ -538,8 +540,9 @@ fn bev_fixture(n: usize) -> (DrivingLearner, Vec<Frame>) {
     (learner, frames)
 }
 
-/// The two passes a run spends its learner time in, over recorded frames:
-/// one local-training round and one coreset-sized loss pass.
+/// The two passes a run spends its learner time in, over recorded frames —
+/// one local-training round and one coreset-sized loss pass — and the
+/// closed-loop evaluator's one prediction per control tick.
 fn bench_vnn_bev(c: &mut Timer, _opts: &SuiteOpts) {
     let (learner, frames) = bev_fixture(64);
     // `vnn/policy_train_round_b64`'s round, shard by shard on this thread.
@@ -577,6 +580,64 @@ fn bench_vnn_bev(c: &mut Timer, _opts: &SuiteOpts) {
             out[0]
         });
     });
+    // A batch of one through the frozen policy, a different recorded frame
+    // every call (the freeze itself is paid once, before the first sample).
+    c.bench_function("vnn/policy_predict_bev", |b| {
+        let mut scratch = TrainScratch::new();
+        let mut out = Vec::new();
+        let mut recorded = frames.iter().cycle();
+        b.measure(|| {
+            let frame = recorded.next().expect("a cycle over a non-empty fixture");
+            learner.predict_into(&frame.features, frame.command, &mut out, &mut scratch);
+            out[0]
+        });
+    });
+}
+
+/// One control tick of closed-loop evaluation — route tracking, observation,
+/// rasterization, pooling, prediction, steering, judging, `World::step` —
+/// along a drawn route through Navi. (Normal) traffic, so the pose, and with
+/// it the occupancy the pooling and the first layer see, changes every
+/// iteration. A trial that ends restarts from a copy of its first tick.
+///
+/// Timed on one worker, as `lbchat_e2e` runs its passes: with more,
+/// `World::step` fans its intent phase — 50 slots here — over freshly
+/// spawned scoped threads every tick, and the spawn (≈ 100 µs) is all the
+/// cell would read.
+fn bench_driving(c: &mut Timer, _opts: &SuiteOpts) {
+    lbchat::exec::set_jobs(1);
+    let (learner, _) = bev_fixture(64);
+    let cfg = EvalConfig::default();
+    let base = Task::NaviNormal.world(&cfg);
+    // The fixture's policy is three steps into training and barely moves, so
+    // traffic runs into it within a few ticks on most routes: drive the
+    // longest of the first eight trials.
+    let ticks = |rollout: &Rollout| {
+        let mut rollout = rollout.clone();
+        let mut n = 0usize;
+        while rollout.tick(&learner) {
+            n += 1;
+        }
+        n
+    };
+    let start = (0..8)
+        .map(|trial| Rollout::of_trial(&base, Task::NaviNormal, &cfg, trial))
+        .max_by_key(ticks)
+        .expect("eight trials");
+    c.bench_function("driving/control_tick", |b| {
+        // The restart is set-up, not tick: keep it out of the timed half.
+        let rollout = std::cell::RefCell::new(start.clone());
+        let running = std::cell::Cell::new(true);
+        b.measure_batched(
+            || {
+                if !running.get() {
+                    *rollout.borrow_mut() = start.clone();
+                }
+            },
+            |()| running.set(rollout.borrow_mut().tick(&learner)),
+        );
+    });
+    lbchat::exec::set_jobs(0); // back to LBCHAT_JOBS / hardware detection
 }
 
 fn bench_phi(c: &mut Timer, _opts: &SuiteOpts) {

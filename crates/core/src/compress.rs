@@ -18,53 +18,68 @@ use rand::RngExt;
 use vnn::wire::{SparseModel, WireError, WireReader};
 use vnn::ParamVec;
 
-/// The magnitude order of a parameter vector — component indices by `|v|`
-/// descending, ties by index ascending (a stable sort) — computed once.
-/// The top-k selection at any ψ is a prefix of it, so sampling a whole ψ
-/// grid ([`crate::phi::PhiCurve::sample`]) costs one sort instead of one
-/// per ψ. Non-finite parameters order by their IEEE total order (NaN sorts
-/// past every finite magnitude), so any input is accepted.
+/// The magnitude order of a parameter vector — components by `|v|`
+/// descending, ties by index ascending — settled only as far as it is
+/// asked about. The top-k selection at any ψ is a prefix of that order, and
+/// no caller reads the order *inside* a prefix, so each requested cut costs
+/// one partition of the segment it falls in instead of a share of a full
+/// sort: sampling a whole ψ grid ([`crate::phi::PhiCurve::sample`]) from the
+/// largest ψ down partitions ever shorter prefixes. Keys are distinct (they
+/// end in the index), so the survivor set of a cut does not depend on the
+/// cuts settled before it. Non-finite parameters order by their IEEE total
+/// order (NaN sorts past every finite magnitude), so any input is accepted.
 #[derive(Debug)]
 pub struct MagnitudeOrder<'a> {
     params: &'a ParamVec,
-    order: Vec<u32>,
+    /// One packed key per component, ascending key = descending magnitude;
+    /// unordered between two consecutive `cuts`.
+    keys: Vec<u64>,
+    /// Settled cut points, ascending: `keys[..c]` holds the `c` smallest
+    /// keys. Always contains `0` and `keys.len()`.
+    cuts: Vec<usize>,
 }
 
 impl<'a> MagnitudeOrder<'a> {
-    /// Sorts the components of `params` by magnitude.
+    /// Packs the components of `params` for ordering by magnitude.
     pub fn new(params: &'a ParamVec) -> Self {
         // One packed key per component: the complement of `|v|`'s bits above
         // the index. With the sign cleared, IEEE total order is the unsigned
         // order of the bits, so ascending keys are `|v|` descending by
         // `total_cmp`, ties by index ascending — what a stable sort through
         // the indices gives, without an indirect load per comparison.
-        let mut keys: Vec<u64> = params
+        let keys: Vec<u64> = params
             .as_slice()
             .iter()
             .enumerate()
             .map(|(i, v)| u64::from(!(v.to_bits() & 0x7fff_ffff)) << 32 | i as u64)
             .collect();
-        keys.sort_unstable();
-        let order = keys.into_iter().map(|key| key as u32).collect();
-        Self { params, order }
+        let cuts = vec![0, keys.len()];
+        Self { params, keys, cuts }
     }
 
-    /// The `ceil(psi * n)` largest-magnitude component indices, in
-    /// magnitude order.
+    /// The keys of the `ceil(psi * n)` largest-magnitude components (the
+    /// index is a key's low half), in no particular order.
     ///
     /// # Panics
     /// Panics if `psi` is outside `[0, 1]`.
-    fn survivors(&self, psi: f32) -> &[u32] {
+    fn survivors(&mut self, psi: f32) -> &[u64] {
         assert!((0.0..=1.0).contains(&psi), "psi must be in [0, 1]");
-        &self.order[..top_k_count(self.order.len(), psi)]
+        let k = top_k_count(self.keys.len(), psi);
+        if let Err(at) = self.cuts.binary_search(&k) {
+            // `0 < k < n`, so a settled cut lies on either side.
+            let (lo, hi) = (self.cuts[at - 1], self.cuts[at]);
+            self.keys[lo..hi].select_nth_unstable(k - lo);
+            self.cuts.insert(at, k);
+        }
+        &self.keys[..k]
     }
 
     /// [`top_k`] of the vector at `psi`.
     ///
     /// # Panics
     /// Panics if `psi` is outside `[0, 1]`.
-    pub fn top_k(&self, psi: f32) -> SparseModel {
-        let mut indices = self.survivors(psi).to_vec();
+    pub fn top_k(&mut self, psi: f32) -> SparseModel {
+        let mut indices: Vec<u32> = self.survivors(psi).iter().map(|&key| key as u32).collect();
         indices.sort_unstable();
         let p = self.params.as_slice();
         let values = indices.iter().map(|&i| p[i as usize]).collect();
@@ -77,11 +92,12 @@ impl<'a> MagnitudeOrder<'a> {
     ///
     /// # Panics
     /// Panics if `psi` is outside `[0, 1]`.
-    pub fn dense(&self, psi: f32) -> ParamVec {
+    pub fn dense(&mut self, psi: f32) -> ParamVec {
         let p = self.params.as_slice();
         let mut data = vec![0.0f32; p.len()];
-        for &i in self.survivors(psi) {
-            data[i as usize] = p[i as usize];
+        for &key in self.survivors(psi) {
+            let i = key as u32 as usize;
+            data[i] = p[i];
         }
         ParamVec::from_vec(data)
     }
@@ -99,7 +115,7 @@ impl<'a> MagnitudeOrder<'a> {
 pub fn top_k(params: &ParamVec, psi: f32) -> SparseModel {
     assert!((0.0..=1.0).contains(&psi), "psi must be in [0, 1]");
     if top_k_count(params.len(), psi) == 0 {
-        // Nothing survives: skip the sort.
+        // Nothing survives: skip packing the keys.
         return SparseModel::new(params.len(), Vec::new(), Vec::new());
     }
     MagnitudeOrder::new(params).top_k(psi)
@@ -854,16 +870,27 @@ mod tests {
             values.extend_from_slice(&[m, -m, 0.0, -0.0, m, odd[i % odd.len()]]);
         }
         let p = ParamVec::from_vec(values);
-        let order = MagnitudeOrder::new(&p);
         let bits = |v: &ParamVec| v.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for &psi in crate::phi::DEFAULT_PSI_GRID.iter().chain(&[1.0, 0.0, 0.013]) {
-            let dense = order.dense(psi);
-            assert_eq!(bits(&dense), bits(&compress_dense(&p, psi)), "psi={psi}");
-            assert_eq!(bits(&dense), bits(&top_k_dense_oracle(&p, psi)), "psi={psi}");
-            // NaN survivors: compare the sparse form through its bits too.
-            let (a, b) = (order.top_k(psi), top_k(&p, psi));
-            assert_eq!((a.dense_len, &a.indices), (b.dense_len, &b.indices), "psi={psi}");
-            assert_eq!(bits(&a.to_dense()), bits(&dense), "psi={psi}");
+        // The order settles one cut per request, inside whatever segment the
+        // earlier requests left: ask ascending, descending (the φ walk), and
+        // with repeats and interleaving, each through one `MagnitudeOrder`.
+        let mut asked: Vec<f32> =
+            crate::phi::DEFAULT_PSI_GRID.iter().copied().chain([1.0, 0.0, 0.013]).collect();
+        let ascending = asked.clone();
+        asked.sort_by(f32::total_cmp);
+        let descending: Vec<f32> = asked.iter().rev().copied().collect();
+        let repeated = [0.4, 0.4, 0.02, 1.0, 0.4, 0.013, 0.7, 0.02, 0.0, 0.7];
+        for requests in [&ascending[..], &asked, &descending, &repeated] {
+            let mut order = MagnitudeOrder::new(&p);
+            for &psi in requests {
+                let dense = order.dense(psi);
+                assert_eq!(bits(&dense), bits(&compress_dense(&p, psi)), "psi={psi}");
+                assert_eq!(bits(&dense), bits(&top_k_dense_oracle(&p, psi)), "psi={psi}");
+                // NaN survivors: compare the sparse form through its bits too.
+                let (a, b) = (order.top_k(psi), top_k(&p, psi));
+                assert_eq!((a.dense_len, &a.indices), (b.dense_len, &b.indices), "psi={psi}");
+                assert_eq!(bits(&a.to_dense()), bits(&dense), "psi={psi}");
+            }
         }
     }
 

@@ -144,14 +144,13 @@ impl PhiCurve {
             "psi grid must be strictly increasing within (0, 1]"
         );
         let pairs = coreset.pairs();
-        let mut psi = Vec::with_capacity(grid.len());
-        let mut loss = Vec::with_capacity(grid.len());
-        // One magnitude sort serves every ψ of the grid.
-        let order = MagnitudeOrder::new(learner.params());
-        for &p in grid {
-            let compressed = order.dense(p);
-            psi.push(p);
-            loss.push(penalized_loss(learner, &compressed, &pairs, penalty));
+        let psi = grid.to_vec();
+        let mut loss = vec![0.0f32; grid.len()];
+        // Largest ψ first: each cut of the magnitude order then partitions
+        // only the prefix the cut before it left.
+        let mut order = MagnitudeOrder::new(learner.params());
+        for (&p, l) in grid.iter().zip(&mut loss).rev() {
+            *l = penalized_loss(learner, &order.dense(p), &pairs, penalty);
         }
         let fit = Akima::fit(
             &psi.iter().map(|&v| v as f64).collect::<Vec<_>>(),

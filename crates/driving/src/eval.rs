@@ -15,7 +15,7 @@ use lbchat::ConfigError;
 use rand::SeedableRng;
 use simnet::geom::Vec2;
 use simworld::agents::FreeVehicle;
-use simworld::bev::{rasterize_into, Bev, Pose};
+use simworld::bev::{rasterize_into, Bev, BevConfig, Pose};
 use simworld::expert::Command;
 use simworld::map::RoadNetwork;
 use simworld::route::{classify_turn, Route, TurnKind};
@@ -62,6 +62,20 @@ impl Task {
             Task::NaviNormal => base(50.0, 250.0),
             Task::NaviDense => base(60.0, 300.0), // 1.2×
         }
+    }
+
+    /// The evaluation world of the task under `cfg`: no experts, the task's
+    /// background traffic, seeded by `cfg.world_seed` — the base every trial
+    /// clones.
+    pub fn world(self, cfg: &EvalConfig) -> World {
+        let (cars, peds) = self.traffic(cfg.traffic_scale);
+        World::new(WorldConfig {
+            seed: cfg.world_seed,
+            n_experts: 0,
+            n_background: cars,
+            n_pedestrians: peds,
+            ..WorldConfig::default()
+        })
     }
 }
 
@@ -200,6 +214,7 @@ impl TaskResult {
 /// route: projects the vehicle's position onto the route polyline and
 /// advances monotonically (never backwards), so commands and the BEV route
 /// channel stay consistent even when tracking is imperfect.
+#[derive(Clone)]
 struct RouteTracker {
     route: Route,
     edge_idx: usize,
@@ -363,107 +378,163 @@ struct Tick<'a> {
     to_destination: f32,
 }
 
-/// Drives one trial, showing `observe` every control tick; returns how it
-/// ended and when — the tick the verdict fell in, or the whole budget for a
-/// timeout.
-fn run_trial(
-    learner: &DrivingLearner,
-    world: &mut World,
-    route: Route,
-    cfg: &EvalConfig,
-    observe: &mut impl FnMut(&Tick),
-) -> (TrialEnd, f64) {
-    let map_len = route.length(world.map());
-    let budget = (map_len as f64 * cfg.seconds_per_meter).max(60.0);
-    let dt = (1.0 / world.config().fps) as f32;
-    let pool = world.config().bev.pool;
+/// One closed-loop trial in flight: the evaluation world, the test vehicle
+/// and its progress along the route, and the buffers a control tick reuses
+/// (one BEV frame, one feature/waypoint/scratch set), so a tick allocates
+/// nothing after the first.
+#[derive(Clone)]
+pub struct Rollout {
+    world: World,
+    bev_cfg: BevConfig,
+    ego: FreeVehicle,
+    tracker: RouteTracker,
+    destination: Vec2,
+    arrival_radius: f32,
+    /// The "budget time": past it the trial is a timeout.
+    budget: f64,
+    dt: f32,
+    /// Seconds since the trial started.
+    t: f64,
+    bev: Bev,
+    features: Vec<f32>,
+    wp: Vec<f32>,
+    scratch: TrainScratch,
+}
 
-    let first_edge = route.edges[0];
-    let start = world.map().position_on_edge(first_edge, 0.0);
-    let heading = world.map().tangent_on_edge(first_edge, 0.0).angle();
-    let mut ego = FreeVehicle::new(start, heading);
-    let mut tracker = RouteTracker::new(route);
-    let destination = tracker.destination(world.map());
-    // One BEV frame — and one feature/waypoint/scratch set — reused across
-    // every step of the trial: the per-step loop allocates nothing after
-    // the first iteration.
-    let mut bev = Bev::blank(world.config().bev.cells);
-    let mut features: Vec<f32> = Vec::new();
-    let mut wp: Vec<f32> = Vec::new();
-    let mut scratch = TrainScratch::new();
+impl Rollout {
+    /// Puts the test vehicle at the head of `route` in `world`.
+    fn new(world: World, route: Route, cfg: &EvalConfig) -> Self {
+        let map_len = route.length(world.map());
+        let first_edge = route.edges[0];
+        let start = world.map().position_on_edge(first_edge, 0.0);
+        let heading = world.map().tangent_on_edge(first_edge, 0.0).angle();
+        let tracker = RouteTracker::new(route);
+        let bev_cfg = world.config().bev.clone();
+        Self {
+            destination: tracker.destination(world.map()),
+            arrival_radius: cfg.arrival_radius,
+            budget: (map_len as f64 * cfg.seconds_per_meter).max(60.0),
+            dt: (1.0 / world.config().fps) as f32,
+            t: 0.0,
+            ego: FreeVehicle::new(start, heading),
+            tracker,
+            bev: Bev::blank(bev_cfg.cells),
+            bev_cfg,
+            world,
+            features: Vec::new(),
+            wp: Vec::new(),
+            scratch: TrainScratch::new(),
+        }
+    }
 
-    let mut t = 0.0f64;
-    while t < budget {
+    /// Trial number `trial` of `task` exactly as [`success_rate`] sets it
+    /// up: its own clone of `base` ([`Task::world`]), warmed a trial-specific number of frames to decorrelate traffic, and
+    /// a route drawn from `cfg.route_seed` and the trial index.
+    pub fn of_trial(base: &World, task: Task, cfg: &EvalConfig, trial: usize) -> Self {
+        let mut world = base.clone();
+        for _ in 0..(10 + 13 * trial) {
+            world.step();
+        }
+        let mut route_rng = rand::rngs::StdRng::seed_from_u64(exec::derive_seed(
+            cfg.route_seed,
+            "eval-route",
+            trial as u64,
+        ));
+        let route = draw_route(&world, task, &mut route_rng);
+        Self::new(world, route, cfg)
+    }
+
+    /// Runs one control tick under `learner`'s policy — track the route,
+    /// observe, rasterize, pool, predict, steer, judge, step the world —
+    /// and says whether the trial is still running.
+    pub fn tick(&mut self, learner: &DrivingLearner) -> bool {
+        self.advance(learner, &mut |_| {}).is_none()
+    }
+
+    /// One control tick, shown to `observe` before the vehicle moves;
+    /// `Some` once the trial has ended, with how and when — the tick the
+    /// verdict fell in, or the whole budget for a timeout.
+    fn advance(
+        &mut self,
+        learner: &DrivingLearner,
+        observe: &mut impl FnMut(&Tick),
+    ) -> Option<(TrialEnd, f64)> {
+        if self.t >= self.budget {
+            return Some((TrialEnd::Timeout, self.budget));
+        }
+        let (world, ego, tracker) = (&mut self.world, &mut self.ego, &mut self.tracker);
         tracker.update(world.map(), ego.pos, 25.0);
         // Arrived?
-        if ego.pos.distance(destination) <= cfg.arrival_radius {
-            return (TrialEnd::Success, t);
+        if ego.pos.distance(self.destination) <= self.arrival_radius {
+            return Some((TrialEnd::Success, self.t));
         }
         // Observe.
         let cars = world.car_positions();
         let peds = world.pedestrian_positions();
-        let route_ahead = world.route_polyline_from(
-            &tracker.route,
-            tracker.edge_idx,
-            tracker.s,
-            60.0,
-        );
+        let route_ahead =
+            world.route_polyline_from(&tracker.route, tracker.edge_idx, tracker.s, 60.0);
         let pose = Pose { pos: ego.pos, heading: ego.heading };
         rasterize_into(
-            &world.config().bev.clone(),
+            &self.bev_cfg,
             pose,
             ego.speed,
             world.raster(),
             &cars,
             &peds,
             &route_ahead,
-            &mut bev,
+            &mut self.bev,
         );
         let command = tracker.command(world.map());
-        bev.features_into(pool, &mut features);
+        self.bev.features_into(self.bev_cfg.pool, &mut self.features);
         let (nav_d, nav_s) = tracker.nav_features(world.map());
-        features.push(nav_d);
-        features.push(nav_s);
-        learner.predict_into(&features, command, &mut wp, &mut scratch);
+        self.features.push(nav_d);
+        self.features.push(nav_s);
+        learner.predict_into(&self.features, command, &mut self.wp, &mut self.scratch);
         observe(&Tick {
-            t,
-            ego: &ego,
+            t: self.t,
+            ego,
             deviation: tracker.deviation(world.map(), ego.pos),
             command,
-            waypoints: &wp,
-            to_destination: ego.pos.distance(destination),
+            waypoints: &self.wp,
+            to_destination: ego.pos.distance(self.destination),
         });
 
-        // Low-level control: pure pursuit on the second waypoint, speed
-        // from the first (time-spaced at dt).
-        let (yaw_rate, target_speed) = steer(&wp, command, ego.speed, dt);
-        ego.step(yaw_rate, target_speed, dt);
+        // Low-level control: pure pursuit on the mean of the last two
+        // waypoints, speed from the first (time-spaced at dt).
+        let (yaw_rate, target_speed) = steer(&self.wp, command, ego.speed, self.dt);
+        ego.step(yaw_rate, target_speed, self.dt);
 
         // Judge.
         if world.collides(ego.pos, 1.5, None) {
-            return (TrialEnd::Collision, t);
+            return Some((TrialEnd::Collision, self.t));
         }
         if tracker.deviation(world.map(), ego.pos) > 35.0 {
-            return (TrialEnd::OffRoute, t);
+            return Some((TrialEnd::OffRoute, self.t));
         }
         world.step();
-        t += dt as f64;
+        self.t += self.dt as f64;
+        None
     }
-    (TrialEnd::Timeout, budget)
+
+    /// Drives the trial to its end, showing `observe` every control tick.
+    fn run(
+        mut self,
+        learner: &DrivingLearner,
+        observe: &mut impl FnMut(&Tick),
+    ) -> (TrialEnd, f64) {
+        loop {
+            if let Some(end) = self.advance(learner, observe) {
+                return end;
+            }
+        }
+    }
 }
 
 /// Drives one route of `task` printing per-frame telemetry to stderr —
 /// a development aid for the controller (kept public for the `debug_drive`
 /// binary).
 pub fn debug_one_trial(learner: &DrivingLearner, task: Task, cfg: &EvalConfig) {
-    let (cars, peds) = task.traffic(cfg.traffic_scale);
-    let mut world = World::new(WorldConfig {
-        seed: cfg.world_seed,
-        n_experts: 0,
-        n_background: cars,
-        n_pedestrians: peds,
-        ..WorldConfig::default()
-    });
+    let world = task.world(cfg);
     let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.route_seed);
     let route = draw_route(&world, task, &mut rng);
     let map_len = route.length(world.map());
@@ -480,7 +551,7 @@ pub fn debug_one_trial(learner: &DrivingLearner, task: Task, cfg: &EvalConfig) {
         }
         frame += 1;
     };
-    match run_trial(learner, &mut world, route, cfg, &mut print_every_tenth) {
+    match Rollout::new(world, route, cfg).run(learner, &mut print_every_tenth) {
         (TrialEnd::Success, t) => eprintln!("SUCCESS at t={t:.0}s"),
         (TrialEnd::Collision, t) => eprintln!("COLLISION at t={t:.0}s"),
         (TrialEnd::OffRoute, t) => eprintln!("OFF-ROUTE at t={t:.0}s"),
@@ -514,27 +585,13 @@ pub fn success_rate_obs(
     cfg: &EvalConfig,
     obs: &ObsSink,
 ) -> TaskResult {
-    let (cars, peds) = task.traffic(cfg.traffic_scale);
-    let base = World::new(WorldConfig {
-        seed: cfg.world_seed,
-        n_experts: 0,
-        n_background: cars,
-        n_pedestrians: peds,
-        ..WorldConfig::default()
-    });
+    let base = task.world(cfg);
     let stage = format!("trial:{}", task.name());
+    // Freeze the policy here, once, rather than in whichever trial asks first
+    // while the others wait on it.
+    learner.frozen();
     let outcomes = exec::par_run_traced(obs, &stage, cfg.trials, |trial| {
-        let mut world = base.clone();
-        for _ in 0..(10 + 13 * trial) {
-            world.step();
-        }
-        let mut route_rng = rand::rngs::StdRng::seed_from_u64(exec::derive_seed(
-            cfg.route_seed,
-            "eval-route",
-            trial as u64,
-        ));
-        let route = draw_route(&world, task, &mut route_rng);
-        let (end, _) = run_trial(learner, &mut world, route, cfg, &mut |_| {});
+        let (end, _) = Rollout::of_trial(&base, task, cfg, trial).run(learner, &mut |_| {});
         if obs.enabled() {
             obs.add("trials", 1);
             let outcome = match end {

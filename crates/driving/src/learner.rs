@@ -12,8 +12,10 @@ use crate::frame::Frame;
 use lbchat::{Learner, TrainStats};
 use rand::Rng;
 use simworld::expert::Command;
+use std::sync::OnceLock;
 use vnn::{
-    BatchSource, BranchedPolicy, ParamVec, PolicySample, PolicySpec, Sgd, TrainScratch, SHARD,
+    BatchSource, BranchedPolicy, FrozenPolicy, ParamVec, PolicySample, PolicySpec, Sgd,
+    TrainScratch, SHARD,
 };
 
 /// `frame` as the batched `vnn` kernels see it.
@@ -62,6 +64,10 @@ pub struct DrivingLearner {
     policy: BranchedPolicy,
     opt: Sgd,
     scratch: TrainScratch,
+    /// `policy` in the form [`DrivingLearner::predict_into`] answers from,
+    /// built on first use; `train_step` and `set_params` — the only two
+    /// places the parameters change — drop it.
+    frozen: OnceLock<FrozenPolicy>,
 }
 
 impl DrivingLearner {
@@ -75,6 +81,7 @@ impl DrivingLearner {
             policy: BranchedPolicy::new(spec, rng),
             opt: Sgd::new(lr, 0.9, 1e-5),
             scratch: TrainScratch::new(),
+            frozen: OnceLock::new(),
         }
     }
 
@@ -103,9 +110,17 @@ impl DrivingLearner {
         self.policy.forward(features, command.index())
     }
 
-    /// [`DrivingLearner::predict`] into a caller-owned buffer through a
-    /// reusable scratch arena — bit-identical output, no allocation after
-    /// warmup. The closed-loop evaluator calls this once per control step.
+    /// [`DrivingLearner::predict`] into a caller-owned buffer — the one
+    /// batch-of-one entry point, which the closed-loop evaluator calls once
+    /// per control tick; no allocation after the first call.
+    ///
+    /// # Contract
+    /// Bit-identical to [`DrivingLearner::predict`] under the current
+    /// parameters, for finite parameters and inputs (see [`FrozenPolicy`]).
+    /// The first call after construction, [`Learner::train_step`] or
+    /// [`Learner::set_params`] freezes the policy — one pass over the
+    /// parameters — and every later call answers from that snapshot; a
+    /// clone carries its own copy.
     pub fn predict_into(
         &self,
         features: &[f32],
@@ -113,7 +128,12 @@ impl DrivingLearner {
         out: &mut Vec<f32>,
         scratch: &mut TrainScratch,
     ) {
-        self.policy.forward_into(features, command.index(), out, scratch);
+        self.frozen().forward_into(features, command.index(), out, scratch);
+    }
+
+    /// The frozen form of the current parameters, built if need be.
+    pub(crate) fn frozen(&self) -> &FrozenPolicy {
+        self.frozen.get_or_init(|| self.policy.freeze())
     }
 }
 
@@ -125,6 +145,7 @@ impl Learner for DrivingLearner {
     }
 
     fn set_params(&mut self, params: ParamVec) {
+        self.frozen.take();
         self.policy.set_params(params);
     }
 
@@ -149,6 +170,7 @@ impl Learner for DrivingLearner {
         if batch.is_empty() {
             return 0.0;
         }
+        self.frozen.take();
         let n = batch.len();
         let src = FrameBatch(batch);
         // Fixed SHARD-sized shards, fanned over the worker pool: shard

@@ -145,8 +145,10 @@ impl Bev {
 
     /// [`Bev::features`] into a caller-owned buffer, so per-step feature
     /// extraction in closed-loop rollouts reuses one allocation. The buffer
-    /// is cleared first; push order (and therefore every bit of the output)
-    /// matches [`Bev::features`].
+    /// is cleared first. A block's set cells are counted, not branched on —
+    /// column counts of whole rows, folded per block — which is to the bit
+    /// the one-float-accumulator-per-block pooling it stands for
+    /// (`tests/properties.rs` holds it to one).
     ///
     /// # Panics
     /// Panics if `pool` does not divide the grid side.
@@ -154,24 +156,29 @@ impl Bev {
         assert!(pool > 0 && self.cells % pool == 0, "pool must divide grid side");
         let side = self.cells / pool;
         out.clear();
-        out.reserve(side * side * channel::COUNT + 1);
+        out.reserve(side * side * channel::COUNT + 1 + self.cells);
         let norm = 1.0 / (pool * pool) as f32;
         for ch in &self.channels {
-            for by in 0..side {
-                for bx in 0..side {
-                    let mut acc = 0.0f32;
-                    for dy in 0..pool {
-                        for dx in 0..pool {
-                            let ix = bx * pool + dx;
-                            let iy = by * pool + dy;
-                            let cell = iy * self.cells + ix;
-                            if ch[cell] {
-                                acc += 1.0;
-                            }
-                        }
+            // A band is the `pool` grid rows one row of blocks covers.
+            for band in ch.chunks_exact(pool * self.cells) {
+                // The band's blocks, then — scratch, cut off again below —
+                // its column counts: whole rows added side by side, no
+                // branch per cell. Every partial sum is a small integer,
+                // exact in `f32`, so a block reads `k as f32 * norm`: to the
+                // bit the `k` additions of `1.0` onto `0.0`, then the
+                // scaling, of a float accumulator.
+                let start = out.len();
+                out.resize(start + side + self.cells, 0.0);
+                let (blocks, cols) = out[start..].split_at_mut(side);
+                for row in band.chunks_exact(self.cells) {
+                    for (count, &set) in cols.iter_mut().zip(row) {
+                        *count += f32::from(u8::from(set));
                     }
-                    out.push(acc * norm);
                 }
+                for (block, counts) in blocks.iter_mut().zip(cols.chunks_exact(pool)) {
+                    *block = counts.iter().sum::<f32>() * norm;
+                }
+                out.truncate(start + side);
             }
         }
         out.push(self.speed / 25.0); // normalize by the map's top speed

@@ -95,6 +95,36 @@ proptest! {
     }
 
     #[test]
+    fn features_into_matches_float_pooling_bits(
+        seed in 0u64..6,
+        (px, py) in (100.0f32..500.0, 100.0f32..500.0),
+        heading in -3.2f32..3.2,
+        speed in 0.0f32..25.0,
+        agents in prop::collection::vec((-40.0f32..60.0, -40.0f32..40.0), 0..80),
+    ) {
+        // Real road under the pose plus a crowd of stamps around it, so
+        // blocks hold anything from no set cell to all of them; every pool
+        // that divides the 24-cell side, one output buffer reused dirty.
+        let w = World::new(WorldConfig::small(seed));
+        let cfg = BevConfig::default();
+        let pose = Pose { pos: Vec2::new(px, py), heading };
+        let near: Vec<Vec2> =
+            agents.iter().map(|&(dx, dy)| pose.to_world(Vec2::new(dx, dy))).collect();
+        let (cars, rest) = near.split_at(near.len() / 3);
+        let (peds, route) = rest.split_at(rest.len() / 2);
+        let frame = rasterize(&cfg, pose, speed, w.raster(), cars, peds, route);
+        let mut out = vec![9.0f32; 5];
+        for pool in [1, 2, 3, 4, 6, 8, 12, 24] {
+            frame.features_into(pool, &mut out);
+            let oracle = float_pooled_features(&frame, pool);
+            prop_assert_eq!(out.len(), oracle.len());
+            for (k, (a, b)) in out.iter().zip(&oracle).enumerate() {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "pool {} feature {}", pool, k);
+            }
+        }
+    }
+
+    #[test]
     fn expert_observation_shapes_hold_over_time(seed in 0u64..10, steps in 0usize..50) {
         let mut w = World::new(WorldConfig::small(seed));
         for _ in 0..steps {
@@ -112,6 +142,32 @@ proptest! {
             prop_assert!(c[0].abs() <= horizon && c[1].abs() <= horizon);
         }
     }
+}
+
+/// `Bev::features_into` as first written: one float accumulator per block,
+/// `1.0` added per set cell, blocks row-major within a channel, channels in
+/// order, the normalized speed last.
+fn float_pooled_features(frame: &Bev, pool: usize) -> Vec<f32> {
+    let side = frame.cells() / pool;
+    let norm = 1.0 / (pool * pool) as f32;
+    let mut out = Vec::new();
+    for c in 0..bev::channel::COUNT {
+        for by in 0..side {
+            for bx in 0..side {
+                let mut acc = 0.0f32;
+                for dy in 0..pool {
+                    for dx in 0..pool {
+                        if frame.get(c, bx * pool + dx, by * pool + dy) {
+                            acc += 1.0;
+                        }
+                    }
+                }
+                out.push(acc * norm);
+            }
+        }
+    }
+    out.push(frame.speed() / 25.0);
+    out
 }
 
 #[test]

@@ -12,6 +12,8 @@
 //!   *Learning by Cheating* privileged agent's structure: a shared trunk plus
 //!   one waypoint head per high-level command, with the loss masked to the
 //!   active branch.
+//! * [`FrozenPolicy`] — a policy's parameters laid out for one sample at a
+//!   time: what a closed-loop rollout asks every control tick.
 //! * [`Sgd`] — stochastic gradient descent with momentum and weight decay.
 //! * [`loss`] — L1 / smooth-L1 / MSE waypoint losses.
 //!
@@ -42,6 +44,7 @@
 #![warn(missing_docs)]
 
 pub mod batch;
+pub mod frozen;
 pub mod loss;
 pub mod mlp;
 pub mod param;
@@ -51,6 +54,7 @@ pub mod sgd;
 pub mod wire;
 
 pub use batch::Minibatcher;
+pub use frozen::FrozenPolicy;
 pub use mlp::{Activation, Mlp, MlpSpec};
 pub use param::ParamVec;
 pub use policy::{BatchOutcome, BatchSource, BranchedPolicy, PolicySample, PolicySpec};

@@ -15,7 +15,7 @@ use rand::Rng;
 pub const LANES: usize = 8;
 
 /// Bit pattern of `-0.0f32`: the sign bit alone.
-const NEG_ZERO_BITS: u32 = 0x8000_0000;
+pub(crate) const NEG_ZERO_BITS: u32 = 0x8000_0000;
 
 /// Output units per register tile: `J_TILE` units × [`LANES`] samples of
 /// accumulators stay in registers across the whole input dimension.
@@ -342,8 +342,9 @@ impl Mlp {
     /// lane, and within its lane every output unit is the same bias-first,
     /// ascending-input-index chain of separately rounded multiplies and
     /// adds as [`Mlp::forward`], while the compiler emits packed
-    /// arithmetic across the lanes. A block of one sample (a batch of one
-    /// above all: [`crate::BranchedPolicy::forward_into`]) keeps the
+    /// arithmetic across the lanes. A block of one sample — the ragged
+    /// tail of a training batch; a model that answers one sample at a time
+    /// is frozen instead, see [`crate::FrozenPolicy`] — keeps the
     /// per-sample dot product: a tile with one live lane costs as much as
     /// a block of three, which is more than one scalar pass but less than
     /// two.

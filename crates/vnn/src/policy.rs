@@ -6,6 +6,7 @@
 //! the next `waypoints` ego-frame waypoints. The loss is masked to the branch
 //! of the frame's command, exactly like conditional imitation learning.
 
+use crate::frozen::FrozenPolicy;
 use crate::loss::{mean_loss, mean_loss_and_grad, mean_loss_and_grad_into, LossKind};
 use crate::mlp::{Mlp, MlpSpec};
 use crate::param::ParamVec;
@@ -549,41 +550,12 @@ impl BranchedPolicy {
         BatchOutcome { loss_sum, weight_sum }
     }
 
-    /// [`BranchedPolicy::forward`] into a caller-owned buffer through the
-    /// batched kernels (a batch of one) — bit-identical output, zero
-    /// allocation after warmup. Closed-loop rollouts call this every step.
-    /// Does not touch the arena's training statistics.
-    ///
-    /// # Panics
-    /// Panics if `branch` is out of range or the input dimension is wrong.
-    pub fn forward_into(
-        &self,
-        input: &[f32],
-        branch: usize,
-        out: &mut Vec<f32>,
-        scratch: &mut TrainScratch,
-    ) {
-        assert!(branch < self.spec.n_branches, "branch out of range");
-        assert_eq!(input.len(), self.spec.input_dim, "input dimension mismatch");
-        let shard = &mut scratch.shards_mut(1)[0];
-        let staged = self.trunk.stage_batch(&mut shard.trunk, 1);
-        staged.copy_from_slice(input);
-        self.trunk.forward_batch(&self.params, &mut shard.trunk, 1);
-        let trunk_out_dim = self.trunk.spec().output_dim();
-        let feat_dim = trunk_out_dim + self.spec.skip_inputs;
-        ensure(&mut shard.feats, feat_dim);
-        let trunk_y = self.trunk.batch_outputs(&shard.trunk, 1);
-        for (f, &v) in shard.feats[..trunk_out_dim].iter_mut().zip(trunk_y) {
-            *f = v.max(0.0);
-        }
-        shard.feats[trunk_out_dim..feat_dim]
-            .copy_from_slice(&input[input.len() - self.spec.skip_inputs..]);
-        let head = &self.heads[branch];
-        let h_staged = head.stage_batch(&mut shard.head, 1);
-        h_staged.copy_from_slice(&shard.feats[..feat_dim]);
-        head.forward_batch(&self.params, &mut shard.head, 1);
-        out.clear();
-        out.extend_from_slice(head.batch_outputs(&shard.head, 1));
+    /// Snapshots the current parameters into the input-major form that
+    /// answers one sample at a time ([`FrozenPolicy::forward_into`]) — what
+    /// closed-loop rollouts ask every control tick. The snapshot is a copy:
+    /// freeze again after the parameters change.
+    pub fn freeze(&self) -> FrozenPolicy {
+        FrozenPolicy::new(&self.spec, &self.trunk, &self.heads, self.params.as_slice())
     }
 }
 

@@ -171,13 +171,14 @@ pub struct PolicyShard {
 
 /// The full training arena for one [`crate::BranchedPolicy`] learner:
 /// per-shard buffers, the reduced gradient, and [`TrainStats`] counters.
-/// Also serves single-sample forward-only inference
-/// ([`crate::BranchedPolicy::forward_into`]) from shard 0's buffers.
+/// Also lends [`crate::FrozenPolicy::forward_into`] the two activation rows
+/// a batch of one ping-pongs between.
 #[derive(Debug, Clone, Default)]
 pub struct TrainScratch {
     pub(crate) shards: Vec<PolicyShard>,
     pub(crate) grad: Vec<f32>,
     pub(crate) stats: TrainStats,
+    frozen: [Vec<f32>; 2],
 }
 
 impl TrainScratch {
@@ -200,6 +201,14 @@ impl TrainScratch {
             self.shards.resize_with(k, PolicyShard::default);
         }
         &mut self.shards[..k]
+    }
+
+    /// Two activation rows of at least `width` floats each.
+    pub(crate) fn frozen_rows(&mut self, width: usize) -> (&mut [f32], &mut [f32]) {
+        let [a, b] = &mut self.frozen;
+        ensure(a, width);
+        ensure(b, width);
+        (a, b)
     }
 
     /// The reduced weighted-sum gradient of the last

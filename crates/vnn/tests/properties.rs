@@ -253,18 +253,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn batched_forward_matches_reference_bits(seed in 0u64..1 << 48, n in 1usize..24) {
-        let (policy, data) = seeded_policy_and_batch(seed, n);
-        let mut scratch = TrainScratch::new();
-        let mut out = Vec::new();
-        for (x, b, _, _) in &data {
-            policy.forward_into(x, *b, &mut out, &mut scratch);
-            let reference = policy.forward(x, *b);
-            prop_assert_eq!(bits(&out), bits(&reference));
-        }
-    }
-
-    #[test]
     fn batched_backward_matches_reference_bits(seed in 0u64..1 << 48, n in 1usize..48) {
         let (policy, data) = seeded_policy_and_batch(seed, n);
         let samples = as_samples(&data);
@@ -612,4 +600,140 @@ fn neg_zero_bias_keeps_every_column() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The frozen form: a batch of one through input-major weights, lanes across
+// a layer's output units, zero inputs stepped over in EVERY layer (BEV zeros
+// below, dead ReLUs above). Same bits as `BranchedPolicy::forward`.
+// ---------------------------------------------------------------------------
+
+/// `(start, fan_in, fan_out)` of every dense layer of a policy built from
+/// `spec`, in parameter order — the trunk, then each head with its one
+/// hidden layer of 32 units; a layer's block is its `fan_out` unit-major
+/// weight rows followed by its biases.
+fn layer_blocks(spec: &PolicySpec) -> Vec<(usize, usize, usize)> {
+    let mut sizes = vec![vec![spec.input_dim]];
+    sizes[0].extend_from_slice(&spec.trunk);
+    let feat_dim = spec.trunk[spec.trunk.len() - 1] + spec.skip_inputs;
+    sizes.extend((0..spec.n_branches).map(|_| vec![feat_dim, 32, spec.head_dim()]));
+    let mut start = 0;
+    let mut blocks = Vec::new();
+    for w in sizes.iter().flat_map(|net| net.windows(2)) {
+        blocks.push((start, w[0], w[1]));
+        start += (w[0] + 1) * w[1];
+    }
+    blocks
+}
+
+/// Plants in every layer of `policy` what the skip argument leans on: a
+/// `+0.0` bias, an all-zero weight row, and (if asked) a `-0.0` bias.
+fn plant_zeros(policy: &mut BranchedPolicy, neg_zero_bias: bool) {
+    let blocks = layer_blocks(policy.spec());
+    let p = policy.params_mut().as_mut_slice();
+    assert_eq!(blocks.last().map(|&(s, i, o)| s + (i + 1) * o), Some(p.len()));
+    for (start, fan_in, fan_out) in blocks {
+        let biases = start + fan_in * fan_out;
+        p[biases] = 0.0;
+        p[start + 2 * fan_in..start + 3 * fan_in].fill(0.0);
+        if neg_zero_bias {
+            p[biases + 1] = -0.0;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn frozen_forward_matches_forward_bits(seed in 0u64..1 << 48) {
+        // Dense random input, then the driving-shaped one (>= 70 % zeros,
+        // all-zero rows, `-0.0` entries) over parameters with `+0.0` biases
+        // and zero weight rows in every layer, with and without `-0.0`
+        // biases. Every input goes through every branch, so each head, the
+        // trunk-output ReLU and the skip tail are all read — through ONE
+        // scratch and output buffer, dirtied by the shapes before.
+        let mut scratch = TrainScratch::new();
+        let mut out = vec![7.0f32; 3];
+        let (dense, dense_data) = seeded_policy_and_batch(seed, 12);
+        let (mut sparse, sparse_data) = sparse_policy_and_batch(seed, 24, false);
+        plant_zeros(&mut sparse, false);
+        let (mut neg, neg_data) = sparse_policy_and_batch(seed ^ 1, 24, true);
+        plant_zeros(&mut neg, true);
+        for (policy, data) in [(dense, dense_data), (sparse, sparse_data), (neg, neg_data)] {
+            let frozen = policy.freeze();
+            for (k, (x, _, _, _)) in data.iter().enumerate() {
+                for branch in 0..policy.spec().n_branches {
+                    frozen.forward_into(x, branch, &mut out, &mut scratch);
+                    prop_assert_eq!(
+                        bits(&out), bits(&policy.forward(x, branch)),
+                        "input_dim {} sample {} branch {}", x.len(), k, branch
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A policy whose head-0 hidden units are all dead (zero weights under a
+/// `-1.0` bias), so the head's last, linear layer reads an all-zero row and
+/// its accumulators ARE the output; returns it with that layer's block.
+fn dead_hidden_policy() -> (BranchedPolicy, (usize, usize, usize)) {
+    let spec = PolicySpec { input_dim: 6, trunk: vec![8], n_branches: 2, waypoints: 2, skip_inputs: 1 };
+    let mut policy = BranchedPolicy::new(&spec, &mut rand::rngs::StdRng::seed_from_u64(41));
+    let blocks = layer_blocks(&spec);
+    let (hidden, fan_in, fan_out) = blocks[1];
+    let p = policy.params_mut().as_mut_slice();
+    p[hidden..hidden + fan_in * fan_out].fill(0.0);
+    p[hidden + fan_in * fan_out..hidden + (fan_in + 1) * fan_out].fill(-1.0);
+    (policy, blocks[2])
+}
+
+/// [`neg_zero_bias_keeps_every_column`] for the frozen form. Under a `-0.0`
+/// bias over a zero weight row the per-sample sum runs `-0.0 + (+0.0 · 0.0)
+/// = +0.0` at the first input; stepping over that input (every input here
+/// is a dead ReLU's `+0.0`) would leave `-0.0`, so such a layer must keep
+/// every column.
+#[test]
+fn frozen_neg_zero_bias_keeps_every_column() {
+    let (mut policy, (last, fan_in, fan_out)) = dead_hidden_policy();
+    let p = policy.params_mut().as_mut_slice();
+    p[last..last + fan_in].fill(0.0);
+    p[last + fan_in * fan_out] = -0.0;
+    let x = [0.3f32, 0.0, -0.7, 0.0, 0.0, 0.9];
+    let reference = policy.forward(&x, 0);
+    assert_eq!(reference[0].to_bits(), 0, "the per-sample sum is +0.0");
+    let mut out = Vec::new();
+    policy.freeze().forward_into(&x, 0, &mut out, &mut TrainScratch::new());
+    assert_eq!(bits(&out), bits(&reference));
+}
+
+/// The frozen skip is exact for finite parameters only — what a non-finite
+/// one does: a NaN weight under a zero input is never multiplied, so the
+/// frozen prediction stays finite where `forward` computes `0 · NaN = NaN`;
+/// once the input is live both are NaN. Whoever must reject a poisoned model
+/// inspects `params`, not the predictions.
+#[test]
+fn frozen_nan_weight_in_a_skipped_column_is_not_read() {
+    let (mut policy, (last, fan_in, fan_out)) = dead_hidden_policy();
+    let (unit, input) = (1, 3);
+    policy.params_mut().as_mut_slice()[last + unit * fan_in + input] = f32::NAN;
+    let x = [0.3f32, 0.0, -0.7, 0.0, 0.0, 0.9];
+    let mut scratch = TrainScratch::new();
+    let mut out = Vec::new();
+
+    let reference = policy.forward(&x, 0);
+    policy.freeze().forward_into(&x, 0, &mut out, &mut scratch);
+    assert!(reference[unit].is_nan(), "forward multiplies the dead input by the NaN weight");
+    assert!(out[unit].is_finite(), "the frozen form steps over it: {}", out[unit]);
+    for j in (0..fan_out).filter(|&j| j != unit) {
+        assert_eq!(out[j].to_bits(), reference[j].to_bits(), "unit {j} reads no NaN");
+    }
+
+    // Revive hidden unit `input`: its bias sits after the hidden weights.
+    let hidden_biases = layer_blocks(policy.spec())[1];
+    let revive = hidden_biases.0 + hidden_biases.1 * hidden_biases.2 + input;
+    policy.params_mut().as_mut_slice()[revive] = 1.0;
+    policy.freeze().forward_into(&x, 0, &mut out, &mut scratch);
+    assert!(policy.forward(&x, 0)[unit].is_nan() && out[unit].is_nan(), "a live input reads it");
 }
