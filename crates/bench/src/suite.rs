@@ -21,7 +21,7 @@ use lbchat::prelude::{
     CollabAlgorithm, Runtime, RuntimeConfig, SessionCtx, SessionStep, TrainStats,
 };
 use rand::{RngExt, SeedableRng};
-use simnet::channel::{Channel, Medium, MediumConfig, RadioConfig, TransferOutcome, TransferSpec};
+use simnet::channel::{Channel, RadioConfig, TransferOutcome, TransferSpec};
 use simnet::contact::ContactPredictor;
 use simnet::geom::Vec2;
 use simnet::grid::EncounterGrid;
@@ -781,27 +781,6 @@ fn bench_simnet(c: &mut Timer, opts: &SuiteOpts) {
             });
         });
     }
-    // The per-window bookkeeping of the shared medium under saturating
-    // load: 64 contenders across 8 cells, 40 windows of share / collision
-    // queries plus registration and booking — the serial portion of every
-    // contention-mode transfer batch.
-    c.bench_function("simnet/contention_step", |b| {
-        let cfg = MediumConfig::default();
-        b.measure(|| {
-            let mut medium = Medium::new(cfg.clone());
-            let mut acc = 0.0f64;
-            for w in 0..40 {
-                medium.advance_to(w as f64 * cfg.window_s);
-                for k in 0..64 {
-                    let cell = medium.cell_of(Vec2::new((k % 8) as f32 * cfg.cell_m, 0.0));
-                    acc += medium.fair_share(cell) + medium.collision_per(cell) as f64;
-                    medium.register(cell);
-                    medium.book(cell, 0.003);
-                }
-            }
-            acc
-        });
-    });
 }
 
 /// A minimal session protocol for runtime benches: one small exchange per
@@ -810,9 +789,8 @@ fn bench_simnet(c: &mut Timer, opts: &SuiteOpts) {
 struct ProbeAlgo {
     n: usize,
     params: ParamVec,
-    /// Streaming payload bytes; sessions re-request while delivered.
+    /// Payload bytes; a session sends them twice while delivered.
     bytes: usize,
-    greedy: bool,
     /// Opt out of every pairing (priority −∞): no session ever opens, so a
     /// run times frame matching — discovery, route sampling, estimation —
     /// in isolation.
@@ -825,7 +803,7 @@ struct ProbeAlgo {
 impl ProbeAlgo {
     /// A probe ranked eagerly, moving `bytes` per transfer.
     fn new(n: usize, bytes: usize) -> Self {
-        Self { n, params: ParamVec::zeros(1), bytes, greedy: false, decline: false, stated: false }
+        Self { n, params: ParamVec::zeros(1), bytes, decline: false, stated: false }
     }
 
     fn priority(&self) -> f64 {
@@ -870,7 +848,7 @@ impl CollabAlgorithm for ProbeAlgo {
     ) -> SessionStep {
         *sent += 1;
         ctx.metrics.record_coreset_send(out.is_delivered(), self.bytes, out.elapsed());
-        if out.is_delivered() && (self.greedy || *sent < 2) {
+        if out.is_delivered() && *sent < 2 {
             return SessionStep::Transfer(TransferSpec::link(self.bytes, 1e9));
         }
         SessionStep::Done
@@ -986,35 +964,6 @@ fn bench_runtime(c: &mut Timer, opts: &SuiteOpts) {
         c.bench_sampled("runtime/gossip_64_moving_4MB_loss", sampling, |b| {
             b.measure(|| {
                 let mut algo = ProbeAlgo::new(64, 4 * 1024 * 1024);
-                rt.run(&mut algo, &trace, &[]).map_or(0, |m| m.bytes_delivered)
-            });
-        });
-    }
-    // Saturating contention: 16 isolated pairs stream unbounded payloads
-    // through one shared medium cell — the windowed streaming hot path.
-    {
-        let fps = 2.0;
-        let seconds = 15.0;
-        let frames = (seconds * fps) as usize + 1;
-        let positions = (0..32)
-            .map(|k| {
-                let x = (k / 2) as f32 * 1500.0 + (k % 2) as f32 * 100.0;
-                vec![Vec2::new(x, 0.0); frames]
-            })
-            .collect();
-        let trace = MobilityTrace::new(fps, positions);
-        let cfg = RuntimeConfig {
-            duration: seconds,
-            eval_every: seconds,
-            pair_cooldown: 0.0,
-            seed: 9,
-            contention: Some(MediumConfig { cell_m: 100_000.0, ..MediumConfig::default() }),
-            ..RuntimeConfig::default()
-        };
-        let rt = Runtime::new(cfg);
-        c.bench_sampled("runtime/contended_16pairs", sampling, |b| {
-            b.measure(|| {
-                let mut algo = ProbeAlgo { greedy: true, ..ProbeAlgo::new(32, 2_000_000) };
                 rt.run(&mut algo, &trace, &[]).map_or(0, |m| m.bytes_delivered)
             });
         });

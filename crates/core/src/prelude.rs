@@ -7,8 +7,8 @@
 //! Re-exports the names every algorithm implementation and experiment
 //! driver touches — the [`CollabAlgorithm`] trait with its [`Runtime`] and
 //! contexts, the [`Learner`] task abstraction, and the [`Metrics`] sink —
-//! plus the config/builder types needed to construct a run. Narrower
-//! imports stay available through the individual modules.
+//! plus the config types needed to construct a run. Narrower imports stay
+//! available through the individual modules.
 
 pub use crate::compress::{Codec, WireModel};
 pub use crate::config::{ConfigError, LbChatConfig};
@@ -16,7 +16,6 @@ pub use crate::learner::{Learner, TrainStats};
 pub use crate::metrics::Metrics;
 pub use crate::obs::ObsSink;
 pub use crate::runtime::{
-    CollabAlgorithm, FrameCtx, Runtime, RuntimeConfig, RuntimeConfigBuilder,
-    RuntimeError, SessionCtx, SessionStep,
+    CollabAlgorithm, FrameCtx, Runtime, RuntimeConfig, RuntimeError, SessionCtx, SessionStep,
 };
-pub use simnet::channel::{MediumConfig, TransferLoss, TransferOutcome, TransferSpec};
+pub use simnet::channel::{TransferLoss, TransferOutcome, TransferSpec};

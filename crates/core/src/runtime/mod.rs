@@ -9,17 +9,14 @@
 //! comparisons are apples-to-apples.
 //!
 //! The simulator is one discrete-event scheduler ([`sched`]) behind one
-//! entry point, [`Runtime::run`]: frames, session opens/closes, streaming
-//! transfer steps, training slices, and evaluations are events on a
-//! deterministic priority queue. Algorithms speak a session lifecycle —
-//! [`CollabAlgorithm::session_open`] → [`CollabAlgorithm::session_step`] per
-//! completed transfer → [`CollabAlgorithm::session_close`] — through a
-//! [`SessionCtx`], and declare each payload they want moved as a
-//! [`TransferSpec`] instead of blocking on an all-at-once transfer call.
-//! With contention disabled (the default) every session runs to completion
-//! at its open event; with a [`MediumConfig`] installed, transfers stream
-//! packet-granularly and contend for per-cell airtime so the network can
-//! actually saturate.
+//! entry point, [`Runtime::run`]: frames, session opens, training slices,
+//! and evaluations are events on a deterministic priority queue. Algorithms
+//! speak a session lifecycle — [`CollabAlgorithm::session_open`] →
+//! [`CollabAlgorithm::session_step`] per completed transfer →
+//! [`CollabAlgorithm::session_close`] — through a [`SessionCtx`], and
+//! declare each payload they want moved as a [`TransferSpec`] instead of
+//! blocking on an all-at-once transfer call. Every session runs to
+//! completion at its open event, over the paper's pairwise link (§IV-A).
 
 pub mod sched;
 
@@ -33,7 +30,7 @@ use crate::compress::Codec;
 use crate::config::ConfigError;
 use crate::metrics::Metrics;
 use crate::obs::ObsSink;
-use simnet::channel::{Channel, MediumConfig, RadioConfig, TransferOutcome, TransferSpec};
+use simnet::channel::{Channel, RadioConfig, TransferOutcome, TransferSpec};
 use simnet::contact::ContactEstimate;
 use simnet::loss::LossModel;
 use simnet::trace::MobilityTrace;
@@ -72,15 +69,8 @@ pub struct RuntimeConfig {
     /// [`Codec::TopK`] reproduces the paper's §III-C top-k path bit for
     /// bit; see docs/COMPRESSION.md for the alternatives.
     pub codec: Codec,
-    /// Shared-medium contention for streaming transfers. `None` (the
-    /// default, and how every paper table runs) completes each session
-    /// synchronously at its open event. With a config installed, sessions
-    /// stream packet windows that contend for per-cell airtime, with
-    /// backoff and collision drops under congestion.
-    pub contention: Option<MediumConfig>,
     /// Observability sink for structured run events (`round`, `session`,
-    /// `transfer`, `backend`, `chat`, and the streaming `session.*`
-    /// lifecycle events); disabled (zero-cost) by default.
+    /// `transfer`, `backend`, `chat`); disabled (zero-cost) by default.
     /// See [`crate::obs`].
     pub obs: ObsSink,
 }
@@ -98,24 +88,20 @@ impl Default for RuntimeConfig {
             route_share_samples: 240,
             seed: 0,
             codec: Codec::TopK,
-            contention: None,
             obs: ObsSink::disabled(),
         }
     }
 }
 
 impl RuntimeConfig {
-    /// Starts a validating builder from the defaults.
-    pub fn builder() -> RuntimeConfigBuilder {
-        RuntimeConfigBuilder { cfg: Self::default() }
-    }
-
-    /// Checks every field against its domain (positive duration and eval
-    /// cadence, non-negative rates, a well-formed loss table).
-    /// Struct-literal construction stays possible for tests; the builder
-    /// calls this on [`RuntimeConfigBuilder::build`].
+    /// Checks every field against its domain: a non-negative duration
+    /// (zero is a valid no-op run: no frame plays and the loss curve holds
+    /// one sample), a positive eval cadence, non-negative rates, a
+    /// well-formed loss table. NaN and infinities are rejected everywhere.
+    /// [`Runtime::run`] calls this before anything else, so a config built
+    /// as a struct literal is checked where the run enters.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        ConfigError::require_positive("duration", self.duration)?;
+        ConfigError::require_non_negative("duration", self.duration)?;
         ConfigError::require_non_negative(
             "train_iters_per_second",
             self.train_iters_per_second,
@@ -125,125 +111,17 @@ impl RuntimeConfig {
         ConfigError::require_positive("contact_reference_time", self.contact_reference_time)?;
         self.loss_model
             .validate()
-            .map_err(|error| ConfigError::LossTable { field: "loss_model", error })?;
-        if let Some(medium) = &self.contention {
-            ConfigError::require_positive("contention.window_s", medium.window_s)?;
-            ConfigError::require_positive("contention.cell_m", medium.cell_m as f64)?;
-            ConfigError::require_non_negative(
-                "contention.collision_loss",
-                medium.collision_loss as f64,
-            )?;
-        }
-        Ok(())
-    }
-}
-
-/// Validating builder for [`RuntimeConfig`]: chain setters from
-/// [`RuntimeConfig::builder`], then [`RuntimeConfigBuilder::build`] rejects
-/// out-of-domain values instead of letting them corrupt a simulation run.
-///
-/// ```
-/// use lbchat::runtime::RuntimeConfig;
-/// let cfg = RuntimeConfig::builder()
-///     .duration(3600.0)
-///     .eval_every(120.0)
-///     .seed(7)
-///     .build()
-///     .expect("valid config");
-/// assert_eq!(cfg.duration, 3600.0);
-/// assert!(RuntimeConfig::builder().duration(-1.0).build().is_err());
-/// ```
-#[derive(Debug, Clone)]
-pub struct RuntimeConfigBuilder {
-    cfg: RuntimeConfig,
-}
-
-impl RuntimeConfigBuilder {
-    /// Total simulated training time in seconds.
-    pub fn duration(mut self, seconds: f64) -> Self {
-        self.cfg.duration = seconds;
-        self
-    }
-
-    /// Training iterations a free vehicle performs per simulated second.
-    pub fn train_iters_per_second(mut self, rate: f64) -> Self {
-        self.cfg.train_iters_per_second = rate;
-        self
-    }
-
-    /// Radio parameters.
-    pub fn radio(mut self, radio: RadioConfig) -> Self {
-        self.cfg.radio = radio;
-        self
-    }
-
-    /// Wireless loss model.
-    pub fn loss_model(mut self, model: LossModel) -> Self {
-        self.cfg.loss_model = model;
-        self
-    }
-
-    /// Seconds between loss-curve evaluations.
-    pub fn eval_every(mut self, seconds: f64) -> Self {
-        self.cfg.eval_every = seconds;
-        self
-    }
-
-    /// Per-pair cooldown between sessions, seconds.
-    pub fn pair_cooldown(mut self, seconds: f64) -> Self {
-        self.cfg.pair_cooldown = seconds;
-        self
-    }
-
-    /// Reference exchange time for the truncated contact ratio.
-    pub fn contact_reference_time(mut self, seconds: f64) -> Self {
-        self.cfg.contact_reference_time = seconds;
-        self
-    }
-
-    /// Future route samples shared in assist messages.
-    pub fn route_share_samples(mut self, samples: usize) -> Self {
-        self.cfg.route_share_samples = samples;
-        self
-    }
-
-    /// RNG seed for communication randomness.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Model codec for every share path (default [`Codec::TopK`]).
-    pub fn codec(mut self, codec: Codec) -> Self {
-        self.cfg.codec = codec;
-        self
-    }
-
-    /// Enables shared-medium contention with the given parameters.
-    pub fn contention(mut self, medium: MediumConfig) -> Self {
-        self.cfg.contention = Some(medium);
-        self
-    }
-
-    /// Observability sink the runtime emits structured events into
-    /// (disabled by default).
-    pub fn obs(mut self, sink: ObsSink) -> Self {
-        self.cfg.obs = sink;
-        self
-    }
-
-    /// Validates and returns the config.
-    pub fn build(self) -> Result<RuntimeConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
+            .map_err(|error| ConfigError::LossTable { field: "loss_model", error })
     }
 }
 
 /// A typed error from [`Runtime::run`] — the runtime's analogue of
 /// [`ConfigError`]: conditions a caller can check for and report instead of
 /// unwinding.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RuntimeError {
+    /// The [`RuntimeConfig`] failed [`RuntimeConfig::validate`].
+    Config(ConfigError),
     /// The mobility trace has fewer agents than the algorithm has nodes.
     TraceTooSmall {
         /// Agents available in the trace.
@@ -256,6 +134,7 @@ pub enum RuntimeError {
 impl std::fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            RuntimeError::Config(error) => write!(f, "invalid runtime config: {error}"),
             RuntimeError::TraceTooSmall { agents, nodes } => write!(
                 f,
                 "trace has {agents} agents but the algorithm needs {nodes}"
@@ -264,13 +143,20 @@ impl std::fmt::Display for RuntimeError {
     }
 }
 
-impl std::error::Error for RuntimeError {}
+impl std::error::Error for RuntimeError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            RuntimeError::Config(error) => Some(error),
+            RuntimeError::TraceTooSmall { .. } => None,
+        }
+    }
+}
 
 /// A pairwise radio link during one session, advancing its own elapsed time
-/// as transfers are charged. Algorithms either declare transfers as
-/// [`TransferSpec`]s through the session lifecycle (streamed by the event
-/// loop) or move them synchronously with [`SessionCtx::run_spec`]; the
-/// runtime uses the accumulated time to mark both endpoints busy.
+/// as transfers are charged. Algorithms declare transfers as
+/// [`TransferSpec`]s through the session lifecycle, which the event loop
+/// moves with [`SessionCtx::run_spec`]; the runtime uses the accumulated
+/// time to mark both endpoints busy.
 pub struct SessionCtx<'a> {
     /// Session start in simulated seconds.
     start: f64,
@@ -323,7 +209,29 @@ impl SessionCtx<'_> {
         let link = self.trace.pair_track(i, j).starting_at(t0);
         let out = self.channel.run(spec, link, self.rng);
         self.elapsed += out.elapsed();
-        record_transfer_obs(self.obs, i, j, t0, spec.bytes, &out);
+        if self.obs.enabled() {
+            let delivered_bytes = match out {
+                TransferOutcome::Delivered { .. } => spec.bytes,
+                TransferOutcome::Failed { delivered_bytes, .. } => delivered_bytes,
+            };
+            self.obs.add("bytes_tx", spec.bytes as u64);
+            self.obs.add("bytes_delivered", delivered_bytes as u64);
+            if !out.is_delivered() {
+                self.obs.add("transfers_failed", 1);
+            }
+            self.obs.emit(
+                "transfer",
+                &[
+                    ("i", i.into()),
+                    ("j", j.into()),
+                    ("t", t0.into()),
+                    ("bytes", spec.bytes.into()),
+                    ("delivered", out.is_delivered().into()),
+                    ("delivered_bytes", delivered_bytes.into()),
+                    ("airtime_s", out.elapsed().into()),
+                ],
+            );
+        }
         out
     }
 
@@ -349,42 +257,6 @@ impl SessionCtx<'_> {
     /// method.
     pub fn codec(&self) -> Codec {
         self.codec
-    }
-}
-
-/// Emits the `transfer` event and byte counters for one completed transfer
-/// attempt — shared by the synchronous [`SessionCtx::run_spec`] path and the
-/// event loop's streaming path so both produce the identical record.
-fn record_transfer_obs(
-    obs: &ObsSink,
-    i: usize,
-    j: usize,
-    t0: f64,
-    bytes: usize,
-    out: &TransferOutcome,
-) {
-    if obs.enabled() {
-        let delivered_bytes = match *out {
-            TransferOutcome::Delivered { .. } => bytes,
-            TransferOutcome::Failed { delivered_bytes, .. } => delivered_bytes,
-        };
-        obs.add("bytes_tx", bytes as u64);
-        obs.add("bytes_delivered", delivered_bytes as u64);
-        if !out.is_delivered() {
-            obs.add("transfers_failed", 1);
-        }
-        obs.emit(
-            "transfer",
-            &[
-                ("i", i.into()),
-                ("j", j.into()),
-                ("t", t0.into()),
-                ("bytes", bytes.into()),
-                ("delivered", out.is_delivered().into()),
-                ("delivered_bytes", delivered_bytes.into()),
-                ("airtime_s", out.elapsed().into()),
-            ],
-        );
     }
 }
 
@@ -464,9 +336,7 @@ impl FrameCtx<'_> {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SessionStep {
     /// Move one payload over the link; its [`TransferOutcome`] arrives at
-    /// the next [`CollabAlgorithm::session_step`] call. Under contention
-    /// the transfer streams across airtime windows; without contention it
-    /// completes synchronously.
+    /// the next [`CollabAlgorithm::session_step`] call.
     Transfer(TransferSpec),
     /// The protocol is finished; the runtime calls
     /// [`CollabAlgorithm::session_close`] next.
@@ -479,8 +349,7 @@ pub enum SessionStep {
 /// two vehicles the runtime calls [`CollabAlgorithm::session_open`]; every
 /// requested [`SessionStep::Transfer`] comes back through
 /// [`CollabAlgorithm::session_step`] with its outcome; and
-/// [`CollabAlgorithm::session_close`] finalizes state — also when the
-/// runtime force-closes a session at contact end.
+/// [`CollabAlgorithm::session_close`] finalizes state.
 pub trait CollabAlgorithm {
     /// The task sample type (evaluation needs a held-out set of these).
     type Sample;
@@ -518,9 +387,7 @@ pub trait CollabAlgorithm {
     fn session_open(&mut self, ctx: &mut SessionCtx<'_>) -> Option<(Self::Session, SessionStep)>;
 
     /// Handles the outcome of the previously requested transfer and returns
-    /// the next step. Under a forced close (contact ended mid-transfer) the
-    /// pending transfer is reported as failed and any further requested
-    /// transfers fail immediately with zero airtime.
+    /// the next step.
     fn session_step(
         &mut self,
         state: &mut Self::Session,
@@ -528,9 +395,9 @@ pub trait CollabAlgorithm {
         ctx: &mut SessionCtx<'_>,
     ) -> SessionStep;
 
-    /// Closes the session — after [`SessionStep::Done`], or forced at
-    /// contact end — finalizing protocol state. Returns the session
-    /// duration in seconds (both nodes were busy that long).
+    /// Closes the session after [`SessionStep::Done`], finalizing protocol
+    /// state. Returns the session duration in seconds (both nodes were busy
+    /// that long).
     fn session_close(&mut self, state: Self::Session, ctx: &mut SessionCtx<'_>) -> f64;
 
     /// The pair's matching priority when the method can state it without
@@ -574,9 +441,8 @@ pub trait CollabAlgorithm {
 }
 
 /// Drives one session's full lifecycle synchronously over `ctx`: open, run
-/// every requested transfer to completion in place, step, close — how the
-/// event loop executes sessions with contention disabled. Returns the
-/// session duration in seconds (0 for a declined pairing).
+/// every requested transfer to completion in place, step, close. Returns
+/// the session duration in seconds (0 for a declined pairing).
 fn drive_session<A: CollabAlgorithm>(algo: &mut A, ctx: &mut SessionCtx<'_>) -> f64 {
     let Some((mut state, mut step)) = algo.session_open(ctx) else {
         return 0.0;
@@ -640,7 +506,8 @@ impl Runtime {
     /// Runs `algo` over `trace` for the configured duration on the
     /// discrete-event scheduler, evaluating on `eval` along the way — the
     /// one way to run a method. Returns the collected metrics, or a
-    /// [`RuntimeError`] when the trace cannot host the algorithm.
+    /// [`RuntimeError`] when the config is out of domain or the trace
+    /// cannot host the algorithm.
     // audit:entry(hot)
     pub fn run<A: CollabAlgorithm>(
         &self,
@@ -648,6 +515,7 @@ impl Runtime {
         trace: &MobilityTrace,
         eval: &[A::Sample],
     ) -> Result<Metrics, RuntimeError> {
+        self.config.validate().map_err(RuntimeError::Config)?;
         let nodes = algo.n_nodes();
         if trace.n_agents() < nodes {
             return Err(RuntimeError::TraceTooSmall { agents: trace.n_agents(), nodes });
@@ -932,45 +800,78 @@ mod tests {
         assert_eq!(transfer.get("bytes"), Some(&crate::obs::Json::UInt(15_000)));
     }
 
+    /// Destructured without `..`: adding or removing a field fails to
+    /// compile here until the count is a decision someone made.
     #[test]
-    fn builder_accepts_sane_configs() {
-        let cfg = RuntimeConfig::builder()
-            .duration(100.0)
-            .train_iters_per_second(0.0)
-            .eval_every(10.0)
-            .pair_cooldown(0.0)
-            .route_share_samples(16)
-            .seed(99)
-            .build()
-            .expect("all fields in domain");
-        assert_eq!(cfg.duration, 100.0);
-        assert_eq!(cfg.route_share_samples, 16);
-        assert_eq!(cfg.seed, 99);
-        // Untouched knobs keep their defaults.
-        assert_eq!(cfg.contact_reference_time, RuntimeConfig::default().contact_reference_time);
-        assert!(cfg.contention.is_none());
+    fn defaults_are_the_paper_setup_over_eleven_fields() {
+        let RuntimeConfig {
+            duration,
+            train_iters_per_second,
+            radio,
+            loss_model,
+            eval_every,
+            pair_cooldown,
+            contact_reference_time,
+            route_share_samples,
+            seed,
+            codec,
+            obs,
+        } = RuntimeConfig::default();
+        assert_eq!(duration, 3600.0);
+        assert_eq!(train_iters_per_second, 2.0);
+        assert_eq!(radio, RadioConfig::default());
+        assert_eq!(loss_model, LossModel::None);
+        assert_eq!(eval_every, 120.0);
+        assert_eq!(pair_cooldown, 60.0);
+        assert_eq!(contact_reference_time, 30.0);
+        assert_eq!(route_share_samples, 240);
+        assert_eq!(seed, 0);
+        assert_eq!(codec, Codec::TopK);
+        assert!(!obs.enabled());
     }
 
     #[test]
-    fn builder_rejects_nonsense() {
-        use crate::config::ConfigError;
-        assert!(matches!(
-            RuntimeConfig::builder().duration(-3600.0).build(),
-            Err(ConfigError::NonPositive { field: "duration", .. })
-        ));
-        assert!(matches!(
-            RuntimeConfig::builder().eval_every(0.0).build(),
-            Err(ConfigError::NonPositive { field: "eval_every", .. })
-        ));
-        assert!(RuntimeConfig::builder().duration(f64::NAN).build().is_err());
-        assert!(RuntimeConfig::builder().pair_cooldown(-1.0).build().is_err());
-        assert!(RuntimeConfig::builder().train_iters_per_second(f64::INFINITY).build().is_err());
-        let bad_medium = simnet::channel::MediumConfig { window_s: 0.0, ..Default::default() };
-        assert!(RuntimeConfig::builder().contention(bad_medium).build().is_err());
-        // A loss table the radio would silently misread: unsorted, with a
-        // repeated breakpoint, with a NaN, or with a PER that is no
-        // probability.
+    fn builder_accepts_sane_configs() {
+        assert_eq!(RuntimeConfig::default().validate(), Ok(()));
+        let cfg = RuntimeConfig {
+            duration: 0.0,
+            train_iters_per_second: 0.0,
+            eval_every: 10.0,
+            pair_cooldown: 0.0,
+            loss_model: LossModel::distance_default(),
+            ..RuntimeConfig::default()
+        };
+        assert_eq!(cfg.validate(), Ok(()), "zeros are in domain where the docs say so");
+    }
+
+    /// Out-of-domain configs, one per error family and every malformed
+    /// loss table the radio would silently misread: unsorted, with a
+    /// repeated breakpoint, with a NaN, or with a PER that is no probability.
+    fn nonsense() -> Vec<(RuntimeConfig, ConfigError)> {
         use simnet::loss::LossTableError;
+        let base = RuntimeConfig::default;
+        let mut cases = vec![
+            (
+                RuntimeConfig { duration: -3600.0, ..base() },
+                ConfigError::Negative { field: "duration", value: -3600.0 },
+            ),
+            (
+                RuntimeConfig { eval_every: 0.0, ..base() },
+                ConfigError::NonPositive { field: "eval_every", value: 0.0 },
+            ),
+            (
+                RuntimeConfig { pair_cooldown: -1.0, ..base() },
+                ConfigError::Negative { field: "pair_cooldown", value: -1.0 },
+            ),
+            (
+                RuntimeConfig { train_iters_per_second: f64::INFINITY, ..base() },
+                ConfigError::Negative { field: "train_iters_per_second", value: f64::INFINITY },
+            ),
+            (
+                RuntimeConfig { contact_reference_time: 0.0, ..base() },
+                ConfigError::NonPositive { field: "contact_reference_time", value: 0.0 },
+            ),
+        ];
         for (table, error) in [
             (vec![], LossTableError::Empty),
             (vec![(0.0, 0.1), (200.0, 0.5), (100.0, 0.3)], LossTableError::NotIncreasing { index: 2 }),
@@ -978,10 +879,41 @@ mod tests {
             (vec![(0.0, 0.1), (f32::NAN, 0.3)], LossTableError::NonFinite { index: 1 }),
             (vec![(0.0, 0.1), (100.0, 1.5)], LossTableError::PerOutOfRange { index: 1 }),
         ] {
-            let built = RuntimeConfig::builder().loss_model(LossModel::Distance(table)).build();
-            assert_eq!(built.err(), Some(ConfigError::LossTable { field: "loss_model", error }));
+            cases.push((
+                RuntimeConfig { loss_model: LossModel::Distance(table), ..base() },
+                ConfigError::LossTable { field: "loss_model", error },
+            ));
         }
-        assert!(RuntimeConfig::builder().loss_model(LossModel::distance_default()).build().is_ok());
+        cases
+    }
+
+    #[test]
+    fn builder_rejects_nonsense() {
+        for (cfg, error) in nonsense() {
+            assert_eq!(cfg.validate(), Err(error));
+        }
+        // NaN compares unequal to itself, so match on the shape.
+        let nan = RuntimeConfig { duration: f64::NAN, ..RuntimeConfig::default() };
+        assert!(matches!(nan.validate(), Err(ConfigError::Negative { field: "duration", .. })));
+    }
+
+    /// The check runs where runs enter: `Runtime::run` refuses an
+    /// out-of-domain struct-literal config before a frame plays.
+    #[test]
+    fn run_refuses_an_invalid_config() {
+        let trace = two_vehicle_trace(10.0);
+        for (cfg, error) in nonsense() {
+            let mut probe = Probe::new(2);
+            let err = Runtime::new(cfg).run(&mut probe, &trace, &[]).err();
+            assert_eq!(err, Some(RuntimeError::Config(error)));
+            assert_eq!(probe.frames, 0, "no frame plays under a refused config");
+        }
+        let nan = RuntimeConfig { duration: f64::NAN, ..RuntimeConfig::default() };
+        let err = Runtime::new(nan).run(&mut Probe::new(2), &trace, &[]).err();
+        assert!(matches!(err, Some(RuntimeError::Config(ConfigError::Negative { .. }))), "{err:?}");
+        let err = RuntimeError::Config(ConfigError::NonPositive { field: "eval_every", value: 0.0 });
+        assert!(err.to_string().contains("eval_every must be positive"), "{err}");
+        assert!(std::error::Error::source(&err).is_some());
     }
 
     #[test]
@@ -1010,10 +942,9 @@ mod tests {
 
     // ---- Equivalence with the retained frame loop -----------------------
     //
-    // With contention disabled, `Runtime::run` must reproduce
-    // `reference::run` bit for bit — same loss curve, same counters, same
-    // airtime accounting, same final models — for any trace geometry, loss
-    // model, cooldown, training rate, and seed.
+    // `Runtime::run` must reproduce `reference::run` bit for bit — same loss
+    // curve, same counters, same airtime accounting, same final models — for
+    // any trace geometry, loss model, cooldown, training rate, and seed.
 
     /// Runs `event` through [`Runtime::run`] and `oracle` through the frame
     /// loop under the same config, asserts bit-equal metrics, and returns
@@ -1200,7 +1131,7 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
         #[test]
-        fn event_loop_matches_reference_without_contention(
+        fn event_loop_matches_reference_on_random_fleets(
             vehicles in proptest::prelude::prop::collection::vec(
                 (-400.0f32..400.0, -12.0f32..12.0),
                 2..5,

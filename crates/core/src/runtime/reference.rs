@@ -3,10 +3,10 @@
 //! pattern): compiled under `#[cfg(test)]`, reachable from nowhere but the
 //! runtime's own unit tests.
 //!
-//! The discrete-event loop with contention disabled must reproduce this
-//! loop's metrics and final models bit for bit; the equivalence tests in
-//! `runtime::tests` pin that. Keep this file boring: no optimizations, no
-//! restructuring — it is the spec.
+//! The discrete-event loop must reproduce this loop's metrics and final
+//! models bit for bit; the equivalence tests in `runtime::tests` pin that.
+//! Keep this file boring: no optimizations, no restructuring — it is the
+//! spec.
 //!
 //! One shared exception: encounter discovery and route sampling go through
 //! [`EncounterGrid`] and [`RouteCache`], the same components the event loop

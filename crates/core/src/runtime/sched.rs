@@ -33,17 +33,6 @@ pub enum Event {
         /// Matching priority the pair won with.
         priority: f64,
     },
-    /// A live session's predicted contact window ends; the runtime
-    /// force-closes the session if it is still open.
-    ContactClose {
-        /// Index into the runtime's session table.
-        session: usize,
-    },
-    /// A streaming transfer takes its airtime share of one medium window.
-    TransferStep {
-        /// Index into the runtime's session table.
-        session: usize,
-    },
     /// One node's local-training slice for one frame.
     TrainSlice {
         /// Node id.
@@ -174,11 +163,6 @@ impl<E> EventQueue<E> {
     /// Timestamp of the next pending event without popping it.
     pub fn peek_time(&self) -> Option<f64> {
         self.heap.peek().map(|e| e.time.0)
-    }
-
-    /// The next pending event (timestamp and a borrow) without popping it.
-    pub fn peek(&self) -> Option<(f64, &E)> {
-        self.heap.peek().map(|e| (e.time.0, &e.event))
     }
 }
 

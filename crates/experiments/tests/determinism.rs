@@ -9,103 +9,8 @@
 use experiments::harness::{run_cell_obs, train_and_evaluate_obs};
 use experiments::{Condition, Method, Scale, Scenario};
 use lbchat::exec;
-use lbchat::prelude::{
-    Codec, CollabAlgorithm, MediumConfig, Metrics, ObsSink, Runtime, RuntimeConfig, SessionCtx,
-    SessionStep, TrainStats,
-};
-use simnet::channel::{TransferOutcome, TransferSpec};
-use simnet::geom::Vec2;
-use simnet::trace::MobilityTrace;
+use lbchat::prelude::{Codec, ObsSink};
 use simworld::world::{FleetScale, World, WorldConfig};
-use vnn::ParamVec;
-
-/// A minimal streaming protocol over the grid-discovered encounters: one
-/// payload per session, re-requested once. Dense enough (parked lattice,
-/// several radio neighbors per node) that contention-mode transfer
-/// windows shard across the worker pool every frame.
-struct GridProbe {
-    n: usize,
-    params: ParamVec,
-}
-
-impl CollabAlgorithm for GridProbe {
-    type Sample = ();
-    type Session = u32;
-
-    fn n_nodes(&self) -> usize {
-        self.n
-    }
-
-    fn model(&self, _node: usize) -> &ParamVec {
-        &self.params
-    }
-
-    fn local_training(
-        &mut self,
-        _node: usize,
-        _iters: usize,
-        _rng: &mut rand::rngs::StdRng,
-    ) -> TrainStats {
-        TrainStats::default()
-    }
-
-    fn session_open(&mut self, _ctx: &mut SessionCtx<'_>) -> Option<(u32, SessionStep)> {
-        Some((0, SessionStep::Transfer(TransferSpec::link(40_000, 1e9))))
-    }
-
-    fn session_step(
-        &mut self,
-        sent: &mut u32,
-        out: TransferOutcome,
-        ctx: &mut SessionCtx<'_>,
-    ) -> SessionStep {
-        *sent += 1;
-        ctx.metrics.record_coreset_send(out.is_delivered(), 40_000, out.elapsed());
-        if out.is_delivered() && *sent < 2 {
-            return SessionStep::Transfer(TransferSpec::link(40_000, 1e9));
-        }
-        SessionStep::Done
-    }
-
-    fn session_close(&mut self, _sent: u32, ctx: &mut SessionCtx<'_>) -> f64 {
-        ctx.elapsed()
-    }
-
-    fn mean_eval_loss(&self, _eval: &[()]) -> f64 {
-        1.0
-    }
-
-    fn name(&self) -> &'static str {
-        "grid-probe"
-    }
-}
-
-/// A contention-mode runtime run over a parked 64-vehicle lattice: every
-/// frame the spatial-hash grid discovers encounters and the route cache
-/// feeds the contact predictor, then streaming windows shard over
-/// [`lbchat::exec`].
-fn grid_runtime_metrics() -> Metrics {
-    let n = 64usize;
-    let fps = 2.0;
-    let seconds = 12.0;
-    let frames = (seconds * fps) as usize + 1;
-    let cols = (n as f64).sqrt().ceil() as usize;
-    let positions = (0..n)
-        .map(|k| vec![Vec2::new((k % cols) as f32 * 140.0, (k / cols) as f32 * 140.0); frames])
-        .collect();
-    let trace = MobilityTrace::new(fps, positions);
-    let cfg = RuntimeConfig {
-        duration: seconds,
-        eval_every: seconds,
-        pair_cooldown: 1.0,
-        seed: 11,
-        contention: Some(MediumConfig::default()),
-        ..RuntimeConfig::default()
-    };
-    let rt = Runtime::new(cfg);
-    let mut algo = GridProbe { n, params: ParamVec::zeros(1) };
-    rt.run(&mut algo, &trace, &[]).expect("trace fits the probe fleet")
-}
 
 #[test]
 fn results_are_bit_identical_for_any_job_count() {
@@ -188,26 +93,4 @@ fn results_are_bit_identical_for_any_job_count() {
         assert_eq!(a.x.to_bits(), b.x.to_bits(), "ped {i} x diverged under jobs=4");
         assert_eq!(a.y.to_bits(), b.y.to_bits(), "ped {i} y diverged under jobs=4");
     }
-
-    // A grid-enabled runtime cell holds the contract too: encounter
-    // discovery through the spatial hash and route sampling through the
-    // per-frame cache feed a contention-mode run whose transfer windows
-    // shard over the pool — metrics must still be independent of --jobs.
-    exec::set_jobs(1);
-    let m1 = grid_runtime_metrics();
-    exec::set_jobs(4);
-    let m4 = grid_runtime_metrics();
-    exec::set_jobs(1);
-    assert!(m1.sessions > 0, "the lattice fleet must open sessions");
-    assert_eq!(m1.sessions, m4.sessions, "session count diverged under jobs=4 (grid runtime)");
-    assert_eq!(
-        m1.bytes_delivered, m4.bytes_delivered,
-        "delivered bytes diverged under jobs=4 (grid runtime)"
-    );
-    assert_eq!(
-        m1.comm_seconds.to_bits(),
-        m4.comm_seconds.to_bits(),
-        "airtime diverged under jobs=4 (grid runtime)"
-    );
-    assert_eq!(m1.loss_curve, m4.loss_curve, "loss curve diverged under jobs=4 (grid runtime)");
 }

@@ -5,10 +5,8 @@
 //! transfer aborts when its deadline (end of radio contact) passes — the
 //! exact communication model of §IV-A.
 
-use crate::geom::Vec2;
 use crate::loss::LossModel;
 use rand::{Rng, RngExt};
-use std::collections::BTreeMap;
 
 /// A packet that fails this many consecutive attempts marks the link dead
 /// and aborts the transfer (sustained PER ≈ 1 — effectively out of range).
@@ -337,9 +335,7 @@ impl Channel {
 
     /// Per-packet error rate under `loss` at endpoint distance `distance_m`.
     /// Distance-based transfers beyond `range_m` always lose the packet;
-    /// fixed-PER transfers ignore the distance entirely. The event-driven
-    /// runtime uses this to price packets of streaming transfers one medium
-    /// window at a time.
+    /// fixed-PER transfers ignore the distance entirely.
     pub fn per_for(&self, loss: TransferLoss, distance_m: f32) -> f32 {
         match loss {
             TransferLoss::Link => {
@@ -477,139 +473,6 @@ impl Channel {
     }
 }
 
-/// Shared-medium contention parameters for the event-driven runtime's
-/// streaming transfers.
-///
-/// Space is divided into square cells roughly one radio range on a side;
-/// time into fixed airtime windows. All transfers whose endpoints' midpoint
-/// falls in the same cell during the same window contend for that cell's
-/// airtime: each gets a fair share of the window, and concurrent contenders
-/// add a collision loss term on top of the link's own PER.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MediumConfig {
-    /// Cell edge length in meters (default: one radio range, 500 m).
-    pub cell_m: f32,
-    /// Airtime accounting window in seconds.
-    pub window_s: f64,
-    /// Maximum extra per-packet loss from collisions; the applied extra is
-    /// `collision_loss * (1 - 1/contenders)`, zero for a lone transmitter.
-    pub collision_loss: f32,
-}
-
-impl Default for MediumConfig {
-    fn default() -> Self {
-        Self { cell_m: 500.0, window_s: 0.25, collision_loss: 0.25 }
-    }
-}
-
-/// Per-cell load observed during one accounting window.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CellLoad {
-    /// Transfers that attempted airtime in the cell this window.
-    pub contenders: u32,
-    /// Total airtime booked in the cell this window, seconds.
-    pub airtime: f64,
-}
-
-/// The shared wireless medium: per-cell airtime accounting over
-/// double-buffered windows.
-///
-/// The *previous* window's load steers the current one — every transfer
-/// stepping in window `w` reads the contender count cell-wise from window
-/// `w - 1` (a fixed point of the usual listen-before-talk feedback), so the
-/// order in which concurrent transfers step within a window cannot change
-/// their outcomes. That property is what lets the runtime shard transfer
-/// steps across worker threads without losing bit-for-bit determinism.
-#[derive(Debug, Clone)]
-pub struct Medium {
-    cfg: MediumConfig,
-    window: i64,
-    current: BTreeMap<(i64, i64), CellLoad>,
-    previous: BTreeMap<(i64, i64), CellLoad>,
-}
-
-impl Medium {
-    /// Creates an idle medium.
-    ///
-    /// # Panics
-    /// Panics if the cell size or window length is not positive.
-    pub fn new(cfg: MediumConfig) -> Self {
-        assert!(cfg.cell_m > 0.0, "medium cell size must be positive");
-        assert!(cfg.window_s > 0.0, "medium window must be positive");
-        Self { cfg, window: 0, current: BTreeMap::new(), previous: BTreeMap::new() }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &MediumConfig {
-        &self.cfg
-    }
-
-    /// Index of the accounting window containing time `t`.
-    pub fn window_index(&self, t: f64) -> i64 {
-        (t / self.cfg.window_s).floor() as i64
-    }
-
-    /// The grid cell containing position `p`.
-    pub fn cell_of(&self, p: Vec2) -> (i64, i64) {
-        ((p.x / self.cfg.cell_m).floor() as i64, (p.y / self.cfg.cell_m).floor() as i64)
-    }
-
-    /// Rolls the double buffer forward so the current window contains `t`.
-    /// Skipping more than one window clears both buffers (the medium was
-    /// idle in between).
-    pub fn advance_to(&mut self, t: f64) {
-        let w = self.window_index(t);
-        if w == self.window {
-            return;
-        }
-        if w == self.window + 1 {
-            self.previous = std::mem::take(&mut self.current);
-        } else {
-            self.previous.clear();
-            self.current.clear();
-        }
-        self.window = w;
-    }
-
-    /// Contender count of `cell` in the previous window.
-    pub fn contenders(&self, cell: (i64, i64)) -> u32 {
-        self.previous.get(&cell).map_or(0, |l| l.contenders)
-    }
-
-    /// Airtime booked in `cell` during the previous window, seconds.
-    pub fn booked_airtime(&self, cell: (i64, i64)) -> f64 {
-        self.previous.get(&cell).map_or(0.0, |l| l.airtime)
-    }
-
-    /// Fair airtime share for one transfer in `cell` this window, based on
-    /// the previous window's contender count. A lone transmitter gets the
-    /// whole window.
-    pub fn fair_share(&self, cell: (i64, i64)) -> f64 {
-        self.cfg.window_s / self.contenders(cell).max(1) as f64
-    }
-
-    /// Extra per-packet loss from collisions in `cell`, based on the
-    /// previous window's contender count.
-    pub fn collision_per(&self, cell: (i64, i64)) -> f32 {
-        let c = self.contenders(cell);
-        if c <= 1 {
-            0.0
-        } else {
-            self.cfg.collision_loss * (1.0 - 1.0 / c as f32)
-        }
-    }
-
-    /// Registers one transfer as contending in `cell` this window.
-    pub fn register(&mut self, cell: (i64, i64)) {
-        self.current.entry(cell).or_default().contenders += 1;
-    }
-
-    /// Books `airtime` seconds of channel occupancy in `cell` this window.
-    pub fn book(&mut self, cell: (i64, i64), airtime: f64) {
-        self.current.entry(cell).or_default().airtime += airtime;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -700,56 +563,6 @@ mod tests {
         let ch = Channel::new(RadioConfig::default(), LossModel::distance_default());
         let out = ch.run(&TransferSpec::link(0, 0.0), |_| 100.0, &mut rng());
         assert_eq!(out, TransferOutcome::Delivered { elapsed: 0.0 });
-    }
-
-    #[test]
-    fn medium_cells_and_windows() {
-        let m = Medium::new(MediumConfig::default());
-        assert_eq!(m.cell_of(Vec2::new(10.0, 10.0)), (0, 0));
-        assert_eq!(m.cell_of(Vec2::new(-10.0, 510.0)), (-1, 1));
-        assert_eq!(m.window_index(0.0), 0);
-        assert_eq!(m.window_index(0.26), 1);
-    }
-
-    #[test]
-    fn medium_double_buffer_feeds_next_window() {
-        let mut m = Medium::new(MediumConfig::default());
-        let cell = (0, 0);
-        m.register(cell);
-        m.register(cell);
-        m.book(cell, 0.2);
-        // Current-window load is invisible until the buffer rolls.
-        assert_eq!(m.contenders(cell), 0);
-        assert_eq!(m.fair_share(cell), m.config().window_s);
-        m.advance_to(0.3);
-        assert_eq!(m.contenders(cell), 2);
-        assert!((m.booked_airtime(cell) - 0.2).abs() < 1e-12);
-        assert!((m.fair_share(cell) - m.config().window_s / 2.0).abs() < 1e-12);
-        assert!(m.collision_per(cell) > 0.0);
-        // Skipping windows entirely clears both buffers.
-        m.advance_to(10.0);
-        assert_eq!(m.contenders(cell), 0);
-    }
-
-    #[test]
-    fn lone_transmitter_sees_no_collision_loss() {
-        let mut m = Medium::new(MediumConfig::default());
-        m.register((0, 0));
-        m.advance_to(0.3);
-        assert_eq!(m.collision_per((0, 0)), 0.0);
-        assert_eq!(m.fair_share((0, 0)), m.config().window_s);
-    }
-
-    #[test]
-    fn fair_share_splits_evenly_under_contention() {
-        let mut m = Medium::new(MediumConfig::default());
-        for _ in 0..8 {
-            m.register((2, -1));
-        }
-        m.advance_to(0.3);
-        assert!((m.fair_share((2, -1)) - m.config().window_s / 8.0).abs() < 1e-12);
-        // Collision loss saturates below the configured maximum.
-        assert!(m.collision_per((2, -1)) < m.config().collision_loss);
     }
 
     #[test]
