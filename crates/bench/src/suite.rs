@@ -102,6 +102,8 @@ pub fn run(opts: &SuiteOpts) -> Vec<BenchResult> {
         ("vnn", bench_vnn_bev),
         ("runtime", bench_runtime_static),
         ("driving", bench_driving),
+        ("vnn", bench_vnn_fleet),
+        ("core", bench_core),
     ];
     for (group, cell) in cells {
         if opts.group_enabled(group) {
@@ -594,18 +596,74 @@ fn bench_vnn_bev(c: &mut Timer, _opts: &SuiteOpts) {
     });
 }
 
+/// `vnn/policy_train_round_b64_bev`'s round as a fleet takes it: 32 learners
+/// visited round-robin, one [`Learner::train_step`] each, the way a
+/// `--paper` cell interleaves its vehicles' local training. The one-learner
+/// cell keeps parameters, velocity and arena hot between rounds; here a
+/// learner comes back after 31 others have run, so whatever a learner owns
+/// has left the cache by then — the cost the one-learner cell cannot show.
+/// Each visit restarts from the fixture's parameters (outside the timed
+/// half), so the work per round does not drift as the fleet trains.
+fn bench_vnn_fleet(c: &mut Timer, _opts: &SuiteOpts) {
+    const FLEET: usize = 32;
+    let (learner, frames) = bev_fixture(64);
+    let batch: Vec<(&Frame, f32)> =
+        frames.iter().enumerate().map(|(k, f)| (f, 0.5 + (k % 5) as f32 * 0.3)).collect();
+    // One worker, as `lbchat_e2e` runs its passes: with more, `train_step`
+    // spawns scoped threads for its four shards every step.
+    lbchat::exec::set_jobs(1);
+    c.bench_function("vnn/policy_train_round_b64_bev_x32", |b| {
+        let fleet = std::cell::RefCell::new(vec![learner.clone(); FLEET]);
+        let visits = std::cell::Cell::new(0usize);
+        b.measure_batched(
+            || {
+                let k = visits.get() % FLEET;
+                visits.set(k + 1);
+                let node = &mut fleet.borrow_mut()[k];
+                node.set_params(learner.params().clone());
+                node.on_params_replaced();
+                k
+            },
+            |k| fleet.borrow_mut()[k].train_step(&batch),
+        );
+    });
+    lbchat::exec::set_jobs(0); // back to LBCHAT_JOBS / hardware detection
+}
+
+/// §III-D's dataset expansion at the size a chat delivers: a 60-frame
+/// coreset of recorded frames folded into a vehicle's dataset. Finished
+/// datasets are parked and dropped outside the timed half.
+fn bench_core(c: &mut Timer, _opts: &SuiteOpts) {
+    let (_, frames) = bev_fixture(64);
+    let coreset = lbchat::Coreset::new(frames[..60].to_vec(), vec![1.0; 60]);
+    let local = WeightedDataset::uniform(frames);
+    c.bench_function("core/absorb_coreset_60_bev", |b| {
+        let done = std::cell::RefCell::new(Vec::with_capacity(1));
+        b.measure_batched(
+            || {
+                done.borrow_mut().clear();
+                local.clone()
+            },
+            |mut expanded| {
+                expanded.absorb_coreset(&coreset);
+                let n = expanded.len();
+                done.borrow_mut().push(expanded);
+                n
+            },
+        );
+    });
+}
+
 /// One control tick of closed-loop evaluation — route tracking, observation,
 /// rasterization, pooling, prediction, steering, judging, `World::step` —
 /// along a drawn route through Navi. (Normal) traffic, so the pose, and with
 /// it the occupancy the pooling and the first layer see, changes every
 /// iteration. A trial that ends restarts from a copy of its first tick.
 ///
-/// Timed on one worker, as `lbchat_e2e` runs its passes: with more,
-/// `World::step` fans its intent phase — 50 slots here — over freshly
-/// spawned scoped threads every tick, and the spawn (≈ 100 µs) is all the
-/// cell would read.
+/// Reads the same at any worker count: the 50 intent slots of this world
+/// are far below `simworld::world::PAR_INTENT_MIN_AWAKE`, so `World::step`
+/// fills them inline instead of spawning scoped threads every tick.
 fn bench_driving(c: &mut Timer, _opts: &SuiteOpts) {
-    lbchat::exec::set_jobs(1);
     let (learner, _) = bev_fixture(64);
     let cfg = EvalConfig::default();
     let base = Task::NaviNormal.world(&cfg);
@@ -637,7 +695,6 @@ fn bench_driving(c: &mut Timer, _opts: &SuiteOpts) {
             |()| running.set(rollout.borrow_mut().tick(&learner)),
         );
     });
-    lbchat::exec::set_jobs(0); // back to LBCHAT_JOBS / hardware detection
 }
 
 fn bench_phi(c: &mut Timer, _opts: &SuiteOpts) {

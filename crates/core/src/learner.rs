@@ -69,7 +69,7 @@ pub trait Learner {
     fn on_params_replaced(&mut self) {}
 
     /// Drains the training-kernel statistics accumulated since the last
-    /// call (batches, samples, scratch reuses — see [`TrainStats`]). The
+    /// call (batches and samples — see [`TrainStats`]). The
     /// runtime emits them as `train.*` observability counters after each
     /// local-training burst. Default: always zero, for learners that do not
     /// instrument their training path.

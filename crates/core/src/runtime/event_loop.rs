@@ -253,7 +253,6 @@ impl<'a, A: CollabAlgorithm> EventLoop<'a, A> {
             if self.cfg.obs.enabled() && stats.batches > 0 {
                 self.cfg.obs.add("train.batch", stats.batches);
                 self.cfg.obs.add("train.samples", stats.samples);
-                self.cfg.obs.add("train.scratch_reuse", stats.scratch_reuse);
             }
         }
     }

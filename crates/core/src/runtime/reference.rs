@@ -163,7 +163,6 @@ pub(super) fn run<A: CollabAlgorithm>(
                 if cfg.obs.enabled() && stats.batches > 0 {
                     cfg.obs.add("train.batch", stats.batches);
                     cfg.obs.add("train.samples", stats.samples);
-                    cfg.obs.add("train.scratch_reuse", stats.scratch_reuse);
                 }
             }
         }

@@ -2,18 +2,27 @@
 
 use simworld::bev::Bev;
 use simworld::expert::{Command, ExpertOutput};
+use std::sync::Arc;
 
 /// One imitation-learning sample: featurized BEV observation, the
 /// conditional command, and the expert's time-spaced waypoints (the
 /// regression target).
+///
+/// A frame is recorded once and never edited, and LbChat hands frames
+/// around all day — every cell starts from the scenario's datasets, every
+/// chat ships a coreset each way, §III-D folds the peer's coreset into the
+/// local dataset — so both payloads are immutable shared slices:
+/// [`Clone`] copies two handles, not two buffers, and a fleet's frames
+/// cost what was collected however many nodes hold them. Equality is by
+/// content.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     /// Pooled BEV features + normalized speed (the policy input).
-    pub features: Vec<f32>,
+    pub features: Arc<[f32]>,
     /// High-level command selecting the policy branch.
     pub command: Command,
     /// Target waypoints `[x1, y1, ..]` in the ego frame.
-    pub waypoints: Vec<f32>,
+    pub waypoints: Arc<[f32]>,
 }
 
 /// Extra navigation scalars appended after the BEV features: normalized
@@ -27,10 +36,12 @@ impl Frame {
         let mut features = bev.features(pool);
         features.push(sup.turn_distance / simworld::expert::TURN_LOOKAHEAD);
         features.push(sup.turn_sign);
+        // `From<Vec>` / `From<&[f32]>` allocate the slice at its exact
+        // length; the staging vector's spare capacity is not kept.
         Self {
-            features,
+            features: features.into(),
             command: sup.command,
-            waypoints: sup.waypoints.clone(),
+            waypoints: sup.waypoints.as_slice().into(),
         }
     }
 
@@ -59,6 +70,24 @@ mod tests {
         assert_eq!(f.features.len(), w.config().bev.feature_len() + NAV_FEATURES);
         assert_eq!(f.n_waypoints(), w.config().n_waypoints);
         assert!(f.wire_bytes() > 0);
+    }
+
+    #[test]
+    fn clone_shares_both_payloads_and_equality_is_by_content() {
+        let w = World::new(WorldConfig::small(3));
+        let (bev, sup) = w.observe_expert(1);
+        let f = Frame::from_observation(&bev, &sup, w.config().bev.pool);
+        let g = f.clone();
+        assert!(Arc::ptr_eq(&f.features, &g.features));
+        assert!(Arc::ptr_eq(&f.waypoints, &g.waypoints));
+        // A frame rebuilt from the same observation owns fresh buffers and
+        // still compares equal; one differing float does not.
+        let rebuilt = Frame::from_observation(&bev, &sup, w.config().bev.pool);
+        assert!(!Arc::ptr_eq(&f.features, &rebuilt.features));
+        assert_eq!(f, rebuilt);
+        let mut wp = f.waypoints.to_vec();
+        wp[0] += 1.0;
+        assert_ne!(f, Frame { waypoints: wp.into(), ..f.clone() });
     }
 
     #[test]

@@ -7,11 +7,19 @@
 //! fused scaled SGD step make the result bit-identical for every `--jobs`
 //! setting — and to folding per-sample
 //! [`BranchedPolicy::loss_and_grad`] gradients shard by shard.
+//!
+//! The arena belongs to the thread, not to the learner: a fleet's learners
+//! take turns on whichever thread runs their node, one step at a time, and
+//! nothing an arena holds outlives a call (see [`TrainScratch`]) — so a
+//! thread keeps one, every learner it steps borrows it, and a learner is
+//! just what differs between vehicles: parameters, optimizer state and the
+//! lazily frozen policy.
 
 use crate::frame::Frame;
 use lbchat::{Learner, TrainStats};
 use rand::Rng;
 use simworld::expert::Command;
+use std::cell::RefCell;
 use std::sync::OnceLock;
 use vnn::{
     BatchSource, BranchedPolicy, FrozenPolicy, ParamVec, PolicySample, PolicySpec, Sgd,
@@ -57,13 +65,36 @@ impl BatchSource for FrameRefs<'_, '_> {
     }
 }
 
+thread_local! {
+    /// This thread's training arena: [`Learner::train_step`] fills its
+    /// shards and reduced gradient, [`Learner::losses_with`] stages a loss
+    /// pass in its first shard. Sized by the largest batch the thread has
+    /// run, freed when the thread ends.
+    static ARENA: RefCell<TrainScratch> = RefCell::new(TrainScratch::new());
+}
+
+/// Heap bytes the calling thread's training arena holds — zero before the
+/// thread's first [`Learner::train_step`] or [`Learner::losses_with`], and
+/// steady once it has seen its largest batch, however many learners share
+/// it.
+pub fn arena_bytes() -> usize {
+    ARENA.with_borrow(TrainScratch::heap_bytes)
+}
+
 /// A command-branched waypoint regressor + SGD optimizer, implementing the
 /// [`Learner`] interface LbChat trains through.
+///
+/// Owns only what is this vehicle's: the parameters, the optimizer's
+/// velocity, the step counters its node drains, and the frozen snapshot
+/// [`DrivingLearner::predict_into`] answers from. Training scratch is the
+/// thread's (see the module docs), so a clone costs two parameter-sized
+/// buffers and a fleet of learners costs that per vehicle.
 #[derive(Debug, Clone)]
 pub struct DrivingLearner {
     policy: BranchedPolicy,
     opt: Sgd,
-    scratch: TrainScratch,
+    /// Steps taken since the last [`Learner::take_train_stats`].
+    stats: TrainStats,
     /// `policy` in the form [`DrivingLearner::predict_into`] answers from,
     /// built on first use; `train_step` and `set_params` — the only two
     /// places the parameters change — drop it.
@@ -80,7 +111,7 @@ impl DrivingLearner {
         Self {
             policy: BranchedPolicy::new(spec, rng),
             opt: Sgd::new(lr, 0.9, 1e-5),
-            scratch: TrainScratch::new(),
+            stats: TrainStats::default(),
             frozen: OnceLock::new(),
         }
     }
@@ -163,7 +194,10 @@ impl Learner for DrivingLearner {
     /// `samples.len()` allocating per-sample forwards; bit-identical to them
     /// (see [`BranchedPolicy::losses_with`]).
     fn losses_with(&self, params: &ParamVec, samples: &[&Frame], out: &mut Vec<f32>) {
-        self.policy.losses_with(params, &FrameRefs(samples), out);
+        ARENA.with_borrow_mut(|arena| {
+            let shard = &mut arena.shards_mut(1)[0];
+            self.policy.losses_with(params, &FrameRefs(samples), out, shard);
+        });
     }
 
     fn train_step(&mut self, batch: &[(&Frame, f32)]) -> f32 {
@@ -173,20 +207,25 @@ impl Learner for DrivingLearner {
         self.frozen.take();
         let n = batch.len();
         let src = FrameBatch(batch);
-        // Fixed SHARD-sized shards, fanned over the worker pool: shard
-        // contents depend only on the batch, never on the worker count, and
-        // the reduction below runs in shard order on this thread — so
-        // jobs=1 and jobs=4 produce bit-identical models.
-        let policy = &self.policy;
-        lbchat::exec::par_for_each_mut(self.scratch.shards_mut(n), |s, shard| {
-            policy.train_shard(&src, s * SHARD, shard);
-        });
-        let out = policy.reduce_shards(&mut self.scratch, n);
-        // Fused normalization: the gradient is Σ w·g, divided by Σ w inside
-        // the optimizer step (bit-identical to a separate scaling pass).
-        let inv = 1.0 / out.weight_sum;
-        self.opt.step_scaled(self.policy.params_mut().as_mut_slice(), self.scratch.grad(), inv);
-        out.loss_sum * inv
+        let Self { policy, opt, stats, .. } = self;
+        ARENA.with_borrow_mut(|arena| {
+            // Fixed SHARD-sized shards, fanned over the worker pool: shard
+            // contents depend only on the batch, never on the worker count,
+            // and the reduction below runs in shard order on this thread —
+            // so jobs=1 and jobs=4 produce bit-identical models.
+            let shared = &*policy;
+            lbchat::exec::par_for_each_mut(arena.shards_mut(n), |s, shard| {
+                shared.train_shard(&src, s * SHARD, shard);
+            });
+            let out = policy.reduce_shards(arena, n);
+            stats.merge(arena.take_stats());
+            // Fused normalization: the gradient is Σ w·g, divided by Σ w
+            // inside the optimizer step (bit-identical to a separate
+            // scaling pass).
+            let inv = 1.0 / out.weight_sum;
+            opt.step_scaled(policy.params_mut().as_mut_slice(), arena.grad(), inv);
+            out.loss_sum * inv
+        })
     }
 
     fn group_of(&self, sample: &Frame) -> usize {
@@ -202,7 +241,7 @@ impl Learner for DrivingLearner {
     }
 
     fn take_train_stats(&mut self) -> TrainStats {
-        self.scratch.take_stats()
+        self.stats.take()
     }
 }
 
@@ -213,9 +252,9 @@ mod tests {
 
     fn frame(cmd: Command, target: f32) -> Frame {
         Frame {
-            features: vec![0.2; 10],
+            features: vec![0.2; 10].into(),
             command: cmd,
-            waypoints: vec![target; 6],
+            waypoints: vec![target; 6].into(),
         }
     }
 

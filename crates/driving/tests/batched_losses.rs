@@ -83,11 +83,13 @@ fn frames(n: usize, only: Option<Command>, rng: &mut rand::rngs::StdRng) -> Vec<
 fn bev_frames(n: usize, only: Option<Command>, rng: &mut rand::rngs::StdRng) -> Vec<Frame> {
     let mut data = frames(n, only, rng);
     for (k, frame) in data.iter_mut().enumerate() {
-        for (i, x) in frame.features[..BEV_FEATURES].iter_mut().enumerate() {
+        let mut features = frame.features.to_vec();
+        for (i, x) in features[..BEV_FEATURES].iter_mut().enumerate() {
             if i < 20 || k % 7 == 6 || rng.random_range(0..6) != 0 {
                 *x = if rng.random_range(0..8) == 0 { -0.0 } else { 0.0 };
             }
         }
+        frame.features = features.into();
     }
     data
 }

@@ -15,6 +15,7 @@ use driving::learner::DrivingLearner;
 use lbchat::Learner;
 use rand::{RngExt, SeedableRng};
 use simworld::expert::Command;
+use std::sync::Arc;
 use vnn::PolicySpec;
 
 const INPUT_DIM: usize = 12;
@@ -35,8 +36,8 @@ fn random_frames(n: usize, seed: u64) -> Vec<(Frame, f32)> {
     let commands = [Command::Follow, Command::Left, Command::Right, Command::Straight];
     (0..n)
         .map(|_| {
-            let features: Vec<f32> = (0..INPUT_DIM).map(|_| rng.random_range(-1.0..1.0)).collect();
-            let waypoints: Vec<f32> =
+            let features: Arc<[f32]> = (0..INPUT_DIM).map(|_| rng.random_range(-1.0..1.0)).collect();
+            let waypoints: Arc<[f32]> =
                 (0..2 * WAYPOINTS).map(|_| rng.random_range(-2.0..2.0)).collect();
             let command = commands[rng.random_range(0..commands.len())];
             let weight = rng.random_range(0.25..4.0);

@@ -1,0 +1,134 @@
+//! Frames are shared, never copied.
+//!
+//! A [`Frame`]'s two payloads are immutable `Arc<[f32]>` slices, so every
+//! hand-over LbChat makes — a cell taking the scenario's datasets, a
+//! coreset cloned into a chat session, two coresets merged, the peer's
+//! coreset folded into the local dataset (§III-D) — moves handles. This
+//! file holds each of those to pointer equality with its source, and then a
+//! whole quick-scale LbChat cell to the strongest form of the claim: when
+//! it ends, every frame any vehicle holds is one of the scenario's own
+//! buffers, i.e. the run allocated no feature or waypoint buffer at all.
+
+use driving::Frame;
+use experiments::{Scale, Scenario};
+use lbchat::node::LbChatAlgorithm;
+use lbchat::prelude::{LbChatConfig, Runtime, RuntimeConfig};
+use lbchat::{Coreset, WeightedDataset};
+use rand::SeedableRng;
+use std::collections::HashSet;
+use std::sync::Arc;
+
+fn shares_payloads(a: &Frame, b: &Frame) -> bool {
+    Arc::ptr_eq(&a.features, &b.features) && Arc::ptr_eq(&a.waypoints, &b.waypoints)
+}
+
+fn all_shared(copies: &[Frame], sources: &[Frame]) -> bool {
+    copies.len() == sources.len()
+        && copies
+            .iter()
+            .zip(sources)
+            .all(|(a, b)| shares_payloads(a, b))
+}
+
+/// The addresses of both payloads of `frame`.
+fn addresses(frame: &Frame) -> [usize; 2] {
+    [
+        frame.features.as_ptr() as usize,
+        frame.waypoints.as_ptr() as usize,
+    ]
+}
+
+#[test]
+fn hand_overs_share_and_a_cell_allocates_no_frame_buffers() {
+    let s = Scenario::build(Scale::quick());
+    let fixture: Vec<&Frame> = s
+        .datasets
+        .iter()
+        .flat_map(WeightedDataset::samples)
+        .collect();
+    assert!(
+        fixture.len() > 100,
+        "the scenario must have recorded frames: {}",
+        fixture.len()
+    );
+
+    // What every cell starts with.
+    let datasets = s.datasets.clone();
+    for (copy, source) in datasets.iter().zip(&s.datasets) {
+        assert!(all_shared(copy.samples(), source.samples()));
+        assert_eq!(copy, source, "and equality is still by content");
+    }
+    // The held-out set is drawn from the datasets: it shares with them too.
+    let owned: HashSet<usize> = fixture.iter().flat_map(|f| addresses(f)).collect();
+    assert_eq!(
+        owned.len(),
+        2 * fixture.len(),
+        "the fixture's own buffers are all distinct"
+    );
+    assert!(s
+        .eval
+        .iter()
+        .flat_map(addresses)
+        .all(|a| owned.contains(&a)));
+
+    // Coreset clone / merge and §III-D's expansion.
+    let (a, b) = (
+        &s.datasets[0].samples()[..40],
+        &s.datasets[1].samples()[..25],
+    );
+    let mine = Coreset::new(a.to_vec(), vec![2.0; a.len()]);
+    let theirs = Coreset::new(b.to_vec(), vec![3.0; b.len()]);
+    assert!(all_shared(mine.clone().samples(), a));
+    let merged = mine.clone().merge(theirs.clone());
+    assert!(all_shared(&merged.samples()[..a.len()], a));
+    assert!(all_shared(&merged.samples()[a.len()..], b));
+    let mut local = WeightedDataset::uniform(a.to_vec());
+    local.absorb_coreset(&theirs);
+    assert!(all_shared(&local.samples()[a.len()..], b));
+
+    // A whole LbChat cell at the scenario's quick scale.
+    let rt = Runtime::new(RuntimeConfig {
+        duration: s.scale.train_seconds,
+        train_iters_per_second: s.scale.iters_per_second,
+        eval_every: s.scale.eval_every,
+        seed: s.scale.seed,
+        ..RuntimeConfig::default()
+    });
+    let cfg = LbChatConfig {
+        coreset_size: s.scale.coreset_size,
+        model_wire_bytes: s.scale.model_wire_bytes,
+        coreset_bytes_per_sample: 4096,
+        ..LbChatConfig::default()
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(s.scale.seed ^ 0x5EED);
+    let mut algo = LbChatAlgorithm::new(s.make_learners(), datasets, cfg, &mut rng);
+    let metrics = rt
+        .run(&mut algo, &s.trace, &s.eval)
+        .expect("the scenario hosts its fleet");
+    assert!(
+        metrics.coreset_receives > 0,
+        "the cell must have exchanged coresets"
+    );
+
+    let mut held = 0usize;
+    for i in 0..s.scale.n_vehicles {
+        let node = algo.node(i);
+        for frame in node
+            .dataset()
+            .samples()
+            .iter()
+            .chain(node.coreset().samples())
+        {
+            assert!(
+                addresses(frame).iter().all(|a| owned.contains(a)),
+                "vehicle {i} holds a frame buffer the scenario did not record"
+            );
+        }
+        held += node.dataset().len();
+    }
+    assert!(
+        held > fixture.len(),
+        "datasets must have expanded: {held} vs {}",
+        fixture.len()
+    );
+}

@@ -8,8 +8,16 @@
 //! change, run
 //! `LBCHAT_GOLDEN_WRITE=1 cargo test -p experiments --test world_golden`
 //! and commit the diff.
+//!
+//! The intent phase of a tick runs inline below
+//! [`PAR_INTENT_MIN_AWAKE`] awake vehicles and over the worker pool from
+//! there on; it is pure, so neither the path nor the worker count may show.
+//! The fixture worlds sit below the threshold and are rendered at one and
+//! at four workers; a world above it is stepped at both and compared.
+//!
+//! One `#[test]`: [`lbchat::exec::set_jobs`] is process-wide.
 
-use simworld::world::{World, WorldConfig};
+use simworld::world::{World, WorldConfig, PAR_INTENT_MIN_AWAKE};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -53,9 +61,33 @@ fn render_trace() -> String {
     out
 }
 
+/// Every vehicle's and pedestrian's position bits after `ticks` steps of a
+/// world busy enough to take the pooled intent phase.
+fn crowded_world_bits(ticks: usize) -> Vec<(u32, u32)> {
+    let mut w = World::new(WorldConfig {
+        n_background: PAR_INTENT_MIN_AWAKE + 40,
+        ..WorldConfig::small(23)
+    });
+    for _ in 0..ticks {
+        w.step();
+    }
+    let mut pos = w.car_positions();
+    assert!(pos.len() >= PAR_INTENT_MIN_AWAKE, "{} cars take the inline path", pos.len());
+    pos.extend(w.pedestrian_positions());
+    pos.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect()
+}
+
 #[test]
 fn world_trajectories_match_golden_fixture() {
+    lbchat::exec::set_jobs(4);
+    let pooled = render_trace();
+    let crowded_pooled = crowded_world_bits(40);
+    lbchat::exec::set_jobs(1);
     let rendered = render_trace();
+    let crowded_serial = crowded_world_bits(40);
+    lbchat::exec::set_jobs(0); // restore hardware detection
+    assert_eq!(pooled, rendered, "the worker count reached a trajectory");
+    assert_eq!(crowded_pooled, crowded_serial, "the pooled intent phase is not order-free");
     let path =
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/world_trace.txt");
     if std::env::var_os("LBCHAT_GOLDEN_WRITE").is_some_and(|v| v == "1") {

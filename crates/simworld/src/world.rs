@@ -18,8 +18,9 @@
 //!    (speed limits, turn slowdown, car-following against a pre-built gap
 //!    index, pedestrian braking) from pre-step state only. The phase draws
 //!    no randomness and writes only its own `intents[i]` slot, so it shards
-//!    over [`lbchat::exec::par_for_each_mut`] and is bit-for-bit identical
-//!    for any job count — and for any evaluation order, which
+//!    over [`lbchat::exec::par_for_each_mut`] (from
+//!    [`PAR_INTENT_MIN_AWAKE`] agents up; inline below) and is bit-for-bit
+//!    identical for any job count — and for any evaluation order, which
 //!    [`World::step_permuted`] exposes for the property suite.
 //! 2. *Apply* — serial, in ascending [`AgentId`] order: integrate every
 //!    awake vehicle, then step every pedestrian. All RNG draws (reroutes,
@@ -51,6 +52,13 @@ use simnet::geom::Vec2;
 use simnet::trace::MobilityTrace;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// Awake vehicles below which [`World::step`] runs its intent phase inline.
+/// The fan-out spawns scoped threads every tick (≈ 100 µs for four) and a
+/// slot costs ≈ 0.5 µs, so it breaks even near 270 agents on four workers;
+/// the paper's world (32 + 50 vehicles) and every closed-loop trial — which
+/// already run one per worker — sit far below, the `--fleet` worlds above.
+pub const PAR_INTENT_MIN_AWAKE: usize = 512;
 
 /// Precomputed drivable-area raster of the whole map, shared by every BEV
 /// rasterization (sampling this grid is far cheaper than re-walking all road
@@ -622,14 +630,23 @@ impl World {
         out.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
     }
 
-    /// The parallel intent phase: one target-speed slot per awake agent.
+    /// The intent phase: one target-speed slot per awake agent, filled
+    /// inline below [`PAR_INTENT_MIN_AWAKE`] agents and fanned over the
+    /// worker pool from there on. Slots are pure functions of pre-step
+    /// state, so which path fills them — and on how many workers — never
+    /// shows in a single bit.
     // audit:phase(intent)
     fn compute_intents(&self, gap_index: &[(EdgeId, f32)], intents: &mut Vec<f32>) {
         intents.clear();
         intents.resize(self.awake.len(), 0.0);
-        lbchat::exec::par_for_each_mut(intents, |i, out| {
-            *out = self.intent_for(self.awake[i], gap_index);
-        });
+        let fill = |i: usize, out: &mut f32| *out = self.intent_for(self.awake[i], gap_index);
+        if intents.len() < PAR_INTENT_MIN_AWAKE {
+            for (i, out) in intents.iter_mut().enumerate() {
+                fill(i, out);
+            }
+        } else {
+            lbchat::exec::par_for_each_mut(intents, fill);
+        }
     }
 
     /// The final target speed of vehicle `id` from pre-step state: speed

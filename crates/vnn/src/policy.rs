@@ -276,7 +276,7 @@ impl BranchedPolicy {
     /// the skip tail, exactly as in the per-sample path) and groups the
     /// local sample indices by branch — stable, ascending within each
     /// group; `counts[br]` ends up holding the END offset of group `br`
-    /// inside `order`. Returns whether any buffer had to allocate.
+    /// inside `order`.
     fn forward_trunk<S: BatchSource + ?Sized>(
         &self,
         params: &ParamVec,
@@ -284,21 +284,17 @@ impl BranchedPolicy {
         start: usize,
         n: usize,
         shard: &mut PolicyShard,
-    ) -> bool {
+    ) {
         let input_dim = self.spec.input_dim;
         let skip = self.spec.skip_inputs;
         let nb = self.spec.n_branches;
-        let mut grew = false;
         if shard.branches.len() < n {
-            grew |= shard.branches.capacity() < n;
             shard.branches.resize(n, 0);
         }
         if shard.order.len() < n {
-            grew |= shard.order.capacity() < n;
             shard.order.resize(n, 0);
         }
         if shard.counts.len() < nb {
-            grew |= shard.counts.capacity() < nb;
             shard.counts.resize(nb, 0);
         }
 
@@ -314,7 +310,7 @@ impl BranchedPolicy {
 
         let trunk_out_dim = self.trunk.spec().output_dim();
         let feat_dim = trunk_out_dim + skip;
-        grew |= ensure(&mut shard.feats, n * feat_dim);
+        ensure(&mut shard.feats, n * feat_dim);
         let trunk_y = self.trunk.batch_outputs(&shard.trunk, n);
         for k in 0..n {
             let y = &trunk_y[k * trunk_out_dim..(k + 1) * trunk_out_dim];
@@ -341,7 +337,6 @@ impl BranchedPolicy {
             shard.order[shard.counts[br]] = k;
             shard.counts[br] += 1;
         }
-        grew
     }
 
     /// Gathers the head-input rows of `order[group]` (one branch group of
@@ -371,6 +366,8 @@ impl BranchedPolicy {
     /// calls for finite parameters and inputs: each prediction is the same
     /// chain of roundings (see [`Mlp::forward_batch`], which also says what
     /// a non-finite weight does) and each loss the same `mean_loss` over it.
+    /// `shard` is scratch — the caller's, so a loss pass over a warm one
+    /// allocates nothing — and what it held before does not matter.
     ///
     /// # Panics
     /// Panics if `params` has the wrong length, a sample's input dimension
@@ -380,20 +377,20 @@ impl BranchedPolicy {
         params: &ParamVec,
         src: &S,
         out: &mut Vec<f32>,
+        shard: &mut PolicyShard,
     ) {
         assert_eq!(params.len(), self.params.len(), "parameter length mismatch");
         let head_dim = self.spec.head_dim();
         out.clear();
         out.resize(src.len(), 0.0);
-        let mut shard = PolicyShard::default();
         for start in (0..src.len()).step_by(LOSS_BLOCK) {
             let n = (src.len() - start).min(LOSS_BLOCK);
-            self.forward_trunk(params, src, start, n, &mut shard);
+            self.forward_trunk(params, src, start, n, shard);
             let mut group_start = 0usize;
             for br in 0..self.spec.n_branches {
                 let group_end = shard.counts[br];
                 if group_end > group_start {
-                    self.forward_head(params, br, group_start..group_end, &mut shard);
+                    self.forward_head(params, br, group_start..group_end, shard);
                     let preds =
                         self.heads[br].batch_outputs(&shard.head, group_end - group_start);
                     for (pred, &k) in preds
@@ -439,18 +436,18 @@ impl BranchedPolicy {
         let head_dim = self.spec.head_dim();
         let plen = self.params.len();
 
-        let mut grew = self.forward_trunk(&self.params, src, start, n, shard);
+        self.forward_trunk(&self.params, src, start, n, shard);
         let trunk_out_dim = self.trunk.spec().output_dim();
         let feat_dim = trunk_out_dim + self.spec.skip_inputs;
-        grew |= ensure(&mut shard.weights, n);
-        grew |= ensure(&mut shard.losses, n);
-        grew |= ensure(&mut shard.d_feats, n * feat_dim);
+        ensure(&mut shard.weights, n);
+        ensure(&mut shard.losses, n);
+        ensure(&mut shard.d_feats, n * feat_dim);
         for (k, w) in shard.weights[..n].iter_mut().enumerate() {
             *w = src.at(start + k).weight;
         }
 
         // This shard's weighted partial gradient accumulates from +0.0.
-        grew |= ensure(&mut shard.grad, plen);
+        ensure(&mut shard.grad, plen);
         shard.grad[..plen].fill(0.0);
 
         // One batched pass per populated command head.
@@ -461,7 +458,7 @@ impl BranchedPolicy {
             if m > 0 {
                 let head = &self.heads[br];
                 self.forward_head(&self.params, br, group_start..group_end, shard);
-                grew |= ensure(&mut shard.head_w, m);
+                ensure(&mut shard.head_w, m);
                 let (preds, d_out) = head.batch_outputs_and_d_out(&mut shard.head, m);
                 for (local, &k) in shard.order[group_start..group_end].iter().enumerate() {
                     let s = src.at(start + k);
@@ -507,9 +504,6 @@ impl BranchedPolicy {
         );
 
         shard.len = n;
-        grew |= shard.trunk.take_grew();
-        grew |= shard.head.take_grew();
-        shard.grew = grew;
     }
 
     /// Reduces the shards of an `n`-sample batch (each filled by
@@ -522,19 +516,20 @@ impl BranchedPolicy {
     pub fn reduce_shards(&self, scratch: &mut TrainScratch, n: usize) -> BatchOutcome {
         let plen = self.params.len();
         let k = TrainScratch::shard_count(n);
-        let mut grew = ensure(&mut scratch.grad, plen);
-        scratch.grad[..plen].fill(0.0);
+        // Exactly parameter-length, from +0.0 — the arena may last have
+        // served a larger policy.
+        scratch.grad.clear();
+        scratch.grad.resize(plen, 0.0);
         let mut loss_sum = 0.0f32;
         let mut weight_sum = 0.0f32;
         for shard in &scratch.shards[..k] {
-            for (g, p) in scratch.grad[..plen].iter_mut().zip(&shard.grad[..plen]) {
+            for (g, p) in scratch.grad.iter_mut().zip(&shard.grad[..plen]) {
                 *g += *p;
             }
             for (&l, &w) in shard.losses[..shard.len].iter().zip(&shard.weights[..shard.len]) {
                 loss_sum += w * l;
                 weight_sum += w;
             }
-            grew |= shard.grew;
         }
         // The shards' trunk passes left the first weight block input-major;
         // the sum above is layout-blind, so one conversion serves the step,
@@ -544,9 +539,6 @@ impl BranchedPolicy {
         }
         scratch.stats.batches += 1;
         scratch.stats.samples += n as u64;
-        if !grew {
-            scratch.stats.scratch_reuse += 1;
-        }
         BatchOutcome { loss_sum, weight_sum }
     }
 

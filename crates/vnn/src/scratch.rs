@@ -20,6 +20,12 @@
 //!   samples plus the reduced gradient, with [`TrainStats`] counters that
 //!   back the `train.*` observability counters.
 //!
+//! Every kernel writes a buffer before it reads it, so what an arena held
+//! before a call never reaches a result: one arena serves any number of
+//! policies in any order (the `driving` learner keeps one per thread), and
+//! [`TrainScratch::heap_bytes`] stops moving once the largest batch shape
+//! has been seen.
+//!
 //! ## Determinism contract
 //!
 //! A minibatch of `n` samples is always split into `ceil(n / SHARD)` shards
@@ -39,17 +45,13 @@ pub const SHARD: usize = 16;
 
 /// Training-kernel statistics, drained by
 /// `Learner::take_train_stats` implementations and emitted by the runtime
-/// as the `train.batch` / `train.samples` / `train.scratch_reuse` counters.
+/// as the `train.batch` / `train.samples` counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrainStats {
     /// Minibatch train steps executed.
     pub batches: u64,
     /// Samples consumed across those batches.
     pub samples: u64,
-    /// Batches served entirely from warm scratch buffers (no allocation
-    /// anywhere in the step). After the first step at a given batch shape
-    /// this should track `batches` one-for-one.
-    pub scratch_reuse: u64,
 }
 
 impl TrainStats {
@@ -57,7 +59,6 @@ impl TrainStats {
     pub fn merge(&mut self, other: TrainStats) {
         self.batches += other.batches;
         self.samples += other.samples;
-        self.scratch_reuse += other.scratch_reuse;
     }
 
     /// Returns the accumulated stats, resetting `self` to zero.
@@ -66,15 +67,17 @@ impl TrainStats {
     }
 }
 
-/// Grows `buf` to at least `len` elements (zero-filling any new tail) and
-/// reports whether the growth required a real allocation.
-pub(crate) fn ensure(buf: &mut Vec<f32>, len: usize) -> bool {
-    if buf.len() >= len {
-        return false;
+/// Grows `buf` to at least `len` elements, zero-filling any new tail;
+/// buffers never shrink.
+pub(crate) fn ensure(buf: &mut Vec<f32>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
     }
-    let grew = buf.capacity() < len;
-    buf.resize(len, 0.0);
-    grew
+}
+
+/// Heap bytes `buf` holds (its capacity, not its length).
+fn vec_bytes<T>(buf: &Vec<T>) -> usize {
+    buf.capacity() * std::mem::size_of::<T>()
 }
 
 /// Batched per-layer activation and delta buffers for one [`crate::Mlp`].
@@ -93,7 +96,6 @@ pub struct MlpScratch {
     pub(crate) live: Vec<std::ops::Range<usize>>,
     pub(crate) delta: Vec<f32>,
     pub(crate) delta_lower: Vec<f32>,
-    pub(crate) grew: bool,
 }
 
 impl MlpScratch {
@@ -103,42 +105,46 @@ impl MlpScratch {
     }
 
     /// Sizes every buffer for a batch of `n` samples of the given layer
-    /// widths, recording whether anything had to allocate.
+    /// widths.
     pub(crate) fn prepare(&mut self, sizes: &[usize], n: usize) {
         if self.acts.len() < sizes.len() {
             self.acts.resize_with(sizes.len(), Vec::new);
-            self.grew = true;
         }
-        let mut grew = false;
         for (buf, &w) in self.acts.iter_mut().zip(sizes) {
-            grew |= ensure(buf, n * w);
+            ensure(buf, n * w);
         }
         let wmax = sizes.iter().copied().max().unwrap_or(0);
         if self.lanes.len() < wmax {
-            grew |= self.lanes.capacity() < wmax;
             self.lanes.resize(wmax, [0.0; LANES]);
         }
         // Runs of live first-layer columns are separated by a dead one.
         let max_runs = sizes[0].div_ceil(2).max(1);
         if self.live.len() < max_runs {
-            grew |= self.live.capacity() < max_runs;
             self.live.resize(max_runs, 0..0);
         }
-        grew |= ensure(&mut self.delta, n * wmax);
-        grew |= ensure(&mut self.delta_lower, n * wmax);
-        self.grew |= grew;
+        ensure(&mut self.delta, n * wmax);
+        ensure(&mut self.delta_lower, n * wmax);
     }
 
-    /// Reads and clears the grew-since-last-check flag.
-    pub(crate) fn take_grew(&mut self) -> bool {
-        std::mem::replace(&mut self.grew, false)
+    /// Heap bytes this scratch holds. Destructured without `..`, so a new
+    /// buffer cannot be left out of the count.
+    fn heap_bytes(&self) -> usize {
+        let Self { acts, lanes, live, delta, delta_lower } = self;
+        vec_bytes(acts)
+            + acts.iter().map(vec_bytes).sum::<usize>()
+            + vec_bytes(lanes)
+            + vec_bytes(live)
+            + vec_bytes(delta)
+            + vec_bytes(delta_lower)
     }
 }
 
 /// The arena for one gradient shard of a policy minibatch: batch scratches
 /// for the trunk and the (sequentially processed) branch heads, gathered
 /// feature rows, per-sample bookkeeping, and the shard's weighted partial
-/// parameter gradient.
+/// parameter gradient. A forward-only loss pass
+/// ([`crate::BranchedPolicy::losses_with`]) borrows one too and leaves the
+/// gradient-side buffers alone.
 #[derive(Debug, Clone, Default)]
 pub struct PolicyShard {
     pub(crate) trunk: MlpScratch,
@@ -165,14 +171,45 @@ pub struct PolicyShard {
     pub(crate) grad: Vec<f32>,
     /// Samples in this shard for the current minibatch.
     pub(crate) len: usize,
-    /// Whether any buffer allocated during the current minibatch.
-    pub(crate) grew: bool,
 }
 
-/// The full training arena for one [`crate::BranchedPolicy`] learner:
-/// per-shard buffers, the reduced gradient, and [`TrainStats`] counters.
-/// Also lends [`crate::FrozenPolicy::forward_into`] the two activation rows
-/// a batch of one ping-pongs between.
+impl PolicyShard {
+    /// Heap bytes this shard holds (see [`MlpScratch::heap_bytes`]).
+    fn heap_bytes(&self) -> usize {
+        let Self {
+            trunk,
+            head,
+            feats,
+            d_feats,
+            weights,
+            head_w,
+            losses,
+            branches,
+            order,
+            counts,
+            grad,
+            len: _,
+        } = self;
+        let floats = [feats, d_feats, weights, head_w, losses, grad];
+        let indices = [branches, order, counts];
+        trunk.heap_bytes()
+            + head.heap_bytes()
+            + floats.into_iter().map(vec_bytes).sum::<usize>()
+            + indices.into_iter().map(vec_bytes).sum::<usize>()
+    }
+}
+
+/// The full training arena: per-shard buffers, the reduced gradient, and
+/// [`TrainStats`] counters. Also lends
+/// [`crate::FrozenPolicy::forward_into`] the two activation rows a batch of
+/// one ping-pongs between.
+///
+/// An arena belongs to whoever runs the step, not to a policy: nothing in
+/// it outlives a call except capacity (and the counters, which the caller
+/// drains), so policies of any shape may take turns in one arena and get
+/// the bits a fresh arena would give. About `(shards + 1) × parameters`
+/// floats once warm — 0.8 MB for the driving policy at batch 64 — which is
+/// why the `driving` learner keeps one per thread instead of one each.
 #[derive(Debug, Clone, Default)]
 pub struct TrainScratch {
     pub(crate) shards: Vec<PolicyShard>,
@@ -221,6 +258,18 @@ impl TrainScratch {
     pub fn take_stats(&mut self) -> TrainStats {
         self.stats.take()
     }
+
+    /// Heap bytes the arena holds (capacities, not lengths). Buffers only
+    /// grow, and only when a call needs more than any before it, so on a
+    /// warm arena this does not move — which is what "a step does not
+    /// allocate" means, stated so a test can check it.
+    pub fn heap_bytes(&self) -> usize {
+        let Self { shards, grad, stats: _, frozen } = self;
+        vec_bytes(shards)
+            + shards.iter().map(PolicyShard::heap_bytes).sum::<usize>()
+            + vec_bytes(grad)
+            + frozen.iter().map(vec_bytes).sum::<usize>()
+    }
 }
 
 #[cfg(test)]
@@ -236,21 +285,21 @@ mod tests {
     }
 
     #[test]
-    fn ensure_reports_real_allocations_only() {
-        let mut v = Vec::with_capacity(8);
-        assert!(!ensure(&mut v, 8), "within capacity is not an allocation");
-        assert_eq!(v.len(), 8);
-        assert!(ensure(&mut v, 64), "growth past capacity is");
-        assert!(!ensure(&mut v, 16), "shrinking requests reuse the buffer");
+    fn ensure_grows_and_never_shrinks() {
+        let mut v = Vec::new();
+        ensure(&mut v, 8);
+        assert_eq!(v, [0.0; 8]);
+        ensure(&mut v, 64);
+        ensure(&mut v, 16);
         assert_eq!(v.len(), 64, "buffers never shrink");
     }
 
     #[test]
     fn stats_merge_and_take() {
-        let mut a = TrainStats { batches: 1, samples: 16, scratch_reuse: 0 };
-        a.merge(TrainStats { batches: 2, samples: 32, scratch_reuse: 2 });
-        assert_eq!(a, TrainStats { batches: 3, samples: 48, scratch_reuse: 2 });
-        assert_eq!(a.take(), TrainStats { batches: 3, samples: 48, scratch_reuse: 2 });
+        let mut a = TrainStats { batches: 1, samples: 16 };
+        a.merge(TrainStats { batches: 2, samples: 32 });
+        assert_eq!(a, TrainStats { batches: 3, samples: 48 });
+        assert_eq!(a.take(), TrainStats { batches: 3, samples: 48 });
         assert_eq!(a, TrainStats::default());
     }
 
@@ -261,5 +310,19 @@ mod tests {
         let ptr = s.shards_mut(40).as_ptr();
         assert_eq!(s.shards_mut(16).len(), 1, "smaller batches reuse the prefix");
         assert_eq!(s.shards_mut(40).as_ptr(), ptr, "no reallocation on reuse");
+    }
+
+    #[test]
+    fn heap_bytes_counts_every_level() {
+        let mut s = TrainScratch::new();
+        assert_eq!(s.heap_bytes(), 0, "an empty arena holds nothing");
+        s.shards_mut(40);
+        let shells = s.heap_bytes();
+        assert!(shells >= 3 * std::mem::size_of::<PolicyShard>());
+        s.shards_mut(40)[2].trunk.prepare(&[6, 4, 2], 16);
+        let with_trunk = s.heap_bytes();
+        assert!(with_trunk >= shells + 4 * (16 * 12 + 2 * 16 * 6));
+        s.frozen_rows(32);
+        assert!(s.heap_bytes() >= with_trunk + 2 * 32 * 4);
     }
 }
