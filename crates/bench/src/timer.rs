@@ -5,6 +5,10 @@
 //! sample batches. No warm-up modelling or outlier analysis: two runs of
 //! the same binary time the same seeded work, and `bench_report` compares
 //! them by id.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "timing is this module's job; its durations reach only BENCH_*.json timing rows"
+)]
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};

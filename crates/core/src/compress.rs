@@ -488,6 +488,10 @@ impl Codec {
     /// components.
     pub fn encode(self, params: &ParamVec, psi: f32, rng: &mut StdRng) -> WireModel {
         assert!((0.0..=1.0).contains(&psi), "psi must be in [0, 1]");
+        #[expect(
+            clippy::expect_used,
+            reason = "documented contract (# Panics): the wire layout has no length field wider than u32"
+        )]
         let dense_len = u32::try_from(params.len()).expect("model fits u32 components");
         let mut bytes = Vec::with_capacity(self.encoded_wire_bytes(params.len(), psi));
         bytes.push(self.magic());

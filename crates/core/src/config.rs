@@ -10,15 +10,15 @@
 //! [`LbChatConfig::with_average_aggregation`] for the Table V/VI
 //! ablations, [`LbChatConfig::sco`] for coreset-only sharing). This module
 //! also hosts [`ConfigError`], the validation failure type shared by
-//! [`crate::RuntimeConfig::validate`] and the driving crate's evaluation
-//! config builder.
+//! [`crate::RuntimeConfig::validate`] and the driving crate's
+//! `EvalConfig::validate`.
 
 use crate::aggregate::AggregationRule;
 use crate::penalty::PenaltyConfig;
 use crate::phi::DEFAULT_PSI_GRID;
 
 /// A validation failure from [`crate::RuntimeConfig::validate`] or the
-/// driving crate's evaluation config builder. Carries the offending field
+/// driving crate's `EvalConfig::validate`. Carries the offending field
 /// name so callers can report which knob was nonsense.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {

@@ -325,7 +325,12 @@ pub fn reduce<S: Clone, R: Rng + ?Sized>(
 /// The pre-optimization implementations, kept verbatim as the golden
 /// baseline: the optimized [`construct`] and [`reduce`] must match them
 /// bit for bit (`tests/coreset_properties.rs` proves it on random inputs,
-/// `tests/golden.rs` on pinned fixtures).
+/// `tests/golden.rs` on pinned fixtures). Those tests are what pins this
+/// module: edit it only together with them.
+#[expect(
+    clippy::expect_used,
+    reason = "kept verbatim: the sampling keys u^(1/w) are finite for the positive, finite weights Coreset::new asserts"
+)]
 pub mod reference {
     use super::{Coreset, CoresetConfig};
     use crate::dataset::WeightedDataset;

@@ -70,7 +70,6 @@ pub fn jobs() -> usize {
 ///
 /// # Panics
 /// Re-raises a panic from any work item on the calling thread.
-// audit:phase(intent)
 pub fn par_run<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -169,9 +168,20 @@ where
 /// on scheduling), any worker count — including the inline 1-worker path —
 /// produces bit-identical shard states.
 ///
+/// The closure is `Fn + Sync` and every draw needs `&mut` access to its
+/// generator, so items cannot share one serial RNG stream — whose draw
+/// order would follow the schedule. Capturing a generator and drawing
+/// from it does not compile; each item seeds its own from [`derive_seed`]:
+///
+/// ```compile_fail
+/// use rand::{rngs::StdRng, RngExt, SeedableRng};
+/// let mut rng = StdRng::seed_from_u64(7);
+/// let mut items = vec![0.0f32; 8];
+/// lbchat::exec::par_for_each_mut(&mut items, |_, x| *x = rng.random::<f32>());
+/// ```
+///
 /// # Panics
 /// Re-raises a panic from any work item on the calling thread.
-// audit:phase(intent)
 pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
 where
     T: Send,
@@ -273,7 +283,7 @@ mod tests {
 
     #[test]
     fn derive_seed_separates_cells() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for base in [0u64, 1, 42, u64::MAX] {
             for stream in ["trial-world", "trial-route", "cell", ""] {
                 for index in 0..64u64 {
@@ -306,7 +316,7 @@ mod tests {
         assert_eq!(items, expect);
         // Edge sizes run inline.
         let mut empty: Vec<u64> = Vec::new();
-        par_for_each_mut(&mut empty, |_, _| unreachable!("no items"));
+        par_for_each_mut(&mut empty, |_, _| panic!("no items"));
         let mut one = [9u64];
         par_for_each_mut(&mut one, |i, v| *v += i as u64 + 1);
         assert_eq!(one, [10]);

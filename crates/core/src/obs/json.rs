@@ -180,6 +180,7 @@ impl From<Vec<Json>> for Json {
 
 /// Formats a `u64` into a stack buffer (avoids a heap alloc on the event
 /// hot path).
+#[expect(clippy::expect_used, reason = "the loop writes only ASCII digits into buf[i..]")]
 fn fmt_u64(mut v: u64, buf: &mut [u8; 20]) -> &str {
     let mut i = buf.len();
     loop {
@@ -452,7 +453,10 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        // audit:allow(P005): the scan loop above only advances past ASCII digit/sign/dot bytes, so the slice is valid UTF-8
+        #[expect(
+            clippy::expect_used,
+            reason = "the scan loop above only advances past ASCII digit/sign/dot bytes, so the slice is valid UTF-8"
+        )]
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
         if !is_float && !text.starts_with('-') {
             if let Ok(u) = text.parse::<u64>() {

@@ -193,6 +193,7 @@ impl ObsSink {
     }
 
     /// A fresh recording sink with its own event stream.
+    #[expect(clippy::disallowed_methods, reason = "the obs timing layer: span durations and `t_ms` are TIMING_FIELDS keys the result comparators strip")]
     pub fn recording() -> Self {
         ObsSink {
             inner: Some(Arc::new(Inner {
@@ -295,6 +296,7 @@ impl ObsSink {
         )
     }
 
+    #[expect(clippy::disallowed_methods, reason = "the obs timing layer: span durations and `t_ms` are TIMING_FIELDS keys the result comparators strip")]
     fn open_span(
         &self,
         kind: &'static str,

@@ -53,8 +53,7 @@ impl Akima {
         // Boundary padding (Akima 1970): m[-1] = 2m[0] - m[1], etc.
         let m0 = m[0];
         let m1 = if m.len() > 1 { m[1] } else { m[0] };
-        // audit:allow(P005): m holds n-1 >= 1 slopes — sample() asserts a grid of at least two points before fitting
-        let ml = *m.last().expect("non-empty");
+        let ml = m[m.len() - 1];
         let ml2 = if m.len() > 1 { m[m.len() - 2] } else { ml };
         let mut padded = vec![2.0 * (2.0 * m0 - m1) - m0, 2.0 * m0 - m1];
         padded.extend_from_slice(&m);
@@ -139,8 +138,7 @@ impl PhiCurve {
     ) -> Self {
         assert!(grid.len() >= 2, "phi needs at least two psi samples");
         assert!(
-            // audit:allow(P005): grid is non-empty — the assert directly above requires at least two samples
-            grid.windows(2).all(|w| w[1] > w[0]) && grid[0] > 0.0 && *grid.last().unwrap() <= 1.0,
+            grid.windows(2).all(|w| w[1] > w[0]) && grid[0] > 0.0 && grid[grid.len() - 1] <= 1.0,
             "psi grid must be strictly increasing within (0, 1]"
         );
         let pairs = coreset.pairs();
@@ -178,6 +176,10 @@ impl PhiCurve {
     }
 
     /// Loss of the uncompressed model (`ψ = 1`).
+    #[expect(
+        clippy::expect_used,
+        reason = "every constructor Akima-fits the points first, and the fit asserts at least two"
+    )]
     pub fn uncompressed_loss(&self) -> f32 {
         *self.loss.last().expect("non-empty")
     }

@@ -508,7 +508,6 @@ impl Runtime {
     /// one way to run a method. Returns the collected metrics, or a
     /// [`RuntimeError`] when the config is out of domain or the trace
     /// cannot host the algorithm.
-    // audit:entry(hot)
     pub fn run<A: CollabAlgorithm>(
         &self,
         algo: &mut A,

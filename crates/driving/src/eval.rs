@@ -112,77 +112,14 @@ impl Default for EvalConfig {
 }
 
 impl EvalConfig {
-    /// Starts a validating builder from the defaults.
-    pub fn builder() -> EvalConfigBuilder {
-        EvalConfigBuilder { cfg: Self::default() }
-    }
-
-    /// Checks every field against its domain. Struct-literal construction
-    /// stays possible for tests; the builder calls this on
-    /// [`EvalConfigBuilder::build`].
+    /// Checks every field against its domain. A config is a struct literal
+    /// over [`Default`]; this is the one place its domain is written down.
     pub fn validate(&self) -> Result<(), ConfigError> {
         ConfigError::require_nonzero("trials", self.trials)?;
         ConfigError::require_non_negative("traffic_scale", self.traffic_scale)?;
         ConfigError::require_positive("seconds_per_meter", self.seconds_per_meter)?;
         ConfigError::require_positive("arrival_radius", self.arrival_radius as f64)?;
         Ok(())
-    }
-}
-
-/// Validating builder for [`EvalConfig`].
-///
-/// ```
-/// use driving::EvalConfig;
-/// let cfg = EvalConfig::builder().trials(8).route_seed(7).build().unwrap();
-/// assert_eq!(cfg.trials, 8);
-/// assert!(EvalConfig::builder().trials(0).build().is_err());
-/// ```
-#[derive(Debug, Clone)]
-pub struct EvalConfigBuilder {
-    cfg: EvalConfig,
-}
-
-impl EvalConfigBuilder {
-    /// Trials (routes) per task.
-    pub fn trials(mut self, n: usize) -> Self {
-        self.cfg.trials = n;
-        self
-    }
-
-    /// World seed for the evaluation environment.
-    pub fn world_seed(mut self, seed: u64) -> Self {
-        self.cfg.world_seed = seed;
-        self
-    }
-
-    /// Route-draw seed (fixed across methods).
-    pub fn route_seed(mut self, seed: u64) -> Self {
-        self.cfg.route_seed = seed;
-        self
-    }
-
-    /// Traffic scale relative to the paper's counts.
-    pub fn traffic_scale(mut self, scale: f64) -> Self {
-        self.cfg.traffic_scale = scale;
-        self
-    }
-
-    /// Allowed time per meter of route.
-    pub fn seconds_per_meter(mut self, s: f64) -> Self {
-        self.cfg.seconds_per_meter = s;
-        self
-    }
-
-    /// Success radius around the destination, meters.
-    pub fn arrival_radius(mut self, r: f32) -> Self {
-        self.cfg.arrival_radius = r;
-        self
-    }
-
-    /// Validates and returns the config.
-    pub fn build(self) -> Result<EvalConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -291,6 +228,10 @@ impl RouteTracker {
 }
 
 /// Draws a route matching the task's shape requirements.
+#[expect(
+    clippy::panic,
+    reason = "a map with no route of the task's shape is a configuration bug no trial can run on"
+)]
 fn draw_route<R: rand::Rng + ?Sized>(world: &World, task: Task, rng: &mut R) -> Route {
     let map = world.map();
     for _ in 0..4000 {
@@ -651,22 +592,41 @@ mod tests {
 
     #[test]
     fn builder_validates_domains() {
-        let cfg = EvalConfig::builder()
-            .trials(2)
-            .world_seed(5)
-            .route_seed(6)
-            .traffic_scale(0.5)
-            .seconds_per_meter(0.6)
-            .arrival_radius(10.0)
-            .build()
-            .expect("all fields in domain");
-        assert_eq!(cfg.trials, 2);
-        assert_eq!(cfg.world_seed, 5);
-        assert!((cfg.traffic_scale - 0.5).abs() < 1e-12);
-        assert!(EvalConfig::builder().trials(0).build().is_err());
-        assert!(EvalConfig::builder().seconds_per_meter(-1.0).build().is_err());
-        assert!(EvalConfig::builder().traffic_scale(f64::NAN).build().is_err());
-        assert!(EvalConfig::builder().arrival_radius(0.0).build().is_err());
+        let cfg = EvalConfig {
+            trials: 2,
+            world_seed: 5,
+            route_seed: 6,
+            traffic_scale: 0.5,
+            seconds_per_meter: 0.6,
+            arrival_radius: 10.0,
+        };
+        assert_eq!(cfg.validate(), Ok(()));
+        assert_eq!(EvalConfig { traffic_scale: 0.0, ..cfg.clone() }.validate(), Ok(()));
+        assert!(EvalConfig { trials: 0, ..cfg.clone() }.validate().is_err());
+        assert!(EvalConfig { seconds_per_meter: -1.0, ..cfg.clone() }.validate().is_err());
+        assert!(EvalConfig { traffic_scale: f64::NAN, ..cfg.clone() }.validate().is_err());
+        assert!(EvalConfig { arrival_radius: 0.0, ..cfg }.validate().is_err());
+    }
+
+    /// Destructured without `..`: adding or removing a field fails to
+    /// compile here until the count is a decision someone made.
+    #[test]
+    fn defaults_are_the_paper_setup_over_six_fields() {
+        let EvalConfig {
+            trials,
+            world_seed,
+            route_seed,
+            traffic_scale,
+            seconds_per_meter,
+            arrival_radius,
+        } = EvalConfig::default();
+        assert_eq!(trials, 25);
+        assert_eq!(world_seed, 1000);
+        assert_eq!(route_seed, 2000);
+        assert_eq!(traffic_scale, 1.0);
+        assert_eq!(seconds_per_meter, 0.45);
+        assert_eq!(arrival_radius, 12.0);
+        assert_eq!(EvalConfig::default().validate(), Ok(()));
     }
 
     #[test]

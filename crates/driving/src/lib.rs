@@ -19,6 +19,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod collect;
 pub mod eval;
@@ -26,6 +34,6 @@ pub mod frame;
 pub mod learner;
 
 pub use collect::{collect_datasets, CollectConfig};
-pub use eval::{success_rate, success_rate_obs, EvalConfig, EvalConfigBuilder, Task, TaskResult};
+pub use eval::{success_rate, success_rate_obs, EvalConfig, Task, TaskResult};
 pub use frame::Frame;
 pub use learner::DrivingLearner;

@@ -40,7 +40,6 @@ pub fn eval_config(s: &Scenario) -> EvalConfig {
 /// the cell and scopes every event the cell produces under its
 /// [`cell_label`]. `index` is the cell's position in the caller's fan-out,
 /// recorded for cross-reference with `work_unit` events.
-// audit:entry(seeded)
 pub fn train_and_evaluate_obs(
     method: Method,
     s: &Scenario,
@@ -49,7 +48,7 @@ pub fn train_and_evaluate_obs(
     index: usize,
 ) -> Result<(Vec<f64>, RunOutput), RuntimeError> {
     emit_cell_start(obs, method, condition, index);
-    // audit:allow(D001): feeds wall_ms, a documented TIMING_FIELDS key the result comparators strip
+    #[expect(clippy::disallowed_methods, reason = "feeds wall_ms, a documented TIMING_FIELDS key the result comparators strip")]
     let started = std::time::Instant::now();
     let cell = obs.scoped(&cell_label(method, condition));
     let out = run_method_obs(method, s, condition, &cell)?;
@@ -66,7 +65,6 @@ pub fn train_and_evaluate_obs(
 /// `cell_start`/`cell_finish` events (no `rates` field). The loss-curve
 /// figure bins use this: their deliverable is the `round` event stream,
 /// not driving success rates.
-// audit:entry(seeded)
 pub fn run_cell_obs(
     method: Method,
     s: &Scenario,
@@ -75,7 +73,7 @@ pub fn run_cell_obs(
     index: usize,
 ) -> Result<RunOutput, RuntimeError> {
     emit_cell_start(obs, method, condition, index);
-    // audit:allow(D001): feeds wall_ms, a documented TIMING_FIELDS key the result comparators strip
+    #[expect(clippy::disallowed_methods, reason = "feeds wall_ms, a documented TIMING_FIELDS key the result comparators strip")]
     let started = std::time::Instant::now();
     let out = run_method_obs(method, s, condition, &obs.scoped(&cell_label(method, condition)))?;
     emit_cell_finish(obs, method, condition, index, &out, None, started);

@@ -49,6 +49,7 @@ impl RunManifest {
     /// `"fig3"`, …) and emits the `run_start` event snapshotting `scale`.
     /// Recording is on unless the `LBCHAT_OBS` environment variable is
     /// `0`.
+    #[expect(clippy::disallowed_methods, reason = "feeds wall_ms, a documented TIMING_FIELDS key the result comparators strip")]
     pub fn start(name: &str, scale: &Scale) -> RunManifest {
         let enabled = std::env::var(OBS_ENV).map_or(true, |v| v.trim() != "0");
         let sink = if enabled { ObsSink::recording() } else { ObsSink::disabled() };
@@ -72,7 +73,6 @@ impl RunManifest {
             name: name.to_string(),
             seed: scale.seed,
             started_unix_ms,
-            // audit:allow(D001): feeds wall_ms, a documented TIMING_FIELDS key the result comparators strip
             started: Instant::now(),
         }
     }
@@ -186,10 +186,12 @@ fn scale_json(s: &Scale) -> Json {
     ])
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "feeds started_unix_ms, a documented TIMING_FIELDS key the result comparators strip"
+)]
 fn unix_ms() -> u64 {
-    // audit:allow(D001): feeds started_unix_ms, a documented TIMING_FIELDS key the result comparators strip
     std::time::SystemTime::now()
-        // audit:allow(D004): same TIMING_FIELDS exemption — this value never reaches a result payload
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_millis() as u64)
 }

@@ -1,9 +1,12 @@
 //! Keeps the prose honest: every `--flag`, `--bin NAME`, and
 //! `--example NAME` mentioned in the user-facing documentation must
-//! refer to something that actually exists in the tree. Docs rot
-//! silently when a bin is renamed or a flag removed; this test makes
-//! that rot a CI failure instead.
+//! refer to something that actually exists in the tree, and every event
+//! kind, counter and gauge the code emits must be the set
+//! `docs/OBSERVABILITY.md` documents. Docs rot silently when a bin is
+//! renamed, a flag removed or a counter added; these tests make that rot
+//! a CI failure instead.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Every long flag the documentation is allowed to mention: the
@@ -17,8 +20,6 @@ const KNOWN_FLAGS: &[&str] = &[
     // lbchat-bench / bench_report (see crates/bench/src/main.rs and
     // crates/bench/src/bin/bench_report.rs)
     "smoke", "filter", "out", "name", "threshold",
-    // lbchat-audit (see crates/audit/src/main.rs)
-    "root", "baseline", "list-lints", "explain", "github", "write-reference-manifest",
     // cargo itself
     "release", "bin", "example", "workspace", "no-deps", "all-targets", "test", "package",
 ];
@@ -153,66 +154,15 @@ fn docs_reference_only_real_flags_bins_and_examples() {
     assert!(problems.is_empty(), "stale documentation references:\n{}", problems.join("\n"));
 }
 
-/// Yields every audit-lint-shaped token (`D001`, `T002`, …) in `text`:
-/// one of the lint family letters followed by exactly three digits, with
-/// identifier boundaries on both sides.
-fn lint_ids(text: &str) -> Vec<String> {
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    for i in 0..bytes.len().saturating_sub(3) {
-        if !matches!(bytes[i], b'D' | b'P' | b'O' | b'A' | b'T' | b'W' | b'R') {
-            continue;
-        }
-        if !(bytes[i + 1].is_ascii_digit() && bytes[i + 2].is_ascii_digit() && bytes[i + 3].is_ascii_digit()) {
-            continue;
-        }
-        let left_ok = i == 0 || !(bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_');
-        let right_ok =
-            bytes.get(i + 4).map_or(true, |b| !(b.is_ascii_alphanumeric() || *b == b'_'));
-        if left_ok && right_ok {
-            out.push(text[i..i + 4].to_string());
-        }
-    }
-    out
-}
-
-#[test]
-fn lint_ids_in_prose_exist_in_the_audit_binary() {
-    let root = repo_root();
-    let known: Vec<&str> = lbchat_audit::LINTS.iter().map(|l| l.id).collect();
-    let mut problems = Vec::new();
-    for path in doc_files(&root) {
-        let text = std::fs::read_to_string(&path).unwrap();
-        let rel = path.strip_prefix(&root).unwrap_or(&path).display().to_string();
-        for id in lint_ids(&text) {
-            if !known.contains(&id.as_str()) {
-                problems.push(format!("{rel}: lint id {id} does not exist in lbchat-audit"));
-            }
-        }
-    }
-    assert!(problems.is_empty(), "stale lint ids in prose:\n{}", problems.join("\n"));
-    // The catalogue doc must actually name every lint the binary knows.
-    let audit_doc = std::fs::read_to_string(root.join("docs/AUDIT.md")).expect("docs/AUDIT.md");
-    for id in known {
-        assert!(audit_doc.contains(id), "docs/AUDIT.md is missing lint {id}");
-    }
-}
-
 #[test]
 fn codec_names_in_prose_and_binary_agree() {
     use lbchat::compress::Codec;
     let root = repo_root();
-    // The wire-format contract must name every codec the binary ships…
+    // The codec table itself is held to `Codec::ALL` by
+    // crates/core/tests/wire_golden.rs; every backticked `--codec KEY`
+    // in the spec must resolve.
     let doc = std::fs::read_to_string(root.join("docs/COMPRESSION.md"))
         .expect("docs/COMPRESSION.md is the normative codec spec");
-    for codec in Codec::ALL {
-        assert!(
-            doc.contains(&format!("`{}`", codec.name())),
-            "docs/COMPRESSION.md is missing codec `{}`",
-            codec.name()
-        );
-    }
-    // …and every backticked codec-key-shaped token in it must resolve.
     for token in doc.split('`').skip(1).step_by(2) {
         if let Some(rest) = token.strip_prefix("--codec ") {
             assert!(
@@ -224,14 +174,6 @@ fn codec_names_in_prose_and_binary_agree() {
 }
 
 #[test]
-fn lint_id_scanner_respects_boundaries() {
-    assert_eq!(lint_ids("fires D001 once"), ["D001"]);
-    assert_eq!(lint_ids("`P004`/`A002`"), ["P004", "A002"]);
-    assert_eq!(lint_ids("T001 walks; W001 checks; R001 pins"), ["T001", "W001", "R001"]);
-    assert!(lint_ids("ID0012 and XP004 and P04 and P0045").is_empty());
-}
-
-#[test]
 fn flag_scanner_parses_the_shapes_docs_use() {
     let flags = long_flags("run `cargo run --release --bin fig2 -- --quick --jobs=4` --no-deps");
     let names: Vec<&str> = flags.iter().map(|(f, _)| f.as_str()).collect();
@@ -240,4 +182,86 @@ fn flag_scanner_parses_the_shapes_docs_use() {
     assert_eq!(flags[3].1.as_deref(), Some("4"));
     // em-dash-as-double-hyphen prose must not register
     assert!(long_flags("trains the model--quickly, too").is_empty());
+}
+
+/// Every `(category, name)` the workspace's non-test code hands to
+/// `lbchat::obs` as a string literal — the first argument of `.emit(` /
+/// `.open_span(` (event kinds), `.add(` (counters) and `.observe(`
+/// (gauges), read by [`srcscan::lexer::FileScan::obs_names`], which skips
+/// literals, comments and `#[cfg(test)]` regions — each located at its
+/// first call (files in sorted order).
+fn emitted_obs_names(root: &Path) -> BTreeMap<(&'static str, String), String> {
+    let files = srcscan::walk::workspace_files(root, &["rand", "proptest"]).expect("crates/");
+    let mut out = BTreeMap::new();
+    for rel in files {
+        let src = std::fs::read_to_string(root.join(&rel)).unwrap();
+        for n in srcscan::lexer::FileScan::new(&rel, &src).obs_names() {
+            out.entry((n.category, n.name)).or_insert_with(|| format!("{rel}:{}", n.line));
+        }
+    }
+    out
+}
+
+/// The names docs/OBSERVABILITY.md documents, with their 1-based line:
+/// event kinds from `` ### `kind` `` headings, counters and gauges from
+/// the first backticked cell of each row of the `| Counter |` and
+/// `| Gauge |` tables.
+fn documented_obs_names(doc: &str) -> BTreeMap<(&'static str, String), usize> {
+    let mut out = BTreeMap::new();
+    let mut table: Option<&'static str> = None;
+    for (i, line) in doc.lines().enumerate() {
+        let t = line.trim();
+        if let Some(rest) = t.strip_prefix("### `") {
+            if let Some(end) = rest.find('`') {
+                out.insert(("event", rest[..end].to_string()), i + 1);
+            }
+            table = None;
+        } else if t.starts_with('#') || !t.starts_with('|') {
+            table = None;
+        } else if t.starts_with("| Counter") {
+            table = Some("counter");
+        } else if t.starts_with("| Gauge") {
+            table = Some("gauge");
+        } else if let (Some(category), Some(rest)) = (table, t.strip_prefix("| `")) {
+            if let Some(end) = rest.find('`') {
+                out.insert((category, rest[..end].to_string()), i + 1);
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn obs_names_in_code_and_observability_doc_agree() {
+    let root = repo_root();
+    let doc = std::fs::read_to_string(root.join("docs/OBSERVABILITY.md"))
+        .expect("docs/OBSERVABILITY.md is the event schema");
+    let documented = documented_obs_names(&doc);
+    let emitted = emitted_obs_names(&root);
+    let mut problems = Vec::new();
+    for ((category, name), at) in &emitted {
+        if !documented.contains_key(&(*category, name.clone())) {
+            problems.push(format!(
+                "{at}: {category} `{name}` is emitted but not documented in docs/OBSERVABILITY.md"
+            ));
+        }
+    }
+    for ((category, name), line) in &documented {
+        if !emitted.contains_key(&(*category, name.clone())) {
+            problems.push(format!(
+                "docs/OBSERVABILITY.md:{line}: {category} `{name}` is documented but never emitted"
+            ));
+        }
+    }
+    assert!(problems.is_empty(), "observability names out of sync:\n{}", problems.join("\n"));
+    assert!(emitted.len() >= 20, "the scan found only {} names", emitted.len());
+}
+
+#[test]
+fn observability_doc_parser_reads_headings_and_tables() {
+    let listed = |names: BTreeMap<(&str, String), usize>| -> Vec<String> {
+        names.into_iter().map(|((category, name), line)| format!("{category} {name} {line}")).collect()
+    };
+    let doc = "### `round` — x\n\n## Counters\n\n| Counter | By |\n| --- | --- |\n| `sessions` | runtime |\n\n| Gauge | At |\n| --- | --- |\n| `psi` | chat |\n\nProse ends a table.\n| `stray` | row |\n";
+    assert_eq!(listed(documented_obs_names(doc)), ["counter sessions 7", "event round 1", "gauge psi 11"]);
 }

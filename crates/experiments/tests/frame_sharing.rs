@@ -15,7 +15,7 @@ use lbchat::node::LbChatAlgorithm;
 use lbchat::prelude::{LbChatConfig, Runtime, RuntimeConfig};
 use lbchat::{Coreset, WeightedDataset};
 use rand::SeedableRng;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn shares_payloads(a: &Frame, b: &Frame) -> bool {
@@ -59,7 +59,7 @@ fn hand_overs_share_and_a_cell_allocates_no_frame_buffers() {
         assert_eq!(copy, source, "and equality is still by content");
     }
     // The held-out set is drawn from the datasets: it shares with them too.
-    let owned: HashSet<usize> = fixture.iter().flat_map(|f| addresses(f)).collect();
+    let owned: BTreeSet<usize> = fixture.iter().flat_map(|f| addresses(f)).collect();
     assert_eq!(
         owned.len(),
         2 * fixture.len(),

@@ -396,7 +396,6 @@ macro_rules! proptest {
                     |__proptest_rng: &mut $crate::StdRng| -> $crate::TestCaseResult {
                         $(let $arg = $crate::Strategy::sample(&($strategy), __proptest_rng);)+
                         $body
-                        #[allow(unreachable_code)]
                         Ok(())
                     },
                 );

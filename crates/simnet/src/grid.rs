@@ -107,7 +107,6 @@ impl EncounterGrid {
     /// byte-for-byte the vector [`MobilityTrace::encounters_at`] returns —
     /// and reports the scan's work counters. `out` is cleared first; its
     /// reallocation is covered by the returned grid's [`EncounterGrid::grew`].
-    // audit:entry(hot)
     pub fn encounters_into(
         &mut self,
         trace: &MobilityTrace,

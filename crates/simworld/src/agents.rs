@@ -322,9 +322,7 @@ pub struct Pedestrian {
 
 impl Pedestrian {
     /// Spawns a pedestrian at a random position within `area` (min, max
-    /// corners) with a random walking speed. Named `spawn_in` rather than
-    /// `spawn` so the audit call graph, which resolves method calls by
-    /// name alone, never aliases it with `std::thread::Scope::spawn`.
+    /// corners) with a random walking speed.
     pub fn spawn_in<R: Rng + ?Sized>(area: (Vec2, Vec2), rng: &mut R) -> Self {
         let p = random_point(area, rng);
         let t = random_point(area, rng);

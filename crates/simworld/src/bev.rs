@@ -221,7 +221,10 @@ pub fn rasterize(
 /// combines with the exact arithmetic the reference uses — cell
 /// classifications cannot drift. Reusing `out` across frames removes the
 /// four per-frame channel allocations.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "`rasterize`'s seven inputs plus the reused output frame"
+)]
 pub fn rasterize_into(
     cfg: &BevConfig,
     pose: Pose,
@@ -338,7 +341,8 @@ pub fn rasterize_into(
 
 /// The pre-optimization rasterizer, kept verbatim as the golden baseline:
 /// [`rasterize`] must produce the same occupancy bit for bit
-/// (`tests/properties.rs` proves it on random scenes).
+/// (`tests/properties.rs` proves it on random scenes). That test is what
+/// pins this module: edit it only together with it.
 pub mod reference {
     use super::{channel, Bev, BevConfig, Pose};
     use crate::world::RoadRaster;

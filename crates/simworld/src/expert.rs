@@ -44,13 +44,13 @@ impl Command {
     ///
     /// # Panics
     /// Panics if `i >= Command::COUNT`.
+    #[expect(clippy::panic, reason = "the panic is this method's documented contract.")]
     pub fn from_index(i: usize) -> Self {
         match i {
             0 => Command::Follow,
             1 => Command::Left,
             2 => Command::Right,
             3 => Command::Straight,
-            // audit:allow(P003): the panic is this method's documented contract.
             _ => panic!("command index out of range: {i}"),
         }
     }

@@ -14,7 +14,9 @@
 //! helpers are called through [`RoadVehicle::view`] after their
 //! signatures moved to [`crate::agents::VehicleRef`]. The `n_fleet`
 //! config field is intentionally ignored: the reference world predates
-//! the fleet axis and only ever models the seed populations.
+//! the fleet axis and only ever models the seed populations. The two
+//! identity checks above are what pin this module: edit it only together
+//! with them.
 
 use crate::agents::{radii, Pedestrian, RoadVehicle};
 use crate::bev::{rasterize, Bev, Pose};

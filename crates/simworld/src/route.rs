@@ -36,8 +36,8 @@ impl Route {
     ///
     /// # Panics
     /// Panics on an empty route.
+    #[expect(clippy::expect_used, reason = "the panic is this method's documented contract.")]
     pub fn destination(&self, map: &RoadNetwork) -> NodeId {
-        // audit:allow(P002): the panic is this method's documented contract.
         map.edge(*self.edges.last().expect("route must have edges")).to
     }
 

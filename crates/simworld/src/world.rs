@@ -549,7 +549,6 @@ impl World {
 
     /// Advances the world by one frame (`1 / fps` seconds): parallel
     /// intent phase, then the serial id-ordered apply pass.
-    // audit:entry(hot)
     pub fn step(&mut self) -> TickStats {
         self.begin_tick();
         let mut intents = std::mem::take(&mut self.intents);
@@ -635,7 +634,6 @@ impl World {
     /// worker pool from there on. Slots are pure functions of pre-step
     /// state, so which path fills them — and on how many workers — never
     /// shows in a single bit.
-    // audit:phase(intent)
     fn compute_intents(&self, gap_index: &[(EdgeId, f32)], intents: &mut Vec<f32>) {
         intents.clear();
         intents.resize(self.awake.len(), 0.0);
@@ -652,7 +650,6 @@ impl World {
     /// The final target speed of vehicle `id` from pre-step state: speed
     /// limits + turn slowdown + car-following + pedestrian braking. Pure —
     /// no RNG, no writes — which is what licenses the parallel shard.
-    // audit:phase(intent)
     fn intent_for(&self, id: AgentId, gap_index: &[(EdgeId, f32)]) -> f32 {
         let route = &self.routes[id];
         if route.edges.is_empty() {
@@ -1044,6 +1041,34 @@ mod tests {
             wake_queue,
             ..WorldConfig::small(seed)
         })
+    }
+
+    /// Destructured without `..`: adding or removing a field fails to
+    /// compile here until the count is a decision someone made.
+    #[test]
+    fn defaults_are_the_paper_world_over_ten_fields() {
+        let WorldConfig {
+            seed,
+            n_experts,
+            n_background,
+            n_fleet,
+            n_pedestrians,
+            wake_queue,
+            fps,
+            map,
+            n_waypoints,
+            bev,
+        } = WorldConfig::default();
+        assert_eq!(seed, 0);
+        assert_eq!(n_experts, 32);
+        assert_eq!(n_background, 50);
+        assert_eq!(n_fleet, 0);
+        assert_eq!(n_pedestrians, 250);
+        assert!(wake_queue);
+        assert_eq!(fps, 2.0);
+        assert_eq!(map.extent, 1000.0);
+        assert_eq!(n_waypoints, 5);
+        assert_eq!(bev, BevConfig::default());
     }
 
     #[test]

@@ -91,7 +91,7 @@ mod tests {
         let mut mb = Minibatcher::new(2, 2);
         mb.grow(5);
         assert_eq!(mb.len(), 5);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..10 {
             for i in mb.next_batch(&mut rng) {
                 seen.insert(i);

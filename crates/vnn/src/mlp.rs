@@ -109,14 +109,20 @@ impl MlpSpec {
     }
 
     /// Input dimensionality.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract — a spec with no layers is a construction bug, caught by Mlp::new's assert"
+    )]
     pub fn input_dim(&self) -> usize {
-        // audit:allow(P005): documented contract — a spec with no layers is a construction bug, caught by Mlp::new's assert
         *self.sizes.first().expect("spec must have layers")
     }
 
     /// Output dimensionality.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract — a spec with no layers is a construction bug, caught by Mlp::new's assert"
+    )]
     pub fn output_dim(&self) -> usize {
-        // audit:allow(P005): documented contract — a spec with no layers is a construction bug, caught by Mlp::new's assert
         *self.sizes.last().expect("spec must have layers")
     }
 }
@@ -143,8 +149,11 @@ pub struct Cache {
 
 impl Cache {
     /// Network output (activation of the final layer).
+    #[expect(
+        clippy::expect_used,
+        reason = "forward() seeds acts with the input before any layer runs, so the cache is never empty"
+    )]
     pub fn output(&self) -> &[f32] {
-        // audit:allow(P005): forward() seeds acts with the input before any layer runs, so the cache is never empty
         self.acts.last().expect("cache holds at least the input")
     }
 }
@@ -198,7 +207,10 @@ impl Mlp {
             let (fan_in, fan_out) = (w[0], w[1]);
             let weights = &p[off..off + fan_in * fan_out];
             let biases = &p[off + fan_in * fan_out..off + fan_in * fan_out + fan_out];
-            // audit:allow(P005): acts starts with the input pushed just above the loop
+            #[expect(
+                clippy::expect_used,
+                reason = "acts starts with the input pushed just above the loop"
+            )]
             let x = acts.last().expect("at least input present");
             let act = if l + 1 == n_layers {
                 Activation::Identity
@@ -276,30 +288,18 @@ impl Mlp {
                 }
                 grad[b_off + j] += dj;
             }
-            // gradient w.r.t. the layer input
-            if l > 0 {
-                let weights = &p[w_off..b_off];
-                let mut d_in = vec![0.0f32; fan_in];
-                for (j, dj) in delta.iter().enumerate() {
-                    let row = &weights[j * fan_in..(j + 1) * fan_in];
-                    for (di, wji) in d_in.iter_mut().zip(row) {
-                        *di += dj * wji;
-                    }
+            // gradient w.r.t. the layer input (at l == 0, the network's)
+            let weights = &p[w_off..b_off];
+            let mut d_in = vec![0.0f32; fan_in];
+            for (j, dj) in delta.iter().enumerate() {
+                let row = &weights[j * fan_in..(j + 1) * fan_in];
+                for (di, wji) in d_in.iter_mut().zip(row) {
+                    *di += dj * wji;
                 }
-                delta = d_in;
-            } else {
-                let weights = &p[w_off..b_off];
-                let mut d_in = vec![0.0f32; fan_in];
-                for (j, dj) in delta.iter().enumerate() {
-                    let row = &weights[j * fan_in..(j + 1) * fan_in];
-                    for (di, wji) in d_in.iter_mut().zip(row) {
-                        *di += dj * wji;
-                    }
-                }
-                return d_in;
             }
+            delta = d_in;
         }
-        unreachable!("loop returns at l == 0");
+        delta
     }
 
     // ----- batched kernels -------------------------------------------------

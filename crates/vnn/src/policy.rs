@@ -118,7 +118,7 @@ impl BranchedPolicy {
         let mut trunk_sizes = Vec::with_capacity(spec.trunk.len() + 1);
         trunk_sizes.push(spec.input_dim);
         trunk_sizes.extend_from_slice(&spec.trunk);
-        let trunk_out = *trunk_sizes.last().expect("trunk has sizes");
+        let trunk_out = spec.trunk.last().copied().unwrap_or(spec.input_dim);
         // The trunk's last hidden layer is its output; hidden activation is
         // applied throughout so heads see nonlinear features. We express this
         // as an MLP whose "output" layer is also ReLU by appending a
