@@ -59,6 +59,7 @@ mod tests {
         CollabAlgorithm, FrameCtx, Metrics, ObsSink, Runtime, RuntimeConfig, SessionCtx,
         SessionStep, TrainStats, TransferOutcome,
     };
+    use lbchat::obs::Counter;
     use lbchat::WeightedDataset;
     use simnet::contact::ContactEstimate;
     use simnet::geom::Vec2;
@@ -166,7 +167,7 @@ mod tests {
         };
         let eval = line_data(0.0, 0.5, 16);
         let m = Runtime::new(cfg).run(algo, &crossing_fleet(), &eval).expect("trace fits");
-        (m, sink.counters()["net.contact.estimates"])
+        (m, sink.counters()[Counter::NetContactEstimates.name()])
     }
 
     /// `lazy` (the method as shipped) against the same method ranked

@@ -11,9 +11,7 @@
 //! larger weights to better-performing models to adaptively aggregate
 //! them"). We implement the evidently intended inverse form — each model is
 //! weighted by the *other* model's normalized loss, so lower loss ⇒ higher
-//! weight — as [`AggregationRule::InverseLoss`], keep the printed form
-//! available as [`AggregationRule::AsPrinted`] for study, and compare both
-//! in an ablation bench.
+//! weight — as [`AggregationRule::InverseLoss`].
 
 use vnn::ParamVec;
 
@@ -24,8 +22,6 @@ pub enum AggregationRule {
     /// better-performing model dominates.
     #[default]
     InverseLoss,
-    /// Eq. (8) exactly as printed: weight of a model ∝ its own loss.
-    AsPrinted,
     /// Plain averaging — the Table VI ablation.
     Average,
 }
@@ -48,13 +44,6 @@ pub fn aggregate(
     );
     let (w_local, w_peer) = match rule {
         AggregationRule::Average => (0.5, 0.5),
-        AggregationRule::AsPrinted => {
-            if loss_local + loss_peer <= 0.0 {
-                (0.5, 0.5)
-            } else {
-                (loss_local, loss_peer)
-            }
-        }
         AggregationRule::InverseLoss => {
             if loss_local + loss_peer <= 0.0 {
                 (0.5, 0.5)
@@ -117,14 +106,6 @@ mod tests {
     }
 
     #[test]
-    fn as_printed_favors_the_worse_model() {
-        let (local, peer) = models();
-        let merged = aggregate(&local, 3.0, &peer, 1.0, AggregationRule::AsPrinted);
-        // Printed Eq. 8: local gets weight 3/4 despite being worse.
-        assert!((merged.as_slice()[0] - 0.25).abs() < 1e-6);
-    }
-
-    #[test]
     fn average_ignores_losses() {
         let (local, peer) = models();
         let merged = aggregate(&local, 100.0, &peer, 0.001, AggregationRule::Average);
@@ -134,11 +115,7 @@ mod tests {
     #[test]
     fn equal_losses_average_under_every_rule() {
         let (local, peer) = models();
-        for rule in [
-            AggregationRule::InverseLoss,
-            AggregationRule::AsPrinted,
-            AggregationRule::Average,
-        ] {
+        for rule in [AggregationRule::InverseLoss, AggregationRule::Average] {
             let merged = aggregate(&local, 2.0, &peer, 2.0, rule);
             assert!((merged.as_slice()[0] - 0.5).abs() < 1e-6, "{rule:?}");
         }

@@ -324,20 +324,21 @@ mod tests {
 
     #[test]
     fn traced_fanout_records_one_work_unit_per_item() {
-        let sink = crate::obs::ObsSink::recording();
+        use crate::obs::{EventKind, ObsSink};
+        let sink = ObsSink::recording();
         let out = {
             let _outer = sink.span("fanout");
             par_run_traced(&sink, "unit-test", 8, |i| i * 2)
         };
         assert_eq!(out, (0..8).map(|i| i * 2).collect::<Vec<_>>());
         let events = sink.events();
-        let units: Vec<_> = events.iter().filter(|e| e.kind == "work_unit").collect();
+        let units: Vec<_> = events.iter().filter(|e| e.is(EventKind::WorkUnit)).collect();
         assert_eq!(units.len(), 8);
         let mut indices: Vec<u64> =
             units.iter().filter_map(|e| e.get("index")?.as_u64()).collect();
         indices.sort_unstable();
         assert_eq!(indices, (0..8).collect::<Vec<u64>>());
-        let outer = events.iter().find(|e| e.kind == "span").unwrap();
+        let outer = events.iter().find(|e| e.is(EventKind::Span)).unwrap();
         let outer_id = outer.get("span_id").unwrap().as_u64();
         for u in &units {
             assert_eq!(u.str_field("stage"), Some("unit-test"));

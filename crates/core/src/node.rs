@@ -12,6 +12,7 @@ use crate::config::LbChatConfig;
 use crate::coreset::{construct_with_scratch, reduce, Coreset, CoresetConfig, CoresetScratch};
 use crate::dataset::WeightedDataset;
 use crate::learner::{mean_eval_loss, Learner};
+use crate::obs::{Counter, EventKind, Gauge};
 use crate::optimize::{equal_compression_choice, CompressionChoice, CompressionProblem};
 use crate::penalty::penalized_loss;
 use crate::phi::PhiCurve;
@@ -334,12 +335,12 @@ impl<L: Learner> LbChatAlgorithm<L> {
             state.coreset_j.as_ref().map_or(0, Coreset::len),
         );
         let obs = ctx.obs();
-        obs.add("chats", 1);
-        obs.add("coreset_points", (ci_len + cj_len) as u64);
-        obs.observe("psi", state.choice.psi_i as f64);
-        obs.observe("psi", state.choice.psi_j as f64);
+        obs.add(Counter::Chats, 1);
+        obs.add(Counter::CoresetPoints, (ci_len + cj_len) as u64);
+        obs.observe(Gauge::Psi, state.choice.psi_i as f64);
+        obs.observe(Gauge::Psi, state.choice.psi_j as f64);
         obs.emit(
-            "chat",
+            EventKind::Chat,
             &[
                 ("i", ctx.i.into()),
                 ("j", ctx.j.into()),
@@ -373,8 +374,8 @@ impl<L: Learner> LbChatAlgorithm<L> {
         ctx.metrics.record_model_send(out.is_delivered(), bytes, out.elapsed());
         let obs = ctx.obs();
         if obs.enabled() {
-            obs.add("compress.model_bytes", bytes as u64);
-            obs.add("compress.pair_bytes", codec.pair_wire_bytes(dense, psi) as u64);
+            obs.add(Counter::CompressModelBytes, bytes as u64);
+            obs.add(Counter::CompressPairBytes, codec.pair_wire_bytes(dense, psi) as u64);
         }
         out.is_delivered()
             .then(|| codec.apply(self.nodes[sender].learner.params(), psi, ctx.rng()))

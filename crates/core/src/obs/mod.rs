@@ -28,27 +28,40 @@
 //! 4. **No dependencies.** The [`json`] submodule carries its own
 //!    writer/parser, with exact `u64` handling so seeds survive a round
 //!    trip.
+//! 5. **One name registry.** Every event kind, counter and gauge is a
+//!    variant of [`EventKind`], [`Counter`] or [`Gauge`]; the sink takes
+//!    those types, so a recorded name is always a registered one. Adding a
+//!    name is one variant plus one `docs/OBSERVABILITY.md` row.
 //!
 //! # Example
 //!
 //! ```
-//! use lbchat::obs::{self, ObsSink};
+//! use lbchat::obs::{self, Counter, EventKind, ObsSink};
 //!
 //! let sink = ObsSink::recording();
 //! {
 //!     let _timer = sink.span("build-scenario");
-//!     sink.add("vehicles", 4);
-//!     sink.emit("note", &[("msg", "scenario ready".into())]);
+//!     sink.add(Counter::Rounds, 1);
+//!     sink.emit(EventKind::Round, &[("t", 0.0.into()), ("loss", 0.5.into())]);
 //! } // span recorded on drop
 //!
 //! let lines = sink.to_jsonl();
 //! let parsed = obs::parse_jsonl(&lines).unwrap();
 //! assert_eq!(parsed.len(), 2);
-//! assert_eq!(sink.counters()["vehicles"], 4);
+//! assert!(parsed[0].is(EventKind::Round));
+//! assert_eq!(sink.counters()[Counter::Rounds.name()], 1);
+//! ```
+//!
+//! A name outside the registry does not compile:
+//!
+//! ```compile_fail
+//! lbchat::obs::ObsSink::recording().add("x", 1);
 //! ```
 
 pub mod json;
+mod names;
 mod sink;
 
 pub use json::{parse, Json, JsonError};
+pub use names::{Counter, EventKind, Gauge};
 pub use sink::{current_span, parse_jsonl, Event, GaugeStat, ObsSink, SpanGuard, TIMING_FIELDS};

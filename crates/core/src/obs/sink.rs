@@ -10,6 +10,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use super::json::{self, Json, JsonError};
+use super::names::{Counter, EventKind, Gauge};
 
 /// Event fields that carry wall-clock timing or span identity.
 ///
@@ -26,13 +27,19 @@ pub const TIMING_FIELDS: &[&str] =
 /// unit of the run-manifest format described in `docs/OBSERVABILITY.md`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
-    /// The event type, e.g. `"transfer"` or `"cell_finish"`.
+    /// The event type: an [`EventKind::name`] for events this workspace
+    /// records, any string for a parsed manifest.
     pub kind: String,
     /// The event payload, in emission order (excluding `kind`).
     pub fields: Vec<(String, Json)>,
 }
 
 impl Event {
+    /// Whether this is an event of `kind`.
+    pub fn is(&self, kind: EventKind) -> bool {
+        self.kind == kind.name()
+    }
+
     /// Looks up a field by name.
     pub fn get(&self, key: &str) -> Option<&Json> {
         self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
@@ -131,8 +138,8 @@ impl GaugeStat {
 struct Inner {
     t0: Instant,
     events: Mutex<Vec<Event>>,
-    counters: Mutex<BTreeMap<String, u64>>,
-    gauges: Mutex<BTreeMap<String, GaugeStat>>,
+    counters: Mutex<BTreeMap<&'static str, u64>>,
+    gauges: Mutex<BTreeMap<&'static str, GaugeStat>>,
     next_span: AtomicU64,
 }
 
@@ -228,11 +235,11 @@ impl ObsSink {
     /// appends `ts_ms`, milliseconds since the sink was created. No-op
     /// when disabled — but prefer guarding with [`ObsSink::enabled`] so
     /// the field list is not even built.
-    pub fn emit(&self, kind: &str, fields: &[(&str, Json)]) {
+    pub fn emit(&self, kind: EventKind, fields: &[(&str, Json)]) {
         self.emit_owned(kind, fields.iter().map(|(k, v)| ((*k).to_string(), v.clone())).collect());
     }
 
-    fn emit_owned(&self, kind: &str, fields: Vec<(String, Json)>) {
+    fn emit_owned(&self, kind: EventKind, fields: Vec<(String, Json)>) {
         let Some(inner) = &self.inner else { return };
         let mut all = Vec::with_capacity(fields.len() + 2);
         if let Some(ctx) = &self.ctx {
@@ -240,32 +247,23 @@ impl ObsSink {
         }
         all.extend(fields);
         all.push(("ts_ms".to_string(), Json::Num(ms_since(inner.t0))));
-        lock(&inner.events).push(Event { kind: kind.to_string(), fields: all });
+        lock(&inner.events).push(Event { kind: kind.name().to_string(), fields: all });
     }
 
     /// Adds `n` to a monotonic counter. No-op when disabled.
-    pub fn add(&self, counter: &str, n: u64) {
+    pub fn add(&self, counter: Counter, n: u64) {
         let Some(inner) = &self.inner else { return };
-        let mut counters = lock(&inner.counters);
-        match counters.get_mut(counter) {
-            Some(v) => *v += n,
-            None => {
-                counters.insert(counter.to_string(), n);
-            }
-        }
+        *lock(&inner.counters).entry(counter.name()).or_insert(0) += n;
     }
 
     /// Folds `v` into a gauge's `{n, sum, min, max}` summary. No-op when
     /// disabled.
-    pub fn observe(&self, gauge: &str, v: f64) {
+    pub fn observe(&self, gauge: Gauge, v: f64) {
         let Some(inner) = &self.inner else { return };
-        let mut gauges = lock(&inner.gauges);
-        match gauges.get_mut(gauge) {
-            Some(g) => g.observe(v),
-            None => {
-                gauges.insert(gauge.to_string(), GaugeStat::new(v));
-            }
-        }
+        lock(&inner.gauges)
+            .entry(gauge.name())
+            .and_modify(|g| g.observe(v))
+            .or_insert_with(|| GaugeStat::new(v));
     }
 
     /// Opens a span (scoped timer) nested under the innermost span open
@@ -279,7 +277,8 @@ impl ObsSink {
     /// thread boundary (the parent id was captured on the submitting
     /// thread via [`current_span`]).
     pub fn span_under(&self, name: &str, parent: Option<u64>) -> SpanGuard {
-        self.open_span("span", vec![("name".to_string(), Json::Str(name.to_string()))], parent)
+        let fields = vec![("name".to_string(), Json::Str(name.to_string()))];
+        self.open_span(EventKind::Span, fields, parent)
     }
 
     /// Opens a span that records as a `work_unit` event — one unit of a
@@ -287,7 +286,7 @@ impl ObsSink {
     /// `index` the unit within it.
     pub fn work_span(&self, stage: &str, index: usize, parent: Option<u64>) -> SpanGuard {
         self.open_span(
-            "work_unit",
+            EventKind::WorkUnit,
             vec![
                 ("stage".to_string(), Json::Str(stage.to_string())),
                 ("index".to_string(), Json::UInt(index as u64)),
@@ -299,7 +298,7 @@ impl ObsSink {
     #[expect(clippy::disallowed_methods, reason = "the obs timing layer: span durations and `t_ms` are TIMING_FIELDS keys the result comparators strip")]
     fn open_span(
         &self,
-        kind: &'static str,
+        kind: EventKind,
         fields: Vec<(String, Json)>,
         parent: Option<u64>,
     ) -> SpanGuard {
@@ -330,7 +329,9 @@ impl ObsSink {
     /// Snapshot of the counters.
     pub fn counters(&self) -> BTreeMap<String, u64> {
         match &self.inner {
-            Some(inner) => lock(&inner.counters).clone(),
+            Some(inner) => {
+                lock(&inner.counters).iter().map(|(k, v)| ((*k).to_string(), *v)).collect()
+            }
             None => BTreeMap::new(),
         }
     }
@@ -338,7 +339,9 @@ impl ObsSink {
     /// Snapshot of the gauges.
     pub fn gauges(&self) -> BTreeMap<String, GaugeStat> {
         match &self.inner {
-            Some(inner) => lock(&inner.gauges).clone(),
+            Some(inner) => {
+                lock(&inner.gauges).iter().map(|(k, g)| ((*k).to_string(), *g)).collect()
+            }
             None => BTreeMap::new(),
         }
     }
@@ -388,7 +391,7 @@ fn ms_since(t0: Instant) -> f64 {
 #[must_use = "a span measures the scope it is alive for"]
 pub struct SpanGuard {
     sink: ObsSink,
-    kind: &'static str,
+    kind: EventKind,
     fields: Vec<(String, Json)>,
     id: u64,
     parent: Option<u64>,
@@ -448,9 +451,9 @@ mod tests {
     #[test]
     fn disabled_sink_records_nothing() {
         let sink = ObsSink::disabled();
-        sink.emit("round", &[("t", Json::Num(1.0))]);
-        sink.add("rounds", 1);
-        sink.observe("psi", 0.5);
+        sink.emit(EventKind::Round, &[("t", Json::Num(1.0))]);
+        sink.add(Counter::Rounds, 1);
+        sink.observe(Gauge::Psi, 0.5);
         {
             let _outer = sink.span("outer");
             let _inner = sink.span("inner");
@@ -463,18 +466,19 @@ mod tests {
         assert!(!sink.enabled());
         // Scoping a disabled sink keeps it disabled.
         let scoped = sink.scoped("cell");
-        scoped.emit("x", &[]);
+        scoped.emit(EventKind::Chat, &[]);
         assert_eq!(scoped.event_count(), 0);
     }
 
     #[test]
     fn events_carry_ctx_and_timestamp() {
         let sink = ObsSink::recording();
-        sink.emit("round", &[("t", Json::Num(30.0)), ("loss", Json::Num(0.25))]);
-        sink.scoped("LbChat@w").scoped("eval").emit("trial", &[("index", Json::UInt(3))]);
+        sink.emit(EventKind::Round, &[("t", Json::Num(30.0)), ("loss", Json::Num(0.25))]);
+        sink.scoped("LbChat@w").scoped("eval").emit(EventKind::Trial, &[("index", Json::UInt(3))]);
         let events = sink.events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].kind, "round");
+        assert!(events[0].is(EventKind::Round) && !events[0].is(EventKind::Trial));
         assert_eq!(events[0].get("ctx"), None);
         assert!(events[0].num("ts_ms").is_some());
         assert_eq!(events[1].str_field("ctx"), Some("LbChat@w/eval"));
@@ -486,19 +490,19 @@ mod tests {
         let sink = ObsSink::recording();
         let clone = sink.clone();
         let scoped = sink.scoped("a");
-        clone.emit("x", &[]);
-        scoped.emit("y", &[]);
-        sink.add("n", 2);
-        clone.add("n", 3);
+        clone.emit(EventKind::Chat, &[]);
+        scoped.emit(EventKind::Trial, &[]);
+        sink.add(Counter::Chats, 2);
+        clone.add(Counter::Chats, 3);
         assert_eq!(sink.event_count(), 2);
-        assert_eq!(sink.counters().get("n"), Some(&5));
+        assert_eq!(sink.counters().get("chats"), Some(&5));
     }
 
     #[test]
     fn gauges_summarize_commutatively() {
         let sink = ObsSink::recording();
         for v in [0.5, 0.1, 0.9] {
-            sink.observe("psi", v);
+            sink.observe(Gauge::Psi, v);
         }
         let g = sink.gauges()["psi"];
         assert_eq!(g.n, 3);
@@ -551,7 +555,7 @@ mod tests {
     fn jsonl_round_trips() {
         let sink = ObsSink::recording();
         sink.emit(
-            "transfer",
+            EventKind::Transfer,
             &[
                 ("i", Json::UInt(0)),
                 ("j", Json::UInt(3)),
@@ -560,7 +564,8 @@ mod tests {
                 ("airtime_s", Json::Num(0.1587)),
             ],
         );
-        sink.scoped("cell").emit("note", &[("msg", Json::Str("quoted \"text\"\n".into()))]);
+        let title = Json::Str("quoted \"text\"\n".into());
+        sink.scoped("cell").emit(EventKind::Table, &[("title", title)]);
         let text = sink.to_jsonl();
         let parsed = parse_jsonl(&text).unwrap();
         assert_eq!(parsed, sink.events());
@@ -569,8 +574,8 @@ mod tests {
     #[test]
     fn canonical_strips_timing_and_sorts() {
         let sink = ObsSink::recording();
-        sink.emit("b_second", &[("v", Json::UInt(1))]);
-        sink.emit("a_first", &[("v", Json::UInt(2))]);
+        sink.emit(EventKind::Trial, &[("v", Json::UInt(1))]);
+        sink.emit(EventKind::Chat, &[("v", Json::UInt(2))]);
         drop(sink.span("timed"));
         let canon = sink.canonical_events();
         assert_eq!(canon.len(), 3);
@@ -584,8 +589,8 @@ mod tests {
         // to the same vector.
         let other = ObsSink::recording();
         drop(other.span("timed"));
-        other.emit("a_first", &[("v", Json::UInt(2))]);
-        other.emit("b_second", &[("v", Json::UInt(1))]);
+        other.emit(EventKind::Chat, &[("v", Json::UInt(2))]);
+        other.emit(EventKind::Trial, &[("v", Json::UInt(1))]);
         assert_eq!(other.canonical_events(), canon);
     }
 

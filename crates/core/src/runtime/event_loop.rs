@@ -11,6 +11,7 @@ use super::{
     drive_session, emit_round, CollabAlgorithm, FrameCtx, PairCooldown, RuntimeConfig, SessionCtx,
 };
 use crate::metrics::Metrics;
+use crate::obs::{Counter, EventKind};
 use rand::SeedableRng;
 use simnet::channel::Channel;
 use simnet::contact::{ContactEstimate, ContactPredictor};
@@ -168,8 +169,8 @@ impl<'a, A: CollabAlgorithm> EventLoop<'a, A> {
             &mut self.encounters,
         );
         if self.cfg.obs.enabled() {
-            self.cfg.obs.add("net.encounter.candidates", stats.candidates);
-            self.cfg.obs.add("net.encounter.cells", stats.cells);
+            self.cfg.obs.add(Counter::NetEncounterCandidates, stats.candidates);
+            self.cfg.obs.add(Counter::NetEncounterCells, stats.cells);
         }
         // A method that states a pair's priority without the contact
         // estimate is ranked with no route sampled; its estimate is computed
@@ -222,7 +223,7 @@ impl<'a, A: CollabAlgorithm> EventLoop<'a, A> {
             self.queue.push(t, Event::ContactOpen { i, j, est, priority: score });
         }
         if self.cfg.obs.enabled() {
-            self.cfg.obs.add("net.contact.estimates", estimates);
+            self.cfg.obs.add(Counter::NetContactEstimates, estimates);
         }
 
         for v in 0..self.n {
@@ -251,8 +252,8 @@ impl<'a, A: CollabAlgorithm> EventLoop<'a, A> {
             let stats = algo.local_training(v, iters, &mut self.rng);
             self.metrics.train_iterations += iters as u64;
             if self.cfg.obs.enabled() && stats.batches > 0 {
-                self.cfg.obs.add("train.batch", stats.batches);
-                self.cfg.obs.add("train.samples", stats.samples);
+                self.cfg.obs.add(Counter::TrainBatch, stats.batches);
+                self.cfg.obs.add(Counter::TrainSamples, stats.samples);
             }
         }
     }
@@ -284,9 +285,9 @@ impl<'a, A: CollabAlgorithm> EventLoop<'a, A> {
         };
         let duration = drive_session(algo, &mut ctx);
         if self.cfg.obs.enabled() {
-            self.cfg.obs.add("sessions", 1);
+            self.cfg.obs.add(Counter::Sessions, 1);
             self.cfg.obs.emit(
-                "session",
+                EventKind::Session,
                 &[
                     ("i", i.into()),
                     ("j", j.into()),

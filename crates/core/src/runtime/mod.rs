@@ -29,7 +29,7 @@ mod reference;
 use crate::compress::Codec;
 use crate::config::ConfigError;
 use crate::metrics::Metrics;
-use crate::obs::ObsSink;
+use crate::obs::{Counter, EventKind, ObsSink};
 use simnet::channel::{Channel, RadioConfig, TransferOutcome, TransferSpec};
 use simnet::contact::ContactEstimate;
 use simnet::loss::LossModel;
@@ -214,13 +214,13 @@ impl SessionCtx<'_> {
                 TransferOutcome::Delivered { .. } => spec.bytes,
                 TransferOutcome::Failed { delivered_bytes, .. } => delivered_bytes,
             };
-            self.obs.add("bytes_tx", spec.bytes as u64);
-            self.obs.add("bytes_delivered", delivered_bytes as u64);
+            self.obs.add(Counter::BytesTx, spec.bytes as u64);
+            self.obs.add(Counter::BytesDelivered, delivered_bytes as u64);
             if !out.is_delivered() {
-                self.obs.add("transfers_failed", 1);
+                self.obs.add(Counter::TransfersFailed, 1);
             }
             self.obs.emit(
-                "transfer",
+                EventKind::Transfer,
                 &[
                     ("i", i.into()),
                     ("j", j.into()),
@@ -308,14 +308,14 @@ impl FrameCtx<'_> {
         let delivered = per <= 0.0 || self.rng.random::<f32>() >= per;
         self.metrics.record_model_send(delivered, bytes, 0.0);
         if self.obs.enabled() {
-            self.obs.add("bytes_tx", bytes as u64);
+            self.obs.add(Counter::BytesTx, bytes as u64);
             if delivered {
-                self.obs.add("bytes_delivered", bytes as u64);
+                self.obs.add(Counter::BytesDelivered, bytes as u64);
             } else {
-                self.obs.add("transfers_failed", 1);
+                self.obs.add(Counter::TransfersFailed, 1);
             }
             self.obs.emit(
-                "backend",
+                EventKind::Backend,
                 &[
                     ("t", self.time.into()),
                     ("bytes", bytes.into()),
@@ -526,8 +526,9 @@ impl Runtime {
 /// One `round` event per loss-curve sample: the quantity Fig. 2 plots.
 fn emit_round(obs: &ObsSink, method: &str, t: f64, loss: f64) {
     if obs.enabled() {
-        obs.add("rounds", 1);
-        obs.emit("round", &[("method", method.into()), ("t", t.into()), ("loss", loss.into())]);
+        obs.add(Counter::Rounds, 1);
+        let fields = [("method", method.into()), ("t", t.into()), ("loss", loss.into())];
+        obs.emit(EventKind::Round, &fields);
     }
 }
 
@@ -777,22 +778,23 @@ mod tests {
         });
         let m = run_ok(&rt, &mut probe, &trace);
         let events = sink.events();
-        let count = |k: &str| events.iter().filter(|e| e.kind == k).count() as u64;
-        assert_eq!(count("session"), m.sessions);
-        assert_eq!(count("round") as usize, m.loss_curve.len());
+        let count = |k: EventKind| events.iter().filter(|e| e.is(k)).count() as u64;
+        assert_eq!(count(EventKind::Session), m.sessions);
+        assert_eq!(count(EventKind::Round) as usize, m.loss_curve.len());
         // The probe moves one 15 kB payload per session.
-        assert_eq!(count("transfer"), m.sessions);
-        assert_eq!(sink.counters()["sessions"], m.sessions);
-        assert_eq!(sink.counters()["bytes_tx"], m.sessions * 15_000);
-        assert_eq!(sink.counters()["rounds"] as usize, m.loss_curve.len());
-        let session = match events.iter().find(|e| e.kind == "session") {
+        assert_eq!(count(EventKind::Transfer), m.sessions);
+        let counters = sink.counters();
+        assert_eq!(counters[Counter::Sessions.name()], m.sessions);
+        assert_eq!(counters[Counter::BytesTx.name()], m.sessions * 15_000);
+        assert_eq!(counters[Counter::Rounds.name()] as usize, m.loss_curve.len());
+        let session = match events.iter().find(|e| e.is(EventKind::Session)) {
             Some(e) => e,
             None => panic!("a session event must exist"),
         };
         for field in ["i", "j", "t", "priority", "duration_s"] {
             assert!(session.get(field).is_some(), "session event missing {field}");
         }
-        let transfer = match events.iter().find(|e| e.kind == "transfer") {
+        let transfer = match events.iter().find(|e| e.is(EventKind::Transfer)) {
             Some(e) => e,
             None => panic!("a transfer event must exist"),
         };
@@ -1185,7 +1187,7 @@ mod tests {
             };
             let mut chatter = Chatter::new(fleet.len(), stated);
             let m = Runtime::new(cfg).run(&mut chatter, &trace, &[]).expect("trace fits");
-            (m.sessions, sink.counters()["net.contact.estimates"], chatter.ranked.get())
+            (m.sessions, sink.counters()[Counter::NetContactEstimates.name()], chatter.ranked.get())
         };
         let (sessions, estimates, _) = run(Some(0.0));
         assert!(sessions > 100, "the fleet must keep chatting: {sessions}");

@@ -23,6 +23,7 @@
 
 use super::{drive_session, emit_round, CollabAlgorithm, FrameCtx, RuntimeConfig, SessionCtx};
 use crate::metrics::Metrics;
+use crate::obs::{Counter, EventKind};
 use rand::SeedableRng;
 use simnet::channel::Channel;
 use simnet::contact::{ContactEstimate, ContactPredictor};
@@ -81,8 +82,8 @@ pub(super) fn run<A: CollabAlgorithm>(
         let stats =
             grid.encounters_into(trace, time, cfg.radio.range_m, &active, &mut encounters);
         if cfg.obs.enabled() {
-            cfg.obs.add("net.encounter.candidates", stats.candidates);
-            cfg.obs.add("net.encounter.cells", stats.cells);
+            cfg.obs.add(Counter::NetEncounterCandidates, stats.candidates);
+            cfg.obs.add(Counter::NetEncounterCells, stats.cells);
         }
         let mut candidates: Vec<(f64, usize, usize, ContactEstimate)> = Vec::new();
         for e in &encounters {
@@ -129,9 +130,9 @@ pub(super) fn run<A: CollabAlgorithm>(
             };
             let duration = drive_session(algo, &mut link);
             if cfg.obs.enabled() {
-                cfg.obs.add("sessions", 1);
+                cfg.obs.add(Counter::Sessions, 1);
                 cfg.obs.emit(
-                    "session",
+                    EventKind::Session,
                     &[
                         ("i", i.into()),
                         ("j", j.into()),
@@ -161,8 +162,8 @@ pub(super) fn run<A: CollabAlgorithm>(
                 let stats = algo.local_training(v, iters, &mut rng);
                 metrics.train_iterations += iters as u64;
                 if cfg.obs.enabled() && stats.batches > 0 {
-                    cfg.obs.add("train.batch", stats.batches);
-                    cfg.obs.add("train.samples", stats.samples);
+                    cfg.obs.add(Counter::TrainBatch, stats.batches);
+                    cfg.obs.add(Counter::TrainSamples, stats.samples);
                 }
             }
         }

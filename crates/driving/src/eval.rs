@@ -10,7 +10,7 @@
 
 use crate::learner::DrivingLearner;
 use lbchat::exec;
-use lbchat::obs::ObsSink;
+use lbchat::obs::{Counter, EventKind, ObsSink};
 use lbchat::ConfigError;
 use rand::SeedableRng;
 use simnet::geom::Vec2;
@@ -534,20 +534,20 @@ pub fn success_rate_obs(
     let outcomes = exec::par_run_traced(obs, &stage, cfg.trials, |trial| {
         let (end, _) = Rollout::of_trial(&base, task, cfg, trial).run(learner, &mut |_| {});
         if obs.enabled() {
-            obs.add("trials", 1);
+            obs.add(Counter::Trials, 1);
             let outcome = match end {
                 TrialEnd::Success => "success",
                 TrialEnd::Collision => {
-                    obs.add("collisions", 1);
+                    obs.add(Counter::Collisions, 1);
                     "collision"
                 }
                 TrialEnd::OffRoute | TrialEnd::Timeout => {
-                    obs.add("timeouts", 1);
+                    obs.add(Counter::Timeouts, 1);
                     "timeout"
                 }
             };
             obs.emit(
-                "trial",
+                EventKind::Trial,
                 &[
                     ("task", task.name().into()),
                     ("trial", trial.into()),

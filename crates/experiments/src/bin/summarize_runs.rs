@@ -17,7 +17,7 @@ use std::path::PathBuf;
 
 use experiments::manifest::RUNS_DIR;
 use experiments::report::Table;
-use lbchat::obs::{parse_jsonl, Event, Json};
+use lbchat::obs::{parse_jsonl, Counter, Event, EventKind, Gauge, Json};
 
 const USAGE: &str = "\
 usage: summarize_runs [--tables] [MANIFEST.jsonl ...]
@@ -149,9 +149,9 @@ fn read_manifest(path: &std::path::Path) -> Result<RunSummary, String> {
     let events = parse_jsonl(&text)?;
     let start = events
         .iter()
-        .find(|e| e.kind == "run_start")
+        .find(|e| e.is(EventKind::RunStart))
         .ok_or("manifest has no run_start event")?;
-    let end = events.iter().find(|e| e.kind == "run_end");
+    let end = events.iter().find(|e| e.is(EventKind::RunEnd));
 
     let name = start.str_field("name").unwrap_or("?");
     let seed = start.get("seed").and_then(Json::as_u64).unwrap_or(0);
@@ -167,21 +167,28 @@ fn read_manifest(path: &std::path::Path) -> Result<RunSummary, String> {
         push("wall_s", fmt_opt_secs(end.num("wall_ms")));
         push("events", fmt_opt_u64(end.get("events")));
         if let Some(counters) = end.get("counters").and_then(Json::as_obj) {
-            for key in
-                ["sessions", "chats", "rounds", "trials", "collisions", "timeouts", "transfers_failed"]
-            {
-                if let Some(v) = counters.iter().find(|(k, _)| k == key) {
-                    push(key, v.1.to_string());
+            let total = |c: Counter| counters.iter().find(|(k, _)| k == c.name()).map(|(_, v)| v);
+            for c in [
+                Counter::Sessions,
+                Counter::Chats,
+                Counter::Rounds,
+                Counter::Trials,
+                Counter::Collisions,
+                Counter::Timeouts,
+                Counter::TransfersFailed,
+            ] {
+                if let Some(v) = total(c) {
+                    push(c.name(), v.to_string());
                 }
             }
-            for key in ["bytes_tx", "bytes_delivered"] {
-                if let Some((_, Json::UInt(b))) = counters.iter().find(|(k, _)| k == key) {
-                    push(key, format!("{:.1} MB", *b as f64 / 1e6));
+            for c in [Counter::BytesTx, Counter::BytesDelivered] {
+                if let Some(Json::UInt(b)) = total(c) {
+                    push(c.name(), format!("{:.1} MB", *b as f64 / 1e6));
                 }
             }
         }
         if let Some(gauges) = end.get("gauges").and_then(Json::as_obj) {
-            if let Some((_, psi)) = gauges.iter().find(|(k, _)| k == "psi") {
+            if let Some((_, psi)) = gauges.iter().find(|(k, _)| k == Gauge::Psi.name()) {
                 push("psi mean", fmt_opt_num(psi.get("mean")));
             }
         }
@@ -190,7 +197,7 @@ fn read_manifest(path: &std::path::Path) -> Result<RunSummary, String> {
     }
 
     let mut final_losses = BTreeMap::new();
-    for e in events.iter().filter(|e| e.kind == "cell_finish") {
+    for e in events.iter().filter(|e| e.is(EventKind::CellFinish)) {
         if let Some(cell) = e.str_field("cell") {
             final_losses.insert(cell.to_string(), fmt_opt_num(e.get("final_loss")));
         }
@@ -201,7 +208,11 @@ fn read_manifest(path: &std::path::Path) -> Result<RunSummary, String> {
         started_unix_ms: start.get("started_unix_ms").and_then(Json::as_u64).unwrap_or(0),
         facts,
         final_losses,
-        tables: events.iter().filter(|e| e.kind == "table").filter_map(rebuild_table).collect(),
+        tables: events
+            .iter()
+            .filter(|e| e.is(EventKind::Table))
+            .filter_map(rebuild_table)
+            .collect(),
     })
 }
 

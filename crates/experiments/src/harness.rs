@@ -19,7 +19,7 @@ use crate::report::Table;
 use crate::scenario::Scenario;
 use driving::{success_rate_obs, EvalConfig, Task};
 use lbchat::exec;
-use lbchat::obs::{Json, ObsSink};
+use lbchat::obs::{EventKind, Json, ObsSink};
 
 /// Closed-loop evaluation config derived from the scenario scale.
 pub fn eval_config(s: &Scenario) -> EvalConfig {
@@ -83,7 +83,7 @@ pub fn run_cell_obs(
 fn emit_cell_start(obs: &ObsSink, method: Method, condition: Condition, index: usize) {
     if obs.enabled() {
         obs.emit(
-            "cell_start",
+            EventKind::CellStart,
             &[
                 ("cell", cell_label(method, condition).into()),
                 ("method", method.name().into()),
@@ -127,7 +127,7 @@ fn emit_cell_finish(
         fields.push(("rates", Json::Arr(rates.iter().map(|&r| Json::Num(r)).collect())));
     }
     fields.push(("wall_ms", Json::Num(started.elapsed().as_secs_f64() * 1e3)));
-    obs.emit("cell_finish", &fields);
+    obs.emit(EventKind::CellFinish, &fields);
 }
 
 /// Builds a Table II/III-shaped table: rows = tasks, columns = methods.

@@ -21,7 +21,7 @@ use std::time::Instant;
 use crate::report::Table;
 use crate::scenario::Scale;
 use lbchat::exec;
-use lbchat::obs::{Json, ObsSink};
+use lbchat::obs::{EventKind, Json, ObsSink};
 
 /// Environment variable: set to `0` to disable run-manifest recording.
 pub const OBS_ENV: &str = "LBCHAT_OBS";
@@ -56,7 +56,7 @@ impl RunManifest {
         let started_unix_ms = unix_ms();
         if sink.enabled() {
             sink.emit(
-                "run_start",
+                EventKind::RunStart,
                 &[
                     ("schema", SCHEMA_VERSION.into()),
                     ("name", name.into()),
@@ -102,7 +102,7 @@ impl RunManifest {
             })
             .collect();
         self.sink.emit(
-            "table",
+            EventKind::Table,
             &[
                 ("title", table.title().into()),
                 ("columns", Json::Arr(table.columns().iter().map(|c| c.as_str().into()).collect())),
@@ -141,7 +141,7 @@ impl RunManifest {
                 .collect(),
         );
         self.sink.emit(
-            "run_end",
+            EventKind::RunEnd,
             &[
                 ("name", self.name.as_str().into()),
                 // +1 for this run_end event itself.

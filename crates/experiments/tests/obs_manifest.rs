@@ -11,7 +11,7 @@
 use experiments::harness::train_and_evaluate_obs;
 use experiments::{Condition, Method, Scale, Scenario};
 use lbchat::exec;
-use lbchat::obs::{parse_jsonl, ObsSink, TIMING_FIELDS};
+use lbchat::obs::{parse_jsonl, EventKind, ObsSink, TIMING_FIELDS};
 
 #[test]
 fn manifest_events_are_deterministic_modulo_timing() {
@@ -33,10 +33,18 @@ fn manifest_events_are_deterministic_modulo_timing() {
     // The cell emitted a full complement of event kinds.
     let events = serial.events();
     assert!(!events.is_empty(), "a recording cell must produce events");
-    for kind in ["cell_start", "cell_finish", "round", "session", "transfer", "chat", "trial", "work_unit"]
-    {
+    for kind in [
+        EventKind::CellStart,
+        EventKind::CellFinish,
+        EventKind::Round,
+        EventKind::Session,
+        EventKind::Transfer,
+        EventKind::Chat,
+        EventKind::Trial,
+        EventKind::WorkUnit,
+    ] {
         assert!(
-            events.iter().any(|e| e.kind == kind),
+            events.iter().any(|e| e.is(kind)),
             "expected at least one {kind:?} event, got kinds {:?}",
             events.iter().map(|e| e.kind.clone()).collect::<std::collections::BTreeSet<_>>()
         );
@@ -79,7 +87,7 @@ fn manifest_events_are_deterministic_modulo_timing() {
 
     // The schema promise behind canonicalization: timing fields appear
     // nowhere except as designated.
-    let cell_finish = events.iter().find(|e| e.kind == "cell_finish").unwrap();
+    let cell_finish = events.iter().find(|e| e.is(EventKind::CellFinish)).unwrap();
     assert!(cell_finish.num("wall_ms").is_some());
     assert!(TIMING_FIELDS.contains(&"wall_ms"));
 }

@@ -46,7 +46,7 @@ use crate::bev::{rasterize, Bev, BevConfig, Pose};
 use crate::expert::{hazard_ahead, ExpertOutput};
 use crate::map::{EdgeId, MapConfig, NodeId, RoadNetwork};
 use crate::route::{Route, RoutingTable};
-use lbchat::obs::ObsSink;
+use lbchat::obs::{Counter, ObsSink};
 use rand::{Rng, RngExt, SeedableRng};
 use simnet::geom::Vec2;
 use simnet::trace::MobilityTrace;
@@ -782,9 +782,9 @@ impl World {
         self.time += f64::from(dt);
 
         let stats = TickStats { awake: active + self.peds.len(), slept, woken };
-        self.obs.add("world.tick.awake", stats.awake as u64);
-        self.obs.add("world.tick.slept", stats.slept as u64);
-        self.obs.add("world.tick.woken", stats.woken as u64);
+        self.obs.add(Counter::WorldTickAwake, stats.awake as u64);
+        self.obs.add(Counter::WorldTickSlept, stats.slept as u64);
+        self.obs.add(Counter::WorldTickWoken, stats.woken as u64);
         stats
     }
 
@@ -1286,9 +1286,9 @@ mod tests {
             w.step();
         }
         let counters = sink.counters();
-        assert!(counters.get("world.tick.awake").copied().unwrap_or(0) > 0);
-        assert!(counters.get("world.tick.woken").copied().unwrap_or(0) > 0);
-        assert!(counters.get("world.tick.slept").copied().unwrap_or(0) > 0);
+        for c in [Counter::WorldTickAwake, Counter::WorldTickWoken, Counter::WorldTickSlept] {
+            assert!(counters.get(c.name()).copied().unwrap_or(0) > 0, "{c:?}");
+        }
     }
 
     #[test]

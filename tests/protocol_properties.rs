@@ -127,7 +127,7 @@ proptest! {
     ) {
         let pa = ParamVec::from_vec(a.clone());
         let pb = ParamVec::from_vec(b.clone());
-        for rule in [AggregationRule::InverseLoss, AggregationRule::AsPrinted, AggregationRule::Average] {
+        for rule in [AggregationRule::InverseLoss, AggregationRule::Average] {
             let m = aggregate(&pa, la, &pb, lb, rule);
             for ((x, y), z) in a.iter().zip(&b).zip(m.as_slice()) {
                 let (lo, hi) = if x <= y { (*x, *y) } else { (*y, *x) };
