@@ -2,6 +2,7 @@
 //! the contact-fitted model swap the two gossip baselines (DP, DFL-DDS)
 //! run on every encounter.
 
+use lbchat::compress::{compress_dense, wire_bytes};
 use lbchat::learner::mean_loss;
 use lbchat::optimize::equal_compression_choice;
 use lbchat::prelude::{
@@ -121,7 +122,7 @@ impl FittedSwap {
         if psi <= 0.0 {
             return None;
         }
-        let bytes = ctx.codec().wire_bytes(model_bytes, psi);
+        let bytes = wire_bytes(model_bytes, psi);
         let limit = budget.min(contact);
         // Sized to fit min(T_B, contact) at nominal bandwidth, but the pair
         // keeps transmitting while still in range — failures come from the
@@ -132,7 +133,7 @@ impl FittedSwap {
         Some((state, SessionStep::Transfer(TransferSpec::link(bytes, deadline))))
     }
 
-    /// Books the finished transfer, keeps the sender's codec-compressed
+    /// Books the finished transfer, keeps the sender's top-k-compressed
     /// model if it arrived, and requests the return leg after the first.
     pub(crate) fn step<L: Learner>(
         &mut self,
@@ -142,10 +143,8 @@ impl FittedSwap {
     ) -> SessionStep {
         ctx.metrics.record_model_send(out.is_delivered(), self.bytes, out.elapsed());
         let sender = if self.returning { ctx.j } else { ctx.i };
-        let received = out.is_delivered().then(|| {
-            let codec = ctx.codec();
-            codec.apply(nodes[sender].learner.params(), self.psi, ctx.rng())
-        });
+        let received =
+            out.is_delivered().then(|| compress_dense(nodes[sender].learner.params(), self.psi));
         if self.returning {
             self.model_j = received;
             return SessionStep::Done;

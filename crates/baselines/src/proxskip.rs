@@ -151,9 +151,8 @@ impl<L: Learner> CollabAlgorithm for ProxSkip<L> {
             return; // skipped round: local steps only
         }
         // Upload phase: which models reach the server. Backend messages
-        // carry the full model (ψ = 1) through the session codec so the
-        // wire accounting follows the --codec axis.
-        let model_bytes = ctx.codec().wire_bytes(self.config.model_bytes, 1.0);
+        // carry the full, uncompressed model (ψ = 1).
+        let model_bytes = self.config.model_bytes;
         let mut arrived: Vec<usize> = Vec::new();
         for i in 0..self.nodes.len() {
             if ctx.backend_message(model_bytes) {

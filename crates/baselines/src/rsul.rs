@@ -134,9 +134,8 @@ impl<L: Learner> CollabAlgorithm for RsuL<L> {
 
     fn on_frame(&mut self, ctx: &mut FrameCtx<'_>) {
         let n_rsus = self.rsu_positions.len();
-        // Infrastructure messages carry the full model (ψ = 1) through the
-        // session codec so the wire accounting follows the --codec axis.
-        let model_bytes = ctx.codec().wire_bytes(self.config.model_bytes, 1.0);
+        // Infrastructure messages carry the full, uncompressed model (ψ = 1).
+        let model_bytes = self.config.model_bytes;
         for v in 0..self.nodes.len() {
             if ctx.busy_until[v] > ctx.time {
                 continue;

@@ -217,47 +217,37 @@ fn bench_compress(c: &mut Timer, _opts: &SuiteOpts) {
     let params =
         ParamVec::from_vec((0..25_000).map(|_| rng.random_range(-1.0f32..1.0)).collect());
     c.bench_function("compress/topk_25k_psi_0.1", |b| b.measure(|| top_k(&params, 0.1)));
-    // One encode + one decode cell per codec: the share-path hot loops of
-    // docs/COMPRESSION.md. Fixed seed keeps the stochastic quantizers
-    // deterministic across runs.
-    for codec in Codec::ALL {
-        c.bench_function(format!("compress/{codec}_encode_25k_psi_0.1"), |b| {
-            b.measure(|| {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-                codec.encode(&params, 0.1, &mut rng)
-            });
-        });
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let wire = codec.encode(&params, 0.1, &mut rng);
-        c.bench_function(format!("compress/{codec}_decode_25k_psi_0.1"), |b| {
-            b.measure(|| wire.decode().expect("own encode decodes"));
-        });
-    }
+    // The encode and decode of docs/COMPRESSION.md's one wire layout.
+    c.bench_function("compress/topk_encode_25k_psi_0.1", |b| {
+        b.measure(|| Codec::TopK.encode(&params, 0.1, &mut rng));
+    });
+    let wire = Codec::TopK.encode(&params, 0.1, &mut rng);
+    c.bench_function("compress/topk_decode_25k_psi_0.1", |b| {
+        b.measure(|| wire.decode().expect("own encode decodes"));
+    });
     print_wire_size_table();
 }
 
-/// Prints the cost model's two wire-size accountings side by side for
-/// every codec — the paper's simplified `ψ·S` next to the honest
-/// `min(2ψ, 1)·S` pair-encoding family — so the bench report never
-/// understates sparse-encoding cost (the documented divergence in
+/// Prints the cost model's two wire-size accountings side by side — the
+/// paper's simplified `ψ·S` next to the honest `min(2ψ, 1)·S`
+/// pair-encoding family — so the bench report never understates
+/// sparse-encoding cost (the documented divergence in
 /// docs/COMPRESSION.md).
 fn print_wire_size_table() {
-    use lbchat::compress::Codec;
+    use lbchat::compress::{pair_wire_bytes, wire_bytes};
     const S: usize = 52 * 1024 * 1024; // the paper's dense model
     eprintln!("wire bytes at S = 52 MiB (paper psi*S | honest pair accounting), in MiB:");
-    for codec in Codec::ALL {
-        let cells: Vec<String> = [0.05f32, 0.125, 0.25, 0.5, 1.0]
-            .iter()
-            .map(|&psi| {
-                format!(
-                    "psi={psi}: {:.2}|{:.2}",
-                    codec.wire_bytes(S, psi) as f64 / (1024.0 * 1024.0),
-                    codec.pair_wire_bytes(S, psi) as f64 / (1024.0 * 1024.0),
-                )
-            })
-            .collect();
-        eprintln!("  {:<8} {}", codec.name(), cells.join("  "));
-    }
+    let cells: Vec<String> = [0.05f32, 0.125, 0.25, 0.5, 1.0]
+        .iter()
+        .map(|&psi| {
+            format!(
+                "psi={psi}: {:.2}|{:.2}",
+                wire_bytes(S, psi) as f64 / (1024.0 * 1024.0),
+                pair_wire_bytes(S, psi) as f64 / (1024.0 * 1024.0),
+            )
+        })
+        .collect();
+    eprintln!("  {:<8} {}", "topk", cells.join("  "));
 }
 
 fn bench_solver(c: &mut Timer, _opts: &SuiteOpts) {

@@ -8,6 +8,7 @@
 //! aggregation, and dataset expansion.
 
 use crate::aggregate::aggregate_sparse_aware;
+use crate::compress::{compress_dense, pair_wire_bytes, wire_bytes};
 use crate::config::LbChatConfig;
 use crate::coreset::{construct_with_scratch, reduce, Coreset, CoresetConfig, CoresetScratch};
 use crate::dataset::WeightedDataset;
@@ -360,7 +361,7 @@ impl<L: Learner> LbChatAlgorithm<L> {
     /// the `compress.*` byte counters: the bytes the cost model charged (the
     /// paper's `ψ·S` family) next to the honest `min(2ψ, 1)·S` pair
     /// accounting (docs/OBSERVABILITY.md, docs/COMPRESSION.md) — and returns
-    /// the receiver's codec reconstruction if it arrived.
+    /// the receiver's top-k reconstruction if it arrived.
     fn model_received(
         &self,
         sender: usize,
@@ -368,17 +369,15 @@ impl<L: Learner> LbChatAlgorithm<L> {
         out: TransferOutcome,
         ctx: &mut SessionCtx<'_>,
     ) -> Option<ParamVec> {
-        let codec = ctx.codec();
         let dense = self.config.model_wire_bytes;
-        let bytes = codec.wire_bytes(dense, psi);
+        let bytes = wire_bytes(dense, psi);
         ctx.metrics.record_model_send(out.is_delivered(), bytes, out.elapsed());
         let obs = ctx.obs();
         if obs.enabled() {
             obs.add(Counter::CompressModelBytes, bytes as u64);
-            obs.add(Counter::CompressPairBytes, codec.pair_wire_bytes(dense, psi) as u64);
+            obs.add(Counter::CompressPairBytes, pair_wire_bytes(dense, psi) as u64);
         }
-        out.is_delivered()
-            .then(|| codec.apply(self.nodes[sender].learner.params(), psi, ctx.rng()))
+        out.is_delivered().then(|| compress_dense(self.nodes[sender].learner.params(), psi))
     }
 
     /// Phase 5 sequencing: request the `i → j` model transfer if ψ_i
@@ -390,8 +389,7 @@ impl<L: Learner> LbChatAlgorithm<L> {
     ) -> SessionStep {
         state.absorb_on_close = true;
         if self.config.share_model && state.choice.psi_i >= PSI_MIN {
-            let bytes =
-                ctx.codec().wire_bytes(self.config.model_wire_bytes, state.choice.psi_i);
+            let bytes = wire_bytes(self.config.model_wire_bytes, state.choice.psi_i);
             state.phase = ChatPhase::ModelIJ;
             return SessionStep::Transfer(TransferSpec::link(
                 bytes,
@@ -408,8 +406,7 @@ impl<L: Learner> LbChatAlgorithm<L> {
         ctx: &mut SessionCtx<'_>,
     ) -> SessionStep {
         if self.config.share_model && state.choice.psi_j >= PSI_MIN {
-            let bytes =
-                ctx.codec().wire_bytes(self.config.model_wire_bytes, state.choice.psi_j);
+            let bytes = wire_bytes(self.config.model_wire_bytes, state.choice.psi_j);
             state.phase = ChatPhase::ModelJI;
             return SessionStep::Transfer(TransferSpec::link(
                 bytes,
@@ -566,7 +563,7 @@ impl<L: Learner> CollabAlgorithm for LbChatAlgorithm<L> {
                 self.model_exchange_step(state, ctx)
             }
             ChatPhase::ModelIJ => {
-                // --- 5. Model exchange (codec-compressed both ways). ---
+                // --- 5. Model exchange (top-k-compressed both ways). ---
                 state.received_j = self.model_received(i, state.choice.psi_i, out, ctx);
                 self.model_ji_step(state, ctx)
             }

@@ -85,8 +85,10 @@ registry! {
         Trials = "trials",
         /// Trials ending in a collision.
         Collisions = "collisions",
-        /// Trials ending in a timeout.
+        /// Trials that ran out of budget.
         Timeouts = "timeouts",
+        /// Trials that strayed too far from the route.
+        OffRoutes = "off_routes",
         /// Minibatches the batched training kernels processed.
         TrainBatch = "train.batch",
         /// Samples those minibatches contained.

@@ -144,7 +144,6 @@ impl<'a, A: CollabAlgorithm> EventLoop<'a, A> {
                 rng: &mut self.rng,
                 metrics: &mut self.metrics,
                 loss_model: &self.cfg.loss_model,
-                codec: self.cfg.codec,
                 obs: &self.cfg.obs,
             };
             algo.on_frame(&mut fctx);
@@ -280,7 +279,6 @@ impl<'a, A: CollabAlgorithm> EventLoop<'a, A> {
             metrics: &mut self.metrics,
             est,
             elapsed: 0.0,
-            codec: self.cfg.codec,
             obs: &self.cfg.obs,
         };
         let duration = drive_session(algo, &mut ctx);

@@ -63,11 +63,11 @@ pub struct RuntimeConfig {
     pub route_share_samples: usize,
     /// RNG seed for communication randomness.
     pub seed: u64,
-    /// Model codec every share path routes model exchange through (the
-    /// `--codec` CLI axis): the runtime hands it to algorithms via
-    /// [`SessionCtx::codec`] / [`FrameCtx::codec`]. The default
-    /// [`Codec::TopK`] reproduces the paper's §III-C top-k path bit for
-    /// bit; see docs/COMPRESSION.md for the alternatives.
+    /// Unused: nothing in the workspace reads it. Every share path sends
+    /// magnitude top-k (`lbchat::compress`, docs/COMPRESSION.md), the only
+    /// [`Codec`]. The field stays only because the stand-alone `lbchat_e2e`
+    /// benchmark package still sets it; it goes once that package's
+    /// `workloads.rs` stops naming it.
     pub codec: Codec,
     /// Observability sink for structured run events (`round`, `session`,
     /// `transfer`, `backend`, `chat`); disabled (zero-cost) by default.
@@ -120,7 +120,10 @@ impl RuntimeConfig {
 /// unwinding.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RuntimeError {
-    /// The [`RuntimeConfig`] failed [`RuntimeConfig::validate`].
+    /// A config of the run failed validation: the [`RuntimeConfig`]
+    /// ([`RuntimeConfig::validate`], checked by [`Runtime::run`]) or a
+    /// caller's config checked before it trains, such as the closed-loop
+    /// evaluation config the experiment harness validates.
     Config(ConfigError),
     /// The mobility trace has fewer agents than the algorithm has nodes.
     TraceTooSmall {
@@ -134,7 +137,7 @@ pub enum RuntimeError {
 impl std::fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RuntimeError::Config(error) => write!(f, "invalid runtime config: {error}"),
+            RuntimeError::Config(error) => write!(f, "invalid config: {error}"),
             RuntimeError::TraceTooSmall { agents, nodes } => write!(
                 f,
                 "trace has {agents} agents but the algorithm needs {nodes}"
@@ -171,7 +174,6 @@ pub struct SessionCtx<'a> {
     pub metrics: &'a mut Metrics,
     est: ContactEstimate,
     elapsed: f64,
-    codec: Codec,
     obs: &'a ObsSink,
 }
 
@@ -251,13 +253,6 @@ impl SessionCtx<'_> {
     pub fn bandwidth_bps(&self) -> f64 {
         self.channel.config().bandwidth_bps
     }
-
-    /// The session's model codec ([`RuntimeConfig`]'s `codec` field): the
-    /// single entry point model exchange is routed through, for every
-    /// method.
-    pub fn codec(&self) -> Codec {
-        self.codec
-    }
 }
 
 /// Per-frame context for infrastructure-based methods (central server,
@@ -278,7 +273,6 @@ pub struct FrameCtx<'a> {
     /// Metrics sink.
     pub metrics: &'a mut Metrics,
     loss_model: &'a LossModel,
-    codec: Codec,
     obs: &'a ObsSink,
 }
 
@@ -286,13 +280,6 @@ impl FrameCtx<'_> {
     /// The RNG for protocol-level randomness.
     pub fn rng(&mut self) -> &mut rand::rngs::StdRng {
         self.rng
-    }
-
-    /// The run's model codec; see [`SessionCtx::codec`]. Infrastructure
-    /// methods charge their backend model messages through it (at ψ = 1
-    /// for the uncompressed baselines).
-    pub fn codec(&self) -> Codec {
-        self.codec
     }
 
     /// Simulates one backend (cellular) message of a model-sized payload:

@@ -70,7 +70,6 @@ pub(super) fn run<A: CollabAlgorithm>(
                 rng: &mut rng,
                 metrics: &mut metrics,
                 loss_model: &cfg.loss_model,
-                codec: cfg.codec,
                 obs: &cfg.obs,
             };
             algo.on_frame(&mut fctx);
@@ -125,7 +124,6 @@ pub(super) fn run<A: CollabAlgorithm>(
                 metrics: &mut metrics,
                 est,
                 elapsed: 0.0,
-                codec: cfg.codec,
                 obs: &cfg.obs,
             };
             let duration = drive_session(algo, &mut link);

@@ -132,18 +132,17 @@ pub struct TaskResult {
     pub trials: usize,
     /// Trials ended by collision.
     pub collisions: usize,
-    /// Trials ended by timeout.
+    /// Trials that ran out of budget.
     pub timeouts: usize,
+    /// Trials that strayed too far from the route.
+    pub off_route: usize,
 }
 
 impl TaskResult {
-    /// Success rate in percent (the tables' unit).
+    /// Success rate in percent (the tables' unit); NaN for zero trials,
+    /// which measure nothing.
     pub fn percent(&self) -> f64 {
-        if self.trials == 0 {
-            100.0
-        } else {
-            self.successes as f64 / self.trials as f64 * 100.0
-        }
+        self.successes as f64 / self.trials as f64 * 100.0
     }
 }
 
@@ -298,10 +297,22 @@ enum TrialEnd {
     Success,
     /// Hit a car or a pedestrian.
     Collision,
-    /// Strayed hopelessly far from the route: a (fast-forwarded) timeout.
+    /// Strayed hopelessly far from the route.
     OffRoute,
     /// Ran out of budget.
     Timeout,
+}
+
+impl TrialEnd {
+    /// The `outcome` a `trial` event records.
+    fn outcome(self) -> &'static str {
+        match self {
+            TrialEnd::Success => "success",
+            TrialEnd::Collision => "collision",
+            TrialEnd::OffRoute => "off_route",
+            TrialEnd::Timeout => "timeout",
+        }
+    }
 }
 
 /// One control tick of a trial as its observer sees it: the state the
@@ -471,15 +482,24 @@ impl Rollout {
     }
 }
 
-/// Drives one route of `task` printing per-frame telemetry to stderr —
-/// a development aid for the controller (kept public for the `debug_drive`
-/// binary).
-pub fn debug_one_trial(learner: &DrivingLearner, task: Task, cfg: &EvalConfig) {
-    let world = task.world(cfg);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.route_seed);
-    let route = draw_route(&world, task, &mut rng);
-    let map_len = route.length(world.map());
-    eprintln!("== {} route: {:.0} m, {} turns ==", task.name(), map_len, route.turn_count(world.map()));
+/// Drives trial `trial` of `task` exactly as [`success_rate_obs`] does
+/// ([`Rollout::of_trial`]), printing per-frame telemetry to stderr — a
+/// development aid for the controller (the `debug_drive` binary). Returns
+/// the trial's outcome, as its `trial` event records it.
+pub fn debug_one_trial(
+    learner: &DrivingLearner,
+    task: Task,
+    cfg: &EvalConfig,
+    trial: usize,
+) -> &'static str {
+    let rollout = Rollout::of_trial(&task.world(cfg), task, cfg, trial);
+    let (map, route) = (rollout.world.map(), &rollout.tracker.route);
+    eprintln!(
+        "== {} trial {trial} route: {:.0} m, {} turns ==",
+        task.name(),
+        route.length(map),
+        route.turn_count(map)
+    );
     let mut frame = 0u64;
     let mut print_every_tenth = |tick: &Tick| {
         if frame % 10 == 0 {
@@ -492,12 +512,9 @@ pub fn debug_one_trial(learner: &DrivingLearner, task: Task, cfg: &EvalConfig) {
         }
         frame += 1;
     };
-    match Rollout::new(world, route, cfg).run(learner, &mut print_every_tenth) {
-        (TrialEnd::Success, t) => eprintln!("SUCCESS at t={t:.0}s"),
-        (TrialEnd::Collision, t) => eprintln!("COLLISION at t={t:.0}s"),
-        (TrialEnd::OffRoute, t) => eprintln!("OFF-ROUTE at t={t:.0}s"),
-        (TrialEnd::Timeout, budget) => eprintln!("TIMEOUT after {budget:.0}s"),
-    }
+    let (end, t) = rollout.run(learner, &mut print_every_tenth);
+    eprintln!("{} at t={t:.0}s", end.outcome());
+    end.outcome()
 }
 
 /// Evaluates a trained learner on `task`: `cfg.trials` routes, each driven
@@ -517,9 +534,10 @@ pub fn success_rate(learner: &DrivingLearner, task: Task, cfg: &EvalConfig) -> T
 
 /// [`success_rate`] with observability: when `obs` is recording, each
 /// trial runs inside a `work_unit` span (stage `trial:<task>`) and emits
-/// one `trial` event with its outcome (`success`, `collision`, or
-/// `timeout`), alongside the `trials`/`collisions`/`timeouts` counters.
-/// With a disabled sink this is exactly [`success_rate`].
+/// one `trial` event with its outcome (`success`, `collision`,
+/// `off_route` or `timeout`), alongside the `trials`, `collisions`,
+/// `off_routes` and `timeouts` counters. With a disabled sink this is
+/// exactly [`success_rate`].
 pub fn success_rate_obs(
     learner: &DrivingLearner,
     task: Task,
@@ -535,34 +553,30 @@ pub fn success_rate_obs(
         let (end, _) = Rollout::of_trial(&base, task, cfg, trial).run(learner, &mut |_| {});
         if obs.enabled() {
             obs.add(Counter::Trials, 1);
-            let outcome = match end {
-                TrialEnd::Success => "success",
-                TrialEnd::Collision => {
-                    obs.add(Counter::Collisions, 1);
-                    "collision"
-                }
-                TrialEnd::OffRoute | TrialEnd::Timeout => {
-                    obs.add(Counter::Timeouts, 1);
-                    "timeout"
-                }
-            };
+            match end {
+                TrialEnd::Success => {}
+                TrialEnd::Collision => obs.add(Counter::Collisions, 1),
+                TrialEnd::OffRoute => obs.add(Counter::OffRoutes, 1),
+                TrialEnd::Timeout => obs.add(Counter::Timeouts, 1),
+            }
             obs.emit(
                 EventKind::Trial,
                 &[
                     ("task", task.name().into()),
                     ("trial", trial.into()),
-                    ("outcome", outcome.into()),
+                    ("outcome", end.outcome().into()),
                 ],
             );
         }
         end
     });
-    let count = |ends: &[TrialEnd]| outcomes.iter().filter(|end| ends.contains(end)).count();
+    let count = |end: TrialEnd| outcomes.iter().filter(|&&e| e == end).count();
     TaskResult {
-        successes: count(&[TrialEnd::Success]),
+        successes: count(TrialEnd::Success),
         trials: cfg.trials,
-        collisions: count(&[TrialEnd::Collision]),
-        timeouts: count(&[TrialEnd::OffRoute, TrialEnd::Timeout]),
+        collisions: count(TrialEnd::Collision),
+        timeouts: count(TrialEnd::Timeout),
+        off_route: count(TrialEnd::OffRoute),
     }
 }
 
@@ -586,8 +600,9 @@ mod tests {
 
     #[test]
     fn result_percent() {
-        let r = TaskResult { successes: 3, trials: 4, collisions: 1, timeouts: 0 };
+        let r = TaskResult { successes: 3, trials: 4, collisions: 1, timeouts: 0, off_route: 0 };
         assert!((r.percent() - 75.0).abs() < 1e-9);
+        assert!(TaskResult { trials: 0, successes: 0, ..r }.percent().is_nan());
     }
 
     #[test]
@@ -629,15 +644,58 @@ mod tests {
         assert_eq!(EvalConfig::default().validate(), Ok(()));
     }
 
-    #[test]
-    fn untrained_model_fails_navigation() {
+    fn untrained_learner() -> DrivingLearner {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let spec = DrivingLearner::spec_for(
             simworld::bev::BevConfig::default().feature_len(),
             5,
         );
-        let learner = DrivingLearner::new(&spec, 1e-3, &mut rng);
-        let r = success_rate(&learner, Task::NaviEmpty, &quick_cfg());
+        DrivingLearner::new(&spec, 1e-3, &mut rng)
+    }
+
+    /// `success_rate_obs` on a recording sink, with the `outcome` of each
+    /// `trial` event by trial index.
+    fn recorded_outcomes(learner: &DrivingLearner, task: Task) -> (TaskResult, Vec<String>, ObsSink) {
+        let sink = ObsSink::recording();
+        let r = success_rate_obs(learner, task, &quick_cfg(), &sink);
+        let mut outcomes = vec![String::new(); r.trials];
+        for e in sink.events().iter().filter(|e| e.is(EventKind::Trial)) {
+            let trial = e.get("trial").and_then(lbchat::obs::Json::as_u64).unwrap() as usize;
+            assert!(outcomes[trial].is_empty(), "trial {trial} has two events");
+            outcomes[trial] = e.str_field("outcome").unwrap().to_string();
+        }
+        (r, outcomes, sink)
+    }
+
+    #[test]
+    fn trial_ends_sum_to_trials_and_match_the_events() {
+        let (r, outcomes, sink) = recorded_outcomes(&untrained_learner(), Task::NaviEmpty);
+        assert_eq!(r.successes + r.collisions + r.timeouts + r.off_route, r.trials, "{r:?}");
+        assert!(r.off_route > 0, "the untrained policy leaves the route: {r:?}");
+        let n = |outcome: &str| outcomes.iter().filter(|o| *o == outcome).count();
+        assert_eq!(
+            [n("success"), n("collision"), n("timeout"), n("off_route")],
+            [r.successes, r.collisions, r.timeouts, r.off_route],
+            "one trial event per trial, by outcome: {outcomes:?}"
+        );
+        let counters = sink.counters();
+        let count = |c: Counter| counters.get(c.name()).copied().unwrap_or(0) as usize;
+        assert_eq!(
+            [count(Counter::Trials), count(Counter::Collisions), count(Counter::Timeouts), count(Counter::OffRoutes)],
+            [r.trials, r.collisions, r.timeouts, r.off_route]
+        );
+    }
+
+    #[test]
+    fn debug_trial_drives_the_counted_trial() {
+        let learner = untrained_learner();
+        let (_, outcomes, _) = recorded_outcomes(&learner, Task::NaviEmpty);
+        assert_eq!(debug_one_trial(&learner, Task::NaviEmpty, &quick_cfg(), 0), outcomes[0]);
+    }
+
+    #[test]
+    fn untrained_model_fails_navigation() {
+        let r = success_rate(&untrained_learner(), Task::NaviEmpty, &quick_cfg());
         assert!(
             r.successes <= r.trials / 2,
             "an untrained model should mostly fail: {r:?}"

@@ -1,7 +1,9 @@
-//! Telemetry debugging for the closed-loop evaluator: trains at the given
-//! scale, drives one route per task, and prints per-frame telemetry.
+//! Telemetry debugging for the closed-loop evaluator: trains LbChat at the
+//! given scale, then drives trial 0 of two tasks — the same trial the
+//! success tables count first — printing per-frame telemetry to stderr and
+//! each trial's outcome to stdout.
 
-use driving::eval::{EvalConfig, Task};
+use driving::eval::Task;
 use experiments::{exit_on_error, run_method, Args, Condition, Method, Scenario};
 
 fn main() {
@@ -28,7 +30,9 @@ fn main() {
             }
         }
     }
-    let cfg = EvalConfig { trials: 3, ..experiments::harness::eval_config(&s) };
-    driving::eval::debug_one_trial(&out.representative, Task::Straight, &cfg);
-    driving::eval::debug_one_trial(&out.representative, Task::OneTurn, &cfg);
+    let cfg = experiments::harness::eval_config(&s);
+    for task in [Task::Straight, Task::OneTurn] {
+        let outcome = driving::eval::debug_one_trial(&out.representative, task, &cfg, 0);
+        println!("{} trial 0: {outcome}", task.name());
+    }
 }

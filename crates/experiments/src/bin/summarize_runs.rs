@@ -175,6 +175,7 @@ fn read_manifest(path: &std::path::Path) -> Result<RunSummary, String> {
                 Counter::Trials,
                 Counter::Collisions,
                 Counter::Timeouts,
+                Counter::OffRoutes,
                 Counter::TransfersFailed,
             ] {
                 if let Some(v) = total(c) {

@@ -40,6 +40,11 @@ pub fn eval_config(s: &Scenario) -> EvalConfig {
 /// the cell and scopes every event the cell produces under its
 /// [`cell_label`]. `index` is the cell's position in the caller's fan-out,
 /// recorded for cross-reference with `work_unit` events.
+///
+/// # Errors
+/// [`RuntimeError::Config`] before anything trains or is recorded when
+/// [`eval_config`] fails [`EvalConfig::validate`] (e.g. `trials: 0`), and
+/// any error of the training run itself.
 pub fn train_and_evaluate_obs(
     method: Method,
     s: &Scenario,
@@ -47,12 +52,13 @@ pub fn train_and_evaluate_obs(
     obs: &ObsSink,
     index: usize,
 ) -> Result<(Vec<f64>, RunOutput), RuntimeError> {
+    let cfg = eval_config(s);
+    cfg.validate().map_err(RuntimeError::Config)?;
     emit_cell_start(obs, method, condition, index);
     #[expect(clippy::disallowed_methods, reason = "feeds wall_ms, a documented TIMING_FIELDS key the result comparators strip")]
     let started = std::time::Instant::now();
     let cell = obs.scoped(&cell_label(method, condition));
     let out = run_method_obs(method, s, condition, &cell)?;
-    let cfg = eval_config(s);
     let eval_sink = cell.scoped("eval");
     let rates = exec::par_map_traced(obs, "eval-task", &Task::ALL, |_, &task| {
         success_rate_obs(&out.representative, task, &cfg, &eval_sink).percent()
@@ -161,59 +167,11 @@ pub fn success_table_obs(
     Ok((table, outputs))
 }
 
-/// Builds the accuracy-vs-bytes sweep of `docs/COMPRESSION.md`: trains
-/// LbChat once on the scenario, then re-encodes the representative final
-/// model through every sweep codec ([`lbchat::compress::Codec::SWEEP`]) at
-/// each ψ in `psis` and measures the held-out loss of the decoded model
-/// next to the cost model's charged wire bytes (at the scenario's dense
-/// `model_wire_bytes`). Rows are codecs, columns ψ points, each cell
-/// `loss @ KiB`. The training cell is recorded under `obs` like any other
-/// cell; callers put the returned table into the run manifest.
-pub fn codec_sweep_table(
-    s: &Scenario,
-    psis: &[f32],
-    obs: &ObsSink,
-) -> Result<Table, RuntimeError> {
-    use lbchat::prelude::Codec;
-    use lbchat::Learner;
-    use rand::SeedableRng;
-
-    let out = run_cell_obs(Method::LbChat, s, Condition::WithLoss, obs, 0)?;
-    let params = Learner::params(&out.representative).clone();
-    let mut table = Table::new(
-        "Accuracy vs bytes — held-out loss of the codec-roundtripped model",
-        psis.iter().map(|p| format!("psi={p}")).collect(),
-    )
-    .corner("codec");
-    for codec in Codec::SWEEP {
-        let cells = psis
-            .iter()
-            .map(|&psi| {
-                // Fixed seed per (codec, ψ): the sweep is reproducible and
-                // independent of how much RNG the training run consumed.
-                let mut rng = rand::rngs::StdRng::seed_from_u64(s.scale.seed ^ 0xC0DEC);
-                let decoded = codec.apply(&params, psi, &mut rng);
-                let mut probe = out.representative.clone();
-                Learner::set_params(&mut probe, decoded);
-                let loss = s
-                    .eval
-                    .iter()
-                    .map(|f| f64::from(Learner::loss(&probe, f)))
-                    .sum::<f64>()
-                    / s.eval.len().max(1) as f64;
-                let kib = codec.wire_bytes(s.scale.model_wire_bytes, psi) as f64 / 1024.0;
-                format!("{loss:.4} @ {kib:.0} KiB")
-            })
-            .collect();
-        table.row(codec.name(), cells);
-    }
-    Ok(table)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::Scale;
+    use lbchat::ConfigError;
 
     #[test]
     fn eval_config_scales_traffic() {
@@ -221,5 +179,21 @@ mod tests {
         let cfg = eval_config(&s);
         assert!(cfg.traffic_scale > 0.0 && cfg.traffic_scale <= 1.0);
         assert_eq!(cfg.trials, 4);
+    }
+
+    #[test]
+    fn zero_trials_is_refused_before_training() {
+        let s = Scenario::build(Scale {
+            n_vehicles: 2,
+            n_background: 4,
+            n_pedestrians: 10,
+            data_seconds: 30.0,
+            trials: 0,
+            ..Scale::quick()
+        });
+        let sink = ObsSink::recording();
+        let err = train_and_evaluate_obs(Method::LbChat, &s, Condition::NoLoss, &sink, 0).err();
+        assert_eq!(err, Some(RuntimeError::Config(ConfigError::ZeroCount { field: "trials" })));
+        assert_eq!(sink.events(), vec![], "no cell starts, trains or evaluates");
     }
 }

@@ -56,7 +56,6 @@ use lbchat::exec;
 /// --seed N               override the scenario base seed
 /// --jobs N               worker threads (also LBCHAT_JOBS; 1 = serial)
 /// --methods a,b,c        method subset for comparison binaries
-/// --codec NAME           model codec for every share path
 /// --fleet SCALE          background fleet size (seed, 1k, 10k, 100k, 1m)
 /// ```
 ///
@@ -78,7 +77,7 @@ impl Args {
     /// The usage text printed by `--help` and on parse errors.
     pub const USAGE: &'static str = "\
 usage: <experiment> [--quick | --paper] [--seed N] [--jobs N] [--methods a,b,c]
-                    [--codec NAME] [--fleet SCALE]
+                    [--fleet SCALE]
 
   --quick          smoke-test scale (seconds of wall time)
   --paper          the paper's full counts (hours of wall time)
@@ -87,8 +86,6 @@ usage: <experiment> [--quick | --paper] [--seed N] [--jobs N] [--methods a,b,c]
   --methods a,b,c  method subset for comparison binaries; keys:
                    lbchat, sco, proxskip, rsul, dfl-dds, dp,
                    equal-comp, avg-agg, coreset:N
-  --codec NAME     model codec for every share path (docs/COMPRESSION.md);
-                   keys: topk (default), topk-q8, int8, int4, sketch
   --fleet SCALE    non-learning fleet vehicles stressing the world's wake
                    queue; keys: seed (default, 0), 1k, 10k, 100k, 1m";
 
@@ -121,7 +118,6 @@ usage: <experiment> [--quick | --paper] [--seed N] [--jobs N] [--methods a,b,c]
         let mut seed: Option<u64> = None;
         let mut jobs: Option<usize> = None;
         let mut methods: Option<Vec<Method>> = None;
-        let mut codec: Option<lbchat::prelude::Codec> = None;
         let mut fleet: Option<simworld::world::FleetScale> = None;
         let mut it = raw.into_iter();
         while let Some(arg) = it.next() {
@@ -168,13 +164,6 @@ usage: <experiment> [--quick | --paper] [--seed N] [--jobs N] [--methods a,b,c]
                     }
                     methods = Some(parsed);
                 }
-                "--codec" => {
-                    let v = value("--codec")?;
-                    codec = Some(
-                        lbchat::prelude::Codec::from_key(&v)
-                            .ok_or_else(|| format!("unknown codec key {v:?}"))?,
-                    );
-                }
                 "--fleet" => {
                     let v = value("--fleet")?;
                     fleet = Some(
@@ -188,9 +177,6 @@ usage: <experiment> [--quick | --paper] [--seed N] [--jobs N] [--methods a,b,c]
         let mut scale = scale.unwrap_or_else(Scale::default_scale);
         if let Some(seed) = seed {
             scale.seed = seed;
-        }
-        if let Some(codec) = codec {
-            scale.codec = codec;
         }
         if let Some(fleet) = fleet {
             scale.fleet = fleet;
@@ -240,19 +226,6 @@ mod tests {
             a.methods,
             Some(vec![Method::LbChat, Method::Sco, Method::LbChatCoreset(40)])
         );
-    }
-
-    #[test]
-    fn codec_flag_selects_the_share_codec() {
-        use lbchat::prelude::Codec;
-        let a = Args::try_parse(strs(&[])).unwrap();
-        assert_eq!(a.scale.codec, Codec::TopK, "default stays the paper's top-k");
-        let a = Args::try_parse(strs(&["--codec", "int8"])).unwrap();
-        assert_eq!(a.scale.codec, Codec::Int8);
-        let a = Args::try_parse(strs(&["--quick", "--codec=sketch"])).unwrap();
-        assert_eq!(a.scale.codec, Codec::Sketch);
-        assert!(Args::try_parse(strs(&["--codec", "zstd"])).is_err());
-        assert!(Args::try_parse(strs(&["--codec"])).is_err());
     }
 
     #[test]

@@ -181,7 +181,6 @@ fn scale_json(s: &Scale) -> Json {
         ("coreset_size".to_string(), s.coreset_size.into()),
         ("lr".to_string(), s.lr.into()),
         ("seed".to_string(), s.seed.into()),
-        ("codec".to_string(), s.codec.name().into()),
         ("fleet".to_string(), s.fleet.key().into()),
     ])
 }
@@ -255,13 +254,10 @@ mod tests {
         let s = crate::scenario::Scale::quick();
         let snap = scale_json(&s);
         let obj = snap.as_obj().unwrap();
-        assert_eq!(obj.len(), 15, "update scale_json when Scale gains fields");
+        // Every field but `codec`, which nothing reads: top-k is the only codec.
+        assert_eq!(obj.len(), 14, "update scale_json when Scale gains fields");
         assert_eq!(snap.get("seed").and_then(Json::as_u64), Some(s.seed));
-        assert_eq!(
-            snap.get("codec").and_then(Json::as_str),
-            Some(s.codec.name()),
-            "manifest must record the share codec"
-        );
+        assert!(snap.get("codec").is_none(), "the manifest records no codec");
         assert_eq!(
             snap.get("fleet").and_then(Json::as_str),
             Some(s.fleet.key()),

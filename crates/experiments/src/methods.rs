@@ -143,7 +143,6 @@ fn runtime_config(s: &Scenario, condition: Condition, obs: ObsSink) -> RuntimeCo
         loss_model: condition.loss_model(),
         eval_every: s.scale.eval_every,
         seed: s.scale.seed,
-        codec: s.scale.codec,
         obs,
         ..RuntimeConfig::default()
     }

@@ -40,8 +40,11 @@ pub struct Scale {
     pub lr: f32,
     /// Base seed for world/data/training.
     pub seed: u64,
-    /// Model codec every share path routes model exchange through (the
-    /// `--codec` CLI axis; see docs/COMPRESSION.md).
+    /// Unused: nothing in the workspace reads it, and the run manifest does
+    /// not record it. Every share path sends magnitude top-k, the only
+    /// [`Codec`] (docs/COMPRESSION.md). The field stays only because the
+    /// stand-alone `lbchat_e2e` benchmark package still sets it; it goes
+    /// once that package's `workloads.rs` stops naming it.
     pub codec: Codec,
     /// Non-learning fleet vehicles on the park → dwell → drive cycle (the
     /// `--fleet` CLI axis). `Seed` (0 vehicles) reproduces the paper's

@@ -9,7 +9,7 @@
 use experiments::harness::{run_cell_obs, train_and_evaluate_obs};
 use experiments::{Condition, Method, Scale, Scenario};
 use lbchat::exec;
-use lbchat::prelude::{Codec, ObsSink};
+use lbchat::prelude::ObsSink;
 use simworld::world::{FleetScale, World, WorldConfig};
 
 #[test]
@@ -43,25 +43,22 @@ fn results_are_bit_identical_for_any_job_count() {
         "loss curve must not depend on --jobs"
     );
 
-    // The codec axis must hold the same contract: stochastic-rounding
-    // codecs draw from per-session RNGs only, so swapping the codec
-    // cannot reintroduce a jobs dependence. Training-only cells (no
-    // closed-loop eval) keep this arm cheap.
-    let mut s_codec = Scenario::build(Scale::quick());
-    s_codec.scale.codec = Codec::Int8;
+    // The same contract under wireless loss, where the radio draws packet
+    // outcomes from per-session RNGs. Training-only cells (no closed-loop
+    // eval) keep this arm cheap.
     exec::set_jobs(1);
-    let a = run_cell_obs(Method::LbChat, &s_codec, Condition::WithLoss, &ObsSink::disabled(), 0)
+    let a = run_cell_obs(Method::LbChat, &s, Condition::WithLoss, &ObsSink::disabled(), 0)
         .expect("scenario fits");
     exec::set_jobs(4);
-    let b = run_cell_obs(Method::LbChat, &s_codec, Condition::WithLoss, &ObsSink::disabled(), 0)
+    let b = run_cell_obs(Method::LbChat, &s, Condition::WithLoss, &ObsSink::disabled(), 0)
         .expect("scenario fits");
     exec::set_jobs(1);
     assert_eq!(
         a.metrics.loss_curve, b.metrics.loss_curve,
-        "int8 codec loss curve must not depend on --jobs"
+        "lossy-radio loss curve must not depend on --jobs"
     );
     for (i, (ma, mb)) in a.models.iter().zip(&b.models).enumerate() {
-        assert_eq!(ma.as_slice(), mb.as_slice(), "vehicle {i} model diverged under jobs=4 (int8 codec)");
+        assert_eq!(ma.as_slice(), mb.as_slice(), "vehicle {i} model diverged under jobs=4 (wireless loss)");
     }
 
     // The city-scale world holds the same contract at 100 000 fleet

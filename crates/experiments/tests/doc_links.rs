@@ -16,7 +16,7 @@ use lbchat::obs::{Counter, EventKind, Gauge};
 /// flags, and the cargo flags that appear in quoted commands.
 const KNOWN_FLAGS: &[&str] = &[
     // experiments::Args (see crates/experiments/src/lib.rs)
-    "quick", "paper", "seed", "jobs", "methods", "codec", "fleet", "help",
+    "quick", "paper", "seed", "jobs", "methods", "fleet", "help",
     // summarize_runs
     "tables",
     // lbchat-bench / bench_report (see crates/bench/src/main.rs and
@@ -134,15 +134,8 @@ fn docs_reference_only_real_flags_bins_and_examples() {
                     }
                 }
                 ("example", None) => problems.push(format!("{rel}: --example without a name")),
-                // `--codec NAME` (all-caps) is the usage-string placeholder
+                // `--fleet SCALE` (all-caps) is the usage-string placeholder
                 // convention, like `--seed N`; anything else must parse.
-                ("codec", Some(name))
-                    if name.chars().any(|c| c.is_ascii_lowercase())
-                        && lbchat::compress::Codec::from_key(&name).is_none() =>
-                {
-                    problems.push(format!("{rel}: --codec {name} is not a codec key"));
-                }
-                // `--fleet SCALE` follows the same placeholder convention.
                 ("fleet", Some(name))
                     if name.chars().any(|c| c.is_ascii_lowercase())
                         && simworld::world::FleetScale::parse(&name).is_none() =>
@@ -154,25 +147,6 @@ fn docs_reference_only_real_flags_bins_and_examples() {
         }
     }
     assert!(problems.is_empty(), "stale documentation references:\n{}", problems.join("\n"));
-}
-
-#[test]
-fn codec_names_in_prose_and_binary_agree() {
-    use lbchat::compress::Codec;
-    let root = repo_root();
-    // The codec table itself is held to `Codec::ALL` by
-    // crates/core/tests/wire_golden.rs; every backticked `--codec KEY`
-    // in the spec must resolve.
-    let doc = std::fs::read_to_string(root.join("docs/COMPRESSION.md"))
-        .expect("docs/COMPRESSION.md is the normative codec spec");
-    for token in doc.split('`').skip(1).step_by(2) {
-        if let Some(rest) = token.strip_prefix("--codec ") {
-            assert!(
-                Codec::from_key(rest).is_some(),
-                "docs/COMPRESSION.md mentions `--codec {rest}`, not a real key"
-            );
-        }
-    }
 }
 
 #[test]

@@ -1,28 +1,17 @@
-//! Wire serialization for parameter vectors.
-//!
-//! Dense little-endian `f32` encoding plus the sparse index–value encoding
-//! the paper uses for top-k-compressed models ("when k is small, we can
-//! represent a compressed model by index-value pairs").
+//! Wire primitives for parameter vectors: the sparse index–value form the
+//! paper uses for top-k-compressed models ("when k is small, we can
+//! represent a compressed model by index-value pairs"), the decode error
+//! type, and the little-endian cursor decoders read with. The one byte
+//! encoding of a model is `lbchat::compress::WireModel`.
 
 use crate::param::ParamVec;
 
-/// Bytes per dense parameter on the wire.
-pub const BYTES_PER_PARAM: usize = 4;
 /// Bytes per sparse (index, value) pair: u32 index + f32 value.
 pub const BYTES_PER_PAIR: usize = 8;
 
-/// A decode failure, shared by every wire format in the workspace (this
-/// module's model encodings and the driving crate's frame encodings), so
-/// transport code handles malformed payloads uniformly.
+/// A decode failure of a wire buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
-    /// The buffer length is impossible for the encoding.
-    BadLength {
-        /// The rejected length in bytes.
-        got: usize,
-        /// What the encoding requires of the length.
-        expected: &'static str,
-    },
     /// The format's magic byte did not match.
     BadMagic {
         /// The byte found where the magic was expected.
@@ -47,9 +36,6 @@ pub enum WireError {
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WireError::BadLength { got, expected } => {
-                write!(f, "bad payload length {got}: expected {expected}")
-            }
             WireError::BadMagic { got } => write!(f, "bad magic byte {got:#04x}"),
             WireError::BadValue { field, got } => {
                 write!(f, "{field} out of domain: {got}")
@@ -68,8 +54,7 @@ impl std::error::Error for WireError {}
 ///
 /// Decoders pull typed fields in layout order — a missing byte surfaces as
 /// [`WireError::Truncated`] at the exact field that ran dry — and call
-/// [`WireReader::finish`] at the end to reject trailing garbage. Shared by
-/// the model codecs in `lbchat::compress` and the driving frame decoders.
+/// [`WireReader::finish`] at the end to reject trailing garbage.
 #[derive(Debug)]
 pub struct WireReader<'a> {
     bytes: &'a [u8],
@@ -99,15 +84,6 @@ impl<'a> WireReader<'a> {
     /// [`WireError::Truncated`] at end of buffer.
     pub fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
-    }
-
-    /// Consumes a little-endian `u16`.
-    ///
-    /// # Errors
-    /// [`WireError::Truncated`] if fewer than 2 bytes remain.
-    pub fn u16(&mut self) -> Result<u16, WireError> {
-        let c = self.take(2)?;
-        Ok(u16::from_le_bytes([c[0], c[1]]))
     }
 
     /// Consumes a little-endian `u32`.
@@ -143,33 +119,6 @@ impl<'a> WireReader<'a> {
             extra => Err(WireError::Trailing { extra }),
         }
     }
-}
-
-/// Serializes the full vector as little-endian `f32`s.
-pub fn to_dense_bytes(p: &ParamVec) -> Vec<u8> {
-    let mut out = Vec::with_capacity(p.len() * BYTES_PER_PARAM);
-    for v in p.as_slice() {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Parses a dense little-endian `f32` encoding.
-///
-/// # Errors
-/// [`WireError::BadLength`] if the byte length is not a multiple of 4.
-pub fn from_dense_bytes(bytes: &[u8]) -> Result<ParamVec, WireError> {
-    if bytes.len() % BYTES_PER_PARAM != 0 {
-        return Err(WireError::BadLength {
-            got: bytes.len(),
-            expected: "a multiple of 4 (dense f32 parameters)",
-        });
-    }
-    let data = bytes
-        .chunks_exact(BYTES_PER_PARAM)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect();
-    Ok(ParamVec::from_vec(data))
 }
 
 /// A sparse model: the k surviving (index, value) pairs of a top-k
@@ -218,71 +167,11 @@ impl SparseModel {
         }
         ParamVec::from_vec(data)
     }
-
-    /// Serializes as `[u32 index, f32 value]*` little-endian.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.wire_bytes());
-        for (&i, &v) in self.indices.iter().zip(&self.values) {
-            out.extend_from_slice(&i.to_le_bytes());
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out
-    }
-
-    /// Parses the `[u32, f32]*` encoding produced by [`SparseModel::to_bytes`].
-    ///
-    /// # Errors
-    /// [`WireError::BadLength`] if the byte length is not a multiple of 8;
-    /// [`WireError::BadValue`] if any index is outside `dense_len`.
-    pub fn from_bytes(dense_len: usize, bytes: &[u8]) -> Result<Self, WireError> {
-        if bytes.len() % BYTES_PER_PAIR != 0 {
-            return Err(WireError::BadLength {
-                got: bytes.len(),
-                expected: "a multiple of 8 (sparse index-value pairs)",
-            });
-        }
-        let n = bytes.len() / BYTES_PER_PAIR;
-        let mut indices = Vec::with_capacity(n);
-        let mut values = Vec::with_capacity(n);
-        for c in bytes.chunks_exact(BYTES_PER_PAIR) {
-            let i = u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-            if i as usize >= dense_len {
-                return Err(WireError::BadValue { field: "sparse index", got: i });
-            }
-            indices.push(i);
-            values.push(f32::from_le_bytes([c[4], c[5], c[6], c[7]]));
-        }
-        Ok(Self { dense_len, indices, values })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dense_roundtrip() {
-        let p = ParamVec::from_vec(vec![1.5, -2.25, 0.0, f32::MIN_POSITIVE]);
-        let bytes = to_dense_bytes(&p);
-        assert_eq!(bytes.len(), 16);
-        assert_eq!(from_dense_bytes(&bytes).unwrap(), p);
-    }
-
-    #[test]
-    fn dense_rejects_ragged_length() {
-        assert!(matches!(
-            from_dense_bytes(&[0u8; 7]),
-            Err(WireError::BadLength { got: 7, .. })
-        ));
-    }
-
-    #[test]
-    fn sparse_roundtrip() {
-        let s = SparseModel::new(10, vec![1, 4, 9], vec![0.5, -1.0, 2.0]);
-        let bytes = s.to_bytes();
-        assert_eq!(bytes.len(), 24);
-        assert_eq!(SparseModel::from_bytes(10, &bytes).unwrap(), s);
-    }
 
     #[test]
     fn sparse_densify() {
@@ -291,32 +180,10 @@ mod tests {
     }
 
     #[test]
-    fn sparse_rejects_out_of_range_index() {
-        let s = SparseModel::new(100, vec![99], vec![1.0]);
-        let bytes = s.to_bytes();
-        assert_eq!(
-            SparseModel::from_bytes(50, &bytes),
-            Err(WireError::BadValue { field: "sparse index", got: 99 })
-        );
-    }
-
-    #[test]
-    fn sparse_rejects_ragged_length() {
-        let s = SparseModel::new(10, vec![1, 4], vec![0.5, -1.0]);
-        let mut bytes = s.to_bytes();
-        bytes.pop();
-        assert!(matches!(
-            SparseModel::from_bytes(10, &bytes),
-            Err(WireError::BadLength { got: 15, .. })
-        ));
-    }
-
-    #[test]
     fn wire_error_messages_name_the_problem() {
         let e = WireError::BadValue { field: "sparse index", got: 99 };
         assert!(e.to_string().contains("sparse index"));
-        let e = WireError::BadLength { got: 7, expected: "a multiple of 4" };
-        assert!(e.to_string().contains('7'));
+        assert!(WireError::Trailing { extra: 7 }.to_string().contains('7'));
     }
 
     #[test]

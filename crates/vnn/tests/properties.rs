@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 use rand::{RngExt, SeedableRng};
 use vnn::loss::{mean_loss, mean_loss_and_grad, LossKind};
-use vnn::wire::{from_dense_bytes, to_dense_bytes, SparseModel};
 use vnn::mlp::LANES;
 use vnn::{
     Activation, BranchedPolicy, Minibatcher, Mlp, MlpScratch, MlpSpec, ParamVec,
@@ -12,24 +11,6 @@ use vnn::{
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn dense_wire_roundtrip(values in prop::collection::vec(-1e6f32..1e6, 0..200)) {
-        let p = ParamVec::from_vec(values);
-        let bytes = to_dense_bytes(&p);
-        prop_assert_eq!(from_dense_bytes(&bytes).unwrap(), p);
-    }
-
-    #[test]
-    fn sparse_wire_roundtrip(
-        pairs in prop::collection::btree_map(0u32..1000, -1e3f32..1e3, 0..64),
-    ) {
-        let indices: Vec<u32> = pairs.keys().copied().collect();
-        let values: Vec<f32> = pairs.values().copied().collect();
-        let s = SparseModel::new(1000, indices, values);
-        let bytes = s.to_bytes();
-        prop_assert_eq!(SparseModel::from_bytes(1000, &bytes).unwrap(), s);
-    }
 
     #[test]
     fn weighted_average_stays_in_hull(

@@ -27,11 +27,12 @@ fn main() {
     for task in Task::ALL {
         let r = success_rate(&out.representative, task, &cfg);
         println!(
-            "  {:<15} {:>3.0}%   ({} ok / {} collisions / {} timeouts over {} trials)",
+            "  {:<15} {:>3.0}%   ({} ok / {} collisions / {} off-route / {} timeouts over {} trials)",
             task.name(),
             r.percent(),
             r.successes,
             r.collisions,
+            r.off_route,
             r.timeouts,
             r.trials
         );
