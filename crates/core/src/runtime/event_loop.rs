@@ -1,10 +1,11 @@
 //! The discrete-event execution engine behind [`super::Runtime::run`].
 //!
-//! Frames, session opens, training slices, and evaluations are events on
-//! the deterministic queue in [`super::sched`]: each frame pushes its
-//! sessions, training slices, and evaluation as same-timestamp events in
-//! phase order, and every session runs to completion at its `ContactOpen`
-//! through [`drive_session`] on the shared RNG.
+//! Frames, session opens, training, and evaluations are events on the
+//! deterministic queue in [`super::sched`]: each frame pushes one
+//! `ContactOpen` per matched pair, one `Train` that runs every node's
+//! training slice, and its evaluation as same-timestamp events in phase
+//! order, and every session runs to completion at its `ContactOpen` through
+//! [`drive_session`] on the shared RNG.
 
 use super::sched::{Event, EventQueue};
 use super::{
@@ -71,12 +72,41 @@ struct EventLoop<'a, A: CollabAlgorithm> {
     free: Vec<usize>,
     /// In-range pairs among `free`, refilled by the grid.
     encounters: Vec<Encounter>,
-    /// `(priority, i, j, estimate)` of every pairing the frame may open;
-    /// the estimate is `None` until matching opens a pair whose method
-    /// stated its priority without one.
-    candidates: Vec<(f64, usize, usize, Option<ContactEstimate>)>,
+    /// Every pairing the frame may open.
+    candidates: Vec<Candidate>,
+    /// The contact estimates that ranked candidates, for the pairs whose
+    /// method stated no static priority; [`Candidate::estimate`] indexes it.
+    estimates: Vec<ContactEstimate>,
     /// Per node: already matched this frame.
     taken: Vec<bool>,
+}
+
+/// A pairing frame matching may open. Kept small because frame 0 of a dense
+/// fleet lists and sorts every pair in range (32 640 at 256 vehicles). Node
+/// ids fit `u32`: the pair cooldown table already holds `n²/2` entries.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    /// Matching priority.
+    score: f64,
+    /// Lower endpoint.
+    i: u32,
+    /// Higher endpoint.
+    j: u32,
+    /// Index into [`EventLoop::estimates`] of the estimate the pair was
+    /// ranked by; `None` when its method stated the priority without one,
+    /// and matching estimates the pair only if it opens.
+    estimate: Option<u32>,
+}
+
+const _: () = assert!(std::mem::size_of::<Candidate>() <= 24);
+
+impl Candidate {
+    /// Descending priority, ties by `(i, j)`. The grid emits pairs in
+    /// ascending `(i, j)` order, so an unstable sort by this order lists
+    /// candidates exactly as a stable sort by priority alone would.
+    fn rank(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
+        b.score.total_cmp(&a.score).then(a.i.cmp(&b.i)).then(a.j.cmp(&b.j))
+    }
 }
 
 impl<'a, A: CollabAlgorithm> EventLoop<'a, A> {
@@ -112,6 +142,7 @@ impl<'a, A: CollabAlgorithm> EventLoop<'a, A> {
             free: Vec::with_capacity(n),
             encounters: Vec::new(),
             candidates: Vec::new(),
+            estimates: Vec::new(),
             taken: vec![false; n],
         }
     }
@@ -122,7 +153,11 @@ impl<'a, A: CollabAlgorithm> EventLoop<'a, A> {
             Event::ContactOpen { i, j, est, priority } => {
                 self.handle_session(algo, i, j, est, priority, t);
             }
-            Event::TrainSlice { node } => self.handle_train_slice(algo, t, node),
+            Event::Train => {
+                for v in 0..self.n {
+                    self.handle_train_slice(algo, t, v);
+                }
+            }
             Event::Eval => {
                 let loss = algo.mean_eval_loss(self.eval);
                 self.metrics.record_loss(t, loss);
@@ -132,8 +167,8 @@ impl<'a, A: CollabAlgorithm> EventLoop<'a, A> {
     }
 
     /// One trace frame: infrastructure hook, pair matching, then the
-    /// frame's sessions, training slices, and evaluation pushed as
-    /// same-timestamp events in phase order.
+    /// frame's sessions, training, and evaluation pushed as same-timestamp
+    /// events in phase order.
     fn handle_frame(&mut self, algo: &mut A, t: f64) {
         {
             let mut fctx = FrameCtx {
@@ -176,13 +211,14 @@ impl<'a, A: CollabAlgorithm> EventLoop<'a, A> {
         // below, for the pairs matching opens only. The estimate is a pure
         // function of (trace, i, j, t) and draws no RNG, so either order
         // hands `ContactOpen` the same bits (DESIGN.md §4).
-        let mut estimates = 0u64;
+        let mut estimated = 0u64;
         let mut estimate = |i, j| {
-            estimates += 1;
+            estimated += 1;
             let (fut_i, fut_j) = self.routes.pair(self.trace, i, j, t, self.dt);
             self.predictor.estimate(fut_i, fut_j, self.dt)
         };
         self.candidates.clear();
+        self.estimates.clear();
         for &Encounter { a: i, b: j, .. } in &self.encounters {
             if self.cooldown.get(i, j) > t {
                 continue;
@@ -197,37 +233,43 @@ impl<'a, A: CollabAlgorithm> EventLoop<'a, A> {
             if !score.is_finite() {
                 continue; // method opted out of this pairing
             }
-            self.candidates.push((score, i, j, est));
+            let slot = est.map(|est| {
+                self.estimates.push(est);
+                (self.estimates.len() - 1) as u32
+            });
+            self.candidates.push(Candidate { score, i: i as u32, j: j as u32, estimate: slot });
         }
         // Greedy matching by descending priority — each vehicle serves its
         // best-scored neighbor first (§III-A). total_cmp: scores are finite.
-        self.candidates.sort_by(|a, b| b.0.total_cmp(&a.0));
+        self.candidates.sort_unstable_by(Candidate::rank);
         self.taken.fill(false);
-        for &(score, i, j, est) in &self.candidates {
+        for &Candidate { score, i, j, estimate: slot } in &self.candidates {
+            let (i, j) = (i as usize, j as usize);
             if self.taken[i] || self.taken[j] {
                 continue;
             }
             self.taken[i] = true;
             self.taken[j] = true;
-            let est = est.unwrap_or_else(|| {
-                let est = estimate(i, j);
-                debug_assert_eq!(
-                    algo.pair_priority(i, j, &est).to_bits(),
-                    score.to_bits(),
-                    "{}: a static priority must not depend on the estimate",
-                    algo.name()
-                );
-                est
-            });
+            let est = match slot {
+                Some(slot) => self.estimates[slot as usize],
+                None => {
+                    let est = estimate(i, j);
+                    debug_assert_eq!(
+                        algo.pair_priority(i, j, &est).to_bits(),
+                        score.to_bits(),
+                        "{}: a static priority must not depend on the estimate",
+                        algo.name()
+                    );
+                    est
+                }
+            };
             self.queue.push(t, Event::ContactOpen { i, j, est, priority: score });
         }
         if self.cfg.obs.enabled() {
-            self.cfg.obs.add(Counter::NetContactEstimates, estimates);
+            self.cfg.obs.add(Counter::NetContactEstimates, estimated);
         }
 
-        for v in 0..self.n {
-            self.queue.push(t, Event::TrainSlice { node: v });
-        }
+        self.queue.push(t, Event::Train);
         if t >= self.next_eval {
             self.queue.push(t, Event::Eval);
             self.next_eval += self.cfg.eval_every;
@@ -340,7 +382,8 @@ mod tests {
         let mut el = EventLoop::new(&cfg, &trace, &[], n);
         el.queue.push(0.0, Event::Frame);
         let capacities = |el: &EventLoop<'_, Probe>| {
-            (el.free.capacity(), el.candidates.capacity(), el.taken.capacity())
+            let matching = (el.candidates.capacity(), el.estimates.capacity());
+            (el.free.capacity(), matching, el.taken.capacity())
         };
         let (mut frames, mut matched, mut warm) = (0usize, 0usize, None);
         while let Some((t, ev)) = el.queue.pop() {
@@ -365,5 +408,44 @@ mod tests {
         assert_eq!(frames, 120, "2 fps over 60 s");
         assert!(matched > 10, "cooldowns expire, so matching keeps finding pairs: {matched}");
         assert!(el.metrics.sessions > n as u64, "the fleet kept chatting: {}", el.metrics.sessions);
+    }
+
+    /// The pairs of a parked lattice fall in three priority tiers, hundreds
+    /// of ties each, so the order the sort leaves ties in decides who is
+    /// matched: the pairs must open as greedy matching over a *stable* sort
+    /// of the grid's ascending `(i, j)` order opens them — the frame loop's
+    /// order — whether the method states its priority or is ranked through
+    /// the estimate.
+    #[test]
+    fn equal_priorities_open_in_pair_order() {
+        let n = 30;
+        let cfg = RuntimeConfig { duration: 1.0, ..RuntimeConfig::default() };
+        let trace = parked_lattice(n, cfg.duration);
+        let tier = |i: usize, j: usize| ((7 * i + 3 * j) % 3) as f64;
+        for stated in [true, false] {
+            let mut probe = Probe::new(n);
+            (probe.priority, probe.stated) = (tier, stated);
+            let mut el = EventLoop::new(&cfg, &trace, &[], n);
+            el.handle_frame(&mut probe, 0.0);
+            let mut pairs: Vec<(usize, usize)> = el.encounters.iter().map(|e| (e.a, e.b)).collect();
+            assert!(pairs.is_sorted(), "the grid emits pairs in (i, j) order");
+            assert!(pairs.len() > 150, "a dense frame: {} pairs", pairs.len());
+            pairs.sort_by(|&(a, b), &(c, d)| tier(c, d).total_cmp(&tier(a, b)));
+            let mut taken = vec![false; n];
+            let mut want = Vec::new();
+            for (i, j) in pairs {
+                if !(taken[i] || taken[j]) {
+                    (taken[i], taken[j]) = (true, true);
+                    want.push((i, j));
+                }
+            }
+            let mut opened = Vec::new();
+            while let Some((_, ev)) = el.queue.pop() {
+                if let Event::ContactOpen { i, j, .. } = ev {
+                    opened.push((i, j));
+                }
+            }
+            assert_eq!(opened, want, "stated priority {stated:?}");
+        }
     }
 }

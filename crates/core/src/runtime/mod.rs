@@ -533,11 +533,24 @@ mod tests {
         pub(super) train_calls: u64,
         pub(super) encounters: u64,
         pub(super) frames: u64,
+        /// Every pair's priority (0 unless a test says otherwise).
+        pub(super) priority: fn(usize, usize) -> f64,
+        /// Whether `static_priority` states it, or the pair is ranked
+        /// through the contact estimate.
+        pub(super) stated: bool,
     }
 
     impl Probe {
         pub(super) fn new(n: usize) -> Self {
-            Self { n, params: ParamVec::zeros(1), train_calls: 0, encounters: 0, frames: 0 }
+            Self {
+                n,
+                params: ParamVec::zeros(1),
+                train_calls: 0,
+                encounters: 0,
+                frames: 0,
+                priority: |_, _| 0.0,
+                stated: false,
+            }
         }
     }
 
@@ -579,6 +592,12 @@ mod tests {
         }
         fn on_frame(&mut self, _ctx: &mut FrameCtx<'_>) {
             self.frames += 1;
+        }
+        fn static_priority(&self, i: usize, j: usize) -> Option<f64> {
+            self.stated.then(|| (self.priority)(i, j))
+        }
+        fn pair_priority(&self, i: usize, j: usize, _est: &ContactEstimate) -> f64 {
+            (self.priority)(i, j)
         }
         fn mean_eval_loss(&self, _eval: &[()]) -> f64 {
             1.0

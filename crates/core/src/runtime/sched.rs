@@ -5,8 +5,10 @@
 //! simulated time pop in the order they were pushed, never by pointer,
 //! hash, or payload. That guarantee is what lets the event-driven runtime
 //! reproduce the frame loop it replaced bit for bit (the frame loop's phases
-//! become same-timestamp events pushed in phase order) and keeps every run
-//! independent of allocator or thread scheduling.
+//! become same-timestamp events pushed in phase order: each session its own
+//! `ContactOpen`, then one `Train` for the whole fleet's training slices,
+//! then `Eval`) and keeps every run independent of allocator or thread
+//! scheduling.
 
 use simnet::contact::ContactEstimate;
 use std::cmp::Ordering;
@@ -15,7 +17,7 @@ use std::collections::BinaryHeap;
 /// Event kinds of the runtime's discrete-event loop.
 ///
 /// Same-timestamp events pop in push order, so the frame handler pushing
-/// `ContactOpen`s, then `TrainSlice`s, then `Eval` at its own timestamp
+/// `ContactOpen`s, then one `Train`, then `Eval` at its own timestamp
 /// reproduces the frame loop's phase order exactly.
 #[derive(Debug, Clone, Copy)]
 pub enum Event {
@@ -33,11 +35,10 @@ pub enum Event {
         /// Matching priority the pair won with.
         priority: f64,
     },
-    /// One node's local-training slice for one frame.
-    TrainSlice {
-        /// Node id.
-        node: usize,
-    },
+    /// The frame's local-training slices, every node in id order. One event
+    /// for the fleet: nothing a slice does pushes an event, so n events in
+    /// a row at one timestamp would pop back to back anyway.
+    Train,
     /// A periodic loss-curve evaluation.
     Eval,
 }

@@ -190,10 +190,16 @@ fn draw_value(k: u32) -> f32 {
 /// The same comparison, moved to the integers: `k · 2⁻²⁴` is exact in `f32`
 /// and `per · 2²⁴` is exact in `f64`, so `u >= per ⇔ k >= per · 2²⁴ ⇔
 /// k >= ceil(per · 2²⁴)`. The clamp to `2²⁴` (one past the largest `k`) keeps
-/// `per > 1` and `+inf` from ever delivering; `per <= 0` and NaN give `0`,
-/// which [`Channel::run`] never asks for.
+/// `per > 1`, `+inf` and NaN from ever delivering; `per <= 0` gives `0`.
+/// [`Channel::run`] asks for neither end. The ceiling is taken in the
+/// integers — truncate, then add one if that lost a fraction — because on
+/// baseline x86-64 (no SSE4.1) `f64::ceil` is a library call, and this runs
+/// twice per PER window.
 pub fn draw_threshold(per: f32) -> u32 {
-    (f64::from(per) * f64::from(DRAW_RANGE)).ceil().min(f64::from(DRAW_RANGE)) as u32
+    let x = (f64::from(per) * f64::from(DRAW_RANGE)).min(f64::from(DRAW_RANGE));
+    // `as` truncates toward zero and saturates a negative `x` to 0.
+    let k = x as u32;
+    k + u32::from(f64::from(k) < x)
 }
 
 /// How the attempts of one [`PerWindow`] are decided, from the bounds
@@ -239,7 +245,19 @@ impl PerWindow {
     }
 }
 
+/// The longest run [`Progress::run_len`] hands out. Over this many `+= pt`
+/// steps the rounded chain exceeds its exact sum by at most a factor
+/// `(1 + 2⁻⁵³)^(2²⁰) < 1 + 2⁻³²`, which [`RUN_MARGIN`] covers.
+const MAX_RUN: usize = 1 << 20;
+
+/// Relative margin on the time limits of a run: the run stops where the
+/// exact airtime would reach `end · (1 - 2⁻³⁰)`, so the rounded `t += pt`
+/// chain (see [`MAX_RUN`]) and the rounding of the limit's own arithmetic
+/// stay under `end`.
+const RUN_MARGIN: f64 = 1.0 / (1u64 << 30) as f64;
+
 /// A transfer between two attempts: what it may spend, and where it stands.
+#[derive(Clone, Copy)]
 struct Progress {
     /// Packets to deliver.
     n_packets: usize,
@@ -257,6 +275,7 @@ struct Progress {
 
 impl Progress {
     /// Whether the payload is across.
+    #[inline]
     fn complete(&self) -> bool {
         self.pkt == self.n_packets
     }
@@ -264,12 +283,14 @@ impl Progress {
     /// Whether the next attempt may not start: the link is dead, or the
     /// attempt would end past the deadline. Written so that a NaN deadline
     /// never expires.
+    #[inline]
     fn cut_off(&self) -> bool {
         self.streak == DEAD_LINK_ATTEMPTS || self.t + self.pt > self.deadline
     }
 
     /// Books one attempt. Arithmetic on the outcome, not a branch: which way
     /// an attempt goes is the one thing in the loop a predictor cannot learn.
+    #[inline]
     fn book(&mut self, arrived: bool) {
         let arrived = u32::from(arrived);
         self.t += self.pt;
@@ -278,21 +299,65 @@ impl Progress {
         self.streak = (self.streak + 1) & arrived.wrapping_sub(1);
     }
 
+    /// The length of the next run: attempts that may go back to back with
+    /// no exit test between them. At most the packets left, so completion
+    /// can only land on the run's last attempt; and every attempt of the
+    /// run starts by `until` and ends by the deadline, so neither the
+    /// window nor the deadline runs out inside it. Always at least one —
+    /// the caller has checked that the next attempt may start — and a run
+    /// of one is the per-attempt loop.
+    ///
+    /// Both time limits are one: the `m` attempts whose `t += pt` chain
+    /// stays `<= end = min(deadline, until + pt)` (an attempt that ends by
+    /// `until + pt` started by `until`). With `t >= 0` and `pt > 0` each
+    /// rounded step is at most `1 + 2⁻⁵³` times its exact sum, so
+    /// `m <= MAX_RUN` steps land within `1 + 2⁻³²` of `t + m·pt`; the `m`
+    /// below has `t + m·pt` within a few ulps of `end · (1 - 2⁻³⁰)`, so the
+    /// chain stays under `end`. A NaN end drops out of the `min`, and a NaN
+    /// or `+inf` one, which no `t > end` test crosses, sets no limit. A
+    /// `pt` that is not positive gets runs of one.
+    #[inline]
+    fn run_len(&self, until: f64) -> usize {
+        let end = self.deadline.min(until + self.pt);
+        let timed = if self.pt.is_nan() || self.pt <= 0.0 {
+            0
+        } else if end.is_nan() || end == f64::INFINITY {
+            usize::MAX
+        } else {
+            // `as` saturates: a negative or NaN quotient is 0 attempts.
+            ((end - end.abs() * RUN_MARGIN - self.t) / self.pt) as usize
+        };
+        (self.n_packets - self.pkt).min(timed).clamp(1, MAX_RUN)
+    }
+
     /// Settles attempts of a [`Settle::Draw`] window from the draw alone,
-    /// for as long as nothing else needs doing. Returns the numerator of a
+    /// a run ([`Progress::run_len`]) at a time. Returns the numerator of a
     /// draw that landed in `lo_k..hi_k`, its attempt not yet booked, or
     /// `None` once the transfer is complete or cut off or the window (which
     /// covers attempts starting in `..= until`) has run out.
+    ///
+    /// Inside a run the only exit that can fire is the dead-link streak,
+    /// tested on every attempt; the exact exit tests follow the run.
+    #[inline]
     fn burst<R>(&mut self, lo_k: u32, hi_k: u32, until: f64, rng: &mut R) -> Option<u32>
     where
         R: Rng + ?Sized,
     {
         loop {
-            let k = rng.random::<u32>() >> 8;
-            if k.wrapping_sub(lo_k) < hi_k - lo_k {
-                return Some(k);
+            // A copy, so the run keeps `t`, `pkt` and `streak` in registers.
+            let mut at = *self;
+            for _ in 0..self.run_len(until) {
+                let k = rng.random::<u32>() >> 8;
+                if k.wrapping_sub(lo_k) < hi_k - lo_k {
+                    *self = at;
+                    return Some(k);
+                }
+                at.book(k >= hi_k);
+                if at.streak == DEAD_LINK_ATTEMPTS {
+                    break;
+                }
             }
-            self.book(k >= hi_k);
+            *self = at;
             if self.complete() || self.cut_off() || self.t > until {
                 return None;
             }
@@ -414,11 +479,19 @@ impl Channel {
     ///
     /// * The outer loop owns every exit, asks `link` for a new window of PER
     ///   bounds `[lo, hi]` once the last one has run out, and books the
-    ///   attempts that need care: all of them where a window has `hi <= 0`
-    ///   (delivered, no draw) or is not `0 < lo <= hi` (`lo <= 0 < hi`,
-    ///   where whether a draw happens depends on the exact rate; NaN bounds;
-    ///   a malformed table or a source without bounds, which have no
-    ///   window) — those take the rule above as written.
+    ///   attempts that need care: those of a window that is not
+    ///   `0 < lo <= hi` and has not `hi <= 0` (`lo <= 0 < hi`, where whether
+    ///   a draw happens depends on the exact rate; NaN bounds; a malformed
+    ///   table or a source without bounds, which have no window) take the
+    ///   rule above as written, one attempt at a time.
+    /// * Attempts of a window with bounds go in *runs*: as many attempts as
+    ///   no exit can interrupt — at most the packets left, so completion
+    ///   lands on the run's last attempt if at all, and few enough that
+    ///   each one starts by the window's end and ends by the deadline, with
+    ///   a relative margin of `2⁻³⁰` over the rounded `t += packet_time`
+    ///   chain. Only the dead-link streak is tested per attempt; the exact
+    ///   exit tests follow the run, and a run of one is the per-attempt
+    ///   loop. A window with `hi <= 0` books its runs as delivered, no draw.
     /// * In a window with `0 < lo <= hi` every attempt draws whatever `per`
     ///   is, so the inner *burst* settles attempts from the draw alone, in
     ///   the integer domain ([`draw_threshold`]): numerator `k >= hi_k` is
@@ -458,7 +531,12 @@ impl Channel {
                 known = self.per_window(spec.loss, at.t, &mut link);
             }
             let arrived = match known.settle {
-                Settle::Free => true,
+                Settle::Free => {
+                    for _ in 0..at.run_len(known.until) {
+                        at.book(true);
+                    }
+                    continue;
+                }
                 Settle::Exact => {
                     let per = self.packet_per(spec.loss, at.t, &mut link);
                     per <= 0.0 || rng.random::<f32>() >= per

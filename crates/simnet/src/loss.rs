@@ -132,11 +132,8 @@ impl LossModel {
                     return table[0].1;
                 }
                 for w in table.windows(2) {
-                    let (d0, p0) = w[0];
-                    let (d1, p1) = w[1];
-                    if distance_m <= d1 {
-                        let t = (distance_m - d0) / (d1 - d0);
-                        return p0 + t * (p1 - p0);
+                    if distance_m <= w[1].0 {
+                        return interpolate(w[0], w[1], distance_m);
                     }
                 }
                 1.0
@@ -156,18 +153,34 @@ impl LossModel {
     /// its values at the two ends. The bounds are therefore the extremes of
     /// `per` at `d_lo`, at `d_hi`, and on both sides of every breakpoint in
     /// between: `per(d_k)` (the computed end of the segment on its left) and
-    /// the table value itself (where the segment on its right starts).
+    /// the table value itself (where the segment on its right starts). One
+    /// walk over the table finds them all, from the segment of `d_lo` to
+    /// that of `d_hi`.
     pub fn per_bounds(&self, d_lo: f32, d_hi: f32) -> (f32, f32) {
-        let (a, b) = (self.per(d_lo), self.per(d_hi));
-        let (mut lo, mut hi) = (a.min(b), a.max(b));
-        if let LossModel::Distance(table) = self {
-            for &(d, p) in table {
-                if d_lo <= d && d <= d_hi {
-                    let left = self.per(d);
-                    lo = lo.min(left).min(p);
-                    hi = hi.max(left).max(p);
-                }
-            }
+        let LossModel::Distance(table) = self else { return (0.0, 0.0) };
+        let Some(&(_, p_first)) = table.first() else { return (0.0, 0.0) };
+        // `per(d)`, given the first breakpoint `k` with `d <= d_k` (the
+        // table's length when there is none) — the segment `per` picks.
+        let per_before = |k: usize, d: f32| match k {
+            0 => p_first,
+            k if k == table.len() => 1.0,
+            k => interpolate(table[k - 1], table[k], d),
+        };
+        let mut k = table.iter().position(|&(d, _)| d_lo <= d).unwrap_or(table.len());
+        let start = per_before(k, d_lo);
+        let (mut lo, mut hi) = (start, start);
+        while let Some(&(d, p)) = table.get(k).filter(|&&(d, _)| d <= d_hi) {
+            let left = per_before(k, d);
+            lo = lo.min(left).min(p);
+            hi = hi.max(left).max(p);
+            k += 1;
+        }
+        // `d_hi` on a breakpoint reads the segment that ends there, already
+        // counted as that breakpoint's left side.
+        if !(k > 0 && table[k - 1].0 == d_hi) {
+            let end = per_before(k, d_hi);
+            lo = lo.min(end);
+            hi = hi.max(end);
         }
         (lo, hi)
     }
@@ -198,6 +211,13 @@ impl LossModel {
             }
         }
     }
+}
+
+/// The linear interpolation [`LossModel::per`] evaluates at `d` on the
+/// table segment from `(d0, p0)` to `(d1, p1)`.
+fn interpolate((d0, p0): (f32, f32), (d1, p1): (f32, f32), d: f32) -> f32 {
+    let t = (d - d0) / (d1 - d0);
+    p0 + t * (p1 - p0)
 }
 
 #[cfg(test)]

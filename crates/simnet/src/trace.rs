@@ -80,7 +80,8 @@ impl MobilityTrace {
         let series = &self.positions[agent];
         assert!(!series.is_empty(), "trace has no frames");
         let ft = (t * self.fps).max(0.0);
-        let i = ft.floor() as usize;
+        // `ft >= 0`: truncation is the floor, without `f64::floor`'s call.
+        let i = ft as usize;
         if let (Some(a), Some(b)) = (series.get(i), series.get(i + 1)) {
             let frac = (ft - i as f64) as f32;
             return a.lerp(*b, frac);
@@ -234,7 +235,8 @@ impl PairTrack<'_> {
     /// monotone in `t`, which [`PairTrack::bounds`] relies on.
     fn locate(&self, t: f64) -> (usize, f32) {
         let ft = ((self.t0 + t) * self.fps).max(0.0);
-        let i = ft.floor() as usize;
+        // As in `position`: `ft >= 0`, so truncation is the floor.
+        let i = ft as usize;
         (i, (ft - i as f64) as f32)
     }
 

@@ -468,22 +468,24 @@ fn draw_threshold_matches_on_hand_picked_rates() {
     assert_eq!(draw_threshold(f32::INFINITY), 1 << 24);
 }
 
+/// [`assert_runs_agree`] over a [`Windowed`] source, panicking on a mismatch.
+fn check<R: Rng + Clone>(
+    ch: &Channel,
+    spec: TransferSpec,
+    distance: impl Fn(f64) -> f32 + Copy,
+    bounds: impl Fn(f64) -> Option<DistanceBounds>,
+    rng: &R,
+) -> TransferOutcome {
+    assert_runs_agree(ch, &spec, distance, Windowed { distance, bounds }, rng)
+        .unwrap_or_else(|e| panic!("{spec:?}: {e:?}"))
+}
+
 /// Transfers built to end *inside* a burst — the exits and the hand-back
 /// must fire at the attempt the per-attempt loop fires them at.
 #[test]
 fn bursts_end_where_the_per_attempt_loop_does() {
     let ch = Channel::new(RadioConfig::default(), LossModel::distance_default());
     let pt = ch.config().packet_time();
-    fn check<R: Rng + Clone>(
-        ch: &Channel,
-        spec: TransferSpec,
-        distance: impl Fn(f64) -> f32 + Copy,
-        bounds: impl Fn(f64) -> Option<DistanceBounds>,
-        rng: &R,
-    ) -> TransferOutcome {
-        assert_runs_agree(ch, &spec, distance, Windowed { distance, bounds }, rng)
-            .unwrap_or_else(|e| panic!("{spec:?}: {e:?}"))
-    }
 
     // A dead-link streak that starts in one window and reaches 40 in the
     // next: in range (PER 0.54) for 51 attempts, out of range after, in
@@ -586,4 +588,170 @@ fn closures_are_evaluated_once_per_attempt() {
     let attempts = (out.elapsed() / ch.config().packet_time()).round() as u32;
     assert!(out.is_delivered());
     assert_eq!(calls, attempts);
+}
+
+/// Airtime after `n` attempts, accumulated as the loop accumulates it:
+/// `t += pt`, `n` times from 0.
+fn airtime_after(n: usize, pt: f64) -> f64 {
+    (0..n).fold(0.0, |t, _| t + pt)
+}
+
+/// A 200 m link in a 150–250 m band that never ends.
+fn steady(_: f64) -> f32 {
+    200.0
+}
+
+fn endless_band(_: f64) -> Option<DistanceBounds> {
+    Some(DistanceBounds { lo: 150.0, hi: 250.0, until: f64::INFINITY })
+}
+
+/// Runs end where the deadline does. With the deadline on the airtime
+/// after `n` attempts to the ulp (the `n`-th attempt ends exactly on it),
+/// one ulp either side, and half an attempt past it, the loss-free radio
+/// (no draw) stops after exactly the attempts that fit, and fixed-PER and
+/// banded runs stop where the per-attempt loop does.
+#[test]
+fn runs_end_exactly_at_the_deadline() {
+    let lossy = Channel::new(RadioConfig::default(), LossModel::distance_default());
+    let clean = Channel::new(RadioConfig::default(), LossModel::None);
+    let pt = lossy.config().packet_time();
+    let rng = StdRng::seed_from_u64(23);
+    for n in [1usize, 2, 3, 40, 129, 1000, 2796] {
+        let end = airtime_after(n, pt);
+        for (deadline, fit) in [(end.next_down(), n - 1), (end, n), (end.next_up(), n), (end + 0.5 * pt, n)] {
+            // 2 797 packets: the deadline cuts every one of these.
+            let spec = TransferSpec::link(4 << 20, deadline);
+            let out = check(&clean, spec, steady, endless_band, &rng);
+            let want = (false, airtime_after(fit, pt).to_bits(), fit * 1500);
+            assert_eq!(bits(out), want, "n={n} deadline={deadline:e}");
+            check(&lossy, spec, steady, endless_band, &rng);
+            for per in [0.0, 0.3] {
+                let spec = TransferSpec::fixed_per(4 << 20, deadline, per);
+                check(&lossy, spec, steady, endless_band, &rng);
+            }
+        }
+    }
+}
+
+/// Runs end where their window does: the attempt that starts exactly at
+/// `until` still belongs to it, the next one does not. The link is in range
+/// for the window and out of range after it, so the loss-free radio
+/// delivers exactly the window's attempts and then loses 40 in a row — one
+/// attempt booked under the wrong window changes the bytes delivered — and
+/// the lossy one must agree with the per-attempt loop on every seed.
+#[test]
+fn runs_end_exactly_at_the_window_end() {
+    let lossy = Channel::new(RadioConfig::default(), LossModel::distance_default());
+    let clean = Channel::new(RadioConfig::default(), LossModel::None);
+    let pt = lossy.config().packet_time();
+    for n in [0usize, 1, 2, 3, 40, 129, 700] {
+        let end = airtime_after(n, pt);
+        for (until, in_window) in
+            [(end.next_down(), n), (end, n + 1), (end.next_up(), n + 1), (end + 0.5 * pt, n + 1)]
+        {
+            let near = move |t: f64| if t <= until { 100.0 } else { 600.0 };
+            let windows = move |t: f64| {
+                let d = near(t);
+                Some(DistanceBounds { lo: d, hi: d, until: if t <= until { until } else { f64::INFINITY } })
+            };
+            let spec = TransferSpec::link(4 << 20, 1e9);
+            let out = check(&clean, spec, near, windows, &StdRng::seed_from_u64(0));
+            let attempts = in_window + DEAD_LINK_ATTEMPTS as usize;
+            let want = (false, airtime_after(attempts, pt).to_bits(), in_window * 1500);
+            assert_eq!(bits(out), want, "n={n} until={until:e}");
+            for seed in 0..4 {
+                check(&lossy, spec, near, windows, &StdRng::seed_from_u64(seed));
+            }
+        }
+    }
+}
+
+/// A run is at most the packets left, so a delivered transfer completes on
+/// a run's last attempt. One to three packets, a partial last packet, a
+/// 4 MiB model: loss-free, one attempt per packet exactly; lossy, where the
+/// per-attempt loop completes.
+#[test]
+fn completion_lands_on_a_runs_last_attempt() {
+    let lossy = Channel::new(RadioConfig::default(), LossModel::distance_default());
+    let clean = Channel::new(RadioConfig::default(), LossModel::None);
+    let pt = lossy.config().packet_time();
+    for bytes in [1usize, 1500, 1501, 3000, 4500, 17 * 1500 - 1, 4 << 20] {
+        // Room for every payload here, lossy or not.
+        let spec = TransferSpec::link(bytes, 10.0);
+        let out = check(&clean, spec, steady, endless_band, &StdRng::seed_from_u64(0));
+        let want = (true, airtime_after(bytes.div_ceil(1500), pt).to_bits(), usize::MAX);
+        assert_eq!(bits(out), want, "{bytes} bytes");
+        for seed in 0..4 {
+            let rng = StdRng::seed_from_u64(seed);
+            assert!(check(&lossy, spec, steady, endless_band, &rng).is_delivered());
+            for per in [0.01, 0.3] {
+                let spec = TransferSpec::fixed_per(bytes, 10.0, per);
+                assert!(check(&lossy, spec, steady, endless_band, &rng).is_delivered());
+            }
+        }
+    }
+}
+
+/// The dead-link streak ends a run mid-way and on its last attempt. At
+/// PER 1 a 7-packet payload makes runs of 7, so the 40th straight loss
+/// lands inside the sixth; 1, 10 and 40 packets put it on a run's last
+/// attempt. At PER 0.97 most transfers die after a few deliveries.
+#[test]
+fn dead_links_end_runs_where_the_per_attempt_loop_does() {
+    let ch = Channel::new(RadioConfig::default(), LossModel::distance_default());
+    let pt = ch.config().packet_time();
+    for packets in [1usize, 7, 10, 40, 41, 1000] {
+        let spec = TransferSpec::fixed_per(packets * 1500, 1e9, 1.0);
+        let out = check(&ch, spec, steady, endless_band, &StdRng::seed_from_u64(1));
+        assert_eq!(bits(out), (false, airtime_after(40, pt).to_bits(), 0), "{packets} packets");
+        for seed in 0..8 {
+            let spec = TransferSpec::fixed_per(packets * 1500, 1e9, 0.97);
+            check(&ch, spec, steady, endless_band, &StdRng::seed_from_u64(seed));
+        }
+    }
+}
+
+/// Deadlines and windows that never end: NaN and `+inf` deadlines, windows
+/// that end at NaN (`t > NaN` never holds) or `+inf`. Runs are as long as
+/// the payload, and the transfer completes as the per-attempt loop's does.
+#[test]
+fn runs_under_unbounded_deadlines_and_windows() {
+    let lossy = Channel::new(RadioConfig::default(), LossModel::distance_default());
+    let clean = Channel::new(RadioConfig::default(), LossModel::None);
+    let pt = lossy.config().packet_time();
+    for deadline in [f64::NAN, f64::INFINITY] {
+        for until in [f64::NAN, f64::INFINITY] {
+            let band = move |_: f64| Some(DistanceBounds { lo: 150.0, hi: 250.0, until });
+            let spec = TransferSpec::link(1 << 20, deadline);
+            let out = check(&clean, spec, steady, band, &StdRng::seed_from_u64(0));
+            assert_eq!(bits(out), (true, airtime_after(700, pt).to_bits(), usize::MAX));
+            for seed in 0..4 {
+                let rng = StdRng::seed_from_u64(seed);
+                assert!(check(&lossy, spec, steady, band, &rng).is_delivered());
+                let spec = TransferSpec::fixed_per(1 << 20, deadline, 0.3);
+                assert!(check(&lossy, spec, steady, band, &rng).is_delivered());
+            }
+        }
+    }
+}
+
+/// Millions of attempts of under 3 ns each: the airtime chain far from its
+/// first steps and past the longest run, with deadlines exactly on it, an
+/// ulp short of it, and half an attempt past it.
+#[test]
+fn long_runs_of_short_attempts_keep_the_airtime_chain() {
+    let radio = RadioConfig { packet_bytes: 1, bandwidth_bps: 3e9, ..RadioConfig::default() };
+    let clean = Channel::new(radio.clone(), LossModel::None);
+    let lossy = Channel::new(radio, LossModel::distance_default());
+    let pt = clean.config().packet_time();
+    let rng = StdRng::seed_from_u64(8);
+    let (bytes, n) = (3_000_000usize, 2_500_001usize);
+    let end = airtime_after(n, pt);
+    for (deadline, fit) in [(end, n), (end.next_down(), n - 1), (end + 0.5 * pt, n)] {
+        let out = check(&clean, TransferSpec::link(bytes, deadline), steady, endless_band, &rng);
+        assert_eq!(bits(out), (false, airtime_after(fit, pt).to_bits(), fit), "deadline={deadline:e}");
+        check(&lossy, TransferSpec::fixed_per(bytes, deadline, 0.01), steady, endless_band, &rng);
+    }
+    let out = check(&clean, TransferSpec::link(bytes, f64::INFINITY), steady, endless_band, &rng);
+    assert_eq!(bits(out), (true, airtime_after(bytes, pt).to_bits(), usize::MAX));
 }
