@@ -29,7 +29,7 @@ use simnet::loss::LossModel;
 use simnet::trace::MobilityTrace;
 use simworld::bev::{self, BevConfig, Pose};
 use simworld::expert::Command;
-use simworld::world::{FleetScale, World, WorldConfig};
+use simworld::world::{World, WorldConfig};
 use std::time::Duration;
 use vnn::mlp::{Mlp, MlpSpec};
 use vnn::{
@@ -92,7 +92,6 @@ pub fn run(opts: &SuiteOpts) -> Vec<BenchResult> {
         ("compress", bench_compress),
         ("solver", bench_solver),
         ("bev", bench_bev),
-        ("simworld", bench_simworld),
         ("vnn", bench_vnn),
         ("simnet", bench_simnet),
         ("runtime", bench_runtime),
@@ -288,33 +287,6 @@ fn bench_bev(c: &mut Timer, _opts: &SuiteOpts) {
             bev::rasterize_into(&cfg, pose, 8.0, road, &cars, &peds, &route, &mut frame);
         });
     });
-}
-
-fn bench_simworld(c: &mut Timer, opts: &SuiteOpts) {
-    let sampling = opts.group_sampling(60, 2);
-    // City-scale tick: the structure-of-arrays world carrying N fleet
-    // vehicles on the park → dwell → drive cycle. `wake_queue` is the same
-    // tick at 10k, where what sleeping parked vehicles saves is largest
-    // relative to the driving set.
-    for (name, fleet) in [
-        ("tick_1k", FleetScale::K1),
-        ("tick_100k", FleetScale::K100),
-        ("wake_queue", FleetScale::K10),
-    ] {
-        // Warm past the first spawn staggers so the fleet is churning —
-        // waking, driving, parking — rather than uniformly garaged.
-        const WARM_TICKS: usize = 50;
-        let mut w = World::new(WorldConfig::with_fleet(0, fleet));
-        for _ in 0..WARM_TICKS {
-            w.step();
-        }
-        c.bench_sampled(format!("simworld/{name}"), sampling, |b| {
-            b.measure(|| {
-                w.step();
-                w.time()
-            });
-        });
-    }
 }
 
 fn bench_vnn(c: &mut Timer, _opts: &SuiteOpts) {
@@ -650,9 +622,8 @@ fn bench_core(c: &mut Timer, _opts: &SuiteOpts) {
 /// it the occupancy the pooling and the first layer see, changes every
 /// iteration. A trial that ends restarts from a copy of its first tick.
 ///
-/// Reads the same at any worker count: the 50 intent slots of this world
-/// are far below `simworld::world::PAR_INTENT_MIN_AWAKE`, so `World::step`
-/// fills them inline instead of spawning scoped threads every tick.
+/// Reads the same at any worker count: `World::step` runs on the calling
+/// thread.
 fn bench_driving(c: &mut Timer, _opts: &SuiteOpts) {
     let (learner, _) = bev_fixture(64);
     let cfg = EvalConfig::default();
@@ -721,7 +692,6 @@ fn fleet_trace(seconds: f64) -> MobilityTrace {
         n_experts: 64,
         n_background: 0,
         n_pedestrians: 0,
-        n_fleet: 0,
         ..WorldConfig::default()
     })
     .record_trace(seconds)

@@ -103,12 +103,6 @@ registry! {
         CompressModelBytes = "compress.model_bytes",
         /// The same sends under the `min(2ψ, 1)·S` pair accounting.
         CompressPairBytes = "compress.pair_bytes",
-        /// Agents the world tick processed.
-        WorldTickAwake = "world.tick.awake",
-        /// Fleet vehicles that parked and entered the wake queue.
-        WorldTickSlept = "world.tick.slept",
-        /// Fleet vehicles whose dwell expired.
-        WorldTickWoken = "world.tick.woken",
     }
 }
 

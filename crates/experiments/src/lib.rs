@@ -56,7 +56,6 @@ use lbchat::exec;
 /// --seed N               override the scenario base seed
 /// --jobs N               worker threads (also LBCHAT_JOBS; 1 = serial)
 /// --methods a,b,c        method subset for comparison binaries
-/// --fleet SCALE          background fleet size (seed, 1k, 10k, 100k, 1m)
 /// ```
 ///
 /// Flags accept both `--flag value` and `--flag=value`. Results are
@@ -77,7 +76,6 @@ impl Args {
     /// The usage text printed by `--help` and on parse errors.
     pub const USAGE: &'static str = "\
 usage: <experiment> [--quick | --paper] [--seed N] [--jobs N] [--methods a,b,c]
-                    [--fleet SCALE]
 
   --quick          smoke-test scale (seconds of wall time)
   --paper          the paper's full counts (hours of wall time)
@@ -85,9 +83,7 @@ usage: <experiment> [--quick | --paper] [--seed N] [--jobs N] [--methods a,b,c]
   --jobs N         worker threads; 1 = serial (env: LBCHAT_JOBS)
   --methods a,b,c  method subset for comparison binaries; keys:
                    lbchat, sco, proxskip, rsul, dfl-dds, dp,
-                   equal-comp, avg-agg, coreset:N
-  --fleet SCALE    non-learning fleet vehicles stressing the world's wake
-                   queue; keys: seed (default, 0), 1k, 10k, 100k, 1m";
+                   equal-comp, avg-agg, coreset:N";
 
     /// Parses `std::env::args()`, applies `--jobs` to the worker pool, and
     /// exits with a message on `--help` or malformed flags.
@@ -118,7 +114,6 @@ usage: <experiment> [--quick | --paper] [--seed N] [--jobs N] [--methods a,b,c]
         let mut seed: Option<u64> = None;
         let mut jobs: Option<usize> = None;
         let mut methods: Option<Vec<Method>> = None;
-        let mut fleet: Option<simworld::world::FleetScale> = None;
         let mut it = raw.into_iter();
         while let Some(arg) = it.next() {
             // Accept --flag=value by splitting once.
@@ -164,22 +159,12 @@ usage: <experiment> [--quick | --paper] [--seed N] [--jobs N] [--methods a,b,c]
                     }
                     methods = Some(parsed);
                 }
-                "--fleet" => {
-                    let v = value("--fleet")?;
-                    fleet = Some(
-                        simworld::world::FleetScale::parse(&v)
-                            .ok_or_else(|| format!("unknown fleet scale {v:?}"))?,
-                    );
-                }
                 other => return Err(format!("unknown flag {other:?}")),
             }
         }
         let mut scale = scale.unwrap_or_else(Scale::default_scale);
         if let Some(seed) = seed {
             scale.seed = seed;
-        }
-        if let Some(fleet) = fleet {
-            scale.fleet = fleet;
         }
         Ok(Args { scale, jobs, methods })
     }
@@ -229,19 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn fleet_flag_selects_the_world_scale() {
-        use simworld::world::FleetScale;
-        let a = Args::try_parse(strs(&[])).unwrap();
-        assert_eq!(a.scale.fleet, FleetScale::Seed, "default stays the paper's world");
-        let a = Args::try_parse(strs(&["--fleet", "100k"])).unwrap();
-        assert_eq!(a.scale.fleet, FleetScale::K100);
-        let a = Args::try_parse(strs(&["--quick", "--fleet=1k"])).unwrap();
-        assert_eq!(a.scale.fleet, FleetScale::K1);
-        assert!(Args::try_parse(strs(&["--fleet", "2k"])).is_err());
-        assert!(Args::try_parse(strs(&["--fleet"])).is_err());
-    }
-
-    #[test]
     fn malformed_flags_are_rejected() {
         assert!(Args::try_parse(strs(&["--frobnicate"])).is_err());
         assert!(Args::try_parse(strs(&["--seed"])).is_err());
@@ -249,5 +221,6 @@ mod tests {
         assert!(Args::try_parse(strs(&["--jobs", "0"])).is_err());
         assert!(Args::try_parse(strs(&["--methods", "lbchat,warp-drive"])).is_err());
         assert!(Args::try_parse(strs(&["--methods", ""])).is_err());
+        assert!(Args::try_parse(strs(&["--fleet", "1k"])).is_err());
     }
 }

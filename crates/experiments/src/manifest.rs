@@ -181,7 +181,6 @@ fn scale_json(s: &Scale) -> Json {
         ("coreset_size".to_string(), s.coreset_size.into()),
         ("lr".to_string(), s.lr.into()),
         ("seed".to_string(), s.seed.into()),
-        ("fleet".to_string(), s.fleet.key().into()),
     ])
 }
 
@@ -254,15 +253,12 @@ mod tests {
         let s = crate::scenario::Scale::quick();
         let snap = scale_json(&s);
         let obj = snap.as_obj().unwrap();
-        // Every field but `codec`, which nothing reads: top-k is the only codec.
-        assert_eq!(obj.len(), 14, "update scale_json when Scale gains fields");
+        // Every field but `codec` and `fleet`, which nothing reads: top-k is
+        // the only codec and the world has no fleet axis.
+        assert_eq!(obj.len(), 13, "update scale_json when Scale gains fields");
         assert_eq!(snap.get("seed").and_then(Json::as_u64), Some(s.seed));
         assert!(snap.get("codec").is_none(), "the manifest records no codec");
-        assert_eq!(
-            snap.get("fleet").and_then(Json::as_str),
-            Some(s.fleet.key()),
-            "manifest must record the fleet scale"
-        );
+        assert!(snap.get("fleet").is_none(), "the manifest records no fleet");
         assert_eq!(snap.get("n_vehicles").and_then(Json::as_u64), Some(s.n_vehicles as u64));
     }
 }

@@ -46,10 +46,10 @@ pub struct Scale {
     /// stand-alone `lbchat_e2e` benchmark package still sets it; it goes
     /// once that package's `workloads.rs` stops naming it.
     pub codec: Codec,
-    /// Non-learning fleet vehicles on the park → dwell → drive cycle (the
-    /// `--fleet` CLI axis). `Seed` (0 vehicles) reproduces the paper's
-    /// world bit for bit; larger scales stress the world's wake queue
-    /// without touching training or evaluation semantics.
+    /// Unused: nothing in the workspace reads it, and the run manifest does
+    /// not record it; the world has no fleet axis. The field stays only
+    /// because the stand-alone `lbchat_e2e` benchmark package still sets it;
+    /// it goes once that package's `workloads.rs` stops naming it.
     pub fleet: FleetScale,
 }
 
@@ -147,7 +147,6 @@ impl Scenario {
             n_experts: scale.n_vehicles,
             n_background: scale.n_background,
             n_pedestrians: scale.n_pedestrians,
-            n_fleet: scale.fleet.n_fleet(),
             ..WorldConfig::default()
         });
         let datasets = collect_datasets(

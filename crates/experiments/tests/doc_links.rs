@@ -16,7 +16,7 @@ use lbchat::obs::{Counter, EventKind, Gauge};
 /// flags, and the cargo flags that appear in quoted commands.
 const KNOWN_FLAGS: &[&str] = &[
     // experiments::Args (see crates/experiments/src/lib.rs)
-    "quick", "paper", "seed", "jobs", "methods", "fleet", "help",
+    "quick", "paper", "seed", "jobs", "methods", "help",
     // summarize_runs
     "tables",
     // lbchat-bench / bench_report (see crates/bench/src/main.rs and
@@ -134,14 +134,6 @@ fn docs_reference_only_real_flags_bins_and_examples() {
                     }
                 }
                 ("example", None) => problems.push(format!("{rel}: --example without a name")),
-                // `--fleet SCALE` (all-caps) is the usage-string placeholder
-                // convention, like `--seed N`; anything else must parse.
-                ("fleet", Some(name))
-                    if name.chars().any(|c| c.is_ascii_lowercase())
-                        && simworld::world::FleetScale::parse(&name).is_none() =>
-                {
-                    problems.push(format!("{rel}: --fleet {name} is not a fleet scale key"));
-                }
                 _ => {}
             }
         }

@@ -89,7 +89,6 @@ fn render_run() -> String {
         n_experts: VEHICLES,
         n_background: 0,
         n_pedestrians: 0,
-        n_fleet: 0,
         ..WorldConfig::default()
     });
     let trace = world.record_trace(HORIZON_S + 60.0);

@@ -10,7 +10,7 @@
 //!
 //! The grid is not "close enough" — its output is **byte-for-byte equal**
 //! to the all-pairs loop, which stays in `trace.rs` verbatim as the spec
-//! (the `coreset::reference` / `simworld::reference` pattern):
+//! (the `coreset::reference` / `bev::reference` pattern):
 //!
 //! * The snapshot interpolates every active agent once, in `active` order,
 //!   with the same [`MobilityTrace::position`] call the sweep makes, so

@@ -25,24 +25,9 @@ pub const HEADWAY: f32 = 1.6;
 pub const MIN_GAP: f32 = 6.0;
 
 /// Index of an agent in the structure-of-arrays world's columns. The id
-/// space is laid out as `[experts][background][fleet][pedestrians]`, so
-/// every vehicle id precedes every pedestrian id.
+/// space is laid out as `[experts][background][pedestrians]`, so every
+/// vehicle id precedes every pedestrian id.
 pub type AgentId = usize;
-
-/// What an agent id refers to in the structure-of-arrays world: the id
-/// space is laid out as `[experts][background][fleet][pedestrians]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AgentKind {
-    /// Expert autopilot (learning) vehicle — always awake.
-    Expert,
-    /// Background traffic vehicle — always awake.
-    Background,
-    /// Fleet vehicle on a park → dwell → drive cycle; costs nothing per
-    /// tick while parked (it sits in the world's wake queue).
-    Fleet,
-    /// Pedestrian roaming the town area — always awake.
-    Pedestrian,
-}
 
 /// A borrowed, `Copy` view of road-vehicle state: the route plus the
 /// scalar columns `(edge_idx, s, speed)`. Both the per-agent-struct

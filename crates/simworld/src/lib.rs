@@ -17,16 +17,18 @@
 //! * [`bev`] — ego-frame bird's-eye-view rasterization (sparse binary
 //!   tensor) and the feature vector fed to the policy network.
 //! * [`world`] — owns everything in structure-of-arrays columns, steps at
-//!   2 fps with a two-phase (parallel intent / serial apply) tick, detects
-//!   collisions, and records [`simnet::MobilityTrace`]s. Scales to
-//!   100k–1M-vehicle fleets via a wake queue ([`FleetScale`]).
-//! * [`mod@reference`] — the original per-agent-struct world, retained
-//!   verbatim as the bit-identity oracle for [`world::World`].
+//!   2 fps with a two-phase (pure intent / serial apply) tick, detects
+//!   collisions, and records [`simnet::MobilityTrace`]s. It is sized to the
+//!   paper's world: experts, background cars and pedestrians, nothing more.
+//!
+//! The original per-agent-struct world is retained verbatim as the
+//! bit-identity oracle for [`world::World`], as a module of the integration
+//! tests (`tests/reference/mod.rs`), not of the library.
 //!
 //! Determinism: the map, traffic, and every agent decision derive from the
-//! seed given at construction, and stepping is bit-identical for any
-//! `--jobs` setting (the intent phase is RNG-free and order-free; all RNG
-//! draws happen in the id-ordered apply pass).
+//! seed given at construction, and stepping runs on the calling thread (the
+//! intent phase is RNG-free and order-free; all RNG draws happen in the
+//! id-ordered apply pass), so no `--jobs` setting reaches a trajectory.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,13 +45,12 @@ pub mod agents;
 pub mod bev;
 pub mod expert;
 pub mod map;
-pub mod reference;
 pub mod route;
 pub mod world;
 
-pub use agents::{AgentId, AgentKind, VehicleRef};
+pub use agents::{AgentId, VehicleRef};
 pub use bev::{Bev, BevConfig};
 pub use expert::{Command, ExpertOutput};
 pub use map::{EdgeId, NodeId, RoadKind, RoadNetwork};
 pub use route::{Route, Router, RoutingTable};
-pub use world::{FleetScale, TickStats, World, WorldConfig};
+pub use world::{World, WorldConfig};

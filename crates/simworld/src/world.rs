@@ -3,7 +3,7 @@
 //! # Structure-of-arrays layout
 //!
 //! Agents live in parallel columns keyed by [`AgentId`], laid out as
-//! `[experts][background][fleet][pedestrians]`. Road vehicles carry
+//! `[experts][background][pedestrians]`. Road vehicles carry
 //! `(route, edge_idx, s, speed)` in four columns plus a cached world
 //! position; pedestrians keep their tiny waypoint state in a side table
 //! and mirror their position into the shared `pos` column so the vehicle
@@ -14,51 +14,26 @@
 //! [`World::step`] splits each frame into an **intent** phase and an
 //! **apply** phase:
 //!
-//! 1. *Intent* — for every awake vehicle, compute its final target speed
+//! 1. *Intent* — for every vehicle, compute its final target speed
 //!    (speed limits, turn slowdown, car-following against a pre-built gap
 //!    index, pedestrian braking) from pre-step state only. The phase draws
-//!    no randomness and writes only its own `intents[i]` slot, so it shards
-//!    over [`lbchat::exec::par_for_each_mut`] (from
-//!    [`PAR_INTENT_MIN_AWAKE`] agents up; inline below) and is bit-for-bit
-//!    identical for any job count — and for any evaluation order, which
+//!    no randomness and writes only its own `intents[i]` slot, so its
+//!    result is the same for any evaluation order, which
 //!    [`World::step_permuted`] exposes for the property suite.
 //! 2. *Apply* — serial, in ascending [`AgentId`] order: integrate every
-//!    awake vehicle, then step every pedestrian. All RNG draws (reroutes,
-//!    fleet dwell times, pedestrian waypoints) happen here, in id order —
-//!    exactly the draw order of the retained [`crate::reference`] world,
-//!    which is what makes the two worlds bit-identical at seed scale.
-//!
-//! # Wake queue
-//!
-//! Fleet vehicles ([`AgentKind::Fleet`], the `--fleet` axis) cycle
-//! park → dwell → drive. While parked they are *garaged*: absent from the
-//! gap index, BEV car layers, and collision checks, and — with the wake
-//! queue enabled — absent from the awake list entirely, so a mostly-parked
-//! million-vehicle fleet costs nothing per tick. A min-heap of
-//! `(wake_tick, id)` readmits them; `config.wake_queue = false` keeps every
-//! agent in the awake list (the bench reference arm) and must produce
-//! bit-identical trajectories, which the property suite pins.
+//!    vehicle, then step every pedestrian. All RNG draws (reroutes,
+//!    pedestrian waypoints) happen here, in id order — exactly the draw
+//!    order of the retained per-agent oracle in `tests/reference`, which is
+//!    what makes the two worlds bit-identical.
 
-use crate::agents::{
-    advance_on_route, radii, AgentId, AgentKind, Pedestrian, RoadVehicle, VehicleRef,
-};
+use crate::agents::{advance_on_route, radii, AgentId, Pedestrian, VehicleRef};
 use crate::bev::{rasterize, Bev, BevConfig, Pose};
 use crate::expert::{hazard_ahead, ExpertOutput};
-use crate::map::{EdgeId, MapConfig, NodeId, RoadNetwork};
+use crate::map::{EdgeId, MapConfig, RoadNetwork};
 use crate::route::{Route, RoutingTable};
-use lbchat::obs::{Counter, ObsSink};
 use rand::{Rng, RngExt, SeedableRng};
 use simnet::geom::Vec2;
 use simnet::trace::MobilityTrace;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// Awake vehicles below which [`World::step`] runs its intent phase inline.
-/// The fan-out spawns scoped threads every tick (≈ 100 µs for four) and a
-/// slot costs ≈ 0.5 µs, so it breaks even near 270 agents on four workers;
-/// the paper's world (32 + 50 vehicles) and every closed-loop trial — which
-/// already run one per worker — sit far below, the `--fleet` worlds above.
-pub const PAR_INTENT_MIN_AWAKE: usize = 512;
 
 /// Precomputed drivable-area raster of the whole map, shared by every BEV
 /// rasterization (sampling this grid is far cheaper than re-walking all road
@@ -149,56 +124,20 @@ impl RoadRaster {
     }
 }
 
-/// The fleet-size axis (`--fleet`): how many [`AgentKind::Fleet`] vehicles
-/// the world carries on top of the paper's expert/background/pedestrian
-/// populations. `Seed` (0) keeps the world bit-identical to
-/// [`crate::reference`]; the larger steps are the city-scale workloads the
-/// `simworld/tick_*` bench cells measure.
+/// Unused: the world has no fleet axis. The type stays only because the
+/// stand-alone `lbchat_e2e` benchmark package still names it; it goes once
+/// that package's `workloads.rs` stops naming it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FleetScale {
-    /// No fleet vehicles — the paper-scale world (default).
+    /// The paper's world, the only one there is.
     #[default]
     Seed,
-    /// 1 000 fleet vehicles.
-    K1,
-    /// 10 000 fleet vehicles.
-    K10,
-    /// 100 000 fleet vehicles.
-    K100,
-    /// 1 000 000 fleet vehicles.
-    M1,
 }
 
 impl FleetScale {
-    /// Every scale, smallest first.
-    pub const ALL: [FleetScale; 5] =
-        [FleetScale::Seed, FleetScale::K1, FleetScale::K10, FleetScale::K100, FleetScale::M1];
-
-    /// The CLI / manifest key (`seed`, `1k`, `10k`, `100k`, `1m`).
-    pub fn key(self) -> &'static str {
-        match self {
-            FleetScale::Seed => "seed",
-            FleetScale::K1 => "1k",
-            FleetScale::K10 => "10k",
-            FleetScale::K100 => "100k",
-            FleetScale::M1 => "1m",
-        }
-    }
-
-    /// Number of fleet vehicles this scale adds.
-    pub fn n_fleet(self) -> usize {
-        match self {
-            FleetScale::Seed => 0,
-            FleetScale::K1 => 1_000,
-            FleetScale::K10 => 10_000,
-            FleetScale::K100 => 100_000,
-            FleetScale::M1 => 1_000_000,
-        }
-    }
-
-    /// Parses a CLI key (the inverse of [`FleetScale::key`]).
-    pub fn parse(key: &str) -> Option<FleetScale> {
-        FleetScale::ALL.into_iter().find(|f| f.key() == key)
+    /// Always 0.
+    pub const fn n_fleet(self) -> usize {
+        0
     }
 }
 
@@ -211,16 +150,12 @@ pub struct WorldConfig {
     pub n_experts: usize,
     /// Number of background cars. Paper: 50.
     pub n_background: usize,
-    /// Number of fleet vehicles on the park → dwell → drive cycle
-    /// (the `--fleet` axis; 0 reproduces the paper-scale world exactly).
+    /// Unused, and must be 0 ([`World::new`] asserts it). The field stays
+    /// only because the stand-alone `lbchat_e2e` benchmark package still
+    /// sets it; it goes once that package's `workloads.rs` stops naming it.
     pub n_fleet: usize,
     /// Number of pedestrians. Paper: 250.
     pub n_pedestrians: usize,
-    /// Whether parked fleet vehicles leave the awake list entirely
-    /// (`true`, the default) or stay in it and get skipped per tick
-    /// (`false` — the wake-queue bench's reference arm). Trajectories are
-    /// bit-identical either way.
-    pub wake_queue: bool,
     /// Simulation frame rate (frames per second). Paper: 2.
     pub fps: f64,
     /// Map generation parameters.
@@ -239,7 +174,6 @@ impl Default for WorldConfig {
             n_background: 50,
             n_fleet: 0,
             n_pedestrians: 250,
-            wake_queue: true,
             fps: 2.0,
             map: MapConfig::default(),
             n_waypoints: 5,
@@ -259,35 +193,15 @@ impl WorldConfig {
             ..Self::default()
         }
     }
-
-    /// The default config with the given fleet scale applied.
-    pub fn with_fleet(seed: u64, fleet: FleetScale) -> Self {
-        Self { seed, n_fleet: fleet.n_fleet(), ..Self::default() }
-    }
-}
-
-/// Per-tick accounting returned by [`World::step`], mirrored into the
-/// `world.tick.{awake,slept,woken}` counters when an [`ObsSink`] is
-/// attached.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TickStats {
-    /// Agents actually simulated this tick (moving vehicles + pedestrians).
-    pub awake: usize,
-    /// Fleet vehicles that parked (entered the wake queue) this tick.
-    pub slept: usize,
-    /// Fleet vehicles whose dwell ended this tick (route planned, they
-    /// drive from the next tick).
-    pub woken: usize,
 }
 
 /// The running world, structure-of-arrays edition. `Clone` snapshots the
 /// full state (map, columns, RNG), letting evaluation run independent
 /// trials from a common base world.
 ///
-/// At seed scale (`n_fleet == 0`) this world is bit-identical to the
-/// retained [`crate::reference::World`] — same RNG draw order, same f32
-/// arithmetic — which the property suite and the golden trajectory fixture
-/// pin.
+/// This world is bit-identical to the retained per-agent oracle in
+/// `tests/reference` — same RNG draw order, same f32 arithmetic — which
+/// the property suite and the golden trajectory fixture pin.
 #[derive(Clone)]
 pub struct World {
     config: WorldConfig,
@@ -295,70 +209,56 @@ pub struct World {
     raster: RoadRaster,
     table: RoutingTable,
     // --- agent columns, indexed by AgentId ---
-    kind: Vec<AgentKind>,
     /// World position: vehicles refresh it in the apply pass; pedestrians
     /// mirror theirs after stepping. `pos[ped_base..]` is the contiguous
     /// pedestrian slice the hazard scan reads.
     pos: Vec<Vec2>,
+    // --- vehicle columns, `ped_base` long ---
     speed: Vec<f32>,
     edge_idx: Vec<usize>,
     s: Vec<f32>,
-    /// Per-vehicle route buffer; empty while a fleet vehicle is garaged.
-    /// Capacity is reserved to [`RoutingTable::max_route_edges`] up front so
-    /// reroutes never allocate.
+    /// Route buffer of each vehicle. Capacity is reserved to
+    /// [`RoutingTable::max_route_edges`] up front so reroutes never
+    /// allocate.
     routes: Vec<Route>,
-    parked_at: Vec<NodeId>,
-    wake_at: Vec<u64>,
     /// Pedestrian waypoint state, `peds[j]` ↔ agent id `ped_base + j`.
     peds: Vec<Pedestrian>,
     ped_base: usize,
-    // --- wake queue ---
-    /// Sorted ids of vehicles currently simulated per tick.
-    awake: Vec<AgentId>,
-    sleepers: BinaryHeap<Reverse<(u64, AgentId)>>,
     // --- tick machinery (reused scratch) ---
     intents: Vec<f32>,
     gap_index: Vec<(EdgeId, f32)>,
-    woken_scratch: Vec<AgentId>,
     rng: rand::rngs::StdRng,
     time: f64,
-    tick: u64,
     route_grows: u64,
-    obs: ObsSink,
 }
 
 impl World {
     /// Builds a world: generates the map, precomputes the routing table,
-    /// spawns experts and background traffic on random routes, parks the
-    /// fleet, and scatters pedestrians over the town.
+    /// spawns experts and background traffic on random routes, and
+    /// scatters pedestrians over the town.
+    ///
+    /// # Panics
+    /// Panics if `config.n_fleet` is not 0: the world has no fleet.
     pub fn new(config: WorldConfig) -> Self {
+        assert_eq!(config.n_fleet, 0, "the world has no fleet vehicles; n_fleet must be 0");
         let map = RoadNetwork::generate(config.seed);
         let raster = RoadRaster::from_map(&map);
         let table = RoutingTable::new(&map);
         let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed.wrapping_add(0x9E3779B9));
-        let n_always = config.n_experts + config.n_background;
-        let n_vehicles = n_always + config.n_fleet;
+        let n_vehicles = config.n_experts + config.n_background;
         let n_agents = n_vehicles + config.n_pedestrians;
         let reserve = table.max_route_edges();
 
-        let mut kind = Vec::with_capacity(n_agents);
         let mut pos = Vec::with_capacity(n_agents);
-        let speed = vec![0.0f32; n_agents];
-        let edge_idx = vec![0usize; n_agents];
-        let mut s = vec![0.0f32; n_agents];
-        let mut routes: Vec<Route> = Vec::with_capacity(n_agents);
-        let mut parked_at = vec![0 as NodeId; n_agents];
-        let mut wake_at = vec![0u64; n_agents];
+        let speed = vec![0.0f32; n_vehicles];
+        let edge_idx = vec![0usize; n_vehicles];
+        let mut s = vec![0.0f32; n_vehicles];
+        let mut routes: Vec<Route> = Vec::with_capacity(n_vehicles);
 
         // Experts then background: the exact draw sequence of the reference
         // world (route retries included — `route_into` fails iff the two
         // endpoints coincide, same as `Router::route`).
-        for (id, s_slot) in s.iter_mut().enumerate().take(n_always) {
-            kind.push(if id < config.n_experts {
-                AgentKind::Expert
-            } else {
-                AgentKind::Background
-            });
+        for s_slot in &mut s {
             let mut route = Route { edges: Vec::with_capacity(reserve) };
             loop {
                 let a = map.random_node(&mut rng);
@@ -375,38 +275,12 @@ impl World {
             routes.push(route);
         }
 
-        // Fleet: parked at a random node with a staggered first wake, so a
-        // freshly built city doesn't dump the whole fleet onto the roads on
-        // tick one. (Only reached when n_fleet > 0, so seed-scale draw
-        // sequences are untouched.)
-        for _ in 0..config.n_fleet {
-            let id = routes.len();
-            kind.push(AgentKind::Fleet);
-            let node = map.random_node(&mut rng);
-            parked_at[id] = node;
-            wake_at[id] = rng.random_range(0..600u64);
-            pos.push(map.node(node).pos);
-            routes.push(Route { edges: Vec::with_capacity(reserve) });
-        }
-
         let town_area = town_area_of(&config.map);
         let mut peds = Vec::with_capacity(config.n_pedestrians);
         for _ in 0..config.n_pedestrians {
             let p = Pedestrian::spawn_in(town_area, &mut rng);
-            kind.push(AgentKind::Pedestrian);
             pos.push(p.pos);
-            routes.push(Route { edges: Vec::new() });
             peds.push(p);
-        }
-
-        let mut awake: Vec<AgentId> = Vec::with_capacity(n_vehicles);
-        let mut sleepers = BinaryHeap::new();
-        for id in 0..n_vehicles {
-            if kind[id] == AgentKind::Fleet && config.wake_queue {
-                sleepers.push(Reverse((wake_at[id], id)));
-            } else {
-                awake.push(id);
-            }
         }
 
         Self {
@@ -414,26 +288,18 @@ impl World {
             map,
             raster,
             table,
-            kind,
             pos,
             speed,
             edge_idx,
             s,
             routes,
-            parked_at,
-            wake_at,
             peds,
             ped_base: n_vehicles,
-            awake,
-            sleepers,
             intents: Vec::new(),
             gap_index: Vec::new(),
-            woken_scratch: Vec::new(),
             rng,
             time: 0.0,
-            tick: 0,
             route_grows: 0,
-            obs: ObsSink::default(),
         }
     }
 
@@ -457,11 +323,6 @@ impl World {
         self.time
     }
 
-    /// Number of ticks stepped so far.
-    pub fn tick(&self) -> u64 {
-        self.tick
-    }
-
     /// Number of expert (learning) vehicles.
     pub fn n_experts(&self) -> usize {
         self.config.n_experts
@@ -469,7 +330,7 @@ impl World {
 
     /// Total number of agents across all kinds.
     pub fn n_agents(&self) -> usize {
-        self.kind.len()
+        self.pos.len()
     }
 
     /// How many route-buffer reallocations have happened since
@@ -480,28 +341,12 @@ impl World {
         self.route_grows
     }
 
-    /// Attaches an observability sink; `step` emits the
-    /// `world.tick.{awake,slept,woken}` counters through it.
-    pub fn attach_obs(&mut self, obs: ObsSink) {
-        self.obs = obs;
-    }
-
-    /// The kind of agent `id`.
-    pub fn agent_kind(&self, id: AgentId) -> AgentKind {
-        self.kind[id]
-    }
-
-    /// A borrowed view of road-vehicle `id` (experts, background, and
-    /// non-garaged fleet).
+    /// A borrowed view of road-vehicle `id` (experts and background).
     ///
     /// # Panics
-    /// Panics if `id` is a pedestrian or a garaged fleet vehicle (their
-    /// route is empty).
+    /// Panics if `id` is a pedestrian.
     pub fn vehicle_view(&self, id: AgentId) -> VehicleRef<'_> {
-        assert!(
-            !self.routes[id].edges.is_empty(),
-            "agent {id} has no route (pedestrian or garaged fleet)"
-        );
+        assert!(id < self.ped_base, "agent {id} is a pedestrian and has no route");
         VehicleRef {
             route: &self.routes[id],
             edge_idx: self.edge_idx[id],
@@ -521,44 +366,34 @@ impl World {
         self.pos[self.ped_base..].to_vec()
     }
 
-    /// Positions of all active cars (experts + background + driving fleet;
-    /// garaged fleet vehicles are off the road).
+    /// Positions of all cars (experts + background).
     pub fn car_positions(&self) -> Vec<Vec2> {
-        let mut out = Vec::with_capacity(self.ped_base);
-        for id in 0..self.ped_base {
-            if self.routes[id].edges.is_empty() {
-                continue;
-            }
-            out.push(self.pos[id]);
-        }
-        out
+        self.pos[..self.ped_base].to_vec()
     }
 
-    /// Positions of active cars excluding expert `skip` (for that expert's
-    /// BEV).
+    /// Positions of cars excluding expert `skip` (for that expert's BEV).
     pub fn car_positions_except(&self, skip: usize) -> Vec<Vec2> {
-        let mut out = Vec::with_capacity(self.ped_base.saturating_sub(1));
-        for id in 0..self.ped_base {
-            if id == skip || self.routes[id].edges.is_empty() {
-                continue;
+        let cars = &self.pos[..self.ped_base];
+        let mut out = Vec::with_capacity(cars.len().saturating_sub(1));
+        for (id, &p) in cars.iter().enumerate() {
+            if id != skip {
+                out.push(p);
             }
-            out.push(self.pos[id]);
         }
         out
     }
 
-    /// Advances the world by one frame (`1 / fps` seconds): parallel
+    /// Advances the world by one frame (`1 / fps` seconds): the pure
     /// intent phase, then the serial id-ordered apply pass.
-    pub fn step(&mut self) -> TickStats {
-        self.begin_tick();
+    pub fn step(&mut self) {
         let mut intents = std::mem::take(&mut self.intents);
         let mut gap_index = std::mem::take(&mut self.gap_index);
         self.build_gap_index(&mut gap_index);
-        self.compute_intents(&gap_index, &mut intents);
-        let stats = self.apply(&intents);
+        intents.clear();
+        intents.extend((0..self.ped_base).map(|id| self.intent_for(id, &gap_index)));
+        self.apply(&intents);
         self.intents = intents;
         self.gap_index = gap_index;
-        stats
     }
 
     /// [`World::step`] with the intent phase evaluated serially in a
@@ -566,101 +401,43 @@ impl World {
     /// are pure functions of pre-step state, the result must be bit-for-bit
     /// identical to `step` for every permutation — the property the
     /// bit-identity suite checks to certify the phase is order-free.
-    pub fn step_permuted(&mut self, perm_seed: u64) -> TickStats {
-        self.begin_tick();
+    pub fn step_permuted(&mut self, perm_seed: u64) {
         let mut intents = std::mem::take(&mut self.intents);
         let mut gap_index = std::mem::take(&mut self.gap_index);
         self.build_gap_index(&mut gap_index);
         intents.clear();
-        intents.resize(self.awake.len(), 0.0);
-        let mut order: Vec<usize> = (0..self.awake.len()).collect();
+        intents.resize(self.ped_base, 0.0);
+        let mut order: Vec<AgentId> = (0..self.ped_base).collect();
         let mut prng = rand::rngs::StdRng::seed_from_u64(perm_seed);
         for i in (1..order.len()).rev() {
             let j = prng.random_range(0..=i);
             order.swap(i, j);
         }
-        for &i in &order {
-            intents[i] = self.intent_for(self.awake[i], &gap_index);
+        for &id in &order {
+            intents[id] = self.intent_for(id, &gap_index);
         }
-        let stats = self.apply(&intents);
+        self.apply(&intents);
         self.intents = intents;
         self.gap_index = gap_index;
-        stats
     }
 
-    /// Starts a tick: advances the counter and readmits fleet vehicles
-    /// whose dwell has ended (wake-queue mode; with the queue disabled the
-    /// apply pass performs the same check inline).
-    fn begin_tick(&mut self) {
-        self.tick += 1;
-        if !self.config.wake_queue {
-            return;
-        }
-        let mut woke = std::mem::take(&mut self.woken_scratch);
-        woke.clear();
-        while let Some(&Reverse((due, id))) = self.sleepers.peek() {
-            if due > self.tick {
-                break;
-            }
-            self.sleepers.pop();
-            woke.push(id);
-        }
-        if !woke.is_empty() {
-            woke.sort_unstable();
-            merge_sorted(&mut self.awake, &woke);
-        }
-        self.woken_scratch = woke;
-    }
-
-    /// Rebuilds the leader-gap index: `(edge, s)` of every active vehicle,
-    /// sorted by edge then progress. Pushed in ascending id order and
+    /// Rebuilds the leader-gap index: `(edge, s)` of every vehicle, sorted
+    /// by edge then progress. Pushed in ascending id order and
     /// stable-sorted, this is element-for-element the order the reference
     /// world's per-edge `BTreeMap` lists take.
     fn build_gap_index(&self, out: &mut Vec<(EdgeId, f32)>) {
         out.clear();
-        for &id in &self.awake {
-            let route = &self.routes[id];
-            if route.edges.is_empty() {
-                continue;
-            }
-            let eid = route.edges[self.edge_idx[id]];
-            out.push((eid, self.s[id]));
+        for (id, route) in self.routes.iter().enumerate() {
+            out.push((route.edges[self.edge_idx[id]], self.s[id]));
         }
         out.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
     }
 
-    /// The intent phase: one target-speed slot per awake agent, filled
-    /// inline below [`PAR_INTENT_MIN_AWAKE`] agents and fanned over the
-    /// worker pool from there on. Slots are pure functions of pre-step
-    /// state, so which path fills them — and on how many workers — never
-    /// shows in a single bit.
-    fn compute_intents(&self, gap_index: &[(EdgeId, f32)], intents: &mut Vec<f32>) {
-        intents.clear();
-        intents.resize(self.awake.len(), 0.0);
-        let fill = |i: usize, out: &mut f32| *out = self.intent_for(self.awake[i], gap_index);
-        if intents.len() < PAR_INTENT_MIN_AWAKE {
-            for (i, out) in intents.iter_mut().enumerate() {
-                fill(i, out);
-            }
-        } else {
-            lbchat::exec::par_for_each_mut(intents, fill);
-        }
-    }
-
     /// The final target speed of vehicle `id` from pre-step state: speed
     /// limits + turn slowdown + car-following + pedestrian braking. Pure —
-    /// no RNG, no writes — which is what licenses the parallel shard.
+    /// no RNG, no writes — so the visit order never shows.
     fn intent_for(&self, id: AgentId, gap_index: &[(EdgeId, f32)]) -> f32 {
-        let route = &self.routes[id];
-        if route.edges.is_empty() {
-            return 0.0;
-        }
-        let v = VehicleRef {
-            route,
-            edge_idx: self.edge_idx[id],
-            s: self.s[id],
-            speed: self.speed[id],
-        };
+        let v = self.vehicle_view(id);
         let gap = gap_from_index(&self.map, gap_index, v);
         let mut target = v.target_speed(&self.map, gap);
         // Privileged braking for pedestrians in the path.
@@ -693,31 +470,13 @@ impl World {
         hazard_ahead(&self.map, v, peds, 10.0, 2.5)
     }
 
-    /// The serial apply pass: integrate awake vehicles in ascending id
-    /// order (reroutes and fleet transitions draw RNG here), then step
-    /// every pedestrian. Vehicles read pre-step pedestrian positions from
-    /// the `pos` column because every vehicle id precedes every pedestrian
-    /// id — no snapshot copy needed.
-    fn apply(&mut self, intents: &[f32]) -> TickStats {
+    /// The serial apply pass: integrate vehicles in ascending id order
+    /// (reroutes draw RNG here), then step every pedestrian. Vehicles read
+    /// pre-step pedestrian positions from the `pos` column because every
+    /// vehicle id precedes every pedestrian id — no snapshot copy needed.
+    fn apply(&mut self, intents: &[f32]) {
         let dt = (1.0 / self.config.fps) as f32;
-        let mut active = 0usize;
-        let mut woken = 0usize;
-        let mut slept = 0usize;
-        let mut slept_ids = std::mem::take(&mut self.woken_scratch);
-        slept_ids.clear();
-        for (i, &intent) in intents.iter().enumerate().take(self.awake.len()) {
-            let id = self.awake[i];
-            if self.routes[id].edges.is_empty() {
-                // Garaged fleet vehicle (wake queue disabled, or woken this
-                // tick): plan a fresh route once its dwell ends; it drives
-                // from the next tick.
-                if self.wake_at[id] <= self.tick {
-                    self.plan_fleet_route(id);
-                    woken += 1;
-                }
-                continue;
-            }
-            active += 1;
+        for (id, &intent) in intents.iter().enumerate() {
             let still_going = advance_on_route(
                 &self.map,
                 &self.routes[id],
@@ -730,22 +489,6 @@ impl World {
             if still_going {
                 let eid = self.routes[id].edges[self.edge_idx[id]];
                 self.pos[id] = self.map.position_on_edge(eid, self.s[id]);
-            } else if self.kind[id] == AgentKind::Fleet {
-                // Arrived: garage the vehicle and queue its next outing.
-                let here = self.routes[id].destination(&self.map);
-                self.routes[id].edges.clear();
-                self.edge_idx[id] = 0;
-                self.s[id] = 0.0;
-                self.speed[id] = 0.0;
-                self.parked_at[id] = here;
-                self.pos[id] = self.map.node(here).pos;
-                let dwell = self.rng.random_range(60..600u64);
-                self.wake_at[id] = self.tick + dwell;
-                slept += 1;
-                if self.config.wake_queue {
-                    self.sleepers.push(Reverse((self.wake_at[id], id)));
-                    slept_ids.push(id);
-                }
             } else {
                 // Arrived: plan a fresh random route from the destination,
                 // carrying speed across the reroute (reference semantics).
@@ -767,10 +510,6 @@ impl World {
                 self.pos[id] = self.map.position_on_edge(eid, 0.0);
             }
         }
-        if !slept_ids.is_empty() {
-            remove_sorted(&mut self.awake, &slept_ids);
-        }
-        self.woken_scratch = slept_ids;
 
         let town = town_area_of(&self.config.map);
         let base = self.ped_base;
@@ -780,31 +519,6 @@ impl World {
             self.pos[id] = self.peds[j].pos;
         }
         self.time += f64::from(dt);
-
-        let stats = TickStats { awake: active + self.peds.len(), slept, woken };
-        self.obs.add(Counter::WorldTickAwake, stats.awake as u64);
-        self.obs.add(Counter::WorldTickSlept, stats.slept as u64);
-        self.obs.add(Counter::WorldTickWoken, stats.woken as u64);
-        stats
-    }
-
-    /// Plans a fresh route for fleet vehicle `id` out of its parking node.
-    fn plan_fleet_route(&mut self, id: AgentId) {
-        let here = self.parked_at[id];
-        loop {
-            let next = self.map.random_node(&mut self.rng);
-            if let Some(grew) = self.table.route_into(here, next, &mut self.routes[id].edges) {
-                if grew {
-                    self.route_grows += 1;
-                }
-                break;
-            }
-        }
-        self.edge_idx[id] = 0;
-        self.s[id] = 0.0;
-        self.speed[id] = 0.0;
-        let eid = self.routes[id].edges[0];
-        self.pos[id] = self.map.position_on_edge(eid, 0.0);
     }
 
     /// Captures expert `idx`'s BEV observation and supervision for the
@@ -866,16 +580,16 @@ impl World {
         pts
     }
 
-    /// Whether a circle at `pos` with `radius` collides with any active car
-    /// or pedestrian (the closed-loop failure check). `skip_expert` excludes
+    /// Whether a circle at `pos` with `radius` collides with any car or
+    /// pedestrian (the closed-loop failure check). `skip_expert` excludes
     /// one expert (the ego vehicle itself when it is driven externally).
     pub fn collides(&self, pos: Vec2, radius: f32, skip_expert: Option<usize>) -> bool {
         let car_r = radius + radii::CAR;
-        for id in 0..self.ped_base {
-            if Some(id) == skip_expert || self.routes[id].edges.is_empty() {
+        for (id, car) in self.pos[..self.ped_base].iter().enumerate() {
+            if Some(id) == skip_expert {
                 continue;
             }
-            if self.pos[id].distance(pos) < car_r {
+            if car.distance(pos) < car_r {
                 return true;
             }
         }
@@ -902,22 +616,6 @@ impl World {
             self.step();
         }
         MobilityTrace::new(self.config.fps, positions)
-    }
-
-    /// Future route samples of expert `idx` (assist-message content).
-    pub fn expert_future(&self, idx: usize, dt: f64, n: usize) -> Vec<Vec2> {
-        let ghost = RoadVehicle {
-            route: self.routes[idx].clone(),
-            edge_idx: self.edge_idx[idx],
-            s: self.s[idx],
-            speed: self.speed[idx],
-        };
-        ghost.predict_future(&self.map, dt, n)
-    }
-
-    /// The world's RNG, for auxiliary draws that must stay reproducible.
-    pub fn rng_mut(&mut self) -> &mut rand::rngs::StdRng {
-        &mut self.rng
     }
 
     /// The precomputed routing table over this world's map.
@@ -986,47 +684,6 @@ fn gap_from_index(map: &RoadNetwork, index: &[(EdgeId, f32)], v: VehicleRef<'_>)
     best.filter(|&g| g < 60.0)
 }
 
-/// Merges sorted `add` into sorted `dst` in place (backward merge, no
-/// extra allocation beyond the tail growth).
-fn merge_sorted(dst: &mut Vec<AgentId>, add: &[AgentId]) {
-    let mut a = dst.len();
-    dst.resize(a + add.len(), 0);
-    let mut b = add.len();
-    let mut w = dst.len();
-    while b > 0 {
-        w -= 1;
-        let take_dst = a > 0 && {
-            let ai = a - 1;
-            let bi = b - 1;
-            dst[ai] > add[bi]
-        };
-        if take_dst {
-            a -= 1;
-            dst[w] = dst[a];
-        } else {
-            b -= 1;
-            dst[w] = add[b];
-        }
-    }
-}
-
-/// Removes every id in sorted `gone` from sorted `dst` with one two-pointer
-/// sweep.
-fn remove_sorted(dst: &mut Vec<AgentId>, gone: &[AgentId]) {
-    let mut keep = 0usize;
-    let mut k = 0usize;
-    for r in 0..dst.len() {
-        let id = dst[r];
-        if k < gone.len() && gone[k] == id {
-            k += 1;
-            continue;
-        }
-        dst[keep] = id;
-        keep += 1;
-    }
-    dst.truncate(keep);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1035,25 +692,16 @@ mod tests {
         World::new(WorldConfig::small(3))
     }
 
-    fn fleet_world(seed: u64, n_fleet: usize, wake_queue: bool) -> World {
-        World::new(WorldConfig {
-            n_fleet,
-            wake_queue,
-            ..WorldConfig::small(seed)
-        })
-    }
-
     /// Destructured without `..`: adding or removing a field fails to
     /// compile here until the count is a decision someone made.
     #[test]
-    fn defaults_are_the_paper_world_over_ten_fields() {
+    fn defaults_are_the_paper_world_over_nine_fields() {
         let WorldConfig {
             seed,
             n_experts,
             n_background,
             n_fleet,
             n_pedestrians,
-            wake_queue,
             fps,
             map,
             n_waypoints,
@@ -1064,7 +712,6 @@ mod tests {
         assert_eq!(n_background, 50);
         assert_eq!(n_fleet, 0);
         assert_eq!(n_pedestrians, 250);
-        assert!(wake_queue);
         assert_eq!(fps, 2.0);
         assert_eq!(map.extent, 1000.0);
         assert_eq!(n_waypoints, 5);
@@ -1202,58 +849,15 @@ mod tests {
     }
 
     #[test]
-    fn fleet_scale_keys_round_trip() {
-        for f in FleetScale::ALL {
-            assert_eq!(FleetScale::parse(f.key()), Some(f));
-        }
-        assert_eq!(FleetScale::parse("nope"), None);
-        assert_eq!(FleetScale::Seed.n_fleet(), 0);
-        assert!(FleetScale::M1.n_fleet() > FleetScale::K100.n_fleet());
-    }
-
-    #[test]
-    fn fleet_vehicles_cycle_between_parked_and_driving() {
-        let mut w = fleet_world(11, 30, true);
-        assert_eq!(w.n_agents(), 8 + 12 + 30 + 40);
-        // Everyone starts parked (garaged fleet is off the road).
-        assert_eq!(w.car_positions().len(), 20);
-        let mut woken_total = 0;
-        let mut slept_total = 0;
-        let mut max_active = 0;
-        for _ in 0..800 {
-            let stats = w.step();
-            woken_total += stats.woken;
-            slept_total += stats.slept;
-            max_active = max_active.max(stats.awake);
-        }
-        assert!(woken_total > 0, "dwells under 600 ticks must have ended");
-        assert!(slept_total > 0, "some fleet trips must have completed");
-        assert!(max_active > 20 + 40, "fleet vehicles must have driven");
-        // The awake list only holds experts/background plus driving fleet.
-        assert!(w.awake.len() <= 20 + 30);
-        assert!(w.awake.windows(2).all(|p| p[0] < p[1]), "awake stays sorted");
-    }
-
-    #[test]
-    fn wake_queue_disabled_is_bit_identical() {
-        let mut on = fleet_world(21, 25, true);
-        let mut off = fleet_world(21, 25, false);
-        for _ in 0..700 {
-            on.step();
-            off.step();
-        }
-        assert_eq!(on.pos.len(), off.pos.len());
-        for (a, b) in on.pos.iter().zip(&off.pos) {
-            assert_eq!(a.x.to_bits(), b.x.to_bits());
-            assert_eq!(a.y.to_bits(), b.y.to_bits());
-        }
-        assert_eq!(on.tick, off.tick);
+    #[should_panic(expected = "n_fleet must be 0")]
+    fn a_fleet_is_refused() {
+        World::new(WorldConfig { n_fleet: 1, ..WorldConfig::small(3) });
     }
 
     #[test]
     fn permuted_intent_order_is_bit_identical() {
-        let mut a = fleet_world(31, 15, true);
-        let mut b = fleet_world(31, 15, true);
+        let mut a = World::new(WorldConfig::small(31));
+        let mut b = World::new(WorldConfig::small(31));
         for k in 0..120 {
             a.step();
             b.step_permuted(0xBAD5EED ^ k);
@@ -1269,38 +873,11 @@ mod tests {
 
     #[test]
     fn routes_never_reallocate_after_spawn() {
-        let mut w = fleet_world(41, 20, true);
+        let mut w = World::new(WorldConfig::small(41));
         assert_eq!(w.route_grows(), 0, "spawn must reserve the worst case");
         for _ in 0..900 {
             w.step();
         }
         assert_eq!(w.route_grows(), 0, "steady-state reroutes must not allocate");
-    }
-
-    #[test]
-    fn tick_counters_flow_to_the_obs_sink() {
-        let sink = ObsSink::recording();
-        let mut w = fleet_world(51, 10, true);
-        w.attach_obs(sink.clone());
-        for _ in 0..650 {
-            w.step();
-        }
-        let counters = sink.counters();
-        for c in [Counter::WorldTickAwake, Counter::WorldTickWoken, Counter::WorldTickSlept] {
-            assert!(counters.get(c.name()).copied().unwrap_or(0) > 0, "{c:?}");
-        }
-    }
-
-    #[test]
-    fn merge_and_remove_keep_sorted_sets() {
-        let mut v = vec![1usize, 4, 7, 9];
-        merge_sorted(&mut v, &[0, 5, 9]);
-        assert_eq!(v, vec![0, 1, 4, 5, 7, 9, 9]);
-        let mut v = vec![1usize, 3, 5, 7];
-        remove_sorted(&mut v, &[3, 7]);
-        assert_eq!(v, vec![1, 5]);
-        let mut v: Vec<usize> = vec![2, 4];
-        merge_sorted(&mut v, &[]);
-        assert_eq!(v, vec![2, 4]);
     }
 }

@@ -5,25 +5,23 @@
 //! `bev::reference` / `runtime::reference` pattern): vehicles and
 //! pedestrians as owned structs, a fresh per-step [`Router`], and a
 //! single serial step loop interleaving movement with RNG reroute draws.
-//! `crate::world::World` must reproduce this world bit for bit at seed
-//! scale (zero fleet vehicles) — the property tests in
-//! `tests/soa_identity.rs` and the golden trajectory fixture pin that
-//! contract. Only two mechanical adaptations were made while moving the
-//! code here: types shared with the new world ([`WorldConfig`],
-//! [`RoadRaster`]) are imported from `crate::world`, and expert-autopilot
-//! helpers are called through [`RoadVehicle::view`] after their
-//! signatures moved to [`crate::agents::VehicleRef`]. The `n_fleet`
-//! config field is intentionally ignored: the reference world predates
-//! the fleet axis and only ever models the seed populations. The two
-//! identity checks above are what pin this module: edit it only together
-//! with them.
+//! `simworld::world::World` must reproduce this world bit for bit — the
+//! property tests in `soa_identity.rs` and the golden trajectory fixture
+//! pin that contract. It lives with the integration tests, not in the
+//! library, and reaches the library only through its public API. Only two
+//! mechanical adaptations were made while moving the code here: types
+//! shared with the new world ([`WorldConfig`], [`RoadRaster`]) are
+//! imported from `simworld::world`, and expert-autopilot helpers are
+//! called through [`RoadVehicle::view`] after their signatures moved to
+//! [`simworld::agents::VehicleRef`]. The two identity checks above are
+//! what pin this module: edit it only together with them.
 
-use crate::agents::{radii, Pedestrian, RoadVehicle};
-use crate::bev::{rasterize, Bev, Pose};
-use crate::expert::{hazard_ahead, ExpertOutput};
-use crate::map::RoadNetwork;
-use crate::route::{Route, Router};
-use crate::world::{RoadRaster, WorldConfig};
+use simworld::agents::{radii, Pedestrian, RoadVehicle};
+use simworld::bev::{rasterize, Bev, Pose};
+use simworld::expert::{hazard_ahead, ExpertOutput};
+use simworld::map::RoadNetwork;
+use simworld::route::{Route, Router};
+use simworld::world::{RoadRaster, WorldConfig};
 use rand::{Rng, RngExt, SeedableRng};
 use simnet::geom::Vec2;
 use simnet::trace::MobilityTrace;
@@ -230,12 +228,12 @@ impl World {
         let peds = self.pedestrian_positions();
         let route_ahead = self.route_ahead_polyline(v, 60.0);
         let bev = rasterize(&self.config.bev, pose, v.speed, &self.raster, &cars, &peds, &route_ahead);
-        let gap = crate::expert::forward_gap(&self.map, v.view(), &cars, 40.0, 3.0);
+        let gap = simworld::expert::forward_gap(&self.map, v.view(), &cars, 40.0, 3.0);
         let mut v_target = v.target_speed(&self.map, gap);
         if hazard_ahead(&self.map, v.view(), &peds, 10.0, 2.5) {
             v_target = 0.0;
         }
-        let sup = crate::expert::supervise_timed(
+        let sup = simworld::expert::supervise_timed(
             &self.map,
             v.view(),
             self.config.n_waypoints,
@@ -333,7 +331,7 @@ impl World {
     }
 
     /// A per-query Dijkstra router borrowed over this world's map (the
-    /// pre-[`crate::route::RoutingTable`] search the new world replaced).
+    /// pre-[`simworld::route::RoutingTable`] search the new world replaced).
     pub fn router(&self) -> Router<'_> {
         Router::new(&self.map)
     }

@@ -1,16 +1,20 @@
 //! Bit-identity of the structure-of-arrays world against the retained
-//! per-agent reference implementation ([`simworld::reference`]).
+//! per-agent reference implementation ([`reference`]).
 //!
-//! The SoA rewrite is an *optimization*: at seed scale (`n_fleet == 0`)
-//! every observable — agent positions, expert routes and kinematic state,
-//! BEV rasterizations, supervision targets — must match the reference to
-//! the f32 bit, for any map seed and any number of ticks. Fleet scaling
-//! invariants (wake-queue on/off, intent-order permutation) are checked
-//! here too, over randomized populations rather than the single seeds the
-//! in-module tests pin.
+//! The SoA rewrite is an *optimization*: every observable — agent
+//! positions, expert routes and kinematic state, BEV rasterizations,
+//! supervision targets — must match the reference to the f32 bit, for any
+//! map seed and any number of ticks. The intent-order invariant is checked
+//! here too, over randomized populations rather than the single seed the
+//! in-module test pins.
+
+#[expect(
+    dead_code,
+    reason = "the oracle is kept verbatim, including methods these checks do not call"
+)]
+mod reference;
 
 use proptest::prelude::*;
-use simworld::reference;
 use simworld::world::{World, WorldConfig};
 
 /// Asserts every observable of `w` equals the reference world `r` bitwise.
@@ -40,7 +44,7 @@ fn assert_bit_identical(w: &World, r: &reference::World, ctx: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The tentpole contract: at seed scale the SoA world reproduces the
+    /// The tentpole contract: the SoA world reproduces the
     /// reference step for step, on any map, to the f32 bit.
     #[test]
     fn soa_matches_reference_at_seed_scale(seed in 0u64..200, ticks in 1usize..50) {
@@ -79,44 +83,11 @@ proptest! {
         }
     }
 
-    /// A wake queue that has been dirtied by hundreds of sleep/wake
-    /// transitions yields exactly the trajectories of the world that
-    /// never removes sleepers from its awake list.
+    /// Shuffling the intent-phase visit order never changes a single output
+    /// bit: the phase is pure, whatever populations share the roads.
     #[test]
-    fn dirty_wake_queue_is_transparent(seed in 0u64..50, n_fleet in 1usize..40, ticks in 50usize..700) {
-        let cfg = |wake_queue| WorldConfig {
-            n_fleet,
-            wake_queue,
-            ..WorldConfig::small(seed)
-        };
-        let mut on = World::new(cfg(true));
-        let mut off = World::new(cfg(false));
-        let mut churn = 0usize;
-        for _ in 0..ticks {
-            let stats = on.step();
-            churn += stats.slept + stats.woken;
-            off.step();
-        }
-        let (a, b) = (on.car_positions(), off.car_positions());
-        prop_assert_eq!(a.len(), b.len());
-        for (p, q) in a.iter().zip(&b) {
-            prop_assert_eq!(p.x.to_bits(), q.x.to_bits());
-            prop_assert_eq!(p.y.to_bits(), q.y.to_bits());
-        }
-        // The run must actually have exercised the queue for the identity
-        // to mean anything. Spawn staggers are strictly under 600 ticks,
-        // so any longer run deterministically wakes every fleet vehicle
-        // at least once.
-        if ticks > 600 {
-            prop_assert!(churn > 0, "wake queue never cycled (seed {})", seed);
-        }
-    }
-
-    /// Shuffling the intent-phase visit order (what a different `--jobs`
-    /// sharding amounts to) never changes a single output bit.
-    #[test]
-    fn intent_order_permutation_is_invariant(seed in 0u64..50, perm in 0u64..1000, n_fleet in 0usize..20) {
-        let cfg = WorldConfig { n_fleet, ..WorldConfig::small(seed) };
+    fn intent_order_permutation_is_invariant(seed in 0u64..50, perm in 0u64..1000, n_background in 0usize..40) {
+        let cfg = WorldConfig { n_background, ..WorldConfig::small(seed) };
         let mut a = World::new(cfg.clone());
         let mut b = World::new(cfg);
         for t in 0..60 {
