@@ -155,7 +155,8 @@ pub fn wire_bytes(dense_wire_bytes: usize, psi: f32) -> usize {
 /// Each retained f32 drags a u32 index, so k pairs cost `2·ψ·S`; past
 /// `ψ = 1/2` a sender falls back to the dense encoding at `S`. This is the
 /// documented divergence from the paper's simplified `ψ·S` ([`wire_bytes`])
-/// — the microbench report prints both so the table does not understate
+/// — LbChat records both per send (`compress.model_bytes` /
+/// `compress.pair_bytes`) so a run manifest does not understate
 /// sparse-encoding cost.
 pub fn pair_wire_bytes(dense_wire_bytes: usize, psi: f32) -> usize {
     assert!((0.0..=1.0).contains(&psi), "psi must be in [0, 1]");

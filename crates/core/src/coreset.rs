@@ -103,10 +103,11 @@ impl Default for CoresetConfig {
 /// Construction at size 150 from a 10k-frame dataset allocates a loss
 /// vector, per-layer index vectors, and a key vector per layer on every
 /// call; nodes rebuild their coreset after every chat, so that churn is a
-/// measured hot path (`coreset/*` in the bench suite). A scratch carried
-/// across calls removes every per-call allocation. The buffers hold no
-/// state between calls — reusing one scratch across datasets and learners
-/// is always correct, and results are bit-identical to a fresh scratch.
+/// measured hot path (`coreset.construct_us` in `lbchat_e2e`). A scratch
+/// carried across calls removes every per-call allocation. The buffers
+/// hold no state between calls — reusing one scratch across datasets and
+/// learners is always correct, and results are bit-identical to a fresh
+/// scratch.
 #[derive(Debug, Default, Clone)]
 pub struct CoresetScratch {
     losses: Vec<f32>,

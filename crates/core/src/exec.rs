@@ -7,9 +7,9 @@
 //! This module provides the two pieces that make that combination work,
 //! with no dependencies beyond `std`:
 //!
-//! * [`par_run`] / [`par_map`] — a scoped worker pool (`std::thread::scope`)
-//!   that fans a work list across up to [`jobs`] threads and returns results
-//!   **in input order**. Callers must make each work item self-contained
+//! * [`par_run`] — a scoped worker pool (`std::thread::scope`) that fans a
+//!   work list across up to [`jobs`] threads and returns results **in input
+//!   order**. Callers must make each work item self-contained
 //!   (no RNG shared across items); under that contract the output is
 //!   bit-identical for any job count, including 1.
 //! * [`derive_seed`] — a stable, platform-independent seed-derivation
@@ -21,11 +21,11 @@
 //! (the `--jobs` CLI flag), the `LBCHAT_JOBS` environment variable, and
 //! finally [`std::thread::available_parallelism`].
 //!
-//! [`par_run_traced`] / [`par_map_traced`] are the same fan-outs with one
-//! `work_unit` timing event per item recorded into an
-//! [`ObsSink`](crate::obs::ObsSink) — span parentage is captured on the
-//! submitting thread, so nesting stays correct across the pool. With a
-//! disabled sink they are exactly [`par_run`] / [`par_map`].
+//! [`par_run_traced`] is the same fan-out with one `work_unit` timing event
+//! per item recorded into an [`ObsSink`](crate::obs::ObsSink) — span
+//! parentage is captured on the submitting thread, so nesting stays correct
+//! across the pool — and [`par_map_traced`] runs it over a slice. With a
+//! disabled sink both are exactly [`par_run`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -35,7 +35,7 @@ static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// Environment variable consulted by [`jobs`] when no override is set.
 pub const JOBS_ENV: &str = "LBCHAT_JOBS";
 
-/// Overrides the worker count used by [`par_run`]/[`par_map`] (the
+/// Overrides the worker count used by [`par_run`] (the
 /// `--jobs` flag). A value of 0 clears the override, falling back to
 /// `LBCHAT_JOBS` / hardware detection.
 pub fn set_jobs(n: usize) {
@@ -106,18 +106,6 @@ where
     keyed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Maps `f` over `items` in parallel, preserving order. `f` receives the
-/// item index alongside the item so callers can derive per-item seeds with
-/// [`derive_seed`].
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_run(items.len(), |i| f(i, &items[i]))
-}
-
 /// [`par_run`] with per-work-unit observability: when `sink` is
 /// recording, each work item runs inside a `work_unit` span (see
 /// [`crate::obs`]) tagged with `stage` and the item index, parented to
@@ -143,7 +131,10 @@ where
     })
 }
 
-/// [`par_map`] with per-work-unit observability; see [`par_run_traced`].
+/// Maps `f` over `items` in parallel, preserving order, with per-work-unit
+/// observability; see [`par_run_traced`]. `f` receives the item index
+/// alongside the item so callers can derive per-item seeds with
+/// [`derive_seed`].
 pub fn par_map_traced<T, R, F>(
     sink: &crate::obs::ObsSink,
     stage: &str,
@@ -159,7 +150,7 @@ where
 }
 
 /// Runs `f(index, &mut item)` over every item, splitting the slice into one
-/// contiguous chunk per worker. Unlike [`par_map`] there is no result
+/// contiguous chunk per worker. Unlike [`par_run`] there is no result
 /// collection and no work stealing: each worker owns a fixed range, which is
 /// what in-place mutation needs.
 ///
@@ -259,16 +250,15 @@ mod tests {
     }
 
     #[test]
-    fn par_map_preserves_order_under_uneven_load() {
-        let items: Vec<u64> = (0..64).collect();
-        let out = par_map(&items, |idx, &v| {
+    fn par_run_preserves_order_under_uneven_load() {
+        let out = par_run(64, |i| {
             // Make early items slow so late items finish first.
-            if idx < 4 {
+            if i < 4 {
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }
-            v * 3
+            i * 3
         });
-        assert_eq!(out, items.iter().map(|v| v * 3).collect::<Vec<_>>());
+        assert_eq!(out, (0..64).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]

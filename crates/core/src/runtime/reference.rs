@@ -10,10 +10,10 @@
 //!
 //! One shared exception: encounter discovery and route sampling go through
 //! [`EncounterGrid`] and [`RouteCache`], the same components the event loop
-//! uses. Both carry their *own* verbatim reference arms inside `simnet`
-//! ([`MobilityTrace::encounters_at`] / [`MobilityTrace::future`]) and are
-//! proptested byte-identical to them, so this loop's semantics are
-//! unchanged.
+//! uses, not through the all-pairs sweep or per-call route sampling. Those
+//! two ([`MobilityTrace::encounters_at`] / [`MobilityTrace::future`]) are
+//! `simnet`'s oracles: the grid and the cache are proptested byte-identical
+//! to them, so this loop's semantics are unchanged.
 //!
 //! This loop scans the **whole roster** every frame and drops busy vehicles
 //! pair by pair, on purpose: the event loop scans only the vehicles free at

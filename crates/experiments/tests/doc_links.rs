@@ -19,9 +19,6 @@ const KNOWN_FLAGS: &[&str] = &[
     "quick", "paper", "seed", "jobs", "methods", "help",
     // summarize_runs
     "tables",
-    // lbchat-bench / bench_report (see crates/bench/src/main.rs and
-    // crates/bench/src/bin/bench_report.rs)
-    "smoke", "filter", "out", "name", "threshold",
     // cargo itself
     "release", "bin", "example", "workspace", "no-deps", "all-targets", "test", "package",
 ];
@@ -50,26 +47,12 @@ fn doc_files(root: &Path) -> Vec<PathBuf> {
 }
 
 /// A `--bin NAME` reference resolves if any workspace crate has
-/// `src/bin/{name}.rs`, or if `name` is a package whose `src/main.rs`
-/// is its default bin (the `lbchat-bench` case).
+/// `src/bin/{name}.rs`.
 fn bin_exists(root: &Path, name: &str) -> bool {
-    let crates = match std::fs::read_dir(root.join("crates")) {
-        Ok(rd) => rd,
-        Err(_) => return false,
-    };
-    for entry in crates.filter_map(std::result::Result::ok) {
-        let dir = entry.path();
-        if dir.join(format!("src/bin/{name}.rs")).is_file() {
-            return true;
-        }
-        if dir.join("src/main.rs").is_file()
-            && std::fs::read_to_string(dir.join("Cargo.toml"))
-                .is_ok_and(|t| t.contains(&format!("name = \"{name}\"")))
-        {
-            return true;
-        }
-    }
-    false
+    std::fs::read_dir(root.join("crates")).is_ok_and(|rd| {
+        rd.filter_map(std::result::Result::ok)
+            .any(|entry| entry.path().join(format!("src/bin/{name}.rs")).is_file())
+    })
 }
 
 /// Yields every `--token` in `text` together with the word that follows

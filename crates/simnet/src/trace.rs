@@ -115,6 +115,10 @@ impl MobilityTrace {
     /// All agent pairs within `range_m` of each other at time `t`,
     /// restricted to the agents in `active` (e.g. the learning vehicles, not
     /// background traffic).
+    ///
+    /// The all-pairs sweep is the oracle: tests hold
+    /// [`crate::grid::EncounterGrid::encounters_into`], which the runtime
+    /// calls, to it byte for byte.
     pub fn encounters_at(&self, t: f64, range_m: f32, active: &[AgentId]) -> Vec<Encounter> {
         let pos: Vec<(AgentId, Vec2)> =
             active.iter().map(|&a| (a, self.position(a, t))).collect();
@@ -135,46 +139,6 @@ impl MobilityTrace {
     /// minutes".
     pub fn future(&self, agent: AgentId, t: f64, dt: f64, n: usize) -> Vec<Vec2> {
         (0..n).map(|k| self.position(agent, t + k as f64 * dt)).collect()
-    }
-
-    /// Buffer-reusing [`MobilityTrace::future`]: refills `out` with the same
-    /// `n` samples. Returns whether `out` had to reallocate — a caller
-    /// holding a warm buffer sized for its `route_share_samples` expects
-    /// `false` on every frame after the first (the zero-steady-state
-    /// allocation regression tests count exactly this signal).
-    pub fn future_into(&self, agent: AgentId, t: f64, dt: f64, n: usize, out: &mut Vec<Vec2>) -> bool {
-        let cap = out.capacity();
-        out.clear();
-        out.extend((0..n).map(|k| self.position(agent, t + k as f64 * dt)));
-        out.capacity() > cap
-    }
-
-    /// Buffer-reusing [`MobilityTrace::encounters_at`]: refills `out` with
-    /// the byte-identical encounter list via the same all-pairs sweep.
-    /// Returns whether `out` had to reallocate. For the spatial-hash
-    /// discovery path the runtime uses, see
-    /// [`crate::grid::EncounterGrid`]; this method keeps the buffer-reuse
-    /// API available on the reference sweep itself.
-    pub fn encounters_into(
-        &self,
-        t: f64,
-        range_m: f32,
-        active: &[AgentId],
-        out: &mut Vec<Encounter>,
-    ) -> bool {
-        let cap = out.capacity();
-        out.clear();
-        let pos: Vec<(AgentId, Vec2)> =
-            active.iter().map(|&a| (a, self.position(a, t))).collect();
-        for i in 0..pos.len() {
-            for j in i + 1..pos.len() {
-                let d = pos[i].1.distance(pos[j].1);
-                if d <= range_m {
-                    out.push(Encounter { a: pos[i].0, b: pos[j].0, distance: d });
-                }
-            }
-        }
-        out.capacity() > cap
     }
 }
 
@@ -492,33 +456,6 @@ mod tests {
     #[should_panic(expected = "same number of frames")]
     fn ragged_series_panics() {
         let _ = MobilityTrace::new(2.0, vec![vec![Vec2::ZERO; 3], vec![Vec2::ZERO; 4]]);
-    }
-
-    #[test]
-    fn future_into_matches_future_and_reuses_the_buffer() {
-        let tr = two_agent_trace();
-        let mut buf = Vec::with_capacity(5);
-        for t in [0.0, 0.3, 7.0] {
-            let grew = tr.future_into(1, t, 1.0, 5, &mut buf);
-            assert!(!grew, "pre-sized buffer must not grow at t={t}");
-            let fresh = tr.future(1, t, 1.0, 5);
-            assert_eq!(buf.len(), fresh.len());
-            for (a, b) in buf.iter().zip(&fresh) {
-                assert_eq!((a.x.to_bits(), a.y.to_bits()), (b.x.to_bits(), b.y.to_bits()));
-            }
-        }
-    }
-
-    #[test]
-    fn encounters_into_matches_encounters_at() {
-        let tr = two_agent_trace();
-        let mut buf = Vec::new();
-        for (t, range) in [(0.0, 500.0), (10.0, 500.0), (10.0, 50.0)] {
-            let first = tr.encounters_into(t, range, &[0, 1], &mut buf);
-            assert_eq!(buf, tr.encounters_at(t, range, &[0, 1]));
-            // Same query again into the warm buffer: identical and no growth.
-            assert!(!tr.encounters_into(t, range, &[0, 1], &mut buf) || first);
-        }
     }
 
     #[test]

@@ -88,18 +88,6 @@ proptest! {
     }
 
     #[test]
-    fn encounters_into_matches_encounters_at(
-        points in prop::collection::vec((-500.0f32..500.0, -500.0f32..500.0), 2..40),
-        range in 1.0f32..700.0,
-    ) {
-        let trace = parked_trace(&points);
-        let active: Vec<AgentId> = (0..points.len()).collect();
-        let mut buf = Vec::new();
-        trace.encounters_into(0.0, range, &active, &mut buf);
-        prop_assert_eq!(buf, trace.encounters_at(0.0, range, &active));
-    }
-
-    #[test]
     fn fused_estimate_is_bit_identical_to_two_pass(
         dist in 0.0f32..900.0,
         speed_x in -25.0f32..25.0,
