@@ -177,8 +177,9 @@ fn select_best(keyed: &mut Vec<(f32, usize)>, quota: usize) {
 /// Returns an empty coreset for an empty dataset; datasets not larger than
 /// `config.size` are copied wholesale (already their own best coreset).
 ///
-/// Output is bit-identical to [`reference::construct`]; callers on a hot
-/// loop should prefer [`construct_with_scratch`], which additionally reuses
+/// Output is bit-identical to Algorithm 1 as first implemented, which
+/// `tests/reference/` keeps as the oracle; callers on a hot loop should
+/// prefer [`construct_with_scratch`], which additionally reuses
 /// buffers across calls.
 pub fn construct<L, R>(
     learner: &L,
@@ -302,7 +303,8 @@ where
 /// (§III-D, after Har-Peled & Mazumdar). Sampling is `w_C`-weighted without
 /// replacement; survivors are rescaled so `Σ w_C` is unchanged.
 ///
-/// Output is bit-identical to [`reference::reduce`].
+/// Output is bit-identical to the first implementation, which
+/// `tests/reference/` keeps as the oracle.
 pub fn reduce<S: Clone, R: Rng + ?Sized>(
     coreset: Coreset<S>,
     size: usize,
@@ -321,124 +323,6 @@ pub fn reduce<S: Clone, R: Rng + ?Sized>(
     let samples = keyed.iter().map(|&(_, i)| coreset.samples()[i].clone()).collect();
     let weights = keyed.iter().map(|&(_, i)| coreset.weights()[i] * scale).collect();
     Coreset::new(samples, weights)
-}
-
-/// The pre-optimization implementations, kept verbatim as the golden
-/// baseline: the optimized [`construct`] and [`reduce`] must match them
-/// bit for bit (`tests/coreset_properties.rs` proves it on random inputs,
-/// `tests/golden.rs` on pinned fixtures). Those tests are what pins this
-/// module: edit it only together with them.
-#[expect(
-    clippy::expect_used,
-    reason = "kept verbatim: the sampling keys u^(1/w) are finite for the positive, finite weights Coreset::new asserts"
-)]
-pub mod reference {
-    use super::{Coreset, CoresetConfig};
-    use crate::dataset::WeightedDataset;
-    use crate::learner::Learner;
-    use rand::{Rng, RngExt};
-
-    /// Algorithm 1 exactly as first implemented: per-layer index vectors,
-    /// full-sort selection, `powf` keys unconditionally.
-    pub fn construct<L, R>(
-        learner: &L,
-        dataset: &WeightedDataset<L::Sample>,
-        config: &CoresetConfig,
-        rng: &mut R,
-    ) -> Coreset<L::Sample>
-    where
-        L: Learner,
-        R: Rng + ?Sized,
-    {
-        let n = dataset.len();
-        if n == 0 {
-            return Coreset::empty();
-        }
-        if n <= config.size {
-            return Coreset::new(dataset.samples().to_vec(), dataset.weights().to_vec());
-        }
-
-        let losses: Vec<f32> = dataset.samples().iter().map(|s| learner.loss(s)).collect();
-        let center = losses.iter().copied().fold(f32::INFINITY, f32::min);
-        let weighted_total: f32 = losses
-            .iter()
-            .zip(dataset.weights())
-            .map(|(l, w)| l * w)
-            .sum();
-        let radius = (weighted_total / n as f32).max(1e-12);
-
-        let max_layer = ((n + 1) as f32).log2().ceil() as usize;
-        let mut layers: Vec<Vec<usize>> = vec![Vec::new(); max_layer + 1];
-        for (i, &l) in losses.iter().enumerate() {
-            let dist = (l - center).max(0.0);
-            let layer = if dist <= radius {
-                0
-            } else {
-                (((dist / radius).log2().floor() as isize).max(0) as usize).min(max_layer)
-            };
-            layers[layer].push(i);
-        }
-
-        let layer_weights: Vec<f32> = layers
-            .iter()
-            .map(|idx| idx.iter().map(|&i| dataset.weight(i)).sum::<f32>())
-            .collect();
-        let total_weight: f32 = layer_weights.iter().sum();
-        let nonempty = layers.iter().filter(|l| !l.is_empty()).count();
-        let budget = config.size.max(nonempty);
-
-        let mut samples = Vec::with_capacity(budget);
-        let mut weights = Vec::with_capacity(budget);
-        for (layer_idx, layer) in layers.iter().enumerate() {
-            if layer.is_empty() {
-                continue;
-            }
-            let share = layer_weights[layer_idx] / total_weight;
-            let quota = ((budget as f32 * share).round() as usize)
-                .clamp(1, layer.len());
-            let mut keyed: Vec<(f32, usize)> = layer
-                .iter()
-                .map(|&i| {
-                    let u: f32 = rng.random::<f32>().max(f32::MIN_POSITIVE);
-                    (u.powf(1.0 / dataset.weight(i)), i)
-                })
-                .collect();
-            keyed.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("keys are finite"));
-            keyed.truncate(quota);
-            let picked_weight: f32 = keyed.iter().map(|&(_, i)| dataset.weight(i)).sum();
-            let scale = layer_weights[layer_idx] / picked_weight;
-            for &(_, i) in &keyed {
-                samples.push(dataset.sample(i).clone());
-                weights.push(dataset.weight(i) * scale);
-            }
-        }
-        Coreset::new(samples, weights)
-    }
-
-    /// Merge-and-reduce's reduce half exactly as first implemented.
-    pub fn reduce<S: Clone, R: Rng + ?Sized>(
-        coreset: Coreset<S>,
-        size: usize,
-        rng: &mut R,
-    ) -> Coreset<S> {
-        if coreset.len() <= size || size == 0 {
-            return coreset;
-        }
-        let total = coreset.total_weight();
-        let mut keyed: Vec<(f32, usize)> = (0..coreset.len())
-            .map(|i| {
-                let u: f32 = rng.random::<f32>().max(f32::MIN_POSITIVE);
-                (u.powf(1.0 / coreset.weights()[i]), i)
-            })
-            .collect();
-        keyed.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("keys are finite"));
-        keyed.truncate(size);
-        let picked: f32 = keyed.iter().map(|&(_, i)| coreset.weights()[i]).sum();
-        let scale = total / picked;
-        let samples = keyed.iter().map(|&(_, i)| coreset.samples()[i].clone()).collect();
-        let weights = keyed.iter().map(|&(_, i)| coreset.weights()[i] * scale).collect();
-        Coreset::new(samples, weights)
-    }
 }
 
 /// Empirical ε of a coreset w.r.t. its source dataset under the current
@@ -611,39 +495,6 @@ mod tests {
             let u: f32 = rand::RngExt::random::<f32>(&mut r).max(f32::MIN_POSITIVE);
             assert_eq!(u.powf(1.0).to_bits(), u.to_bits(), "powf(u, 1.0) != u for u={u}");
         }
-    }
-
-    #[test]
-    fn optimized_construct_matches_reference_bit_for_bit() {
-        let l = LineLearner::new(1.0, 0.0);
-        for (n, size) in [(500, 50), (2000, 150), (3000, 10)] {
-            let d = noisy_dataset(n);
-            let cfg = CoresetConfig { size };
-            let fast = construct(&l, &d, &cfg, &mut rng());
-            let slow = reference::construct(&l, &d, &cfg, &mut rng());
-            assert_eq!(fast, slow, "n={n} size={size}");
-        }
-    }
-
-    #[test]
-    fn optimized_construct_matches_reference_with_nonuniform_weights() {
-        let l = LineLearner::new(1.0, 0.0);
-        let samples: Vec<Pt> = noisy_dataset(800).samples().to_vec();
-        let weights: Vec<f32> = (0..800).map(|i| 0.5 + (i % 23) as f32 * 0.37).collect();
-        let d = WeightedDataset::new(samples, weights);
-        let cfg = CoresetConfig { size: 60 };
-        let fast = construct(&l, &d, &cfg, &mut rng());
-        let slow = reference::construct(&l, &d, &cfg, &mut rng());
-        assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn optimized_reduce_matches_reference_bit_for_bit() {
-        let weights: Vec<f32> = (0..400).map(|i| 1.0 + (i % 7) as f32).collect();
-        let c = Coreset::new((0..400).collect::<Vec<usize>>(), weights);
-        let fast = reduce(c.clone(), 120, &mut rng());
-        let slow = reference::reduce(c, 120, &mut rng());
-        assert_eq!(fast, slow);
     }
 
     #[test]

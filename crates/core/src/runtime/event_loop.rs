@@ -61,7 +61,7 @@ struct EventLoop<'a, A: CollabAlgorithm> {
     next_eval: f64,
     queue: EventQueue<Event>,
     /// Spatial-hash encounter discovery — bit-identical to the all-pairs
-    /// sweep ([`MobilityTrace::encounters_at`]), O(local density) per frame.
+    /// sweep `simnet`'s tests hold it to, O(local density) per frame.
     grid: EncounterGrid,
     /// Per-frame shared-route cache: each agent's future route is sampled
     /// at most once per frame, however many candidate pairs it appears in.

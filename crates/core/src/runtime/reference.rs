@@ -1,7 +1,6 @@
 //! The synchronous frame loop the event scheduler replaced, kept verbatim
-//! as a test-only oracle (the `coreset::reference` / `bev::reference`
-//! pattern): compiled under `#[cfg(test)]`, reachable from nowhere but the
-//! runtime's own unit tests.
+//! as a test-only oracle: compiled under `#[cfg(test)]`, reachable from
+//! nowhere but the runtime's own unit tests.
 //!
 //! The discrete-event loop must reproduce this loop's metrics and final
 //! models bit for bit; the equivalence tests in `runtime::tests` pin that.
@@ -11,7 +10,7 @@
 //! One shared exception: encounter discovery and route sampling go through
 //! [`EncounterGrid`] and [`RouteCache`], the same components the event loop
 //! uses, not through the all-pairs sweep or per-call route sampling. Those
-//! two ([`MobilityTrace::encounters_at`] / [`MobilityTrace::future`]) are
+//! two (the sweep in `simnet`'s tests / [`MobilityTrace::future`]) are
 //! `simnet`'s oracles: the grid and the cache are proptested byte-identical
 //! to them, so this loop's semantics are unchanged.
 //!

@@ -3,8 +3,10 @@
 //! bit-identical output, total-weight preservation, a documented size
 //! bound, and fixed-seed determinism (including scratch-buffer reuse).
 
+mod reference;
+
 use lbchat::coreset::{
-    construct, construct_with_scratch, reduce, reference, Coreset, CoresetConfig, CoresetScratch,
+    construct, construct_with_scratch, reduce, Coreset, CoresetConfig, CoresetScratch,
 };
 use lbchat::{Learner, WeightedDataset};
 use proptest::prelude::*;

@@ -10,7 +10,9 @@
 //! lossless); scalar loss scores are compared within `1e-6` relative, the
 //! documented tolerance for cross-platform `powf`/`exp` drift.
 
-use lbchat::coreset::{construct, reference, CoresetConfig};
+mod reference;
+
+use lbchat::coreset::{construct, reduce, CoresetConfig};
 use lbchat::penalty::PenaltyConfig;
 use lbchat::valuation::{coreset_loss, peer_model_value};
 use lbchat::{Coreset, Learner, WeightedDataset};
@@ -130,6 +132,10 @@ fn coreset_construct_matches_golden_fixture() {
     let r = reference::construct(&learner, &data, &cfg, &mut rand::rngs::StdRng::seed_from_u64(42));
     assert_eq!(c.samples(), r.samples(), "optimized construct diverged from reference");
     assert_eq!(c.weights(), r.weights(), "optimized construct diverged from reference");
+    // So must reduce, on the pinned coreset.
+    let fast = reduce(c.clone(), 20, &mut rand::rngs::StdRng::seed_from_u64(42));
+    let slow = reference::reduce(c.clone(), 20, &mut rand::rngs::StdRng::seed_from_u64(42));
+    assert_eq!(fast, slow, "optimized reduce diverged from reference");
 
     let path = fixture_path("coreset_construct.json");
     let actual = coreset_to_json(&c);

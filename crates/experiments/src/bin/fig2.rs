@@ -2,59 +2,6 @@
 //! without (panel a) and with (panel b) wireless loss; also prints the
 //! §IV-C successful model receiving rates.
 
-use experiments::harness::run_cell_obs;
-use experiments::report::{curve_csv, write_csv, Table};
-use experiments::{exit_on_error, Args, Condition, Method, RunManifest, Scenario};
-use lbchat::exec;
-
 fn main() {
-    let args = Args::parse();
-    let methods = args.methods_or(&Method::MAIN);
-    let scale = args.scale.clone();
-    eprintln!("building scenario ({} vehicles)...", scale.n_vehicles);
-    let s = Scenario::build(scale);
-    let run = RunManifest::start("fig2", &s.scale);
-    for (panel, condition) in [("a", Condition::NoLoss), ("b", Condition::WithLoss)] {
-        println!("=== Fig. 2({panel}) — training loss vs time, {} ===", condition.label());
-        let outs: Vec<_> = exec::par_map_traced(run.sink(), "cell", &methods, |idx, &m| {
-            eprintln!("  running {} ...", m.name());
-            run_cell_obs(m, &s, condition, run.sink(), idx)
-        })
-        .into_iter()
-        .map(exit_on_error)
-        .collect();
-        let mut curves: Vec<(String, Vec<(f64, f64)>)> = Vec::new();
-        let mut rates = Vec::new();
-        for (m, out) in methods.iter().zip(&outs) {
-            rates.push((m.name(), out.metrics.model_receiving_rate()));
-            curves.push((m.name().to_string(), out.metrics.loss_curve.clone()));
-        }
-        println!("{:<10} {}", "time(s)", curves.iter().map(|(n, _)| format!("{n:>10}")).collect::<String>());
-        let n_points = curves[0].1.len();
-        for k in 0..n_points {
-            print!("{:<10.0}", curves[0].1[k].0);
-            for (_, c) in &curves {
-                print!("{:>10.4}", c.get(k).map_or(f64::NAN, |p| p.1));
-            }
-            println!();
-        }
-        if condition == Condition::WithLoss {
-            println!("\nSuccessful model receiving rate (W wireless loss):");
-            let mut rate_table = Table::new(
-                "Fig. 2 — successful model receiving rate (W wireless loss) (%)",
-                rates.iter().map(|(n, _)| (*n).to_string()).collect(),
-            );
-            rate_table.row_pct("receiving rate", &rates.iter().map(|(_, r)| r * 100.0).collect::<Vec<_>>());
-            for (name, r) in &rates {
-                println!("  {name:<10} {:.0}%", r * 100.0);
-            }
-            run.record_table(&rate_table);
-        }
-        let refs: Vec<(&str, &[(f64, f64)])> =
-            curves.iter().map(|(n, c)| (n.as_str(), c.as_slice())).collect();
-        let path = write_csv(&format!("fig2{panel}.csv"), &curve_csv(&refs)).expect("write CSV");
-        eprintln!("wrote {}", path.display());
-        println!();
-    }
-    run.finish();
+    experiments::paper::main(experiments::paper::Artifact::Fig2);
 }

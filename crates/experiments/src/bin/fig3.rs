@@ -1,57 +1,6 @@
 //! Fig. 3 — training loss vs time, LbChat vs SCO: the paper finds SCO
 //! reaches similar final loss but takes 1.5x-1.8x longer to converge.
 
-use experiments::harness::run_cell_obs;
-use experiments::report::{curve_csv, write_csv, Table};
-use experiments::{exit_on_error, Args, Condition, Method, RunManifest, Scenario};
-use lbchat::exec;
-
 fn main() {
-    let s = Scenario::build(Args::parse().scale);
-    let run = RunManifest::start("fig3", &s.scale);
-    let mut ratio_table = Table::new(
-        "Fig. 3 — convergence-time ratio SCO/LbChat",
-        vec!["W/O wireless loss".into(), "W wireless loss".into()],
-    );
-    let mut ratios = Vec::new();
-    for (panel, condition) in [("a", Condition::NoLoss), ("b", Condition::WithLoss)] {
-        println!("=== Fig. 3({panel}) — LbChat vs SCO, {} ===", condition.label());
-        let mut outs = exec::par_map_traced(
-            run.sink(),
-            "cell",
-            &[Method::LbChat, Method::Sco],
-            |idx, &m| run_cell_obs(m, &s, condition, run.sink(), idx),
-        );
-        let sco = exit_on_error(outs.pop().expect("two runs"));
-        let lbchat = exit_on_error(outs.pop().expect("two runs"));
-        println!("{:<10} {:>10} {:>10}", "time(s)", "LbChat", "SCO");
-        for k in 0..lbchat.metrics.loss_curve.len() {
-            let (t, l) = lbchat.metrics.loss_curve[k];
-            let sl = sco.metrics.loss_curve.get(k).map_or(f64::NAN, |p| p.1);
-            println!("{t:<10.0} {l:>10.4} {sl:>10.4}");
-        }
-        // Convergence-time ratio at a common threshold: 1.25x LbChat's
-        // final loss (reached by both in a completed run).
-        let thresh = lbchat.metrics.final_loss().unwrap() * 1.25;
-        match (lbchat.metrics.time_to_loss(thresh), sco.metrics.time_to_loss(thresh)) {
-            (Some(tl), Some(ts)) if tl > 0.0 => {
-                println!("convergence-time ratio SCO/LbChat at loss {thresh:.4}: {:.2}x", ts / tl);
-                ratios.push(format!("{:.2}x", ts / tl));
-            }
-            _ => {
-                println!("SCO did not reach LbChat's convergence threshold in this window");
-                ratios.push("n/a".to_string());
-            }
-        }
-        let refs = vec![
-            ("LbChat", lbchat.metrics.loss_curve.as_slice()),
-            ("SCO", sco.metrics.loss_curve.as_slice()),
-        ];
-        let path = write_csv(&format!("fig3{panel}.csv"), &curve_csv(&refs)).expect("write CSV");
-        eprintln!("wrote {}", path.display());
-        println!();
-    }
-    ratio_table.row("SCO/LbChat", ratios);
-    run.record_table(&ratio_table);
-    run.finish();
+    experiments::paper::main(experiments::paper::Artifact::Fig3);
 }

@@ -1,24 +1,5 @@
 //! Table II — driving success rate, no wireless loss.
 
-use experiments::harness::success_table_obs;
-use experiments::report::write_csv;
-use experiments::{exit_on_error, Args, Condition, Method, RunManifest, Scenario};
-
 fn main() {
-    let args = Args::parse();
-    let methods = args.methods_or(&Method::MAIN);
-    let s = Scenario::build(args.scale.clone());
-    let run = RunManifest::start("table2", &s.scale);
-    let (table, _) = exit_on_error(success_table_obs(
-        "Table II — driving success rate on average (W/O wireless loss) (%)",
-        &methods,
-        &s,
-        Condition::NoLoss,
-        run.sink(),
-    ));
-    println!("{}", table.render());
-    run.record_table(&table);
-    let path = write_csv("table2.csv", &table.to_csv()).expect("write CSV");
-    eprintln!("wrote {}", path.display());
-    run.finish();
+    experiments::paper::main(experiments::paper::Artifact::Table2);
 }

@@ -1,28 +1,5 @@
 //! Table III — driving success rate with wireless loss.
 
-use experiments::harness::success_table_obs;
-use experiments::report::write_csv;
-use experiments::{exit_on_error, Args, Condition, Method, RunManifest, Scenario};
-
 fn main() {
-    let args = Args::parse();
-    let methods = args.methods_or(&Method::MAIN);
-    let s = Scenario::build(args.scale.clone());
-    let run = RunManifest::start("table3", &s.scale);
-    let (table, outputs) = exit_on_error(success_table_obs(
-        "Table III — driving success rate on average (W wireless loss) (%)",
-        &methods,
-        &s,
-        Condition::WithLoss,
-        run.sink(),
-    ));
-    println!("{}", table.render());
-    println!("Successful model receiving rates:");
-    for (m, out) in methods.iter().zip(&outputs) {
-        println!("  {:<10} {:.0}%", m.name(), out.metrics.model_receiving_rate() * 100.0);
-    }
-    run.record_table(&table);
-    let path = write_csv("table3.csv", &table.to_csv()).expect("write CSV");
-    eprintln!("wrote {}", path.display());
-    run.finish();
+    experiments::paper::main(experiments::paper::Artifact::Table3);
 }

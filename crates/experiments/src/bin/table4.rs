@@ -1,48 +1,6 @@
 //! Table IV — LbChat with different coreset sizes (10x and 1/10 the
 //! default), with and without wireless loss.
 
-use driving::Task;
-use experiments::harness::train_and_evaluate_obs;
-use experiments::report::{write_csv, Table};
-use experiments::{exit_on_error, Args, Condition, Method, RunManifest, Scenario};
-
 fn main() {
-    let scale = Args::parse().scale;
-    let big = scale.coreset_size * 10;
-    let small = (scale.coreset_size / 10).max(2);
-    let s = Scenario::build(scale);
-    let run = RunManifest::start("table4", &s.scale);
-    let mut columns = Vec::new();
-    let mut results = Vec::new();
-    for (index, (size, cond)) in [
-        (big, Condition::NoLoss),
-        (small, Condition::NoLoss),
-        (big, Condition::WithLoss),
-        (small, Condition::WithLoss),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        eprintln!("coreset size {size}, {} ...", cond.label());
-        let (rates, _) =
-            exit_on_error(train_and_evaluate_obs(Method::LbChatCoreset(size), &s, cond, run.sink(), index));
-        columns.push(format!(
-            "{size} ({})",
-            if cond == Condition::NoLoss { "W/O" } else { "W" }
-        ));
-        results.push(rates);
-    }
-    let mut table = Table::new(
-        "Table IV — driving success rate with different coreset size (%)",
-        columns,
-    );
-    for (t_idx, task) in Task::ALL.iter().enumerate() {
-        let row: Vec<f64> = results.iter().map(|r| r[t_idx]).collect();
-        table.row_pct(task.name(), &row);
-    }
-    println!("{}", table.render());
-    run.record_table(&table);
-    let path = write_csv("table4.csv", &table.to_csv()).expect("write CSV");
-    eprintln!("wrote {}", path.display());
-    run.finish();
+    experiments::paper::main(experiments::paper::Artifact::Table4);
 }

@@ -1,28 +1,6 @@
 //! Table V — ablation: equal compression ratios instead of the Eq. (7)
 //! coreset-driven optimization.
 
-use driving::Task;
-use experiments::harness::train_and_evaluate_obs;
-use experiments::report::{write_csv, Table};
-use experiments::{exit_on_error, Args, Condition, Method, RunManifest, Scenario};
-
 fn main() {
-    let s = Scenario::build(Args::parse().scale);
-    let run = RunManifest::start("table5", &s.scale);
-    let mut table = Table::new(
-        "Table V — driving success rate with equal comp. ratio (%)",
-        vec!["W/O wireless loss".into(), "W wireless loss".into()],
-    );
-    let (no_loss, _) =
-        exit_on_error(train_and_evaluate_obs(Method::LbChatEqualComp, &s, Condition::NoLoss, run.sink(), 0));
-    let (with_loss, _) =
-        exit_on_error(train_and_evaluate_obs(Method::LbChatEqualComp, &s, Condition::WithLoss, run.sink(), 1));
-    for (t_idx, task) in Task::ALL.iter().enumerate() {
-        table.row_pct(task.name(), &[no_loss[t_idx], with_loss[t_idx]]);
-    }
-    println!("{}", table.render());
-    run.record_table(&table);
-    let path = write_csv("table5.csv", &table.to_csv()).expect("write CSV");
-    eprintln!("wrote {}", path.display());
-    run.finish();
+    experiments::paper::main(experiments::paper::Artifact::Table5);
 }

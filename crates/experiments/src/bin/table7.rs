@@ -1,27 +1,5 @@
 //! Table VII — SCO: sharing coresets only (no model exchange).
 
-use driving::Task;
-use experiments::harness::train_and_evaluate_obs;
-use experiments::report::{write_csv, Table};
-use experiments::{exit_on_error, Args, Condition, Method, RunManifest, Scenario};
-
 fn main() {
-    let s = Scenario::build(Args::parse().scale);
-    let run = RunManifest::start("table7", &s.scale);
-    let mut table = Table::new(
-        "Table VII — driving success rate with sharing coreset only (%)",
-        vec!["W/O wireless loss".into(), "W wireless loss".into()],
-    );
-    let (no_loss, _) =
-        exit_on_error(train_and_evaluate_obs(Method::Sco, &s, Condition::NoLoss, run.sink(), 0));
-    let (with_loss, _) =
-        exit_on_error(train_and_evaluate_obs(Method::Sco, &s, Condition::WithLoss, run.sink(), 1));
-    for (t_idx, task) in Task::ALL.iter().enumerate() {
-        table.row_pct(task.name(), &[no_loss[t_idx], with_loss[t_idx]]);
-    }
-    println!("{}", table.render());
-    run.record_table(&table);
-    let path = write_csv("table7.csv", &table.to_csv()).expect("write CSV");
-    eprintln!("wrote {}", path.display());
-    run.finish();
+    experiments::paper::main(experiments::paper::Artifact::Table7);
 }

@@ -1,7 +1,7 @@
-//! Shared drivers used by the per-table/figure binaries.
+//! Shared drivers behind [`crate::paper`]'s artifacts.
 //!
 //! Both drivers fan work out over the [`lbchat::exec`] worker pool:
-//! [`success_table_obs`] runs its (method, condition) training cells
+//! [`task_table_obs`] runs its (method, condition) training cells
 //! concurrently and [`train_and_evaluate_obs`] evaluates the five tasks
 //! concurrently. Every cell seeds its own RNGs from the scenario seed, so
 //! the numbers are bit-identical for any `--jobs` setting.
@@ -69,7 +69,7 @@ pub fn train_and_evaluate_obs(
 
 /// Trains one cell *without* closed-loop evaluation, bracketed by
 /// `cell_start`/`cell_finish` events (no `rates` field). The loss-curve
-/// figure bins use this: their deliverable is the `round` event stream,
+/// figures use this: their deliverable is the `round` event stream,
 /// not driving success rates.
 pub fn run_cell_obs(
     method: Method,
@@ -136,9 +136,9 @@ fn emit_cell_finish(
     obs.emit(EventKind::CellFinish, &fields);
 }
 
-/// Builds a Table II/III-shaped table: rows = tasks, columns = methods.
-/// Each (method, condition) cell records its events as described on
-/// [`train_and_evaluate_obs`].
+/// Builds a Table II/III-shaped table: rows = tasks, columns = methods,
+/// every cell under `condition`; [`task_table_obs`] with each method's
+/// name as its column label.
 pub fn success_table_obs(
     title: &str,
     methods: &[Method],
@@ -146,20 +146,33 @@ pub fn success_table_obs(
     condition: Condition,
     obs: &ObsSink,
 ) -> Result<(Table, Vec<RunOutput>), RuntimeError> {
-    let cells = exec::par_map_traced(obs, "cell", methods, |idx, &m| {
+    let cells: Vec<TaskCell> =
+        methods.iter().map(|&m| (m.name().to_string(), m, condition)).collect();
+    task_table_obs(title, &cells, s, obs)
+}
+
+/// One column of a task table: its label, and the cell that fills it.
+pub type TaskCell = (String, Method, Condition);
+
+/// The driver of every task-shaped table (Tables II–VII): one column per
+/// cell, one row per task. The cells are trained and evaluated
+/// concurrently, each recording its events as described on
+/// [`train_and_evaluate_obs`] with its position in `cells` as its index.
+/// Returns the table and the run outputs in `cells` order, or the first
+/// failing cell's error in that order.
+pub fn task_table_obs(
+    title: &str,
+    cells: &[TaskCell],
+    s: &Scenario,
+    obs: &ObsSink,
+) -> Result<(Table, Vec<RunOutput>), RuntimeError> {
+    let runs = exec::par_map_traced(obs, "cell", cells, |idx, &(_, m, condition)| {
         eprintln!("  [{}] training + evaluating {} ...", condition.label(), m.name());
         train_and_evaluate_obs(m, s, condition, obs, idx)
     });
-    let mut columns = Vec::new();
-    let mut results: Vec<Vec<f64>> = Vec::new();
-    let mut outputs = Vec::new();
-    for (&m, cell) in methods.iter().zip(cells) {
-        let (rates, out) = cell?;
-        columns.push(m.name().to_string());
-        results.push(rates);
-        outputs.push(out);
-    }
-    let mut table = Table::new(title, columns);
+    let (results, outputs): (Vec<Vec<f64>>, Vec<RunOutput>) =
+        runs.into_iter().collect::<Result<Vec<_>, _>>()?.into_iter().unzip();
+    let mut table = Table::new(title, cells.iter().map(|(label, _, _)| label.clone()).collect());
     for (t_idx, task) in Task::ALL.iter().enumerate() {
         let row: Vec<f64> = results.iter().map(|r| r[t_idx]).collect();
         table.row_pct(task.name(), &row);

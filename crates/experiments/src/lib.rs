@@ -1,7 +1,10 @@
 //! # experiments — regenerating the paper's evaluation
 //!
-//! One binary per table/figure (`fig2`, `table2` … `table7`, `fig3`,
-//! `run_all`), all built on three pieces:
+//! One in-process driver, [`paper`], regenerates the paper's eight
+//! artifacts: an [`paper::Artifact`] per figure or table (`fig2`,
+//! `table2` … `table7`, `fig3`), each with a one-line binary of the same
+//! name, and `run_all`, which builds one [`Scenario`] and runs them all in
+//! this process. The driver is built on three pieces:
 //!
 //! * [`scenario`] — builds the shared experimental world: the map, the
 //!   per-vehicle route-conditioned datasets, the held-out evaluation set,
@@ -12,7 +15,7 @@
 //!   under a given wireless-loss condition.
 //! * [`report`] — paper-style text tables and CSV output under `results/`.
 //!
-//! Each binary additionally records a [`manifest`] — a structured JSONL
+//! Each artifact additionally records a [`manifest`] — a structured JSONL
 //! event stream under `results/runs/` (schema in `docs/OBSERVABILITY.md`)
 //! — which the extra `summarize_runs` binary renders side by side.
 //!
@@ -26,6 +29,7 @@
 pub mod harness;
 pub mod manifest;
 pub mod methods;
+pub mod paper;
 pub mod report;
 pub mod scenario;
 

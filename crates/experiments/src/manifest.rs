@@ -1,11 +1,11 @@
-//! Run manifests: one JSONL event stream per experiment invocation.
+//! Run manifests: one JSONL event stream per artifact run.
 //!
-//! A [`RunManifest`] wraps a recording [`ObsSink`] for the lifetime of an
-//! experiment binary. On [`RunManifest::start`] it emits a `run_start`
-//! event (config snapshot, seed, jobs, git revision); the binary then
-//! threads [`RunManifest::sink`] through the harness so every cell,
-//! round, transfer, and trial lands in the same stream; rendered tables
-//! are recorded with [`RunManifest::record_table`]; and
+//! A [`RunManifest`] wraps a recording [`ObsSink`] for the run of one
+//! [`crate::paper::Artifact`]. On [`RunManifest::start`] it emits a
+//! `run_start` event (config snapshot, seed, jobs, git revision); the
+//! driver then threads [`RunManifest::sink`] through the harness so every
+//! cell, round, transfer, and trial lands in the same stream; rendered
+//! tables are recorded with [`RunManifest::record_table`]; and
 //! [`RunManifest::finish`] appends a `run_end` event (counter and gauge
 //! totals) and writes the whole stream to
 //! `results/runs/<name>-seed<seed>-<unix_ms>.jsonl`.
@@ -45,7 +45,7 @@ pub struct RunManifest {
 }
 
 impl RunManifest {
-    /// Opens a manifest named after the invoking binary (`"table2"`,
+    /// Opens a manifest named after the artifact (`"table2"`,
     /// `"fig3"`, …) and emits the `run_start` event snapshotting `scale`.
     /// Recording is on unless the `LBCHAT_OBS` environment variable is
     /// `0`.

@@ -9,6 +9,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
+use experiments::paper::Artifact;
 use lbchat::obs::{Counter, EventKind, Gauge};
 
 /// Every long flag the documentation is allowed to mention: the
@@ -53,6 +54,28 @@ fn bin_exists(root: &Path, name: &str) -> bool {
         rd.filter_map(std::result::Result::ok)
             .any(|entry| entry.path().join(format!("src/bin/{name}.rs")).is_file())
     })
+}
+
+/// The experiment binaries are exactly the paper's artifacts plus the
+/// three tools: adding an [`Artifact`] without its one-line bin, or
+/// deleting a bin without removing its artifact, fails here.
+#[test]
+fn bins_are_the_paper_artifacts_plus_the_tools() {
+    let dir = repo_root().join("crates/experiments/src/bin");
+    let mut bins: Vec<String> = std::fs::read_dir(&dir)
+        .expect("crates/experiments/src/bin")
+        .filter_map(std::result::Result::ok)
+        .filter_map(|e| e.file_name().to_str()?.strip_suffix(".rs").map(str::to_string))
+        .collect();
+    bins.sort();
+    let mut expected: Vec<String> = Artifact::ALL
+        .iter()
+        .map(|a| a.name())
+        .chain(["run_all", "debug_drive", "summarize_runs"])
+        .map(str::to_string)
+        .collect();
+    expected.sort();
+    assert_eq!(bins, expected, "src/bin/ must hold one bin per paper::Artifact plus the tools");
 }
 
 /// Yields every `--token` in `text` together with the word that follows

@@ -71,8 +71,10 @@ impl ContactPredictor {
     /// Single-pass: each pair distance is computed once, feeding both the
     /// separation check ([`ContactPredictor::contact_duration`]'s job) and
     /// the delivery-probability accumulator, with the `f32`/`f64` op order
-    /// of [`ContactPredictor::estimate_reference`] preserved exactly — the
-    /// proptests in `tests/properties.rs` pin the two bit-identical.
+    /// of the two-pass definition (a [`ContactPredictor::contact_duration`]
+    /// sweep, then a delivery-probability sweep over the in-range window)
+    /// preserved exactly — the proptests in this module's tests pin the two
+    /// bit-identical.
     ///
     /// # Panics
     /// Panics if the routes have different lengths.
@@ -80,11 +82,11 @@ impl ContactPredictor {
         assert_eq!(route_a.len(), route_b.len(), "route sample counts must match");
         let len = route_a.len();
         // One sweep accumulates the in-range delivery probabilities in the
-        // reference's exact f64 addition order while scanning for the first
-        // separation. `prev_*` snapshots the accumulators *before* each
-        // sample so the never-separate case can retroactively honor the
-        // reference's `take(in_range_frames)` window, which may stop one
-        // sample short of the full route.
+        // two-pass definition's exact f64 addition order while scanning for
+        // the first separation. `prev_*` snapshots the accumulators *before*
+        // each sample so the never-separate case can retroactively honor the
+        // two-pass `take(in_range_frames)` window, which may stop one sample
+        // short of the full route.
         let mut p_sum = 0.0f64;
         let mut n = 0usize;
         let mut prev_p_sum = 0.0f64;
@@ -106,32 +108,34 @@ impl ContactPredictor {
             None => (len.saturating_sub(1) as f64 * dt, len),
         };
         let z = (duration / self.reference_time).min(1.0);
-        // The reference derives its averaging window from `duration / dt`,
-        // whose f64 floor can land on `window - 1` (rounding) or, after
-        // separation, re-admit any in-range sample inside the window. Select
-        // the matching accumulator snapshot; on any window this sweep did
-        // not materialize (degenerate `dt`, re-entrant routes), defer to the
-        // reference itself rather than approximate it.
+        // The two-pass definition derives its averaging window from
+        // `duration / dt`, whose f64 floor can land on `window - 1`
+        // (rounding) or, after separation, re-admit any in-range sample
+        // inside the window. Select the matching accumulator snapshot; on
+        // any window this sweep did not materialize (degenerate `dt`,
+        // re-entrant routes), defer to the two-pass definition itself
+        // rather than approximate it.
         let in_range_frames = ((duration / dt).floor() as usize + 1).min(len);
         let (p_sum, n) = if in_range_frames >= window.min(len) {
             if sep.is_some() && in_range_frames > window + 1 {
-                return self.estimate_reference(route_a, route_b, dt);
+                return self.estimate_two_pass(route_a, route_b, dt);
             }
             (p_sum, n)
         } else if in_range_frames + 1 == window.min(len) {
             (prev_p_sum, prev_n)
         } else {
-            return self.estimate_reference(route_a, route_b, dt);
+            return self.estimate_two_pass(route_a, route_b, dt);
         };
         let p = if n == 0 { 0.0 } else { p_sum / n as f64 };
         ContactEstimate { duration, z, p }
     }
 
-    /// The retained two-pass reference arm for [`ContactPredictor::estimate`]:
-    /// a [`ContactPredictor::contact_duration`] sweep followed by a second
-    /// delivery-probability sweep over the in-range window. Kept verbatim as
-    /// the spec the fused single-pass version is proptested against.
-    pub fn estimate_reference(&self, route_a: &[Vec2], route_b: &[Vec2], dt: f64) -> ContactEstimate {
+    /// The two-pass definition of [`ContactPredictor::estimate`]: a
+    /// [`ContactPredictor::contact_duration`] sweep followed by a second
+    /// delivery-probability sweep over the in-range window. `estimate`
+    /// falls back to it on windows its fused sweep does not cover, and the
+    /// proptests below hold the fused sweep to it bit for bit.
+    fn estimate_two_pass(&self, route_a: &[Vec2], route_b: &[Vec2], dt: f64) -> ContactEstimate {
         let duration = self.contact_duration(route_a, route_b, dt);
         let z = (duration / self.reference_time).min(1.0);
         let in_range_frames = ((duration / dt).floor() as usize + 1).min(route_a.len());
@@ -152,6 +156,7 @@ impl ContactPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn predictor() -> ContactPredictor {
         ContactPredictor::new(500.0, 3, LossModel::distance_default(), 30.0)
@@ -214,5 +219,52 @@ mod tests {
         let a = straight_route(Vec2::ZERO, Vec2::ZERO, 11, 0.5);
         let b = straight_route(Vec2::new(499.0, 0.0), Vec2::ZERO, 11, 0.5);
         assert_eq!(p.estimate(&a, &b, 0.5).p, 1.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn fused_estimate_is_bit_identical_to_two_pass(
+            dist in 0.0f32..900.0,
+            speed_x in -25.0f32..25.0,
+            speed_y in -10.0f32..10.0,
+            range in 50.0f32..600.0,
+            dt in 0.1f64..2.0,
+            len in 1usize..200,
+        ) {
+            // Straight-line routes cover never-separate, immediate-separate,
+            // and mid-route separation depending on the draw.
+            let route_a: Vec<Vec2> = (0..len).map(|_| Vec2::ZERO).collect();
+            let route_b: Vec<Vec2> = (0..len)
+                .map(|k| Vec2::new(dist + speed_x * (k as f64 * dt) as f32, speed_y * (k as f64 * dt) as f32))
+                .collect();
+            let p = ContactPredictor::new(range, 3, LossModel::distance_default(), 30.0);
+            let fused = p.estimate(&route_a, &route_b, dt);
+            let two_pass = p.estimate_two_pass(&route_a, &route_b, dt);
+            prop_assert_eq!(fused.duration.to_bits(), two_pass.duration.to_bits());
+            prop_assert_eq!(fused.z.to_bits(), two_pass.z.to_bits());
+            prop_assert_eq!(fused.p.to_bits(), two_pass.p.to_bits());
+        }
+
+        #[test]
+        fn fused_estimate_matches_on_reentrant_routes(
+            amplitude in 100.0f32..900.0,
+            period in 4.0f32..60.0,
+            range in 100.0f32..500.0,
+        ) {
+            // Oscillating separation drifts in and out of range repeatedly —
+            // the shape that exercises the fused sweep's fallback window logic.
+            let route_a: Vec<Vec2> = (0..121).map(|_| Vec2::ZERO).collect();
+            let route_b: Vec<Vec2> = (0..121)
+                .map(|k| Vec2::new(amplitude * (k as f32 * core::f32::consts::TAU / period).sin().abs(), 0.0))
+                .collect();
+            let p = ContactPredictor::new(range, 3, LossModel::distance_default(), 30.0);
+            let fused = p.estimate(&route_a, &route_b, 0.5);
+            let two_pass = p.estimate_two_pass(&route_a, &route_b, 0.5);
+            prop_assert_eq!(fused.duration.to_bits(), two_pass.duration.to_bits());
+            prop_assert_eq!(fused.z.to_bits(), two_pass.z.to_bits());
+            prop_assert_eq!(fused.p.to_bits(), two_pass.p.to_bits());
+        }
     }
 }

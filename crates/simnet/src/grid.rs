@@ -1,16 +1,16 @@
 //! Spatial-hash encounter discovery, bit-identical to the all-pairs sweep.
 //!
-//! [`MobilityTrace::encounters_at`] — the retained reference arm — is an
-//! O(n²) distance sweep over every active pair. At city-scale fleets the
-//! sweep dominates frame matching, so the runtime discovers
-//! encounters through an [`EncounterGrid`] instead: a uniform spatial hash
-//! rebuilt each frame from a per-frame position snapshot (each agent's
-//! interpolated position computed once per frame, not once per pair), with
-//! candidate pairs drawn from the 3×3 neighborhood of each agent's cell.
+//! The all-pairs sweep — the test oracle, kept in
+//! `tests/all_pairs/mod.rs` — is an O(n²) distance sweep over every active
+//! pair. At city-scale fleets the sweep dominates frame matching, so the
+//! runtime discovers encounters through an [`EncounterGrid`] instead: a
+//! uniform spatial hash rebuilt each frame from a per-frame position
+//! snapshot (each agent's interpolated position computed once per frame,
+//! not once per pair), with candidate pairs drawn from the 3×3
+//! neighborhood of each agent's cell.
 //!
 //! The grid is not "close enough" — its output is **byte-for-byte equal**
-//! to the all-pairs loop, which stays in `trace.rs` verbatim as the spec
-//! (the `coreset::reference` / `bev::reference` pattern):
+//! to the all-pairs loop, which the tests keep verbatim as the spec:
 //!
 //! * The snapshot interpolates every active agent once, in `active` order,
 //!   with the same [`MobilityTrace::position`] call the sweep makes, so
@@ -104,7 +104,7 @@ impl EncounterGrid {
     }
 
     /// Refills `out` with every active pair within `range_m` at time `t` —
-    /// byte-for-byte the vector [`MobilityTrace::encounters_at`] returns —
+    /// byte-for-byte the vector the all-pairs sweep returns —
     /// and reports the scan's work counters. `out` is cleared first; its
     /// reallocation is covered by the returned grid's [`EncounterGrid::grew`].
     pub fn encounters_into(
@@ -223,6 +223,12 @@ impl EncounterGrid {
     }
 }
 
+/// The all-pairs sweep the unit tests below hold the grid to, shared with
+/// `tests/grid_equivalence.rs`.
+#[cfg(test)]
+#[path = "../tests/all_pairs/mod.rs"]
+mod all_pairs;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,7 +242,7 @@ mod tests {
     }
 
     fn assert_bit_identical(trace: &MobilityTrace, t: f64, range: f32, active: &[AgentId]) {
-        let sweep = trace.encounters_at(t, range, active);
+        let sweep = all_pairs::sweep(trace, t, range, active);
         let mut grid = EncounterGrid::new();
         let mut fast = Vec::new();
         grid.encounters_into(trace, t, range, active, &mut fast);
@@ -280,11 +286,11 @@ mod tests {
         let p1 = Vec2::new(153.7, 81.3);
         let d = p0.distance(p1);
         let trace = MobilityTrace::new(2.0, vec![vec![p0; 2], vec![p1; 2]]);
-        assert_eq!(trace.encounters_at(0.0, d, &[0, 1]).len(), 1);
+        assert_eq!(all_pairs::sweep(&trace, 0.0, d, &[0, 1]).len(), 1);
         assert_bit_identical(&trace, 0.0, d, &[0, 1]);
         // One ulp below the computed distance must exclude, in both arms.
         let below = f32::from_bits(d.to_bits() - 1);
-        assert_eq!(trace.encounters_at(0.0, below, &[0, 1]).len(), 0);
+        assert_eq!(all_pairs::sweep(&trace, 0.0, below, &[0, 1]).len(), 0);
         assert_bit_identical(&trace, 0.0, below, &[0, 1]);
     }
 
@@ -307,7 +313,7 @@ mod tests {
             MobilityTrace::new(2.0, vec![vec![Vec2::ZERO; 2], vec![Vec2::ZERO; 2], vec![Vec2::new(1.0, 0.0); 2]]);
         // Coincident agents are in range at range 0; all arms agree.
         assert_bit_identical(&trace, 0.0, 0.0, &[0, 1, 2]);
-        assert_eq!(trace.encounters_at(0.0, 0.0, &[0, 1, 2]).len(), 1);
+        assert_eq!(all_pairs::sweep(&trace, 0.0, 0.0, &[0, 1, 2]).len(), 1);
     }
 
     #[test]

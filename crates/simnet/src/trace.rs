@@ -112,28 +112,6 @@ impl MobilityTrace {
         }
     }
 
-    /// All agent pairs within `range_m` of each other at time `t`,
-    /// restricted to the agents in `active` (e.g. the learning vehicles, not
-    /// background traffic).
-    ///
-    /// The all-pairs sweep is the oracle: tests hold
-    /// [`crate::grid::EncounterGrid::encounters_into`], which the runtime
-    /// calls, to it byte for byte.
-    pub fn encounters_at(&self, t: f64, range_m: f32, active: &[AgentId]) -> Vec<Encounter> {
-        let pos: Vec<(AgentId, Vec2)> =
-            active.iter().map(|&a| (a, self.position(a, t))).collect();
-        let mut out = Vec::new();
-        for i in 0..pos.len() {
-            for j in i + 1..pos.len() {
-                let d = pos[i].1.distance(pos[j].1);
-                if d <= range_m {
-                    out.push(Encounter { a: pos[i].0, b: pos[j].0, distance: d });
-                }
-            }
-        }
-        out
-    }
-
     /// Future trajectory of `agent` starting at time `t`: `n` samples spaced
     /// `dt` seconds — what a vehicle shares as its "route in the next few
     /// minutes".
@@ -426,22 +404,29 @@ mod tests {
         assert!((tr.duration() - 10.0).abs() < 1e-9);
     }
 
+    /// The active pairs within `range_m` at `t`, as the runtime finds them.
+    fn encounters(tr: &MobilityTrace, t: f64, range_m: f32, active: &[AgentId]) -> Vec<Encounter> {
+        let mut out = Vec::new();
+        crate::grid::EncounterGrid::new().encounters_into(tr, t, range_m, active, &mut out);
+        out
+    }
+
     #[test]
     fn encounters_within_range() {
         let tr = two_agent_trace();
-        let e = tr.encounters_at(0.0, 500.0, &[0, 1]);
+        let e = encounters(&tr, 0.0, 500.0, &[0, 1]);
         assert_eq!(e.len(), 1);
         assert_eq!((e[0].a, e[0].b), (0, 1));
         // At t = 10 s agent 1 is 100 m away: still in range at 500 m...
-        assert_eq!(tr.encounters_at(10.0, 500.0, &[0, 1]).len(), 1);
+        assert_eq!(encounters(&tr, 10.0, 500.0, &[0, 1]).len(), 1);
         // ...but not at 50 m range.
-        assert_eq!(tr.encounters_at(10.0, 50.0, &[0, 1]).len(), 0);
+        assert_eq!(encounters(&tr, 10.0, 50.0, &[0, 1]).len(), 0);
     }
 
     #[test]
     fn active_filter_restricts_pairs() {
         let tr = two_agent_trace();
-        assert!(tr.encounters_at(0.0, 500.0, &[0]).is_empty());
+        assert!(encounters(&tr, 0.0, 500.0, &[0]).is_empty());
     }
 
     #[test]

@@ -1,22 +1,21 @@
 //! Equivalence proofs for the optimized contact-discovery arms.
 //!
-//! The spatial-hash grid and the fused contact estimate each retain a
-//! verbatim reference arm ([`MobilityTrace::encounters_at`] and
-//! [`ContactPredictor::estimate_reference`]); these proptests pin the
-//! optimized versions **bit-identical** to them over random fleets,
-//! ranges, cell-straddling geometry, and the exact `d == range_m`
-//! boundary.
+//! The spatial-hash grid is held to the all-pairs sweep in
+//! `all_pairs/mod.rs`, and the route cache to [`MobilityTrace::future`];
+//! these proptests pin the optimized versions **bit-identical** to them
+//! over random fleets, ranges, cell-straddling geometry, and the exact
+//! `d == range_m` boundary.
+
+mod all_pairs;
 
 use proptest::prelude::*;
-use simnet::contact::ContactPredictor;
 use simnet::geom::Vec2;
 use simnet::grid::EncounterGrid;
-use simnet::loss::LossModel;
 use simnet::trace::{AgentId, Encounter, MobilityTrace, RouteCache};
 
 /// Asserts the grid's encounter list is byte-for-byte the sweep's.
 fn assert_arms_agree(trace: &MobilityTrace, t: f64, range: f32, active: &[AgentId]) -> Result<(), TestCaseError> {
-    let sweep = trace.encounters_at(t, range, active);
+    let sweep = all_pairs::sweep(trace, t, range, active);
     let mut grid = EncounterGrid::new();
     let mut fast: Vec<Encounter> = Vec::new();
     grid.encounters_into(trace, t, range, active, &mut fast);
@@ -79,55 +78,12 @@ proptest! {
         let trace = parked_trace(&[(x0, y0), (x1, y1)]);
         // Range equal to the computed f32 distance: `d <= range_m` accepts
         // in the sweep, so the grid must emit the identical encounter…
-        prop_assert_eq!(trace.encounters_at(0.0, d, &[0, 1]).len(), 1);
+        prop_assert_eq!(all_pairs::sweep(&trace, 0.0, d, &[0, 1]).len(), 1);
         assert_arms_agree(&trace, 0.0, d, &[0, 1])?;
         // …and one ulp below must reject in both arms.
         let below = f32::from_bits(d.to_bits() - 1);
-        prop_assert_eq!(trace.encounters_at(0.0, below, &[0, 1]).len(), 0);
+        prop_assert_eq!(all_pairs::sweep(&trace, 0.0, below, &[0, 1]).len(), 0);
         assert_arms_agree(&trace, 0.0, below, &[0, 1])?;
-    }
-
-    #[test]
-    fn fused_estimate_is_bit_identical_to_two_pass(
-        dist in 0.0f32..900.0,
-        speed_x in -25.0f32..25.0,
-        speed_y in -10.0f32..10.0,
-        range in 50.0f32..600.0,
-        dt in 0.1f64..2.0,
-        len in 1usize..200,
-    ) {
-        // Straight-line routes cover never-separate, immediate-separate,
-        // and mid-route separation depending on the draw.
-        let route_a: Vec<Vec2> = (0..len).map(|_| Vec2::ZERO).collect();
-        let route_b: Vec<Vec2> = (0..len)
-            .map(|k| Vec2::new(dist + speed_x * (k as f64 * dt) as f32, speed_y * (k as f64 * dt) as f32))
-            .collect();
-        let p = ContactPredictor::new(range, 3, LossModel::distance_default(), 30.0);
-        let fused = p.estimate(&route_a, &route_b, dt);
-        let two_pass = p.estimate_reference(&route_a, &route_b, dt);
-        prop_assert_eq!(fused.duration.to_bits(), two_pass.duration.to_bits());
-        prop_assert_eq!(fused.z.to_bits(), two_pass.z.to_bits());
-        prop_assert_eq!(fused.p.to_bits(), two_pass.p.to_bits());
-    }
-
-    #[test]
-    fn fused_estimate_matches_on_reentrant_routes(
-        amplitude in 100.0f32..900.0,
-        period in 4.0f32..60.0,
-        range in 100.0f32..500.0,
-    ) {
-        // Oscillating separation drifts in and out of range repeatedly —
-        // the shape that exercises the fused sweep's fallback window logic.
-        let route_a: Vec<Vec2> = (0..121).map(|_| Vec2::ZERO).collect();
-        let route_b: Vec<Vec2> = (0..121)
-            .map(|k| Vec2::new(amplitude * (k as f32 * core::f32::consts::TAU / period).sin().abs(), 0.0))
-            .collect();
-        let p = ContactPredictor::new(range, 3, LossModel::distance_default(), 30.0);
-        let fused = p.estimate(&route_a, &route_b, 0.5);
-        let two_pass = p.estimate_reference(&route_a, &route_b, 0.5);
-        prop_assert_eq!(fused.duration.to_bits(), two_pass.duration.to_bits());
-        prop_assert_eq!(fused.z.to_bits(), two_pass.z.to_bits());
-        prop_assert_eq!(fused.p.to_bits(), two_pass.p.to_bits());
     }
 
     #[test]

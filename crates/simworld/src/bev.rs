@@ -195,8 +195,8 @@ impl Bev {
 ///
 /// Allocates a fresh frame; data collection rasterizes every expert every
 /// frame, so hot loops should hold one [`Bev::blank`] and call
-/// [`rasterize_into`] instead. Output is bit-identical to
-/// [`reference::rasterize`].
+/// [`rasterize_into`] instead. Output is bit-identical to the first
+/// implementation, which `tests/reference/bev.rs` keeps as the oracle.
 pub fn rasterize(
     cfg: &BevConfig,
     pose: Pose,
@@ -339,84 +339,6 @@ pub fn rasterize_into(
     }
 }
 
-/// The pre-optimization rasterizer, kept verbatim as the golden baseline:
-/// [`rasterize`] must produce the same occupancy bit for bit
-/// (`tests/properties.rs` proves it on random scenes). That test is what
-/// pins this module: edit it only together with it.
-pub mod reference {
-    use super::{channel, Bev, BevConfig, Pose};
-    use crate::world::RoadRaster;
-    use simnet::geom::Vec2;
-
-    /// BEV rasterization exactly as first implemented: fresh channel
-    /// allocations and a full `sin`/`cos` rotation per cell and per stamp.
-    pub fn rasterize(
-        cfg: &BevConfig,
-        pose: Pose,
-        speed: f32,
-        road: &RoadRaster,
-        cars: &[Vec2],
-        pedestrians: &[Vec2],
-        route_ahead: &[Vec2],
-    ) -> Bev {
-        let n = cfg.cells;
-        let mut channels: [Vec<bool>; channel::COUNT] = [
-            vec![false; n * n],
-            vec![false; n * n],
-            vec![false; n * n],
-            vec![false; n * n],
-        ];
-        let half = cfg.window_m() / 2.0;
-
-        for iy in 0..n {
-            for ix in 0..n {
-                let ego = Vec2::new(
-                    cfg.forward_offset - half + (iy as f32 + 0.5) * cfg.cell_m,
-                    half - (ix as f32 + 0.5) * cfg.cell_m,
-                );
-                let world = pose.to_world(ego);
-                if road.is_road(world) {
-                    let cell = iy * n + ix;
-                    channels[channel::ROAD][cell] = true;
-                }
-            }
-        }
-
-        let stamp = |ch: usize, world: Vec2, radius_cells: i32, channels: &mut [Vec<bool>; 4]| {
-            let ego = pose.to_ego(world);
-            let fy = (ego.x - cfg.forward_offset + half) / cfg.cell_m - 0.5;
-            let fx = (half - ego.y) / cfg.cell_m - 0.5;
-            let (cx, cy) = (fx.round() as i32, fy.round() as i32);
-            for dy in -radius_cells..=radius_cells {
-                for dx in -radius_cells..=radius_cells {
-                    let (x, y) = (cx + dx, cy + dy);
-                    if x >= 0 && y >= 0 && (x as usize) < n && (y as usize) < n {
-                        let cell = y as usize * n + x as usize;
-                        channels[ch][cell] = true;
-                    }
-                }
-            }
-        };
-        for &c in cars {
-            if pose.to_ego(c).norm() < cfg.window_m() {
-                stamp(channel::VEHICLES, c, 1, &mut channels);
-            }
-        }
-        for &p in pedestrians {
-            if pose.to_ego(p).norm() < cfg.window_m() {
-                stamp(channel::PEDESTRIANS, p, 0, &mut channels);
-            }
-        }
-        for &r in route_ahead {
-            if pose.to_ego(r).norm() < cfg.window_m() {
-                stamp(channel::ROUTE, r, 0, &mut channels);
-            }
-        }
-
-        Bev { cells: n, channels, speed }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -528,21 +450,6 @@ mod tests {
         );
         for f in bev.features(cfg.pool) {
             assert!((0.0..=1.0).contains(&f), "feature out of range: {f}");
-        }
-    }
-
-    #[test]
-    fn optimized_rasterize_matches_reference_bit_for_bit() {
-        let cfg = BevConfig::default();
-        let road = straight_road_raster();
-        for (heading, speed) in [(0.0f32, 4.0f32), (0.7, 9.5), (-2.3, 0.0), (3.1, 14.0)] {
-            let pose = Pose { pos: Vec2::new(500.0, 500.0), heading };
-            let cars = [Vec2::new(515.0, 500.0), Vec2::new(488.0, 507.0)];
-            let peds = [Vec2::new(505.0, 495.0), Vec2::new(700.0, 700.0)];
-            let route = [Vec2::new(510.0, 500.0), Vec2::new(520.0, 501.0)];
-            let fast = rasterize(&cfg, pose, speed, &road, &cars, &peds, &route);
-            let slow = reference::rasterize(&cfg, pose, speed, &road, &cars, &peds, &route);
-            assert_eq!(fast, slow, "heading {heading}");
         }
     }
 

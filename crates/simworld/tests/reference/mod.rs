@@ -1,8 +1,8 @@
 //! The pre-SoA world, retained verbatim as the bit-identity oracle.
 //!
 //! This is the per-agent-struct `World` exactly as it stood before the
-//! structure-of-arrays refactor (the `coreset::reference` /
-//! `bev::reference` / `runtime::reference` pattern): vehicles and
+//! structure-of-arrays refactor (the pattern of `bev.rs` beside it and of
+//! `lbchat`'s `tests/reference/`): vehicles and
 //! pedestrians as owned structs, a fresh per-step [`Router`], and a
 //! single serial step loop interleaving movement with RNG reroute draws.
 //! `simworld::world::World` must reproduce this world bit for bit — the
