@@ -8,9 +8,9 @@
 //! normalized logarithmic function of the loss" evaluated on the local
 //! validation dataset — a lower-loss peer model earns a larger share.
 
-use crate::node::{BaseNode, FittedSwap};
+use crate::node::{fitted_swap, BaseNode};
 use lbchat::learner::mean_eval_loss;
-use lbchat::prelude::{CollabAlgorithm, Learner, SessionCtx, SessionStep, TransferOutcome};
+use lbchat::prelude::{CollabAlgorithm, Learner, SessionCtx, SessionStep};
 use lbchat::WeightedDataset;
 use vnn::ParamVec;
 
@@ -82,7 +82,7 @@ impl<L: Learner> Dp<L> {
 
 impl<L: Learner> CollabAlgorithm for Dp<L> {
     type Sample = L::Sample;
-    type Session = FittedSwap;
+    type Session = ();
 
     fn n_nodes(&self) -> usize {
         self.nodes.len()
@@ -101,27 +101,20 @@ impl<L: Learner> CollabAlgorithm for Dp<L> {
         self.nodes[node].train(iters, rng)
     }
 
-    fn session_open(&mut self, ctx: &mut SessionCtx<'_>) -> Option<(FittedSwap, SessionStep)> {
-        FittedSwap::open(self.config.model_bytes, self.config.time_budget, ctx)
-    }
-
-    fn session_step(
-        &mut self,
-        state: &mut FittedSwap,
-        out: TransferOutcome,
-        ctx: &mut SessionCtx<'_>,
-    ) -> SessionStep {
-        state.step(&self.nodes, out, ctx)
-    }
-
-    fn session_close(&mut self, state: FittedSwap, ctx: &mut SessionCtx<'_>) -> f64 {
-        let (for_i, for_j) = state.into_received();
+    /// Swaps contact-fitted models and merges what arrived.
+    fn session_open(&mut self, ctx: &mut SessionCtx<'_>) -> Option<((), SessionStep)> {
+        let (for_i, for_j) =
+            fitted_swap(&self.nodes, self.config.model_bytes, self.config.time_budget, ctx)?;
         if let Some(m) = for_i {
             self.merge_received(ctx.i, &m);
         }
         if let Some(m) = for_j {
             self.merge_received(ctx.j, &m);
         }
+        Some(((), SessionStep::Done))
+    }
+
+    fn session_close(&mut self, _state: (), ctx: &mut SessionCtx<'_>) -> f64 {
         ctx.elapsed()
     }
 

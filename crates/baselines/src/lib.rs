@@ -57,7 +57,7 @@ mod tests {
     use crate::node::testutil::{line_data, LineLearner, Pt};
     use lbchat::prelude::{
         CollabAlgorithm, FrameCtx, Metrics, ObsSink, Runtime, RuntimeConfig, SessionCtx,
-        SessionStep, TrainStats, TransferOutcome,
+        SessionStep, TrainStats,
     };
     use lbchat::obs::Counter;
     use lbchat::WeightedDataset;
@@ -73,6 +73,8 @@ mod tests {
     /// Forwards everything except `static_priority` — what a decorator
     /// written before that method existed does (`lbchat_e2e`'s tracer), so
     /// the runtime ranks the inner method eagerly. Counts the pairs ranked.
+    /// `session_step` keeps its default too: every baseline finishes its
+    /// session inside `session_open`, so the default is its answer.
     struct Eager<A> {
         inner: A,
         ranked: std::cell::Cell<u64>,
@@ -101,14 +103,6 @@ mod tests {
             ctx: &mut SessionCtx<'_>,
         ) -> Option<(A::Session, SessionStep)> {
             self.inner.session_open(ctx)
-        }
-        fn session_step(
-            &mut self,
-            state: &mut A::Session,
-            outcome: TransferOutcome,
-            ctx: &mut SessionCtx<'_>,
-        ) -> SessionStep {
-            self.inner.session_step(state, outcome, ctx)
         }
         fn session_close(&mut self, state: A::Session, ctx: &mut SessionCtx<'_>) -> f64 {
             self.inner.session_close(state, ctx)

@@ -1,13 +1,12 @@
 //! Shared plain-SGD vehicle node for the model-sharing-only baselines, and
-//! the contact-fitted model swap the two gossip baselines (DP, DFL-DDS)
-//! run on every encounter.
+//! `fitted_swap`, the contact-fitted model swap the two gossip baselines
+//! (DP, DFL-DDS) run on every encounter: one straight-line function that
+//! moves both legs with `SessionCtx::run_spec` inside `session_open`.
 
 use lbchat::compress::{compress_dense, wire_bytes};
 use lbchat::learner::mean_loss;
 use lbchat::optimize::equal_compression_choice;
-use lbchat::prelude::{
-    Learner, SessionCtx, SessionStep, TrainStats, TransferOutcome, TransferSpec,
-};
+use lbchat::prelude::{Learner, SessionCtx, TrainStats, TransferSpec};
 use lbchat::WeightedDataset;
 use rand::Rng;
 use vnn::{Minibatcher, ParamVec};
@@ -94,71 +93,37 @@ fn merge_on_support(local: &ParamVec, peer: &ParamVec, w: f32) -> ParamVec {
 /// `i → j` then `j → i`, compressed at one contact-fitted ratio ("compute a
 /// model compression ratio for each encounter to ensure the vehicle pair
 /// can finish the model exchange within the contact duration", §IV-B).
-pub struct FittedSwap {
-    /// Whether the `j → i` transfer is the one in flight.
-    returning: bool,
-    /// Compressed wire size used for both directions.
-    bytes: usize,
-    /// The contact-fitted compression ratio.
-    psi: f32,
-    /// `i`'s compressed model as received by `j`, if delivered.
-    model_i: Option<ParamVec>,
-    /// `j`'s compressed model as received by `i`, if delivered.
-    model_j: Option<ParamVec>,
-}
-
-impl FittedSwap {
-    /// Sizes the swap so both directions of a `model_bytes` model fit
-    /// `min(budget, contact)` at the session radio's bandwidth, and requests
-    /// the `i → j` transfer; `None` when nothing fits.
-    pub(crate) fn open(
-        model_bytes: usize,
-        budget: f64,
-        ctx: &SessionCtx<'_>,
-    ) -> Option<(Self, SessionStep)> {
-        let contact = ctx.contact().duration;
-        let psi =
-            equal_compression_choice(model_bytes, ctx.bandwidth_bps(), budget, contact).psi_i;
-        if psi <= 0.0 {
-            return None;
-        }
-        let bytes = wire_bytes(model_bytes, psi);
-        let limit = budget.min(contact);
-        // Sized to fit min(T_B, contact) at nominal bandwidth, but the pair
-        // keeps transmitting while still in range — failures come from the
-        // contact actually ending (or retransmission storms), not from an
-        // artificial cutoff.
-        let deadline = (contact - ctx.elapsed()).max(limit - ctx.elapsed()).max(0.0);
-        let state = Self { returning: false, bytes, psi, model_i: None, model_j: None };
-        Some((state, SessionStep::Transfer(TransferSpec::link(bytes, deadline))))
+/// Sizes the swap so both directions of a `model_bytes` model fit
+/// `min(budget, contact)` at the session radio's bandwidth, moves and books
+/// both legs, and returns what each side received — `(i got from j, j got
+/// from i)`, each the sender's top-k-compressed model if it arrived — or
+/// `None` when nothing fits, so the caller declines the pairing.
+pub(crate) fn fitted_swap<L: Learner>(
+    nodes: &[BaseNode<L>],
+    model_bytes: usize,
+    budget: f64,
+    ctx: &mut SessionCtx<'_>,
+) -> Option<(Option<ParamVec>, Option<ParamVec>)> {
+    let contact = ctx.contact().duration;
+    let psi = equal_compression_choice(model_bytes, ctx.bandwidth_bps(), budget, contact).psi_i;
+    if psi <= 0.0 {
+        return None;
     }
-
-    /// Books the finished transfer, keeps the sender's top-k-compressed
-    /// model if it arrived, and requests the return leg after the first.
-    pub(crate) fn step<L: Learner>(
-        &mut self,
-        nodes: &[BaseNode<L>],
-        out: TransferOutcome,
-        ctx: &mut SessionCtx<'_>,
-    ) -> SessionStep {
-        ctx.metrics.record_model_send(out.is_delivered(), self.bytes, out.elapsed());
-        let sender = if self.returning { ctx.j } else { ctx.i };
-        let received =
-            out.is_delivered().then(|| compress_dense(nodes[sender].learner.params(), self.psi));
-        if self.returning {
-            self.model_j = received;
-            return SessionStep::Done;
-        }
-        self.model_i = received;
-        self.returning = true;
-        let deadline = (ctx.contact().duration - ctx.elapsed()).max(0.0);
-        SessionStep::Transfer(TransferSpec::link(self.bytes, deadline))
-    }
-
-    /// What each side received: `(i got from j, j got from i)`.
-    pub(crate) fn into_received(self) -> (Option<ParamVec>, Option<ParamVec>) {
-        (self.model_j, self.model_i)
-    }
+    let bytes = wire_bytes(model_bytes, psi);
+    let send = |sender: usize, deadline: f64, ctx: &mut SessionCtx<'_>| {
+        let out = ctx.run_spec(&TransferSpec::link(bytes, deadline));
+        ctx.metrics.record_model_send(out.is_delivered(), bytes, out.elapsed());
+        out.is_delivered().then(|| compress_dense(nodes[sender].learner.params(), psi))
+    };
+    // Sized to fit min(T_B, contact) at nominal bandwidth, but the pair
+    // keeps transmitting while still in range — failures come from the
+    // contact actually ending (or retransmission storms), not from an
+    // artificial cutoff.
+    let limit = budget.min(contact);
+    let deadline = (contact - ctx.elapsed()).max(limit - ctx.elapsed()).max(0.0);
+    let from_i = send(ctx.i, deadline, ctx);
+    let from_j = send(ctx.j, (contact - ctx.elapsed()).max(0.0), ctx);
+    Some((from_j, from_i))
 }
 
 #[cfg(test)]

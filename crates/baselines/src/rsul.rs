@@ -115,15 +115,6 @@ impl<L: Learner> CollabAlgorithm for RsuL<L> {
         None
     }
 
-    fn session_step(
-        &mut self,
-        _state: &mut (),
-        _out: lbchat::prelude::TransferOutcome,
-        _ctx: &mut SessionCtx<'_>,
-    ) -> SessionStep {
-        SessionStep::Done
-    }
-
     fn session_close(&mut self, _state: (), ctx: &mut SessionCtx<'_>) -> f64 {
         ctx.elapsed()
     }

@@ -18,4 +18,4 @@ pub use crate::obs::ObsSink;
 pub use crate::runtime::{
     CollabAlgorithm, FrameCtx, Runtime, RuntimeConfig, RuntimeError, SessionCtx, SessionStep,
 };
-pub use simnet::channel::{TransferLoss, TransferOutcome, TransferSpec};
+pub use simnet::channel::{TransferOutcome, TransferSpec};

@@ -10,13 +10,12 @@
 //!
 //! The simulator is one discrete-event scheduler ([`sched`]) behind one
 //! entry point, [`Runtime::run`]: frames, session opens, training slices,
-//! and evaluations are events on a deterministic priority queue. Algorithms
-//! speak a session lifecycle — [`CollabAlgorithm::session_open`] →
-//! [`CollabAlgorithm::session_step`] per completed transfer →
-//! [`CollabAlgorithm::session_close`] — through a [`SessionCtx`], and
-//! declare each payload they want moved as a [`TransferSpec`] instead of
-//! blocking on an all-at-once transfer call. Every session runs to
-//! completion at its open event, over the paper's pairwise link (§IV-A).
+//! and evaluations are events on a deterministic priority queue. Every
+//! session runs to completion at its open event, over the paper's pairwise
+//! link (§IV-A): [`CollabAlgorithm::session_open`] runs the method's
+//! protocol straight through, moving each payload as it sends it with
+//! [`SessionCtx::run_spec`] (a blocking call on the simulated clock), and
+//! [`CollabAlgorithm::session_close`] reports how long the pair was busy.
 
 pub mod sched;
 
@@ -156,10 +155,9 @@ impl std::error::Error for RuntimeError {
 }
 
 /// A pairwise radio link during one session, advancing its own elapsed time
-/// as transfers are charged. Algorithms declare transfers as
-/// [`TransferSpec`]s through the session lifecycle, which the event loop
-/// moves with [`SessionCtx::run_spec`]; the runtime uses the accumulated
-/// time to mark both endpoints busy.
+/// as transfers are charged. A session moves each payload with
+/// [`SessionCtx::run_spec`]; the runtime uses the accumulated time to mark
+/// both endpoints busy.
 pub struct SessionCtx<'a> {
     /// Session start in simulated seconds.
     start: f64,
@@ -319,7 +317,10 @@ impl FrameCtx<'_> {
     }
 }
 
-/// What an open session asks the runtime to do next.
+/// What an open session asks the runtime to do next. Every method in the
+/// workspace runs its protocol inside [`CollabAlgorithm::session_open`] and
+/// answers [`SessionStep::Done`]; a session may instead hand the runtime
+/// one payload at a time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SessionStep {
     /// Move one payload over the link; its [`TransferOutcome`] arrives at
@@ -332,16 +333,19 @@ pub enum SessionStep {
 
 /// A collaborative-training method runnable by the [`Runtime`].
 ///
-/// Pairwise exchanges speak the session lifecycle: when the matcher pairs
-/// two vehicles the runtime calls [`CollabAlgorithm::session_open`]; every
-/// requested [`SessionStep::Transfer`] comes back through
-/// [`CollabAlgorithm::session_step`] with its outcome; and
-/// [`CollabAlgorithm::session_close`] finalizes state.
+/// Pairwise exchanges are sessions: when the matcher pairs two vehicles the
+/// runtime calls [`CollabAlgorithm::session_open`], which runs the whole
+/// protocol over the link (each payload through [`SessionCtx::run_spec`])
+/// and answers [`SessionStep::Done`]; [`CollabAlgorithm::session_close`]
+/// then reports the session's duration. A session that answers
+/// [`SessionStep::Transfer`] instead gets each outcome back through
+/// [`CollabAlgorithm::session_step`].
 pub trait CollabAlgorithm {
     /// The task sample type (evaluation needs a held-out set of these).
     type Sample;
 
-    /// Per-session protocol state carried between lifecycle calls.
+    /// Per-session state handed from `session_open` to `session_close`
+    /// (and to `session_step`, for a session that steps).
     type Session;
 
     /// Number of participating vehicles.
@@ -361,9 +365,12 @@ pub trait CollabAlgorithm {
         rng: &mut rand::rngs::StdRng,
     ) -> crate::learner::TrainStats;
 
-    /// Opens a pairwise session between `ctx.i` and `ctx.j`. Return the
-    /// initial protocol state plus the first step, or `None` to decline the
-    /// pairing. A declined pairing moves no payload and never reaches
+    /// Opens a pairwise session between `ctx.i` and `ctx.j` and, in every
+    /// method of the workspace, runs it: the protocol moves its payloads
+    /// with [`SessionCtx::run_spec`] in order, reads each outcome where it
+    /// needs it, and returns its state with [`SessionStep::Done`]. Return
+    /// `None` to decline the pairing. A declined pairing moves no payload
+    /// and never reaches
     /// [`CollabAlgorithm::session_close`], but the runtime still treats it
     /// as a zero-duration session: it counts in [`Metrics::sessions`], both
     /// nodes are held busy for one frame, and
@@ -373,18 +380,24 @@ pub trait CollabAlgorithm {
     /// [`CollabAlgorithm::pair_priority`]) instead.
     fn session_open(&mut self, ctx: &mut SessionCtx<'_>) -> Option<(Self::Session, SessionStep)>;
 
-    /// Handles the outcome of the previously requested transfer and returns
-    /// the next step.
+    /// Handles the outcome of the transfer the previous step requested and
+    /// returns the next step. The default answers [`SessionStep::Done`],
+    /// which is right for a session that never answers
+    /// [`SessionStep::Transfer`]. A decorator must still forward it: an
+    /// inner method that steps would otherwise stop after its first
+    /// payload.
     fn session_step(
         &mut self,
-        state: &mut Self::Session,
-        outcome: TransferOutcome,
-        ctx: &mut SessionCtx<'_>,
-    ) -> SessionStep;
+        _state: &mut Self::Session,
+        _outcome: TransferOutcome,
+        _ctx: &mut SessionCtx<'_>,
+    ) -> SessionStep {
+        SessionStep::Done
+    }
 
-    /// Closes the session after [`SessionStep::Done`], finalizing protocol
-    /// state. Returns the session duration in seconds (both nodes were busy
-    /// that long).
+    /// Closes the session after [`SessionStep::Done`]. Returns the session
+    /// duration in seconds (both nodes were busy that long) — usually
+    /// [`SessionCtx::elapsed`], or a floor the protocol charges on top.
     fn session_close(&mut self, state: Self::Session, ctx: &mut SessionCtx<'_>) -> f64;
 
     /// The pair's matching priority when the method can state it without
@@ -428,8 +441,8 @@ pub trait CollabAlgorithm {
 }
 
 /// Drives one session's full lifecycle synchronously over `ctx`: open, run
-/// every requested transfer to completion in place, step, close. Returns
-/// the session duration in seconds (0 for a declined pairing).
+/// every transfer a step requests to completion in place, step, close.
+/// Returns the session duration in seconds (0 for a declined pairing).
 fn drive_session<A: CollabAlgorithm>(algo: &mut A, ctx: &mut SessionCtx<'_>) -> f64 {
     let Some((mut state, mut step)) = algo.session_open(ctx) else {
         return 0.0;
@@ -738,14 +751,6 @@ mod tests {
                 ctx.charge(10.0);
                 Some(((), SessionStep::Done))
             }
-            fn session_step(
-                &mut self,
-                _state: &mut (),
-                _out: TransferOutcome,
-                _ctx: &mut SessionCtx<'_>,
-            ) -> SessionStep {
-                SessionStep::Done
-            }
             fn session_close(&mut self, _state: (), ctx: &mut SessionCtx<'_>) -> f64 {
                 ctx.elapsed()
             }
@@ -1004,10 +1009,12 @@ mod tests {
 
     /// A chatty probe: each session draws its transfer count and payload
     /// sizes from the protocol RNG, declines a fraction of pairings, and
-    /// records every payload in the metrics — a miniature of the real
-    /// multi-phase LbChat session without any learning, so a divergence in
-    /// RNG order, matching order, or transfer accounting between the two
-    /// loops is caught rather than masked by a trivial protocol.
+    /// records every payload in the metrics — a miniature of a multi-payload
+    /// session without any learning, so a divergence in RNG order, matching
+    /// order, or transfer accounting between the two loops is caught rather
+    /// than masked by a trivial protocol. It hands the runtime one payload
+    /// at a time, so it (with `Probe` and `event_golden.rs`'s `Streamer`)
+    /// is what keeps `drive_session`'s stepping loop covered.
     struct Chatter {
         n: usize,
         params: ParamVec,

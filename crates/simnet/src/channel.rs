@@ -64,40 +64,23 @@ impl RadioConfig {
     }
 }
 
-/// Loss source applied to one transfer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TransferLoss {
-    /// Distance-based link loss: the channel's [`LossModel`] evaluated at
-    /// the live endpoint distance (packets beyond range always fail).
-    Link,
-    /// A fixed per-packet error rate, independent of distance — the paper's
-    /// model for backend links ("a wireless loss uniformly sampled from the
-    /// distance-loss lookup table").
-    FixedPer(f32),
-}
-
-/// One requested payload movement: how many bytes, how much airtime may be
-/// spent (measured from the transfer's first packet), and which loss source
-/// applies — the argument of [`Channel::run`].
+/// One requested payload movement over the pairwise link: how many bytes,
+/// and how much airtime may be spent (measured from the transfer's first
+/// packet) — the argument of [`Channel::run`]. Every packet's error rate is
+/// the channel's [`LossModel`] at the live endpoint distance (packets
+/// beyond range always fail).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferSpec {
     /// Payload size in bytes.
     pub bytes: usize,
     /// Airtime budget in seconds, measured from the transfer start.
     pub deadline: f64,
-    /// Loss source for every packet of this transfer.
-    pub loss: TransferLoss,
 }
 
 impl TransferSpec {
-    /// A distance-based (link-loss) transfer.
+    /// A link transfer of `bytes` within `deadline` seconds of airtime.
     pub fn link(bytes: usize, deadline: f64) -> Self {
-        Self { bytes, deadline, loss: TransferLoss::Link }
-    }
-
-    /// A fixed-PER transfer (backend links).
-    pub fn fixed_per(bytes: usize, deadline: f64, per: f32) -> Self {
-        Self { bytes, deadline, loss: TransferLoss::FixedPer(per) }
+        Self { bytes, deadline }
     }
 }
 
@@ -398,49 +381,29 @@ impl Channel {
         &self.loss
     }
 
-    /// Per-packet error rate under `loss` at endpoint distance `distance_m`.
-    /// Distance-based transfers beyond `range_m` always lose the packet;
-    /// fixed-PER transfers ignore the distance entirely.
-    pub fn per_for(&self, loss: TransferLoss, distance_m: f32) -> f32 {
-        match loss {
-            TransferLoss::Link => {
-                if distance_m > self.config.range_m {
-                    1.0
-                } else {
-                    self.loss.per(distance_m)
-                }
+    /// Per-packet error rate at endpoint distance `distance_m`: the loss
+    /// model's, and 1 beyond `range_m`.
+    pub fn per_for(&self, distance_m: f32) -> f32 {
+        if distance_m > self.config.range_m {
+            1.0
+        } else {
+            self.loss.per(distance_m)
+        }
+    }
+
+    /// Bounds on [`Channel::per_for`] for the attempts starting at `t` and
+    /// after, as far as `link` can bound its distance.
+    fn per_window<D: LinkDistance>(&self, t: f64, link: &mut D) -> PerWindow {
+        match self.boundable.then(|| link.bounds(t)).flatten() {
+            Some(d) => {
+                let (lo, hi) = self.link_per_bounds(d.lo, d.hi);
+                PerWindow::new(lo, hi, d.until)
             }
-            TransferLoss::FixedPer(per) => per,
+            None => PerWindow::UNKNOWN,
         }
     }
 
-    /// Per-packet error rate of the attempt starting `t` seconds into a
-    /// transfer under `loss`, with the endpoint distance supplied by `link`.
-    fn packet_per<D: LinkDistance>(&self, loss: TransferLoss, t: f64, link: &mut D) -> f32 {
-        match loss {
-            TransferLoss::FixedPer(per) => per,
-            TransferLoss::Link => self.per_for(loss, link.distance_at(t)),
-        }
-    }
-
-    /// Bounds on [`Channel::packet_per`] for the attempts starting at `t`
-    /// and after: the whole transfer for a fixed PER, as far as `link` can
-    /// bound its distance for a link transfer.
-    fn per_window<D: LinkDistance>(&self, loss: TransferLoss, t: f64, link: &mut D) -> PerWindow {
-        match loss {
-            TransferLoss::FixedPer(per) => PerWindow::new(per, per, f64::INFINITY),
-            TransferLoss::Link if self.boundable => match link.bounds(t) {
-                Some(d) => {
-                    let (lo, hi) = self.link_per_bounds(d.lo, d.hi);
-                    PerWindow::new(lo, hi, d.until)
-                }
-                None => PerWindow::UNKNOWN,
-            },
-            TransferLoss::Link => PerWindow::UNKNOWN,
-        }
-    }
-
-    /// [`Channel::per_for`]`(Link, d)` bounded over `d_lo <= d <= d_hi`: the
+    /// [`Channel::per_for`]`(d)` bounded over `d_lo <= d <= d_hi`: the
     /// table's bounds over the part of the interval within radio range,
     /// and `1.0` for the part beyond it.
     fn link_per_bounds(&self, d_lo: f32, d_hi: f32) -> (f32, f32) {
@@ -457,14 +420,14 @@ impl Channel {
     }
 
     /// The unified transfer entry point: simulates moving `spec.bytes`
-    /// starting at time 0 under `spec.loss`, aborting when `spec.deadline`
-    /// passes or a packet fails [`DEAD_LINK_ATTEMPTS`] straight times.
+    /// starting at time 0 over `link`, aborting when `spec.deadline` passes
+    /// or a packet fails [`DEAD_LINK_ATTEMPTS`] straight times.
     ///
-    /// `link` is only consulted for [`TransferLoss::Link`] transfers, where
-    /// packets sent beyond `range_m` always fail. Packets are retried
-    /// persistently (each attempt costs airtime, so a lossy link has
-    /// proportionally lower goodput). Zero-byte transfers complete
-    /// instantly.
+    /// Each attempt's error rate is [`Channel::per_for`] at the distance
+    /// `link` reports, so packets sent beyond `range_m` always fail.
+    /// Packets are retried persistently (each attempt costs airtime, so a
+    /// lossy link has proportionally lower goodput). Zero-byte transfers
+    /// complete instantly.
     ///
     /// # Contract
     ///
@@ -498,8 +461,9 @@ impl Channel {
     ///   delivered, `k < lo_k` lost, and the bookkeeping is arithmetic on
     ///   that one comparison — no branch depends on the outcome. A draw with
     ///   `lo_k <= k < hi_k` is handed back, attempt not yet booked, and the
-    ///   outer loop compares it with the exact rate. A fixed PER is the
-    ///   zero-width window `lo = hi`, which never hands one back.
+    ///   outer loop compares it with the exact rate. A flat stretch of the
+    ///   table gives the zero-width window `lo = hi`, which never hands one
+    ///   back.
     pub fn run<R, D>(&self, spec: &TransferSpec, mut link: D, rng: &mut R) -> TransferOutcome
     where
         R: Rng + ?Sized,
@@ -528,7 +492,7 @@ impl Channel {
                 };
             }
             if at.t > known.until {
-                known = self.per_window(spec.loss, at.t, &mut link);
+                known = self.per_window(at.t, &mut link);
             }
             let arrived = match known.settle {
                 Settle::Free => {
@@ -538,11 +502,11 @@ impl Channel {
                     continue;
                 }
                 Settle::Exact => {
-                    let per = self.packet_per(spec.loss, at.t, &mut link);
+                    let per = self.per_for(link.distance_at(at.t));
                     per <= 0.0 || rng.random::<f32>() >= per
                 }
                 Settle::Draw { lo_k, hi_k } => match at.burst(lo_k, hi_k, known.until, rng) {
-                    Some(k) => draw_value(k) >= self.packet_per(spec.loss, at.t, &mut link),
+                    Some(k) => draw_value(k) >= self.per_for(link.distance_at(at.t)),
                     None => continue,
                 },
             };

@@ -14,8 +14,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, RngExt, SeedableRng};
 use simnet::channel::{
-    draw_threshold, Channel, DistanceBounds, LinkDistance, RadioConfig, TransferLoss,
-    TransferOutcome, TransferSpec, DEAD_LINK_ATTEMPTS,
+    draw_threshold, Channel, DistanceBounds, LinkDistance, RadioConfig, TransferOutcome,
+    TransferSpec, DEAD_LINK_ATTEMPTS,
 };
 use simnet::geom::Vec2;
 use simnet::loss::{LossModel, DEFAULT_LOOKUP};
@@ -44,10 +44,7 @@ fn oracle_run<R: Rng + ?Sized>(
                     delivered_bytes: pkt * ch.config().packet_bytes,
                 };
             }
-            let per = match spec.loss {
-                TransferLoss::FixedPer(per) => per,
-                TransferLoss::Link => ch.per_for(spec.loss, distance_at(t)),
-            };
+            let per = ch.per_for(distance_at(t));
             t += pt;
             if per <= 0.0 || rng.random::<f32>() >= per {
                 delivered = true;
@@ -105,6 +102,13 @@ fn zero_one_table() -> LossModel {
 /// must keep evaluating it attempt by attempt, misreadings and all.
 fn malformed_table() -> LossModel {
     LossModel::Distance(vec![(0.0, 0.1), (300.0, 0.4), (100.0, 0.2), (100.0, 0.7), (500.0, 0.9)])
+}
+
+/// One PER at every in-range distance. Over any distance band its PER
+/// window is the zero-width `lo = hi = per`; a rate that is no probability
+/// fails `validate`, so the channel takes it attempt by attempt.
+fn flat(per: f32) -> LossModel {
+    LossModel::Distance(vec![(0.0, per), (500.0, per)])
 }
 
 fn loss_model(which: u32) -> LossModel {
@@ -331,10 +335,12 @@ proptest! {
         assert_three_ways_agree(&ch, &spec, &trace, t0, seed ^ 0x5EED)?;
     }
 
-    /// Fixed-PER transfers never look at the link; `0.0` draws nothing,
-    /// `1.0` dies after one streak, NaN loses every draw.
+    /// Link transfers over a flat table inside a bounded band: `0.0` draws
+    /// nothing, `1.0` dies after one streak, and NaN, negative and
+    /// above-one rates (no valid table) go attempt by attempt — NaN loses
+    /// every draw.
     #[test]
-    fn fixed_per_transfers_match_the_per_attempt_loop(
+    fn flat_table_transfers_match_the_per_attempt_loop(
         seed in 0u64..1_000_000,
         per_pick in 0u32..6,
         per in 0.0f32..1.0,
@@ -342,10 +348,10 @@ proptest! {
         deadline in 0.0f64..3.0,
     ) {
         let per = [per, 0.0, 1.0, f32::NAN, -0.5, 1.5][per_pick as usize];
-        let trace = wandering_pair(seed, 8, 2.0, 0.0);
-        let ch = Channel::new(RadioConfig::default(), LossModel::distance_default());
-        let spec = TransferSpec::fixed_per(bytes, deadline, per);
-        assert_three_ways_agree(&ch, &spec, &trace, 0.3, seed)?;
+        let ch = Channel::new(RadioConfig::default(), flat(per));
+        let spec = TransferSpec::link(bytes, deadline);
+        let bounded = Windowed { distance: steady, bounds: endless_band };
+        assert_runs_agree(&ch, &spec, steady, bounded, &StdRng::seed_from_u64(seed))?;
     }
 
     /// The integer threshold is the float comparison, for PERs of every
@@ -524,7 +530,7 @@ fn bursts_end_where_the_per_attempt_loop_does() {
     // matching bound: `lo_k` is the first draw that survives `lo` (and so the
     // first to need the exact rate), `hi_k - 1` the last that `hi` loses.
     let (lo, hi) = ch.loss_model().per_bounds(100.0, 200.0);
-    assert_eq!((lo, hi), (ch.per_for(TransferLoss::Link, 100.0), ch.per_for(TransferLoss::Link, 200.0)));
+    assert_eq!((lo, hi), (ch.per_for(100.0), ch.per_for(200.0)));
     let (lo_k, hi_k) = (draw_threshold(lo), draw_threshold(hi));
     assert!(0 < lo_k && lo_k + 1 < hi_k);
     let band = |_: f64| Some(DistanceBounds { lo: 100.0, hi: 200.0, until: f64::INFINITY });
@@ -542,7 +548,8 @@ fn bursts_end_where_the_per_attempt_loop_does() {
 /// Nothing that never ends hangs the loop: a NaN deadline never expires
 /// (`t + pt > NaN` is false — and so is `t + pt <= NaN`, which is why the
 /// exits are written in the first form), an infinite one neither; a parked
-/// pair's window runs until +inf, a closure's `UNKNOWN` until -inf.
+/// pair's window runs until +inf, a closure's `UNKNOWN` until -inf, and so
+/// does a flat table's band.
 #[test]
 fn unbounded_deadlines_and_windows_terminate_with_the_oracle() {
     let parked = MobilityTrace::new(2.0, vec![vec![Vec2::ZERO], vec![Vec2::new(320.0, 0.0)]]);
@@ -550,22 +557,18 @@ fn unbounded_deadlines_and_windows_terminate_with_the_oracle() {
     let moving = wandering_pair(7, 24, 2.0, 0.0);
     let lossy = Channel::new(RadioConfig::default(), LossModel::distance_default());
     for deadline in [f64::NAN, f64::INFINITY] {
+        let spec = TransferSpec::link(300_000, deadline);
         for (trace, link_delivers) in [(&parked, Some(true)), (&gone, Some(false)), (&moving, None)] {
-            for spec in [
-                TransferSpec::link(300_000, deadline),
-                TransferSpec::fixed_per(300_000, deadline, 0.3),
-                TransferSpec::fixed_per(300_000, deadline, 1.0),
-            ] {
-                let out = assert_three_ways_agree(&lossy, &spec, trace, 0.0, 5)
-                    .unwrap_or_else(|e| panic!("{spec:?}: {e:?}"));
-                let expected = match spec.loss {
-                    TransferLoss::FixedPer(per) => Some(per < 1.0),
-                    TransferLoss::Link => link_delivers,
-                };
-                if let Some(delivered) = expected {
-                    assert_eq!(out.is_delivered(), delivered, "{spec:?}");
-                }
+            let out = assert_three_ways_agree(&lossy, &spec, trace, 0.0, 5)
+                .unwrap_or_else(|e| panic!("{spec:?}: {e:?}"));
+            if let Some(delivered) = link_delivers {
+                assert_eq!(out.is_delivered(), delivered, "{spec:?}");
             }
+        }
+        for per in [0.3, 1.0] {
+            let ch = Channel::new(RadioConfig::default(), flat(per));
+            let out = check(&ch, spec, steady, endless_band, &StdRng::seed_from_u64(5));
+            assert_eq!(out.is_delivered(), per < 1.0, "{spec:?} at PER {per}");
         }
     }
 }
@@ -608,12 +611,13 @@ fn endless_band(_: f64) -> Option<DistanceBounds> {
 /// Runs end where the deadline does. With the deadline on the airtime
 /// after `n` attempts to the ulp (the `n`-th attempt ends exactly on it),
 /// one ulp either side, and half an attempt past it, the loss-free radio
-/// (no draw) stops after exactly the attempts that fit, and fixed-PER and
-/// banded runs stop where the per-attempt loop does.
+/// (no draw) stops after exactly the attempts that fit, and banded runs —
+/// flat tables' included — stop where the per-attempt loop does.
 #[test]
 fn runs_end_exactly_at_the_deadline() {
     let lossy = Channel::new(RadioConfig::default(), LossModel::distance_default());
     let clean = Channel::new(RadioConfig::default(), LossModel::None);
+    let flats = [0.0, 0.3].map(|per| Channel::new(RadioConfig::default(), flat(per)));
     let pt = lossy.config().packet_time();
     let rng = StdRng::seed_from_u64(23);
     for n in [1usize, 2, 3, 40, 129, 1000, 2796] {
@@ -624,10 +628,8 @@ fn runs_end_exactly_at_the_deadline() {
             let out = check(&clean, spec, steady, endless_band, &rng);
             let want = (false, airtime_after(fit, pt).to_bits(), fit * 1500);
             assert_eq!(bits(out), want, "n={n} deadline={deadline:e}");
-            check(&lossy, spec, steady, endless_band, &rng);
-            for per in [0.0, 0.3] {
-                let spec = TransferSpec::fixed_per(4 << 20, deadline, per);
-                check(&lossy, spec, steady, endless_band, &rng);
+            for ch in [&lossy].into_iter().chain(&flats) {
+                check(ch, spec, steady, endless_band, &rng);
             }
         }
     }
@@ -674,6 +676,7 @@ fn runs_end_exactly_at_the_window_end() {
 fn completion_lands_on_a_runs_last_attempt() {
     let lossy = Channel::new(RadioConfig::default(), LossModel::distance_default());
     let clean = Channel::new(RadioConfig::default(), LossModel::None);
+    let flats = [0.01, 0.3].map(|per| Channel::new(RadioConfig::default(), flat(per)));
     let pt = lossy.config().packet_time();
     for bytes in [1usize, 1500, 1501, 3000, 4500, 17 * 1500 - 1, 4 << 20] {
         // Room for every payload here, lossy or not.
@@ -683,10 +686,8 @@ fn completion_lands_on_a_runs_last_attempt() {
         assert_eq!(bits(out), want, "{bytes} bytes");
         for seed in 0..4 {
             let rng = StdRng::seed_from_u64(seed);
-            assert!(check(&lossy, spec, steady, endless_band, &rng).is_delivered());
-            for per in [0.01, 0.3] {
-                let spec = TransferSpec::fixed_per(bytes, 10.0, per);
-                assert!(check(&lossy, spec, steady, endless_band, &rng).is_delivered());
+            for ch in [&lossy].into_iter().chain(&flats) {
+                assert!(check(ch, spec, steady, endless_band, &rng).is_delivered());
             }
         }
     }
@@ -698,15 +699,15 @@ fn completion_lands_on_a_runs_last_attempt() {
 /// attempt. At PER 0.97 most transfers die after a few deliveries.
 #[test]
 fn dead_links_end_runs_where_the_per_attempt_loop_does() {
-    let ch = Channel::new(RadioConfig::default(), LossModel::distance_default());
-    let pt = ch.config().packet_time();
+    let dead = Channel::new(RadioConfig::default(), flat(1.0));
+    let dying = Channel::new(RadioConfig::default(), flat(0.97));
+    let pt = dead.config().packet_time();
     for packets in [1usize, 7, 10, 40, 41, 1000] {
-        let spec = TransferSpec::fixed_per(packets * 1500, 1e9, 1.0);
-        let out = check(&ch, spec, steady, endless_band, &StdRng::seed_from_u64(1));
+        let spec = TransferSpec::link(packets * 1500, 1e9);
+        let out = check(&dead, spec, steady, endless_band, &StdRng::seed_from_u64(1));
         assert_eq!(bits(out), (false, airtime_after(40, pt).to_bits(), 0), "{packets} packets");
         for seed in 0..8 {
-            let spec = TransferSpec::fixed_per(packets * 1500, 1e9, 0.97);
-            check(&ch, spec, steady, endless_band, &StdRng::seed_from_u64(seed));
+            check(&dying, spec, steady, endless_band, &StdRng::seed_from_u64(seed));
         }
     }
 }
@@ -718,6 +719,7 @@ fn dead_links_end_runs_where_the_per_attempt_loop_does() {
 fn runs_under_unbounded_deadlines_and_windows() {
     let lossy = Channel::new(RadioConfig::default(), LossModel::distance_default());
     let clean = Channel::new(RadioConfig::default(), LossModel::None);
+    let flat_lossy = Channel::new(RadioConfig::default(), flat(0.3));
     let pt = lossy.config().packet_time();
     for deadline in [f64::NAN, f64::INFINITY] {
         for until in [f64::NAN, f64::INFINITY] {
@@ -728,8 +730,7 @@ fn runs_under_unbounded_deadlines_and_windows() {
             for seed in 0..4 {
                 let rng = StdRng::seed_from_u64(seed);
                 assert!(check(&lossy, spec, steady, band, &rng).is_delivered());
-                let spec = TransferSpec::fixed_per(1 << 20, deadline, 0.3);
-                assert!(check(&lossy, spec, steady, band, &rng).is_delivered());
+                assert!(check(&flat_lossy, spec, steady, band, &rng).is_delivered());
             }
         }
     }
@@ -742,7 +743,7 @@ fn runs_under_unbounded_deadlines_and_windows() {
 fn long_runs_of_short_attempts_keep_the_airtime_chain() {
     let radio = RadioConfig { packet_bytes: 1, bandwidth_bps: 3e9, ..RadioConfig::default() };
     let clean = Channel::new(radio.clone(), LossModel::None);
-    let lossy = Channel::new(radio, LossModel::distance_default());
+    let lossy = Channel::new(radio, flat(0.01));
     let pt = clean.config().packet_time();
     let rng = StdRng::seed_from_u64(8);
     let (bytes, n) = (3_000_000usize, 2_500_001usize);
@@ -750,7 +751,7 @@ fn long_runs_of_short_attempts_keep_the_airtime_chain() {
     for (deadline, fit) in [(end, n), (end.next_down(), n - 1), (end + 0.5 * pt, n)] {
         let out = check(&clean, TransferSpec::link(bytes, deadline), steady, endless_band, &rng);
         assert_eq!(bits(out), (false, airtime_after(fit, pt).to_bits(), fit), "deadline={deadline:e}");
-        check(&lossy, TransferSpec::fixed_per(bytes, deadline, 0.01), steady, endless_band, &rng);
+        check(&lossy, TransferSpec::link(bytes, deadline), steady, endless_band, &rng);
     }
     let out = check(&clean, TransferSpec::link(bytes, f64::INFINITY), steady, endless_band, &rng);
     assert_eq!(bits(out), (true, airtime_after(bytes, pt).to_bits(), usize::MAX));

@@ -49,12 +49,19 @@ proptest! {
         prop_assert!(out.elapsed() <= deadline + 1e-9);
     }
 
+    /// A flat zero-PER table is the loss-free radio in range: a parked
+    /// pair's bounded link delivers every payload at its ideal airtime.
     #[test]
-    fn fixed_per_transfer_matches_distance_free_behavior(bytes in 1usize..200_000) {
-        let ch = Channel::new(RadioConfig::default(), LossModel::None);
+    fn flat_zero_per_link_delivers_at_ideal(bytes in 1usize..200_000) {
+        let cfg = RadioConfig::default();
+        let ideal = cfg.ideal_transfer_time(bytes);
+        let ch = Channel::new(cfg, LossModel::Distance(vec![(0.0, 0.0), (500.0, 0.0)]));
+        let parked = MobilityTrace::new(2.0, vec![vec![Vec2::ZERO], vec![Vec2::new(200.0, 0.0)]]);
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        let out = ch.run(&TransferSpec::fixed_per(bytes, f64::INFINITY, 0.0), |_| 0.0, &mut rng);
+        let link = parked.pair_track(0, 1).starting_at(0.0);
+        let out = ch.run(&TransferSpec::link(bytes, f64::INFINITY), link, &mut rng);
         prop_assert!(out.is_delivered());
+        prop_assert!((out.elapsed() - ideal).abs() < 1e-9);
     }
 
     #[test]

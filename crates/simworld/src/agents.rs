@@ -337,13 +337,12 @@ fn random_point<R: Rng + ?Sized>(area: (Vec2, Vec2), rng: &mut R) -> Vec2 {
 mod tests {
     use super::*;
     use crate::map::RoadNetwork;
-    use crate::route::Router;
+    use crate::route::RoutingTable;
     use rand::SeedableRng;
 
     fn setup() -> (RoadNetwork, RoadVehicle) {
         let map = RoadNetwork::generate(1);
-        let router = Router::new(&map);
-        let route = router.route(0, map.n_nodes() - 1).unwrap();
+        let route = RoutingTable::new(&map).route(0, map.n_nodes() - 1).unwrap();
         (map, RoadVehicle::new(route))
     }
 

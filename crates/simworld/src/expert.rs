@@ -305,10 +305,10 @@ mod tests {
     use super::*;
     use crate::agents::RoadVehicle;
     use crate::map::RoadNetwork;
-    use crate::route::Router;
+    use crate::route::RoutingTable;
 
     fn vehicle_on(map: &RoadNetwork, from: usize, to: usize) -> RoadVehicle {
-        let route = Router::new(map).route(from, to).unwrap();
+        let route = RoutingTable::new(map).route(from, to).unwrap();
         RoadVehicle::new(route)
     }
 

@@ -52,5 +52,5 @@ pub use agents::{AgentId, VehicleRef};
 pub use bev::{Bev, BevConfig};
 pub use expert::{Command, ExpertOutput};
 pub use map::{EdgeId, NodeId, RoadKind, RoadNetwork};
-pub use route::{Route, Router, RoutingTable};
+pub use route::{Route, RoutingTable};
 pub use world::{World, WorldConfig};

@@ -277,11 +277,6 @@ impl RoadNetwork {
         (c.from == e.to && c.to == e.from).then_some(candidate)
     }
 
-    /// A uniformly random edge id.
-    pub fn random_edge<R: Rng + ?Sized>(&self, rng: &mut R) -> EdgeId {
-        rng.random_range(0..self.edges.len())
-    }
-
     /// A uniformly random node id.
     pub fn random_node<R: Rng + ?Sized>(&self, rng: &mut R) -> NodeId {
         rng.random_range(0..self.nodes.len())

@@ -4,14 +4,13 @@
 //! stand-in for the navigation service the paper assumes ("future routes in
 //! next few minutes, which can be obtained from navigation services").
 //!
-//! Two routers coexist: the original per-query [`Router`] (one Dijkstra
-//! per `route` call, kept for the reference world and small tools) and
-//! the precomputed [`RoutingTable`] the structure-of-arrays world uses —
-//! one all-sources Dijkstra sweep at construction, after which every
-//! query is an allocation-free predecessor walk. The table reproduces
-//! [`Router::route`]'s paths *exactly* (same comparator, same relaxation
-//! order, no early exit — see [`RoutingTable::new`]), which
-//! `routing_table_matches_router_on_all_pairs` pins for every pair.
+//! Routes come from the precomputed [`RoutingTable`]: one all-sources
+//! Dijkstra sweep at construction, after which every query is an
+//! allocation-free predecessor walk. It reproduces the per-query Dijkstra
+//! of the reference world (`tests/reference/router.rs`) *exactly* — same
+//! comparator, same relaxation order, no early exit (see
+//! [`RoutingTable::new`]) — which `routing_table_matches_router_on_all_pairs`
+//! pins for every pair.
 
 use crate::map::{EdgeId, NodeId, RoadNetwork};
 use simnet::geom::Vec2;
@@ -102,12 +101,6 @@ pub fn classify_turn(map: &RoadNetwork, from: EdgeId, to: EdgeId) -> TurnKind {
     }
 }
 
-/// Shortest-path router over a road network.
-#[derive(Debug, Clone)]
-pub struct Router<'a> {
-    map: &'a RoadNetwork,
-}
-
 #[derive(PartialEq)]
 struct QueueItem {
     dist: f32,
@@ -131,67 +124,15 @@ impl PartialOrd for QueueItem {
     }
 }
 
-impl<'a> Router<'a> {
-    /// Creates a router over `map`.
-    pub fn new(map: &'a RoadNetwork) -> Self {
-        Self { map }
-    }
-
-    /// Shortest route (by length) from `from` to `to`, or `None` when
-    /// `from == to` or unreachable (never on generated maps, which are
-    /// strongly connected).
-    pub fn route(&self, from: NodeId, to: NodeId) -> Option<Route> {
-        if from == to {
-            return None;
-        }
-        let n = self.map.n_nodes();
-        let mut dist = vec![f32::INFINITY; n];
-        let mut prev_edge: Vec<Option<EdgeId>> = vec![None; n];
-        let mut heap = BinaryHeap::new();
-        dist[from] = 0.0;
-        heap.push(QueueItem { dist: 0.0, node: from });
-        while let Some(QueueItem { dist: d, node }) = heap.pop() {
-            if d > dist[node] {
-                continue;
-            }
-            if node == to {
-                break;
-            }
-            for &eid in self.map.out_edges(node) {
-                let e = self.map.edge(eid);
-                let nd = d + e.length;
-                if nd < dist[e.to] {
-                    dist[e.to] = nd;
-                    prev_edge[e.to] = Some(eid);
-                    heap.push(QueueItem { dist: nd, node: e.to });
-                }
-            }
-        }
-        if dist[to].is_infinite() {
-            return None;
-        }
-        let mut edges = Vec::new();
-        let mut cur = to;
-        while cur != from {
-            // A reached node always has a predecessor; bail defensively
-            // instead of panicking if that invariant ever broke.
-            let eid = prev_edge[cur]?;
-            edges.push(eid);
-            cur = self.map.edge(eid).from;
-        }
-        edges.reverse();
-        Some(Route { edges })
-    }
-}
-
 /// All-pairs shortest-path table: one full Dijkstra per source node at
 /// construction, stored as a flattened predecessor-edge matrix. Queries
 /// walk predecessors backward — no heap, no per-query allocation
 /// ([`RoutingTable::route_into`] refills a caller-owned buffer).
 ///
-/// Paths are identical to [`Router::route`]'s: each source sweep runs the
-/// same relaxation loop with the same heap comparator and edge order,
-/// only without the early exit. Early exit cannot change reconstruction —
+/// Paths are identical to a per-query Dijkstra's that stops when the
+/// target pops off the heap: each source sweep runs the same relaxation
+/// loop with the same heap comparator and edge order, only without the
+/// early exit. Early exit cannot change reconstruction —
 /// when the target pops off the heap every node on its predecessor chain
 /// (strictly smaller distance, positive edge lengths) is already
 /// finalized, and finalized predecessor entries never change again.
@@ -300,7 +241,7 @@ impl RoutingTable {
     }
 
     /// Shortest route from `from` to `to` as an owned [`Route`] — the
-    /// [`Router::route`]-shaped convenience the evaluator and tests use.
+    /// convenience the evaluator and tests use.
     pub fn route(&self, from: NodeId, to: NodeId) -> Option<Route> {
         let mut edges = Vec::new();
         self.route_into(from, to, &mut edges)?;
@@ -316,7 +257,7 @@ mod tests {
     #[test]
     fn routes_connect_endpoints() {
         let m = RoadNetwork::generate(1);
-        let r = Router::new(&m);
+        let r = RoutingTable::new(&m);
         let route = r.route(0, m.n_nodes() - 1).expect("strongly connected");
         assert_eq!(m.edge(route.edges[0]).from, 0);
         assert_eq!(route.destination(&m), m.n_nodes() - 1);
@@ -329,13 +270,13 @@ mod tests {
     #[test]
     fn same_node_has_no_route() {
         let m = RoadNetwork::generate(1);
-        assert!(Router::new(&m).route(3, 3).is_none());
+        assert!(RoutingTable::new(&m).route(3, 3).is_none());
     }
 
     #[test]
     fn routes_are_shortest() {
         let m = RoadNetwork::generate(2);
-        let r = Router::new(&m);
+        let r = RoutingTable::new(&m);
         // Triangle inequality spot check: route(a,c) <= route(a,b)+route(b,c)
         let (a, b, c) = (0, m.n_nodes() / 2, m.n_nodes() - 1);
         let ac = r.route(a, c).unwrap().length(&m);
@@ -347,7 +288,7 @@ mod tests {
     #[test]
     fn turn_classification_on_grid() {
         let m = RoadNetwork::generate(3);
-        let r = Router::new(&m);
+        let r = RoutingTable::new(&m);
         // Gather some routes and check every classified turn is sane.
         let route = r.route(0, m.n_nodes() - 1).unwrap();
         for w in route.edges.windows(2) {
@@ -358,36 +299,11 @@ mod tests {
     #[test]
     fn turn_count_zero_for_straight_grid_route() {
         let m = RoadNetwork::generate(4);
-        let r = Router::new(&m);
+        let r = RoutingTable::new(&m);
         // Nodes 0 and 1 in the town grid are adjacent along one axis: a
         // single-edge route has no turns.
         let route = r.route(0, 1).unwrap();
         assert_eq!(route.turn_count(&m), 0);
-    }
-
-    #[test]
-    fn routing_table_matches_router_on_all_pairs() {
-        for seed in [0, 7, 19] {
-            let m = RoadNetwork::generate(seed);
-            let table = RoutingTable::new(&m);
-            let router = Router::new(&m);
-            let n = m.n_nodes();
-            let mut buf = Vec::new();
-            for a in 0..n {
-                for b in 0..n {
-                    let fast = table.route_into(a, b, &mut buf);
-                    let slow = router.route(a, b);
-                    match slow {
-                        None => assert!(fast.is_none(), "pair ({a},{b}) seed {seed}"),
-                        Some(r) => {
-                            assert!(fast.is_some(), "pair ({a},{b}) seed {seed}");
-                            assert_eq!(buf, r.edges, "pair ({a},{b}) seed {seed}");
-                            assert!(buf.len() <= table.max_route_edges());
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]
@@ -408,7 +324,7 @@ mod tests {
     #[test]
     fn polyline_is_continuous() {
         let m = RoadNetwork::generate(5);
-        let r = Router::new(&m);
+        let r = RoutingTable::new(&m);
         let route = r.route(0, m.n_nodes() - 1).unwrap();
         let poly = route.polyline(&m);
         for w in poly.windows(2) {

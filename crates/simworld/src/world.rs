@@ -257,7 +257,7 @@ impl World {
 
         // Experts then background: the exact draw sequence of the reference
         // world (route retries included — `route_into` fails iff the two
-        // endpoints coincide, same as `Router::route`).
+        // endpoints coincide, same as the reference world's router).
         for s_slot in &mut s {
             let mut route = Route { edges: Vec::with_capacity(reserve) };
             loop {

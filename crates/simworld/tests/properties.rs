@@ -4,10 +4,13 @@ use proptest::prelude::*;
 use simnet::geom::Vec2;
 #[path = "reference/bev.rs"]
 mod bev_reference;
+#[path = "reference/router.rs"]
+mod router_reference;
 
 use simworld::bev::{self, rasterize, rasterize_into, Bev, BevConfig, Pose};
 use simworld::map::{RoadKind, RoadNetwork};
-use simworld::route::Router;
+use router_reference::Router;
+use simworld::route::RoutingTable;
 use simworld::world::{World, WorldConfig};
 
 proptest! {
@@ -24,7 +27,7 @@ proptest! {
         let m = RoadNetwork::generate(seed);
         let (a, b) = (a % m.n_nodes(), b % m.n_nodes());
         prop_assume!(a != b);
-        let r = Router::new(&m).route(a, b).expect("strongly connected");
+        let r = RoutingTable::new(&m).route(a, b).expect("strongly connected");
         prop_assert_eq!(m.edge(r.edges[0]).from, a);
         prop_assert_eq!(r.destination(&m), b);
         for w in r.edges.windows(2) {
@@ -35,7 +38,7 @@ proptest! {
     #[test]
     fn shortest_route_no_longer_than_detours(seed in 0u64..50) {
         let m = RoadNetwork::generate(seed);
-        let r = Router::new(&m);
+        let r = RoutingTable::new(&m);
         let n = m.n_nodes();
         let (a, mid, b) = (0, n / 2, n - 1);
         prop_assume!(a != mid && mid != b && a != b);
@@ -209,5 +212,32 @@ fn traces_cover_the_training_window_densely() {
             .map(|k| trace.position(a, k as f64 * 0.5).distance(start))
             .fold(0.0f32, f32::max);
         assert!(moved > 20.0, "agent {a} barely moved: {moved} m");
+    }
+}
+
+/// The table the world routes with reproduces the per-query Dijkstra's
+/// paths for every node pair, and its longest-route bound holds.
+#[test]
+fn routing_table_matches_router_on_all_pairs() {
+    for seed in [0, 7, 19] {
+        let m = RoadNetwork::generate(seed);
+        let table = RoutingTable::new(&m);
+        let router = Router::new(&m);
+        let n = m.n_nodes();
+        let mut buf = Vec::new();
+        for a in 0..n {
+            for b in 0..n {
+                let fast = table.route_into(a, b, &mut buf);
+                let slow = router.route(a, b);
+                match slow {
+                    None => assert!(fast.is_none(), "pair ({a},{b}) seed {seed}"),
+                    Some(r) => {
+                        assert!(fast.is_some(), "pair ({a},{b}) seed {seed}");
+                        assert_eq!(buf, r.edges, "pair ({a},{b}) seed {seed}");
+                        assert!(buf.len() <= table.max_route_edges());
+                    }
+                }
+            }
+        }
     }
 }

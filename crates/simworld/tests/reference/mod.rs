@@ -3,7 +3,9 @@
 //! This is the per-agent-struct `World` exactly as it stood before the
 //! structure-of-arrays refactor (the pattern of `bev.rs` beside it and of
 //! `lbchat`'s `tests/reference/`): vehicles and
-//! pedestrians as owned structs, a fresh per-step [`Router`], and a
+//! pedestrians as owned structs, a fresh per-step [`Router`] (the
+//! per-query Dijkstra in `router.rs`, also the oracle of
+//! `simworld::route::RoutingTable`), and a
 //! single serial step loop interleaving movement with RNG reroute draws.
 //! `simworld::world::World` must reproduce this world bit for bit — the
 //! property tests in `soa_identity.rs` and the golden trajectory fixture
@@ -20,12 +22,15 @@ use simworld::agents::{radii, Pedestrian, RoadVehicle};
 use simworld::bev::{rasterize, Bev, Pose};
 use simworld::expert::{hazard_ahead, ExpertOutput};
 use simworld::map::RoadNetwork;
-use simworld::route::{Route, Router};
+use simworld::route::Route;
 use simworld::world::{RoadRaster, WorldConfig};
 use rand::{Rng, RngExt, SeedableRng};
 use simnet::geom::Vec2;
 use simnet::trace::MobilityTrace;
 use std::collections::BTreeMap;
+
+mod router;
+pub use router::Router;
 
 /// The running world. `Clone` snapshots the full state (map, agents, RNG),
 /// letting evaluation run independent trials from a common base world.
