@@ -697,12 +697,39 @@ mod tests {
         assert_eq!(m.loss_curve.last().map(|p| p.0), Some(100.0));
     }
 
+    /// Frames play at `0, dt, dt + dt, …` while the time is below the
+    /// duration, so the frame count and the loss-curve times (one per
+    /// 10 s, then the final sample at the duration) are pinned at whole,
+    /// half and sub-frame durations, at zero (no frame plays, one sample)
+    /// and at rates whose `+ dt` chain rounds (3 and 10 fps).
     #[test]
     fn on_frame_called_every_frame() {
-        let trace = far_trace(50.0);
-        let mut probe = Probe::new(2);
-        run_ok(&runtime(50.0), &mut probe, &trace);
-        assert_eq!(probe.frames, 100, "2 fps over 50 s");
+        let table: [(f64, f64, u64, &[f64]); 6] = [
+            (0.0, 2.0, 0, &[0.0]),
+            (0.5, 2.0, 1, &[0.0, 0.5]),
+            (0.6, 2.0, 2, &[0.0, 0.6]),
+            (50.0, 2.0, 100, &[0.0, 10.0, 20.0, 30.0, 40.0, 50.0]),
+            (1.0, 3.0, 3, &[0.0, 1.0]),
+            // Ten `+ 0.1` steps sum to 0.999…: an eleventh frame plays.
+            (1.0, 10.0, 11, &[0.0, 1.0]),
+        ];
+        for (duration, fps, frames, times) in table {
+            let samples = (duration * fps) as usize + 2;
+            let far = |x: f32| vec![Vec2::new(x, 0.0); samples];
+            let trace = MobilityTrace::new(fps, vec![far(0.0), far(2000.0)]);
+            let mut probe = Probe::new(2);
+            let rt = Runtime::new(RuntimeConfig {
+                duration,
+                eval_every: 10.0,
+                ..RuntimeConfig::default()
+            });
+            let m = run_ok(&rt, &mut probe, &trace);
+            let case = format!("{fps} fps over {duration} s");
+            assert_eq!(probe.frames, frames, "{case}");
+            let got: Vec<u64> = m.loss_curve.iter().map(|p| p.0.to_bits()).collect();
+            let want: Vec<u64> = times.iter().map(|t| t.to_bits()).collect();
+            assert_eq!(got, want, "{case}: loss-curve times");
+        }
     }
 
     #[test]
