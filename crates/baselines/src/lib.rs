@@ -73,8 +73,7 @@ mod tests {
     /// Forwards everything except `static_priority` — what a decorator
     /// written before that method existed does (`lbchat_e2e`'s tracer), so
     /// the runtime ranks the inner method eagerly. Counts the pairs ranked.
-    /// `session_step` keeps its default too: every baseline finishes its
-    /// session inside `session_open`, so the default is its answer.
+    /// `session_step` keeps its default, which the runtime never calls.
     struct Eager<A> {
         inner: A,
         ranked: std::cell::Cell<u64>,

@@ -1,13 +1,11 @@
-//! The discrete-event execution engine behind [`super::Runtime::run`].
+//! The frame loop behind [`super::Runtime::run`].
 //!
-//! Frames, session opens, training, and evaluations are events on the
-//! deterministic queue in [`super::sched`]: each frame pushes one
-//! `ContactOpen` per matched pair, one `Train` that runs every node's
-//! training slice, and its evaluation as same-timestamp events in phase
-//! order, and every session runs to completion at its `ContactOpen` through
-//! [`drive_session`] on the shared RNG.
+//! The trace plays frame by frame at `0, dt, dt + dt, …` while the time is
+//! below the duration. Each frame runs, in order: the infrastructure hook,
+//! pair matching, the matched sessions (each to completion, through
+//! [`drive_session`] on the shared RNG), every node's training slice, and
+//! the evaluation when one is due.
 
-use super::sched::{Event, EventQueue};
 use super::{
     drive_session, emit_round, CollabAlgorithm, FrameCtx, PairCooldown, RuntimeConfig, SessionCtx,
 };
@@ -19,7 +17,7 @@ use simnet::contact::{ContactEstimate, ContactPredictor};
 use simnet::grid::EncounterGrid;
 use simnet::trace::{Encounter, MobilityTrace, RouteCache};
 
-/// Runs `algo` over `trace` on the event scheduler. The caller
+/// Runs `algo` over `trace` frame by frame. The caller
 /// ([`super::Runtime::run`]) has already validated the config and the
 /// trace size.
 pub(super) fn run<A: CollabAlgorithm>(
@@ -28,22 +26,21 @@ pub(super) fn run<A: CollabAlgorithm>(
     trace: &MobilityTrace,
     eval: &[A::Sample],
 ) -> Metrics {
-    let mut el = EventLoop::new(cfg, trace, eval, algo.n_nodes());
-    el.queue.push(0.0, Event::Frame);
-    while let Some(t) = el.queue.peek_time() {
-        if t >= cfg.duration {
-            break;
-        }
-        let Some((t, ev)) = el.queue.pop() else { break };
-        el.dispatch(algo, t, ev);
+    let mut fl = FrameLoop::new(cfg, trace, eval, algo.n_nodes());
+    // Frame times accumulate by repeated `+ dt`; the recorded fixtures pin
+    // that float sequence.
+    let mut t = 0.0;
+    while t < cfg.duration {
+        fl.frame(algo, t);
+        t += fl.dt;
     }
     let loss = algo.mean_eval_loss(eval);
-    el.metrics.record_loss(cfg.duration, loss);
+    fl.metrics.record_loss(cfg.duration, loss);
     emit_round(&cfg.obs, algo.name(), cfg.duration, loss);
-    el.metrics
+    fl.metrics
 }
 
-struct EventLoop<'a, A: CollabAlgorithm> {
+struct FrameLoop<'a, A: CollabAlgorithm> {
     cfg: &'a RuntimeConfig,
     trace: &'a MobilityTrace,
     eval: &'a [A::Sample],
@@ -51,15 +48,14 @@ struct EventLoop<'a, A: CollabAlgorithm> {
     dt: f64,
     channel: Channel,
     predictor: ContactPredictor,
-    /// The shared (frame-order) RNG: frame hooks, sessions, and training
-    /// draw from it in event order.
+    /// The shared RNG: frame hooks, sessions, and training draw from it in
+    /// frame order.
     rng: rand::rngs::StdRng,
     metrics: Metrics,
     busy_until: Vec<f64>,
     cooldown: PairCooldown,
     train_debt: Vec<f64>,
     next_eval: f64,
-    queue: EventQueue<Event>,
     /// Spatial-hash encounter discovery — bit-identical to the all-pairs
     /// sweep `simnet`'s tests hold it to, O(local density) per frame.
     grid: EncounterGrid,
@@ -79,6 +75,9 @@ struct EventLoop<'a, A: CollabAlgorithm> {
     estimates: Vec<ContactEstimate>,
     /// Per node: already matched this frame.
     taken: Vec<bool>,
+    /// The pairs matching opened, in matching order, with the estimate and
+    /// the priority each won with: the frame's sessions.
+    opened: Vec<(usize, usize, ContactEstimate, f64)>,
 }
 
 /// A pairing frame matching may open. Kept small because frame 0 of a dense
@@ -92,7 +91,7 @@ struct Candidate {
     i: u32,
     /// Higher endpoint.
     j: u32,
-    /// Index into [`EventLoop::estimates`] of the estimate the pair was
+    /// Index into [`FrameLoop::estimates`] of the estimate the pair was
     /// ranked by; `None` when its method stated the priority without one,
     /// and matching estimates the pair only if it opens.
     estimate: Option<u32>,
@@ -109,7 +108,7 @@ impl Candidate {
     }
 }
 
-impl<'a, A: CollabAlgorithm> EventLoop<'a, A> {
+impl<'a, A: CollabAlgorithm> FrameLoop<'a, A> {
     /// An idle loop over `n` nodes at simulated time zero.
     fn new(
         cfg: &'a RuntimeConfig,
@@ -117,7 +116,7 @@ impl<'a, A: CollabAlgorithm> EventLoop<'a, A> {
         eval: &'a [A::Sample],
         n: usize,
     ) -> Self {
-        EventLoop {
+        FrameLoop {
             cfg,
             trace,
             eval,
@@ -136,7 +135,6 @@ impl<'a, A: CollabAlgorithm> EventLoop<'a, A> {
             cooldown: PairCooldown::new(n),
             train_debt: vec![0.0f64; n],
             next_eval: 0.0,
-            queue: EventQueue::new(),
             grid: EncounterGrid::new(),
             routes: RouteCache::new(n, cfg.route_share_samples),
             free: Vec::with_capacity(n),
@@ -144,32 +142,14 @@ impl<'a, A: CollabAlgorithm> EventLoop<'a, A> {
             candidates: Vec::new(),
             estimates: Vec::new(),
             taken: vec![false; n],
+            opened: Vec::new(),
         }
     }
 
-    fn dispatch(&mut self, algo: &mut A, t: f64, ev: Event) {
-        match ev {
-            Event::Frame => self.handle_frame(algo, t),
-            Event::ContactOpen { i, j, est, priority } => {
-                self.handle_session(algo, i, j, est, priority, t);
-            }
-            Event::Train => {
-                for v in 0..self.n {
-                    self.handle_train_slice(algo, t, v);
-                }
-            }
-            Event::Eval => {
-                let loss = algo.mean_eval_loss(self.eval);
-                self.metrics.record_loss(t, loss);
-                emit_round(&self.cfg.obs, algo.name(), t, loss);
-            }
-        }
-    }
-
-    /// One trace frame: infrastructure hook, pair matching, then the
-    /// frame's sessions, training, and evaluation pushed as same-timestamp
-    /// events in phase order.
-    fn handle_frame(&mut self, algo: &mut A, t: f64) {
+    /// One trace frame: infrastructure hook, pair matching, the matched
+    /// sessions in matching order, every node's training slice in id order,
+    /// then the evaluation when it is due.
+    fn frame(&mut self, algo: &mut A, t: f64) {
         {
             let mut fctx = FrameCtx {
                 time: t,
@@ -210,7 +190,7 @@ impl<'a, A: CollabAlgorithm> EventLoop<'a, A> {
         // estimate is ranked with no route sampled; its estimate is computed
         // below, for the pairs matching opens only. The estimate is a pure
         // function of (trace, i, j, t) and draws no RNG, so either order
-        // hands `ContactOpen` the same bits (DESIGN.md §4).
+        // hands the session the same bits (DESIGN.md §4).
         let mut estimated = 0u64;
         let mut estimate = |i, j| {
             estimated += 1;
@@ -243,6 +223,7 @@ impl<'a, A: CollabAlgorithm> EventLoop<'a, A> {
         // best-scored neighbor first (§III-A). total_cmp: scores are finite.
         self.candidates.sort_unstable_by(Candidate::rank);
         self.taken.fill(false);
+        self.opened.clear();
         for &Candidate { score, i, j, estimate: slot } in &self.candidates {
             let (i, j) = (i as usize, j as usize);
             if self.taken[i] || self.taken[j] {
@@ -263,25 +244,28 @@ impl<'a, A: CollabAlgorithm> EventLoop<'a, A> {
                     est
                 }
             };
-            self.queue.push(t, Event::ContactOpen { i, j, est, priority: score });
+            self.opened.push((i, j, est, score));
         }
         if self.cfg.obs.enabled() {
             self.cfg.obs.add(Counter::NetContactEstimates, estimated);
         }
 
-        self.queue.push(t, Event::Train);
-        if t >= self.next_eval {
-            self.queue.push(t, Event::Eval);
-            self.next_eval += self.cfg.eval_every;
+        for k in 0..self.opened.len() {
+            let (i, j, est, score) = self.opened[k];
+            self.session(algo, i, j, est, score, t);
         }
-        // Frame times accumulate by repeated `+ dt`; the recorded fixtures
-        // pin that float sequence.
-        if t + self.dt < self.cfg.duration {
-            self.queue.push(t + self.dt, Event::Frame);
+        for v in 0..self.n {
+            self.train_slice(algo, t, v);
+        }
+        if t >= self.next_eval {
+            let loss = algo.mean_eval_loss(self.eval);
+            self.metrics.record_loss(t, loss);
+            emit_round(&self.cfg.obs, algo.name(), t, loss);
+            self.next_eval += self.cfg.eval_every;
         }
     }
 
-    fn handle_train_slice(&mut self, algo: &mut A, t: f64, v: usize) {
+    fn train_slice(&mut self, algo: &mut A, t: f64, v: usize) {
         if self.busy_until[v] > t {
             return;
         }
@@ -299,9 +283,9 @@ impl<'a, A: CollabAlgorithm> EventLoop<'a, A> {
         }
     }
 
-    /// One session: runs the whole lifecycle at the open event on the
-    /// shared RNG, then holds both vehicles busy for its duration.
-    fn handle_session(
+    /// One session: runs the whole lifecycle at the frame on the shared
+    /// RNG, then holds both vehicles busy for its duration.
+    fn session(
         &mut self,
         algo: &mut A,
         i: usize,
@@ -364,8 +348,8 @@ mod tests {
     /// The frame-matching buffers live on the loop and are refilled, not
     /// reallocated: once the first frames have sized them (frame 0 is the
     /// peak — everyone free, nothing cooling down) no later frame grows the
-    /// roster, the candidate list or the taken marks, nor the grid and the
-    /// route cache behind them.
+    /// roster, the candidate list, the taken marks or the opened sessions,
+    /// nor the grid and the route cache behind them.
     #[test]
     fn warm_frames_do_not_grow_the_matching_buffers() {
         const WARM_FRAMES: usize = 2;
@@ -379,35 +363,29 @@ mod tests {
         };
         let trace = parked_lattice(n, cfg.duration);
         let mut probe = Probe::new(n);
-        let mut el = EventLoop::new(&cfg, &trace, &[], n);
-        el.queue.push(0.0, Event::Frame);
-        let capacities = |el: &EventLoop<'_, Probe>| {
-            let matching = (el.candidates.capacity(), el.estimates.capacity());
-            (el.free.capacity(), matching, el.taken.capacity())
+        let mut fl = FrameLoop::new(&cfg, &trace, &[], n);
+        let capacities = |fl: &FrameLoop<'_, Probe>| {
+            let matching = (fl.candidates.capacity(), fl.estimates.capacity());
+            (fl.free.capacity(), matching, fl.taken.capacity(), fl.opened.capacity())
         };
         let (mut frames, mut matched, mut warm) = (0usize, 0usize, None);
-        while let Some((t, ev)) = el.queue.pop() {
-            if t >= cfg.duration {
-                break;
-            }
-            let is_frame = matches!(ev, Event::Frame);
-            el.dispatch(&mut probe, t, ev);
-            if !is_frame {
-                continue;
-            }
+        let mut t = 0.0;
+        while t < cfg.duration {
+            fl.frame(&mut probe, t);
+            t += fl.dt;
             frames += 1;
-            matched += usize::from(!el.candidates.is_empty());
+            matched += usize::from(!fl.candidates.is_empty());
             if frames == WARM_FRAMES {
-                warm = Some(capacities(&el));
+                warm = Some(capacities(&fl));
             } else if frames > WARM_FRAMES {
-                assert_eq!(Some(capacities(&el)), warm, "frame {frames} grew a matching buffer");
-                assert!(!el.grid.grew(), "frame {frames} grew the encounter grid");
-                assert!(!el.routes.grew(), "frame {frames} grew the route cache");
+                assert_eq!(Some(capacities(&fl)), warm, "frame {frames} grew a matching buffer");
+                assert!(!fl.grid.grew(), "frame {frames} grew the encounter grid");
+                assert!(!fl.routes.grew(), "frame {frames} grew the route cache");
             }
         }
         assert_eq!(frames, 120, "2 fps over 60 s");
         assert!(matched > 10, "cooldowns expire, so matching keeps finding pairs: {matched}");
-        assert!(el.metrics.sessions > n as u64, "the fleet kept chatting: {}", el.metrics.sessions);
+        assert!(fl.metrics.sessions > n as u64, "the fleet kept chatting: {}", fl.metrics.sessions);
     }
 
     /// The pairs of a parked lattice fall in three priority tiers, hundreds
@@ -425,9 +403,9 @@ mod tests {
         for stated in [true, false] {
             let mut probe = Probe::new(n);
             (probe.priority, probe.stated) = (tier, stated);
-            let mut el = EventLoop::new(&cfg, &trace, &[], n);
-            el.handle_frame(&mut probe, 0.0);
-            let mut pairs: Vec<(usize, usize)> = el.encounters.iter().map(|e| (e.a, e.b)).collect();
+            let mut fl = FrameLoop::new(&cfg, &trace, &[], n);
+            fl.frame(&mut probe, 0.0);
+            let mut pairs: Vec<(usize, usize)> = fl.encounters.iter().map(|e| (e.a, e.b)).collect();
             assert!(pairs.is_sorted(), "the grid emits pairs in (i, j) order");
             assert!(pairs.len() > 150, "a dense frame: {} pairs", pairs.len());
             pairs.sort_by(|&(a, b), &(c, d)| tier(c, d).total_cmp(&tier(a, b)));
@@ -439,12 +417,7 @@ mod tests {
                     want.push((i, j));
                 }
             }
-            let mut opened = Vec::new();
-            while let Some((_, ev)) = el.queue.pop() {
-                if let Event::ContactOpen { i, j, .. } = ev {
-                    opened.push((i, j));
-                }
-            }
+            let opened: Vec<(usize, usize)> = fl.opened.iter().map(|&(i, j, ..)| (i, j)).collect();
             assert_eq!(opened, want, "stated priority {stated:?}");
         }
     }

@@ -1,4 +1,4 @@
-//! The shared discrete-event simulation runtime.
+//! The shared simulation runtime.
 //!
 //! Every method in the paper's evaluation — LbChat, SCO, and all four
 //! benchmarks — runs inside the same simulator: a mobility trace is played
@@ -8,20 +8,22 @@
 //! radio. Methods differ only in the [`CollabAlgorithm`] implementation, so
 //! comparisons are apples-to-apples.
 //!
-//! The simulator is one discrete-event scheduler ([`sched`]) behind one
-//! entry point, [`Runtime::run`]: frames, session opens, training slices,
-//! and evaluations are events on a deterministic priority queue. Every
-//! session runs to completion at its open event, over the paper's pairwise
-//! link (§IV-A): [`CollabAlgorithm::session_open`] runs the method's
-//! protocol straight through, moving each payload as it sends it with
-//! [`SessionCtx::run_spec`] (a blocking call on the simulated clock), and
-//! [`CollabAlgorithm::session_close`] reports how long the pair was busy.
+//! The simulator is one frame loop behind one entry point,
+//! [`Runtime::run`], synchronous with the trace as the paper's evaluation is
+//! (§IV-A): each frame runs the infrastructure hook, matches free pairs in
+//! range, runs the matched sessions, one training slice per node, and the
+//! evaluation when it is due. Every session runs to completion at its frame,
+//! over the paper's pairwise link: [`CollabAlgorithm::session_open`] runs
+//! the method's protocol straight through, moving each payload as it sends
+//! it with [`SessionCtx::run_spec`] (a blocking call on the simulated
+//! clock), and [`CollabAlgorithm::session_close`] reports how long the pair
+//! was busy.
 
 pub mod sched;
 
-mod event_loop;
-/// The synchronous frame loop the scheduler replaced, kept as the oracle
-/// the unit tests below compare [`Runtime::run`] against.
+mod frame_loop;
+/// The unoptimised frame loop, kept as the oracle the unit tests below
+/// compare [`Runtime::run`] against.
 #[cfg(test)]
 mod reference;
 
@@ -235,12 +237,6 @@ impl SessionCtx<'_> {
         out
     }
 
-    /// Charges airtime without moving payload (e.g. waiting on the peer's
-    /// computation in a strictly alternating protocol).
-    pub fn charge(&mut self, seconds: f64) {
-        self.elapsed += seconds.max(0.0);
-    }
-
     /// The RNG for protocol-level randomness.
     pub fn rng(&mut self) -> &mut rand::rngs::StdRng {
         self.rng
@@ -317,17 +313,15 @@ impl FrameCtx<'_> {
     }
 }
 
-/// What an open session asks the runtime to do next. Every method in the
-/// workspace runs its protocol inside [`CollabAlgorithm::session_open`] and
-/// answers [`SessionStep::Done`]; a session may instead hand the runtime
-/// one payload at a time.
+/// What [`CollabAlgorithm::session_open`] answers with its state: the
+/// protocol is finished, and the runtime calls
+/// [`CollabAlgorithm::session_close`] next. Every method runs its whole
+/// protocol inside `session_open`, so `Done` is the only answer; the type
+/// stays because the stand-alone `lbchat_e2e` benchmark's decorator names
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SessionStep {
-    /// Move one payload over the link; its [`TransferOutcome`] arrives at
-    /// the next [`CollabAlgorithm::session_step`] call.
-    Transfer(TransferSpec),
-    /// The protocol is finished; the runtime calls
-    /// [`CollabAlgorithm::session_close`] next.
+    /// The protocol is finished.
     Done,
 }
 
@@ -337,15 +331,13 @@ pub enum SessionStep {
 /// runtime calls [`CollabAlgorithm::session_open`], which runs the whole
 /// protocol over the link (each payload through [`SessionCtx::run_spec`])
 /// and answers [`SessionStep::Done`]; [`CollabAlgorithm::session_close`]
-/// then reports the session's duration. A session that answers
-/// [`SessionStep::Transfer`] instead gets each outcome back through
-/// [`CollabAlgorithm::session_step`].
+/// then reports the session's duration.
 pub trait CollabAlgorithm {
     /// The task sample type (evaluation needs a held-out set of these).
     type Sample;
 
-    /// Per-session state handed from `session_open` to `session_close`
-    /// (and to `session_step`, for a session that steps).
+    /// Per-session state handed from `session_open` to `session_close`:
+    /// what the method needs to report the session's duration.
     type Session;
 
     /// Number of participating vehicles.
@@ -380,12 +372,9 @@ pub trait CollabAlgorithm {
     /// [`CollabAlgorithm::pair_priority`]) instead.
     fn session_open(&mut self, ctx: &mut SessionCtx<'_>) -> Option<(Self::Session, SessionStep)>;
 
-    /// Handles the outcome of the transfer the previous step requested and
-    /// returns the next step. The default answers [`SessionStep::Done`],
-    /// which is right for a session that never answers
-    /// [`SessionStep::Transfer`]. A decorator must still forward it: an
-    /// inner method that steps would otherwise stop after its first
-    /// payload.
+    /// Never called: the runtime steps no session. The method stays, with
+    /// this default, because the stand-alone `lbchat_e2e` benchmark's
+    /// decorator implements it; no method in the workspace does.
     fn session_step(
         &mut self,
         _state: &mut Self::Session,
@@ -440,32 +429,26 @@ pub trait CollabAlgorithm {
     fn name(&self) -> &'static str;
 }
 
-/// Drives one session's full lifecycle synchronously over `ctx`: open, run
-/// every transfer a step requests to completion in place, step, close.
+/// Runs one session over `ctx`: open (the whole protocol), then close.
 /// Returns the session duration in seconds (0 for a declined pairing).
 fn drive_session<A: CollabAlgorithm>(algo: &mut A, ctx: &mut SessionCtx<'_>) -> f64 {
-    let Some((mut state, mut step)) = algo.session_open(ctx) else {
+    let Some((state, SessionStep::Done)) = algo.session_open(ctx) else {
         return 0.0;
     };
-    while let SessionStep::Transfer(spec) = step {
-        let out = ctx.run_spec(&spec);
-        step = algo.session_step(&mut state, out, ctx);
-    }
     algo.session_close(state, ctx)
 }
 
 /// Per-pair cooldown clocks over the unordered pairs `{i, j}`, stored
 /// triangularly — `n(n-1)/2` slots instead of the dense `n²` matrix the
-/// frame loop used, so memory stays linear in the pair count ahead of
-/// 100k-vehicle fleets.
+/// reference loop keeps.
 #[derive(Debug, Clone)]
-pub struct PairCooldown {
+struct PairCooldown {
     until: Vec<f64>,
 }
 
 impl PairCooldown {
     /// Cooldown clocks for `n` nodes, all initially expired.
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         Self { until: vec![0.0; n.saturating_sub(1) * n / 2] }
     }
 
@@ -476,12 +459,12 @@ impl PairCooldown {
     }
 
     /// The time until which the pair `{i, j}` is cooling down.
-    pub fn get(&self, i: usize, j: usize) -> f64 {
+    fn get(&self, i: usize, j: usize) -> f64 {
         self.until[Self::slot(i, j)]
     }
 
     /// Sets the pair's cooldown clock.
-    pub fn set(&mut self, i: usize, j: usize, until: f64) {
+    fn set(&mut self, i: usize, j: usize, until: f64) {
         self.until[Self::slot(i, j)] = until;
     }
 }
@@ -503,8 +486,8 @@ impl Runtime {
         &self.config
     }
 
-    /// Runs `algo` over `trace` for the configured duration on the
-    /// discrete-event scheduler, evaluating on `eval` along the way — the
+    /// Runs `algo` over `trace` for the configured duration, frame by
+    /// frame, evaluating on `eval` along the way — the
     /// one way to run a method. Returns the collected metrics, or a
     /// [`RuntimeError`] when the config is out of domain or the trace
     /// cannot host the algorithm.
@@ -519,7 +502,7 @@ impl Runtime {
         if trace.n_agents() < nodes {
             return Err(RuntimeError::TraceTooSmall { agents: trace.n_agents(), nodes });
         }
-        Ok(event_loop::run(&self.config, algo, trace, eval))
+        Ok(frame_loop::run(&self.config, algo, trace, eval))
     }
 }
 
@@ -586,19 +569,12 @@ mod tests {
             self.train_calls += iters as u64;
             crate::learner::TrainStats::default()
         }
-        fn session_open(&mut self, _ctx: &mut SessionCtx<'_>) -> Option<((), SessionStep)> {
+        fn session_open(&mut self, ctx: &mut SessionCtx<'_>) -> Option<((), SessionStep)> {
             self.encounters += 1;
             // Move a small payload to exercise the link.
-            Some(((), SessionStep::Transfer(TransferSpec::link(15_000, 5.0))))
-        }
-        fn session_step(
-            &mut self,
-            _state: &mut (),
-            out: TransferOutcome,
-            ctx: &mut SessionCtx<'_>,
-        ) -> SessionStep {
+            let out = ctx.run_spec(&TransferSpec::link(15_000, 5.0));
             ctx.metrics.record_coreset_send(out.is_delivered(), 15_000, out.elapsed());
-            SessionStep::Done
+            Some(((), SessionStep::Done))
         }
         fn session_close(&mut self, _state: (), ctx: &mut SessionCtx<'_>) -> f64 {
             ctx.elapsed()
@@ -750,15 +726,16 @@ mod tests {
 
     #[test]
     fn busy_nodes_do_not_train() {
-        // An algorithm whose sessions take 10 s: training iterations are
-        // suppressed during the busy window.
+        // An algorithm whose sessions take 10 s (a floor it reports, as
+        // LbChat reports its own): training iterations are suppressed during
+        // the busy window.
         struct Slow {
             params: ParamVec,
             train_calls: u64,
         }
         impl CollabAlgorithm for Slow {
             type Sample = ();
-            type Session = ();
+            type Session = f64;
             fn n_nodes(&self) -> usize {
                 2
             }
@@ -774,12 +751,11 @@ mod tests {
                 self.train_calls += iters as u64;
                 crate::learner::TrainStats::default()
             }
-            fn session_open(&mut self, ctx: &mut SessionCtx<'_>) -> Option<((), SessionStep)> {
-                ctx.charge(10.0);
-                Some(((), SessionStep::Done))
+            fn session_open(&mut self, _ctx: &mut SessionCtx<'_>) -> Option<(f64, SessionStep)> {
+                Some((10.0, SessionStep::Done))
             }
-            fn session_close(&mut self, _state: (), ctx: &mut SessionCtx<'_>) -> f64 {
-                ctx.elapsed()
+            fn session_close(&mut self, floor: f64, ctx: &mut SessionCtx<'_>) -> f64 {
+                ctx.elapsed().max(floor)
             }
             fn mean_eval_loss(&self, _e: &[()]) -> f64 {
                 0.0
@@ -979,23 +955,23 @@ mod tests {
         assert_eq!(cd.get(1, 3), 42.0);
     }
 
-    // ---- Equivalence with the retained frame loop -----------------------
+    // ---- Equivalence with the reference frame loop -----------------------
     //
     // `Runtime::run` must reproduce `reference::run` bit for bit — same loss
     // curve, same counters, same airtime accounting, same final models — for
     // any trace geometry, loss model, cooldown, training rate, and seed.
 
-    /// Runs `event` through [`Runtime::run`] and `oracle` through the frame
-    /// loop under the same config, asserts bit-equal metrics, and returns
-    /// them.
+    /// Runs `algo` through [`Runtime::run`] and `oracle` through the
+    /// reference loop under the same config, asserts bit-equal metrics, and
+    /// returns them.
     fn assert_same_run<A: CollabAlgorithm>(
         cfg: RuntimeConfig,
         trace: &MobilityTrace,
         eval: &[A::Sample],
-        event: &mut A,
+        algo: &mut A,
         oracle: &mut A,
     ) -> Metrics {
-        let me = Runtime::new(cfg.clone()).run(event, trace, eval).expect("trace fits");
+        let me = Runtime::new(cfg.clone()).run(algo, trace, eval).expect("trace fits");
         let mr = reference::run(&cfg, oracle, trace, eval);
         assert_eq!(me.loss_curve.len(), mr.loss_curve.len());
         for ((te, le), (tr, lr)) in me.loss_curve.iter().zip(&mr.loss_curve) {
@@ -1039,9 +1015,7 @@ mod tests {
     /// records every payload in the metrics — a miniature of a multi-payload
     /// session without any learning, so a divergence in RNG order, matching
     /// order, or transfer accounting between the two loops is caught rather
-    /// than masked by a trivial protocol. It hands the runtime one payload
-    /// at a time, so it (with `Probe` and `event_golden.rs`'s `Streamer`)
-    /// is what keeps `drive_session`'s stepping loop covered.
+    /// than masked by a trivial protocol.
     struct Chatter {
         n: usize,
         params: ParamVec,
@@ -1058,13 +1032,9 @@ mod tests {
         }
     }
 
-    struct ChatterSession {
-        remaining: u32,
-    }
-
     impl CollabAlgorithm for Chatter {
         type Sample = ();
-        type Session = ChatterSession;
+        type Session = ();
 
         fn n_nodes(&self) -> usize {
             self.n
@@ -1082,41 +1052,31 @@ mod tests {
             let _: f32 = rng.random();
             crate::learner::TrainStats::default()
         }
-        fn session_open(
-            &mut self,
-            ctx: &mut SessionCtx<'_>,
-        ) -> Option<(ChatterSession, SessionStep)> {
+        fn session_open(&mut self, ctx: &mut SessionCtx<'_>) -> Option<((), SessionStep)> {
             let decline: f32 = ctx.rng().random();
             if decline < 0.125 {
                 return None;
             }
-            let remaining = (ctx.rng().random::<f32>() * 3.0) as u32;
+            let mut remaining = (ctx.rng().random::<f32>() * 3.0) as u32;
             // Sized by the predicted contact, as the gossip baselines do: a
             // session handed another pair's or another instant's estimate
             // moves different traffic.
             let est = ctx.contact();
             let fitted = (est.duration.clamp(0.0, 60.0) * 100.0 + est.p * 1000.0) as usize;
             let bytes = 10_000 + fitted + (ctx.rng().random::<f32>() * 40_000.0) as usize;
-            Some((
-                ChatterSession { remaining },
-                SessionStep::Transfer(TransferSpec::link(bytes, 8.0)),
-            ))
-        }
-        fn session_step(
-            &mut self,
-            state: &mut ChatterSession,
-            out: TransferOutcome,
-            ctx: &mut SessionCtx<'_>,
-        ) -> SessionStep {
-            ctx.metrics.record_coreset_send(out.is_delivered(), 10_000, out.elapsed());
-            if !out.is_delivered() || state.remaining == 0 {
-                return SessionStep::Done;
+            let mut spec = TransferSpec::link(bytes, 8.0);
+            loop {
+                let out = ctx.run_spec(&spec);
+                ctx.metrics.record_coreset_send(out.is_delivered(), 10_000, out.elapsed());
+                if !out.is_delivered() || remaining == 0 {
+                    return Some(((), SessionStep::Done));
+                }
+                remaining -= 1;
+                let bytes = 5_000 + (ctx.rng().random::<f32>() * 20_000.0) as usize;
+                spec = TransferSpec::link(bytes, 6.0);
             }
-            state.remaining -= 1;
-            let bytes = 5_000 + (ctx.rng().random::<f32>() * 20_000.0) as usize;
-            SessionStep::Transfer(TransferSpec::link(bytes, 6.0))
         }
-        fn session_close(&mut self, _state: ChatterSession, ctx: &mut SessionCtx<'_>) -> f64 {
+        fn session_close(&mut self, _state: (), ctx: &mut SessionCtx<'_>) -> f64 {
             ctx.elapsed()
         }
         fn static_priority(&self, _i: usize, _j: usize) -> Option<f64> {
@@ -1156,8 +1116,8 @@ mod tests {
 
     fn assert_same_chatter_run(cfg: RuntimeConfig, vehicles: &[(f32, f32)]) {
         let trace = lane_trace(vehicles, cfg.duration);
-        // Ranked by the estimate, then with a static priority: the event
-        // loop predicts the second run's contacts after matching, the frame
+        // Ranked by the estimate, then with a static priority: the runtime
+        // predicts the second run's contacts after matching, the reference
         // loop before, and a method that never matches opens nothing.
         for stated in [None, Some(0.0), Some(f64::NEG_INFINITY)] {
             let chatter = || Chatter::new(vehicles.len(), stated);
@@ -1231,7 +1191,7 @@ mod tests {
         };
         let (sessions, estimates, _) = run(Some(0.0));
         assert!(sessions > 100, "the fleet must keep chatting: {sessions}");
-        assert_eq!(estimates, sessions, "one estimate per ContactOpen");
+        assert_eq!(estimates, sessions, "one estimate per opened session");
         let (sessions, estimates, ranked) = run(None);
         assert_eq!(estimates, ranked, "one estimate per post-cooldown candidate");
         assert!(ranked > 2 * sessions, "most candidates lose the matching: {ranked} vs {sessions}");
@@ -1305,13 +1265,13 @@ mod tests {
                     seed: 11,
                     ..RuntimeConfig::default()
                 };
-                let (mut event, mut oracle) = (fleet(), fleet());
-                let m = assert_same_run(cfg, &trace, &eval, &mut event, &mut oracle);
+                let (mut algo, mut oracle) = (fleet(), fleet());
+                let m = assert_same_run(cfg, &trace, &eval, &mut algo, &mut oracle);
                 assert!(m.coreset_receives > 0, "{cell}: the fleet must chat");
                 assert_eq!(m.model_sends > 0, lbchat.share_model, "{cell}: model sends");
                 for v in 0..lines.len() {
                     assert_eq!(
-                        event.model(v).as_slice(),
+                        algo.model(v).as_slice(),
                         oracle.model(v).as_slice(),
                         "{cell}: vehicle {v} model diverged"
                     );

@@ -1,24 +1,34 @@
-//! The synchronous frame loop the event scheduler replaced, kept verbatim
-//! as a test-only oracle: compiled under `#[cfg(test)]`, reachable from
-//! nowhere but the runtime's own unit tests.
+//! The unoptimised frame loop, kept verbatim as a test-only oracle:
+//! compiled under `#[cfg(test)]`, reachable from nowhere but the runtime's
+//! own unit tests.
 //!
-//! The discrete-event loop must reproduce this loop's metrics and final
+//! [`super::Runtime::run`] must reproduce this loop's metrics and final
 //! models bit for bit; the equivalence tests in `runtime::tests` pin that.
 //! Keep this file boring: no optimizations, no restructuring — it is the
-//! spec.
+//! spec. It differs from the runtime's frame loop in exactly the work that
+//! loop saves, never in what a frame does or in which order:
+//!
+//! - it scans the **whole roster** every frame and drops busy vehicles
+//!   pair by pair, where the runtime scans only the vehicles free at the
+//!   frame;
+//! - it keeps a **dense** `n × n` cooldown matrix, where the runtime keeps
+//!   the triangular [`super::PairCooldown`];
+//! - it estimates every candidate's contact **eagerly**, where the runtime
+//!   estimates a pair whose method states a static priority only if the
+//!   pair opens;
+//! - it ranks candidates with a **stable** sort by priority, where the
+//!   runtime sorts unstably by priority and then `(i, j)`.
+//!
+//! The two loops therefore emit *different* `net.encounter.*` counters
+//! (whole fleet here, free vehicles there) and `net.contact.estimates`
+//! (this loop never adds it), and identical everything else.
 //!
 //! One shared exception: encounter discovery and route sampling go through
-//! [`EncounterGrid`] and [`RouteCache`], the same components the event loop
+//! [`EncounterGrid`] and [`RouteCache`], the same components the runtime
 //! uses, not through the all-pairs sweep or per-call route sampling. Those
 //! two (the sweep in `simnet`'s tests / [`MobilityTrace::future`]) are
 //! `simnet`'s oracles: the grid and the cache are proptested byte-identical
 //! to them, so this loop's semantics are unchanged.
-//!
-//! This loop scans the **whole roster** every frame and drops busy vehicles
-//! pair by pair, on purpose: the event loop scans only the vehicles free at
-//! the frame, and `assert_same_run` pins that free-roster scan against this
-//! one. The two loops therefore emit *different* `net.encounter.*` counters
-//! (whole fleet here, free vehicles there) and identical everything else.
 
 use super::{drive_session, emit_round, CollabAlgorithm, FrameCtx, RuntimeConfig, SessionCtx};
 use crate::metrics::Metrics;
@@ -184,8 +194,8 @@ pub(super) fn run<A: CollabAlgorithm>(
 /// Flat index of the ordered pair `(i, j)` in the `n × n` cooldown
 /// matrix. Both ids come from the trace roster, so `i < n` and `j < n`
 /// by construction and the product stays within the `n * n` allocation.
-/// (The event loop uses the triangular [`super::PairCooldown`] instead;
-/// this dense form is part of the frozen reference semantics.)
+/// (The runtime uses the triangular [`super::PairCooldown`] instead; this
+/// dense form is part of the frozen reference semantics.)
 fn pair_idx(i: usize, j: usize, n: usize) -> usize {
     i * n + j
 }

@@ -25,11 +25,6 @@ impl Vec2 {
         (self.x * self.x + self.y * self.y).sqrt()
     }
 
-    /// Squared length (avoids the square root in hot loops).
-    pub fn norm_sq(self) -> f32 {
-        self.x * self.x + self.y * self.y
-    }
-
     /// Euclidean distance to `other`.
     pub fn distance(self, other: Vec2) -> f32 {
         (self - other).norm()
