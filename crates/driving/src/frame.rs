@@ -1,7 +1,7 @@
 //! The driving training sample.
 
 use simworld::bev::Bev;
-use simworld::expert::{Command, ExpertOutput};
+use simworld::expert::{Command, ExpertOutput, TURN_LOOKAHEAD};
 use std::sync::Arc;
 
 /// One imitation-learning sample: featurized BEV observation, the
@@ -29,13 +29,29 @@ pub struct Frame {
 /// distance to the next turn and its direction sign.
 pub const NAV_FEATURES: usize = 2;
 
+/// The policy input, into `out` (cleared first): `bev`'s pooled features
+/// (speed included), then the [`NAV_FEATURES`] scalars built from
+/// `(turn_distance, turn_sign)` as [`simworld::expert::next_turn_info`]
+/// reports them — the distance over [`TURN_LOOKAHEAD`], then the sign.
+/// Collection ([`Frame::from_observation`]) and the closed-loop evaluator
+/// both lay the input out here.
+pub fn policy_input_into(
+    bev: &Bev,
+    pool: usize,
+    (turn_distance, turn_sign): (f32, f32),
+    out: &mut Vec<f32>,
+) {
+    bev.features_into(pool, out);
+    out.push(turn_distance / TURN_LOOKAHEAD);
+    out.push(turn_sign);
+}
+
 impl Frame {
-    /// Builds a frame from a world observation: pooled BEV features plus
-    /// the [`NAV_FEATURES`] navigation scalars.
+    /// Builds a frame from a world observation: the [`policy_input_into`]
+    /// of the BEV and the expert's turn scalars.
     pub fn from_observation(bev: &Bev, sup: &ExpertOutput, pool: usize) -> Self {
-        let mut features = bev.features(pool);
-        features.push(sup.turn_distance / simworld::expert::TURN_LOOKAHEAD);
-        features.push(sup.turn_sign);
+        let mut features = Vec::new();
+        policy_input_into(bev, pool, (sup.turn_distance, sup.turn_sign), &mut features);
         // `From<Vec>` / `From<&[f32]>` allocate the slice at its exact
         // length; the staging vector's spare capacity is not kept.
         Self {
@@ -60,6 +76,8 @@ impl Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simworld::bev::Pose;
+    use simworld::expert::next_turn_info;
     use simworld::world::{World, WorldConfig};
 
     #[test]
@@ -88,6 +106,36 @@ mod tests {
         let mut wp = f.waypoints.to_vec();
         wp[0] += 1.0;
         assert_ne!(f, Frame { waypoints: wp.into(), ..f.clone() });
+    }
+
+    /// Train/eval parity: the evaluator's path — the world's route
+    /// observer, the tracked progress's turn scalars, the one input
+    /// layout — rebuilds a collected frame's input and command bit for bit
+    /// when it looks from the expert's road pose with the expert left out.
+    #[test]
+    fn the_evaluator_path_rebuilds_collected_frames() {
+        let mut w = World::new(WorldConfig::small(4));
+        let pool = w.config().bev.pool;
+        let mut bev = Bev::blank(w.config().bev.cells);
+        let mut input = Vec::new();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for tick in 0..60 {
+            if tick % 12 == 0 {
+                for i in 0..w.n_experts() {
+                    let (collected_bev, sup) = w.observe_expert(i);
+                    let frame = Frame::from_observation(&collected_bev, &sup, pool);
+                    let v = w.expert_view(i);
+                    let pose =
+                        Pose { pos: v.position(w.map()), heading: v.heading(w.map()).angle() };
+                    let command = w.observe_route(v, pose, Some(i), &mut bev);
+                    policy_input_into(&bev, pool, next_turn_info(w.map(), v), &mut input);
+                    let ctx = format!("expert {i} tick {tick}");
+                    assert_eq!(command, frame.command, "{ctx}: command");
+                    assert_eq!(bits(&input), bits(&frame.features), "{ctx}: input");
+                }
+            }
+            w.step();
+        }
     }
 
     #[test]

@@ -30,11 +30,13 @@ pub const MIN_GAP: f32 = 6.0;
 pub type AgentId = usize;
 
 /// A borrowed, `Copy` view of road-vehicle state: the route plus the
-/// scalar columns `(edge_idx, s, speed)`. Both the per-agent-struct
-/// [`RoadVehicle`] and the structure-of-arrays world project into this
-/// view, so the driving model (target speed, expert supervision, hazard
-/// cone) is one shared code path — which is what makes the SoA world's
-/// bit-identity to `crate::reference` provable rather than aspirational.
+/// scalar columns `(edge_idx, s, speed)`. The structure-of-arrays world,
+/// the closed-loop evaluator's route tracker and the per-agent reference
+/// world of the integration tests all project into this view, so the
+/// driving model (target speed, expert supervision, hazard cone, what a
+/// route follower observes) is one shared code path — which is what makes
+/// the SoA world's bit-identity to that reference provable rather than
+/// aspirational.
 #[derive(Debug, Clone, Copy)]
 pub struct VehicleRef<'a> {
     /// Route being followed.
@@ -110,8 +112,8 @@ impl VehicleRef<'_> {
 /// Advances road-locked vehicle state `(edge_idx, s, speed)` along `route`
 /// by `dt` seconds toward `target_speed`, transitioning across edges.
 /// Returns `true` while the route still has road left, `false` once the
-/// destination is reached. This is the single integrator both
-/// [`RoadVehicle::advance`] and the SoA apply pass run.
+/// destination is reached. This is the single integrator the SoA apply
+/// pass and the reference world's vehicles run.
 pub fn advance_on_route(
     map: &RoadNetwork,
     route: &Route,
@@ -140,108 +142,6 @@ pub fn advance_on_route(
             *s = edge_len;
             return false;
         }
-    }
-}
-
-/// A vehicle locked to the road network, progressing along a [`Route`].
-#[derive(Debug, Clone)]
-pub struct RoadVehicle {
-    /// Current route being followed.
-    pub route: Route,
-    /// Index into `route.edges` of the current edge.
-    pub edge_idx: usize,
-    /// Arc-length progress along the current edge (m).
-    pub s: f32,
-    /// Current speed (m/s).
-    pub speed: f32,
-}
-
-impl RoadVehicle {
-    /// Places a vehicle at the start of `route`.
-    ///
-    /// # Panics
-    /// Panics if the route is empty.
-    pub fn new(route: Route) -> Self {
-        assert!(!route.edges.is_empty(), "route must have at least one edge");
-        Self { route, edge_idx: 0, s: 0.0, speed: 0.0 }
-    }
-
-    /// A borrowed [`VehicleRef`] over this vehicle's state.
-    pub fn view(&self) -> VehicleRef<'_> {
-        VehicleRef { route: &self.route, edge_idx: self.edge_idx, s: self.s, speed: self.speed }
-    }
-
-    /// Current edge id.
-    pub fn edge(&self) -> EdgeId {
-        self.view().edge()
-    }
-
-    /// World position.
-    pub fn position(&self, map: &RoadNetwork) -> Vec2 {
-        self.view().position(map)
-    }
-
-    /// Unit heading vector.
-    pub fn heading(&self, map: &RoadNetwork) -> Vec2 {
-        self.view().heading(map)
-    }
-
-    /// Remaining distance to the end of the current edge.
-    pub fn remaining_on_edge(&self, map: &RoadNetwork) -> f32 {
-        self.view().remaining_on_edge(map)
-    }
-
-    /// Whether the vehicle has consumed its whole route.
-    pub fn route_finished(&self, map: &RoadNetwork) -> bool {
-        self.edge_idx + 1 >= self.route.edges.len()
-            && self.s >= map.edge(self.edge()).length - 0.5
-    }
-
-    /// Remaining route distance to the destination.
-    pub fn distance_to_destination(&self, map: &RoadNetwork) -> f32 {
-        let mut d = self.remaining_on_edge(map);
-        let rest = self.edge_idx + 1;
-        for &eid in &self.route.edges[rest..] {
-            d += map.edge(eid).length;
-        }
-        d
-    }
-
-    /// The speed this vehicle should aim for given speed limits, upcoming
-    /// turns, and the gap to the vehicle ahead (`None` when the road ahead is
-    /// clear within sensing range).
-    pub fn target_speed(&self, map: &RoadNetwork, gap_ahead: Option<f32>) -> f32 {
-        self.view().target_speed(map, gap_ahead)
-    }
-
-    /// Advances the vehicle by `dt` seconds toward `target_speed`,
-    /// transitioning across edges. Returns `true` while the route still has
-    /// road left, `false` once the destination is reached.
-    pub fn advance(&mut self, map: &RoadNetwork, target_speed: f32, dt: f32) -> bool {
-        advance_on_route(
-            map,
-            &self.route,
-            &mut self.edge_idx,
-            &mut self.s,
-            &mut self.speed,
-            target_speed,
-            dt,
-        )
-    }
-
-    /// Samples the vehicle's future positions assuming it keeps to its route
-    /// at its current target cruise profile — the trajectory shared in
-    /// assist messages.
-    pub fn predict_future(&self, map: &RoadNetwork, dt: f64, n: usize) -> Vec<Vec2> {
-        let mut ghost = self.clone();
-        let mut out = Vec::with_capacity(n);
-        out.push(ghost.position(map));
-        for _ in 1..n {
-            let tgt = ghost.target_speed(map, None);
-            ghost.advance(map, tgt, dt as f32);
-            out.push(ghost.position(map));
-        }
-        out
     }
 }
 
@@ -340,39 +240,59 @@ mod tests {
     use crate::route::RoutingTable;
     use rand::SeedableRng;
 
-    fn setup() -> (RoadNetwork, RoadVehicle) {
+    fn setup() -> (RoadNetwork, Route) {
         let map = RoadNetwork::generate(1);
         let route = RoutingTable::new(&map).route(0, map.n_nodes() - 1).unwrap();
-        (map, RoadVehicle::new(route))
+        (map, route)
     }
+
+    /// Road-vehicle state `(edge_idx, s, speed)` along a route.
+    #[derive(Clone, Copy)]
+    struct Progress(usize, f32, f32);
+
+    impl Progress {
+        fn view(self, route: &Route) -> VehicleRef<'_> {
+            VehicleRef { route, edge_idx: self.0, s: self.1, speed: self.2 }
+        }
+
+        fn advance(&mut self, map: &RoadNetwork, route: &Route, target: f32, dt: f32) -> bool {
+            advance_on_route(map, route, &mut self.0, &mut self.1, &mut self.2, target, dt)
+        }
+    }
+
+    const START: Progress = Progress(0, 0.0, 0.0);
 
     #[test]
     fn vehicle_progresses_along_route() {
-        let (map, mut v) = setup();
-        let p0 = v.position(&map);
+        let (map, route) = setup();
+        let mut v = START;
+        let p0 = v.view(&route).position(&map);
         for _ in 0..100 {
-            let tgt = v.target_speed(&map, None);
-            v.advance(&map, tgt, 0.5);
+            let tgt = v.view(&route).target_speed(&map, None);
+            v.advance(&map, &route, tgt, 0.5);
         }
-        assert!(v.position(&map).distance(p0) > 50.0, "vehicle should have moved");
-        assert!(v.speed > 0.0);
+        assert!(v.view(&route).position(&map).distance(p0) > 50.0, "vehicle should have moved");
+        assert!(v.2 > 0.0);
     }
 
     #[test]
     fn vehicle_reaches_destination() {
-        let (map, mut v) = setup();
+        let (map, route) = setup();
+        let mut v = START;
         let mut steps = 0;
-        while v.advance(&map, v.target_speed(&map, None), 0.5) {
+        while v.advance(&map, &route, v.view(&route).target_speed(&map, None), 0.5) {
             steps += 1;
             assert!(steps < 10_000, "route must terminate");
         }
-        assert!(v.route_finished(&map));
-        assert!(v.distance_to_destination(&map) < 1.0);
+        let last = route.edges.len() - 1;
+        assert_eq!(v.0, last);
+        assert_eq!(v.1, map.edge(route.edges[last]).length, "parked at the destination");
     }
 
     #[test]
     fn car_following_caps_speed() {
-        let (map, v) = setup();
+        let (map, route) = setup();
+        let v = START.view(&route);
         let clear = v.target_speed(&map, None);
         let blocked = v.target_speed(&map, Some(MIN_GAP));
         assert_eq!(blocked, 0.0, "at the minimum gap the car must stop");
@@ -383,19 +303,10 @@ mod tests {
 
     #[test]
     fn acceleration_is_limited() {
-        let (map, mut v) = setup();
-        v.advance(&map, 100.0, 1.0);
-        assert!(v.speed <= MAX_ACCEL + 1e-6);
-    }
-
-    #[test]
-    fn predicted_future_starts_at_position() {
-        let (map, v) = setup();
-        let f = v.predict_future(&map, 0.5, 10);
-        assert_eq!(f.len(), 10);
-        assert!(f[0].distance(v.position(&map)) < 1e-6);
-        // Predictions should move forward monotonically in route terms.
-        assert!(f.last().unwrap().distance(f[0]) > 0.0);
+        let (map, route) = setup();
+        let mut v = START;
+        v.advance(&map, &route, 100.0, 1.0);
+        assert!(v.2 <= MAX_ACCEL + 1e-6);
     }
 
     #[test]

@@ -60,9 +60,6 @@ impl Command {
 /// announced (above it the command is `Follow`).
 pub const COMMAND_HORIZON: f32 = 30.0;
 
-/// Arc-length spacing between supervision waypoints (m).
-pub const WAYPOINT_SPACING: f32 = 3.0;
-
 /// Navigation horizon for the turn-distance feature, meters.
 pub const TURN_LOOKAHEAD: f32 = 100.0;
 
@@ -85,13 +82,10 @@ pub struct ExpertOutput {
 }
 
 /// Route distance (m) to the next Left/Right turn and its sign, walking the
-/// remaining route from `(edge_idx, s)`, capped at [`TURN_LOOKAHEAD`].
-pub fn next_turn_info(
-    map: &RoadNetwork,
-    route_edges: &[crate::map::EdgeId],
-    edge_idx: usize,
-    s: f32,
-) -> (f32, f32) {
+/// vehicle's remaining route, capped at [`TURN_LOOKAHEAD`].
+pub fn next_turn_info(map: &RoadNetwork, vehicle: VehicleRef<'_>) -> (f32, f32) {
+    let VehicleRef { route, edge_idx, s, .. } = vehicle;
+    let route_edges = &route.edges;
     let mut dist = 0.0f32;
     for (k, &eid) in route_edges[edge_idx..].iter().enumerate() {
         let edge_len = map.edge(eid).length;
@@ -126,61 +120,6 @@ pub fn command_for(map: &RoadNetwork, vehicle: VehicleRef<'_>) -> Command {
             TurnKind::Right => Command::Right,
             TurnKind::Straight => Command::Straight,
         },
-    }
-}
-
-/// Samples `n` ground-truth waypoints along the vehicle's remaining route at
-/// [`WAYPOINT_SPACING`] intervals, expressed in the ego frame.
-pub fn waypoints_for(map: &RoadNetwork, vehicle: VehicleRef<'_>, n: usize) -> Vec<f32> {
-    let pos = vehicle.position(map);
-    let heading = vehicle.heading(map).angle();
-    let mut out = Vec::with_capacity(2 * n);
-
-    // Walk the remaining route accumulating arc length.
-    let mut targets: Vec<f32> = (1..=n).map(|k| k as f32 * WAYPOINT_SPACING).collect();
-    targets.reverse(); // pop from the back in increasing order
-    let mut walked = 0.0f32;
-    let mut last_point = pos;
-    'outer: for (i, &eid) in vehicle.route.edges[vehicle.edge_idx..].iter().enumerate() {
-        let edge = map.edge(eid);
-        let start_s = if i == 0 { vehicle.s } else { 0.0 };
-        let seg_len = edge.length - start_s;
-        while let Some(&t) = targets.last() {
-            if t <= walked + seg_len {
-                let p = map.position_on_edge(eid, start_s + (t - walked));
-                let ego = (p - pos).rotated(-heading);
-                out.push(ego.x);
-                out.push(ego.y);
-                last_point = p;
-                targets.pop();
-            } else {
-                break;
-            }
-        }
-        if targets.is_empty() {
-            break 'outer;
-        }
-        walked += seg_len;
-    }
-    // Route ran out: pad by repeating the last reached point (destination).
-    while out.len() < 2 * n {
-        let ego = (last_point - pos).rotated(-heading);
-        out.push(ego.x);
-        out.push(ego.y);
-    }
-    out
-}
-
-/// Full expert supervision for one frame.
-pub fn supervise(map: &RoadNetwork, vehicle: VehicleRef<'_>, n_waypoints: usize) -> ExpertOutput {
-    let (turn_distance, turn_sign) =
-        next_turn_info(map, &vehicle.route.edges, vehicle.edge_idx, vehicle.s);
-    ExpertOutput {
-        command: command_for(map, vehicle),
-        waypoints: waypoints_for(map, vehicle, n_waypoints),
-        speed: vehicle.speed,
-        turn_distance,
-        turn_sign,
     }
 }
 
@@ -271,8 +210,7 @@ pub fn supervise_timed(
     step_dt: f32,
     v_target: f32,
 ) -> ExpertOutput {
-    let (turn_distance, turn_sign) =
-        next_turn_info(map, &vehicle.route.edges, vehicle.edge_idx, vehicle.s);
+    let (turn_distance, turn_sign) = next_turn_info(map, vehicle);
     ExpertOutput {
         command: command_for(map, vehicle),
         waypoints: waypoints_timed(map, vehicle, n_waypoints, step_dt, v_target),
@@ -303,31 +241,41 @@ pub fn hazard_ahead(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agents::RoadVehicle;
+    use crate::agents::advance_on_route;
     use crate::map::RoadNetwork;
-    use crate::route::RoutingTable;
+    use crate::route::{Route, RoutingTable};
 
-    fn vehicle_on(map: &RoadNetwork, from: usize, to: usize) -> RoadVehicle {
-        let route = RoutingTable::new(map).route(from, to).unwrap();
-        RoadVehicle::new(route)
+    fn route_on(map: &RoadNetwork, from: usize, to: usize) -> Route {
+        RoutingTable::new(map).route(from, to).unwrap()
     }
+
+    /// Standing at the start of `route`.
+    fn start_of(route: &Route) -> VehicleRef<'_> {
+        VehicleRef { route, edge_idx: 0, s: 0.0, speed: 0.0 }
+    }
+
+    /// Waypoint spacing `v_target · dt` of 3 m.
+    const DT: f32 = 0.5;
+    const V_3M: f32 = 6.0;
 
     #[test]
     fn command_is_follow_far_from_intersection() {
         let map = RoadNetwork::generate(1);
-        let v = vehicle_on(&map, 0, map.n_nodes() - 1);
+        let route = route_on(&map, 0, map.n_nodes() - 1);
         // Fresh on a ~110 m town edge: intersection > 30 m away.
-        assert_eq!(command_for(&map, v.view()), Command::Follow);
+        assert_eq!(command_for(&map, start_of(&route)), Command::Follow);
     }
 
     #[test]
     fn command_announces_turns_near_intersections() {
         let map = RoadNetwork::generate(1);
-        let mut v = vehicle_on(&map, 0, map.n_nodes() - 1);
+        let route = route_on(&map, 0, map.n_nodes() - 1);
+        let (mut edge_idx, mut s, mut speed) = (0, 0.0, 0.0);
         let mut saw_non_follow = false;
         let mut guard = 0;
-        while v.advance(&map, 8.0, 0.5) {
-            if command_for(&map, v.view()) != Command::Follow {
+        while advance_on_route(&map, &route, &mut edge_idx, &mut s, &mut speed, 8.0, 0.5) {
+            let v = VehicleRef { route: &route, edge_idx, s, speed };
+            if command_for(&map, v) != Command::Follow {
                 saw_non_follow = true;
                 assert!(v.remaining_on_edge(&map) <= COMMAND_HORIZON);
             }
@@ -340,23 +288,25 @@ mod tests {
     #[test]
     fn waypoints_have_requested_count_and_progress_forward() {
         let map = RoadNetwork::generate(2);
-        let v = vehicle_on(&map, 0, map.n_nodes() - 1);
-        let wps = waypoints_for(&map, v.view(), 5);
+        let route = route_on(&map, 0, map.n_nodes() - 1);
+        let wps = waypoints_timed(&map, start_of(&route), 5, DT, V_3M);
         assert_eq!(wps.len(), 10);
         // On a straight stretch waypoints advance along +x in ego frame.
         let xs: Vec<f32> = wps.chunks(2).map(|c| c[0]).collect();
         for w in xs.windows(2) {
             assert!(w[1] >= w[0] - 1e-3, "x must be non-decreasing: {xs:?}");
         }
-        assert!((xs[0] - WAYPOINT_SPACING).abs() < 1.0);
+        assert!((xs[0] - DT * V_3M).abs() < 1.0);
     }
 
     #[test]
     fn waypoints_pad_at_destination() {
         let map = RoadNetwork::generate(3);
-        let mut v = vehicle_on(&map, 0, 1);
-        while v.advance(&map, 10.0, 0.5) {}
-        let wps = waypoints_for(&map, v.view(), 4);
+        let route = route_on(&map, 0, 1);
+        let last = route.edges.len() - 1;
+        let end_s = map.edge(route.edges[last]).length;
+        let at_end = VehicleRef { route: &route, edge_idx: last, s: end_s, speed: 0.0 };
+        let wps = waypoints_timed(&map, at_end, 4, DT, V_3M);
         assert_eq!(wps.len(), 8);
         // All padded to (near) the destination = current position.
         for c in wps.chunks(2) {
@@ -367,15 +317,16 @@ mod tests {
     #[test]
     fn hazard_detected_in_cone_only() {
         let map = RoadNetwork::generate(4);
-        let v = vehicle_on(&map, 0, map.n_nodes() - 1);
+        let route = route_on(&map, 0, map.n_nodes() - 1);
+        let v = start_of(&route);
         let pos = v.position(&map);
         let heading = v.heading(&map);
         let ahead = pos + heading * 8.0;
         let behind = pos - heading * 8.0;
         let beside = pos + heading.perp() * 8.0;
-        assert!(hazard_ahead(&map, v.view(), &[ahead], 12.0, 3.0));
-        assert!(!hazard_ahead(&map, v.view(), &[behind], 12.0, 3.0));
-        assert!(!hazard_ahead(&map, v.view(), &[beside], 12.0, 3.0));
+        assert!(hazard_ahead(&map, v, &[ahead], 12.0, 3.0));
+        assert!(!hazard_ahead(&map, v, &[behind], 12.0, 3.0));
+        assert!(!hazard_ahead(&map, v, &[beside], 12.0, 3.0));
     }
 
     #[test]
@@ -388,9 +339,12 @@ mod tests {
     #[test]
     fn supervise_bundles_everything() {
         let map = RoadNetwork::generate(5);
-        let v = vehicle_on(&map, 0, map.n_nodes() - 1);
-        let out = supervise(&map, v.view(), 5);
-        assert_eq!(out.waypoints.len(), 10);
+        let route = route_on(&map, 0, map.n_nodes() - 1);
+        let v = start_of(&route);
+        let out = supervise_timed(&map, v, 5, DT, V_3M);
+        assert_eq!(out.waypoints, waypoints_timed(&map, v, 5, DT, V_3M));
+        assert_eq!(out.command, command_for(&map, v));
+        assert_eq!((out.turn_distance, out.turn_sign), next_turn_info(&map, v));
         assert_eq!(out.speed, 0.0);
     }
 }

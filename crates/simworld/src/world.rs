@@ -27,8 +27,8 @@
 //!    what makes the two worlds bit-identical.
 
 use crate::agents::{advance_on_route, radii, AgentId, Pedestrian, VehicleRef};
-use crate::bev::{rasterize, Bev, BevConfig, Pose};
-use crate::expert::{hazard_ahead, ExpertOutput};
+use crate::bev::{rasterize_into, Bev, BevConfig, Pose};
+use crate::expert::{command_for, forward_gap, hazard_ahead, supervise_timed, Command, ExpertOutput};
 use crate::map::{EdgeId, MapConfig, RoadNetwork};
 use crate::route::{Route, RoutingTable};
 use rand::{Rng, RngExt, SeedableRng};
@@ -521,6 +521,39 @@ impl World {
         self.time += f64::from(dt);
     }
 
+    /// What a vehicle following a route sees: rasterizes into `bev`, from
+    /// `pose`, every car but expert `skip`, every pedestrian and the next
+    /// 60 m of the route from `progress` (whose `speed` the frame records),
+    /// and returns the command at that progress. Data collection looks
+    /// from an expert's road pose with the expert left out
+    /// ([`World::observe_expert`]); the closed-loop evaluator looks from its
+    /// free ego's pose with nobody left out.
+    pub fn observe_route(
+        &self,
+        progress: VehicleRef<'_>,
+        pose: Pose,
+        skip: Option<usize>,
+        bev: &mut Bev,
+    ) -> Command {
+        let cars = match skip {
+            Some(idx) => self.car_positions_except(idx),
+            None => self.car_positions(),
+        };
+        let route_ahead =
+            self.route_polyline_from(progress.route, progress.edge_idx, progress.s, 60.0);
+        rasterize_into(
+            &self.config.bev,
+            pose,
+            progress.speed,
+            &self.raster,
+            &cars,
+            &self.pos[self.ped_base..],
+            &route_ahead,
+            bev,
+        );
+        command_for(&self.map, progress)
+    }
+
     /// Captures expert `idx`'s BEV observation and supervision for the
     /// current frame — one training sample. Supervision waypoints are
     /// time-spaced at the world frame interval using the expert's privileged
@@ -531,16 +564,17 @@ impl World {
             pos: v.position(&self.map),
             heading: v.heading(&self.map).angle(),
         };
-        let cars = self.car_positions_except(idx);
-        let peds = self.pedestrian_positions();
-        let route_ahead = self.route_ahead_polyline(v, 60.0);
-        let bev = rasterize(&self.config.bev, pose, v.speed, &self.raster, &cars, &peds, &route_ahead);
-        let gap = crate::expert::forward_gap(&self.map, v, &cars, 40.0, 3.0);
+        let mut bev = Bev::blank(self.config.bev.cells);
+        self.observe_route(v, pose, Some(idx), &mut bev);
+        // The expert itself sits at its own ego origin, outside the
+        // forward cone (`x > 0.5`), so the whole car column answers as the
+        // list without it.
+        let gap = forward_gap(&self.map, v, &self.pos[..self.ped_base], 40.0, 3.0);
         let mut v_target = v.target_speed(&self.map, gap);
-        if hazard_ahead(&self.map, v, &peds, 10.0, 2.5) {
+        if hazard_ahead(&self.map, v, &self.pos[self.ped_base..], 10.0, 2.5) {
             v_target = 0.0;
         }
-        let sup = crate::expert::supervise_timed(
+        let sup = supervise_timed(
             &self.map,
             v,
             self.config.n_waypoints,
@@ -551,14 +585,7 @@ impl World {
     }
 
     /// Densely sampled world-frame points along the next `horizon` meters of
-    /// a vehicle's route (the BEV route channel input).
-    pub fn route_ahead_polyline(&self, v: VehicleRef<'_>, horizon: f32) -> Vec<Vec2> {
-        self.route_polyline_from(v.route, v.edge_idx, v.s, horizon)
-    }
-
-    /// Same as [`World::route_ahead_polyline`] but for an arbitrary route
-    /// progress expressed as (route, edge index, arc length) — used by the
-    /// closed-loop evaluator whose vehicle is not road-locked.
+    /// a route from progress `(edge_idx, s)` (the BEV route channel input).
     pub fn route_polyline_from(&self, route: &Route, edge_idx: usize, s: f32, horizon: f32) -> Vec<Vec2> {
         let mut pts = Vec::new();
         let mut remaining = horizon;

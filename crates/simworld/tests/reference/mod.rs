@@ -15,10 +15,12 @@
 //! shared with the new world ([`WorldConfig`], [`RoadRaster`]) are
 //! imported from `simworld::world`, and expert-autopilot helpers are
 //! called through [`RoadVehicle::view`] after their signatures moved to
-//! [`simworld::agents::VehicleRef`]. The two identity checks above are
-//! what pin this module: edit it only together with them.
+//! [`simworld::agents::VehicleRef`]. Its vehicle struct, [`RoadVehicle`]
+//! (`road_vehicle.rs`), later moved here from `simworld::agents` too, once
+//! nothing in the library used it. The two identity checks above are what
+//! pin this module: edit it only together with them.
 
-use simworld::agents::{radii, Pedestrian, RoadVehicle};
+use simworld::agents::{radii, Pedestrian};
 use simworld::bev::{rasterize, Bev, Pose};
 use simworld::expert::{hazard_ahead, ExpertOutput};
 use simworld::map::RoadNetwork;
@@ -29,7 +31,9 @@ use simnet::geom::Vec2;
 use simnet::trace::MobilityTrace;
 use std::collections::BTreeMap;
 
+mod road_vehicle;
 mod router;
+pub use road_vehicle::RoadVehicle;
 pub use router::Router;
 
 /// The running world. `Clone` snapshots the full state (map, agents, RNG),

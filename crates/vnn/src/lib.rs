@@ -15,7 +15,7 @@
 //! * [`FrozenPolicy`] — a policy's parameters laid out for one sample at a
 //!   time: what a closed-loop rollout asks every control tick.
 //! * [`Sgd`] — stochastic gradient descent with momentum and weight decay.
-//! * [`loss`] — L1 / smooth-L1 / MSE waypoint losses.
+//! * [`loss`] — the L1 waypoint loss and its gradient.
 //!
 //! Everything is deterministic given a seed; no global RNG state is used.
 //!

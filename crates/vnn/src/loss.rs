@@ -1,76 +1,46 @@
-//! Waypoint regression losses.
+//! The waypoint regression loss.
 //!
 //! The driving policy predicts the next few waypoints in the ego frame; the
-//! paper trains it by imitation against the expert's waypoints. We provide
-//! the L1 loss the *Learning by Cheating* agent uses plus smooth-L1 and MSE
-//! variants, each with its gradient.
+//! paper trains it by imitation against the expert's waypoints, with the
+//! L1 loss the *Learning by Cheating* agent uses. This module is that loss
+//! and its gradient.
 
-/// Which pointwise loss to apply to each predicted coordinate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LossKind {
-    /// Mean absolute error (the paper's choice for waypoints).
-    #[default]
-    L1,
-    /// Huber / smooth-L1 with transition at 1.0.
-    SmoothL1,
-    /// Mean squared error.
-    Mse,
+/// Pointwise L1 loss for residual `r = pred - target`.
+#[inline]
+fn value(r: f32) -> f32 {
+    r.abs()
 }
 
-impl LossKind {
-    /// Pointwise loss value for residual `r = pred - target`.
-    #[inline]
-    pub fn value(self, r: f32) -> f32 {
-        match self {
-            LossKind::L1 => r.abs(),
-            LossKind::SmoothL1 => {
-                if r.abs() < 1.0 {
-                    0.5 * r * r
-                } else {
-                    r.abs() - 0.5
-                }
-            }
-            LossKind::Mse => r * r,
-        }
-    }
-
-    /// Pointwise derivative w.r.t. the prediction.
-    #[inline]
-    pub fn grad(self, r: f32) -> f32 {
-        match self {
-            LossKind::L1 => {
-                if r > 0.0 {
-                    1.0
-                } else if r < 0.0 {
-                    -1.0
-                } else {
-                    0.0
-                }
-            }
-            LossKind::SmoothL1 => r.clamp(-1.0, 1.0),
-            LossKind::Mse => 2.0 * r,
-        }
+/// Pointwise derivative of [`value`] w.r.t. the prediction (0 at the kink).
+#[inline]
+fn grad(r: f32) -> f32 {
+    if r > 0.0 {
+        1.0
+    } else if r < 0.0 {
+        -1.0
+    } else {
+        0.0
     }
 }
 
-/// Mean loss over a prediction/target pair of equal length.
+/// Mean L1 loss over a prediction/target pair of equal length.
 ///
 /// # Panics
 /// Panics if the slices have different lengths or are empty.
-pub fn mean_loss(kind: LossKind, pred: &[f32], target: &[f32]) -> f32 {
+pub fn mean_loss(pred: &[f32], target: &[f32]) -> f32 {
     assert_eq!(pred.len(), target.len(), "loss length mismatch");
     assert!(!pred.is_empty(), "loss over empty prediction");
     let n = pred.len() as f32;
-    pred.iter().zip(target).map(|(p, t)| kind.value(p - t)).sum::<f32>() / n
+    pred.iter().zip(target).map(|(p, t)| value(p - t)).sum::<f32>() / n
 }
 
 /// Mean loss and its gradient w.r.t. the prediction.
 ///
 /// # Panics
 /// Panics if the slices have different lengths or are empty.
-pub fn mean_loss_and_grad(kind: LossKind, pred: &[f32], target: &[f32]) -> (f32, Vec<f32>) {
+pub fn mean_loss_and_grad(pred: &[f32], target: &[f32]) -> (f32, Vec<f32>) {
     let mut grad = vec![0.0f32; pred.len()];
-    let loss = mean_loss_and_grad_into(kind, pred, target, &mut grad);
+    let loss = mean_loss_and_grad_into(pred, target, &mut grad);
     (loss, grad)
 }
 
@@ -81,12 +51,7 @@ pub fn mean_loss_and_grad(kind: LossKind, pred: &[f32], target: &[f32]) -> (f32,
 /// # Panics
 /// Panics if the slices have different lengths, `pred` is empty, or `d_pred`
 /// is shorter than `pred`.
-pub fn mean_loss_and_grad_into(
-    kind: LossKind,
-    pred: &[f32],
-    target: &[f32],
-    d_pred: &mut [f32],
-) -> f32 {
+pub fn mean_loss_and_grad_into(pred: &[f32], target: &[f32], d_pred: &mut [f32]) -> f32 {
     assert_eq!(pred.len(), target.len(), "loss length mismatch");
     assert!(!pred.is_empty(), "loss over empty prediction");
     assert!(d_pred.len() >= pred.len(), "loss gradient buffer too short");
@@ -94,8 +59,8 @@ pub fn mean_loss_and_grad_into(
     let mut loss = 0.0f32;
     for ((p, t), g) in pred.iter().zip(target).zip(&mut *d_pred) {
         let r = p - t;
-        loss += kind.value(r);
-        *g = kind.grad(r) / n;
+        loss += value(r);
+        *g = grad(r) / n;
     }
     loss / n
 }
@@ -106,54 +71,36 @@ mod tests {
 
     #[test]
     fn l1_value_and_grad() {
-        assert_eq!(LossKind::L1.value(-2.0), 2.0);
-        assert_eq!(LossKind::L1.grad(-2.0), -1.0);
-        assert_eq!(LossKind::L1.grad(0.0), 0.0);
-    }
-
-    #[test]
-    fn smooth_l1_is_quadratic_inside_linear_outside() {
-        assert!((LossKind::SmoothL1.value(0.5) - 0.125).abs() < 1e-6);
-        assert!((LossKind::SmoothL1.value(2.0) - 1.5).abs() < 1e-6);
-        assert_eq!(LossKind::SmoothL1.grad(3.0), 1.0);
-        assert_eq!(LossKind::SmoothL1.grad(0.25), 0.25);
-    }
-
-    #[test]
-    fn mse_matches_definition() {
-        let l = mean_loss(LossKind::Mse, &[1.0, 2.0], &[0.0, 0.0]);
-        assert!((l - 2.5).abs() < 1e-6);
+        assert_eq!(value(-2.0), 2.0);
+        assert_eq!(grad(-2.0), -1.0);
+        assert_eq!(grad(0.0), 0.0);
     }
 
     #[test]
     fn zero_residual_means_zero_loss() {
-        for kind in [LossKind::L1, LossKind::SmoothL1, LossKind::Mse] {
-            assert_eq!(mean_loss(kind, &[1.0, -1.0], &[1.0, -1.0]), 0.0);
-        }
+        assert_eq!(mean_loss(&[1.0, -1.0], &[1.0, -1.0]), 0.0);
     }
 
     #[test]
     fn grad_matches_finite_difference() {
+        // Every residual well away from the kink at 0.
         let pred = [0.3f32, -0.8, 1.4];
-        let target = [0.0f32, 0.2, 1.0];
-        for kind in [LossKind::SmoothL1, LossKind::Mse] {
-            let (_, g) = mean_loss_and_grad(kind, &pred, &target);
-            let eps = 1e-3;
-            for i in 0..pred.len() {
-                let mut up = pred;
-                up[i] += eps;
-                let mut dn = pred;
-                dn[i] -= eps;
-                let fd = (mean_loss(kind, &up, &target) - mean_loss(kind, &dn, &target))
-                    / (2.0 * eps);
-                assert!((fd - g[i]).abs() < 1e-2, "{kind:?} idx {i}: {fd} vs {}", g[i]);
-            }
+        let target = [-1.0f32, 0.2, 3.0];
+        let (_, g) = mean_loss_and_grad(&pred, &target);
+        let eps = 1e-3;
+        for i in 0..pred.len() {
+            let mut up = pred;
+            up[i] += eps;
+            let mut dn = pred;
+            dn[i] -= eps;
+            let fd = (mean_loss(&up, &target) - mean_loss(&dn, &target)) / (2.0 * eps);
+            assert!((fd - g[i]).abs() < 1e-2, "idx {i}: {fd} vs {}", g[i]);
         }
     }
 
     #[test]
     #[should_panic(expected = "loss length mismatch")]
     fn length_mismatch_panics() {
-        mean_loss(LossKind::L1, &[1.0], &[1.0, 2.0]);
+        mean_loss(&[1.0], &[1.0, 2.0]);
     }
 }

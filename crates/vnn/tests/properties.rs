@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use rand::{RngExt, SeedableRng};
-use vnn::loss::{mean_loss, mean_loss_and_grad, LossKind};
+use vnn::loss::{mean_loss, mean_loss_and_grad};
 use vnn::mlp::LANES;
 use vnn::{
     Activation, BranchedPolicy, Minibatcher, Mlp, MlpScratch, MlpSpec, ParamVec,
@@ -49,10 +49,8 @@ proptest! {
         noise in -5.0f32..5.0,
     ) {
         let pred: Vec<f32> = target.iter().map(|t| t + noise).collect();
-        for kind in [LossKind::L1, LossKind::SmoothL1, LossKind::Mse] {
-            prop_assert!(mean_loss(kind, &pred, &target) >= 0.0);
-            prop_assert!(mean_loss(kind, &target, &target) == 0.0);
-        }
+        prop_assert!(mean_loss(&pred, &target) >= 0.0);
+        prop_assert!(mean_loss(&target, &target) == 0.0);
     }
 
     #[test]
@@ -62,13 +60,10 @@ proptest! {
     ) {
         // Moving predictions along +grad must not decrease the loss.
         let pred: Vec<f32> = target.iter().map(|t| t + noise).collect();
-        for kind in [LossKind::SmoothL1, LossKind::Mse] {
-            let (l0, g) = mean_loss_and_grad(kind, &pred, &target);
-            let stepped: Vec<f32> =
-                pred.iter().zip(&g).map(|(p, gi)| p + 0.01 * gi).collect();
-            let l1 = mean_loss(kind, &stepped, &target);
-            prop_assert!(l1 >= l0 - 1e-5, "{:?}: {} -> {}", kind, l0, l1);
-        }
+        let (l0, g) = mean_loss_and_grad(&pred, &target);
+        let stepped: Vec<f32> = pred.iter().zip(&g).map(|(p, gi)| p + 0.01 * gi).collect();
+        let l1 = mean_loss(&stepped, &target);
+        prop_assert!(l1 >= l0 - 1e-5, "{l0} -> {l1}");
     }
 
     #[test]
