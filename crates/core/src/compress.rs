@@ -85,20 +85,23 @@ impl<'a> MagnitudeOrder<'a> {
         SparseModel::new(p.len(), indices, values)
     }
 
-    /// [`compress_dense`] of the vector at `psi` — the survivors scattered
-    /// over zeros, bit-identical to `self.top_k(psi).to_dense()` without
-    /// ordering the indices first.
+    /// Narrows `dense` in place from the cut at `from` to the cut at `psi`
+    /// by zeroing the components `from` keeps and `psi` drops. Applied to
+    /// the vector itself at `from = 1`, and then along any descending ψ
+    /// walk, it leaves [`compress_dense`] of the vector at each ψ bit for
+    /// bit, so a whole grid ([`crate::phi::PhiCurve::sample`]) reuses one
+    /// buffer.
     ///
     /// # Panics
-    /// Panics if `psi` is outside `[0, 1]`.
-    pub fn dense(&mut self, psi: f32) -> ParamVec {
-        let p = self.params.as_slice();
-        let mut data = vec![0.0f32; p.len()];
-        for &key in self.survivors(psi) {
-            let i = key as u32 as usize;
-            data[i] = p[i];
+    /// Panics if `psi` or `from` is outside `[0, 1]`, or if `psi > from`.
+    pub fn narrow(&mut self, dense: &mut ParamVec, from: f32, psi: f32) {
+        assert!(psi <= from, "narrowing cannot widen the cut");
+        let kept = self.survivors(from).len();
+        let k = self.survivors(psi).len();
+        let d = dense.as_mut_slice();
+        for &key in &self.keys[k..kept] {
+            d[key as u32 as usize] = 0.0;
         }
-        ParamVec::from_vec(data)
     }
 }
 
@@ -380,7 +383,8 @@ mod tests {
         for requests in [&ascending[..], &asked, &descending, &repeated] {
             let mut order = MagnitudeOrder::new(&p);
             for &psi in requests {
-                let dense = order.dense(psi);
+                let mut dense = p.clone();
+                order.narrow(&mut dense, 1.0, psi);
                 assert_eq!(bits(&dense), bits(&compress_dense(&p, psi)), "psi={psi}");
                 assert_eq!(bits(&dense), bits(&top_k_dense_oracle(&p, psi)), "psi={psi}");
                 // NaN survivors: compare the sparse form through its bits too.
@@ -388,6 +392,14 @@ mod tests {
                 assert_eq!((a.dense_len, &a.indices), (b.dense_len, &b.indices), "psi={psi}");
                 assert_eq!(bits(&a.to_dense()), bits(&dense), "psi={psi}");
             }
+        }
+        // The φ walk: one buffer narrowed down the descending requests.
+        let mut order = MagnitudeOrder::new(&p);
+        let (mut dense, mut from) = (p.clone(), 1.0);
+        for &psi in &descending {
+            order.narrow(&mut dense, from, psi);
+            from = psi;
+            assert_eq!(bits(&dense), bits(&top_k_dense_oracle(&p, psi)), "walk psi={psi}");
         }
     }
 

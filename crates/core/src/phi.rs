@@ -145,10 +145,14 @@ impl PhiCurve {
         let psi = grid.to_vec();
         let mut loss = vec![0.0f32; grid.len()];
         // Largest ψ first: each cut of the magnitude order then partitions
-        // only the prefix the cut before it left.
+        // only the prefix the cut before it left, and one buffer narrows
+        // from the dense model down through every compressed copy.
         let mut order = MagnitudeOrder::new(learner.params());
+        let (mut compressed, mut from) = (learner.params().clone(), 1.0);
         for (&p, l) in grid.iter().zip(&mut loss).rev() {
-            *l = penalized_loss(learner, &order.dense(p), &pairs, penalty);
+            order.narrow(&mut compressed, from, p);
+            from = p;
+            *l = penalized_loss(learner, &compressed, &pairs, penalty);
         }
         let fit = Akima::fit(
             &psi.iter().map(|&v| v as f64).collect::<Vec<_>>(),

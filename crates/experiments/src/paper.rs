@@ -155,7 +155,7 @@ fn loss_curves(fig: Artifact, args: &Args, s: &Scenario, run: &RunManifest) {
     let mut ratios = Vec::new();
     for (panel, condition) in ["a", "b"].into_iter().zip(BOTH) {
         println!("=== Fig. {number}({panel}) — {heading}, {} ===", condition.label());
-        let outs: Vec<_> = exec::par_map_traced(run.sink(), "cell", &methods, |idx, &m| {
+        let outs: Vec<Metrics> = exec::par_map_traced(run.sink(), "cell", &methods, |idx, &m| {
             eprintln!("  running {} ...", m.name());
             run_cell_obs(m, s, condition, run.sink(), idx)
         })
@@ -163,7 +163,7 @@ fn loss_curves(fig: Artifact, args: &Args, s: &Scenario, run: &RunManifest) {
         .map(exit_on_error)
         .collect();
         let curves: Vec<(&str, &[(f64, f64)])> =
-            methods.iter().zip(&outs).map(|(m, o)| (m.name(), &o.metrics.loss_curve[..])).collect();
+            methods.iter().zip(&outs).map(|(m, o)| (m.name(), &o.loss_curve[..])).collect();
         let names: String = curves.iter().map(|(n, _)| format!("{n:>10}")).collect();
         println!("{:<10} {names}", "time(s)");
         for (k, &(t, _)) in curves[0].1.iter().enumerate() {
@@ -174,7 +174,7 @@ fn loss_curves(fig: Artifact, args: &Args, s: &Scenario, run: &RunManifest) {
             println!();
         }
         if fig == Artifact::Fig3 {
-            ratios.push(convergence_ratio(&outs[0].metrics, &outs[1].metrics));
+            ratios.push(convergence_ratio(&outs[0], &outs[1]));
         } else if condition == Condition::WithLoss {
             println!("\nSuccessful model receiving rate (W wireless loss):");
             let mut rates = Table::new(
@@ -182,7 +182,7 @@ fn loss_curves(fig: Artifact, args: &Args, s: &Scenario, run: &RunManifest) {
                 methods.iter().map(|m| m.name().to_string()).collect(),
             );
             let pct: Vec<f64> =
-                outs.iter().map(|o| o.metrics.model_receiving_rate() * 100.0).collect();
+                outs.iter().map(|o| o.model_receiving_rate() * 100.0).collect();
             rates.row_pct("receiving rate", &pct);
             for (m, r) in methods.iter().zip(&pct) {
                 println!("  {:<10} {r:.0}%", m.name());

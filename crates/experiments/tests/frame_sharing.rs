@@ -10,11 +10,10 @@
 //! buffers, i.e. the run allocated no feature or waypoint buffer at all.
 
 use driving::Frame;
-use experiments::{Scale, Scenario};
-use lbchat::node::LbChatAlgorithm;
-use lbchat::prelude::{LbChatConfig, Runtime, RuntimeConfig};
+use experiments::methods::{lbchat_algorithm, lbchat_config, runtime_config};
+use experiments::{Condition, Scale, Scenario};
+use lbchat::prelude::{ObsSink, Runtime};
 use lbchat::{Coreset, WeightedDataset};
-use rand::SeedableRng;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -87,21 +86,8 @@ fn hand_overs_share_and_a_cell_allocates_no_frame_buffers() {
     assert!(all_shared(&local.samples()[a.len()..], b));
 
     // A whole LbChat cell at the scenario's quick scale.
-    let rt = Runtime::new(RuntimeConfig {
-        duration: s.scale.train_seconds,
-        train_iters_per_second: s.scale.iters_per_second,
-        eval_every: s.scale.eval_every,
-        seed: s.scale.seed,
-        ..RuntimeConfig::default()
-    });
-    let cfg = LbChatConfig {
-        coreset_size: s.scale.coreset_size,
-        model_wire_bytes: s.scale.model_wire_bytes,
-        coreset_bytes_per_sample: 4096,
-        ..LbChatConfig::default()
-    };
-    let mut rng = rand::rngs::StdRng::seed_from_u64(s.scale.seed ^ 0x5EED);
-    let mut algo = LbChatAlgorithm::new(s.make_learners(), datasets, cfg, &mut rng);
+    let rt = Runtime::new(runtime_config(&s, Condition::NoLoss, ObsSink::disabled()));
+    let mut algo = lbchat_algorithm(&s, lbchat_config(&s));
     let metrics = rt
         .run(&mut algo, &s.trace, &s.eval)
         .expect("the scenario hosts its fleet");

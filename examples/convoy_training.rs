@@ -6,7 +6,9 @@
 //!
 //! Run with: `cargo run --release --example convoy_training`
 
-use experiments::{exit_on_error, run_method, Condition, Method, Scale, Scenario};
+use experiments::methods::{lbchat_algorithm, lbchat_config, runtime_config};
+use experiments::{exit_on_error, Condition, Scale, Scenario};
+use lbchat::prelude::{CollabAlgorithm, ObsSink, Runtime};
 
 fn main() {
     let mut scale = Scale::quick();
@@ -17,15 +19,18 @@ fn main() {
     let scenario = Scenario::build(scale);
 
     eprintln!("running LbChat for {:.0} simulated seconds...", scenario.scale.train_seconds);
-    let out = exit_on_error(run_method(Method::LbChat, &scenario, Condition::WithLoss));
+    // The algorithm runs in the open (not through `run_method`) so its
+    // vehicles can be inspected afterwards.
+    let rt = Runtime::new(runtime_config(&scenario, Condition::WithLoss, ObsSink::disabled()));
+    let mut algo = lbchat_algorithm(&scenario, lbchat_config(&scenario));
+    let m = exit_on_error(rt.run(&mut algo, &scenario.trace, &scenario.eval));
 
     println!("\nloss vs simulated time:");
-    for (t, l) in &out.metrics.loss_curve {
+    for (t, l) in &m.loss_curve {
         let bar_len = (l * 120.0).min(60.0) as usize;
         println!("  {t:>6.0}s  {l:.4}  {}", "#".repeat(bar_len));
     }
 
-    let m = &out.metrics;
     println!("\nrun statistics:");
     println!("  chat sessions        : {}", m.sessions);
     println!("  coreset deliveries   : {}/{}", m.coreset_receives, m.coreset_sends);
@@ -35,8 +40,13 @@ fn main() {
     println!("  airtime used         : {:.1} simulated s", m.comm_seconds);
     println!("  training iterations  : {}", m.train_iterations);
 
-    println!("\nfinal per-vehicle models (L2 norms — should be similar, not identical):");
-    for (i, model) in out.models.iter().enumerate() {
-        println!("  vehicle {i}: ||x|| = {:.3}", model.l2_norm());
+    println!("\nper vehicle (model L2 norms should be similar, not identical):");
+    for (i, start) in scenario.datasets.iter().enumerate() {
+        println!(
+            "  vehicle {i}: ||x|| = {:.3}, dataset {} -> {} frames",
+            algo.model(i).l2_norm(),
+            start.len(),
+            algo.node(i).dataset().len()
+        );
     }
 }
