@@ -8,10 +8,11 @@
 //! per-vehicle skew is precisely what coreset exchange measures and
 //! exploits.
 
-use crate::frame::Frame;
+use crate::frame::{observe_into, Frame};
 use lbchat::exec;
 use lbchat::WeightedDataset;
-use simworld::expert::Command;
+use simworld::bev::Bev;
+use simworld::expert::{Command, TURN_LOOKAHEAD};
 use simworld::world::World;
 
 /// Data-collection parameters.
@@ -58,32 +59,33 @@ pub fn command_weight(command: Command, turn_distance_norm: f32) -> f32 {
 /// stays serial. The output is identical for any `LBCHAT_JOBS` setting.
 pub fn collect_datasets(world: &mut World, cfg: &CollectConfig) -> Vec<WeightedDataset<Frame>> {
     let n = world.n_experts();
-    let pool = world.config().bev.pool;
     let frames = (cfg.seconds * world.config().fps).ceil() as usize;
-    let mut per_vehicle: Vec<Vec<Frame>> = vec![Vec::new(); n];
+    let mut per_vehicle: Vec<(Vec<Frame>, Vec<f32>)> = vec![(Vec::new(), Vec::new()); n];
     for f in 0..frames {
         if f % cfg.stride.max(1) == 0 {
-            let observed = exec::par_run(n, |v| {
-                let (bev, sup) = world.observe_expert(v);
-                Frame::from_observation(&bev, &sup, pool)
+            let observed = exec::par_run(n, |i| {
+                let v = world.expert_view(i);
+                let mut bev = Bev::blank(world.config().bev.cells);
+                let mut features = Vec::new();
+                let (command, turn_distance) =
+                    observe_into(world, v, v.pose(world.map()), Some(i), &mut bev, &mut features);
+                // `From<Vec>` allocates the slice at its exact length; the
+                // staging vector's spare capacity is not kept.
+                let waypoints = world.expert_waypoints(v).into();
+                let weight = command_weight(command, turn_distance / TURN_LOOKAHEAD);
+                (Frame { features: features.into(), command, waypoints }, weight)
             });
-            for (bucket, frame) in per_vehicle.iter_mut().zip(observed) {
-                bucket.push(frame);
+            for ((frames, weights), (frame, weight)) in per_vehicle.iter_mut().zip(observed) {
+                frames.push(frame);
+                weights.push(weight);
             }
         }
         world.step();
     }
     per_vehicle
         .into_iter()
-        .map(|frames| {
+        .map(|(frames, weights)| {
             if cfg.balance_commands {
-                let weights = frames
-                    .iter()
-                    .map(|f| {
-                        let turn_d = f.features[f.features.len() - 2];
-                        command_weight(f.command, turn_d)
-                    })
-                    .collect();
                 WeightedDataset::new(frames, weights)
             } else {
                 WeightedDataset::uniform(frames)

@@ -1,5 +1,6 @@
 //! Traffic agents: road-locked vehicles, free-moving vehicles, pedestrians.
 
+use crate::bev::Pose;
 use crate::map::{EdgeId, RoadNetwork};
 use crate::route::{classify_turn, Route, TurnKind};
 use rand::{Rng, RngExt};
@@ -63,6 +64,12 @@ impl VehicleRef<'_> {
     /// Unit heading vector.
     pub fn heading(&self, map: &RoadNetwork) -> Vec2 {
         map.tangent_on_edge(self.edge(), self.s)
+    }
+
+    /// The road pose at this progress: the lane point and its tangent's
+    /// angle — the frame the expert's labels and hazard cones are in.
+    pub fn pose(&self, map: &RoadNetwork) -> Pose {
+        Pose { pos: self.position(map), heading: self.heading(map).angle() }
     }
 
     /// Remaining distance to the end of the current edge.
@@ -150,10 +157,8 @@ pub fn advance_on_route(
 /// to the lane graph precisely because an imperfect policy may leave it).
 #[derive(Debug, Clone)]
 pub struct FreeVehicle {
-    /// World position.
-    pub pos: Vec2,
-    /// Heading angle in radians.
-    pub heading: f32,
+    /// World position and heading.
+    pub pose: Pose,
     /// Speed (m/s).
     pub speed: f32,
 }
@@ -162,35 +167,21 @@ pub struct FreeVehicle {
 pub const MAX_YAW_RATE: f32 = 1.2;
 
 impl FreeVehicle {
-    /// Spawns a vehicle at `pos` facing `heading`.
-    pub fn new(pos: Vec2, heading: f32) -> Self {
-        Self { pos, heading, speed: 0.0 }
-    }
-
-    /// Unit heading vector.
-    pub fn heading_vec(&self) -> Vec2 {
-        Vec2::new(self.heading.cos(), self.heading.sin())
+    /// Spawns a vehicle standing at `pose`.
+    pub fn new(pose: Pose) -> Self {
+        Self { pose, speed: 0.0 }
     }
 
     /// Advances with a kinematic bicycle-like update: the commanded yaw rate
     /// and target speed are clamped to physical limits.
     pub fn step(&mut self, yaw_rate: f32, target_speed: f32, dt: f32) {
         let yaw = yaw_rate.clamp(-MAX_YAW_RATE, MAX_YAW_RATE);
-        self.heading += yaw * dt;
+        let pose = &mut self.pose;
+        pose.heading += yaw * dt;
         let accel = (target_speed - self.speed).clamp(-MAX_ACCEL * dt, MAX_ACCEL * dt);
         self.speed = (self.speed + accel).max(0.0);
-        self.pos = self.pos + self.heading_vec() * (self.speed * dt);
-    }
-
-    /// Transforms a world point into this vehicle's ego frame (x forward,
-    /// y left).
-    pub fn to_ego(&self, world: Vec2) -> Vec2 {
-        (world - self.pos).rotated(-self.heading)
-    }
-
-    /// Transforms an ego-frame point back to world coordinates.
-    pub fn to_world(&self, ego: Vec2) -> Vec2 {
-        self.pos + ego.rotated(self.heading)
+        let forward = Vec2::new(pose.heading.cos(), pose.heading.sin());
+        pose.pos = pose.pos + forward * (self.speed * dt);
     }
 }
 
@@ -309,32 +300,38 @@ mod tests {
         assert!(v.2 <= MAX_ACCEL + 1e-6);
     }
 
+    const ORIGIN: Pose = Pose { pos: Vec2::ZERO, heading: 0.0 };
+
     #[test]
     fn free_vehicle_drives_straight() {
-        let mut v = FreeVehicle::new(Vec2::ZERO, 0.0);
+        let mut v = FreeVehicle::new(ORIGIN);
         for _ in 0..20 {
             v.step(0.0, 10.0, 0.5);
         }
-        assert!(v.pos.x > 30.0);
-        assert!(v.pos.y.abs() < 1e-4);
+        assert!(v.pose.pos.x > 30.0);
+        assert!(v.pose.pos.y.abs() < 1e-4);
     }
 
     #[test]
     fn free_vehicle_turns() {
-        let mut v = FreeVehicle::new(Vec2::ZERO, 0.0);
+        let mut v = FreeVehicle::new(ORIGIN);
         v.speed = 5.0;
         for _ in 0..10 {
             v.step(0.5, 5.0, 0.5);
         }
-        assert!(v.heading > 0.5, "heading should have rotated left");
+        assert!(v.pose.heading > 0.5, "heading should have rotated left");
     }
 
+    /// A route point ahead of the road pose sits on its +x axis, and the
+    /// world → ego → world round trip returns where it started.
     #[test]
     fn ego_transform_roundtrip() {
-        let v = FreeVehicle::new(Vec2::new(10.0, 5.0), 1.0);
-        let w = Vec2::new(-3.0, 7.0);
-        let back = v.to_world(v.to_ego(w));
-        assert!(back.distance(w) < 1e-4);
+        let (map, route) = setup();
+        let pose = START.view(&route).pose(&map);
+        let ahead = START.view(&route).position(&map) + START.view(&route).heading(&map) * 8.0;
+        let ego = pose.to_ego(ahead);
+        assert!((ego.x - 8.0).abs() < 1e-3 && ego.y.abs() < 1e-3, "{ego:?}");
+        assert!(pose.to_world(ego).distance(ahead) < 1e-3);
     }
 
     #[test]

@@ -63,24 +63,6 @@ pub const COMMAND_HORIZON: f32 = 30.0;
 /// Navigation horizon for the turn-distance feature, meters.
 pub const TURN_LOOKAHEAD: f32 = 100.0;
 
-/// The supervision an expert emits for one frame.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExpertOutput {
-    /// Conditional command for this frame.
-    pub command: Command,
-    /// Future waypoints in the ego frame (x forward, y left), flattened as
-    /// `[x1, y1, x2, y2, ..]` — the policy's regression target.
-    pub waypoints: Vec<f32>,
-    /// Current ego speed (m/s).
-    pub speed: f32,
-    /// Route distance to the next turning intersection, capped at
-    /// [`TURN_LOOKAHEAD`] (a navigation-service scalar the policy consumes).
-    pub turn_distance: f32,
-    /// +1 when that turn is a left, −1 for a right, 0 when none is within
-    /// the lookahead.
-    pub turn_sign: f32,
-}
-
 /// Route distance (m) to the next Left/Right turn and its sign, walking the
 /// vehicle's remaining route, capped at [`TURN_LOOKAHEAD`].
 pub fn next_turn_info(map: &RoadNetwork, vehicle: VehicleRef<'_>) -> (f32, f32) {
@@ -137,8 +119,7 @@ pub fn waypoints_timed(
     step_dt: f32,
     v_target: f32,
 ) -> Vec<f32> {
-    let pos = vehicle.position(map);
-    let heading = vehicle.heading(map).angle();
+    let pose = vehicle.pose(map);
     let spacing = (v_target.max(0.0)) * step_dt;
     let mut out = Vec::with_capacity(2 * n);
     if spacing < 1e-3 {
@@ -152,7 +133,7 @@ pub fn waypoints_timed(
     let mut targets: Vec<f32> = (1..=n).map(|k| k as f32 * spacing).collect();
     targets.reverse();
     let mut walked = 0.0f32;
-    let mut last_point = pos;
+    let mut last_point = pose.pos;
     'outer: for (i, &eid) in vehicle.route.edges[vehicle.edge_idx..].iter().enumerate() {
         let edge = map.edge(eid);
         let start_s = if i == 0 { vehicle.s } else { 0.0 };
@@ -160,7 +141,7 @@ pub fn waypoints_timed(
         while let Some(&t) = targets.last() {
             if t <= walked + seg_len {
                 let p = map.position_on_edge(eid, start_s + (t - walked));
-                let ego = (p - pos).rotated(-heading);
+                let ego = pose.to_ego(p);
                 out.push(ego.x);
                 out.push(ego.y);
                 last_point = p;
@@ -175,7 +156,7 @@ pub fn waypoints_timed(
         walked += seg_len;
     }
     while out.len() < 2 * n {
-        let ego = (last_point - pos).rotated(-heading);
+        let ego = pose.to_ego(last_point);
         out.push(ego.x);
         out.push(ego.y);
     }
@@ -191,33 +172,13 @@ pub fn forward_gap(
     lookahead: f32,
     half_width: f32,
 ) -> Option<f32> {
-    let pos = vehicle.position(map);
-    let heading = vehicle.heading(map).angle();
+    let pose = vehicle.pose(map);
     cars.iter()
         .filter_map(|&c| {
-            let ego = (c - pos).rotated(-heading);
+            let ego = pose.to_ego(c);
             (ego.x > 0.5 && ego.x < lookahead && ego.y.abs() < half_width).then_some(ego.x)
         })
         .fold(None, |acc: Option<f32>, d| Some(acc.map_or(d, |a| a.min(d))))
-}
-
-/// Full time-spaced supervision: command, waypoints at `step_dt` spacing
-/// for the expert's chosen `v_target`, and the current speed.
-pub fn supervise_timed(
-    map: &RoadNetwork,
-    vehicle: VehicleRef<'_>,
-    n_waypoints: usize,
-    step_dt: f32,
-    v_target: f32,
-) -> ExpertOutput {
-    let (turn_distance, turn_sign) = next_turn_info(map, vehicle);
-    ExpertOutput {
-        command: command_for(map, vehicle),
-        waypoints: waypoints_timed(map, vehicle, n_waypoints, step_dt, v_target),
-        speed: vehicle.speed,
-        turn_distance,
-        turn_sign,
-    }
 }
 
 /// Privileged hazard check: returns `true` when any obstacle position lies
@@ -230,10 +191,9 @@ pub fn hazard_ahead(
     lookahead: f32,
     half_width: f32,
 ) -> bool {
-    let pos = vehicle.position(map);
-    let heading = vehicle.heading(map).angle();
+    let pose = vehicle.pose(map);
     obstacles.iter().any(|&o| {
-        let ego = (o - pos).rotated(-heading);
+        let ego = pose.to_ego(o);
         ego.x > 0.5 && ego.x < lookahead && ego.y.abs() < half_width
     })
 }
@@ -334,17 +294,5 @@ mod tests {
         for i in 0..Command::COUNT {
             assert_eq!(Command::from_index(i).index(), i);
         }
-    }
-
-    #[test]
-    fn supervise_bundles_everything() {
-        let map = RoadNetwork::generate(5);
-        let route = route_on(&map, 0, map.n_nodes() - 1);
-        let v = start_of(&route);
-        let out = supervise_timed(&map, v, 5, DT, V_3M);
-        assert_eq!(out.waypoints, waypoints_timed(&map, v, 5, DT, V_3M));
-        assert_eq!(out.command, command_for(&map, v));
-        assert_eq!((out.turn_distance, out.turn_sign), next_turn_info(&map, v));
-        assert_eq!(out.speed, 0.0);
     }
 }

@@ -50,7 +50,7 @@ pub mod world;
 
 pub use agents::{AgentId, VehicleRef};
 pub use bev::{Bev, BevConfig};
-pub use expert::{Command, ExpertOutput};
+pub use expert::Command;
 pub use map::{EdgeId, NodeId, RoadKind, RoadNetwork};
 pub use route::{Route, RoutingTable};
 pub use world::{World, WorldConfig};

@@ -28,7 +28,7 @@
 
 use crate::agents::{advance_on_route, radii, AgentId, Pedestrian, VehicleRef};
 use crate::bev::{rasterize_into, Bev, BevConfig, Pose};
-use crate::expert::{command_for, forward_gap, hazard_ahead, supervise_timed, Command, ExpertOutput};
+use crate::expert::{command_for, forward_gap, hazard_ahead, waypoints_timed, Command};
 use crate::map::{EdgeId, MapConfig, RoadNetwork};
 use crate::route::{Route, RoutingTable};
 use rand::{Rng, RngExt, SeedableRng};
@@ -438,13 +438,18 @@ impl World {
     /// no RNG, no writes — so the visit order never shows.
     fn intent_for(&self, id: AgentId, gap_index: &[(EdgeId, f32)]) -> f32 {
         let v = self.vehicle_view(id);
-        let gap = gap_from_index(&self.map, gap_index, v);
-        let mut target = v.target_speed(&self.map, gap);
-        // Privileged braking for pedestrians in the path.
+        self.speed_rule(v, gap_from_index(&self.map, gap_index, v))
+    }
+
+    /// The one speed rule every road-locked driver follows: limits, turn
+    /// slowdown and car-following at `gap` ([`VehicleRef::target_speed`]),
+    /// then a full stop for any pedestrian in the path.
+    fn speed_rule(&self, v: VehicleRef<'_>, gap: Option<f32>) -> f32 {
         if self.ped_hazard(v) {
-            target = 0.0;
+            0.0
+        } else {
+            v.target_speed(&self.map, gap)
         }
-        target
     }
 
     /// Pedestrian-braking check with a conservative town-bbox prefilter:
@@ -525,9 +530,8 @@ impl World {
     /// `pose`, every car but expert `skip`, every pedestrian and the next
     /// 60 m of the route from `progress` (whose `speed` the frame records),
     /// and returns the command at that progress. Data collection looks
-    /// from an expert's road pose with the expert left out
-    /// ([`World::observe_expert`]); the closed-loop evaluator looks from its
-    /// free ego's pose with nobody left out.
+    /// from an expert's road pose with the expert left out; the closed-loop
+    /// evaluator looks from its free ego's pose with nobody left out.
     pub fn observe_route(
         &self,
         progress: VehicleRef<'_>,
@@ -535,9 +539,13 @@ impl World {
         skip: Option<usize>,
         bev: &mut Bev,
     ) -> Command {
+        let except;
         let cars = match skip {
-            Some(idx) => self.car_positions_except(idx),
-            None => self.car_positions(),
+            Some(idx) => {
+                except = self.car_positions_except(idx);
+                &except[..]
+            }
+            None => &self.pos[..self.ped_base],
         };
         let route_ahead =
             self.route_polyline_from(progress.route, progress.edge_idx, progress.s, 60.0);
@@ -546,7 +554,7 @@ impl World {
             pose,
             progress.speed,
             &self.raster,
-            &cars,
+            cars,
             &self.pos[self.ped_base..],
             &route_ahead,
             bev,
@@ -554,34 +562,21 @@ impl World {
         command_for(&self.map, progress)
     }
 
-    /// Captures expert `idx`'s BEV observation and supervision for the
-    /// current frame — one training sample. Supervision waypoints are
-    /// time-spaced at the world frame interval using the expert's privileged
-    /// speed decision (turn slowdown, car-following, pedestrian braking).
-    pub fn observe_expert(&self, idx: usize) -> (Bev, ExpertOutput) {
-        let v = self.expert_view(idx);
-        let pose = Pose {
-            pos: v.position(&self.map),
-            heading: v.heading(&self.map).angle(),
-        };
-        let mut bev = Bev::blank(self.config.bev.cells);
-        self.observe_route(v, pose, Some(idx), &mut bev);
-        // The expert itself sits at its own ego origin, outside the
-        // forward cone (`x > 0.5`), so the whole car column answers as the
-        // list without it.
+    /// The expert's waypoint labels at route progress `v`
+    /// ([`waypoints_timed`], spaced at the world's frame interval) for the
+    /// speed it would choose there: the rule every background car follows
+    /// too, with the gap to the nearest car in a 40 m × 3 m forward cone.
+    /// A collecting expert sits at its own cone's origin (`x > 0.5`
+    /// excludes it), so every car is scanned.
+    pub fn expert_waypoints(&self, v: VehicleRef<'_>) -> Vec<f32> {
         let gap = forward_gap(&self.map, v, &self.pos[..self.ped_base], 40.0, 3.0);
-        let mut v_target = v.target_speed(&self.map, gap);
-        if hazard_ahead(&self.map, v, &self.pos[self.ped_base..], 10.0, 2.5) {
-            v_target = 0.0;
-        }
-        let sup = supervise_timed(
+        waypoints_timed(
             &self.map,
             v,
             self.config.n_waypoints,
             (1.0 / self.config.fps) as f32,
-            v_target,
-        );
-        (bev, sup)
+            self.speed_rule(v, gap),
+        )
     }
 
     /// Densely sampled world-frame points along the next `horizon` meters of
@@ -608,25 +603,12 @@ impl World {
     }
 
     /// Whether a circle at `pos` with `radius` collides with any car or
-    /// pedestrian (the closed-loop failure check). `skip_expert` excludes
-    /// one expert (the ego vehicle itself when it is driven externally).
-    pub fn collides(&self, pos: Vec2, radius: f32, skip_expert: Option<usize>) -> bool {
-        let car_r = radius + radii::CAR;
-        for (id, car) in self.pos[..self.ped_base].iter().enumerate() {
-            if Some(id) == skip_expert {
-                continue;
-            }
-            if car.distance(pos) < car_r {
-                return true;
-            }
-        }
-        let ped_r = radius + radii::PEDESTRIAN;
-        for p in &self.pos[self.ped_base..] {
-            if p.distance(pos) < ped_r {
-                return true;
-            }
-        }
-        false
+    /// pedestrian (the closed-loop failure check).
+    pub fn collides(&self, pos: Vec2, radius: f32) -> bool {
+        let (cars, peds) = self.pos.split_at(self.ped_base);
+        let (car_r, ped_r) = (radius + radii::CAR, radius + radii::PEDESTRIAN);
+        cars.iter().any(|c| c.distance(pos) < car_r)
+            || peds.iter().any(|p| p.distance(pos) < ped_r)
     }
 
     /// Runs the world for `seconds` of simulated time recording expert
@@ -801,19 +783,27 @@ mod tests {
         }
     }
 
+    /// Expert 0's observation, as collection takes it.
+    fn expert_bev(w: &World) -> Bev {
+        let v = w.expert_view(0);
+        let mut bev = Bev::blank(w.config().bev.cells);
+        w.observe_route(v, v.pose(w.map()), Some(0), &mut bev);
+        bev
+    }
+
     #[test]
     fn observation_has_consistent_shapes() {
         let w = small_world();
-        let (bev, sup) = w.observe_expert(0);
+        let bev = expert_bev(&w);
         let cfg = &w.config().bev;
         assert_eq!(bev.features(cfg.pool).len(), cfg.feature_len());
-        assert_eq!(sup.waypoints.len(), 2 * w.config().n_waypoints);
+        assert_eq!(w.expert_waypoints(w.expert_view(0)).len(), 2 * w.config().n_waypoints);
     }
 
     #[test]
     fn observation_sees_road() {
         let w = small_world();
-        let (bev, _) = w.observe_expert(0);
+        let bev = expert_bev(&w);
         assert!(
             bev.popcount(crate::bev::channel::ROAD) > 5,
             "an on-road vehicle must see road"
@@ -848,8 +838,8 @@ mod tests {
     fn collision_detection_works() {
         let w = small_world();
         let car = w.car_positions()[0];
-        assert!(w.collides(car, 2.0, None));
-        assert!(!w.collides(Vec2::new(-100.0, -100.0), 2.0, None));
+        assert!(w.collides(car, 2.0));
+        assert!(!w.collides(Vec2::new(-100.0, -100.0), 2.0));
     }
 
     #[test]

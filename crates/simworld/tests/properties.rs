@@ -136,15 +136,18 @@ proptest! {
         for _ in 0..steps {
             w.step();
         }
-        let (bev, sup) = w.observe_expert(seed as usize % 8);
+        let v = w.expert_view(seed as usize % 8);
+        let mut bev = Bev::blank(w.config().bev.cells);
+        w.observe_route(v, v.pose(w.map()), Some(seed as usize % 8), &mut bev);
+        let waypoints = w.expert_waypoints(v);
         let cfg = &w.config().bev;
         let feats = bev.features(cfg.pool);
         prop_assert_eq!(feats.len(), cfg.feature_len());
         prop_assert!(feats.iter().all(|f| (0.0..=1.0).contains(f)));
-        prop_assert_eq!(sup.waypoints.len(), 2 * w.config().n_waypoints);
+        prop_assert_eq!(waypoints.len(), 2 * w.config().n_waypoints);
         // Ego-frame waypoints are bounded by the speed-based horizon.
         let horizon = 25.0 * w.config().n_waypoints as f32; // max speed * n
-        for c in sup.waypoints.chunks(2) {
+        for c in waypoints.chunks(2) {
             prop_assert!(c[0].abs() <= horizon && c[1].abs() <= horizon);
         }
     }

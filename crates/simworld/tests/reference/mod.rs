@@ -18,11 +18,14 @@
 //! [`simworld::agents::VehicleRef`]. Its vehicle struct, [`RoadVehicle`]
 //! (`road_vehicle.rs`), later moved here from `simworld::agents` too, once
 //! nothing in the library used it. The two identity checks above are what
-//! pin this module: edit it only together with them.
+//! pin this module: edit it only together with them. Since the library
+//! stopped bundling an expert's supervision into one struct,
+//! [`World::observe_expert`] returns its parts as a tuple, composed here
+//! from the library's label functions.
 
 use simworld::agents::{radii, Pedestrian};
 use simworld::bev::{rasterize, Bev, Pose};
-use simworld::expert::{hazard_ahead, ExpertOutput};
+use simworld::expert::{command_for, hazard_ahead, next_turn_info, waypoints_timed, Command};
 use simworld::map::RoadNetwork;
 use simworld::route::Route;
 use simworld::world::{RoadRaster, WorldConfig};
@@ -224,10 +227,11 @@ impl World {
     }
 
     /// Captures expert `idx`'s BEV observation and supervision for the
-    /// current frame — one training sample. Supervision waypoints are
+    /// current frame — one training sample: the BEV, the command, the
+    /// waypoints and the turn scalars. Supervision waypoints are
     /// time-spaced at the world frame interval using the expert's privileged
     /// speed decision (turn slowdown, car-following, pedestrian braking).
-    pub fn observe_expert(&self, idx: usize) -> (Bev, ExpertOutput) {
+    pub fn observe_expert(&self, idx: usize) -> (Bev, Command, Vec<f32>, (f32, f32)) {
         let v = &self.experts[idx];
         let pose = Pose {
             pos: v.position(&self.map),
@@ -242,14 +246,15 @@ impl World {
         if hazard_ahead(&self.map, v.view(), &peds, 10.0, 2.5) {
             v_target = 0.0;
         }
-        let sup = simworld::expert::supervise_timed(
+        let waypoints = waypoints_timed(
             &self.map,
             v.view(),
             self.config.n_waypoints,
             (1.0 / self.config.fps) as f32,
             v_target,
         );
-        (bev, sup)
+        let command = command_for(&self.map, v.view());
+        (bev, command, waypoints, next_turn_info(&self.map, v.view()))
     }
 
     /// Densely sampled world-frame points along the next `horizon` meters of
@@ -283,13 +288,9 @@ impl World {
     }
 
     /// Whether a circle at `pos` with `radius` collides with any car or
-    /// pedestrian (the closed-loop failure check). `skip_expert` excludes
-    /// one expert (the ego vehicle itself when it is driven externally).
-    pub fn collides(&self, pos: Vec2, radius: f32, skip_expert: Option<usize>) -> bool {
-        for (i, v) in self.experts.iter().enumerate() {
-            if Some(i) == skip_expert {
-                continue;
-            }
+    /// pedestrian (the closed-loop failure check).
+    pub fn collides(&self, pos: Vec2, radius: f32) -> bool {
+        for v in &self.experts {
             if v.position(&self.map).distance(pos) < radius + radii::CAR {
                 return true;
             }

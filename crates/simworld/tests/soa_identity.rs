@@ -15,6 +15,8 @@
 mod reference;
 
 use proptest::prelude::*;
+use simworld::bev::Bev;
+use simworld::expert::next_turn_info;
 use simworld::world::{World, WorldConfig};
 
 /// Asserts every observable of `w` equals the reference world `r` bitwise.
@@ -58,8 +60,10 @@ proptest! {
         }
     }
 
-    /// Observations — the full BEV tensor and the supervision targets —
-    /// match bit for bit after an arbitrary number of steps.
+    /// Observations — the full BEV tensor, the command, the supervision
+    /// targets and the turn scalars, as collection takes them from the
+    /// world's route observer and label functions — match bit for bit
+    /// after an arbitrary number of steps.
     #[test]
     fn soa_observations_match_reference(seed in 0u64..100, ticks in 0usize..30) {
         let mut w = World::new(WorldConfig::small(seed));
@@ -68,18 +72,21 @@ proptest! {
             w.step();
             r.step();
         }
+        let mut wb = Bev::blank(w.config().bev.cells);
         for i in 0..w.n_experts() {
-            let (wb, ws) = w.observe_expert(i);
-            let (rb, rs) = r.observe_expert(i);
+            let v = w.expert_view(i);
+            let command = w.observe_route(v, v.pose(w.map()), Some(i), &mut wb);
+            let waypoints = w.expert_waypoints(v);
+            let (turn_distance, turn_sign) = next_turn_info(w.map(), v);
+            let (rb, r_command, r_waypoints, (r_distance, r_sign)) = r.observe_expert(i);
             prop_assert_eq!(&wb, &rb, "BEV expert {} seed {}", i, seed);
-            prop_assert_eq!(ws.command, rs.command);
-            prop_assert_eq!(ws.waypoints.len(), rs.waypoints.len());
-            for (a, b) in ws.waypoints.iter().zip(&rs.waypoints) {
+            prop_assert_eq!(command, r_command);
+            prop_assert_eq!(waypoints.len(), r_waypoints.len());
+            for (a, b) in waypoints.iter().zip(&r_waypoints) {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "waypoint bits expert {}", i);
             }
-            prop_assert_eq!(ws.speed.to_bits(), rs.speed.to_bits());
-            prop_assert_eq!(ws.turn_distance.to_bits(), rs.turn_distance.to_bits());
-            prop_assert_eq!(ws.turn_sign.to_bits(), rs.turn_sign.to_bits());
+            prop_assert_eq!(turn_distance.to_bits(), r_distance.to_bits());
+            prop_assert_eq!(turn_sign.to_bits(), r_sign.to_bits());
         }
     }
 
