@@ -1,38 +1,138 @@
-//! Telemetry debugging for the closed-loop evaluator: trains LbChat at the
-//! given scale, then drives trial 0 of two tasks — the same trial the
-//! success tables count first — printing per-frame telemetry to stderr and
-//! each trial's outcome to stdout.
+//! The closed-loop evaluator's diagnosis at the given scale. Prints three
+//! tables to stdout, then drives trial 0 of two tasks under LbChat:
+//!
+//! 1. the ceiling — the privileged expert at the wheel of every task, at
+//!    the scale's evaluation traffic and at the paper's, with each trial's
+//!    end (success, collision, off-route, timeout);
+//! 2. the no-communication upper bound — one learner trained on every
+//!    vehicle's pooled frames, for a cell's iteration budget and for the
+//!    whole fleet's, beside LbChat's (loss-free) vehicle 0;
+//! 3. open-loop L1 error and frame count by command, for those learners.
+//!
+//! Trial 0 of Straight and One Turn — the trial the success tables count
+//! first — prints per-frame telemetry to stderr and its outcome to stdout.
 
-use driving::eval::Task;
+use driving::eval::{privileged_success_rate, success_rate, EvalConfig, Task, TaskResult};
+use driving::{DrivingLearner, Frame};
+use experiments::report::Table;
 use experiments::{exit_on_error, run_method, Args, Condition, Method, Scenario};
+use lbchat::learner::mean_loss;
+use lbchat::{LbChatConfig, Learner};
+use rand::SeedableRng;
+use simworld::expert::Command;
+
+/// Trials per task in every closed-loop row.
+const TRIALS: usize = 25;
+
+/// How a failed trial can end, in [`ends`] order.
+const ENDS: [&str; 3] = ["collision", "off_route", "timeout"];
 
 fn main() {
     let s = Scenario::build(Args::parse().scale);
-    let out = exit_on_error(run_method(Method::LbChat, &s, Condition::NoLoss));
-    eprintln!("final loss: {:?}", out.metrics.final_loss());
-    // Open-loop check: target vs prediction on actual Left/Right frames.
-    let mut shown = 0;
-    for d in &s.datasets {
-        for f in d.samples() {
-            if matches!(f.command, simworld::expert::Command::Left | simworld::expert::Command::Right)
-                && shown < 8
-                && f.waypoints.chunks(2).any(|c| c[1].abs() > 0.5)
-            {
-                let pred = out.representative.predict(&f.features, f.command);
-                eprintln!(
-                    "cmd={:?} turn_d={:.2} target={:?} pred={:?}",
-                    f.command,
-                    f.features[f.features.len() - 2],
-                    f.waypoints.iter().map(|v| (v * 10.0).round() / 10.0).collect::<Vec<_>>(),
-                    pred.iter().map(|v| (v * 10.0).round() / 10.0).collect::<Vec<_>>(),
-                );
-                shown += 1;
-            }
+    let cfg = EvalConfig { trials: TRIALS, ..experiments::harness::eval_config(&s) };
+    print!("{}", ceiling_table(&cfg).render());
+
+    let lbchat = exit_on_error(run_method(Method::LbChat, &s, Condition::NoLoss)).representative;
+    let pooled: Vec<(&Frame, f32)> = s.datasets.iter().flat_map(|d| d.pairs()).collect();
+    let cell_iters = (s.scale.train_seconds * s.scale.iters_per_second).round() as usize;
+    let fleet_iters = cell_iters * s.scale.n_vehicles;
+    let mut learner = s.make_learners().swap_remove(0);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(s.scale.seed);
+    let mut batcher = vnn::Minibatcher::new(pooled.len(), LbChatConfig::default().batch_size);
+    let mut train = |learner: &mut DrivingLearner, iters: usize| {
+        for _ in 0..iters {
+            let batch: Vec<(&Frame, f32)> =
+                batcher.next_batch(&mut rng).into_iter().map(|i| pooled[i]).collect();
+            learner.train_step(&batch);
         }
+    };
+    train(&mut learner, cell_iters);
+    let at_cell = learner.clone();
+    train(&mut learner, fleet_iters - cell_iters);
+    let learners = [
+        ("LbChat W/O v0".to_string(), &lbchat),
+        (format!("pooled {cell_iters} (cell)"), &at_cell),
+        (format!("pooled {fleet_iters} (fleet)"), &learner),
+    ];
+
+    let title = format!(
+        "Upper bound — one learner on all {} pooled frames for a cell's or the fleet's \
+         iterations; successes of {TRIALS} trials at traffic {:.2}",
+        pooled.len(),
+        cfg.traffic_scale
+    );
+    let columns = Task::ALL.iter().map(|t| t.name()).chain(ENDS).chain(["eval loss"]);
+    let mut bound = Table::new(title, columns.map(String::from).collect()).corner("Learner");
+    let eval: Vec<&Frame> = s.eval.iter().collect();
+    for (name, l) in &learners {
+        let results: Vec<TaskResult> =
+            Task::ALL.iter().map(|&t| success_rate(l, t, &cfg)).collect();
+        let ends_sum =
+            results.iter().map(ends).fold([0; 3], |a, e| std::array::from_fn(|k| a[k] + e[k]));
+        let counts = results.iter().map(|r| r.successes).chain(ends_sum);
+        let mut cells: Vec<String> = counts.map(|n| n.to_string()).collect();
+        cells.push(format!("{:.2}", mean_loss(*l, l.params(), &eval)));
+        bound.row(name.as_str(), cells);
     }
-    let cfg = experiments::harness::eval_config(&s);
+    print!("\n{}", bound.render());
+
+    let columns =
+        std::iter::once("frames".to_string()).chain(learners.iter().map(|(n, _)| n.clone()));
+    let mut open_loop = Table::new(
+        "Open-loop L1 — mean |predicted − label| per waypoint coordinate (m), pooled frames",
+        columns.collect(),
+    )
+    .corner("Command");
+    for command in (0..Command::COUNT).map(Command::from_index) {
+        let frames: Vec<&Frame> =
+            pooled.iter().map(|&(f, _)| f).filter(|f| f.command == command).collect();
+        let mut cells = vec![frames.len().to_string()];
+        cells.extend(learners.iter().map(|(_, l)| format!("{:.2}", l1(l, &frames))));
+        open_loop.row(format!("{command:?}"), cells);
+    }
+    print!("\n{}\n", open_loop.render());
+
     for task in [Task::Straight, Task::OneTurn] {
-        let outcome = driving::eval::debug_one_trial(&out.representative, task, &cfg, 0);
+        let outcome = driving::eval::debug_one_trial(&lbchat, task, &cfg, 0);
         println!("{} trial 0: {outcome}", task.name());
     }
+}
+
+/// `r`'s failed trials by how they ended, in [`ENDS`] order.
+fn ends(r: &TaskResult) -> [usize; 3] {
+    [r.collisions, r.off_route, r.timeouts]
+}
+
+/// The privileged expert's successes and trial ends on every task, at the
+/// scale's evaluation traffic and at the paper's.
+fn ceiling_table(cfg: &EvalConfig) -> Table {
+    let mut t = Table::new(
+        format!("Ceiling — the privileged expert drives {TRIALS} trials per task"),
+        std::iter::once("success").chain(ENDS).map(String::from).collect(),
+    )
+    .corner("Traffic, task");
+    for traffic_scale in [cfg.traffic_scale, 1.0] {
+        let cfg = EvalConfig { traffic_scale, ..cfg.clone() };
+        for task in Task::ALL {
+            let r = privileged_success_rate(task, &cfg);
+            let cells = std::iter::once(r.successes).chain(ends(&r)).map(|n| n.to_string());
+            t.row(format!("{traffic_scale:.2} {}", task.name()), cells.collect());
+        }
+    }
+    t
+}
+
+/// Mean absolute error of `learner`'s prediction over every waypoint
+/// coordinate of `frames`; NaN for no frames.
+fn l1(learner: &DrivingLearner, frames: &[&Frame]) -> f64 {
+    let mut sum = 0.0f64;
+    let mut n = 0usize;
+    for f in frames {
+        let pred = learner.predict(&f.features, f.command);
+        for (p, y) in pred.iter().zip(f.waypoints.iter()) {
+            sum += f64::from((p - y).abs());
+            n += 1;
+        }
+    }
+    sum / n as f64
 }
