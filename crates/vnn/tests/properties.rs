@@ -607,6 +607,28 @@ fn neg_zero_bias_keeps_every_column() {
     }
 }
 
+/// FMA-contraction canary. With `w = x = 1 + 2⁻¹²` the exact product is
+/// `1 + 2⁻¹¹ + 2⁻²⁴`, a tie that a separately rounded multiply sends to
+/// `1 + 2⁻¹¹`, so adding the bias `−(1 + 2⁻¹¹)` gives `+0.0`. A fused
+/// multiply-add keeps the `2⁻²⁴`. Any build that contracts `acc += x * w`
+/// (a `mul_add`, `-C llvm-args=-fp-contract=fast`, a fast-math flag) fails
+/// here on any machine, whatever its vector width: every kernel's bit
+/// identity across ISAs rests on this.
+#[test]
+fn multiply_then_add_is_never_fused() {
+    let mlp = Mlp::new(MlpSpec { sizes: vec![1, 1], hidden_activation: Activation::Identity }, 0);
+    let (x, w, bias) = (1.0 + 2f32.powi(-12), 1.0 + 2f32.powi(-12), -(1.0 + 2f32.powi(-11)));
+    assert_eq!(x.mul_add(w, bias), 2f32.powi(-24), "a fused multiply-add keeps the tie");
+    let params = ParamVec::from_vec(vec![w, bias]);
+    assert_eq!(bits(mlp.forward(&params, &[x]).output()), vec![0], "forward");
+    let mut scratch = MlpScratch::new();
+    for n in [1, 8] {
+        mlp.stage_batch(&mut scratch, n).fill(x);
+        mlp.forward_batch(&params, &mut scratch, n);
+        assert_eq!(bits(mlp.batch_outputs(&scratch, n)), vec![0; n], "forward_batch, n={n}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The frozen form: a batch of one through input-major weights, lanes across
 // a layer's output units, zero inputs stepped over in EVERY layer (BEV zeros
