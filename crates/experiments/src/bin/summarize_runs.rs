@@ -159,6 +159,7 @@ fn read_manifest(path: &std::path::Path) -> Result<RunSummary, String> {
     let mut push = |k: &str, v: String| facts.push((k.to_string(), v));
     push("jobs", fmt_opt_u64(start.get("jobs")));
     push("git", short_rev(start.str_field("git_rev").unwrap_or("unknown")));
+    push("isa", start.str_field("isa").unwrap_or("-").to_string());
     if let Some(scale) = start.get("scale") {
         push("vehicles", fmt_opt_u64(scale.get("n_vehicles")));
         push("train_s", fmt_opt_num(scale.get("train_seconds")));

@@ -2,7 +2,7 @@
 //!
 //! A [`RunManifest`] wraps a recording [`ObsSink`] for the run of one
 //! [`crate::paper::Artifact`]. On [`RunManifest::start`] it emits a
-//! `run_start` event (config snapshot, seed, jobs, git revision); the
+//! `run_start` event (config snapshot, seed, jobs, git revision, ISA); the
 //! driver then threads [`RunManifest::sink`] through the harness so every
 //! cell, round, transfer, and trial lands in the same stream; rendered
 //! tables are recorded with [`RunManifest::record_table`]; and
@@ -63,6 +63,7 @@ impl RunManifest {
                     ("seed", scale.seed.into()),
                     ("jobs", exec::jobs().into()),
                     ("git_rev", git_rev().into()),
+                    ("isa", isa().into()),
                     ("scale", scale_json(scale)),
                     ("started_unix_ms", started_unix_ms.into()),
                 ],
@@ -192,6 +193,19 @@ fn unix_ms() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_millis() as u64)
+}
+
+/// The instruction set this binary was compiled for, decided by
+/// compile-time `cfg!` alone: `"x86-64-v3"` when AVX2 and FMA are both
+/// enabled (the repository default, `.cargo/config.toml`), otherwise the
+/// target architecture (`"x86_64"` for a baseline build, `"aarch64"`, …).
+/// Results do not depend on it; wall times do.
+fn isa() -> &'static str {
+    if cfg!(all(target_feature = "avx2", target_feature = "fma")) {
+        "x86-64-v3"
+    } else {
+        std::env::consts::ARCH
+    }
 }
 
 /// Best-effort current git revision, read straight from `.git` (the

@@ -10,8 +10,9 @@
 
 use driving::Task;
 use experiments::harness::{task_table_obs, train_and_evaluate_obs, TaskCell};
+use experiments::manifest::OBS_ENV;
 use experiments::methods::cell_label;
-use experiments::{Condition, Method, Scale, Scenario};
+use experiments::{Condition, Method, RunManifest, Scale, Scenario};
 use lbchat::exec;
 use lbchat::obs::{parse_jsonl, EventKind, Json, ObsSink, TIMING_FIELDS};
 use lbchat::prelude::Metrics;
@@ -123,6 +124,23 @@ fn disabled_sink_changes_nothing_and_records_nothing() {
         .map(|r| r.as_f64().expect("numeric rate").to_bits())
         .collect();
     assert_eq!(recorded, out2.rates.iter().map(|r| r.to_bits()).collect::<Vec<_>>());
+}
+
+/// `run_start` names the instruction set the binary was compiled for, so
+/// every wall time in a manifest traces to its build. The expected value
+/// is this test's own compile-time view, built under the same flags.
+#[test]
+fn run_start_records_the_compiled_isa() {
+    let expected = if cfg!(all(target_feature = "avx2", target_feature = "fma")) {
+        "x86-64-v3"
+    } else {
+        std::env::consts::ARCH
+    };
+    let run = RunManifest::start("isa_probe", &Scale::quick());
+    assert!(run.sink().enabled(), "run with {OBS_ENV} unset: the test reads the recorded run_start");
+    let events = parse_jsonl(&run.sink().to_jsonl()).expect("manifest must parse");
+    let start = events.iter().find(|e| e.is(EventKind::RunStart)).expect("run_start");
+    assert_eq!(start.str_field("isa"), Some(expected));
 }
 
 /// Every field of a [`Metrics`] as bits. The exhaustive pattern makes a new
