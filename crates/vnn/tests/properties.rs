@@ -610,10 +610,11 @@ fn neg_zero_bias_keeps_every_column() {
 /// FMA-contraction canary. With `w = x = 1 + 2⁻¹²` the exact product is
 /// `1 + 2⁻¹¹ + 2⁻²⁴`, a tie that a separately rounded multiply sends to
 /// `1 + 2⁻¹¹`, so adding the bias `−(1 + 2⁻¹¹)` gives `+0.0`. A fused
-/// multiply-add keeps the `2⁻²⁴`. Any build that contracts `acc += x * w`
-/// (a `mul_add`, `-C llvm-args=-fp-contract=fast`, a fast-math flag) fails
-/// here on any machine, whatever its vector width: every kernel's bit
-/// identity across ISAs rests on this.
+/// multiply-add keeps the `2⁻²⁴`. A kernel that fuses `acc += x * w` fails
+/// here without a golden: a `mul_add` on every target, and contraction
+/// (`-C llvm-args=-fp-contract=fast`, a fast-math flag) on every target with
+/// FMA, such as the default x86-64-v3. Every kernel's bit identity across
+/// ISAs rests on this.
 #[test]
 fn multiply_then_add_is_never_fused() {
     let mlp = Mlp::new(MlpSpec { sizes: vec![1, 1], hidden_activation: Activation::Identity }, 0);
