@@ -1,15 +1,11 @@
-//! Runs every paper artifact in sequence (fig2, tables II-VII, fig3) at the
-//! selected scale, in this process and over one shared scenario. Expect
-//! minutes at the default scale, hours at --paper.
+//! Runs every paper artifact (fig2, tables II-VII, fig3) at the selected
+//! scale in this process, over one scenario and one manifest, training each
+//! distinct cell once. Expect minutes at the default scale, hours at --paper.
 
 use experiments::paper::{self, Artifact};
 use experiments::Args;
 
 fn main() {
     let args = Args::parse();
-    let s = paper::scenario(&args);
-    for artifact in Artifact::ALL {
-        eprintln!("==== running {} ====", artifact.name());
-        artifact.run(&s, &args);
-    }
+    paper::run("run_all", &Artifact::ALL, &paper::scenario(&args), &args);
 }

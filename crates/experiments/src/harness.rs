@@ -1,17 +1,17 @@
-//! Shared drivers behind [`crate::paper`]'s artifacts.
+//! The one cell driver behind [`crate::paper`], and a task-table driver.
 //!
-//! Both drivers fan work out over the [`lbchat::exec`] worker pool:
-//! [`task_table_obs`] runs its (method, condition) training cells
-//! concurrently and [`train_and_evaluate_obs`] evaluates the five tasks
-//! concurrently. Every cell seeds its own RNGs from the scenario seed, so
+//! [`train_and_evaluate_obs`] trains a (method, condition) cell, then
+//! evaluates the five tasks concurrently over the [`lbchat::exec`] worker
+//! pool; [`crate::paper::run`] and [`task_table_obs`] fan it out over
+//! their cells. Every cell seeds its own RNGs from the scenario seed, so
 //! the numbers are bit-identical for any `--jobs` setting.
 //!
 //! The drivers emit structured events into an [`ObsSink`] (see
 //! `lbchat::obs` and `docs/OBSERVABILITY.md`): each cell is bracketed by
 //! `cell_start`/`cell_finish` events carrying the method, condition, and
-//! the cell's final metrics, and everything the cell does — runtime
-//! rounds, radio transfers, chats, eval trials — is scoped under the
-//! cell's label. Pass [`ObsSink::disabled`] to record nothing at no cost.
+//! the cell's final metrics and rates, and everything the cell does —
+//! runtime rounds, radio transfers, chats, eval trials — is scoped under
+//! the cell's label. Pass [`ObsSink::disabled`] to record nothing.
 //!
 //! A finished cell keeps exactly what its `cell_finish` event records —
 //! its [`Metrics`] and success rates ([`CellOutput`]); the trained fleet and
@@ -53,7 +53,7 @@ pub struct CellOutput {
 /// learner lives only until its evaluation ends. Emits `cell_start` /
 /// `cell_finish` (with per-task rates) around the cell and scopes every
 /// event the cell produces under its [`cell_label`]. `index` is the cell's
-/// position in the caller's fan-out, recorded for cross-reference with
+/// position in the caller's cell list, recorded for cross-reference with
 /// `work_unit` events.
 ///
 /// # Errors
@@ -69,86 +69,40 @@ pub fn train_and_evaluate_obs(
 ) -> Result<CellOutput, RuntimeError> {
     let cfg = eval_config(s);
     cfg.validate().map_err(RuntimeError::Config)?;
-    emit_cell_start(obs, method, condition, index);
+    let label = cell_label(method, condition);
+    let id = [
+        ("cell", Json::from(label.as_str())),
+        ("method", method.name().into()),
+        ("condition", condition.short().into()),
+        ("index", index.into()),
+    ];
+    obs.emit(EventKind::CellStart, &id);
     #[expect(clippy::disallowed_methods, reason = "feeds wall_ms, a documented TIMING_FIELDS key the result comparators strip")]
     let started = std::time::Instant::now();
-    let cell = obs.scoped(&cell_label(method, condition));
-    let RunOutput { metrics, representative } = run_method_obs(method, s, condition, &cell)?;
+    let cell = obs.scoped(&label);
+    let RunOutput { metrics: m, representative } = run_method_obs(method, s, condition, &cell)?;
     let eval_sink = cell.scoped("eval");
     let rates = exec::par_map_traced(obs, "eval-task", &Task::ALL, |_, &task| {
         success_rate_obs(&representative, task, &cfg, &eval_sink).percent()
     });
-    emit_cell_finish(obs, method, condition, index, &metrics, Some(&rates), started);
-    Ok(CellOutput { metrics, rates })
-}
-
-/// Trains one cell *without* closed-loop evaluation, bracketed by
-/// `cell_start`/`cell_finish` events (no `rates` field). The loss-curve
-/// figures use this: their deliverable is the `round` event stream,
-/// not driving success rates. Returns the cell's metrics.
-pub fn run_cell_obs(
-    method: Method,
-    s: &Scenario,
-    condition: Condition,
-    obs: &ObsSink,
-    index: usize,
-) -> Result<Metrics, RuntimeError> {
-    emit_cell_start(obs, method, condition, index);
-    #[expect(clippy::disallowed_methods, reason = "feeds wall_ms, a documented TIMING_FIELDS key the result comparators strip")]
-    let started = std::time::Instant::now();
-    let cell = obs.scoped(&cell_label(method, condition));
-    let metrics = run_method_obs(method, s, condition, &cell)?.metrics;
-    emit_cell_finish(obs, method, condition, index, &metrics, None, started);
-    Ok(metrics)
-}
-
-fn emit_cell_start(obs: &ObsSink, method: Method, condition: Condition, index: usize) {
     if obs.enabled() {
-        obs.emit(
-            EventKind::CellStart,
-            &[
-                ("cell", cell_label(method, condition).into()),
-                ("method", method.name().into()),
-                ("condition", condition.short().into()),
-                ("index", index.into()),
-            ],
-        );
+        let record = [
+            ("final_loss", m.final_loss().map_or(Json::Null, Json::Num)),
+            ("receiving_rate", m.model_receiving_rate().into()),
+            ("sessions", m.sessions.into()),
+            ("model_sends", m.model_sends.into()),
+            ("model_receives", m.model_receives.into()),
+            ("coreset_sends", m.coreset_sends.into()),
+            ("coreset_receives", m.coreset_receives.into()),
+            ("bytes_delivered", m.bytes_delivered.into()),
+            ("comm_seconds", m.comm_seconds.into()),
+            ("train_iterations", m.train_iterations.into()),
+            ("rates", Json::Arr(rates.iter().map(|&r| Json::Num(r)).collect())),
+            ("wall_ms", Json::Num(started.elapsed().as_secs_f64() * 1e3)),
+        ];
+        obs.emit(EventKind::CellFinish, &[&id[..], &record].concat());
     }
-}
-
-fn emit_cell_finish(
-    obs: &ObsSink,
-    method: Method,
-    condition: Condition,
-    index: usize,
-    m: &Metrics,
-    rates: Option<&[f64]>,
-    started: std::time::Instant,
-) {
-    if !obs.enabled() {
-        return;
-    }
-    let mut fields: Vec<(&str, Json)> = vec![
-        ("cell", cell_label(method, condition).into()),
-        ("method", method.name().into()),
-        ("condition", condition.short().into()),
-        ("index", index.into()),
-        ("final_loss", m.final_loss().map_or(Json::Null, Json::Num)),
-        ("receiving_rate", m.model_receiving_rate().into()),
-        ("sessions", m.sessions.into()),
-        ("model_sends", m.model_sends.into()),
-        ("model_receives", m.model_receives.into()),
-        ("coreset_sends", m.coreset_sends.into()),
-        ("coreset_receives", m.coreset_receives.into()),
-        ("bytes_delivered", m.bytes_delivered.into()),
-        ("comm_seconds", m.comm_seconds.into()),
-        ("train_iterations", m.train_iterations.into()),
-    ];
-    if let Some(rates) = rates {
-        fields.push(("rates", Json::Arr(rates.iter().map(|&r| Json::Num(r)).collect())));
-    }
-    fields.push(("wall_ms", Json::Num(started.elapsed().as_secs_f64() * 1e3)));
-    obs.emit(EventKind::CellFinish, &fields);
+    Ok(CellOutput { metrics: m, rates })
 }
 
 /// Builds a Table II/III-shaped table: rows = tasks, columns = methods,
@@ -169,12 +123,11 @@ pub fn success_table_obs(
 /// One column of a task table: its label, and the cell that fills it.
 pub type TaskCell = (String, Method, Condition);
 
-/// The driver of every task-shaped table (Tables II–VII): one column per
-/// cell, one row per task. The cells are trained and evaluated
-/// concurrently, each recording its events as described on
-/// [`train_and_evaluate_obs`] with its position in `cells` as its index.
-/// Returns the table and the cell outputs in `cells` order, or the first
-/// failing cell's error in that order.
+/// Trains and evaluates `cells` concurrently, each recording its events as
+/// described on [`train_and_evaluate_obs`] with its position in `cells` as
+/// its index, and renders their [`task_table`]. Returns the table and the
+/// cell outputs in `cells` order, or the first failing cell's error in
+/// that order.
 pub fn task_table_obs(
     title: &str,
     cells: &[TaskCell],
@@ -187,12 +140,20 @@ pub fn task_table_obs(
     })
     .into_iter()
     .collect::<Result<Vec<_>, _>>()?;
-    let mut table = Table::new(title, cells.iter().map(|(label, _, _)| label.clone()).collect());
+    let columns: Vec<_> = cells.iter().zip(&outputs).collect();
+    Ok((task_table(title, &columns), outputs))
+}
+
+/// Renders a task table: one column per cell, headed by its label, and
+/// one row per task of the success rates in the cell's output.
+pub fn task_table(title: &str, columns: &[(&TaskCell, &CellOutput)]) -> Table {
+    let labels = columns.iter().map(|((label, _, _), _)| label.clone()).collect();
+    let mut table = Table::new(title, labels);
     for (t_idx, task) in Task::ALL.iter().enumerate() {
-        let row: Vec<f64> = outputs.iter().map(|out| out.rates[t_idx]).collect();
+        let row: Vec<f64> = columns.iter().map(|(_, out)| out.rates[t_idx]).collect();
         table.row_pct(task.name(), &row);
     }
-    Ok((table, outputs))
+    table
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! One in-process driver, [`paper`], regenerates the paper's eight
 //! artifacts: an [`paper::Artifact`] per figure or table (`fig2`,
 //! `table2` … `table7`, `fig3`), each with a one-line binary of the same
-//! name, and `run_all`, which builds one [`Scenario`] and runs them all in
-//! this process. The driver is built on three pieces:
+//! name, and `run_all`, which renders them all in this process, training
+//! each distinct cell once. The driver is built on three pieces:
 //!
 //! * [`scenario`] — builds the shared experimental world: the map, the
 //!   per-vehicle route-conditioned datasets, the held-out evaluation set,
@@ -15,9 +15,9 @@
 //!   under a given wireless-loss condition.
 //! * [`report`] — paper-style text tables and CSV output under `results/`.
 //!
-//! Each artifact additionally records a [`manifest`] — a structured JSONL
-//! event stream under `results/runs/` (schema in `docs/OBSERVABILITY.md`)
-//! — which the extra `summarize_runs` binary renders side by side.
+//! Each invocation also records a [`manifest`] — a structured JSONL event
+//! stream under `results/runs/` (schema in `docs/OBSERVABILITY.md`) —
+//! which the extra `summarize_runs` binary renders side by side.
 //!
 //! Scales: every binary accepts `--quick` (smoke test), defaults to a
 //! laptop-friendly reduced scale, and accepts `--paper` for the paper's

@@ -1,7 +1,8 @@
-//! Run manifests: one JSONL event stream per artifact run.
+//! Run manifests: one JSONL event stream per experiment invocation.
 //!
-//! A [`RunManifest`] wraps a recording [`ObsSink`] for the run of one
-//! [`crate::paper::Artifact`]. On [`RunManifest::start`] it emits a
+//! A [`RunManifest`] wraps a recording [`ObsSink`] for one
+//! [`crate::paper::run`]: a single artifact's binary, or `run_all` over
+//! every artifact. On [`RunManifest::start`] it emits a
 //! `run_start` event (config snapshot, seed, jobs, git revision, ISA); the
 //! driver then threads [`RunManifest::sink`] through the harness so every
 //! cell, round, transfer, and trial lands in the same stream; rendered
@@ -15,7 +16,7 @@
 //! `docs/OBSERVABILITY.md` specifies the event schema; the
 //! `summarize_runs` binary renders manifests side by side.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use crate::report::Table;
@@ -45,10 +46,10 @@ pub struct RunManifest {
 }
 
 impl RunManifest {
-    /// Opens a manifest named after the artifact (`"table2"`,
-    /// `"fig3"`, …) and emits the `run_start` event snapshotting `scale`.
-    /// Recording is on unless the `LBCHAT_OBS` environment variable is
-    /// `0`.
+    /// Opens a manifest named after the invocation (`"table2"`, `"fig3"`,
+    /// `"run_all"`, …) and emits the `run_start` event snapshotting
+    /// `scale`. Recording is on unless the `LBCHAT_OBS` environment
+    /// variable is `0`.
     #[expect(clippy::disallowed_methods, reason = "feeds wall_ms, a documented TIMING_FIELDS key the result comparators strip")]
     pub fn start(name: &str, scale: &Scale) -> RunManifest {
         let enabled = std::env::var(OBS_ENV).map_or(true, |v| v.trim() != "0");
@@ -79,7 +80,7 @@ impl RunManifest {
     }
 
     /// The sink to thread through the harness (`success_table_obs`,
-    /// `run_cell_obs`, …). Disabled when recording is off.
+    /// `train_and_evaluate_obs`, …). Disabled when recording is off.
     pub fn sink(&self) -> &ObsSink {
         &self.sink
     }
@@ -208,43 +209,37 @@ fn isa() -> &'static str {
     }
 }
 
-/// Best-effort current git revision, read straight from `.git` (the
-/// workspace has no process-spawning helpers and no libgit): resolves
-/// `HEAD` through one level of ref indirection, consulting
-/// `packed-refs` when the loose ref file is absent. Returns
-/// `"unknown"` outside a git checkout.
+/// Best-effort git revision of the checkout holding the current directory
+/// (the binaries may run from a subdirectory of it), or `"unknown"`.
 fn git_rev() -> String {
-    fn read(path: &std::path::Path) -> Option<String> {
-        std::fs::read_to_string(path).ok().map(|s| s.trim().to_string())
-    }
-    // Walk up from the current directory to find `.git` (the binaries
-    // may run from a subdirectory of the checkout).
-    let mut dir = std::env::current_dir().ok();
-    while let Some(d) = dir {
+    std::env::current_dir().ok().and_then(|d| git_rev_from(&d)).unwrap_or_else(|| "unknown".into())
+}
+
+/// The git revision of the checkout holding `start`, read straight from
+/// `.git` (the workspace has no process-spawning helpers and no libgit):
+/// the nearest `.git` directory, or `gitdir:` file as in a worktree or a
+/// submodule, up from `start`. A symbolic `HEAD` resolves through one ref
+/// under the common directory (`commondir`), loose or in `packed-refs`.
+fn git_rev_from(start: &Path) -> Option<String> {
+    let read = |path: &Path| std::fs::read_to_string(path).ok().map(|s| s.trim().to_string());
+    let git_dir = start.ancestors().find_map(|d| {
         let git = d.join(".git");
         if git.is_dir() {
-            let head = match read(&git.join("HEAD")) {
-                Some(h) => h,
-                None => break,
-            };
-            if let Some(refname) = head.strip_prefix("ref: ") {
-                if let Some(sha) = read(&git.join(refname)) {
-                    return sha;
-                }
-                if let Some(packed) = read(&git.join("packed-refs")) {
-                    for line in packed.lines() {
-                        if let Some(sha) = line.strip_suffix(refname) {
-                            return sha.trim().to_string();
-                        }
-                    }
-                }
-                break;
-            }
-            return head; // detached HEAD: the SHA itself
+            return Some(git);
         }
-        dir = d.parent().map(std::path::Path::to_path_buf);
-    }
-    "unknown".to_string()
+        read(&git)?.strip_prefix("gitdir:").map(|p| d.join(p.trim()))
+    })?;
+    let head = read(&git_dir.join("HEAD"))?;
+    let Some(refname) = head.strip_prefix("ref: ") else {
+        return Some(head); // detached HEAD: the SHA itself
+    };
+    let common = read(&git_dir.join("commondir")).map_or(git_dir.clone(), |c| git_dir.join(c));
+    read(&common.join(refname)).or_else(|| {
+        read(&common.join("packed-refs"))?.lines().find_map(|line| {
+            let (sha, name) = line.split_once(' ')?;
+            (name == refname).then(|| sha.to_string())
+        })
+    })
 }
 
 #[cfg(test)]
@@ -260,6 +255,71 @@ mod tests {
             rev == "unknown" || (rev.len() == 40 && rev.chars().all(|c| c.is_ascii_hexdigit())),
             "unexpected git rev {rev:?}"
         );
+    }
+
+    /// Writes `files` (path, content) under a fresh temp directory and
+    /// returns its root.
+    fn layout(name: &str, files: &[(&str, &str)]) -> PathBuf {
+        let root = std::env::temp_dir().join(format!("git-rev-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        for (path, content) in files {
+            let path = root.join(path);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, content).unwrap();
+        }
+        root
+    }
+
+    const A: &str = "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa";
+    const B: &str = "bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb";
+
+    #[test]
+    fn git_rev_reads_a_loose_ref_from_a_subdirectory() {
+        let root = layout(
+            "loose",
+            &[(".git/HEAD", "ref: refs/heads/main\n"), (".git/refs/heads/main", &format!("{A}\n"))],
+        );
+        assert_eq!(git_rev_from(&root.join("crates/experiments")).as_deref(), Some(A));
+        std::fs::remove_dir_all(root).unwrap();
+    }
+
+    #[test]
+    fn git_rev_matches_a_packed_ref_name_exactly() {
+        // The decoy's name ends with the target's: only an exact match may
+        // resolve HEAD.
+        let packed = format!(
+            "# pack-refs with: peeled fully-peeled sorted\n\
+             {A} refs/remotes/mirror/refs/heads/main\n{B} refs/heads/main\n^{A}\n"
+        );
+        let root = layout(
+            "packed",
+            &[(".git/HEAD", "ref: refs/heads/main\n"), (".git/packed-refs", &packed)],
+        );
+        assert_eq!(git_rev_from(&root).as_deref(), Some(B));
+        std::fs::remove_dir_all(root).unwrap();
+    }
+
+    #[test]
+    fn git_rev_follows_a_worktrees_gitdir_file() {
+        // A worktree checked out inside another checkout: its `.git` is a
+        // file naming its git directory, whose HEAD is the worktree's
+        // branch; refs live in the main repository (`commondir`).
+        let root = layout(
+            "worktree",
+            &[
+                (".git/HEAD", "ref: refs/heads/main\n"),
+                (".git/refs/heads/main", &format!("{A}\n")),
+                (".git/refs/heads/feature", &format!("{B}\n")),
+                (".git/worktrees/wt/HEAD", "ref: refs/heads/feature\n"),
+                (".git/worktrees/wt/commondir", "../..\n"),
+            ],
+        );
+        let gitdir = format!("gitdir: {}\n", root.join(".git/worktrees/wt").display());
+        std::fs::create_dir_all(root.join("nested/wt/src")).unwrap();
+        std::fs::write(root.join("nested/wt/.git"), gitdir).unwrap();
+        assert_eq!(git_rev_from(&root.join("nested/wt/src")).as_deref(), Some(B));
+        assert_eq!(git_rev_from(&root.join("nested")).as_deref(), Some(A));
+        std::fs::remove_dir_all(root).unwrap();
     }
 
     #[test]

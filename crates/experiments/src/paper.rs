@@ -1,16 +1,15 @@
-//! The paper's eight evaluation artifacts as one table.
+//! The paper's eight evaluation artifacts and their one driver.
 //!
-//! Each [`Artifact`] is one figure or table of §IV, and [`Artifact::run`]
-//! regenerates it on a built [`Scenario`]: it opens the artifact's
-//! [`RunManifest`], trains the cells, prints the paper-shaped result,
-//! records the rendered table, writes the CSV under `results/` and
-//! finishes the manifest. Each artifact's binary is a one-line call to
-//! [`main`]; `run_all` parses [`Args`] once, builds one [`Scenario`] and
-//! runs [`Artifact::ALL`] in-process. Tables II–VII are lists of
-//! [`TaskCell`]s for [`task_table_obs`]; Figs. 2 and 3 share the
-//! loss-curve driver.
+//! Each [`Artifact`] is one figure or table of §IV: a declared list of
+//! cells, [`Artifact::cells`], and a renderer over their outputs. [`run`]
+//! regenerates a list of artifacts on a built [`Scenario`] under one
+//! [`RunManifest`]: it trains and evaluates each distinct (method,
+//! condition) pair of their cells once, in one fan-out, then prints each
+//! artifact in order, records its tables and writes its CSVs under
+//! `results/`. Each artifact's binary is a one-line call to [`main`];
+//! `run_all` passes [`Artifact::ALL`] to the same [`run`].
 
-use crate::harness::{run_cell_obs, task_table_obs, TaskCell};
+use crate::harness::{task_table, train_and_evaluate_obs, CellOutput, TaskCell};
 use crate::report::{curve_csv, write_csv, Table};
 use crate::{exit_on_error, Args, Condition, Method, RunManifest, Scenario};
 use lbchat::exec;
@@ -41,7 +40,7 @@ pub enum Artifact {
 const BOTH: [Condition; 2] = [Condition::NoLoss, Condition::WithLoss];
 
 impl Artifact {
-    /// Every artifact, in the order `run_all` runs them.
+    /// Every artifact, in the order `run_all` renders them.
     pub const ALL: [Artifact; 8] = [
         Artifact::Fig2,
         Artifact::Table2,
@@ -58,59 +57,115 @@ impl Artifact {
         ["fig2", "table2", "table3", "table4", "table5", "table6", "table7", "fig3"][self as usize]
     }
 
-    /// Regenerates the artifact on `s` under its own manifest (see the
-    /// module docs). Fig. 2 and Tables II/III train the `--methods`
-    /// subset of `args`. Exits the process if a cell fails to run.
-    pub fn run(self, s: &Scenario, args: &Args) {
-        let run = RunManifest::start(self.name(), &s.scale);
-        match self.task_cells(s, args) {
-            Some((title, cells)) => task_table(self, title, &cells, s, &run),
-            None => loss_curves(self, args, s, &run),
-        }
-        run.finish();
-    }
-
-    /// The title and cells of a task-shaped table; `None` for a figure.
-    fn task_cells(self, s: &Scenario, args: &Args) -> Option<(&'static str, Vec<TaskCell>)> {
-        let per_method = |c: Condition| {
-            let methods = args.methods_or(&Method::MAIN);
-            methods.into_iter().map(|m| (m.name().to_string(), m, c)).collect()
+    /// The cells the artifact renders: a table's columns, or a figure's
+    /// curves, panel (a)'s before (b)'s. Fig. 2 and Tables II/III take the
+    /// `--methods` subset of `args`; Table IV's sizes follow `args.scale`.
+    pub fn cells(self, args: &Args) -> Vec<TaskCell> {
+        let per_method = |methods: &[Method], conditions: &[Condition]| -> Vec<TaskCell> {
+            let column = |c: Condition| methods.iter().map(move |&m| (m.name().to_string(), m, c));
+            conditions.iter().flat_map(|&c| column(c)).collect()
         };
         let per_condition = |m: Method| BOTH.map(|c| (c.label().to_string(), m, c)).to_vec();
-        let (big, small) = (s.scale.coreset_size * 10, (s.scale.coreset_size / 10).max(2));
-        Some(match self {
-            Artifact::Table2 => (
-                "Table II — driving success rate on average (W/O wireless loss) (%)",
-                per_method(Condition::NoLoss),
-            ),
-            Artifact::Table3 => (
-                "Table III — driving success rate on average (W wireless loss) (%)",
-                per_method(Condition::WithLoss),
-            ),
-            Artifact::Table4 => (
-                "Table IV — driving success rate with different coreset size (%)",
-                BOTH.into_iter()
-                    .flat_map(|c| [big, small].map(|size| (size, c)))
-                    .map(|(size, c)| {
-                        let tag = if c == Condition::NoLoss { "W/O" } else { "W" };
-                        (format!("{size} ({tag})"), Method::LbChatCoreset(size), c)
-                    })
-                    .collect(),
-            ),
-            Artifact::Table5 => (
-                "Table V — driving success rate with equal comp. ratio (%)",
-                per_condition(Method::LbChatEqualComp),
-            ),
-            Artifact::Table6 => (
-                "Table VI — driving success rate with avg. aggregation (%)",
-                per_condition(Method::LbChatAvgAgg),
-            ),
-            Artifact::Table7 => (
-                "Table VII — driving success rate with sharing coreset only (%)",
-                per_condition(Method::Sco),
-            ),
-            Artifact::Fig2 | Artifact::Fig3 => return None,
-        })
+        let main = args.methods_or(&Method::MAIN);
+        let size = args.scale.coreset_size;
+        match self {
+            Artifact::Fig2 => per_method(&main, &BOTH),
+            Artifact::Table2 => per_method(&main, &[Condition::NoLoss]),
+            Artifact::Table3 => per_method(&main, &[Condition::WithLoss]),
+            Artifact::Table4 => BOTH
+                .into_iter()
+                .flat_map(|c| {
+                    let tag = if c == Condition::NoLoss { "W/O" } else { "W" };
+                    let cell = |n| (format!("{n} ({tag})"), Method::LbChatCoreset(n), c);
+                    [size * 10, (size / 10).max(2)].map(cell)
+                })
+                .collect(),
+            Artifact::Table5 => per_condition(Method::LbChatEqualComp),
+            Artifact::Table6 => per_condition(Method::LbChatAvgAgg),
+            Artifact::Table7 => per_condition(Method::Sco),
+            Artifact::Fig3 => per_method(&[Method::LbChat, Method::Sco], &BOTH),
+        }
+    }
+
+    /// Prints the artifact from its `columns` (each cell with its output),
+    /// records its tables and writes its CSVs. Returns whether every CSV
+    /// was written.
+    fn render(self, columns: &[(&TaskCell, &CellOutput)], run: &RunManifest) -> bool {
+        let title = match self {
+            Artifact::Table2 => "Table II — driving success rate on average (W/O wireless loss) (%)",
+            Artifact::Table3 => "Table III — driving success rate on average (W wireless loss) (%)",
+            Artifact::Table4 => "Table IV — driving success rate with different coreset size (%)",
+            Artifact::Table5 => "Table V — driving success rate with equal comp. ratio (%)",
+            Artifact::Table6 => "Table VI — driving success rate with avg. aggregation (%)",
+            Artifact::Table7 => "Table VII — driving success rate with sharing coreset only (%)",
+            Artifact::Fig2 | Artifact::Fig3 => return self.loss_curves(columns, run),
+        };
+        let table = task_table(title, columns);
+        println!("{}", table.render());
+        if self == Artifact::Table3 {
+            println!("Successful model receiving rates:");
+            for ((_, m, _), out) in columns {
+                println!("  {:<10} {:.0}%", m.name(), out.metrics.model_receiving_rate() * 100.0);
+            }
+        }
+        run.record_table(&table);
+        write_csv(&format!("{}.csv", self.name()), &table.to_csv())
+    }
+
+    /// Figs. 2 and 3: prints each panel's loss curves and writes
+    /// `<name><panel>.csv`. Fig. 2 adds the receiving-rate table under
+    /// panel (b); Fig. 3 prints each panel's SCO/LbChat convergence-time
+    /// ratio and records both.
+    fn loss_curves(self, columns: &[(&TaskCell, &CellOutput)], run: &RunManifest) -> bool {
+        let fig3 = self == Artifact::Fig3;
+        let (number, heading) =
+            if fig3 { (3, "LbChat vs SCO") } else { (2, "training loss vs time") };
+        let mut ratios = Vec::new();
+        let mut saved = true;
+        for (panel, condition) in ["a", "b"].into_iter().zip(BOTH) {
+            println!("=== Fig. {number}({panel}) — {heading}, {} ===", condition.label());
+            let shown: Vec<(&str, &Metrics)> = columns
+                .iter()
+                .filter(|((_, _, c), _)| *c == condition)
+                .map(|((label, _, _), out)| (label.as_str(), &out.metrics))
+                .collect();
+            let curves: Vec<(&str, &[(f64, f64)])> =
+                shown.iter().map(|&(n, m)| (n, &m.loss_curve[..])).collect();
+            let names: String = curves.iter().map(|(n, _)| format!("{n:>10}")).collect();
+            println!("{:<10} {names}", "time(s)");
+            for (k, &(t, _)) in curves[0].1.iter().enumerate() {
+                print!("{t:<10.0}");
+                for (_, c) in &curves {
+                    print!("{:>10.4}", c.get(k).map_or(f64::NAN, |p| p.1));
+                }
+                println!();
+            }
+            if fig3 {
+                ratios.push(convergence_ratio(shown[0].1, shown[1].1));
+            } else if condition == Condition::WithLoss {
+                println!("\nSuccessful model receiving rate (W wireless loss):");
+                let mut rates = Table::new(
+                    "Fig. 2 — successful model receiving rate (W wireless loss) (%)",
+                    shown.iter().map(|(n, _)| (*n).to_string()).collect(),
+                );
+                let pct: Vec<f64> =
+                    shown.iter().map(|(_, m)| m.model_receiving_rate() * 100.0).collect();
+                rates.row_pct("receiving rate", &pct);
+                for ((n, _), r) in shown.iter().zip(&pct) {
+                    println!("  {n:<10} {r:.0}%");
+                }
+                run.record_table(&rates);
+            }
+            saved &= write_csv(&format!("{}{panel}.csv", self.name()), &curve_csv(&curves));
+            println!();
+        }
+        if fig3 {
+            let columns = BOTH.map(|c| c.label().to_string()).to_vec();
+            let mut table = Table::new("Fig. 3 — convergence-time ratio SCO/LbChat", columns);
+            table.row("SCO/LbChat", ratios);
+            run.record_table(&table);
+        }
+        saved
     }
 }
 
@@ -121,85 +176,51 @@ pub fn scenario(args: &Args) -> Scenario {
 }
 
 /// The whole of an artifact's binary: parse the shared CLI, build the
-/// scenario and run `artifact` on it.
+/// scenario and [`run`] `artifact` on it.
 pub fn main(artifact: Artifact) {
     let args = Args::parse();
-    artifact.run(&scenario(&args), &args);
+    run(artifact.name(), &[artifact], &scenario(&args), &args);
 }
 
-/// Tables II–VII: trains and evaluates the cells, prints the table (and
-/// Table III's receiving rates), records it and writes `<name>.csv`.
-fn task_table(table: Artifact, title: &str, cells: &[TaskCell], s: &Scenario, run: &RunManifest) {
-    let (rendered, outputs) = exit_on_error(task_table_obs(title, cells, s, run.sink()));
-    println!("{}", rendered.render());
-    if table == Artifact::Table3 {
-        println!("Successful model receiving rates:");
-        for ((_, m, _), out) in cells.iter().zip(&outputs) {
-            println!("  {:<10} {:.0}%", m.name(), out.metrics.model_receiving_rate() * 100.0);
-        }
-    }
-    run.record_table(&rendered);
-    let path = write_csv(&format!("{}.csv", table.name()), &rendered.to_csv()).expect("write CSV");
-    eprintln!("wrote {}", path.display());
-}
-
-/// Figs. 2 and 3: trains the figure's methods without and with wireless
-/// loss, prints each panel's loss curves and writes `<name><panel>.csv`.
-/// Fig. 2 adds the receiving-rate table under panel (b); Fig. 3 prints
-/// each panel's SCO/LbChat convergence-time ratio and records both.
-fn loss_curves(fig: Artifact, args: &Args, s: &Scenario, run: &RunManifest) {
-    let (methods, number, heading) = match fig {
-        Artifact::Fig3 => (vec![Method::LbChat, Method::Sco], 3, "LbChat vs SCO"),
-        _ => (args.methods_or(&Method::MAIN), 2, "training loss vs time"),
-    };
-    let mut ratios = Vec::new();
-    for (panel, condition) in ["a", "b"].into_iter().zip(BOTH) {
-        println!("=== Fig. {number}({panel}) — {heading}, {} ===", condition.label());
-        let outs: Vec<Metrics> = exec::par_map_traced(run.sink(), "cell", &methods, |idx, &m| {
-            eprintln!("  running {} ...", m.name());
-            run_cell_obs(m, s, condition, run.sink(), idx)
+/// Regenerates `artifacts` on `s` under one manifest named `name` (see the
+/// module docs); a cell's index is its position among the distinct cells.
+/// Exits with status 2 if a cell fails, or, once everything is printed
+/// and the manifest finished, if a CSV could not be written.
+pub fn run(name: &str, artifacts: &[Artifact], s: &Scenario, args: &Args) {
+    let run = RunManifest::start(name, &s.scale);
+    let plan: Vec<Vec<TaskCell>> = artifacts.iter().map(|a| a.cells(args)).collect();
+    let (distinct, slots) = distinct_cells(&plan);
+    let outputs: Vec<CellOutput> =
+        exec::par_map_traced(run.sink(), "cell", &distinct, |idx, &(m, c)| {
+            eprintln!("  [{}] training + evaluating {} ...", c.label(), m.name());
+            train_and_evaluate_obs(m, s, c, run.sink(), idx)
         })
         .into_iter()
         .map(exit_on_error)
         .collect();
-        let curves: Vec<(&str, &[(f64, f64)])> =
-            methods.iter().zip(&outs).map(|(m, o)| (m.name(), &o.loss_curve[..])).collect();
-        let names: String = curves.iter().map(|(n, _)| format!("{n:>10}")).collect();
-        println!("{:<10} {names}", "time(s)");
-        for (k, &(t, _)) in curves[0].1.iter().enumerate() {
-            print!("{t:<10.0}");
-            for (_, c) in &curves {
-                print!("{:>10.4}", c.get(k).map_or(f64::NAN, |p| p.1));
-            }
-            println!();
-        }
-        if fig == Artifact::Fig3 {
-            ratios.push(convergence_ratio(&outs[0], &outs[1]));
-        } else if condition == Condition::WithLoss {
-            println!("\nSuccessful model receiving rate (W wireless loss):");
-            let mut rates = Table::new(
-                "Fig. 2 — successful model receiving rate (W wireless loss) (%)",
-                methods.iter().map(|m| m.name().to_string()).collect(),
-            );
-            let pct: Vec<f64> =
-                outs.iter().map(|o| o.model_receiving_rate() * 100.0).collect();
-            rates.row_pct("receiving rate", &pct);
-            for (m, r) in methods.iter().zip(&pct) {
-                println!("  {:<10} {r:.0}%", m.name());
-            }
-            run.record_table(&rates);
-        }
-        let path = write_csv(&format!("{}{panel}.csv", fig.name()), &curve_csv(&curves))
-            .expect("write CSV");
-        eprintln!("wrote {}", path.display());
-        println!();
+    let mut saved = true;
+    for ((artifact, cells), slots) in artifacts.iter().zip(&plan).zip(slots) {
+        let columns: Vec<_> = cells.iter().zip(slots).map(|(c, i)| (c, &outputs[i])).collect();
+        saved &= artifact.render(&columns, &run);
     }
-    if fig == Artifact::Fig3 {
-        let columns = BOTH.map(|c| c.label().to_string()).to_vec();
-        let mut table = Table::new("Fig. 3 — convergence-time ratio SCO/LbChat", columns);
-        table.row("SCO/LbChat", ratios);
-        run.record_table(&table);
+    run.finish();
+    if !saved {
+        std::process::exit(2);
     }
+}
+
+/// The distinct (method, condition) pairs of `plan` in first-seen order,
+/// and each planned cell's position among them.
+fn distinct_cells(plan: &[Vec<TaskCell>]) -> (Vec<(Method, Condition)>, Vec<Vec<usize>>) {
+    let mut distinct = Vec::new();
+    let mut slot = |&(_, m, c): &TaskCell| {
+        distinct.iter().position(|&p| p == (m, c)).unwrap_or_else(|| {
+            distinct.push((m, c));
+            distinct.len() - 1
+        })
+    };
+    let slots = plan.iter().map(|cells| cells.iter().map(&mut slot).collect()).collect();
+    (distinct, slots)
 }
 
 /// Prints and returns the SCO/LbChat convergence-time ratio at a common
@@ -217,6 +238,26 @@ fn convergence_ratio(lbchat: &Metrics, sco: &Metrics) -> String {
         _ => {
             println!("SCO did not reach LbChat's convergence threshold in this window");
             "n/a".to_string()
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_paper_plans_each_distinct_cell_once() {
+        for flags in [&["--quick"][..], &[], &["--paper"], &["--methods", "lbchat,lbchat"]] {
+            let args = Args::try_parse(flags.iter().map(|f| (*f).to_string())).unwrap();
+            let plan: Vec<Vec<TaskCell>> = Artifact::ALL.iter().map(|a| a.cells(&args)).collect();
+            let (distinct, slots) = distinct_cells(&plan);
+            let planned = plan.iter().flatten().map(|&(_, m, c)| (m, c));
+            assert!(planned.eq(slots.iter().flatten().map(|&i| distinct[i])), "{flags:?}");
+            let expected = if args.methods.is_some() { 12 } else { 20 };
+            assert_eq!(distinct.len(), expected, "{flags:?}: {distinct:?}");
+            // One LbChat cell per condition, however often the plan names it.
+            assert_eq!(distinct.iter().filter(|(m, _)| *m == Method::LbChat).count(), 2);
         }
     }
 }

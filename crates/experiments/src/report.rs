@@ -104,14 +104,17 @@ impl Table {
     }
 }
 
-/// Writes CSV content under `results/`, creating the directory if needed.
-/// Returns the path written.
-pub fn write_csv(name: &str, content: &str) -> std::io::Result<std::path::PathBuf> {
-    let dir = Path::new("results");
-    fs::create_dir_all(dir)?;
-    let path = dir.join(name);
-    fs::write(&path, content)?;
-    Ok(path)
+/// Writes CSV content to `results/<name>`, creating the directory if
+/// needed, and names the file on stderr. A failure is reported there, not
+/// raised; returns whether the file was written.
+pub fn write_csv(name: &str, content: &str) -> bool {
+    let path = Path::new("results").join(name);
+    let written = fs::create_dir_all("results").and_then(|()| fs::write(&path, content));
+    match &written {
+        Ok(()) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    }
+    written.is_ok()
 }
 
 /// Renders a loss-vs-time curve as CSV (`time_s,loss` rows).

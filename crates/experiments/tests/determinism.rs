@@ -6,7 +6,7 @@
 //! [`lbchat::exec::set_jobs`] is process-global — two tests toggling it
 //! concurrently would race.
 
-use experiments::harness::{run_cell_obs, train_and_evaluate_obs};
+use experiments::harness::train_and_evaluate_obs;
 use experiments::methods::{lbchat_algorithm, lbchat_config, runtime_config};
 use experiments::{run_method, Condition, Method, Scale, Scenario};
 use lbchat::exec;
@@ -75,14 +75,12 @@ fn results_are_bit_identical_for_any_job_count() {
         );
     }
 
-    // The loss-curve contract under wireless loss. Training-only cells (no
+    // The loss-curve contract under wireless loss. Training-only runs (no
     // closed-loop eval) keep this arm cheap.
     exec::set_jobs(1);
-    let a = run_cell_obs(Method::LbChat, &s, Condition::WithLoss, &ObsSink::disabled(), 0)
-        .expect("scenario fits");
+    let a = run_method(Method::LbChat, &s, Condition::WithLoss).expect("scenario fits").metrics;
     exec::set_jobs(4);
-    let b = run_cell_obs(Method::LbChat, &s, Condition::WithLoss, &ObsSink::disabled(), 0)
-        .expect("scenario fits");
+    let b = run_method(Method::LbChat, &s, Condition::WithLoss).expect("scenario fits").metrics;
     exec::set_jobs(1);
     assert_eq!(a.loss_curve, b.loss_curve, "lossy-radio loss curve must not depend on --jobs");
 }
