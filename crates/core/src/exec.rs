@@ -1,17 +1,24 @@
 //! Deterministic parallel execution.
 //!
-//! The benchmark stack is embarrassingly parallel at several levels —
-//! (method, condition) table cells, closed-loop driving trials, per-vehicle
-//! BEV observations — but reproducibility is non-negotiable: the same seed
-//! must produce byte-identical tables regardless of how many workers run.
-//! This module provides the two pieces that make that combination work,
-//! with no dependencies beyond `std`:
+//! The benchmark stack fans out at three levels — (method, condition)
+//! table cells, evaluation tasks and closed-loop driving trials — and
+//! nowhere below them: a training step and a collection frame run on their
+//! caller's thread. A unit of work there costs milliseconds to seconds; a
+//! per-step or per-frame fan-out would spawn threads inside cells that
+//! already fill the pool, and spend more in the kernel than it saves.
+//! Reproducibility is non-negotiable: the same seed must produce
+//! byte-identical tables regardless of how many workers run. This module
+//! provides the two pieces that make that combination work, with no
+//! dependencies beyond `std`:
 //!
-//! * [`par_run`] — a scoped worker pool (`std::thread::scope`) that fans a
-//!   work list across up to [`jobs`] threads and returns results **in input
-//!   order**. Callers must make each work item self-contained
-//!   (no RNG shared across items); under that contract the output is
-//!   bit-identical for any job count, including 1.
+//! * [`par_run_traced`] — a scoped worker pool (`std::thread::scope`) that
+//!   fans a work list across up to [`jobs`] threads and returns results
+//!   **in input order**, recording one `work_unit` timing event per item
+//!   into an [`ObsSink`](crate::obs::ObsSink) — span parentage is captured
+//!   on the submitting thread, so nesting stays correct across the pool —
+//!   and [`par_map_traced`], the same over a slice. Callers must make each
+//!   work item self-contained (no RNG shared across items); under that
+//!   contract the output is bit-identical for any job count, including 1.
 //! * [`derive_seed`] — a stable, platform-independent seed-derivation
 //!   function: a `(base seed, stream tag, index)` triple maps to one `u64`.
 //!   Units of parallel work seed their own `StdRng` from it, so splitting
@@ -20,12 +27,6 @@
 //! The worker count resolves, in order: an explicit [`set_jobs`] override
 //! (the `--jobs` CLI flag), the `LBCHAT_JOBS` environment variable, and
 //! finally [`std::thread::available_parallelism`].
-//!
-//! [`par_run_traced`] is the same fan-out with one `work_unit` timing event
-//! per item recorded into an [`ObsSink`](crate::obs::ObsSink) — span
-//! parentage is captured on the submitting thread, so nesting stays correct
-//! across the pool — and [`par_map_traced`] runs it over a slice. With a
-//! disabled sink both are exactly [`par_run`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -35,7 +36,7 @@ static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// Environment variable consulted by [`jobs`] when no override is set.
 pub const JOBS_ENV: &str = "LBCHAT_JOBS";
 
-/// Overrides the worker count used by [`par_run`] (the
+/// Overrides the worker count used by [`par_run_traced`] (the
 /// `--jobs` flag). A value of 0 clears the override, falling back to
 /// `LBCHAT_JOBS` / hardware detection.
 pub fn set_jobs(n: usize) {
@@ -70,7 +71,7 @@ pub fn jobs() -> usize {
 ///
 /// # Panics
 /// Re-raises a panic from any work item on the calling thread.
-pub fn par_run<R, F>(n: usize, f: F) -> Vec<R>
+fn par_run<R, F>(n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
@@ -106,16 +107,35 @@ where
     keyed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// [`par_run`] with per-work-unit observability: when `sink` is
-/// recording, each work item runs inside a `work_unit` span (see
-/// [`crate::obs`]) tagged with `stage` and the item index, parented to
-/// whatever span was open on the *calling* thread — so span nesting
-/// survives the pool boundary. With a disabled sink this is exactly
-/// [`par_run`].
+/// Runs `f(0..n)` across up to [`jobs`] worker threads and returns the
+/// results in index order. Items are claimed from a shared counter, so
+/// uneven costs balance, and the re-sort by index keeps the schedule out
+/// of the output; with one worker (or one item) the work runs inline on
+/// the calling thread.
+///
+/// When `sink` is recording, each work item runs inside a `work_unit` span
+/// (see [`crate::obs`]) tagged with `stage` and the item index, parented
+/// to whatever span was open on the *calling* thread — so span nesting
+/// survives the pool boundary.
 ///
 /// The emitted `work_unit` events carry only timing plus the
 /// deterministic `(stage, index)` pair, so traced runs remain comparable
 /// across `--jobs` settings.
+///
+/// The closure is `Fn + Sync` and every draw needs `&mut` access to its
+/// generator, so items cannot share one serial RNG stream — whose draw
+/// order would follow the schedule. Capturing a generator and drawing
+/// from it does not compile; each item seeds its own from [`derive_seed`]:
+///
+/// ```compile_fail
+/// use rand::{rngs::StdRng, RngExt, SeedableRng};
+/// let sink = lbchat::obs::ObsSink::disabled();
+/// let mut rng = StdRng::seed_from_u64(7);
+/// let draws = lbchat::exec::par_run_traced(&sink, "draw", 8, |_| rng.random::<f32>());
+/// ```
+///
+/// # Panics
+/// Re-raises a panic from any work item on the calling thread.
 pub fn par_run_traced<R, F>(sink: &crate::obs::ObsSink, stage: &str, n: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -147,63 +167,6 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     par_run_traced(sink, stage, items.len(), |i| f(i, &items[i]))
-}
-
-/// Runs `f(index, &mut item)` over every item, splitting the slice into one
-/// contiguous chunk per worker. Unlike [`par_run`] there is no result
-/// collection and no work stealing: each worker owns a fixed range, which is
-/// what in-place mutation needs.
-///
-/// Used by batched local training to process fixed-size gradient shards in
-/// parallel: because each shard's content depends only on its index (never
-/// on scheduling), any worker count — including the inline 1-worker path —
-/// produces bit-identical shard states.
-///
-/// The closure is `Fn + Sync` and every draw needs `&mut` access to its
-/// generator, so items cannot share one serial RNG stream — whose draw
-/// order would follow the schedule. Capturing a generator and drawing
-/// from it does not compile; each item seeds its own from [`derive_seed`]:
-///
-/// ```compile_fail
-/// use rand::{rngs::StdRng, RngExt, SeedableRng};
-/// let mut rng = StdRng::seed_from_u64(7);
-/// let mut items = vec![0.0f32; 8];
-/// lbchat::exec::par_for_each_mut(&mut items, |_, x| *x = rng.random::<f32>());
-/// ```
-///
-/// # Panics
-/// Re-raises a panic from any work item on the calling thread.
-pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n = items.len();
-    let workers = jobs().min(n);
-    if workers <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(c, slab)| {
-                scope.spawn(move || {
-                    for (off, item) in slab.iter_mut().enumerate() {
-                        f(c * chunk + off, item);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-        }
-    });
 }
 
 /// The splitmix64 finalizer — a full-avalanche 64-bit mixer.
@@ -296,20 +259,6 @@ mod tests {
     #[test]
     fn jobs_is_positive() {
         assert!(jobs() >= 1);
-    }
-
-    #[test]
-    fn par_for_each_mut_visits_every_item_once() {
-        let mut items: Vec<u64> = vec![0; 57];
-        par_for_each_mut(&mut items, |i, v| *v = (i as u64) * 3 + 1);
-        let expect: Vec<u64> = (0..57).map(|i| i * 3 + 1).collect();
-        assert_eq!(items, expect);
-        // Edge sizes run inline.
-        let mut empty: Vec<u64> = Vec::new();
-        par_for_each_mut(&mut empty, |_, _| panic!("no items"));
-        let mut one = [9u64];
-        par_for_each_mut(&mut one, |i, v| *v += i as u64 + 1);
-        assert_eq!(one, [10]);
     }
 
     #[test]

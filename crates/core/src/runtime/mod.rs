@@ -333,7 +333,7 @@ pub enum SessionStep {
 /// and answers [`SessionStep::Done`]; [`CollabAlgorithm::session_close`]
 /// then reports the session's duration.
 pub trait CollabAlgorithm {
-    /// The task sample type (evaluation needs a held-out set of these).
+    /// The task sample type (the loss curve is evaluated on a set of these).
     type Sample;
 
     /// Per-session state handed from `session_open` to `session_close`:
@@ -422,7 +422,9 @@ pub trait CollabAlgorithm {
     /// RSUs). Default: nothing.
     fn on_frame(&mut self, _ctx: &mut FrameCtx<'_>) {}
 
-    /// Mean evaluation loss across all nodes on a held-out sample set.
+    /// Mean evaluation loss across all nodes on the evaluation sample set
+    /// the caller passes (in the experiments, a fixed sample of the
+    /// training frames).
     fn mean_eval_loss(&self, eval: &[Self::Sample]) -> f64;
 
     /// Display name (table headers).

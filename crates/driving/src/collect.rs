@@ -9,7 +9,6 @@
 //! exploits.
 
 use crate::frame::{observe_into, Frame};
-use lbchat::exec;
 use lbchat::WeightedDataset;
 use simworld::bev::Bev;
 use simworld::expert::{Command, TURN_LOOKAHEAD};
@@ -53,31 +52,24 @@ pub fn command_weight(command: Command, turn_distance_norm: f32) -> f32 {
 /// Runs `world` for `cfg.seconds`, recording every expert's observations.
 /// Returns one weighted dataset per expert vehicle.
 ///
-/// Observation (BEV rasterization + supervision) dominates collection cost
-/// and reads the world immutably, so each frame fans the per-vehicle
-/// observations out over the [`lbchat::exec`] worker pool; world stepping
-/// stays serial. The output is identical for any `LBCHAT_JOBS` setting.
+/// Each kept frame observes the experts in id order on the calling thread,
+/// through one reused BEV and feature buffer; a frame's features are copied
+/// out at their exact length.
 pub fn collect_datasets(world: &mut World, cfg: &CollectConfig) -> Vec<WeightedDataset<Frame>> {
     let n = world.n_experts();
     let frames = (cfg.seconds * world.config().fps).ceil() as usize;
     let mut per_vehicle: Vec<(Vec<Frame>, Vec<f32>)> = vec![(Vec::new(), Vec::new()); n];
+    let mut bev = Bev::blank(world.config().bev.cells);
+    let mut features = Vec::new();
     for f in 0..frames {
         if f % cfg.stride.max(1) == 0 {
-            let observed = exec::par_run(n, |i| {
+            for (i, (kept, weights)) in per_vehicle.iter_mut().enumerate() {
                 let v = world.expert_view(i);
-                let mut bev = Bev::blank(world.config().bev.cells);
-                let mut features = Vec::new();
                 let (command, turn_distance) =
                     observe_into(world, v, v.pose(world.map()), Some(i), &mut bev, &mut features);
-                // `From<Vec>` allocates the slice at its exact length; the
-                // staging vector's spare capacity is not kept.
                 let waypoints = world.expert_waypoints(v).into();
-                let weight = command_weight(command, turn_distance / TURN_LOOKAHEAD);
-                (Frame { features: features.into(), command, waypoints }, weight)
-            });
-            for ((frames, weights), (frame, weight)) in per_vehicle.iter_mut().zip(observed) {
-                frames.push(frame);
-                weights.push(weight);
+                kept.push(Frame { features: features.as_slice().into(), command, waypoints });
+                weights.push(command_weight(command, turn_distance / TURN_LOOKAHEAD));
             }
         }
         world.step();
@@ -94,9 +86,11 @@ pub fn collect_datasets(world: &mut World, cfg: &CollectConfig) -> Vec<WeightedD
         .collect()
 }
 
-/// Pools a held-out evaluation set by sampling every vehicle's later frames
-/// round-robin — a global view of the joint data distribution for the
-/// Fig. 2/3 loss curves.
+/// The evaluation set: `per_vehicle` frames spaced evenly over each
+/// vehicle's whole dataset, pooled in vehicle order — a fixed sample of the
+/// training frames over the joint distribution, on which the Fig. 2/3
+/// "training loss" curves are measured. The frames are not held out: they
+/// stay in the datasets the fleet trains on.
 pub fn eval_set(datasets: &[WeightedDataset<Frame>], per_vehicle: usize) -> Vec<Frame> {
     let mut out = Vec::new();
     for d in datasets {

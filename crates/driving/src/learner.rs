@@ -1,12 +1,13 @@
 //! The [`lbchat::Learner`] implementation for the driving task.
 //!
-//! Training runs through the batched `vnn` kernels: each minibatch is split
-//! into fixed [`vnn::SHARD`]-sized gradient shards, the shards are processed
-//! (possibly in parallel, via [`lbchat::exec::par_for_each_mut`]) into a
-//! reusable [`TrainScratch`] arena, and the fixed-order reduction plus a
-//! fused scaled SGD step make the result bit-identical for every `--jobs`
-//! setting — and to folding per-sample
-//! [`BranchedPolicy::loss_and_grad`] gradients shard by shard.
+//! Training runs through the batched `vnn` kernels on the calling thread:
+//! [`BranchedPolicy::train_batch`] trains each minibatch in fixed
+//! [`vnn::SHARD`]-sized gradient shards through a reusable [`TrainScratch`]
+//! arena, adding the partials in shard order, and a fused scaled SGD step
+//! applies the sum — bit-identical to folding per-sample
+//! [`BranchedPolicy::loss_and_grad`] gradients shard by shard. A step spawns
+//! no thread: the worker pool fans out over cells, tasks and trials, which
+//! already fill it.
 //!
 //! The arena belongs to the thread, not to the learner: a fleet's learners
 //! take turns on whichever thread runs their node, one step at a time, and
@@ -23,7 +24,7 @@ use std::cell::RefCell;
 use std::sync::OnceLock;
 use vnn::{
     BatchSource, BranchedPolicy, FrozenPolicy, ParamVec, PolicySample, PolicySpec, Sgd,
-    TrainScratch, SHARD,
+    TrainScratch,
 };
 
 /// `frame` as the batched `vnn` kernels see it.
@@ -66,10 +67,10 @@ impl BatchSource for FrameRefs<'_, '_> {
 }
 
 thread_local! {
-    /// This thread's training arena: [`Learner::train_step`] fills its
-    /// shards and reduced gradient, [`Learner::losses_with`] stages a loss
-    /// pass in its first shard. Sized by the largest batch the thread has
-    /// run, freed when the thread ends.
+    /// This thread's training arena: [`Learner::train_step`] trains its
+    /// shards one after another through it and leaves the summed gradient
+    /// there, [`Learner::losses_with`] stages a loss pass in it. One shard
+    /// wide at any batch size; freed when the thread ends.
     static ARENA: RefCell<TrainScratch> = RefCell::new(TrainScratch::new());
 }
 
@@ -195,8 +196,7 @@ impl Learner for DrivingLearner {
     /// (see [`BranchedPolicy::losses_with`]).
     fn losses_with(&self, params: &ParamVec, samples: &[&Frame], out: &mut Vec<f32>) {
         ARENA.with_borrow_mut(|arena| {
-            let shard = &mut arena.shards_mut(1)[0];
-            self.policy.losses_with(params, &FrameRefs(samples), out, shard);
+            self.policy.losses_with(params, &FrameRefs(samples), out, arena);
         });
     }
 
@@ -205,19 +205,9 @@ impl Learner for DrivingLearner {
             return 0.0;
         }
         self.frozen.take();
-        let n = batch.len();
-        let src = FrameBatch(batch);
         let Self { policy, opt, stats, .. } = self;
         ARENA.with_borrow_mut(|arena| {
-            // Fixed SHARD-sized shards, fanned over the worker pool: shard
-            // contents depend only on the batch, never on the worker count,
-            // and the reduction below runs in shard order on this thread —
-            // so jobs=1 and jobs=4 produce bit-identical models.
-            let shared = &*policy;
-            lbchat::exec::par_for_each_mut(arena.shards_mut(n), |s, shard| {
-                shared.train_shard(&src, s * SHARD, shard);
-            });
-            let out = policy.reduce_shards(arena, n);
+            let out = policy.train_batch(&FrameBatch(batch), arena);
             stats.merge(arena.take_stats());
             // Fused normalization: the gradient is Σ w·g, divided by Σ w
             // inside the optimizer step (bit-identical to a separate

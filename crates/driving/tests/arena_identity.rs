@@ -7,18 +7,18 @@
 //! written before it is read, at the extents of *this* call — so this test
 //! drives learners of different shapes through every entry point that
 //! touches shared scratch, interleaved on one thread, and holds each to the
-//! bits it produces running alone on a thread of its own: at one worker and
-//! at four, and with a learner carried to other threads mid-run. A warm
-//! arena must then stay the size it is over a hundred further steps.
-//!
-//! One `#[test]`: [`lbchat::exec::set_jobs`] is process-wide.
+//! bits it produces running alone on a thread of its own, also with a
+//! learner carried to other threads mid-run. A warm arena must then stay
+//! the size it is over a hundred further steps, and a batch four shards
+//! long must fit in the arena a one-shard batch left.
 
 use driving::frame::Frame;
 use driving::learner::{arena_bytes, DrivingLearner};
 use lbchat::Learner;
 use rand::{RngExt, SeedableRng};
+use simworld::bev::BevConfig;
 use simworld::expert::Command;
-use vnn::{ParamVec, TrainScratch};
+use vnn::{ParamVec, TrainScratch, SHARD};
 
 const COMMANDS: [Command; 4] = [
     Command::Follow,
@@ -202,7 +202,6 @@ fn learners_sharing_an_arena_match_learners_running_alone() {
         0,
         "a thread that has trained nothing holds no arena"
     );
-    lbchat::exec::set_jobs(1);
     let alone = solo();
     assert_eq!(
         arena_bytes(),
@@ -210,34 +209,54 @@ fn learners_sharing_an_arena_match_learners_running_alone() {
         "arenas are per thread: the solo runs had their own"
     );
     assert!(alone.iter().all(|t| t.len() > 3 * STEPS));
-    for jobs in [1, 4] {
-        lbchat::exec::set_jobs(jobs);
-        assert_eq!(solo(), alone, "alone, jobs {jobs}");
-        for carried in [false, true] {
-            let mut fleet: Vec<Node> = (0..FLEET).map(node).collect();
-            interleaved(&mut fleet, 0..STEPS, carried);
-            assert_eq!(
-                traces(&fleet),
-                alone,
-                "interleaved, jobs {jobs}, carried {carried}"
-            );
+    for carried in [false, true] {
+        let mut fleet: Vec<Node> = (0..FLEET).map(node).collect();
+        interleaved(&mut fleet, 0..STEPS, carried);
+        assert_eq!(traces(&fleet), alone, "interleaved, carried {carried}");
 
-            // The arena has now seen every batch shape of the script; a
-            // hundred further steps of the same shapes, under parameters
-            // that keep moving, must not grow it.
-            let warm = arena_bytes();
-            let one = fleet
-                .iter()
-                .map(|n| 4 * 2 * n.learner.params().len())
-                .max()
-                .unwrap();
-            assert!(
-                warm >= one,
-                "an arena holds at least a partial and the sum: {warm}"
-            );
-            interleaved(&mut fleet, STEPS..STEPS + 100usize.div_ceil(FLEET), carried);
-            assert_eq!(arena_bytes(), warm, "jobs {jobs}, carried {carried}");
-        }
+        // The arena has now seen every batch shape of the script; a
+        // hundred further steps of the same shapes, under parameters that
+        // keep moving, must not grow it.
+        let warm = arena_bytes();
+        let one = fleet
+            .iter()
+            .map(|n| 4 * 2 * n.learner.params().len())
+            .max()
+            .unwrap();
+        assert!(
+            warm >= one,
+            "an arena holds at least a partial and the sum: {warm}"
+        );
+        interleaved(&mut fleet, STEPS..STEPS + 100usize.div_ceil(FLEET), carried);
+        assert_eq!(arena_bytes(), warm, "carried {carried}");
     }
-    lbchat::exec::set_jobs(0); // restore hardware detection
+}
+
+#[test]
+fn a_four_shard_batch_fits_the_arena_of_a_one_shard_batch() {
+    // The 64-sample batch is the 16-sample one four times over, so each of
+    // its shards needs exactly the buffers the first step sized; only
+    // holding more than one shard at a time could grow the arena. On a
+    // thread of its own, so the arena starts cold.
+    std::thread::spawn(|| {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let spec = DrivingLearner::spec_for(BevConfig::default().feature_len(), 5);
+        let mut learner = DrivingLearner::new(&spec, 1e-2, &mut rng);
+        let frames: Vec<Frame> = (0..SHARD)
+            .map(|k| Frame {
+                features: (0..spec.input_dim)
+                    .map(|_| rng.random_range(-1.0f32..1.0))
+                    .collect(),
+                command: COMMANDS[k % COMMANDS.len()],
+                waypoints: (0..10).map(|_| rng.random_range(-2.0f32..2.0)).collect(),
+            })
+            .collect();
+        let one: Vec<(&Frame, f32)> = frames.iter().map(|f| (f, 1.0)).collect();
+        learner.train_step(&one);
+        let after_one = arena_bytes();
+        learner.train_step(&one.repeat(4));
+        assert_eq!(arena_bytes(), after_one, "a 64-sample step grew the arena");
+    })
+    .join()
+    .expect("the arena probe");
 }

@@ -7,8 +7,9 @@
 //! each distinct cell once. The driver is built on three pieces:
 //!
 //! * [`scenario`] — builds the shared experimental world: the map, the
-//!   per-vehicle route-conditioned datasets, the held-out evaluation set,
-//!   the mobility trace, identical model initializations, and the RSU
+//!   per-vehicle route-conditioned datasets, the evaluation set (a fixed
+//!   sample of the training frames, for the Fig. 2/3 training loss), the
+//!   mobility trace, identical model initializations, and the RSU
 //!   deployment sites.
 //! * [`methods`] — constructs and runs any of the compared methods (LbChat
 //!   and its ablations, SCO, ProxSkip, RSU-L, DFL-DDS, DP) on a scenario

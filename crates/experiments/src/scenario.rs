@@ -26,7 +26,7 @@ pub struct Scale {
     pub train_seconds: f64,
     /// Seconds between loss-curve samples.
     pub eval_every: f64,
-    /// Held-out evaluation samples drawn per vehicle.
+    /// Evaluation frames sampled from each vehicle's training data.
     pub eval_per_vehicle: usize,
     /// Closed-loop trials per task.
     pub trials: usize,
@@ -125,7 +125,8 @@ pub struct Scenario {
     pub scale: Scale,
     /// Per-vehicle route-conditioned training datasets.
     pub datasets: Vec<WeightedDataset<Frame>>,
-    /// Held-out evaluation frames (joint distribution).
+    /// Evaluation frames: a fixed sample of the training frames (joint
+    /// distribution), not held out; see [`driving::collect::eval_set`].
     pub eval: Vec<Frame>,
     /// Mobility trace for the training window.
     pub trace: MobilityTrace,

@@ -57,7 +57,7 @@ fn hand_overs_share_and_a_cell_allocates_no_frame_buffers() {
         assert!(all_shared(copy.samples(), source.samples()));
         assert_eq!(copy, source, "and equality is still by content");
     }
-    // The held-out set is drawn from the datasets: it shares with them too.
+    // The evaluation set is sampled from the datasets: it shares with them too.
     let owned: BTreeSet<usize> = fixture.iter().flat_map(|f| addresses(f)).collect();
     assert_eq!(
         owned.len(),

@@ -66,6 +66,6 @@ pub use frozen::FrozenPolicy;
 pub use mlp::{Activation, Mlp, MlpSpec};
 pub use param::ParamVec;
 pub use policy::{BatchOutcome, BatchSource, BranchedPolicy, PolicySample, PolicySpec};
-pub use scratch::{MlpScratch, PolicyShard, TrainScratch, TrainStats, SHARD};
+pub use scratch::{MlpScratch, TrainScratch, TrainStats, SHARD};
 pub use sgd::Sgd;
 pub use wire::WireError;

@@ -35,11 +35,10 @@ pub struct PolicySample<'a> {
     pub weight: f32,
 }
 
-/// Random access to a minibatch for [`BranchedPolicy::train_shard`].
-///
-/// `Sync` because shards of one batch may be processed on different worker
-/// threads; `at` must be cheap (it is called a handful of times per sample).
-pub trait BatchSource: Sync {
+/// Random access to a minibatch for [`BranchedPolicy::train_batch`] and
+/// [`BranchedPolicy::losses_with`]; `at` must be cheap (it is called a
+/// handful of times per sample).
+pub trait BatchSource {
     /// Number of samples in the batch.
     fn len(&self) -> usize;
 
@@ -63,7 +62,7 @@ impl BatchSource for [PolicySample<'_>] {
 }
 
 /// Weighted sums over a full minibatch, produced by
-/// [`BranchedPolicy::reduce_shards`]. The weighted mean loss of the batch is
+/// [`BranchedPolicy::train_batch`]. The weighted mean loss of the batch is
 /// `loss_sum / weight_sum`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchOutcome {
@@ -355,8 +354,8 @@ impl BranchedPolicy {
     /// calls for finite parameters and inputs: each prediction is the same
     /// chain of roundings (see [`Mlp::forward_batch`], which also says what
     /// a non-finite weight does) and each loss the same `mean_loss` over it.
-    /// `shard` is scratch — the caller's, so a loss pass over a warm one
-    /// allocates nothing — and what it held before does not matter.
+    /// `scratch` is the caller's arena, so a loss pass over a warm one
+    /// allocates nothing, and what it held before does not matter.
     ///
     /// # Panics
     /// Panics if `params` has the wrong length, a sample's input dimension
@@ -366,9 +365,10 @@ impl BranchedPolicy {
         params: &ParamVec,
         src: &S,
         out: &mut Vec<f32>,
-        shard: &mut PolicyShard,
+        scratch: &mut TrainScratch,
     ) {
         assert_eq!(params.len(), self.params.len(), "parameter length mismatch");
+        let shard = &mut scratch.shard;
         let head_dim = self.spec.head_dim();
         out.clear();
         out.resize(src.len(), 0.0);
@@ -394,32 +394,70 @@ impl BranchedPolicy {
         }
     }
 
-    /// Computes one gradient shard of a weighted minibatch: processes
-    /// samples `[start, start + SHARD)` of `src` (clamped to the batch
-    /// length) through the batched kernels, leaving the shard's weighted
-    /// partial parameter gradient and per-sample losses in `shard`.
+    /// Trains one weighted minibatch: `ceil(n / SHARD)` shards of [`SHARD`]
+    /// consecutive samples, each run through the batched kernels in the
+    /// arena's one shard and its weighted partial gradient added into
+    /// [`TrainScratch::grad`] straight away, in shard order. Returns the
+    /// weighted loss/weight sums accumulated in sample order, leaves the
+    /// summed gradient in parameter layout and updates the arena's
+    /// [`crate::TrainStats`].
     ///
-    /// Shards of one batch are independent — run them on any number of
-    /// worker threads — and always cover the same fixed sample ranges, so
-    /// the reduction in [`BranchedPolicy::reduce_shards`] is bit-identical
-    /// for every worker count. The result is also bit-identical to
-    /// backpropagating each sample alone ([`BranchedPolicy::loss_and_grad`])
-    /// and folding the weighted gradients in sample order, for finite
-    /// parameters and inputs: see [`Mlp::backward_batch_d_input`] for the
-    /// accumulation-order argument and [`Mlp::backward_batch`] for the
-    /// trunk's skipped zero inputs. The shard's partial keeps the trunk's
-    /// first weight block input-major until the reduction.
+    /// The result is bit-identical to backpropagating each sample alone
+    /// ([`BranchedPolicy::loss_and_grad`]), folding the weighted gradients
+    /// of each shard in sample order into a zeroed partial and adding the
+    /// partials in shard order, for finite parameters and inputs: see
+    /// [`Mlp::backward_batch_d_input`] for the accumulation-order argument
+    /// and [`Mlp::backward_batch`] for the trunk's skipped zero inputs.
     ///
     /// # Panics
-    /// Panics if `start` is outside the batch, a sample's input/target
-    /// dimension is wrong, or a branch index is out of range.
-    pub fn train_shard<S: BatchSource + ?Sized>(
+    /// Panics if a sample's input/target dimension is wrong or a branch
+    /// index is out of range.
+    pub fn train_batch<S: BatchSource + ?Sized>(
+        &self,
+        src: &S,
+        scratch: &mut TrainScratch,
+    ) -> BatchOutcome {
+        let n = src.len();
+        let plen = self.params.len();
+        let TrainScratch { shard, grad, stats, .. } = scratch;
+        // Exactly parameter-length, from +0.0 — the arena may last have
+        // served a larger policy.
+        grad.clear();
+        grad.resize(plen, 0.0);
+        let mut loss_sum = 0.0f32;
+        let mut weight_sum = 0.0f32;
+        for start in (0..n).step_by(SHARD) {
+            let len = self.train_shard(src, start, shard);
+            for (g, p) in grad.iter_mut().zip(&shard.grad[..plen]) {
+                *g += *p;
+            }
+            for (&l, &w) in shard.losses[..len].iter().zip(&shard.weights[..len]) {
+                loss_sum += w * l;
+                weight_sum += w;
+            }
+        }
+        // Every shard's trunk pass left the first weight block input-major;
+        // the sum above is layout-blind, so one conversion serves the step,
+        // staged through the last partial, which is spent.
+        if n > 0 {
+            self.trunk.first_weights_to_param_layout(grad, &mut shard.grad);
+        }
+        stats.batches += 1;
+        stats.samples += n as u64;
+        BatchOutcome { loss_sum, weight_sum }
+    }
+
+    /// One gradient shard of [`BranchedPolicy::train_batch`]: samples
+    /// `[start, start + SHARD)` of `src` (clamped to the batch length),
+    /// leaving the shard's weighted partial gradient — the trunk's first
+    /// weight block input-major — and per-sample losses in `shard`.
+    /// Returns the shard's sample count.
+    fn train_shard<S: BatchSource + ?Sized>(
         &self,
         src: &S,
         start: usize,
         shard: &mut PolicyShard,
-    ) {
-        assert!(start < src.len(), "shard start out of range");
+    ) -> usize {
         let n = (src.len() - start).min(SHARD);
         let head_dim = self.spec.head_dim();
         let plen = self.params.len();
@@ -473,7 +511,7 @@ impl BranchedPolicy {
         // Backprop through the manual ReLU between trunk and head — masked
         // on the RAW trunk output, as in the per-sample path — then through
         // the trunk for the whole shard: the data-input form, which leaves
-        // the first weight block input-major for `reduce_shards` to convert.
+        // the first weight block input-major for `train_batch` to convert.
         let (trunk_y, trunk_d) = self.trunk.batch_outputs_and_d_out(&mut shard.trunk, n);
         for k in 0..n {
             let y = &trunk_y[k * trunk_out_dim..(k + 1) * trunk_out_dim];
@@ -491,43 +529,7 @@ impl BranchedPolicy {
             &mut shard.grad,
         );
 
-        shard.len = n;
-    }
-
-    /// Reduces the shards of an `n`-sample batch (each filled by
-    /// [`BranchedPolicy::train_shard`]) into the arena's gradient buffer —
-    /// partials added in shard order on the calling thread, the result in
-    /// parameter layout — and returns the weighted loss/weight sums
-    /// accumulated in global sample order. Spends the shards' partial
-    /// gradients: reduce once per round of `train_shard` calls.
-    /// Updates the arena's [`crate::TrainStats`].
-    pub fn reduce_shards(&self, scratch: &mut TrainScratch, n: usize) -> BatchOutcome {
-        let plen = self.params.len();
-        let k = TrainScratch::shard_count(n);
-        // Exactly parameter-length, from +0.0 — the arena may last have
-        // served a larger policy.
-        scratch.grad.clear();
-        scratch.grad.resize(plen, 0.0);
-        let mut loss_sum = 0.0f32;
-        let mut weight_sum = 0.0f32;
-        for shard in &scratch.shards[..k] {
-            for (g, p) in scratch.grad.iter_mut().zip(&shard.grad[..plen]) {
-                *g += *p;
-            }
-            for (&l, &w) in shard.losses[..shard.len].iter().zip(&shard.weights[..shard.len]) {
-                loss_sum += w * l;
-                weight_sum += w;
-            }
-        }
-        // The shards' trunk passes left the first weight block input-major;
-        // the sum above is layout-blind, so one conversion serves the step,
-        // staged through the first shard's partial, which is spent.
-        if let Some(spent) = scratch.shards[..k].first_mut() {
-            self.trunk.first_weights_to_param_layout(&mut scratch.grad, &mut spent.grad);
-        }
-        scratch.stats.batches += 1;
-        scratch.stats.samples += n as u64;
-        BatchOutcome { loss_sum, weight_sum }
+        n
     }
 
     /// Snapshots the current parameters into the input-major form that

@@ -12,13 +12,11 @@
 //!   (`acts[l][b * width + j]`), and the feature-major copy of one
 //!   [`crate::mlp::LANES`]-sample block that the forward kernel's register
 //!   tile reads (lane = sample; see [`crate::Mlp::forward_batch`]).
-//! * [`PolicyShard`] — everything one gradient shard of a
-//!   [`crate::BranchedPolicy`] minibatch needs: trunk and head scratches,
-//!   feature rows, per-sample losses, and the shard's weighted partial
-//!   parameter gradient.
-//! * [`TrainScratch`] — the full arena: one [`PolicyShard`] per [`SHARD`]
-//!   samples plus the reduced gradient, with [`TrainStats`] counters that
-//!   back the `train.*` observability counters.
+//! * [`TrainScratch`] — the full arena: the buffers one gradient shard of a
+//!   [`crate::BranchedPolicy`] minibatch needs (trunk and head scratches,
+//!   feature rows, per-sample losses, the shard's weighted partial
+//!   parameter gradient) plus the batch's summed gradient, with
+//!   [`TrainStats`] counters that back the `train.*` observability counters.
 //!
 //! Every kernel writes a buffer before it reads it, so what an arena held
 //! before a call never reaches a result: one arena serves any number of
@@ -29,18 +27,15 @@
 //! ## Determinism contract
 //!
 //! A minibatch of `n` samples is always split into `ceil(n / SHARD)` shards
-//! of [`SHARD`] consecutive samples, **independent of the worker count**.
-//! Each shard accumulates its weighted partial gradient in sample order;
-//! partials are then reduced in shard order on a single thread. Because the
-//! shard structure is a function of `n` alone, running the shards serially
-//! or on any number of workers produces bit-identical gradients
-//! (`jobs=1 ≡ jobs=4`).
+//! of [`SHARD`] consecutive samples. Each shard accumulates its weighted
+//! partial gradient in sample order from `+0.0`, and the partials are added
+//! into the sum in shard order, on the calling thread: the reduction tree —
+//! and so every trained bit — is a function of `n` alone.
 
 use crate::mlp::LANES;
 
-/// Samples per gradient shard. Fixed (not derived from the worker count) so
-/// the floating-point reduction tree — and therefore every trained bit — is
-/// identical no matter how many threads process the shards.
+/// Samples per gradient shard. Fixed, so the floating-point reduction tree —
+/// and therefore every trained bit — depends on the batch alone.
 pub const SHARD: usize = 16;
 
 /// Training-kernel statistics, drained by
@@ -139,14 +134,14 @@ impl MlpScratch {
     }
 }
 
-/// The arena for one gradient shard of a policy minibatch: batch scratches
+/// The buffers of one gradient shard of a policy minibatch: batch scratches
 /// for the trunk and the (sequentially processed) branch heads, gathered
 /// feature rows, per-sample bookkeeping, and the shard's weighted partial
 /// parameter gradient. A forward-only loss pass
-/// ([`crate::BranchedPolicy::losses_with`]) borrows one too and leaves the
-/// gradient-side buffers alone.
+/// ([`crate::BranchedPolicy::losses_with`]) stages its blocks here too and
+/// leaves the gradient-side buffers alone.
 #[derive(Debug, Clone, Default)]
-pub struct PolicyShard {
+pub(crate) struct PolicyShard {
     pub(crate) trunk: MlpScratch,
     pub(crate) head: MlpScratch,
     /// Head-input rows (`len × (trunk_out + skip_inputs)`).
@@ -169,8 +164,6 @@ pub struct PolicyShard {
     /// trunk's first weight block input-major, see
     /// [`crate::Mlp::backward_batch`]).
     pub(crate) grad: Vec<f32>,
-    /// Samples in this shard for the current minibatch.
-    pub(crate) len: usize,
 }
 
 impl PolicyShard {
@@ -188,7 +181,6 @@ impl PolicyShard {
             order,
             counts,
             grad,
-            len: _,
         } = self;
         let floats = [feats, d_feats, weights, head_w, losses, grad];
         let indices = [branches, order, counts];
@@ -199,7 +191,7 @@ impl PolicyShard {
     }
 }
 
-/// The full training arena: per-shard buffers, the reduced gradient, and
+/// The full training arena: one shard's buffers, the summed gradient, and
 /// [`TrainStats`] counters. Also lends
 /// [`crate::FrozenPolicy::forward_into`] the two activation rows a batch of
 /// one ping-pongs between.
@@ -207,12 +199,12 @@ impl PolicyShard {
 /// An arena belongs to whoever runs the step, not to a policy: nothing in
 /// it outlives a call except capacity (and the counters, which the caller
 /// drains), so policies of any shape may take turns in one arena and get
-/// the bits a fresh arena would give. About `(shards + 1) × parameters`
-/// floats once warm — 0.8 MB for the driving policy at batch 64 — which is
-/// why the `driving` learner keeps one per thread instead of one each.
+/// the bits a fresh arena would give. About `2.5 × parameters` floats once
+/// warm, at any batch size — 0.3 MB for the driving policy — which is why
+/// the `driving` learner keeps one per thread instead of one each.
 #[derive(Debug, Clone, Default)]
 pub struct TrainScratch {
-    pub(crate) shards: Vec<PolicyShard>,
+    pub(crate) shard: PolicyShard,
     pub(crate) grad: Vec<f32>,
     pub(crate) stats: TrainStats,
     frozen: [Vec<f32>; 2],
@@ -224,22 +216,6 @@ impl TrainScratch {
         Self::default()
     }
 
-    /// Number of gradient shards a batch of `n` samples splits into.
-    pub fn shard_count(n: usize) -> usize {
-        n.div_ceil(SHARD)
-    }
-
-    /// Ensures one arena per shard of an `n`-sample batch and returns them,
-    /// ready for (possibly parallel) [`crate::BranchedPolicy::train_shard`]
-    /// calls — shard `s` must process samples `[s * SHARD, s * SHARD + len)`.
-    pub fn shards_mut(&mut self, n: usize) -> &mut [PolicyShard] {
-        let k = Self::shard_count(n).max(1);
-        if self.shards.len() < k {
-            self.shards.resize_with(k, PolicyShard::default);
-        }
-        &mut self.shards[..k]
-    }
-
     /// Two activation rows of at least `width` floats each.
     pub(crate) fn frozen_rows(&mut self, width: usize) -> (&mut [f32], &mut [f32]) {
         let [a, b] = &mut self.frozen;
@@ -248,8 +224,8 @@ impl TrainScratch {
         (a, b)
     }
 
-    /// The reduced weighted-sum gradient of the last
-    /// [`crate::BranchedPolicy::reduce_shards`] call, in parameter layout.
+    /// The weighted-sum gradient of the last
+    /// [`crate::BranchedPolicy::train_batch`] call, in parameter layout.
     pub fn grad(&self) -> &[f32] {
         &self.grad
     }
@@ -264,9 +240,8 @@ impl TrainScratch {
     /// warm arena this does not move — which is what "a step does not
     /// allocate" means, stated so a test can check it.
     pub fn heap_bytes(&self) -> usize {
-        let Self { shards, grad, stats: _, frozen } = self;
-        vec_bytes(shards)
-            + shards.iter().map(PolicyShard::heap_bytes).sum::<usize>()
+        let Self { shard, grad, stats: _, frozen } = self;
+        shard.heap_bytes()
             + vec_bytes(grad)
             + frozen.iter().map(vec_bytes).sum::<usize>()
     }
@@ -275,14 +250,6 @@ impl TrainScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_count_rounds_up() {
-        assert_eq!(TrainScratch::shard_count(1), 1);
-        assert_eq!(TrainScratch::shard_count(SHARD), 1);
-        assert_eq!(TrainScratch::shard_count(SHARD + 1), 2);
-        assert_eq!(TrainScratch::shard_count(4 * SHARD), 4);
-    }
 
     #[test]
     fn ensure_grows_and_never_shrinks() {
@@ -304,25 +271,37 @@ mod tests {
     }
 
     #[test]
-    fn shards_mut_reuses_arenas() {
+    fn one_shard_serves_every_batch_size() {
+        // A batch trains shard by shard through the arena's one shard, so
+        // four shards and a ragged tail hold no more than one shard does.
+        use crate::{BranchedPolicy, PolicySample, PolicySpec};
+        use rand::SeedableRng;
+        let spec =
+            PolicySpec { input_dim: 6, trunk: vec![8], n_branches: 2, waypoints: 2, skip_inputs: 1 };
+        let policy = BranchedPolicy::new(&spec, &mut rand::rngs::StdRng::seed_from_u64(3));
+        let (input, target) = ([0.5f32; 6], [0.25f32; 4]);
+        let sample = PolicySample { input: &input, branch: 1, target: &target, weight: 1.0 };
         let mut s = TrainScratch::new();
-        assert_eq!(s.shards_mut(40).len(), 3);
-        let ptr = s.shards_mut(40).as_ptr();
-        assert_eq!(s.shards_mut(16).len(), 1, "smaller batches reuse the prefix");
-        assert_eq!(s.shards_mut(40).as_ptr(), ptr, "no reallocation on reuse");
+        policy.train_batch(&[sample; SHARD][..], &mut s);
+        let one = s.heap_bytes();
+        policy.train_batch(&[sample; 4 * SHARD + 3][..], &mut s);
+        assert_eq!(s.heap_bytes(), one, "a longer batch reuses the one shard");
     }
 
     #[test]
     fn heap_bytes_counts_every_level() {
         let mut s = TrainScratch::new();
         assert_eq!(s.heap_bytes(), 0, "an empty arena holds nothing");
-        s.shards_mut(40);
-        let shells = s.heap_bytes();
-        assert!(shells >= 3 * std::mem::size_of::<PolicyShard>());
-        s.shards_mut(40)[2].trunk.prepare(&[6, 4, 2], 16);
+        s.shard.trunk.prepare(&[6, 4, 2], 16);
         let with_trunk = s.heap_bytes();
-        assert!(with_trunk >= shells + 4 * (16 * 12 + 2 * 16 * 6));
+        assert!(with_trunk >= 4 * (16 * 12 + 2 * 16 * 6));
+        ensure(&mut s.shard.grad, 40);
+        let with_partial = s.heap_bytes();
+        assert!(with_partial >= with_trunk + 4 * 40);
+        ensure(&mut s.grad, 40);
+        let with_sum = s.heap_bytes();
+        assert!(with_sum >= with_partial + 4 * 40);
         s.frozen_rows(32);
-        assert!(s.heap_bytes() >= with_trunk + 2 * 32 * 4);
+        assert!(s.heap_bytes() >= with_sum + 2 * 32 * 4);
     }
 }

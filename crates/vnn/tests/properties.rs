@@ -6,7 +6,7 @@ use vnn::loss::{mean_loss, mean_loss_and_grad};
 use vnn::mlp::LANES;
 use vnn::{
     Activation, BranchedPolicy, Minibatcher, Mlp, MlpScratch, MlpSpec, ParamVec,
-    PolicySample, PolicyShard, PolicySpec, Sgd, TrainScratch, SHARD,
+    PolicySample, PolicySpec, Sgd, TrainScratch, SHARD,
 };
 
 proptest! {
@@ -169,23 +169,14 @@ fn as_samples(data: &OwnedBatch) -> Vec<PolicySample<'_>> {
         .collect()
 }
 
-/// One batched gradient pass: shard (serially, in shard order `order`),
-/// reduce, return `(loss_sum, weight_sum)` with the gradient left in
-/// `scratch.grad()`.
+/// One batched gradient pass, `(loss_sum, weight_sum)` returned and the
+/// gradient left in `scratch.grad()`.
 fn live_batch_grad(
     policy: &BranchedPolicy,
     samples: &[PolicySample<'_>],
     scratch: &mut TrainScratch,
-    reverse_shard_order: bool,
 ) -> (f32, f32) {
-    let n = samples.len();
-    let shards = scratch.shards_mut(n);
-    let k = shards.len();
-    for step in 0..k {
-        let s = if reverse_shard_order { k - 1 - step } else { step };
-        policy.train_shard(samples, s * SHARD, &mut shards[s]);
-    }
-    let out = policy.reduce_shards(scratch, n);
+    let out = policy.train_batch(samples, scratch);
     (out.loss_sum, out.weight_sum)
 }
 
@@ -194,7 +185,7 @@ fn live_batch_grad(
 /// per-sample gradients in sample order into a zeroed partial, and partials
 /// are added into `grad` in shard order. Returns `(Σ w·loss, Σ w)`, both
 /// accumulated in global sample order. This composition *defines* the bits
-/// `train_shard` + `reduce_shards` must reproduce, for any worker count.
+/// `train_batch` must reproduce.
 fn per_sample_batch_grad(
     policy: &BranchedPolicy,
     samples: &[PolicySample<'_>],
@@ -234,27 +225,12 @@ proptest! {
         let samples = as_samples(&data);
         let mut scratch = TrainScratch::new();
         let (loss_sum, weight_sum) =
-            live_batch_grad(&policy, &samples, &mut scratch, false);
+            live_batch_grad(&policy, &samples, &mut scratch);
         let mut ref_grad = vec![0.0f32; policy.param_count()];
         let (ref_loss, ref_weight) = per_sample_batch_grad(&policy, &samples, &mut ref_grad);
         prop_assert_eq!(loss_sum.to_bits(), ref_loss.to_bits());
         prop_assert_eq!(weight_sum.to_bits(), ref_weight.to_bits());
         prop_assert_eq!(bits(scratch.grad()), bits(&ref_grad));
-    }
-
-    #[test]
-    fn shard_processing_order_is_immaterial(seed in 0u64..1 << 48, n in 17usize..48) {
-        // Shard contents depend only on the batch; processing shards in
-        // reverse order (a stand-in for any parallel schedule) must leave
-        // identical bits after the fixed-order reduction.
-        let (policy, data) = seeded_policy_and_batch(seed, n);
-        let samples = as_samples(&data);
-        let mut fwd = TrainScratch::new();
-        let mut rev = TrainScratch::new();
-        let a = live_batch_grad(&policy, &samples, &mut fwd, false);
-        let b = live_batch_grad(&policy, &samples, &mut rev, true);
-        prop_assert_eq!(a.0.to_bits(), b.0.to_bits());
-        prop_assert_eq!(bits(fwd.grad()), bits(rev.grad()));
     }
 
     #[test]
@@ -266,10 +242,10 @@ proptest! {
         let samples = as_samples(&data);
         let decoy_samples = as_samples(&decoy);
         let mut dirty = TrainScratch::new();
-        live_batch_grad(&policy, &decoy_samples, &mut dirty, false);
-        let a = live_batch_grad(&policy, &samples, &mut dirty, false);
+        live_batch_grad(&policy, &decoy_samples, &mut dirty);
+        let a = live_batch_grad(&policy, &samples, &mut dirty);
         let mut fresh = TrainScratch::new();
-        let b = live_batch_grad(&policy, &samples, &mut fresh, false);
+        let b = live_batch_grad(&policy, &samples, &mut fresh);
         prop_assert_eq!(a.0.to_bits(), b.0.to_bits());
         prop_assert_eq!(bits(dirty.grad()), bits(fresh.grad()));
         prop_assert_eq!(dirty.take_stats().batches, 2);
@@ -291,8 +267,8 @@ proptest! {
         let mut warm = 0;
         for step in 0..=100 {
             let who = if step % 3 == 2 { &other } else { &policy };
-            let (_, weight) = live_batch_grad(who, &samples, &mut arena, false);
-            who.losses_with(who.params(), &samples[..], &mut losses, &mut arena.shards_mut(1)[0]);
+            let (_, weight) = live_batch_grad(who, &samples, &mut arena);
+            who.losses_with(who.params(), &samples[..], &mut losses, &mut arena);
             if step % 3 != 2 {
                 opt.step_scaled(policy.params_mut().as_mut_slice(), arena.grad(), 1.0 / weight);
             }
@@ -318,7 +294,7 @@ proptest! {
         let mut scratch = TrainScratch::new();
         let mut ref_grad = vec![0.0f32; reference.param_count()];
         for _ in 0..4 {
-            let (loss, weight) = live_batch_grad(&live, &samples, &mut scratch, false);
+            let (loss, weight) = live_batch_grad(&live, &samples, &mut scratch);
             let inv = 1.0 / weight;
             live_opt.step_scaled(live.params_mut().as_mut_slice(), scratch.grad(), inv);
             let (ref_loss, ref_weight) =
@@ -387,9 +363,9 @@ proptest! {
         let samples = as_samples(&data);
         let (other, _) = seeded_policy_and_batch(seed ^ 0x5EED, 0);
         let mut out = vec![7.0f32; 3];
-        let mut shard = PolicyShard::default();
+        let mut scratch = TrainScratch::new();
         for params in [policy.params(), other.params()] {
-            policy.losses_with(params, &samples[..], &mut out, &mut shard);
+            policy.losses_with(params, &samples[..], &mut out, &mut scratch);
             let single: Vec<f32> = data
                 .iter()
                 .map(|(x, b, t, _)| policy.loss_with(params, x, *b, t))
@@ -521,12 +497,7 @@ proptest! {
             for neg_zero_bias in [false, true] {
                 let (policy, data) = sparse_policy_and_batch(seed ^ n as u64, n, neg_zero_bias);
                 let samples = as_samples(&data);
-                policy.losses_with(
-                    policy.params(),
-                    &samples[..],
-                    &mut losses,
-                    &mut scratch.shards_mut(1)[0],
-                );
+                policy.losses_with(policy.params(), &samples[..], &mut losses, &mut scratch);
                 let single: Vec<f32> =
                     data.iter().map(|(x, b, t, _)| policy.loss(x, *b, t)).collect();
                 prop_assert_eq!(bits(&losses), bits(&single), "n={}", n);
@@ -534,7 +505,7 @@ proptest! {
                 // `scratch.grad()` against the per-sample fold, which is in
                 // parameter layout by construction.
                 let (loss_sum, weight_sum) =
-                    live_batch_grad(&policy, &samples, &mut scratch, false);
+                    live_batch_grad(&policy, &samples, &mut scratch);
                 let mut ref_grad = vec![0.0f32; policy.param_count()];
                 let (ref_loss, ref_weight) =
                     per_sample_batch_grad(&policy, &samples, &mut ref_grad);
