@@ -11,9 +11,9 @@
 //! model compression ratio for each encounter to ensure the vehicle pair
 //! can finish the model exchange within the contact duration".
 
+use crate::fleet::{Baseline, Rule};
 use crate::node::{fitted_swap, BaseNode};
-use lbchat::learner::mean_eval_loss;
-use lbchat::prelude::{CollabAlgorithm, FrameCtx, Learner, SessionCtx, SessionStep};
+use lbchat::prelude::{FrameCtx, Learner, SessionCtx};
 use lbchat::WeightedDataset;
 use vnn::ParamVec;
 
@@ -43,8 +43,11 @@ impl Default for DflDdsConfig {
 }
 
 /// The synchronous decentralized baseline with data-source diversification.
-pub struct DflDds<L: Learner> {
-    nodes: Vec<BaseNode<L>>,
+pub type DflDds<L> = Baseline<L, DflDdsRule>;
+
+/// DFL-DDS's exchange rule: one fitted swap per vehicle per round, merged
+/// by data-source diversity.
+pub struct DflDdsRule {
     /// `sources[i]` — normalized contribution of each vehicle's data to
     /// node `i`'s model.
     sources: Vec<Vec<f32>>,
@@ -64,44 +67,47 @@ impl<L: Learner> DflDds<L> {
         datasets: Vec<WeightedDataset<L::Sample>>,
         config: DflDdsConfig,
     ) -> Self {
-        assert_eq!(learners.len(), datasets.len(), "one dataset per learner");
-        assert!(!learners.is_empty(), "need at least one vehicle");
-        let n = learners.len();
-        // Initially each model is built purely from its own data source.
-        let sources = (0..n)
-            .map(|i| {
-                let mut v = vec![0.0f32; n];
-                v[i] = 1.0;
-                v
-            })
-            .collect();
-        let nodes = learners
-            .into_iter()
-            .zip(datasets)
-            .map(|(l, d)| BaseNode::new(l, d, config.batch_size))
-            .collect();
-        Self { nodes, sources, last_round: vec![u64::MAX; n], config, current_round: 0 }
+        Self::with_rule(learners, datasets, config.batch_size, |nodes| {
+            let n = nodes.len();
+            // Initially each model is built purely from its own data source.
+            let sources = (0..n)
+                .map(|i| {
+                    let mut v = vec![0.0f32; n];
+                    v[i] = 1.0;
+                    v
+                })
+                .collect();
+            DflDdsRule { sources, last_round: vec![u64::MAX; n], config, current_round: 0 }
+        })
     }
 
     /// The data-source mix of node `i` (tests / inspection).
     pub fn sources(&self, i: usize) -> &[f32] {
-        &self.sources[i]
+        &self.rule.sources[i]
     }
+}
 
-    /// Diversity gain of absorbing `peer`'s mix into `own`: total variation
-    /// distance between the mixes — high when the peer's model is built
-    /// from sources I lack.
-    fn diversity_gain(own: &[f32], peer: &[f32]) -> f32 {
-        own.iter().zip(peer).map(|(a, b)| (a - b).abs()).sum::<f32>() * 0.5
-    }
+/// Diversity gain of absorbing `peer`'s mix into `own`: total variation
+/// distance between the mixes — high when the peer's model is built from
+/// sources I lack.
+fn diversity_gain(own: &[f32], peer: &[f32]) -> f32 {
+    own.iter().zip(peer).map(|(a, b)| (a - b).abs()).sum::<f32>() * 0.5
+}
 
+impl DflDdsRule {
     /// Merges the model `node` received from `peer` with a
     /// diversity-boosted weight and blends the peer's source mix into the
     /// node's own.
-    fn merge_received(&mut self, node: usize, peer: usize, model: &ParamVec) {
-        let gain = Self::diversity_gain(&self.sources[node], &self.sources[peer]);
+    fn merge_received<L: Learner>(
+        &mut self,
+        nodes: &mut [BaseNode<L>],
+        node: usize,
+        peer: usize,
+        model: &ParamVec,
+    ) {
+        let gain = diversity_gain(&self.sources[node], &self.sources[peer]);
         let w = (self.config.base_weight * (0.5 + gain)).clamp(0.05, 0.8);
-        self.nodes[node].merge_peer(model, w);
+        nodes[node].merge_peer(model, w);
         let (own, theirs) = if node < peer {
             let (a, b) = self.sources.split_at_mut(peer);
             (&mut a[node], &b[0])
@@ -115,73 +121,40 @@ impl<L: Learner> DflDds<L> {
     }
 }
 
-impl<L: Learner> CollabAlgorithm for DflDds<L> {
-    type Sample = L::Sample;
-    type Session = ();
+impl<L: Learner> Rule<L> for DflDdsRule {
+    const NAME: &'static str = "DFL-DDS";
+    const PRIORITY: f64 = 0.0;
 
-    fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    fn model(&self, node: usize) -> &ParamVec {
-        self.nodes[node].learner.params()
-    }
-
-    fn local_training(
-        &mut self,
-        node: usize,
-        iters: usize,
-        rng: &mut rand::rngs::StdRng,
-    ) -> lbchat::TrainStats {
-        self.nodes[node].train(iters, rng)
-    }
-
-    fn on_frame(&mut self, ctx: &mut FrameCtx<'_>) {
+    fn on_frame(&mut self, _nodes: &mut [BaseNode<L>], ctx: &mut FrameCtx<'_>) {
         // Advance the global round counter (synchronous rounds).
         self.current_round = (ctx.time / self.config.round_seconds) as u64;
     }
 
     /// Swaps contact-fitted models with a peer (one exchange per vehicle
     /// per round) and merges what arrived.
-    fn session_open(&mut self, ctx: &mut SessionCtx<'_>) -> Option<((), SessionStep)> {
+    fn session(&mut self, nodes: &mut [BaseNode<L>], ctx: &mut SessionCtx<'_>) -> bool {
         let (i, j) = (ctx.i, ctx.j);
         // Synchronous gating: one exchange per node per round.
         let round = self.current_round;
         if self.last_round[i] == round || self.last_round[j] == round {
-            return None;
+            return false;
         }
         self.last_round[i] = round;
         self.last_round[j] = round;
         // Contact-fitted equal compression (per §IV-B's adaptation).
-        let (for_i, for_j) =
-            fitted_swap(&self.nodes, self.config.model_bytes, self.config.round_seconds, ctx)?;
+        let Some((for_i, for_j)) =
+            fitted_swap(nodes, self.config.model_bytes, self.config.round_seconds, ctx)
+        else {
+            return false;
+        };
         // `j`'s merge reads the source mix `i`'s merge just updated.
         if let Some(m) = for_i {
-            self.merge_received(i, j, &m);
+            self.merge_received(nodes, i, j, &m);
         }
         if let Some(m) = for_j {
-            self.merge_received(j, i, &m);
+            self.merge_received(nodes, j, i, &m);
         }
-        Some(((), SessionStep::Done))
-    }
-
-    fn session_close(&mut self, _state: (), ctx: &mut SessionCtx<'_>) -> f64 {
-        ctx.elapsed()
-    }
-
-    /// Model-sharing only: no shared routes, so pairs are served in
-    /// encounter order and no contact is predicted for a pair that does
-    /// not open.
-    fn static_priority(&self, _i: usize, _j: usize) -> Option<f64> {
-        Some(0.0)
-    }
-
-    fn mean_eval_loss(&self, eval: &[L::Sample]) -> f64 {
-        mean_eval_loss(self.nodes.iter().map(|n| &n.learner), eval)
-    }
-
-    fn name(&self) -> &'static str {
-        "DFL-DDS"
+        true
     }
 }
 
@@ -229,8 +202,8 @@ mod tests {
 
     #[test]
     fn diversity_gain_math() {
-        assert_eq!(DflDds::<LineLearner>::diversity_gain(&[1.0, 0.0], &[0.0, 1.0]), 1.0);
-        assert_eq!(DflDds::<LineLearner>::diversity_gain(&[0.5, 0.5], &[0.5, 0.5]), 0.0);
+        assert_eq!(diversity_gain(&[1.0, 0.0], &[0.0, 1.0]), 1.0);
+        assert_eq!(diversity_gain(&[0.5, 0.5], &[0.5, 0.5]), 0.0);
     }
 
     /// Pins every DFL-DDS swap, event by event: three pairs crossing on

@@ -8,9 +8,9 @@
 //! normalized logarithmic function of the loss" evaluated on the local
 //! validation dataset — a lower-loss peer model earns a larger share.
 
+use crate::fleet::{Baseline, Rule};
 use crate::node::{fitted_swap, BaseNode};
-use lbchat::learner::mean_eval_loss;
-use lbchat::prelude::{CollabAlgorithm, Learner, SessionCtx, SessionStep};
+use lbchat::prelude::{Learner, SessionCtx};
 use lbchat::WeightedDataset;
 use vnn::ParamVec;
 
@@ -32,8 +32,11 @@ impl Default for DpConfig {
 }
 
 /// The gossip-learning baseline.
-pub struct Dp<L: Learner> {
-    nodes: Vec<BaseNode<L>>,
+pub type Dp<L> = Baseline<L, DpRule>;
+
+/// DP's exchange rule: a fitted swap on every encounter, merged by
+/// validation loss.
+pub struct DpRule {
     config: DpConfig,
 }
 
@@ -47,14 +50,7 @@ impl<L: Learner> Dp<L> {
         datasets: Vec<WeightedDataset<L::Sample>>,
         config: DpConfig,
     ) -> Self {
-        assert_eq!(learners.len(), datasets.len(), "one dataset per learner");
-        assert!(!learners.is_empty(), "need at least one vehicle");
-        let nodes = learners
-            .into_iter()
-            .zip(datasets)
-            .map(|(l, d)| BaseNode::new(l, d, config.batch_size))
-            .collect();
-        Self { nodes, config }
+        Self::with_rule(learners, datasets, config.batch_size, |_| DpRule { config })
     }
 
     /// The DP merge weight for a received model: normalized logarithmic
@@ -69,68 +65,34 @@ impl<L: Learner> Dp<L> {
             a / (a + b)
         }
     }
-
-    /// Merges a received peer model into `node`, weighted by both models'
-    /// losses on the node's validation split.
-    fn merge_received(&mut self, node: usize, peer: &ParamVec) {
-        let n = &mut self.nodes[node];
-        let own = n.validation_loss(n.learner.params());
-        let w_peer = Self::merge_weight(own, n.validation_loss(peer));
-        n.merge_peer(peer, w_peer);
-    }
 }
 
-impl<L: Learner> CollabAlgorithm for Dp<L> {
-    type Sample = L::Sample;
-    type Session = ();
+/// Merges a received peer model into `node`, weighted by both models'
+/// losses on the node's validation split.
+fn merge_received<L: Learner>(node: &mut BaseNode<L>, peer: &ParamVec) {
+    let own = node.validation_loss(node.learner.params());
+    let w_peer = Dp::<L>::merge_weight(own, node.validation_loss(peer));
+    node.merge_peer(peer, w_peer);
+}
 
-    fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    fn model(&self, node: usize) -> &ParamVec {
-        self.nodes[node].learner.params()
-    }
-
-    fn local_training(
-        &mut self,
-        node: usize,
-        iters: usize,
-        rng: &mut rand::rngs::StdRng,
-    ) -> lbchat::TrainStats {
-        self.nodes[node].train(iters, rng)
-    }
+impl<L: Learner> Rule<L> for DpRule {
+    const NAME: &'static str = "DP";
+    const PRIORITY: f64 = 0.0;
 
     /// Swaps contact-fitted models and merges what arrived.
-    fn session_open(&mut self, ctx: &mut SessionCtx<'_>) -> Option<((), SessionStep)> {
-        let (for_i, for_j) =
-            fitted_swap(&self.nodes, self.config.model_bytes, self.config.time_budget, ctx)?;
+    fn session(&mut self, nodes: &mut [BaseNode<L>], ctx: &mut SessionCtx<'_>) -> bool {
+        let Some((for_i, for_j)) =
+            fitted_swap(nodes, self.config.model_bytes, self.config.time_budget, ctx)
+        else {
+            return false;
+        };
         if let Some(m) = for_i {
-            self.merge_received(ctx.i, &m);
+            merge_received(&mut nodes[ctx.i], &m);
         }
         if let Some(m) = for_j {
-            self.merge_received(ctx.j, &m);
+            merge_received(&mut nodes[ctx.j], &m);
         }
-        Some(((), SessionStep::Done))
-    }
-
-    fn session_close(&mut self, _state: (), ctx: &mut SessionCtx<'_>) -> f64 {
-        ctx.elapsed()
-    }
-
-    /// Model-sharing only: no shared routes, so pairs are served in
-    /// encounter order and no contact is predicted for a pair that does
-    /// not open.
-    fn static_priority(&self, _i: usize, _j: usize) -> Option<f64> {
-        Some(0.0)
-    }
-
-    fn mean_eval_loss(&self, eval: &[L::Sample]) -> f64 {
-        mean_eval_loss(self.nodes.iter().map(|n| &n.learner), eval)
-    }
-
-    fn name(&self) -> &'static str {
-        "DP"
+        true
     }
 }
 
@@ -138,7 +100,7 @@ impl<L: Learner> CollabAlgorithm for Dp<L> {
 mod tests {
     use super::*;
     use crate::node::testutil::{line_data, LineLearner};
-    use lbchat::prelude::{Runtime, RuntimeConfig};
+    use lbchat::prelude::{CollabAlgorithm, Runtime, RuntimeConfig};
     use simnet::channel::RadioConfig;
     use simnet::geom::Vec2;
     use simnet::trace::MobilityTrace;

@@ -1,12 +1,12 @@
 //! Shared plain-SGD vehicle node for the model-sharing-only baselines, and
 //! `fitted_swap`, the contact-fitted model swap the two gossip baselines
 //! (DP, DFL-DDS) run on every encounter: one straight-line function that
-//! moves both legs with `SessionCtx::run_spec` inside `session_open`.
+//! moves both legs with `SessionCtx::run_spec` inside their `Rule::session`.
 
 use lbchat::compress::{compress_dense, wire_bytes};
 use lbchat::learner::mean_loss;
 use lbchat::optimize::equal_compression_choice;
-use lbchat::prelude::{Learner, SessionCtx, TrainStats, TransferSpec};
+use lbchat::prelude::{Learner, SessionCtx, TransferSpec};
 use lbchat::WeightedDataset;
 use rand::Rng;
 use vnn::{Minibatcher, ParamVec};
@@ -24,8 +24,8 @@ pub struct BaseNode<L: Learner> {
 }
 
 impl<L: Learner> BaseNode<L> {
-    /// Creates a node; the last `validation_frac` of the dataset is held
-    /// out as the local validation set.
+    /// Creates a node; the last 10 % of the dataset (at most 200 samples)
+    /// is held out as the local validation set.
     pub fn new(learner: L, dataset: WeightedDataset<L::Sample>, batch_size: usize) -> Self {
         let n = dataset.len();
         let validation_from = n - (n / 10).min(200); // last 10 %, capped
@@ -49,15 +49,6 @@ impl<L: Learner> BaseNode<L> {
             .map(|&i| (self.dataset.sample(i), self.dataset.weight(i)))
             .collect();
         self.learner.train_step(&batch)
-    }
-
-    /// `iters` local iterations, then the training-kernel statistics they
-    /// accumulated — the body of `CollabAlgorithm::local_training`.
-    pub(crate) fn train<R: Rng + ?Sized>(&mut self, iters: usize, rng: &mut R) -> TrainStats {
-        for _ in 0..iters {
-            self.local_iteration(rng);
-        }
-        self.learner.take_train_stats()
     }
 
     /// Mean loss of an arbitrary parameter vector on the validation split.
@@ -159,9 +150,6 @@ pub(crate) mod testutil {
         fn set_params(&mut self, params: ParamVec) {
             assert_eq!(params.len(), 2);
             self.params = params;
-        }
-        fn loss(&self, s: &Pt) -> f32 {
-            self.loss_with(&self.params, s)
         }
         fn loss_with(&self, p: &ParamVec, s: &Pt) -> f32 {
             let w = p.as_slice();

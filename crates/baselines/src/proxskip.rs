@@ -15,9 +15,9 @@
 //! and downloads are instant; under wireless loss each message draws a loss
 //! uniformly from the distance-loss table.
 
+use crate::fleet::{Baseline, Rule};
 use crate::node::BaseNode;
-use lbchat::learner::mean_eval_loss;
-use lbchat::prelude::{CollabAlgorithm, FrameCtx, Learner, SessionCtx, SessionStep};
+use lbchat::prelude::{FrameCtx, Learner};
 use lbchat::WeightedDataset;
 use rand::RngExt;
 use vnn::ParamVec;
@@ -52,8 +52,10 @@ impl Default for ProxSkipConfig {
 }
 
 /// The central-server federated baseline.
-pub struct ProxSkip<L: Learner> {
-    nodes: Vec<BaseNode<L>>,
+pub type ProxSkip<L> = Baseline<L, ProxSkipRule>;
+
+/// ProxSkip's exchange rule: skipped server rounds and control variates.
+pub struct ProxSkipRule {
     /// Per-node control variate `h_i`.
     variates: Vec<ParamVec>,
     config: ProxSkipConfig,
@@ -70,16 +72,11 @@ impl<L: Learner> ProxSkip<L> {
         datasets: Vec<WeightedDataset<L::Sample>>,
         config: ProxSkipConfig,
     ) -> Self {
-        assert_eq!(learners.len(), datasets.len(), "one dataset per learner");
-        assert!(!learners.is_empty(), "need at least one vehicle");
-        let dim = learners[0].params().len();
-        let variates = vec![ParamVec::zeros(dim); learners.len()];
-        let nodes = learners
-            .into_iter()
-            .zip(datasets)
-            .map(|(l, d)| BaseNode::new(l, d, config.batch_size))
-            .collect();
-        Self { nodes, variates, config, next_round: 0.0 }
+        Self::with_rule(learners, datasets, config.batch_size, |nodes| {
+            let dim = nodes[0].learner.params().len();
+            let variates = vec![ParamVec::zeros(dim); nodes.len()];
+            ProxSkipRule { variates, config, next_round: 0.0 }
+        })
     }
 
     /// Immutable node access.
@@ -88,52 +85,23 @@ impl<L: Learner> ProxSkip<L> {
     }
 }
 
-impl<L: Learner> CollabAlgorithm for ProxSkip<L> {
-    type Sample = L::Sample;
-    type Session = ();
+/// Vehicles never talk to each other in ProxSkip: the `-inf` priority opts
+/// out of matching, so no session opens.
+impl<L: Learner> Rule<L> for ProxSkipRule {
+    const NAME: &'static str = "ProxSkip";
+    const PRIORITY: f64 = f64::NEG_INFINITY;
 
-    fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    fn model(&self, node: usize) -> &ParamVec {
-        self.nodes[node].learner.params()
-    }
-
-    fn local_training(
-        &mut self,
-        node: usize,
-        iters: usize,
-        rng: &mut rand::rngs::StdRng,
-    ) -> lbchat::TrainStats {
-        for _ in 0..iters {
-            self.nodes[node].local_iteration(rng);
-            // Control-variate drift: x ← x + γ̂ h (the −γ(−h_i) term of the
-            // ProxSkip local step).
-            if self.config.cv_gamma != 0.0 {
-                let mut p = self.nodes[node].learner.params().clone();
-                p.axpy(self.config.cv_gamma * 0.01, &self.variates[node]);
-                self.nodes[node].learner.set_params(p);
-            }
+    /// Control-variate drift: x ← x + γ̂ h (the −γ(−h_i) term of the
+    /// ProxSkip local step).
+    fn after_step(&self, v: usize, node: &mut BaseNode<L>) {
+        if self.config.cv_gamma != 0.0 {
+            let mut p = node.learner.params().clone();
+            p.axpy(self.config.cv_gamma * 0.01, &self.variates[v]);
+            node.learner.set_params(p);
         }
-        self.nodes[node].learner.take_train_stats()
     }
 
-    /// Vehicles never talk to each other in ProxSkip: sessions never open
-    /// (and `static_priority` already opts out of matching).
-    fn session_open(&mut self, _ctx: &mut SessionCtx<'_>) -> Option<((), SessionStep)> {
-        None
-    }
-
-    fn session_close(&mut self, _state: (), ctx: &mut SessionCtx<'_>) -> f64 {
-        ctx.elapsed()
-    }
-
-    fn static_priority(&self, _i: usize, _j: usize) -> Option<f64> {
-        Some(f64::NEG_INFINITY) // never matched
-    }
-
-    fn on_frame(&mut self, ctx: &mut FrameCtx<'_>) {
+    fn on_frame(&mut self, nodes: &mut [BaseNode<L>], ctx: &mut FrameCtx<'_>) {
         if ctx.time < self.next_round {
             return;
         }
@@ -145,7 +113,7 @@ impl<L: Learner> CollabAlgorithm for ProxSkip<L> {
         // carry the full, uncompressed model (ψ = 1).
         let model_bytes = self.config.model_bytes;
         let mut arrived: Vec<usize> = Vec::new();
-        for i in 0..self.nodes.len() {
+        for i in 0..nodes.len() {
             if ctx.backend_message(model_bytes) {
                 arrived.push(i);
             }
@@ -154,34 +122,26 @@ impl<L: Learner> CollabAlgorithm for ProxSkip<L> {
             return;
         }
         // Server average of delivered models.
-        let dim = self.nodes[0].learner.params().len();
+        let dim = nodes[0].learner.params().len();
         let mut avg = ParamVec::zeros(dim);
         for &i in &arrived {
-            avg.axpy(1.0 / arrived.len() as f32, self.nodes[i].learner.params());
+            avg.axpy(1.0 / arrived.len() as f32, nodes[i].learner.params());
         }
         // Download phase: vehicles that receive the broadcast adopt it and
         // update their control variate.
         let p = self.config.comm_prob as f32;
-        for i in 0..self.nodes.len() {
+        for (i, node) in nodes.iter_mut().enumerate() {
             if !ctx.backend_message(model_bytes) {
                 continue;
             }
             if self.config.cv_gamma != 0.0 {
                 let mut delta = avg.clone();
-                delta.axpy(-1.0, self.nodes[i].learner.params());
+                delta.axpy(-1.0, node.learner.params());
                 self.variates[i].axpy(p / self.config.cv_gamma, &delta);
             }
-            self.nodes[i].learner.set_params(avg.clone());
-            self.nodes[i].learner.on_params_replaced();
+            node.learner.set_params(avg.clone());
+            node.learner.on_params_replaced();
         }
-    }
-
-    fn mean_eval_loss(&self, eval: &[L::Sample]) -> f64 {
-        mean_eval_loss(self.nodes.iter().map(|n| &n.learner), eval)
-    }
-
-    fn name(&self) -> &'static str {
-        "ProxSkip"
     }
 }
 
@@ -189,7 +149,7 @@ impl<L: Learner> CollabAlgorithm for ProxSkip<L> {
 mod tests {
     use super::*;
     use crate::node::testutil::{line_data, LineLearner};
-    use lbchat::prelude::{Runtime, RuntimeConfig};
+    use lbchat::prelude::{CollabAlgorithm, Runtime, RuntimeConfig};
     use simnet::geom::Vec2;
     use simnet::trace::MobilityTrace;
 
@@ -227,7 +187,7 @@ mod tests {
         let mut federated = fleet(3);
         runtime.run(&mut federated, &trace, &eval).expect("trace fits");
         let mut isolated = fleet(3);
-        isolated.config.comm_prob = 0.0; // never communicate
+        isolated.rule.config.comm_prob = 0.0; // never communicate
         runtime.run(&mut isolated, &trace, &eval).expect("trace fits");
         let fed_loss = federated.mean_eval_loss(&eval);
         let iso_loss = isolated.mean_eval_loss(&eval);

@@ -8,9 +8,9 @@
 //! unconstrained ("we assume no backend bandwidth constraint at RSUs");
 //! message losses follow the same uniform table draw as ProxSkip.
 
+use crate::fleet::{Baseline, Rule};
 use crate::node::BaseNode;
-use lbchat::learner::mean_eval_loss;
-use lbchat::prelude::{CollabAlgorithm, FrameCtx, Learner, SessionCtx, SessionStep};
+use lbchat::prelude::{FrameCtx, Learner};
 use lbchat::WeightedDataset;
 use simnet::geom::Vec2;
 use vnn::ParamVec;
@@ -45,8 +45,10 @@ impl Default for RsuLConfig {
 }
 
 /// The RSU-based opportunistic baseline.
-pub struct RsuL<L: Learner> {
-    nodes: Vec<BaseNode<L>>,
+pub type RsuL<L> = Baseline<L, RsuLRule>;
+
+/// RSU-L's exchange rule: vehicle ↔ RSU uploads and downloads.
+pub struct RsuLRule {
     rsu_positions: Vec<Vec2>,
     rsu_models: Vec<ParamVec>,
     rsu_initialized: Vec<bool>,
@@ -67,67 +69,33 @@ impl<L: Learner> RsuL<L> {
         rsu_positions: Vec<Vec2>,
         config: RsuLConfig,
     ) -> Self {
-        assert_eq!(learners.len(), datasets.len(), "one dataset per learner");
-        assert!(!learners.is_empty(), "need at least one vehicle");
-        assert!(!rsu_positions.is_empty(), "need at least one RSU");
-        let dim = learners[0].params().len();
-        let rsu_models = vec![ParamVec::zeros(dim); rsu_positions.len()];
-        let rsu_initialized = vec![false; rsu_positions.len()];
-        let cooldown = vec![0.0; learners.len() * rsu_positions.len()];
-        let nodes = learners
-            .into_iter()
-            .zip(datasets)
-            .map(|(l, d)| BaseNode::new(l, d, config.batch_size))
-            .collect();
-        Self { nodes, rsu_positions, rsu_models, rsu_initialized, cooldown, config }
+        Self::with_rule(learners, datasets, config.batch_size, |nodes| {
+            assert!(!rsu_positions.is_empty(), "need at least one RSU");
+            let dim = nodes[0].learner.params().len();
+            let rsu_models = vec![ParamVec::zeros(dim); rsu_positions.len()];
+            let rsu_initialized = vec![false; rsu_positions.len()];
+            let cooldown = vec![0.0; nodes.len() * rsu_positions.len()];
+            RsuLRule { rsu_positions, rsu_models, rsu_initialized, cooldown, config }
+        })
     }
 
     /// The RSU models (tests / inspection).
     pub fn rsu_models(&self) -> &[ParamVec] {
-        &self.rsu_models
+        &self.rule.rsu_models
     }
 }
 
-impl<L: Learner> CollabAlgorithm for RsuL<L> {
-    type Sample = L::Sample;
-    type Session = ();
+/// No V2V exchanges in RSU-L: the `-inf` priority opts out of matching, so
+/// no session opens.
+impl<L: Learner> Rule<L> for RsuLRule {
+    const NAME: &'static str = "RSU-L";
+    const PRIORITY: f64 = f64::NEG_INFINITY;
 
-    fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    fn model(&self, node: usize) -> &ParamVec {
-        self.nodes[node].learner.params()
-    }
-
-    fn local_training(
-        &mut self,
-        node: usize,
-        iters: usize,
-        rng: &mut rand::rngs::StdRng,
-    ) -> lbchat::TrainStats {
-        self.nodes[node].train(iters, rng)
-    }
-
-    /// No V2V exchanges in RSU-L: sessions never open
-    /// (and `static_priority` already opts out of matching).
-    fn session_open(&mut self, _ctx: &mut SessionCtx<'_>) -> Option<((), SessionStep)> {
-        None
-    }
-
-    fn session_close(&mut self, _state: (), ctx: &mut SessionCtx<'_>) -> f64 {
-        ctx.elapsed()
-    }
-
-    fn static_priority(&self, _i: usize, _j: usize) -> Option<f64> {
-        Some(f64::NEG_INFINITY) // never matched
-    }
-
-    fn on_frame(&mut self, ctx: &mut FrameCtx<'_>) {
+    fn on_frame(&mut self, nodes: &mut [BaseNode<L>], ctx: &mut FrameCtx<'_>) {
         let n_rsus = self.rsu_positions.len();
         // Infrastructure messages carry the full, uncompressed model (ψ = 1).
         let model_bytes = self.config.model_bytes;
-        for v in 0..self.nodes.len() {
+        for (v, node) in nodes.iter_mut().enumerate() {
             if ctx.busy_until[v] > ctx.time {
                 continue;
             }
@@ -148,37 +116,29 @@ impl<L: Learner> CollabAlgorithm for RsuL<L> {
                         let merged = ParamVec::weighted_average(
                             &self.rsu_models[r],
                             1.0 - self.config.alpha,
-                            self.nodes[v].learner.params(),
+                            node.learner.params(),
                             self.config.alpha,
                         );
                         self.rsu_models[r] = merged;
                     } else {
-                        self.rsu_models[r] = self.nodes[v].learner.params().clone();
+                        self.rsu_models[r] = node.learner.params().clone();
                         self.rsu_initialized[r] = true;
                     }
                 }
                 // Download the (possibly just-updated) RSU model.
                 if ctx.backend_message(model_bytes) && self.rsu_initialized[r] {
                     let adopted = ParamVec::weighted_average(
-                        self.nodes[v].learner.params(),
+                        node.learner.params(),
                         0.5,
                         &self.rsu_models[r],
                         0.5,
                     );
-                    self.nodes[v].learner.set_params(adopted);
-                    self.nodes[v].learner.on_params_replaced();
+                    node.learner.set_params(adopted);
+                    node.learner.on_params_replaced();
                 }
                 break; // one RSU per frame per vehicle
             }
         }
-    }
-
-    fn mean_eval_loss(&self, eval: &[L::Sample]) -> f64 {
-        mean_eval_loss(self.nodes.iter().map(|n| &n.learner), eval)
-    }
-
-    fn name(&self) -> &'static str {
-        "RSU-L"
     }
 }
 

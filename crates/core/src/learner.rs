@@ -29,8 +29,11 @@ pub trait Learner {
     /// Implementations panic if the length differs from [`Learner::params`].
     fn set_params(&mut self, params: ParamVec);
 
-    /// Per-sample loss `f(x; d)` under the current parameters.
-    fn loss(&self, sample: &Self::Sample) -> f32;
+    /// Per-sample loss `f(x; d)` under the current parameters. Default:
+    /// [`Learner::loss_with`] at [`Learner::params`].
+    fn loss(&self, sample: &Self::Sample) -> f32 {
+        self.loss_with(self.params(), sample)
+    }
 
     /// Per-sample loss under an arbitrary parameter vector of the same
     /// layout — used to evaluate *compressed* copies of a model without
@@ -209,10 +212,6 @@ pub(crate) mod testutil {
         fn set_params(&mut self, params: ParamVec) {
             assert_eq!(params.len(), 2);
             self.params = params;
-        }
-
-        fn loss(&self, s: &Pt) -> f32 {
-            self.loss_with(&self.params, s)
         }
 
         fn loss_with(&self, p: &ParamVec, s: &Pt) -> f32 {

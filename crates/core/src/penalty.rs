@@ -196,10 +196,6 @@ mod tests {
             self.inner.set_params(params);
         }
 
-        fn loss(&self, s: &Pt) -> f32 {
-            self.loss_with(self.inner.params(), s)
-        }
-
         fn loss_with(&self, p: &ParamVec, s: &Pt) -> f32 {
             self.calls.set(self.calls.get() + 1);
             self.inner.loss_with(p, s)

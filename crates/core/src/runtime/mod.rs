@@ -385,9 +385,12 @@ pub trait CollabAlgorithm {
     }
 
     /// Closes the session after [`SessionStep::Done`]. Returns the session
-    /// duration in seconds (both nodes were busy that long) — usually
-    /// [`SessionCtx::elapsed`], or a floor the protocol charges on top.
-    fn session_close(&mut self, state: Self::Session, ctx: &mut SessionCtx<'_>) -> f64;
+    /// duration in seconds (both nodes were busy that long). Default:
+    /// [`SessionCtx::elapsed`]; LbChat overrides it to charge a floor on
+    /// top.
+    fn session_close(&mut self, _state: Self::Session, ctx: &mut SessionCtx<'_>) -> f64 {
+        ctx.elapsed()
+    }
 
     /// The pair's matching priority when the method can state it without
     /// the contact estimate; `None` (the default) means "I rank by the
@@ -577,9 +580,6 @@ mod tests {
             let out = ctx.run_spec(&TransferSpec::link(15_000, 5.0));
             ctx.metrics.record_coreset_send(out.is_delivered(), 15_000, out.elapsed());
             Some(((), SessionStep::Done))
-        }
-        fn session_close(&mut self, _state: (), ctx: &mut SessionCtx<'_>) -> f64 {
-            ctx.elapsed()
         }
         fn on_frame(&mut self, _ctx: &mut FrameCtx<'_>) {
             self.frames += 1;
@@ -1077,9 +1077,6 @@ mod tests {
                 let bytes = 5_000 + (ctx.rng().random::<f32>() * 20_000.0) as usize;
                 spec = TransferSpec::link(bytes, 6.0);
             }
-        }
-        fn session_close(&mut self, _state: (), ctx: &mut SessionCtx<'_>) -> f64 {
-            ctx.elapsed()
         }
         fn static_priority(&self, _i: usize, _j: usize) -> Option<f64> {
             self.stated

@@ -61,10 +61,6 @@ impl CollabAlgorithm for Streamer {
         Some(((), SessionStep::Done))
     }
 
-    fn session_close(&mut self, _state: (), ctx: &mut SessionCtx<'_>) -> f64 {
-        ctx.elapsed()
-    }
-
     fn mean_eval_loss(&self, _eval: &[()]) -> f64 {
         1.0
     }

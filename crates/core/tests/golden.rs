@@ -35,9 +35,6 @@ impl Learner for Line {
     fn set_params(&mut self, p: ParamVec) {
         self.0 = p;
     }
-    fn loss(&self, s: &Pt) -> f32 {
-        self.loss_with(&self.0, s)
-    }
     fn loss_with(&self, p: &ParamVec, s: &Pt) -> f32 {
         let w = p.as_slice();
         let r = w[0] * s.0 + w[1] - s.1;

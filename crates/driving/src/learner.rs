@@ -181,11 +181,6 @@ impl Learner for DrivingLearner {
         self.policy.set_params(params);
     }
 
-    fn loss(&self, sample: &Frame) -> f32 {
-        self.policy
-            .loss(&sample.features, sample.command.index(), &sample.waypoints)
-    }
-
     fn loss_with(&self, params: &ParamVec, sample: &Frame) -> f32 {
         self.policy
             .loss_with(params, &sample.features, sample.command.index(), &sample.waypoints)

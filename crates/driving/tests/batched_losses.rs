@@ -38,10 +38,6 @@ impl Learner for PerSample {
         self.0.set_params(params);
     }
 
-    fn loss(&self, sample: &Frame) -> f32 {
-        self.0.loss(sample)
-    }
-
     fn loss_with(&self, params: &ParamVec, sample: &Frame) -> f32 {
         self.0.loss_with(params, sample)
     }

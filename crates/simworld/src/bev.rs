@@ -235,6 +235,26 @@ pub fn rasterize_into(
     route_ahead: &[Vec2],
     out: &mut Bev,
 ) {
+    rasterize_skipping(cfg, pose, speed, road, cars, None, pedestrians, route_ahead, out);
+}
+
+/// [`rasterize_into`] with car `skip` of `cars` left out — an expert's
+/// view of the world's whole car column, without copying it.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "`rasterize_into`'s eight inputs plus the car it leaves out"
+)]
+pub(crate) fn rasterize_skipping(
+    cfg: &BevConfig,
+    pose: Pose,
+    speed: f32,
+    road: &RoadRaster,
+    cars: &[Vec2],
+    skip: Option<usize>,
+    pedestrians: &[Vec2],
+    route_ahead: &[Vec2],
+    out: &mut Bev,
+) {
     let n = cfg.cells;
     out.reset(n, speed);
     let channels = &mut out.channels;
@@ -310,8 +330,8 @@ pub fn rasterize_into(
         let d = world - pose.pos;
         d.x.abs() > reject || d.y.abs() > reject
     };
-    for &c in cars {
-        if far(c) {
+    for (id, &c) in cars.iter().enumerate() {
+        if Some(id) == skip || far(c) {
             continue;
         }
         let ego = to_ego(c);

@@ -27,7 +27,7 @@
 //!    what makes the two worlds bit-identical.
 
 use crate::agents::{advance_on_route, radii, AgentId, Pedestrian, VehicleRef};
-use crate::bev::{rasterize_into, Bev, BevConfig, Pose};
+use crate::bev::{rasterize_skipping, Bev, BevConfig, Pose};
 use crate::expert::{command_for, forward_gap, hazard_ahead, waypoints_timed, Command};
 use crate::map::{EdgeId, MapConfig, RoadNetwork};
 use crate::route::{Route, RoutingTable};
@@ -371,18 +371,6 @@ impl World {
         self.pos[..self.ped_base].to_vec()
     }
 
-    /// Positions of cars excluding expert `skip` (for that expert's BEV).
-    pub fn car_positions_except(&self, skip: usize) -> Vec<Vec2> {
-        let cars = &self.pos[..self.ped_base];
-        let mut out = Vec::with_capacity(cars.len().saturating_sub(1));
-        for (id, &p) in cars.iter().enumerate() {
-            if id != skip {
-                out.push(p);
-            }
-        }
-        out
-    }
-
     /// Advances the world by one frame (`1 / fps` seconds): the pure
     /// intent phase, then the serial id-ordered apply pass.
     pub fn step(&mut self) {
@@ -539,22 +527,15 @@ impl World {
         skip: Option<usize>,
         bev: &mut Bev,
     ) -> Command {
-        let except;
-        let cars = match skip {
-            Some(idx) => {
-                except = self.car_positions_except(idx);
-                &except[..]
-            }
-            None => &self.pos[..self.ped_base],
-        };
         let route_ahead =
             self.route_polyline_from(progress.route, progress.edge_idx, progress.s, 60.0);
-        rasterize_into(
+        rasterize_skipping(
             &self.config.bev,
             pose,
             progress.speed,
             &self.raster,
-            cars,
+            &self.pos[..self.ped_base],
+            skip,
             &self.pos[self.ped_base..],
             &route_ahead,
             bev,

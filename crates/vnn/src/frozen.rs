@@ -74,7 +74,7 @@ fn freeze_mlp(
             start,
             fan_in,
             fan_out,
-            act: if l + 1 == n_layers { out_act } else { spec.hidden_activation },
+            act: if l + 1 == n_layers { out_act } else { Activation::Relu },
             skip_zeros: bias.iter().all(|b| b.to_bits() != NEG_ZERO_BITS),
         });
         off += (fan_in + 1) * fan_out;

@@ -63,7 +63,7 @@ pub mod wire;
 
 pub use batch::Minibatcher;
 pub use frozen::FrozenPolicy;
-pub use mlp::{Activation, Mlp, MlpSpec};
+pub use mlp::{Mlp, MlpSpec};
 pub use param::ParamVec;
 pub use policy::{BatchOutcome, BatchSource, BranchedPolicy, PolicySample, PolicySpec};
 pub use scratch::{MlpScratch, TrainScratch, TrainStats, SHARD};

@@ -49,14 +49,13 @@ fn axpy(acc: &mut [f32; LANES], x: &[f32; LANES], w: f32) {
     }
 }
 
-/// Activation function applied after each hidden layer.
+/// The activation a layer applies: ReLU after every hidden layer, none
+/// after the last.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Activation {
+pub(crate) enum Activation {
     /// Rectified linear unit, `max(0, x)`.
     Relu,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// No nonlinearity (used for output layers).
+    /// No nonlinearity (the output layer).
     Identity,
 }
 
@@ -64,7 +63,6 @@ impl Activation {
     pub(crate) fn apply(self, x: f32) -> f32 {
         match self {
             Activation::Relu => x.max(0.0),
-            Activation::Tanh => x.tanh(),
             Activation::Identity => x,
         }
     }
@@ -79,28 +77,25 @@ impl Activation {
                     0.0
                 }
             }
-            Activation::Tanh => 1.0 - y * y,
             Activation::Identity => 1.0,
         }
     }
 }
 
-/// Architecture of an MLP: layer widths and hidden activation.
+/// Architecture of an MLP: its layer widths.
 ///
 /// `sizes = [in, h1, .., out]` describes `sizes.len() - 1` dense layers; the
-/// hidden layers use `hidden_activation`, the final layer is linear.
+/// hidden layers apply ReLU, the final layer is linear.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MlpSpec {
     /// Layer widths, input first, output last. Must have at least 2 entries.
     pub sizes: Vec<usize>,
-    /// Activation applied after every layer except the last.
-    pub hidden_activation: Activation,
 }
 
 impl MlpSpec {
-    /// Creates a spec with ReLU hidden layers.
+    /// Creates a spec with ReLU hidden layers and a linear last layer.
     pub fn relu(sizes: Vec<usize>) -> Self {
-        Self { sizes, hidden_activation: Activation::Relu }
+        Self { sizes }
     }
 
     /// Total number of parameters (weights + biases) the spec requires.
@@ -212,11 +207,7 @@ impl Mlp {
                 reason = "acts starts with the input pushed just above the loop"
             )]
             let x = acts.last().expect("at least input present");
-            let act = if l + 1 == n_layers {
-                Activation::Identity
-            } else {
-                self.spec.hidden_activation
-            };
+            let act = self.layer_activation(l);
             let mut y = vec![0.0f32; fan_out];
             for (j, yj) in y.iter_mut().enumerate() {
                 // weights stored row-major: weight[j * fan_in + i] connects
@@ -266,11 +257,7 @@ impl Mlp {
         for l in (0..n_layers).rev() {
             let fan_in = self.spec.sizes[l];
             let fan_out = self.spec.sizes[l + 1];
-            let act = if l + 1 == n_layers {
-                Activation::Identity
-            } else {
-                self.spec.hidden_activation
-            };
+            let act = self.layer_activation(l);
             let y = &cache.acts[l + 1];
             let x = &cache.acts[l];
             // delta through the activation
@@ -313,13 +300,13 @@ impl Mlp {
     // ascending output-unit index) matches the per-sample kernels; batching
     // only reorders work *between* independent accumulators.
 
-    /// The activation applied by layer `l` (hidden activation everywhere
-    /// except the final, linear layer).
+    /// The activation applied by layer `l`: ReLU everywhere except the
+    /// final, linear layer.
     fn layer_activation(&self, l: usize) -> Activation {
         if l + 1 == self.spec.sizes.len() - 1 {
             Activation::Identity
         } else {
-            self.spec.hidden_activation
+            Activation::Relu
         }
     }
 

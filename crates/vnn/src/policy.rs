@@ -117,17 +117,9 @@ impl BranchedPolicy {
         trunk_sizes.push(spec.input_dim);
         trunk_sizes.extend_from_slice(&spec.trunk);
         let trunk_out = spec.trunk.last().copied().unwrap_or(spec.input_dim);
-        // The trunk's last hidden layer is its output; hidden activation is
-        // applied throughout so heads see nonlinear features. We express this
-        // as an MLP whose "output" layer is also ReLU by appending a
-        // pass-through: simpler, we make the trunk end at the last hidden
-        // width and treat the ReLU of the final layer inside the head input
-        // via the trunk spec having >= 2 sizes with identity on its last
-        // layer; to keep features nonlinear we add the activation manually in
-        // forward below when the trunk has a single layer. To avoid special
-        // cases the trunk here always applies ReLU on its last layer by
-        // construction: we append a same-width layer only when the trunk
-        // would otherwise be linear-ended.
+        // The trunk ends linear, like every `Mlp`; each reader of its output
+        // applies the ReLU that makes the heads' features nonlinear
+        // (`forward_with`, `loss_and_grad`, `forward_trunk`, `FrozenPolicy`).
         assert!(
             spec.skip_inputs <= spec.input_dim,
             "skip inputs cannot exceed the input dimension"
@@ -213,12 +205,8 @@ impl BranchedPolicy {
         head.forward(params, &feats).output().to_vec()
     }
 
-    /// Loss of the active branch against `target`, without gradients.
-    pub fn loss(&self, input: &[f32], branch: usize, target: &[f32]) -> f32 {
-        self.loss_with(&self.params, input, branch, target)
-    }
-
-    /// Loss under an arbitrary parameter vector of the same layout.
+    /// Loss of the active branch against `target` under an arbitrary
+    /// parameter vector of the same layout, without gradients.
     pub fn loss_with(
         &self,
         params: &ParamVec,
@@ -608,9 +596,9 @@ mod tests {
         for i in (0..p.param_count()).step_by(17) {
             let orig = p.params().as_slice()[i];
             p.params_mut().as_mut_slice()[i] = orig + eps;
-            let up = p.loss(&x, 1, &t);
+            let up = p.loss_with(p.params(), &x, 1, &t);
             p.params_mut().as_mut_slice()[i] = orig - eps;
-            let dn = p.loss(&x, 1, &t);
+            let dn = p.loss_with(p.params(), &x, 1, &t);
             p.params_mut().as_mut_slice()[i] = orig;
             let fd = (up - dn) / (2.0 * eps);
             assert!((fd - grad[i]).abs() < 2e-2, "param {i}: {fd} vs {}", grad[i]);
@@ -624,12 +612,12 @@ mod tests {
         let mut opt = Sgd::new(5e-3, 0.9, 0.0);
         let x = [0.4f32, -0.1, 0.8, 0.2, -0.6, 0.3];
         let t = vec![0.7f32; 6];
-        let initial = p.loss(&x, 3, &t);
+        let initial = p.loss_with(p.params(), &x, 3, &t);
         for _ in 0..300 {
             let (_, g) = p.loss_and_grad(&x, 3, &t);
             opt.step(p.params_mut().as_mut_slice(), &g);
         }
-        let final_loss = p.loss(&x, 3, &t);
+        let final_loss = p.loss_with(p.params(), &x, 3, &t);
         assert!(final_loss < initial * 0.3, "{final_loss} vs initial {initial}");
     }
 

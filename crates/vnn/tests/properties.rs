@@ -5,7 +5,7 @@ use rand::{RngExt, SeedableRng};
 use vnn::loss::{mean_loss, mean_loss_and_grad};
 use vnn::mlp::LANES;
 use vnn::{
-    Activation, BranchedPolicy, Minibatcher, Mlp, MlpScratch, MlpSpec, ParamVec,
+    BranchedPolicy, Minibatcher, Mlp, MlpScratch, MlpSpec, ParamVec,
     PolicySample, PolicySpec, Sgd, TrainScratch, SHARD,
 };
 
@@ -111,7 +111,8 @@ fn policy_loss_decreases_under_training_on_random_data() {
         })
         .collect();
     let mean = |p: &BranchedPolicy| -> f32 {
-        data.iter().map(|(x, b, t)| p.loss(x, *b, t)).sum::<f32>() / data.len() as f32
+        let sum: f32 = data.iter().map(|(x, b, t)| p.loss_with(p.params(), x, *b, t)).sum();
+        sum / data.len() as f32
     };
     let before = mean(&policy);
     for _ in 0..150 {
@@ -326,29 +327,27 @@ proptest! {
         // Every batch size around the lane-block boundaries (scalar blocks
         // of 1–2, ragged tails, full blocks), output widths that are not a
         // multiple of the register tile, the narrowest and the
-        // driving-scale input, every activation — through ONE scratch, so
-        // each shape runs over buffers dirtied by the previous ones.
+        // driving-scale input — through ONE scratch, so each shape runs
+        // over buffers dirtied by the previous ones.
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut scratch = MlpScratch::new();
-        for activation in [Activation::Relu, Activation::Tanh, Activation::Identity] {
-            for sizes in [vec![1, 10, 3], vec![147, 33, 10], vec![5, 4, 8, 1]] {
-                let mlp = Mlp::new(MlpSpec { sizes: sizes.clone(), hidden_activation: activation }, 3);
-                let mut params = ParamVec::zeros(3 + mlp.param_count());
-                mlp.init(&mut params, &mut rng);
-                for n in 1..=2 * LANES + 3 {
-                    let inputs: Vec<f32> =
-                        (0..n * sizes[0]).map(|_| rng.random_range(-2.0f32..2.0)).collect();
-                    mlp.stage_batch(&mut scratch, n).copy_from_slice(&inputs);
-                    mlp.forward_batch(&params, &mut scratch, n);
-                    let out_dim = mlp.spec().output_dim();
-                    for (b, x) in inputs.chunks_exact(sizes[0]).enumerate() {
-                        let single = mlp.forward(&params, x);
-                        prop_assert_eq!(
-                            bits(&mlp.batch_outputs(&scratch, n)[b * out_dim..(b + 1) * out_dim]),
-                            bits(single.output()),
-                            "{:?} {:?} n={} sample {}", activation, &sizes, n, b
-                        );
-                    }
+        for sizes in [vec![1, 10, 3], vec![147, 33, 10], vec![5, 4, 8, 1]] {
+            let mlp = Mlp::new(MlpSpec::relu(sizes.clone()), 3);
+            let mut params = ParamVec::zeros(3 + mlp.param_count());
+            mlp.init(&mut params, &mut rng);
+            for n in 1..=2 * LANES + 3 {
+                let inputs: Vec<f32> =
+                    (0..n * sizes[0]).map(|_| rng.random_range(-2.0f32..2.0)).collect();
+                mlp.stage_batch(&mut scratch, n).copy_from_slice(&inputs);
+                mlp.forward_batch(&params, &mut scratch, n);
+                let out_dim = mlp.spec().output_dim();
+                for (b, x) in inputs.chunks_exact(sizes[0]).enumerate() {
+                    let single = mlp.forward(&params, x);
+                    prop_assert_eq!(
+                        bits(&mlp.batch_outputs(&scratch, n)[b * out_dim..(b + 1) * out_dim]),
+                        bits(single.output()),
+                        "{:?} n={} sample {}", &sizes, n, b
+                    );
                 }
             }
         }
@@ -461,7 +460,7 @@ proptest! {
             (vec![SPARSE_INPUT_DIM, 18, 12], false),
         ] {
             let (fan_in, fan_out) = (sizes[0], sizes[1]);
-            let mlp = Mlp::new(MlpSpec { sizes: sizes.clone(), hidden_activation: Activation::Tanh }, 2);
+            let mlp = Mlp::new(MlpSpec::relu(sizes.clone()), 2);
             let mut params = ParamVec::zeros(2 + mlp.param_count());
             mlp.init(&mut params, &mut rng);
             let p = params.as_mut_slice();
@@ -498,8 +497,10 @@ proptest! {
                 let (policy, data) = sparse_policy_and_batch(seed ^ n as u64, n, neg_zero_bias);
                 let samples = as_samples(&data);
                 policy.losses_with(policy.params(), &samples[..], &mut losses, &mut scratch);
-                let single: Vec<f32> =
-                    data.iter().map(|(x, b, t, _)| policy.loss(x, *b, t)).collect();
+                let single: Vec<f32> = data
+                    .iter()
+                    .map(|(x, b, t, _)| policy.loss_with(policy.params(), x, *b, t))
+                    .collect();
                 prop_assert_eq!(bits(&losses), bits(&single), "n={}", n);
 
                 // `scratch.grad()` against the per-sample fold, which is in
@@ -523,15 +524,16 @@ proptest! {
 /// there stays finite, where the per-sample kernel computes `0 · NaN`; and
 /// a ReLU, being `max(x, 0)`, turns a NaN pre-activation into `0.0` on
 /// either path, so the driving policy's loss never shows a poisoned trunk
-/// weight at all: whoever must reject a poisoned model inspects `params`.)
+/// weight at all: whoever must reject a poisoned model inspects `params`.
+/// Hence one linear layer here, whose unit 2 reads the NaN weight.)
 #[test]
 fn nan_weight_in_a_read_column_poisons_that_sample() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(31);
     let (fan_in, column, n) = (SPARSE_INPUT_DIM, 11, 24);
-    let mlp = Mlp::new(MlpSpec { sizes: vec![fan_in, 9, 4], hidden_activation: Activation::Tanh }, 0);
+    let mlp = Mlp::new(MlpSpec::relu(vec![fan_in, 4]), 0);
     let mut params = ParamVec::zeros(mlp.param_count());
     mlp.init(&mut params, &mut rng);
-    params.as_mut_slice()[4 * fan_in + column] = f32::NAN;
+    params.as_mut_slice()[2 * fan_in + column] = f32::NAN;
     let inputs = sparse_rows(&mut rng, n, fan_in);
     let mut scratch = MlpScratch::new();
     mlp.stage_batch(&mut scratch, n).copy_from_slice(&inputs);
@@ -541,8 +543,8 @@ fn nan_weight_in_a_read_column_poisons_that_sample() {
     assert!(readers.len() >= 3, "the fixture must read column {column}: {readers:?}");
     for b in readers {
         let single = mlp.forward(&params, &inputs[b * fan_in..(b + 1) * fan_in]);
-        assert!(single.output().iter().all(|y| y.is_nan()), "sample {b} reads the NaN weight");
-        assert!(outputs[b * 4..(b + 1) * 4].iter().all(|y| y.is_nan()), "sample {b}, batched");
+        assert!(single.output()[2].is_nan(), "sample {b} reads the NaN weight");
+        assert!(outputs[b * 4 + 2].is_nan(), "sample {b}, batched");
     }
 }
 
@@ -554,7 +556,7 @@ fn nan_weight_in_a_read_column_poisons_that_sample() {
 #[test]
 fn neg_zero_bias_keeps_every_column() {
     let (fan_in, fan_out) = (3, 5);
-    let mlp = Mlp::new(MlpSpec { sizes: vec![fan_in, fan_out], hidden_activation: Activation::Relu }, 0);
+    let mlp = Mlp::new(MlpSpec::relu(vec![fan_in, fan_out]), 0);
     let mut params = ParamVec::zeros(mlp.param_count());
     // Unit 0 sits in the register tile, unit 4 in the one-at-a-time tail.
     for unit in [0, 4] {
@@ -588,7 +590,7 @@ fn neg_zero_bias_keeps_every_column() {
 /// ISAs rests on this.
 #[test]
 fn multiply_then_add_is_never_fused() {
-    let mlp = Mlp::new(MlpSpec { sizes: vec![1, 1], hidden_activation: Activation::Identity }, 0);
+    let mlp = Mlp::new(MlpSpec::relu(vec![1, 1]), 0);
     let (x, w, bias) = (1.0 + 2f32.powi(-12), 1.0 + 2f32.powi(-12), -(1.0 + 2f32.powi(-11)));
     assert_eq!(x.mul_add(w, bias), 2f32.powi(-24), "a fused multiply-add keeps the tie");
     let params = ParamVec::from_vec(vec![w, bias]);

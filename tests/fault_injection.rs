@@ -37,9 +37,6 @@ impl Learner for Line {
     fn set_params(&mut self, p: ParamVec) {
         self.params = p;
     }
-    fn loss(&self, s: &Pt) -> f32 {
-        self.loss_with(&self.params, s)
-    }
     fn loss_with(&self, p: &ParamVec, s: &Pt) -> f32 {
         let w = p.as_slice();
         let r = w[0] * s.x + w[1] - s.y;
