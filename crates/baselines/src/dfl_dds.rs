@@ -11,8 +11,8 @@
 //! model compression ratio for each encounter to ensure the vehicle pair
 //! can finish the model exchange within the contact duration".
 
-use crate::fleet::{Baseline, Rule};
-use crate::node::{fitted_swap, BaseNode};
+use crate::fleet::{fitted_swap, merge_on_support, Baseline, Rule};
+use lbchat::node::Vehicle;
 use lbchat::prelude::{FrameCtx, Learner, SessionCtx};
 use lbchat::WeightedDataset;
 use vnn::ParamVec;
@@ -100,14 +100,14 @@ impl DflDdsRule {
     /// node's own.
     fn merge_received<L: Learner>(
         &mut self,
-        nodes: &mut [BaseNode<L>],
+        nodes: &mut [Vehicle<L>],
         node: usize,
         peer: usize,
         model: &ParamVec,
     ) {
         let gain = diversity_gain(&self.sources[node], &self.sources[peer]);
         let w = (self.config.base_weight * (0.5 + gain)).clamp(0.05, 0.8);
-        nodes[node].merge_peer(model, w);
+        nodes[node].adopt(merge_on_support(nodes[node].learner.params(), model, w));
         let (own, theirs) = if node < peer {
             let (a, b) = self.sources.split_at_mut(peer);
             (&mut a[node], &b[0])
@@ -125,14 +125,14 @@ impl<L: Learner> Rule<L> for DflDdsRule {
     const NAME: &'static str = "DFL-DDS";
     const PRIORITY: f64 = 0.0;
 
-    fn on_frame(&mut self, _nodes: &mut [BaseNode<L>], ctx: &mut FrameCtx<'_>) {
+    fn on_frame(&mut self, _nodes: &mut [Vehicle<L>], ctx: &mut FrameCtx<'_>) {
         // Advance the global round counter (synchronous rounds).
         self.current_round = (ctx.time / self.config.round_seconds) as u64;
     }
 
     /// Swaps contact-fitted models with a peer (one exchange per vehicle
     /// per round) and merges what arrived.
-    fn session(&mut self, nodes: &mut [BaseNode<L>], ctx: &mut SessionCtx<'_>) -> bool {
+    fn session(&mut self, nodes: &mut [Vehicle<L>], ctx: &mut SessionCtx<'_>) -> bool {
         let (i, j) = (ctx.i, ctx.j);
         // Synchronous gating: one exchange per node per round.
         let round = self.current_round;
@@ -161,7 +161,7 @@ impl<L: Learner> Rule<L> for DflDdsRule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::testutil::{line_data, LineLearner};
+    use crate::testutil::{line_data, LineLearner};
     use lbchat::prelude::{Runtime, RuntimeConfig};
     use simnet::geom::Vec2;
     use simnet::trace::MobilityTrace;

@@ -8,8 +8,9 @@
 //! normalized logarithmic function of the loss" evaluated on the local
 //! validation dataset — a lower-loss peer model earns a larger share.
 
-use crate::fleet::{Baseline, Rule};
-use crate::node::{fitted_swap, BaseNode};
+use crate::fleet::{fitted_swap, merge_on_support, Baseline, Rule};
+use lbchat::learner::mean_loss;
+use lbchat::node::Vehicle;
 use lbchat::prelude::{Learner, SessionCtx};
 use lbchat::WeightedDataset;
 use vnn::ParamVec;
@@ -67,12 +68,13 @@ impl<L: Learner> Dp<L> {
     }
 }
 
-/// Merges a received peer model into `node`, weighted by both models'
-/// losses on the node's validation split.
-fn merge_received<L: Learner>(node: &mut BaseNode<L>, peer: &ParamVec) {
-    let own = node.validation_loss(node.learner.params());
-    let w_peer = Dp::<L>::merge_weight(own, node.validation_loss(peer));
-    node.merge_peer(peer, w_peer);
+/// Merges a received peer model into `vehicle` on the peer's support,
+/// weighted by both models' mean losses on the vehicle's held-out samples.
+fn merge_received<L: Learner>(vehicle: &mut Vehicle<L>, peer: &ParamVec) {
+    let held_out: Vec<&L::Sample> = vehicle.held_out().iter().collect();
+    let loss = |params| mean_loss(&vehicle.learner, params, &held_out) as f32;
+    let w_peer = Dp::<L>::merge_weight(loss(vehicle.learner.params()), loss(peer));
+    vehicle.adopt(merge_on_support(vehicle.learner.params(), peer, w_peer));
 }
 
 impl<L: Learner> Rule<L> for DpRule {
@@ -80,7 +82,7 @@ impl<L: Learner> Rule<L> for DpRule {
     const PRIORITY: f64 = 0.0;
 
     /// Swaps contact-fitted models and merges what arrived.
-    fn session(&mut self, nodes: &mut [BaseNode<L>], ctx: &mut SessionCtx<'_>) -> bool {
+    fn session(&mut self, nodes: &mut [Vehicle<L>], ctx: &mut SessionCtx<'_>) -> bool {
         let Some((for_i, for_j)) =
             fitted_swap(nodes, self.config.model_bytes, self.config.time_budget, ctx)
         else {
@@ -99,7 +101,7 @@ impl<L: Learner> Rule<L> for DpRule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::testutil::{line_data, LineLearner};
+    use crate::testutil::{line_data, LineLearner};
     use lbchat::prelude::{CollabAlgorithm, Runtime, RuntimeConfig};
     use simnet::channel::RadioConfig;
     use simnet::geom::Vec2;

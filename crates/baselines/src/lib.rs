@@ -21,12 +21,13 @@
 //!   validation loss; fitted compression, like DFL-DDS.
 //!
 //! The four are one [`CollabAlgorithm`](lbchat::prelude::CollabAlgorithm):
-//! a [`fleet::Baseline`] of [`node::BaseNode`]s — plain local SGD on each
-//! vehicle's own data — driven by a [`fleet::Rule`] that holds only what
-//! sets the method apart (its name, its stated matching priority, its
-//! session, its per-frame exchanges, and ProxSkip's per-step drift). None
-//! of them exchanges training data, which is precisely the paper's point
-//! of comparison.
+//! a [`fleet::Baseline`] of [`lbchat::node::Vehicle`]s — the vehicle LbChat
+//! trains on too: plain local SGD on each vehicle's own data — driven by a
+//! [`fleet::Rule`] that holds only what sets the method apart (its name,
+//! its stated matching priority, its session, its per-frame exchanges, and
+//! ProxSkip's per-step drift). DP and DFL-DDS swap models through one
+//! contact-fitted session (`fleet::fitted_swap`). None of them exchanges
+//! training data, which is precisely the paper's point of comparison.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +43,6 @@
 pub mod dfl_dds;
 pub mod dp;
 pub mod fleet;
-pub mod node;
 pub mod proxskip;
 pub mod rsul;
 
@@ -52,6 +52,82 @@ pub use proxskip::ProxSkip;
 pub use rsul::RsuL;
 
 #[cfg(test)]
+pub(crate) mod testutil {
+    //! The same analytic line-fitting learner the core crate tests with.
+
+    use lbchat::Learner;
+    use vnn::ParamVec;
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct Pt {
+        pub x: f32,
+        pub y: f32,
+    }
+
+    #[derive(Debug, Clone)]
+    pub struct LineLearner {
+        pub params: ParamVec,
+        pub lr: f32,
+    }
+
+    impl LineLearner {
+        pub fn new() -> Self {
+            Self { params: ParamVec::from_vec(vec![0.0, 0.0]), lr: 0.05 }
+        }
+    }
+
+    impl Learner for LineLearner {
+        type Sample = Pt;
+        fn params(&self) -> &ParamVec {
+            &self.params
+        }
+        fn set_params(&mut self, params: ParamVec) {
+            assert_eq!(params.len(), 2);
+            self.params = params;
+        }
+        fn loss_with(&self, p: &ParamVec, s: &Pt) -> f32 {
+            let w = p.as_slice();
+            let r = w[0] * s.x + w[1] - s.y;
+            r * r
+        }
+        fn train_step(&mut self, batch: &[(&Pt, f32)]) -> f32 {
+            if batch.is_empty() {
+                return 0.0;
+            }
+            let w = self.params.as_slice();
+            let (mut ga, mut gb, mut loss, mut wsum) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
+            for (s, wt) in batch {
+                let r = w[0] * s.x + w[1] - s.y;
+                ga += wt * 2.0 * r * s.x;
+                gb += wt * 2.0 * r;
+                loss += wt * r * r;
+                wsum += wt;
+            }
+            let inv = 1.0 / wsum;
+            let p = self.params.as_mut_slice();
+            p[0] -= self.lr * ga * inv;
+            p[1] -= self.lr * gb * inv;
+            loss * inv
+        }
+        fn group_of(&self, _s: &Pt) -> usize {
+            0
+        }
+        fn n_groups(&self) -> usize {
+            1
+        }
+    }
+
+    pub fn line_data(a: f32, b: f32, n: usize) -> Vec<Pt> {
+        (0..n)
+            .map(|i| {
+                let x = (i as f32 / n as f32) * 4.0 - 2.0;
+                Pt { x, y: a * x + b }
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     //! The four baselines state their matching priority without the contact
     //! estimate, so the runtime predicts a contact only for the pairs it
@@ -59,7 +135,7 @@ mod tests {
     //! it states nothing.
 
     use super::*;
-    use crate::node::testutil::{line_data, LineLearner, Pt};
+    use crate::testutil::{line_data, LineLearner, Pt};
     use lbchat::prelude::{
         CollabAlgorithm, FrameCtx, Metrics, ObsSink, Runtime, RuntimeConfig, SessionCtx,
         SessionStep, TrainStats,

@@ -9,7 +9,7 @@
 //! message losses follow the same uniform table draw as ProxSkip.
 
 use crate::fleet::{Baseline, Rule};
-use crate::node::BaseNode;
+use lbchat::node::Vehicle;
 use lbchat::prelude::{FrameCtx, Learner};
 use lbchat::WeightedDataset;
 use simnet::geom::Vec2;
@@ -91,7 +91,7 @@ impl<L: Learner> Rule<L> for RsuLRule {
     const NAME: &'static str = "RSU-L";
     const PRIORITY: f64 = f64::NEG_INFINITY;
 
-    fn on_frame(&mut self, nodes: &mut [BaseNode<L>], ctx: &mut FrameCtx<'_>) {
+    fn on_frame(&mut self, nodes: &mut [Vehicle<L>], ctx: &mut FrameCtx<'_>) {
         let n_rsus = self.rsu_positions.len();
         // Infrastructure messages carry the full, uncompressed model (ψ = 1).
         let model_bytes = self.config.model_bytes;
@@ -133,8 +133,7 @@ impl<L: Learner> Rule<L> for RsuLRule {
                         &self.rsu_models[r],
                         0.5,
                     );
-                    node.learner.set_params(adopted);
-                    node.learner.on_params_replaced();
+                    node.adopt(adopted);
                 }
                 break; // one RSU per frame per vehicle
             }
@@ -145,7 +144,7 @@ impl<L: Learner> Rule<L> for RsuLRule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::testutil::{line_data, LineLearner};
+    use crate::testutil::{line_data, LineLearner};
     use lbchat::prelude::{Runtime, RuntimeConfig};
     use simnet::trace::MobilityTrace;
 

@@ -32,7 +32,8 @@
 //! (mobility-trace playback, encounter detection, radio accounting) behind a
 //! [`runtime::CollabAlgorithm`] trait that the LbChat [`node`] and every
 //! baseline in the `baselines` crate implement, so all methods face exactly
-//! the same world, radio, and clock.
+//! the same world, radio, and clock — and the same [`node::Vehicle`], so
+//! the methods differ only in what they exchange.
 //!
 //! The crate is generic over the learning task via the [`Learner`] trait;
 //! the `driving` crate provides the paper's BEV waypoint-regression task.
@@ -70,6 +71,6 @@ pub use config::{ConfigError, LbChatConfig};
 pub use coreset::Coreset;
 pub use dataset::WeightedDataset;
 pub use learner::{Learner, TrainStats};
-pub use node::LbChatNode;
+pub use node::{LbChatNode, Vehicle};
 pub use obs::ObsSink;
 pub use runtime::{CollabAlgorithm, Runtime, RuntimeConfig, RuntimeError};

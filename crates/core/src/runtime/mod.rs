@@ -27,7 +27,7 @@ mod frame_loop;
 #[cfg(test)]
 mod reference;
 
-use crate::compress::Codec;
+use crate::compress::{compress_dense, wire_bytes, Codec};
 use crate::config::ConfigError;
 use crate::metrics::Metrics;
 use crate::obs::{Counter, EventKind, ObsSink};
@@ -235,6 +235,22 @@ impl SessionCtx<'_> {
             );
         }
         out
+    }
+
+    /// The one V2V model path (the twin of [`FrameCtx::backend_message`]):
+    /// moves `model` top-k-compressed at `psi`, books it as a model send and
+    /// returns the receiver's reconstruction if it arrived.
+    pub fn send_model(
+        &mut self,
+        model: &ParamVec,
+        dense_bytes: usize,
+        psi: f32,
+        deadline: f64,
+    ) -> Option<ParamVec> {
+        let bytes = wire_bytes(dense_bytes, psi);
+        let out = self.run_spec(&TransferSpec::link(bytes, deadline));
+        self.metrics.record_model_send(out.is_delivered(), bytes, out.elapsed());
+        out.is_delivered().then(|| compress_dense(model, psi))
     }
 
     /// The RNG for protocol-level randomness.

@@ -100,6 +100,7 @@ fn hand_overs_share_and_a_cell_allocates_no_frame_buffers() {
     for i in 0..s.scale.n_vehicles {
         let node = algo.node(i);
         for frame in node
+            .vehicle
             .dataset()
             .samples()
             .iter()
@@ -110,7 +111,7 @@ fn hand_overs_share_and_a_cell_allocates_no_frame_buffers() {
                 "vehicle {i} holds a frame buffer the scenario did not record"
             );
         }
-        held += node.dataset().len();
+        held += node.vehicle.dataset().len();
     }
     assert!(
         held > fixture.len(),

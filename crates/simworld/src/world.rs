@@ -545,10 +545,14 @@ impl World {
 
     /// The expert's waypoint labels at route progress `v`
     /// ([`waypoints_timed`], spaced at the world's frame interval) for the
-    /// speed it would choose there: the rule every background car follows
-    /// too, with the gap to the nearest car in a 40 m × 3 m forward cone.
-    /// A collecting expert sits at its own cone's origin (`x > 0.5`
-    /// excludes it), so every car is scanned.
+    /// speed the one speed rule gives at the gap to the nearest car in a
+    /// 40 m × 3 m forward cone ([`forward_gap`]). A collecting expert sits
+    /// at its own cone's origin (`x > 0.5` excludes it), so every car is
+    /// scanned. The tick measures the gap differently: every vehicle the
+    /// world drives, the collecting experts included, follows its leader
+    /// on the same edge or the next route edge within 60 m
+    /// (`gap_from_index`), so a label can encode a speed its expert did
+    /// not drive.
     pub fn expert_waypoints(&self, v: VehicleRef<'_>) -> Vec<f32> {
         let gap = forward_gap(&self.map, v, &self.pos[..self.ped_base], 40.0, 3.0);
         waypoints_timed(

@@ -41,21 +41,21 @@ impl Minibatcher {
         }
     }
 
-    /// Returns the next minibatch of indices, reshuffling at epoch
-    /// boundaries. Returns an empty vector when the dataset is empty; the
-    /// final batch of an epoch may be shorter than `batch_size`.
-    pub fn next_batch<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Vec<usize> {
+    /// Returns the next minibatch of indices, borrowed from the epoch's
+    /// order, reshuffling at epoch boundaries. Returns an empty slice when
+    /// the dataset is empty; the final batch of an epoch may be shorter
+    /// than `batch_size`.
+    pub fn next_batch<R: Rng + ?Sized>(&mut self, rng: &mut R) -> &[usize] {
         if self.order.is_empty() {
-            return Vec::new();
+            return &[];
         }
         if self.cursor >= self.order.len() {
             self.order.shuffle(rng);
             self.cursor = 0;
         }
-        let end = (self.cursor + self.batch_size).min(self.order.len());
-        let batch = self.order[self.cursor..end].to_vec();
-        self.cursor = end;
-        batch
+        let start = self.cursor;
+        self.cursor = (start + self.batch_size).min(self.order.len());
+        &self.order[start..self.cursor]
     }
 }
 
@@ -71,7 +71,7 @@ mod tests {
         let mut seen = vec![0usize; 10];
         for _ in 0..4 {
             // 4 batches of <=3 = one epoch of 10
-            for i in mb.next_batch(&mut rng) {
+            for &i in mb.next_batch(&mut rng) {
                 seen[i] += 1;
             }
         }
@@ -93,7 +93,7 @@ mod tests {
         assert_eq!(mb.len(), 5);
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..10 {
-            for i in mb.next_batch(&mut rng) {
+            for &i in mb.next_batch(&mut rng) {
                 seen.insert(i);
             }
         }

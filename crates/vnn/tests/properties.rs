@@ -73,7 +73,7 @@ proptest! {
         let mut seen = vec![0u32; n];
         let batches_per_epoch = n.div_ceil(batch);
         for _ in 0..batches_per_epoch {
-            for i in mb.next_batch(&mut rng) {
+            for &i in mb.next_batch(&mut rng) {
                 seen[i] += 1;
             }
         }

@@ -46,7 +46,7 @@ fn main() {
             "  vehicle {i}: ||x|| = {:.3}, dataset {} -> {} frames",
             algo.model(i).l2_norm(),
             start.len(),
-            algo.node(i).dataset().len()
+            algo.node(i).vehicle.dataset().len()
         );
     }
 }

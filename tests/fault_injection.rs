@@ -192,7 +192,7 @@ fn tiny_datasets_still_chat() {
     let m = run_ok(&rt, &mut a, &trace, &data(0.0, 10));
     assert!(m.sessions > 0);
     assert!(m.coreset_receives > 0);
-    assert!(a.node(0).dataset().len() > 5, "absorption still expands tiny datasets");
+    assert!(a.node(0).vehicle.dataset().len() > 5, "absorption still expands tiny datasets");
 }
 
 #[test]
