@@ -86,9 +86,10 @@ impl<L: Learner, R: Rule<L>> CollabAlgorithm for Baseline<L, R> {
         self.rule.session(&mut self.nodes, ctx).then_some(((), SessionStep::Done))
     }
 
-    /// No shared routes: no contact is predicted for a pair that does not
-    /// open.
-    fn static_priority(&self, _i: usize, _j: usize) -> Option<f64> {
+    /// No shared routes: every pair gets the rule's one priority, so pairs
+    /// open in encounter order and no contact is predicted for a pair that
+    /// does not open.
+    fn fixed_priority(&self) -> Option<f64> {
         Some(R::PRIORITY)
     }
 

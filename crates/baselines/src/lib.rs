@@ -129,10 +129,11 @@ pub(crate) mod testutil {
 
 #[cfg(test)]
 mod tests {
-    //! The four baselines state their matching priority without the contact
-    //! estimate, so the runtime predicts a contact only for the pairs it
-    //! opens. These tests hold that to the eager ranking a method gets when
-    //! it states nothing.
+    //! The four baselines give every pair one fixed matching priority, so
+    //! the runtime matches them while it scans the encounters and predicts
+    //! a contact only for the pairs it opens. These tests hold that
+    //! streamed matching to the eager ranking a method gets when it states
+    //! nothing.
 
     use super::*;
     use crate::testutil::{line_data, LineLearner, Pt};
@@ -151,10 +152,12 @@ mod tests {
     const VEHICLES: usize = 32;
     const HORIZON_S: f64 = 120.0;
 
-    /// Forwards everything except `static_priority` — what a decorator
-    /// written before that method existed does (`lbchat_e2e`'s tracer), so
-    /// the runtime ranks the inner method eagerly. Counts the pairs ranked.
-    /// `session_step` keeps its default, which the runtime never calls.
+    /// Forwards everything except `fixed_priority` — what a decorator that
+    /// does not know the method does (`lbchat_e2e`'s tracer) — so the
+    /// runtime ranks the inner method eagerly: one estimate per candidate,
+    /// a sorted candidate list, then greedy matching. Counts the pairs
+    /// ranked. `session_step` keeps its default, which the runtime never
+    /// calls.
     struct Eager<A> {
         inner: A,
         ranked: std::cell::Cell<u64>,
@@ -244,9 +247,9 @@ mod tests {
         (m, sink.counters()[Counter::NetContactEstimates.name()])
     }
 
-    /// `lazy` (the method as shipped) against the same method ranked
-    /// eagerly: identical metrics and final models, and the estimate
-    /// counts each ranking pays. Returns the sessions opened.
+    /// `lazy` (the method as shipped, matched streamed) against the same
+    /// method ranked eagerly: identical metrics and final models, and the
+    /// estimate counts each matching pays. Returns the sessions opened.
     fn assert_lazy_matches_eager<A: CollabAlgorithm<Sample = Pt>>(mut lazy: A, eager: A) -> u64 {
         let mut eager = Eager { inner: eager, ranked: std::cell::Cell::new(0) };
         let (ml, lazy_estimates) = run(&mut lazy);
@@ -389,7 +392,7 @@ mod tests {
                 ContactEstimate { duration: f64::INFINITY, z: f64::NAN, p: -1.0 },
             ];
             for (i, j) in [(0, 1), (1, 0), (VEHICLES - 1, 2)] {
-                let answer = algo.static_priority(i, j).map(f64::to_bits);
+                let answer = algo.fixed_priority().map(f64::to_bits);
                 assert_eq!(answer, Some(stated.to_bits()), "{}", algo.name());
                 for est in &estimates {
                     let ranked = algo.pair_priority(i, j, est).to_bits();

@@ -5,6 +5,19 @@
 //! pair matching, the matched sessions (each to completion, through
 //! [`drive_session`] on the shared RNG), every node's training slice, and
 //! the evaluation when one is due.
+//!
+//! Pair matching takes one of two paths, chosen by the method's
+//! [`CollabAlgorithm::fixed_priority`]. A method that gives every pair the
+//! same finite priority is matched *streamed*: greedy matching over a
+//! stable sort of equal scores is the encounter scan's own ascending
+//! `(i, j)` order, so a pair opens as the grid visits it, with no candidate
+//! list, no sort and one contact estimate per opened pair (a method whose
+//! fixed priority is `-inf` opens nothing; its scan still runs for the
+//! `net.encounter.*` counters). A method that ranks by the estimate is
+//! matched *ranked*: every pair past its cooldown is estimated and scored
+//! into a candidate list, which is sorted by descending score and matched
+//! greedily. On equal scores both paths open the same pairs in the same
+//! order (DESIGN.md §4).
 
 use super::{
     drive_session, emit_round, CollabAlgorithm, FrameCtx, PairCooldown, RuntimeConfig, SessionCtx,
@@ -15,7 +28,7 @@ use rand::SeedableRng;
 use simnet::channel::Channel;
 use simnet::contact::{ContactEstimate, ContactPredictor};
 use simnet::grid::EncounterGrid;
-use simnet::trace::{Encounter, MobilityTrace, RouteCache};
+use simnet::trace::{MobilityTrace, RouteCache};
 
 /// Runs `algo` over `trace` frame by frame. The caller
 /// ([`super::Runtime::run`]) has already validated the config and the
@@ -66,12 +79,11 @@ struct FrameLoop<'a, A: CollabAlgorithm> {
     // none carries state from one frame to the next.
     /// The frame's roster: vehicles not in a session, ascending.
     free: Vec<usize>,
-    /// In-range pairs among `free`, refilled by the grid.
-    encounters: Vec<Encounter>,
-    /// Every pairing the frame may open.
+    /// Every pairing a ranked frame may open; never filled when the method
+    /// states a fixed priority.
     candidates: Vec<Candidate>,
-    /// The contact estimates that ranked candidates, for the pairs whose
-    /// method stated no static priority; [`Candidate::estimate`] indexes it.
+    /// The contact estimates that ranked the candidates;
+    /// [`Candidate::estimate`] indexes it.
     estimates: Vec<ContactEstimate>,
     /// Per node: already matched this frame.
     taken: Vec<bool>,
@@ -80,9 +92,10 @@ struct FrameLoop<'a, A: CollabAlgorithm> {
     opened: Vec<(usize, usize, ContactEstimate, f64)>,
 }
 
-/// A pairing frame matching may open. Kept small because frame 0 of a dense
-/// fleet lists and sorts every pair in range (32 640 at 256 vehicles). Node
-/// ids fit `u32`: the pair cooldown table already holds `n²/2` entries.
+/// A pairing ranked matching may open. Kept small because frame 0 of a
+/// dense fleet under a ranking method lists and sorts every pair in range
+/// (32 640 at 256 vehicles). Node ids fit `u32`: the pair cooldown table
+/// already holds `n²/2` entries.
 #[derive(Debug, Clone, Copy)]
 struct Candidate {
     /// Matching priority.
@@ -92,9 +105,8 @@ struct Candidate {
     /// Higher endpoint.
     j: u32,
     /// Index into [`FrameLoop::estimates`] of the estimate the pair was
-    /// ranked by; `None` when its method stated the priority without one,
-    /// and matching estimates the pair only if it opens.
-    estimate: Option<u32>,
+    /// ranked by.
+    estimate: u32,
 }
 
 const _: () = assert!(std::mem::size_of::<Candidate>() <= 24);
@@ -138,7 +150,6 @@ impl<'a, A: CollabAlgorithm> FrameLoop<'a, A> {
             grid: EncounterGrid::new(),
             routes: RouteCache::new(n, cfg.route_share_samples),
             free: Vec::with_capacity(n),
-            encounters: Vec::new(),
             candidates: Vec::new(),
             estimates: Vec::new(),
             taken: vec![false; n],
@@ -164,92 +175,7 @@ impl<'a, A: CollabAlgorithm> FrameLoop<'a, A> {
             algo.on_frame(&mut fctx);
         }
 
-        // Pair matching, over the vehicles free at this frame only: a busy
-        // vehicle can open no session, and the grid emits pairs in roster
-        // order, so scanning the free roster yields exactly the pairs a
-        // whole-fleet scan would keep after dropping the busy ones, in the
-        // same order (DESIGN.md §4). Encounters come from the spatial hash —
-        // bit-identical to the all-pairs sweep — and each agent's shared
-        // route is interpolated at most once per frame through the route
-        // cache.
-        self.free.clear();
-        self.free.extend((0..self.n).filter(|&v| self.busy_until[v] <= t));
-        self.routes.begin_frame();
-        let stats = self.grid.encounters_into(
-            self.trace,
-            t,
-            self.cfg.radio.range_m,
-            &self.free,
-            &mut self.encounters,
-        );
-        if self.cfg.obs.enabled() {
-            self.cfg.obs.add(Counter::NetEncounterCandidates, stats.candidates);
-            self.cfg.obs.add(Counter::NetEncounterCells, stats.cells);
-        }
-        // A method that states a pair's priority without the contact
-        // estimate is ranked with no route sampled; its estimate is computed
-        // below, for the pairs matching opens only. The estimate is a pure
-        // function of (trace, i, j, t) and draws no RNG, so either order
-        // hands the session the same bits (DESIGN.md §4).
-        let mut estimated = 0u64;
-        let mut estimate = |i, j| {
-            estimated += 1;
-            let (fut_i, fut_j) = self.routes.pair(self.trace, i, j, t, self.dt);
-            self.predictor.estimate(fut_i, fut_j, self.dt)
-        };
-        self.candidates.clear();
-        self.estimates.clear();
-        for &Encounter { a: i, b: j, .. } in &self.encounters {
-            if self.cooldown.get(i, j) > t {
-                continue;
-            }
-            let (score, est) = match algo.static_priority(i, j) {
-                Some(score) => (score, None),
-                None => {
-                    let est = estimate(i, j);
-                    (algo.pair_priority(i, j, &est), Some(est))
-                }
-            };
-            if !score.is_finite() {
-                continue; // method opted out of this pairing
-            }
-            let slot = est.map(|est| {
-                self.estimates.push(est);
-                (self.estimates.len() - 1) as u32
-            });
-            self.candidates.push(Candidate { score, i: i as u32, j: j as u32, estimate: slot });
-        }
-        // Greedy matching by descending priority — each vehicle serves its
-        // best-scored neighbor first (§III-A). total_cmp: scores are finite.
-        self.candidates.sort_unstable_by(Candidate::rank);
-        self.taken.fill(false);
-        self.opened.clear();
-        for &Candidate { score, i, j, estimate: slot } in &self.candidates {
-            let (i, j) = (i as usize, j as usize);
-            if self.taken[i] || self.taken[j] {
-                continue;
-            }
-            self.taken[i] = true;
-            self.taken[j] = true;
-            let est = match slot {
-                Some(slot) => self.estimates[slot as usize],
-                None => {
-                    let est = estimate(i, j);
-                    debug_assert_eq!(
-                        algo.pair_priority(i, j, &est).to_bits(),
-                        score.to_bits(),
-                        "{}: a static priority must not depend on the estimate",
-                        algo.name()
-                    );
-                    est
-                }
-            };
-            self.opened.push((i, j, est, score));
-        }
-        if self.cfg.obs.enabled() {
-            self.cfg.obs.add(Counter::NetContactEstimates, estimated);
-        }
-
+        self.match_pairs(algo, t);
         for k in 0..self.opened.len() {
             let (i, j, est, score) = self.opened[k];
             self.session(algo, i, j, est, score, t);
@@ -262,6 +188,95 @@ impl<'a, A: CollabAlgorithm> FrameLoop<'a, A> {
             self.metrics.record_loss(t, loss);
             emit_round(&self.cfg.obs, algo.name(), t, loss);
             self.next_eval += self.cfg.eval_every;
+        }
+    }
+
+    /// Fills [`FrameLoop::opened`] with the frame's sessions, greedily by
+    /// descending priority — each vehicle serves its best-scored neighbor
+    /// first (§III-A) — over the vehicles free at this frame only: a busy
+    /// vehicle can open no session, and the grid visits pairs in roster
+    /// order, so scanning the free roster yields exactly the pairs a
+    /// whole-fleet scan would keep after dropping the busy ones, in the
+    /// same order (DESIGN.md §4). Encounters come from the spatial hash —
+    /// bit-identical to the all-pairs sweep — and each agent's shared route
+    /// is interpolated at most once per frame through the route cache.
+    fn match_pairs(&mut self, algo: &A, t: f64) {
+        self.free.clear();
+        self.free.extend((0..self.n).filter(|&v| self.busy_until[v] <= t));
+        self.routes.begin_frame();
+        self.taken.fill(false);
+        self.opened.clear();
+        self.candidates.clear();
+        self.estimates.clear();
+        let FrameLoop {
+            cfg,
+            trace,
+            dt,
+            predictor,
+            cooldown,
+            grid,
+            routes,
+            free,
+            candidates,
+            estimates,
+            taken,
+            opened,
+            ..
+        } = self;
+        let (trace, dt, range_m) = (*trace, *dt, cfg.radio.range_m);
+        // The estimate is a pure function of (trace, i, j, t) and draws no
+        // RNG, so computing it while matching or before hands the session
+        // the same bits (DESIGN.md §4).
+        let mut estimated = 0u64;
+        let mut estimate = |i, j| {
+            estimated += 1;
+            let (fut_i, fut_j) = routes.pair(trace, i, j, t, dt);
+            predictor.estimate(fut_i, fut_j, dt)
+        };
+        let stats = match algo.fixed_priority() {
+            // Streamed: equal scores open in the grid's (i, j) order, so a
+            // pair opens as it is visited and only opened pairs are
+            // estimated; the candidate list stays empty.
+            Some(score) if score.is_finite() => grid.visit_encounters(trace, t, range_m, free, |e| {
+                let (i, j) = (e.a, e.b);
+                if cooldown.get(i, j) > t || taken[i] || taken[j] {
+                    return;
+                }
+                (taken[i], taken[j]) = (true, true);
+                opened.push((i, j, estimate(i, j), score));
+            }),
+            // The method opted out of every pairing.
+            Some(_) => grid.visit_encounters(trace, t, range_m, free, |_| {}),
+            // Ranked: every pair past its cooldown is estimated and scored.
+            None => grid.visit_encounters(trace, t, range_m, free, |e| {
+                let (i, j) = (e.a, e.b);
+                if cooldown.get(i, j) > t {
+                    return;
+                }
+                let est = estimate(i, j);
+                let score = algo.pair_priority(i, j, &est);
+                if !score.is_finite() {
+                    return; // method opted out of this pairing
+                }
+                let (i, j, slot) = (i as u32, j as u32, estimates.len() as u32);
+                candidates.push(Candidate { score, i, j, estimate: slot });
+                estimates.push(est);
+            }),
+        };
+        // total_cmp: scores are finite.
+        candidates.sort_unstable_by(Candidate::rank);
+        for &Candidate { score, i, j, estimate: slot } in candidates.iter() {
+            let (i, j) = (i as usize, j as usize);
+            if taken[i] || taken[j] {
+                continue;
+            }
+            (taken[i], taken[j]) = (true, true);
+            opened.push((i, j, estimates[slot as usize], score));
+        }
+        if cfg.obs.enabled() {
+            cfg.obs.add(Counter::NetEncounterCandidates, stats.candidates);
+            cfg.obs.add(Counter::NetEncounterCells, stats.cells);
+            cfg.obs.add(Counter::NetContactEstimates, estimated);
         }
     }
 
@@ -334,13 +349,15 @@ mod tests {
     use super::*;
     use simnet::geom::Vec2;
 
-    /// 32 vehicles parked on a 140 m lattice: every vehicle has several
-    /// radio neighbours, so matching, sessions and cooldowns stay busy.
-    fn parked_lattice(n: usize, seconds: f64) -> MobilityTrace {
+    /// `n` vehicles parked on a square lattice `spacing` metres apart.
+    fn parked_lattice(n: usize, spacing: f32, seconds: f64) -> MobilityTrace {
         let frames = (seconds * 2.0) as usize + 1;
         let cols = (n as f64).sqrt().ceil() as usize;
         let positions = (0..n)
-            .map(|k| vec![Vec2::new((k % cols) as f32 * 140.0, (k / cols) as f32 * 140.0); frames])
+            .map(|k| {
+                let at = Vec2::new((k % cols) as f32 * spacing, (k / cols) as f32 * spacing);
+                vec![at; frames]
+            })
             .collect();
         MobilityTrace::new(2.0, positions)
     }
@@ -349,7 +366,9 @@ mod tests {
     /// reallocated: once the first frames have sized them (frame 0 is the
     /// peak — everyone free, nothing cooling down) no later frame grows the
     /// roster, the candidate list, the taken marks or the opened sessions,
-    /// nor the grid and the route cache behind them.
+    /// nor the grid and the route cache behind them. 32 vehicles on a
+    /// 140 m lattice: every vehicle has several radio neighbours, so
+    /// matching, sessions and cooldowns stay busy.
     #[test]
     fn warm_frames_do_not_grow_the_matching_buffers() {
         const WARM_FRAMES: usize = 2;
@@ -361,7 +380,7 @@ mod tests {
             seed: 9,
             ..RuntimeConfig::default()
         };
-        let trace = parked_lattice(n, cfg.duration);
+        let trace = parked_lattice(n, 140.0, cfg.duration);
         let mut probe = Probe::new(n);
         let mut fl = FrameLoop::new(&cfg, &trace, &[], n);
         let capacities = |fl: &FrameLoop<'_, Probe>| {
@@ -388,27 +407,69 @@ mod tests {
         assert!(fl.metrics.sessions > n as u64, "the fleet kept chatting: {}", fl.metrics.sessions);
     }
 
-    /// The pairs of a parked lattice fall in three priority tiers, hundreds
-    /// of ties each, so the order the sort leaves ties in decides who is
-    /// matched: the pairs must open as greedy matching over a *stable* sort
-    /// of the grid's ascending `(i, j)` order opens them — the frame loop's
-    /// order — whether the method states its priority or is ranked through
-    /// the estimate.
+    /// A method that gives every pair one priority is matched as the grid
+    /// visits the pairs: on a fleet where every pair is in range at frame
+    /// 0, sessions open frame after frame while the candidate list and the
+    /// ranking estimates are never allocated.
+    #[test]
+    fn a_fixed_priority_matches_with_no_candidate_buffers() {
+        let n = 144;
+        let cfg = RuntimeConfig {
+            duration: 30.0,
+            eval_every: 30.0,
+            pair_cooldown: 5.0,
+            ..RuntimeConfig::default()
+        };
+        // 30 m spacing: the 12 × 12 lattice's diagonal is 467 m, inside
+        // the default 500 m range.
+        let trace = parked_lattice(n, 30.0, cfg.duration);
+        let everyone: Vec<usize> = (0..n).collect();
+        let mut pairs = Vec::new();
+        EncounterGrid::new().encounters_into(&trace, 0.0, cfg.radio.range_m, &everyone, &mut pairs);
+        assert_eq!(pairs.len(), n * (n - 1) / 2, "every pair is in range at frame 0");
+        let mut probe = Probe::new(n);
+        probe.fixed = Some(0.0);
+        let mut fl = FrameLoop::new(&cfg, &trace, &[], n);
+        let mut t = 0.0;
+        while t < cfg.duration {
+            fl.frame(&mut probe, t);
+            if t == 0.0 {
+                assert_eq!(fl.opened.len(), n / 2, "frame 0 pairs the whole fleet");
+            }
+            assert_eq!((fl.candidates.capacity(), fl.estimates.capacity()), (0, 0), "t = {t}");
+            t += fl.dt;
+        }
+        assert!(fl.metrics.sessions > n as u64, "the fleet kept chatting: {}", fl.metrics.sessions);
+    }
+
+    /// 30 vehicles on a 140 m lattice, every pair scored from three
+    /// priority tiers (hundreds of ties each) or given one fixed priority:
+    /// the order ties are broken in decides who is matched. Both paths must
+    /// open the pairs as greedy matching over a *stable* sort of the grid's
+    /// ascending `(i, j)` order opens them — the ranked path through its
+    /// sort's tie order, the streamed path by matching in the grid's order.
     #[test]
     fn equal_priorities_open_in_pair_order() {
         let n = 30;
         let cfg = RuntimeConfig { duration: 1.0, ..RuntimeConfig::default() };
-        let trace = parked_lattice(n, cfg.duration);
+        let trace = parked_lattice(n, 140.0, cfg.duration);
+        let everyone: Vec<usize> = (0..n).collect();
+        let mut grid_pairs = Vec::new();
+        let range_m = cfg.radio.range_m;
+        EncounterGrid::new().encounters_into(&trace, 0.0, range_m, &everyone, &mut grid_pairs);
+        let grid_pairs: Vec<(usize, usize)> = grid_pairs.iter().map(|e| (e.a, e.b)).collect();
+        assert!(grid_pairs.is_sorted(), "the grid visits pairs in (i, j) order");
+        assert!(grid_pairs.len() > 150, "a dense frame: {} pairs", grid_pairs.len());
         let tier = |i: usize, j: usize| ((7 * i + 3 * j) % 3) as f64;
-        for stated in [true, false] {
+        for fixed in [None, Some(1.5)] {
             let mut probe = Probe::new(n);
-            (probe.priority, probe.stated) = (tier, stated);
+            (probe.priority, probe.fixed) = (tier, fixed);
             let mut fl = FrameLoop::new(&cfg, &trace, &[], n);
             fl.frame(&mut probe, 0.0);
-            let mut pairs: Vec<(usize, usize)> = fl.encounters.iter().map(|e| (e.a, e.b)).collect();
-            assert!(pairs.is_sorted(), "the grid emits pairs in (i, j) order");
-            assert!(pairs.len() > 150, "a dense frame: {} pairs", pairs.len());
-            pairs.sort_by(|&(a, b), &(c, d)| tier(c, d).total_cmp(&tier(a, b)));
+            let mut pairs = grid_pairs.clone();
+            if fixed.is_none() {
+                pairs.sort_by(|&(a, b), &(c, d)| tier(c, d).total_cmp(&tier(a, b)));
+            }
             let mut taken = vec![false; n];
             let mut want = Vec::new();
             for (i, j) in pairs {
@@ -418,7 +479,7 @@ mod tests {
                 }
             }
             let opened: Vec<(usize, usize)> = fl.opened.iter().map(|&(i, j, ..)| (i, j)).collect();
-            assert_eq!(opened, want, "stated priority {stated:?}");
+            assert_eq!(opened, want, "fixed priority {fixed:?}");
         }
     }
 }

@@ -384,7 +384,7 @@ pub trait CollabAlgorithm {
     /// nodes are held busy for one frame, and
     /// [`RuntimeConfig::pair_cooldown`] applies to the pair. To skip a
     /// pairing at no cost, answer `-inf` from
-    /// [`CollabAlgorithm::static_priority`] (or
+    /// [`CollabAlgorithm::fixed_priority`] (or
     /// [`CollabAlgorithm::pair_priority`]) instead.
     fn session_open(&mut self, ctx: &mut SessionCtx<'_>) -> Option<(Self::Session, SessionStep)>;
 
@@ -408,21 +408,24 @@ pub trait CollabAlgorithm {
         ctx.elapsed()
     }
 
-    /// The pair's matching priority when the method can state it without
-    /// the contact estimate; `None` (the default) means "I rank by the
-    /// estimate" and the runtime asks [`CollabAlgorithm::pair_priority`]
-    /// instead. Only LbChat ranks neighbours by what shared routes predict
-    /// (§III-A); the model-sharing baselines pair in encounter order
-    /// (`Some(0.0)`) and the infrastructure-only ones opt out of V2V
-    /// pairing (`Some(-inf)`). For a pair that answers `Some`, the runtime
-    /// samples no route and predicts no contact while ranking: it computes
-    /// the estimate a session reads through [`SessionCtx::contact`] only
-    /// for the pairs greedy matching opens, in the same frame at the same
-    /// time — the same value, since the estimate is a pure function of the
-    /// trace, the pair and the frame time. A method defines exactly one of
-    /// `static_priority` and `pair_priority`; the value must not depend on
-    /// anything a session changes within the frame.
-    fn static_priority(&self, _i: usize, _j: usize) -> Option<f64> {
+    /// The one matching priority the method gives every pair, when it
+    /// ranks no pair by the contact estimate; `None` (the default) means
+    /// "I rank by the estimate" and the runtime asks
+    /// [`CollabAlgorithm::pair_priority`] per pair instead. Only LbChat
+    /// ranks neighbours by what shared routes predict (§III-A); the
+    /// model-sharing baselines pair in encounter order (`Some(0.0)`) and
+    /// the infrastructure-only ones opt out of V2V pairing (`Some(-inf)`).
+    /// The runtime reads it once per frame, before the frame's sessions.
+    /// Greedy matching over pairs of equal priority opens them in
+    /// encounter order, so for a finite answer the runtime matches while
+    /// it scans the encounters: no candidate list, no sort, and no route
+    /// sampled or contact predicted for a pair that does not open. It
+    /// computes the estimate a session reads through
+    /// [`SessionCtx::contact`] as the pair opens, at the frame time — the
+    /// value ranking would have computed, since the estimate is a pure
+    /// function of the trace, the pair and the frame time. A method
+    /// defines exactly one of `fixed_priority` and `pair_priority`.
+    fn fixed_priority(&self) -> Option<f64> {
         None
     }
 
@@ -430,11 +433,11 @@ pub trait CollabAlgorithm {
     /// served first, `-inf` = never matched) from its contact estimate.
     /// LbChat overrides this with the Eq. (5) score computed from shared
     /// routes — its route-sharing advantage. The default answers
-    /// [`CollabAlgorithm::static_priority`], or 0 when the method states
+    /// [`CollabAlgorithm::fixed_priority`], or 0 when the method states
     /// neither: no prioritization, pairs are served in
     /// encounter-enumeration order.
-    fn pair_priority(&self, i: usize, j: usize, _est: &ContactEstimate) -> f64 {
-        self.static_priority(i, j).unwrap_or(0.0)
+    fn pair_priority(&self, _i: usize, _j: usize, _est: &ContactEstimate) -> f64 {
+        self.fixed_priority().unwrap_or(0.0)
     }
 
     /// Per-frame hook for infrastructure communication (server rounds,
@@ -550,11 +553,12 @@ mod tests {
         pub(super) train_calls: u64,
         pub(super) encounters: u64,
         pub(super) frames: u64,
-        /// Every pair's priority (0 unless a test says otherwise).
+        /// Every pair's priority when ranked through the contact estimate
+        /// (0 unless a test says otherwise).
         pub(super) priority: fn(usize, usize) -> f64,
-        /// Whether `static_priority` states it, or the pair is ranked
-        /// through the contact estimate.
-        pub(super) stated: bool,
+        /// What `fixed_priority` answers (`None` unless a test says
+        /// otherwise); `Some` overrides `priority` for every pair.
+        pub(super) fixed: Option<f64>,
     }
 
     impl Probe {
@@ -566,7 +570,7 @@ mod tests {
                 encounters: 0,
                 frames: 0,
                 priority: |_, _| 0.0,
-                stated: false,
+                fixed: None,
             }
         }
     }
@@ -600,11 +604,11 @@ mod tests {
         fn on_frame(&mut self, _ctx: &mut FrameCtx<'_>) {
             self.frames += 1;
         }
-        fn static_priority(&self, i: usize, j: usize) -> Option<f64> {
-            self.stated.then(|| (self.priority)(i, j))
+        fn fixed_priority(&self) -> Option<f64> {
+            self.fixed
         }
         fn pair_priority(&self, i: usize, j: usize, _est: &ContactEstimate) -> f64 {
-            (self.priority)(i, j)
+            self.fixed.unwrap_or_else(|| (self.priority)(i, j))
         }
         fn mean_eval_loss(&self, _eval: &[()]) -> f64 {
             1.0
@@ -1037,16 +1041,16 @@ mod tests {
     struct Chatter {
         n: usize,
         params: ParamVec,
-        /// What `static_priority` answers: `None` ranks by the estimate.
-        stated: Option<f64>,
+        /// What `fixed_priority` answers: `None` ranks by the estimate.
+        fixed: Option<f64>,
         /// `pair_priority` calls seen — one per estimate an eager ranking
         /// computes.
         ranked: std::cell::Cell<u64>,
     }
 
     impl Chatter {
-        fn new(n: usize, stated: Option<f64>) -> Self {
-            Self { n, params: ParamVec::zeros(1), stated, ranked: std::cell::Cell::new(0) }
+        fn new(n: usize, fixed: Option<f64>) -> Self {
+            Self { n, params: ParamVec::zeros(1), fixed, ranked: std::cell::Cell::new(0) }
         }
     }
 
@@ -1094,12 +1098,12 @@ mod tests {
                 spec = TransferSpec::link(bytes, 6.0);
             }
         }
-        fn static_priority(&self, _i: usize, _j: usize) -> Option<f64> {
-            self.stated
+        fn fixed_priority(&self) -> Option<f64> {
+            self.fixed
         }
         fn pair_priority(&self, _i: usize, _j: usize, est: &ContactEstimate) -> f64 {
             self.ranked.set(self.ranked.get() + 1);
-            self.stated.unwrap_or(est.z * est.p)
+            self.fixed.unwrap_or(est.z * est.p)
         }
         fn mean_eval_loss(&self, _eval: &[()]) -> f64 {
             1.0
@@ -1131,13 +1135,15 @@ mod tests {
 
     fn assert_same_chatter_run(cfg: RuntimeConfig, vehicles: &[(f32, f32)]) {
         let trace = lane_trace(vehicles, cfg.duration);
-        // Ranked by the estimate, then with a static priority: the runtime
-        // predicts the second run's contacts after matching, the reference
-        // loop before, and a method that never matches opens nothing.
-        for stated in [None, Some(0.0), Some(f64::NEG_INFINITY)] {
-            let chatter = || Chatter::new(vehicles.len(), stated);
+        // Ranked by the estimate, then with a fixed priority: the runtime
+        // matches the second run as the grid visits its pairs and predicts
+        // only the opened pairs' contacts, the reference loop ranks every
+        // pair through its estimate, and a method that never matches opens
+        // nothing.
+        for fixed in [None, Some(0.0), Some(f64::NEG_INFINITY)] {
+            let chatter = || Chatter::new(vehicles.len(), fixed);
             let m = assert_same_run(cfg.clone(), &trace, &[], &mut chatter(), &mut chatter());
-            if stated == Some(f64::NEG_INFINITY) {
+            if fixed == Some(f64::NEG_INFINITY) {
                 assert_eq!(m.sessions, 0, "a method that opts out opens nothing");
             }
         }
@@ -1176,11 +1182,11 @@ mod tests {
     }
 
     /// A contact is predicted only where something reads the prediction:
-    /// for a method that states its priority, once per session the frame
+    /// for a method with a fixed priority, once per session the frame
     /// opens; for one that ranks by the estimate, once per candidate that
-    /// survived the cooldown, as before.
+    /// survived the cooldown.
     #[test]
-    fn a_static_priority_costs_one_estimate_per_opened_session() {
+    fn a_fixed_priority_costs_one_estimate_per_opened_session() {
         // 48 vehicles on 30 m lanes crossing each other at 2–9 m/s.
         let fleet: Vec<(f32, f32)> = (0..48)
             .map(|k| {
@@ -1189,7 +1195,7 @@ mod tests {
             })
             .collect();
         let trace = lane_trace(&fleet, 90.0);
-        let run = |stated: Option<f64>| {
+        let run = |fixed: Option<f64>| {
             let sink = ObsSink::recording();
             let cfg = RuntimeConfig {
                 duration: 90.0,
@@ -1200,7 +1206,7 @@ mod tests {
                 obs: sink.clone(),
                 ..RuntimeConfig::default()
             };
-            let mut chatter = Chatter::new(fleet.len(), stated);
+            let mut chatter = Chatter::new(fleet.len(), fixed);
             let m = Runtime::new(cfg).run(&mut chatter, &trace, &[]).expect("trace fits");
             (m.sessions, sink.counters()[Counter::NetContactEstimates.name()], chatter.ranked.get())
         };

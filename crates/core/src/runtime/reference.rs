@@ -13,11 +13,13 @@
 //!   frame;
 //! - it keeps a **dense** `n × n` cooldown matrix, where the runtime keeps
 //!   the triangular [`super::PairCooldown`];
-//! - it estimates every candidate's contact **eagerly**, where the runtime
-//!   estimates a pair whose method states a static priority only if the
-//!   pair opens;
+//! - it estimates every candidate's contact **eagerly** and ranks it
+//!   through `pair_priority`, where the runtime, for a method with a fixed
+//!   priority, keeps no candidate list and opens pairs as the grid visits
+//!   them, estimating only the pairs that open;
 //! - it ranks candidates with a **stable** sort by priority, where the
-//!   runtime sorts unstably by priority and then `(i, j)`.
+//!   runtime sorts a ranking method's candidates unstably by priority and
+//!   then `(i, j)`.
 //!
 //! The two loops therefore emit *different* `net.encounter.*` counters
 //! (whole fleet here, free vehicles there) and `net.contact.estimates`

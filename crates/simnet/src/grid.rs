@@ -96,24 +96,24 @@ impl EncounterGrid {
         Self::default()
     }
 
-    /// Whether the most recent [`EncounterGrid::encounters_into`] call
-    /// reallocated any internal buffer (a warm grid at steady fleet size
-    /// never does).
+    /// Whether the most recent scan ([`EncounterGrid::visit_encounters`]
+    /// or [`EncounterGrid::encounters_into`]) reallocated any internal
+    /// buffer (a warm grid at steady fleet size never does).
     pub fn grew(&self) -> bool {
         self.grew
     }
 
-    /// Refills `out` with every active pair within `range_m` at time `t` —
-    /// byte-for-byte the vector the all-pairs sweep returns —
-    /// and reports the scan's work counters. `out` is cleared first; its
-    /// reallocation is covered by the returned grid's [`EncounterGrid::grew`].
-    pub fn encounters_into(
+    /// Hands `visit` every active pair within `range_m` at time `t`, in the
+    /// all-pairs sweep's order and with its distance bits — the sweep's
+    /// vector element by element, with no vector built — and reports the
+    /// scan's work counters.
+    pub fn visit_encounters(
         &mut self,
         trace: &MobilityTrace,
         t: f64,
         range_m: f32,
         active: &[AgentId],
-        out: &mut Vec<Encounter>,
+        mut visit: impl FnMut(Encounter),
     ) -> GridStats {
         let cap = (
             self.pos.capacity(),
@@ -122,22 +122,23 @@ impl EncounterGrid {
             self.keys.capacity(),
             self.starts.capacity(),
             self.cand.capacity(),
-            out.capacity(),
         );
-        out.clear();
-        let stats = self.scan(trace, t, range_m, active, out);
+        self.bucket(trace, t, range_m, active);
+        let stats = self.gather(range_m, active, &mut visit);
         self.grew = self.pos.capacity() > cap.0
             || self.coords.capacity() > cap.1
             || self.entries.capacity() > cap.2
             || self.keys.capacity() > cap.3
             || self.starts.capacity() > cap.4
-            || self.cand.capacity() > cap.5
-            || out.capacity() > cap.6;
+            || self.cand.capacity() > cap.5;
         stats
     }
 
-    /// The scan body: snapshot, bucket, gather, test.
-    fn scan(
+    /// [`EncounterGrid::visit_encounters`] into a vector: refills `out`
+    /// with every active pair within `range_m` at time `t` — byte-for-byte
+    /// the vector the all-pairs sweep returns. `out` is cleared first; its
+    /// reallocation is covered by [`EncounterGrid::grew`].
+    pub fn encounters_into(
         &mut self,
         trace: &MobilityTrace,
         t: f64,
@@ -145,6 +146,17 @@ impl EncounterGrid {
         active: &[AgentId],
         out: &mut Vec<Encounter>,
     ) -> GridStats {
+        let cap = out.capacity();
+        out.clear();
+        let stats = self.visit_encounters(trace, t, range_m, active, |e| out.push(e));
+        self.grew |= out.capacity() > cap;
+        stats
+    }
+
+    /// The scan's first half: snapshot and bucket. It does not depend on
+    /// the visitor, so it is compiled once, however many visitors the
+    /// callers instantiate [`EncounterGrid::gather`] with.
+    fn bucket(&mut self, trace: &MobilityTrace, t: f64, range_m: f32, active: &[AgentId]) {
         let n = active.len();
         let w = cell_width(range_m);
 
@@ -181,8 +193,17 @@ impl EncounterGrid {
             }
         }
         self.starts.push(n as u32);
+    }
 
-        // Gather-and-test, in the sweep's (i, j) order.
+    /// The scan's second half: gather and test, in the sweep's (i, j)
+    /// order, over the cells [`EncounterGrid::bucket`] built.
+    fn gather(
+        &mut self,
+        range_m: f32,
+        active: &[AgentId],
+        visit: &mut impl FnMut(Encounter),
+    ) -> GridStats {
+        let n = active.len();
         let mut stats =
             GridStats { candidates: 0, cells: self.keys.len() as u64 };
         for i in 0..n {
@@ -215,7 +236,7 @@ impl EncounterGrid {
                 // identical snapshot values.
                 let d = pi.distance(self.pos[j]);
                 if d <= range_m {
-                    out.push(Encounter { a: active[i], b: active[j], distance: d });
+                    visit(Encounter { a: active[i], b: active[j], distance: d });
                 }
             }
         }

@@ -217,10 +217,10 @@ pub fn rasterize(
 /// The reference evaluates `sin`/`cos` of the heading once per grid cell
 /// (inside [`Pose::to_world`]) and twice per visible agent; here the two
 /// rotations (world→ego and ego→world) are computed once per frame and the
-/// per-cell rotation terms once per row/column, which the road loop then
-/// combines with the exact arithmetic the reference uses — cell
-/// classifications cannot drift. Reusing `out` across frames removes the
-/// four per-frame channel allocations.
+/// row's rotation terms once per row, which the road loop then combines
+/// with the exact arithmetic the reference uses — cell classifications
+/// cannot drift. Reusing `out` across frames makes a call allocate nothing
+/// once `out` has the frame's size.
 #[expect(
     clippy::too_many_arguments,
     reason = "`rasterize`'s seven inputs plus the reused output frame"
@@ -266,23 +266,19 @@ pub(crate) fn rasterize_skipping(
     let (s_inv, c_inv) = (-pose.heading).sin_cos();
 
     // Road channel: sample each cell center against the global road raster.
-    // ego.x depends only on the row, ego.y only on the column, so the four
-    // rotation products reduce to one per row plus two per column. The
-    // final sums keep the reference's exact association:
+    // ego.x depends only on the row, so its two rotation products are taken
+    // once per row; ego.y's two are taken per cell, with no per-call column
+    // table. The final sums keep the reference's exact association:
     // world = pos + (c·ex − s·ey, s·ex + c·ey).
-    let col_terms: Vec<(f32, f32)> = (0..n)
-        .map(|ix| {
-            let ey = half - (ix as f32 + 0.5) * cfg.cell_m;
-            (s_fwd * ey, c_fwd * ey)
-        })
-        .collect();
     for iy in 0..n {
         let ex = cfg.forward_offset - half + (iy as f32 + 0.5) * cfg.cell_m;
         let (c_ex, s_ex) = (c_fwd * ex, s_fwd * ex);
         let row_base = iy * n;
         let row_end = row_base + n;
         let row = &mut channels[channel::ROAD][row_base..row_end];
-        for (cell, &(s_ey, c_ey)) in row.iter_mut().zip(&col_terms) {
+        for (ix, cell) in row.iter_mut().enumerate() {
+            let ey = half - (ix as f32 + 0.5) * cfg.cell_m;
+            let (s_ey, c_ey) = (s_fwd * ey, c_fwd * ey);
             let world = Vec2::new(pose.pos.x + (c_ex - s_ey), pose.pos.y + (s_ex + c_ey));
             // `reset` cleared the row, so the branchless store matches the
             // reference's set-only-true writes.
