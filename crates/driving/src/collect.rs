@@ -53,22 +53,25 @@ pub fn command_weight(command: Command, turn_distance_norm: f32) -> f32 {
 /// Returns one weighted dataset per expert vehicle.
 ///
 /// Each kept frame observes the experts in id order on the calling thread,
-/// through one reused BEV and feature buffer; a frame's features are copied
-/// out at their exact length.
+/// through one reused BEV and feature buffer, and [`Frame::pack`] stores
+/// each observation: one count byte per pooled BEV block, the speed,
+/// navigation scalars and waypoints as `f32`, each payload allocated at its
+/// exact length.
 pub fn collect_datasets(world: &mut World, cfg: &CollectConfig) -> Vec<WeightedDataset<Frame>> {
     let n = world.n_experts();
     let frames = (cfg.seconds * world.config().fps).ceil() as usize;
     let mut per_vehicle: Vec<(Vec<Frame>, Vec<f32>)> = vec![(Vec::new(), Vec::new()); n];
     let mut bev = Bev::blank(world.config().bev.cells);
     let mut features = Vec::new();
+    let pool = world.config().bev.pool;
     for f in 0..frames {
         if f % cfg.stride.max(1) == 0 {
             for (i, (kept, weights)) in per_vehicle.iter_mut().enumerate() {
                 let v = world.expert_view(i);
                 let (command, turn_distance) =
                     observe_into(world, v, v.pose(world.map()), Some(i), &mut bev, &mut features);
-                let waypoints = world.expert_waypoints(v).into();
-                kept.push(Frame { features: features.as_slice().into(), command, waypoints });
+                let waypoints = world.expert_waypoints(v);
+                kept.push(Frame::pack(&features, pool, command, &waypoints));
                 weights.push(command_weight(command, turn_distance / TURN_LOOKAHEAD));
             }
         }
@@ -134,7 +137,7 @@ mod tests {
         let mut w = World::new(WorldConfig::small(6));
         let ds = collect_datasets(&mut w, &CollectConfig { seconds: 20.0, stride: 1, balance_commands: true });
         // Different routes ⇒ different features.
-        assert_ne!(ds[0].sample(0).features, ds[1].sample(0).features);
+        assert_ne!(ds[0].sample(0).blocks(), ds[1].sample(0).blocks());
     }
 
     #[test]

@@ -785,10 +785,12 @@ mod tests {
         let frames: Vec<&crate::Frame> =
             datasets.iter().flat_map(|d| d.samples().iter()).collect();
         let mut h = Fnv::new();
+        let mut features = Vec::new();
         for f in &frames {
-            h.f32s(&f.features);
+            f.features_into(&mut features);
+            h.f32s(&features);
             h.word(f.command.index() as u32);
-            h.f32s(&f.waypoints);
+            h.f32s(f.waypoints());
         }
         let mut rendered = format!("frames {} {:016x}\n", frames.len(), h.0);
 

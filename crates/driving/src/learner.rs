@@ -23,22 +23,12 @@ use simworld::expert::Command;
 use std::cell::RefCell;
 use std::sync::OnceLock;
 use vnn::{
-    BatchSource, BranchedPolicy, FrozenPolicy, ParamVec, PolicySample, PolicySpec, Sgd,
-    TrainScratch,
+    BatchSource, BranchedPolicy, FrozenPolicy, ParamVec, PolicySpec, Sgd, TrainScratch,
 };
 
-/// `frame` as the batched `vnn` kernels see it.
-fn policy_sample(frame: &Frame, weight: f32) -> PolicySample<'_> {
-    PolicySample {
-        input: &frame.features,
-        branch: frame.command.index(),
-        target: &frame.waypoints,
-        weight,
-    }
-}
-
 /// A minibatch view over the `(frame, weight)` pairs the [`Learner`] trait
-/// hands to [`DrivingLearner::train_step`].
+/// hands to [`DrivingLearner::train_step`]; each frame decodes its input
+/// straight into the staged batch.
 struct FrameBatch<'a, 'b>(&'a [(&'b Frame, f32)]);
 
 impl BatchSource for FrameBatch<'_, '_> {
@@ -46,9 +36,20 @@ impl BatchSource for FrameBatch<'_, '_> {
         self.0.len()
     }
 
-    fn at(&self, i: usize) -> PolicySample<'_> {
-        let (frame, weight) = self.0[i];
-        policy_sample(frame, weight)
+    fn input_into(&self, i: usize, row: &mut [f32]) {
+        self.0[i].0.input_into(row);
+    }
+
+    fn branch(&self, i: usize) -> usize {
+        self.0[i].0.command.index()
+    }
+
+    fn target(&self, i: usize) -> &[f32] {
+        self.0[i].0.waypoints()
+    }
+
+    fn weight(&self, i: usize) -> f32 {
+        self.0[i].1
     }
 }
 
@@ -61,8 +62,20 @@ impl BatchSource for FrameRefs<'_, '_> {
         self.0.len()
     }
 
-    fn at(&self, i: usize) -> PolicySample<'_> {
-        policy_sample(self.0[i], 1.0)
+    fn input_into(&self, i: usize, row: &mut [f32]) {
+        self.0[i].input_into(row);
+    }
+
+    fn branch(&self, i: usize) -> usize {
+        self.0[i].command.index()
+    }
+
+    fn target(&self, i: usize) -> &[f32] {
+        self.0[i].waypoints()
+    }
+
+    fn weight(&self, _: usize) -> f32 {
+        1.0
     }
 }
 
@@ -72,6 +85,10 @@ thread_local! {
     /// there, [`Learner::losses_with`] stages a loss pass in it. One shard
     /// wide at any batch size; freed when the thread ends.
     static ARENA: RefCell<TrainScratch> = RefCell::new(TrainScratch::new());
+
+    /// The input row a per-sample [`Learner::loss_with`] decodes its frame
+    /// into.
+    static INPUT: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Heap bytes the calling thread's training arena holds — zero before the
@@ -182,8 +199,10 @@ impl Learner for DrivingLearner {
     }
 
     fn loss_with(&self, params: &ParamVec, sample: &Frame) -> f32 {
-        self.policy
-            .loss_with(params, &sample.features, sample.command.index(), &sample.waypoints)
+        INPUT.with_borrow_mut(|input| {
+            sample.features_into(input);
+            self.policy.loss_with(params, input, sample.command.index(), sample.waypoints())
+        })
     }
 
     /// One forward-only batch pass through the lane kernel instead of
@@ -235,12 +254,10 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    /// Seven BEV blocks a quarter full, then the speed and the two
+    /// navigation scalars.
     fn frame(cmd: Command, target: f32) -> Frame {
-        Frame {
-            features: vec![0.2; 10].into(),
-            command: cmd,
-            waypoints: vec![target; 6].into(),
-        }
+        Frame::pack(&[0.25; 10], 4, cmd, &[target; 6])
     }
 
     fn learner(seed: u64) -> DrivingLearner {
@@ -274,7 +291,9 @@ mod tests {
         for _ in 0..300 {
             l.train_step(&[(&a, 9.0), (&b, 1.0)]);
         }
-        let pred = l.predict(&a.features, Command::Follow);
+        let mut features = Vec::new();
+        a.features_into(&mut features);
+        let pred = l.predict(&features, Command::Follow);
         assert!(pred[0] > 0.4, "heavily weighted target should dominate: {}", pred[0]);
     }
 

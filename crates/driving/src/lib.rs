@@ -7,7 +7,8 @@
 //! [`lbchat`] learning machinery, and provides the closed-loop evaluator
 //! behind every driving-success-rate table:
 //!
-//! * [`frame`] — the training sample: featurized BEV + command + waypoints.
+//! * [`frame`] — the training sample: pooled BEV (stored as occupancy
+//!   counts) + command + waypoints.
 //! * [`learner`] — [`DrivingLearner`], the [`lbchat::Learner`]
 //!   implementation wrapping the command-branched policy and its optimizer.
 //! * [`collect`] — per-vehicle dataset collection from expert autopilots

@@ -43,30 +43,50 @@ struct Node {
     trace: Vec<u32>,
 }
 
+/// A frame of `input_dim` features shaped like a recorded one: BEV block
+/// counts of a 4×4 pooling, two blocks in three empty (so the first
+/// layer's live-column lists differ block to block), a speed, and
+/// navigation scalars that are sometimes `-0.0`. The batched kernels'
+/// other inputs — negative, off-grid and `-0.0` BEV values — are `vnn`'s
+/// own property tests, over plain input rows.
+fn frame(rng: &mut rand::rngs::StdRng, input_dim: usize, waypoints: usize) -> Frame {
+    let mut features: Vec<f32> = (0..input_dim - 3)
+        .map(|_| {
+            if rng.random_range(0..3) != 0 {
+                0.0
+            } else {
+                rng.random_range(1..=16u8) as f32 / 16.0
+            }
+        })
+        .collect();
+    features.push(rng.random_range(0.0f32..1.0));
+    for _ in 0..2 {
+        features.push(if rng.random_range(0..4) == 0 {
+            -0.0
+        } else {
+            rng.random_range(-1.0f32..1.0)
+        });
+    }
+    let target: Vec<f32> = (0..2 * waypoints)
+        .map(|_| rng.random_range(-2.0f32..2.0))
+        .collect();
+    Frame::pack(
+        &features,
+        4,
+        COMMANDS[rng.random_range(0..COMMANDS.len())],
+        &target,
+    )
+}
+
 /// Vehicle `i`: a policy whose input width and waypoint count no other
 /// vehicle shares — a buffer sized by one is the wrong size for the next —
-/// over frames shaped like recorded ones (two BEV values in three exactly
-/// zero, so the first layer's live-column lists differ block to block).
+/// over frames shaped like recorded ones.
 fn node(i: usize) -> Node {
     let mut rng = rand::rngs::StdRng::seed_from_u64(100 + i as u64);
     let (bev, waypoints) = (24 + 9 * i, 3 + i % 2);
     let spec = DrivingLearner::spec_for(bev, waypoints);
     let frames = (0..96)
-        .map(|_| Frame {
-            features: (0..spec.input_dim)
-                .map(|k| {
-                    if k < bev && rng.random_range(0..3) != 0 {
-                        0.0
-                    } else {
-                        rng.random_range(-1.0f32..1.0)
-                    }
-                })
-                .collect(),
-            command: COMMANDS[rng.random_range(0..COMMANDS.len())],
-            waypoints: (0..2 * waypoints)
-                .map(|_| rng.random_range(-2.0f32..2.0))
-                .collect(),
-        })
+        .map(|_| frame(&mut rng, spec.input_dim, waypoints))
         .collect();
     Node {
         learner: DrivingLearner::new(&spec, 1e-2, &mut rng),
@@ -114,7 +134,9 @@ fn step(node: &mut Node, i: usize, t: usize, rows: &mut TrainScratch) {
         }
         2 => {
             let frame = &frames[t];
-            learner.predict_into(&frame.features, frame.command, &mut out, rows);
+            let mut features = Vec::new();
+            frame.features_into(&mut features);
+            learner.predict_into(&features, frame.command, &mut out, rows);
             trace.extend(out.iter().map(|x| x.to_bits()));
         }
         3 => {
@@ -243,13 +265,7 @@ fn a_four_shard_batch_fits_the_arena_of_a_one_shard_batch() {
         let spec = DrivingLearner::spec_for(BevConfig::default().feature_len(), 5);
         let mut learner = DrivingLearner::new(&spec, 1e-2, &mut rng);
         let frames: Vec<Frame> = (0..SHARD)
-            .map(|k| Frame {
-                features: (0..spec.input_dim)
-                    .map(|_| rng.random_range(-1.0f32..1.0))
-                    .collect(),
-                command: COMMANDS[k % COMMANDS.len()],
-                waypoints: (0..10).map(|_| rng.random_range(-2.0f32..2.0)).collect(),
-            })
+            .map(|_| frame(&mut rng, spec.input_dim, 5))
             .collect();
         let one: Vec<(&Frame, f32)> = frames.iter().map(|f| (f, 1.0)).collect();
         learner.train_step(&one);

@@ -59,35 +59,55 @@ impl Learner for PerSample {
     }
 }
 
-/// `n` random frames; all of `only`'s command when given, else mixed.
-fn frames(n: usize, only: Option<Command>, rng: &mut rand::rngs::StdRng) -> Vec<Frame> {
+/// `n` frames shaped like recorded ones, all of `only`'s command when
+/// given, else mixed: each BEV block a count of a 4×4 pooling, zero where
+/// `empty(frame, block, rng)` says so; a speed in `[0, 1)`; navigation
+/// scalars in `(-1, 1)`, one in four `-0.0`. Negative, off-grid and `-0.0`
+/// BEV values cannot be packed into a frame; `vnn`'s property tests cover
+/// them over plain input rows.
+fn draw(
+    n: usize,
+    only: Option<Command>,
+    rng: &mut rand::rngs::StdRng,
+    empty: impl Fn(usize, usize, &mut rand::rngs::StdRng) -> bool,
+) -> Vec<Frame> {
     (0..n)
-        .map(|_| Frame {
-            features: (0..BEV_FEATURES + driving::frame::NAV_FEATURES)
-                .map(|_| rng.random_range(-1.0f32..1.0))
-                .collect(),
-            command: only.unwrap_or_else(|| COMMANDS[rng.random_range(0..COMMANDS.len())]),
-            waypoints: (0..2 * WAYPOINTS).map(|_| rng.random_range(-2.0f32..2.0)).collect(),
+        .map(|k| {
+            let mut features: Vec<f32> = (0..BEV_FEATURES - 1)
+                .map(|i| {
+                    if empty(k, i, rng) {
+                        0.0
+                    } else {
+                        rng.random_range(0..=16u8) as f32 / 16.0
+                    }
+                })
+                .collect();
+            features.push(rng.random_range(0.0f32..1.0));
+            for _ in 0..driving::frame::NAV_FEATURES {
+                features.push(if rng.random_range(0..4) == 0 {
+                    -0.0
+                } else {
+                    rng.random_range(-1.0f32..1.0)
+                });
+            }
+            let command = only.unwrap_or_else(|| COMMANDS[rng.random_range(0..COMMANDS.len())]);
+            let waypoints: Vec<f32> =
+                (0..2 * WAYPOINTS).map(|_| rng.random_range(-2.0f32..2.0)).collect();
+            Frame::pack(&features, 4, command, &waypoints)
         })
         .collect()
 }
 
-/// [`frames`] shaped like recorded ones: the BEV part a sparse occupancy
-/// tensor — five values in six exactly zero, a `-0.0` among them, the first
-/// 20 features zero in every frame, every seventh frame empty — and the
-/// navigation scalars left as drawn. What the forward kernel steps over.
+/// [`draw`] with every block a uniform count: dense input.
+fn frames(n: usize, only: Option<Command>, rng: &mut rand::rngs::StdRng) -> Vec<Frame> {
+    draw(n, only, rng, |_, _, _| false)
+}
+
+/// [`draw`] as sparse as a recorded BEV — five blocks in six empty, the
+/// first 20 empty in every frame, every seventh frame empty. What the
+/// forward kernel steps over.
 fn bev_frames(n: usize, only: Option<Command>, rng: &mut rand::rngs::StdRng) -> Vec<Frame> {
-    let mut data = frames(n, only, rng);
-    for (k, frame) in data.iter_mut().enumerate() {
-        let mut features = frame.features.to_vec();
-        for (i, x) in features[..BEV_FEATURES].iter_mut().enumerate() {
-            if i < 20 || k % 7 == 6 || rng.random_range(0..6) != 0 {
-                *x = if rng.random_range(0..8) == 0 { -0.0 } else { 0.0 };
-            }
-        }
-        frame.features = features.into();
-    }
-    data
+    draw(n, only, rng, |k, i, rng| i < 20 || k % 7 == 6 || rng.random_range(0..6) != 0)
 }
 
 /// A driving-scale learner a few steps into training, so losses spread.

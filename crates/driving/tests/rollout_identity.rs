@@ -42,16 +42,17 @@ fn predict_into_tracks_the_parameters() {
     assert!(frames.len() >= 64, "the fixture must record frames: {}", frames.len());
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
     let mut scratch = TrainScratch::new();
-    let mut out = Vec::new();
+    let (mut out, mut features) = (Vec::new(), Vec::new());
     // Every frame under every command, against the allocating per-sample
     // forward of the parameters the learner holds right now.
     let mut check = |learner: &DrivingLearner, what: &str| {
         for frame in frames.iter().step_by(7) {
+            frame.features_into(&mut features);
             for command in COMMANDS {
-                learner.predict_into(&frame.features, command, &mut out, &mut scratch);
+                learner.predict_into(&features, command, &mut out, &mut scratch);
                 assert_eq!(
                     bits(&out),
-                    bits(&learner.predict(&frame.features, command)),
+                    bits(&learner.predict(&features, command)),
                     "after {what}"
                 );
             }

@@ -123,9 +123,11 @@ fn ceiling_table(cfg: &EvalConfig) -> Table {
 fn l1(learner: &DrivingLearner, frames: &[&Frame]) -> f64 {
     let mut sum = 0.0f64;
     let mut n = 0usize;
+    let mut features = Vec::new();
     for f in frames {
-        let pred = learner.predict(&f.features, f.command);
-        for (p, y) in pred.iter().zip(f.waypoints.iter()) {
+        f.features_into(&mut features);
+        let pred = learner.predict(&features, f.command);
+        for (p, y) in pred.iter().zip(f.waypoints()) {
             sum += f64::from((p - y).abs());
             n += 1;
         }

@@ -1,13 +1,15 @@
 //! Frames are shared, never copied.
 //!
-//! A [`Frame`]'s two payloads are immutable `Arc<[f32]>` slices, so every
-//! hand-over LbChat makes — a cell taking the scenario's datasets, a
-//! coreset cloned into a chat session, two coresets merged, the peer's
-//! coreset folded into the local dataset (§III-D) — moves handles. This
-//! file holds each of those to pointer equality with its source, and then a
-//! whole quick-scale LbChat cell to the strongest form of the claim: when
-//! it ends, every frame any vehicle holds is one of the scenario's own
-//! buffers, i.e. the run allocated no feature or waypoint buffer at all.
+//! A [`Frame`]'s two payloads — the BEV block counts (`Arc<[u8]>`) and the
+//! speed, navigation scalars and waypoints (`Arc<[f32]>`) — are immutable
+//! shared slices, so every hand-over LbChat makes — a cell taking the
+//! scenario's datasets, a coreset cloned into a chat session, two coresets
+//! merged, the peer's coreset folded into the local dataset (§III-D) —
+//! moves handles. This file holds each of those to pointer equality with
+//! its source, and then a whole quick-scale LbChat cell to the strongest
+//! form of the claim: when it ends, every frame any vehicle holds is one of
+//! the scenario's own buffers, i.e. the run allocated no frame buffer at
+//! all.
 
 use driving::Frame;
 use experiments::methods::{lbchat_algorithm, lbchat_config, runtime_config};
@@ -15,10 +17,9 @@ use experiments::{Condition, Scale, Scenario};
 use lbchat::prelude::{ObsSink, Runtime};
 use lbchat::{Coreset, WeightedDataset};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 fn shares_payloads(a: &Frame, b: &Frame) -> bool {
-    Arc::ptr_eq(&a.features, &b.features) && Arc::ptr_eq(&a.waypoints, &b.waypoints)
+    std::ptr::eq(a.blocks(), b.blocks()) && std::ptr::eq(a.scalars(), b.scalars())
 }
 
 fn all_shared(copies: &[Frame], sources: &[Frame]) -> bool {
@@ -32,8 +33,8 @@ fn all_shared(copies: &[Frame], sources: &[Frame]) -> bool {
 /// The addresses of both payloads of `frame`.
 fn addresses(frame: &Frame) -> [usize; 2] {
     [
-        frame.features.as_ptr() as usize,
-        frame.waypoints.as_ptr() as usize,
+        frame.blocks().as_ptr() as usize,
+        frame.scalars().as_ptr() as usize,
     ]
 }
 

@@ -460,6 +460,12 @@ impl Mlp {
         }
     }
 
+    /// The `n` input rows staged by [`Mlp::stage_batch`], which
+    /// [`Mlp::forward_batch`] reads and leaves as they are.
+    pub(crate) fn batch_inputs<'s>(&self, scratch: &'s MlpScratch, n: usize) -> &'s [f32] {
+        &scratch.acts[0][..n * self.spec.input_dim()]
+    }
+
     /// The final-layer activations of the last [`Mlp::forward_batch`] call:
     /// `n` sample-major rows of `output_dim` floats.
     pub fn batch_outputs<'s>(&self, scratch: &'s MlpScratch, n: usize) -> &'s [f32] {

@@ -19,7 +19,8 @@ use rand::Rng;
 /// full lane blocks.
 const LOSS_BLOCK: usize = 64;
 
-/// One imitation-learning sample as seen by the batched training kernels.
+/// One imitation-learning sample held as plain slices: the simplest
+/// [`BatchSource`] is a slice of these.
 ///
 /// Borrows its feature and target rows from the caller's dataset, so staging
 /// a batch copies each row exactly once (into the scratch arena).
@@ -36,7 +37,12 @@ pub struct PolicySample<'a> {
 }
 
 /// Random access to a minibatch for [`BranchedPolicy::train_batch`] and
-/// [`BranchedPolicy::losses_with`]; `at` must be cheap (it is called a
+/// [`BranchedPolicy::losses_with`].
+///
+/// A source writes each sample's input row into the staged batch itself,
+/// once per pass, so a dataset may keep its inputs in any form it can
+/// expand to `f32`s; the kernels read the skip-input tail back from that
+/// staged row. The other accessors must be cheap (they are called a
 /// handful of times per sample).
 pub trait BatchSource {
     /// Number of samples in the batch.
@@ -47,8 +53,18 @@ pub trait BatchSource {
         self.len() == 0
     }
 
-    /// The `i`-th sample.
-    fn at(&self, i: usize) -> PolicySample<'_>;
+    /// Writes the `i`-th sample's input into `row`, which is `input_dim`
+    /// long.
+    fn input_into(&self, i: usize, row: &mut [f32]);
+
+    /// The `i`-th sample's command branch.
+    fn branch(&self, i: usize) -> usize;
+
+    /// The `i`-th sample's expert waypoints (length `head_dim`).
+    fn target(&self, i: usize) -> &[f32];
+
+    /// The `i`-th sample's weight.
+    fn weight(&self, i: usize) -> f32;
 }
 
 impl BatchSource for [PolicySample<'_>] {
@@ -56,8 +72,22 @@ impl BatchSource for [PolicySample<'_>] {
         <[PolicySample<'_>]>::len(self)
     }
 
-    fn at(&self, i: usize) -> PolicySample<'_> {
-        self[i]
+    fn input_into(&self, i: usize, row: &mut [f32]) {
+        let input = self[i].input;
+        assert_eq!(input.len(), row.len(), "input dimension mismatch");
+        row.copy_from_slice(input);
+    }
+
+    fn branch(&self, i: usize) -> usize {
+        self[i].branch
+    }
+
+    fn target(&self, i: usize) -> &[f32] {
+        self[i].target
+    }
+
+    fn weight(&self, i: usize) -> f32 {
+        self[i].weight
     }
 }
 
@@ -246,13 +276,13 @@ impl BranchedPolicy {
 
     // ----- batched kernels -------------------------------------------------
 
-    /// The forward half every batched pass shares: stages samples
-    /// `[start, start + n)` of `src`, runs the trunk over them under
-    /// `params`, builds the head-input rows (ReLU of the trunk output plus
-    /// the skip tail, exactly as in the per-sample path) and groups the
-    /// local sample indices by branch — stable, ascending within each
-    /// group; `counts[br]` ends up holding the END offset of group `br`
-    /// inside `order`.
+    /// The forward half every batched pass shares: has `src` stage samples
+    /// `[start, start + n)`, runs the trunk over them under `params`,
+    /// builds the head-input rows (ReLU of the trunk output plus the skip
+    /// tail of the staged input row, exactly as in the per-sample path)
+    /// and groups the local sample indices by branch — stable, ascending
+    /// within each group; `counts[br]` ends up holding the END offset of
+    /// group `br` inside `order`.
     fn forward_trunk<S: BatchSource + ?Sized>(
         &self,
         params: &ParamVec,
@@ -276,17 +306,17 @@ impl BranchedPolicy {
 
         let staged = self.trunk.stage_batch(&mut shard.trunk, n);
         for k in 0..n {
-            let s = src.at(start + k);
-            assert_eq!(s.input.len(), input_dim, "input dimension mismatch");
-            assert!(s.branch < nb, "branch out of range");
-            staged[k * input_dim..(k + 1) * input_dim].copy_from_slice(s.input);
-            shard.branches[k] = s.branch;
+            src.input_into(start + k, &mut staged[k * input_dim..(k + 1) * input_dim]);
+            let branch = src.branch(start + k);
+            assert!(branch < nb, "branch out of range");
+            shard.branches[k] = branch;
         }
         self.trunk.forward_batch(params, &mut shard.trunk, n);
 
         let trunk_out_dim = self.trunk.spec().output_dim();
         let feat_dim = trunk_out_dim + skip;
         ensure(&mut shard.feats, n * feat_dim);
+        let trunk_x = self.trunk.batch_inputs(&shard.trunk, n);
         let trunk_y = self.trunk.batch_outputs(&shard.trunk, n);
         for k in 0..n {
             let y = &trunk_y[k * trunk_out_dim..(k + 1) * trunk_out_dim];
@@ -294,7 +324,8 @@ impl BranchedPolicy {
             for (f, &v) in frow.iter_mut().zip(y) {
                 *f = v.max(0.0);
             }
-            frow[trunk_out_dim..].copy_from_slice(&src.at(start + k).input[input_dim - skip..]);
+            frow[trunk_out_dim..]
+                .copy_from_slice(&trunk_x[(k + 1) * input_dim - skip..(k + 1) * input_dim]);
         }
 
         // Counting sort of the local indices by branch.
@@ -374,7 +405,7 @@ impl BranchedPolicy {
                         .chunks_exact(head_dim)
                         .zip(&shard.order[group_start..group_end])
                     {
-                        out[start + k] = mean_loss(pred, src.at(start + k).target);
+                        out[start + k] = mean_loss(pred, src.target(start + k));
                     }
                 }
                 group_start = group_end;
@@ -457,7 +488,7 @@ impl BranchedPolicy {
         ensure(&mut shard.losses, n);
         ensure(&mut shard.d_feats, n * feat_dim);
         for (k, w) in shard.weights[..n].iter_mut().enumerate() {
-            *w = src.at(start + k).weight;
+            *w = src.weight(start + k);
         }
 
         // This shard's weighted partial gradient accumulates from +0.0.
@@ -475,10 +506,9 @@ impl BranchedPolicy {
                 ensure(&mut shard.head_w, m);
                 let (preds, d_out) = head.batch_outputs_and_d_out(&mut shard.head, m);
                 for (local, &k) in shard.order[group_start..group_end].iter().enumerate() {
-                    let s = src.at(start + k);
                     let pred = &preds[local * head_dim..(local + 1) * head_dim];
                     let d = &mut d_out[local * head_dim..(local + 1) * head_dim];
-                    shard.losses[k] = mean_loss_and_grad_into(pred, s.target, d);
+                    shard.losses[k] = mean_loss_and_grad_into(pred, src.target(start + k), d);
                     shard.head_w[local] = shard.weights[k];
                 }
                 let d_in = head.backward_batch_d_input(

@@ -518,6 +518,114 @@ proptest! {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Driving-shaped input a recorded frame cannot hold. `driving::Frame`
+// stores its BEV as occupancy counts, so the `driving` tests feed only
+// on-grid, non-negative BEV values; the kernels' contract is over every
+// finite input. Negative and off-grid BEV values, and `-0.0` among the
+// zeros, run here over plain `PolicySample` rows: at the driving policy's
+// shape and at four narrower ones, all through one arena.
+// ---------------------------------------------------------------------------
+
+/// `DrivingLearner::spec_for(bev, waypoints)`: two navigation scalars after
+/// `bev` features, skipped into every head.
+fn driving_spec(bev: usize, waypoints: usize) -> PolicySpec {
+    PolicySpec { input_dim: bev + 2, trunk: vec![96, 64], n_branches: 4, waypoints, skip_inputs: 2 }
+}
+
+/// `n` samples for `spec`. The BEV part is uniform in `(-1, 1)` — negative
+/// and off the occupancy grid — and, if `sparse`, shaped like a recorded
+/// BEV around that: five values in six zero (one zero in eight `-0.0`), the
+/// first 20 zero in every row, every seventh row all zero. The navigation
+/// scalars are uniform in `(-1, 1)`, one in four `-0.0`.
+fn driving_rows(
+    spec: &PolicySpec,
+    n: usize,
+    sparse: bool,
+    rng: &mut rand::rngs::StdRng,
+) -> OwnedBatch {
+    let bev = spec.input_dim - spec.skip_inputs;
+    (0..n)
+        .map(|k| {
+            let mut x: Vec<f32> = (0..bev)
+                .map(|i| {
+                    if sparse && (i < 20 || k % 7 == 6 || rng.random_range(0..6) != 0) {
+                        if rng.random_range(0..8) == 0 { -0.0 } else { 0.0 }
+                    } else {
+                        rng.random_range(-1.0f32..1.0)
+                    }
+                })
+                .collect();
+            x.extend((0..spec.skip_inputs).map(|_| {
+                if rng.random_range(0..4) == 0 { -0.0 } else { rng.random_range(-1.0f32..1.0) }
+            }));
+            let b = rng.random_range(0..spec.n_branches);
+            let t: Vec<f32> =
+                (0..spec.head_dim()).map(|_| rng.random_range(-2.0f32..2.0)).collect();
+            (x, b, t, rng.random_range(0.5f32..2.0))
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn off_grid_driving_inputs_match_per_sample_bits(seed in 0u64..1 << 48) {
+        // Losses under the policy's own parameters and under a thinned copy
+        // (two in three zeroed, as a compressed model arrives), then the
+        // batch gradient; every shape's passes leave the arena dirty for the
+        // next, as learners of different shapes take turns in a thread's.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut arena = TrainScratch::new();
+        let mut out = vec![-1.0f32; 5];
+        let shapes: [(usize, usize, &[usize]); 5] = [
+            (145, 5, &[0, 1, 2, 3, 7, 9, 17, 63, 64, 65]),
+            (24, 3, &[5, 21]),
+            (33, 4, &[16, 64]),
+            (42, 3, &[5, 21]),
+            (51, 4, &[16, 64]),
+        ];
+        for (bev, waypoints, sizes) in shapes {
+            let policy = BranchedPolicy::new(&driving_spec(bev, waypoints), &mut rng);
+            let thinned = ParamVec::from_vec(
+                policy
+                    .params()
+                    .as_slice()
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &x)| if k % 3 == 0 { x } else { 0.0 })
+                    .collect(),
+            );
+            for &n in sizes {
+                for sparse in [false, true] {
+                    let data = driving_rows(policy.spec(), n, sparse, &mut rng);
+                    let samples = as_samples(&data);
+                    for params in [policy.params(), &thinned] {
+                        policy.losses_with(params, &samples[..], &mut out, &mut arena);
+                        let single: Vec<f32> = data
+                            .iter()
+                            .map(|(x, b, t, _)| policy.loss_with(params, x, *b, t))
+                            .collect();
+                        prop_assert_eq!(
+                            bits(&out), bits(&single), "bev {} n={} sparse {}", bev, n, sparse
+                        );
+                    }
+                    let (loss_sum, weight_sum) = live_batch_grad(&policy, &samples, &mut arena);
+                    let mut ref_grad = vec![0.0f32; policy.param_count()];
+                    let (ref_loss, ref_weight) =
+                        per_sample_batch_grad(&policy, &samples, &mut ref_grad);
+                    prop_assert_eq!(loss_sum.to_bits(), ref_loss.to_bits());
+                    prop_assert_eq!(weight_sum.to_bits(), ref_weight.to_bits());
+                    prop_assert_eq!(
+                        bits(arena.grad()), bits(&ref_grad), "bev {} n={} sparse {}", bev, n, sparse
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// The skip is exact for finite parameters only — what a non-finite one
 /// still does: a NaN weight reaches the output of every sample that reads
 /// its column, and of its block mates. (A block whose samples are all zero
