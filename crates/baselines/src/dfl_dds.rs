@@ -12,33 +12,28 @@
 //! can finish the model exchange within the contact duration".
 
 use crate::fleet::{fitted_swap, merge_on_support, Baseline, Rule};
+use lbchat::config::TIME_BUDGET;
 use lbchat::node::Vehicle;
 use lbchat::prelude::{FrameCtx, Learner, SessionCtx};
 use lbchat::WeightedDataset;
 use vnn::ParamVec;
 
-/// DFL-DDS configuration.
+/// Base aggregation weight for an incoming model before the diversity
+/// boost.
+pub const BASE_WEIGHT: f32 = 0.35;
+
+/// DFL-DDS configuration. Rounds last [`TIME_BUDGET`] (the paper's `T_B` =
+/// 15 s), and local training runs on minibatches of
+/// `lbchat::config::BATCH_SIZE`.
 #[derive(Debug, Clone)]
 pub struct DflDdsConfig {
-    /// Round length in seconds (the paper sets it to `T_B` = 15 s).
-    pub round_seconds: f64,
     /// Dense model wire size.
     pub model_bytes: usize,
-    /// Base aggregation weight for an incoming model before the diversity
-    /// boost.
-    pub base_weight: f32,
-    /// Batch size for local training.
-    pub batch_size: usize,
 }
 
 impl Default for DflDdsConfig {
     fn default() -> Self {
-        Self {
-            round_seconds: 15.0,
-            model_bytes: 52 * 1024 * 1024,
-            base_weight: 0.35,
-            batch_size: 64,
-        }
+        Self { model_bytes: 52 * 1024 * 1024 }
     }
 }
 
@@ -67,7 +62,7 @@ impl<L: Learner> DflDds<L> {
         datasets: Vec<WeightedDataset<L::Sample>>,
         config: DflDdsConfig,
     ) -> Self {
-        Self::with_rule(learners, datasets, config.batch_size, |nodes| {
+        Self::with_rule(learners, datasets, |nodes| {
             let n = nodes.len();
             // Initially each model is built purely from its own data source.
             let sources = (0..n)
@@ -106,7 +101,7 @@ impl DflDdsRule {
         model: &ParamVec,
     ) {
         let gain = diversity_gain(&self.sources[node], &self.sources[peer]);
-        let w = (self.config.base_weight * (0.5 + gain)).clamp(0.05, 0.8);
+        let w = (BASE_WEIGHT * (0.5 + gain)).clamp(0.05, 0.8);
         nodes[node].adopt(merge_on_support(nodes[node].learner.params(), model, w));
         let (own, theirs) = if node < peer {
             let (a, b) = self.sources.split_at_mut(peer);
@@ -127,7 +122,7 @@ impl<L: Learner> Rule<L> for DflDdsRule {
 
     fn on_frame(&mut self, _nodes: &mut [Vehicle<L>], ctx: &mut FrameCtx<'_>) {
         // Advance the global round counter (synchronous rounds).
-        self.current_round = (ctx.time / self.config.round_seconds) as u64;
+        self.current_round = (ctx.time / TIME_BUDGET) as u64;
     }
 
     /// Swaps contact-fitted models with a peer (one exchange per vehicle
@@ -143,7 +138,7 @@ impl<L: Learner> Rule<L> for DflDdsRule {
         self.last_round[j] = round;
         // Contact-fitted equal compression (per §IV-B's adaptation).
         let Some((for_i, for_j)) =
-            fitted_swap(nodes, self.config.model_bytes, self.config.round_seconds, ctx)
+            fitted_swap(nodes, self.config.model_bytes, TIME_BUDGET, ctx)
         else {
             return false;
         };
@@ -171,10 +166,7 @@ mod tests {
         let datasets: Vec<_> = (0..n)
             .map(|i| WeightedDataset::uniform(line_data(i as f32 - 0.5, 0.0, 200)))
             .collect();
-        DflDds::new(learners, datasets, DflDdsConfig {
-            model_bytes: 4 * 1024 * 1024,
-            ..DflDdsConfig::default()
-        })
+        DflDds::new(learners, datasets, DflDdsConfig { model_bytes: 4 * 1024 * 1024 })
     }
 
     fn parked_pair(seconds: f64) -> MobilityTrace {

@@ -9,26 +9,25 @@
 //! validation dataset — a lower-loss peer model earns a larger share.
 
 use crate::fleet::{fitted_swap, merge_on_support, Baseline, Rule};
+use lbchat::config::TIME_BUDGET;
 use lbchat::learner::mean_loss;
 use lbchat::node::Vehicle;
 use lbchat::prelude::{Learner, SessionCtx};
 use lbchat::WeightedDataset;
 use vnn::ParamVec;
 
-/// DP configuration.
+/// DP configuration. An encounter's exchange is budgeted
+/// [`TIME_BUDGET`], and local training runs on minibatches of
+/// `lbchat::config::BATCH_SIZE`.
 #[derive(Debug, Clone)]
 pub struct DpConfig {
     /// Dense model wire size.
     pub model_bytes: usize,
-    /// Exchange time budget per encounter (seconds).
-    pub time_budget: f64,
-    /// Batch size for local training.
-    pub batch_size: usize,
 }
 
 impl Default for DpConfig {
     fn default() -> Self {
-        Self { model_bytes: 52 * 1024 * 1024, time_budget: 15.0, batch_size: 64 }
+        Self { model_bytes: 52 * 1024 * 1024 }
     }
 }
 
@@ -51,7 +50,7 @@ impl<L: Learner> Dp<L> {
         datasets: Vec<WeightedDataset<L::Sample>>,
         config: DpConfig,
     ) -> Self {
-        Self::with_rule(learners, datasets, config.batch_size, |_| DpRule { config })
+        Self::with_rule(learners, datasets, |_| DpRule { config })
     }
 
     /// The DP merge weight for a received model: normalized logarithmic
@@ -84,7 +83,7 @@ impl<L: Learner> Rule<L> for DpRule {
     /// Swaps contact-fitted models and merges what arrived.
     fn session(&mut self, nodes: &mut [Vehicle<L>], ctx: &mut SessionCtx<'_>) -> bool {
         let Some((for_i, for_j)) =
-            fitted_swap(nodes, self.config.model_bytes, self.config.time_budget, ctx)
+            fitted_swap(nodes, self.config.model_bytes, TIME_BUDGET, ctx)
         else {
             return false;
         };
@@ -127,10 +126,7 @@ mod tests {
             WeightedDataset::uniform(line_data(2.0, 0.0, 200)),
             WeightedDataset::uniform(line_data(-2.0, 0.0, 200)),
         ];
-        let mut algo = Dp::new(learners, datasets, DpConfig {
-            model_bytes: 4 * 1024 * 1024,
-            ..DpConfig::default()
-        });
+        let mut algo = Dp::new(learners, datasets, DpConfig { model_bytes: 4 * 1024 * 1024 });
         let frames = 601;
         let trace = MobilityTrace::new(
             2.0,
@@ -153,7 +149,7 @@ mod tests {
         // exchange (both directions) stays within T_B = 15 s. Sized for the
         // paper's 31 Mbps instead, the same exchange takes ≈ 74 s.
         let config = DpConfig::default();
-        let budget = config.time_budget;
+        let budget = TIME_BUDGET;
         let learners = vec![LineLearner::new(), LineLearner::new()];
         let datasets = vec![
             WeightedDataset::uniform(line_data(2.0, 0.0, 50)),

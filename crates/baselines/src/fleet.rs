@@ -4,6 +4,7 @@
 //! them all "on the same runtime"); and the contact-fitted model swap the
 //! two gossip rules (DP, DFL-DDS) share.
 
+use lbchat::config::BATCH_SIZE;
 use lbchat::learner::mean_eval_loss;
 use lbchat::node::Vehicle;
 use lbchat::optimize::equal_compression_choice;
@@ -43,8 +44,8 @@ pub struct Baseline<L: Learner, R> {
 }
 
 impl<L: Learner, R: Rule<L>> Baseline<L, R> {
-    /// Builds one [`Vehicle`] per learner–dataset pair, then the rule from
-    /// the built fleet. Each vehicle holds out the last 10 % of its dataset
+    /// Builds one [`Vehicle`] per learner–dataset pair, training on
+    /// minibatches of [`BATCH_SIZE`], then the rule from the built fleet. Each vehicle holds out the last 10 % of its dataset
     /// (at most 200 samples) as its validation set, which DP weights by.
     ///
     /// # Panics
@@ -52,10 +53,9 @@ impl<L: Learner, R: Rule<L>> Baseline<L, R> {
     pub(crate) fn with_rule(
         learners: Vec<L>,
         datasets: Vec<WeightedDataset<L::Sample>>,
-        batch_size: usize,
         rule: impl FnOnce(&[Vehicle<L>]) -> R,
     ) -> Self {
-        let nodes = Vehicle::fleet(learners, datasets, batch_size, |n| n - (n / 10).min(200));
+        let nodes = Vehicle::fleet(learners, datasets, BATCH_SIZE, |n| n - (n / 10).min(200));
         Self { rule: rule(&nodes), nodes }
     }
 }

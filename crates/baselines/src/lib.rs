@@ -277,14 +277,13 @@ mod tests {
 
     #[test]
     fn gossip_baselines_predict_contacts_for_opened_pairs_only() {
-        let config = dp::DpConfig { model_bytes: 4 * 1024 * 1024, ..dp::DpConfig::default() };
+        let config = dp::DpConfig { model_bytes: 4 * 1024 * 1024 };
         let dp = || {
             let (learners, datasets) = fleet_inputs();
             Dp::new(learners, datasets, config.clone())
         };
         assert!(assert_lazy_matches_eager(dp(), dp()) > 50, "DP must gossip");
-        let config =
-            dfl_dds::DflDdsConfig { model_bytes: 4 * 1024 * 1024, ..Default::default() };
+        let config = dfl_dds::DflDdsConfig { model_bytes: 4 * 1024 * 1024 };
         let dds = || {
             let (learners, datasets) = fleet_inputs();
             DflDds::new(learners, datasets, config.clone())
@@ -354,11 +353,10 @@ mod tests {
     #[test]
     fn baseline_runs_match_golden_fixture() {
         let (learners, datasets) = fleet_inputs();
-        let dp_config = dp::DpConfig { model_bytes: 4 * 1024 * 1024, ..Default::default() };
+        let dp_config = dp::DpConfig { model_bytes: 4 * 1024 * 1024 };
         let mut rendered = render_run(Dp::new(learners, datasets, dp_config));
         let (learners, datasets) = fleet_inputs();
-        let dds_config =
-            dfl_dds::DflDdsConfig { model_bytes: 4 * 1024 * 1024, ..Default::default() };
+        let dds_config = dfl_dds::DflDdsConfig { model_bytes: 4 * 1024 * 1024 };
         rendered += &render_run(DflDds::new(learners, datasets, dds_config));
         let (learners, datasets) = fleet_inputs();
         rendered += &render_run(ProxSkip::new(learners, datasets, Default::default()));
@@ -409,5 +407,26 @@ mod tests {
         let (learners, datasets) = fleet_inputs();
         let rsus = vec![Vec2::ZERO];
         check(&RsuL::new(learners, datasets, rsus, Default::default()), f64::NEG_INFINITY);
+    }
+
+    /// Destructured without `..`: adding or removing a field fails to
+    /// compile here until the count is a decision someone made. What the
+    /// paper fixes (`T_B`, batch 64, the RSU and DFL-DDS weights) is a
+    /// constant, not a field.
+    #[test]
+    fn baseline_configs_default_to_the_paper_setup() {
+        const MODEL_BYTES: usize = 52 * 1024 * 1024;
+        let dp::DpConfig { model_bytes } = dp::DpConfig::default();
+        assert_eq!(model_bytes, MODEL_BYTES);
+        let dfl_dds::DflDdsConfig { model_bytes } = dfl_dds::DflDdsConfig::default();
+        assert_eq!(model_bytes, MODEL_BYTES);
+        let rsul::RsuLConfig { model_bytes } = rsul::RsuLConfig::default();
+        assert_eq!(model_bytes, MODEL_BYTES);
+        let proxskip::ProxSkipConfig { comm_prob, cv_gamma, model_bytes } =
+            proxskip::ProxSkipConfig::default();
+        assert_eq!((comm_prob, cv_gamma, model_bytes), (0.5, 0.1, MODEL_BYTES));
+        assert_eq!((lbchat::config::TIME_BUDGET, lbchat::config::BATCH_SIZE), (15.0, 64));
+        assert_eq!((rsul::RSU_RANGE_M, rsul::REVISIT_COOLDOWN, rsul::ALPHA), (300.0, 60.0, 0.5));
+        assert_eq!(dfl_dds::BASE_WEIGHT, 0.35);
     }
 }

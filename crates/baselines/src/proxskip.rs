@@ -16,17 +16,17 @@
 //! uniformly from the distance-loss table.
 
 use crate::fleet::{Baseline, Rule};
+use lbchat::config::TIME_BUDGET;
 use lbchat::node::Vehicle;
 use lbchat::prelude::{FrameCtx, Learner};
 use lbchat::WeightedDataset;
 use rand::RngExt;
 use vnn::ParamVec;
 
-/// ProxSkip configuration.
+/// ProxSkip configuration. Rounds last [`TIME_BUDGET`] (the paper's `T_B`),
+/// and local training runs on minibatches of `lbchat::config::BATCH_SIZE`.
 #[derive(Debug, Clone)]
 pub struct ProxSkipConfig {
-    /// Round length in seconds (set to the paper's `T_B`).
-    pub round_seconds: f64,
     /// Probability a round communicates (the "skip" probability is `1-p`).
     pub comm_prob: f64,
     /// Control-variate step scale γ̂: the correction applied per adopted
@@ -35,19 +35,11 @@ pub struct ProxSkipConfig {
     /// Model wire size in bytes (for metrics accounting only — the backend
     /// is unconstrained).
     pub model_bytes: usize,
-    /// Batch size for local training.
-    pub batch_size: usize,
 }
 
 impl Default for ProxSkipConfig {
     fn default() -> Self {
-        Self {
-            round_seconds: 15.0,
-            comm_prob: 0.5,
-            cv_gamma: 0.1,
-            model_bytes: 52 * 1024 * 1024,
-            batch_size: 64,
-        }
+        Self { comm_prob: 0.5, cv_gamma: 0.1, model_bytes: 52 * 1024 * 1024 }
     }
 }
 
@@ -72,7 +64,7 @@ impl<L: Learner> ProxSkip<L> {
         datasets: Vec<WeightedDataset<L::Sample>>,
         config: ProxSkipConfig,
     ) -> Self {
-        Self::with_rule(learners, datasets, config.batch_size, |nodes| {
+        Self::with_rule(learners, datasets, |nodes| {
             let dim = nodes[0].learner.params().len();
             let variates = vec![ParamVec::zeros(dim); nodes.len()];
             ProxSkipRule { variates, config, next_round: 0.0 }
@@ -107,7 +99,7 @@ impl<L: Learner> Rule<L> for ProxSkipRule {
         if ctx.time < self.next_round {
             return;
         }
-        self.next_round = ctx.time + self.config.round_seconds;
+        self.next_round = ctx.time + TIME_BUDGET;
         if !ctx.rng().random_bool(self.config.comm_prob) {
             return; // skipped round: local steps only
         }

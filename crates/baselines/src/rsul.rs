@@ -15,32 +15,28 @@ use lbchat::WeightedDataset;
 use simnet::geom::Vec2;
 use vnn::ParamVec;
 
-/// RSU-L configuration.
+/// RSU radio range in meters (same class of radio as V2V).
+pub const RSU_RANGE_M: f32 = 300.0;
+
+/// Minimum seconds between two exchanges of the same vehicle with the same
+/// RSU.
+pub const REVISIT_COOLDOWN: f64 = 60.0;
+
+/// Aggregation weight of the incoming vehicle model at the RSU (the RSU
+/// keeps `1 - ALPHA` of its own model).
+pub const ALPHA: f32 = 0.5;
+
+/// RSU-L configuration. Local training runs on minibatches of
+/// `lbchat::config::BATCH_SIZE`.
 #[derive(Debug, Clone)]
 pub struct RsuLConfig {
-    /// RSU radio range in meters (same class of radio as V2V).
-    pub rsu_range_m: f32,
-    /// Minimum seconds between two exchanges of the same vehicle with the
-    /// same RSU.
-    pub revisit_cooldown: f64,
     /// Model wire size (metrics accounting).
     pub model_bytes: usize,
-    /// Aggregation weight of the incoming vehicle model at the RSU (the
-    /// RSU keeps `1 - alpha` of its own model).
-    pub alpha: f32,
-    /// Batch size for local training.
-    pub batch_size: usize,
 }
 
 impl Default for RsuLConfig {
     fn default() -> Self {
-        Self {
-            rsu_range_m: 300.0,
-            revisit_cooldown: 60.0,
-            model_bytes: 52 * 1024 * 1024,
-            alpha: 0.5,
-            batch_size: 64,
-        }
+        Self { model_bytes: 52 * 1024 * 1024 }
     }
 }
 
@@ -69,7 +65,7 @@ impl<L: Learner> RsuL<L> {
         rsu_positions: Vec<Vec2>,
         config: RsuLConfig,
     ) -> Self {
-        Self::with_rule(learners, datasets, config.batch_size, |nodes| {
+        Self::with_rule(learners, datasets, |nodes| {
             assert!(!rsu_positions.is_empty(), "need at least one RSU");
             let dim = nodes[0].learner.params().len();
             let rsu_models = vec![ParamVec::zeros(dim); rsu_positions.len()];
@@ -101,13 +97,13 @@ impl<L: Learner> Rule<L> for RsuLRule {
             }
             let pos = ctx.trace.position(v, ctx.time);
             for r in 0..n_rsus {
-                if pos.distance(self.rsu_positions[r]) > self.config.rsu_range_m {
+                if pos.distance(self.rsu_positions[r]) > RSU_RANGE_M {
                     continue;
                 }
                 if self.cooldown[v * n_rsus + r] > ctx.time {
                     continue;
                 }
-                self.cooldown[v * n_rsus + r] = ctx.time + self.config.revisit_cooldown;
+                self.cooldown[v * n_rsus + r] = ctx.time + REVISIT_COOLDOWN;
                 // Upload. The first delivered model seeds the RSU
                 // wholesale; later uploads are aggregated in.
                 let uploaded = ctx.backend_message(model_bytes);
@@ -115,9 +111,9 @@ impl<L: Learner> Rule<L> for RsuLRule {
                     if self.rsu_initialized[r] {
                         let merged = ParamVec::weighted_average(
                             &self.rsu_models[r],
-                            1.0 - self.config.alpha,
+                            1.0 - ALPHA,
                             node.learner.params(),
-                            self.config.alpha,
+                            ALPHA,
                         );
                         self.rsu_models[r] = merged;
                     } else {

@@ -24,7 +24,7 @@ use crate::phi::PhiCurve;
 use crate::runtime::{CollabAlgorithm, SessionCtx, SessionStep};
 use crate::valuation::coreset_loss;
 use rand::Rng;
-use simnet::channel::{TransferSpec, PAPER_BANDWIDTH_BPS};
+use simnet::channel::{TransferSpec, ASSIST_BYTES, PAPER_BANDWIDTH_BPS};
 use simnet::contact::ContactEstimate;
 use vnn::{Minibatcher, ParamVec};
 
@@ -319,8 +319,8 @@ impl<L: Learner> LbChatAlgorithm<L> {
         // from it.
         let limit = self.config.time_budget.min(ctx.contact().duration.max(0.0));
 
-        // --- 1. Assist messages (route + bandwidth, 184 B each way). ---
-        if !ctx.run_spec(&TransferSpec::link(2 * 184, limit.max(1.0))).is_delivered() {
+        // --- 1. Assist messages (route + bandwidth, ASSIST_BYTES each way). ---
+        if !ctx.run_spec(&TransferSpec::link(2 * ASSIST_BYTES, limit.max(1.0))).is_delivered() {
             return 0.1;
         }
 

@@ -58,9 +58,13 @@ pub struct RuntimeConfig {
     /// re-exchange useful).
     pub pair_cooldown: f64,
     /// Reference exchange time for the truncated contact ratio `z`.
+    /// One value in every non-test caller; kept only because the
+    /// stand-alone `lbchat_e2e` benchmark package names it.
     pub contact_reference_time: f64,
     /// Number of future route samples shared in assist messages (at the
     /// trace frame spacing).
+    /// One value in every non-test caller; kept only because the
+    /// stand-alone `lbchat_e2e` benchmark package names it.
     pub route_share_samples: usize,
     /// RNG seed for communication randomness.
     pub seed: u64,
@@ -97,8 +101,10 @@ impl Default for RuntimeConfig {
 impl RuntimeConfig {
     /// Checks every field against its domain: a non-negative duration
     /// (zero is a valid no-op run: no frame plays and the loss curve holds
-    /// one sample), a positive eval cadence, non-negative rates, a
-    /// well-formed loss table. NaN and infinities are rejected everywhere.
+    /// one sample), a positive eval cadence, non-negative rates, a radio
+    /// that can time a packet (a nonzero packet size, a positive bandwidth
+    /// and range), a well-formed loss table. NaN and infinities are
+    /// rejected everywhere.
     /// [`Runtime::run`] calls this before anything else, so a config built
     /// as a struct literal is checked where the run enters.
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -110,6 +116,10 @@ impl RuntimeConfig {
         ConfigError::require_positive("eval_every", self.eval_every)?;
         ConfigError::require_non_negative("pair_cooldown", self.pair_cooldown)?;
         ConfigError::require_positive("contact_reference_time", self.contact_reference_time)?;
+        // `RadioConfig::packets_for` divides by the packet size.
+        ConfigError::require_nonzero("radio.packet_bytes", self.radio.packet_bytes)?;
+        ConfigError::require_positive("radio.bandwidth_bps", self.radio.bandwidth_bps)?;
+        ConfigError::require_positive("radio.range_m", f64::from(self.radio.range_m))?;
         self.loss_model
             .validate()
             .map_err(|error| ConfigError::LossTable { field: "loss_model", error })
@@ -887,6 +897,7 @@ mod tests {
     fn nonsense() -> Vec<(RuntimeConfig, ConfigError)> {
         use simnet::loss::LossTableError;
         let base = RuntimeConfig::default;
+        let radio = RadioConfig::default;
         let mut cases = vec![
             (
                 RuntimeConfig { duration: -3600.0, ..base() },
@@ -907,6 +918,25 @@ mod tests {
             (
                 RuntimeConfig { contact_reference_time: 0.0, ..base() },
                 ConfigError::NonPositive { field: "contact_reference_time", value: 0.0 },
+            ),
+            (
+                RuntimeConfig { radio: RadioConfig { packet_bytes: 0, ..radio() }, ..base() },
+                ConfigError::ZeroCount { field: "radio.packet_bytes" },
+            ),
+            (
+                RuntimeConfig { radio: RadioConfig { bandwidth_bps: 0.0, ..radio() }, ..base() },
+                ConfigError::NonPositive { field: "radio.bandwidth_bps", value: 0.0 },
+            ),
+            (
+                RuntimeConfig {
+                    radio: RadioConfig { bandwidth_bps: f64::INFINITY, ..radio() },
+                    ..base()
+                },
+                ConfigError::NonPositive { field: "radio.bandwidth_bps", value: f64::INFINITY },
+            ),
+            (
+                RuntimeConfig { radio: RadioConfig { range_m: -1.0, ..radio() }, ..base() },
+                ConfigError::NonPositive { field: "radio.range_m", value: -1.0 },
             ),
         ];
         for (table, error) in [
@@ -932,6 +962,10 @@ mod tests {
         // NaN compares unequal to itself, so match on the shape.
         let nan = RuntimeConfig { duration: f64::NAN, ..RuntimeConfig::default() };
         assert!(matches!(nan.validate(), Err(ConfigError::Negative { field: "duration", .. })));
+        let radio = RadioConfig { bandwidth_bps: f64::NAN, ..RadioConfig::default() };
+        let nan = RuntimeConfig { radio, ..RuntimeConfig::default() };
+        let err = nan.validate();
+        assert!(matches!(err, Err(ConfigError::NonPositive { field: "radio.bandwidth_bps", .. })));
     }
 
     /// The check runs where runs enter: `Runtime::run` refuses an

@@ -12,7 +12,7 @@ use crate::frame::{observe_into, Frame};
 use lbchat::WeightedDataset;
 use simworld::bev::Bev;
 use simworld::expert::{Command, TURN_LOOKAHEAD};
-use simworld::world::World;
+use simworld::world::{World, FPS};
 
 /// Data-collection parameters.
 #[derive(Debug, Clone)]
@@ -21,11 +21,15 @@ pub struct CollectConfig {
     pub seconds: f64,
     /// Keep every `stride`-th frame (1 = the paper's every-frame capture;
     /// larger strides decorrelate samples in fast runs).
+    /// One value in every non-test caller; kept only because the
+    /// stand-alone `lbchat_e2e` benchmark package names it.
     pub stride: usize,
     /// Balance command classes via the sample weights `w(d)`: turn frames
     /// are rare (a turn lasts a few seconds) but safety-critical, so they
     /// get a higher original weight. This is exactly the non-uniform-w(d)
     /// generality the paper's Algorithm 1 supports.
+    /// One value in every non-test caller; kept only because the
+    /// stand-alone `lbchat_e2e` benchmark package names it.
     pub balance_commands: bool,
 }
 
@@ -59,7 +63,7 @@ pub fn command_weight(command: Command, turn_distance_norm: f32) -> f32 {
 /// exact length.
 pub fn collect_datasets(world: &mut World, cfg: &CollectConfig) -> Vec<WeightedDataset<Frame>> {
     let n = world.n_experts();
-    let frames = (cfg.seconds * world.config().fps).ceil() as usize;
+    let frames = (cfg.seconds * FPS).ceil() as usize;
     let mut per_vehicle: Vec<(Vec<Frame>, Vec<f32>)> = vec![(Vec::new(), Vec::new()); n];
     let mut bev = Bev::blank(world.config().bev.cells);
     let mut features = Vec::new();

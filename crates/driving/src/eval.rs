@@ -22,7 +22,7 @@ use simworld::bev::Bev;
 use simworld::expert::{command_for, Command};
 use simworld::map::RoadNetwork;
 use simworld::route::Route;
-use simworld::world::{World, WorldConfig};
+use simworld::world::{World, WorldConfig, FPS};
 use vnn::TrainScratch;
 
 /// The CARLA-benchmark-style task suite (§IV-D).
@@ -82,6 +82,16 @@ impl Task {
     }
 }
 
+/// Allowed time per meter of route (the "budget time"); generous enough
+/// that only genuinely lost vehicles time out.
+pub const SECONDS_PER_METER: f64 = 0.45;
+
+/// Success radius around the destination, meters.
+pub const ARRIVAL_RADIUS_M: f32 = 12.0;
+
+/// One control tick of a trial: a world frame, in seconds.
+const DT: f32 = (1.0 / FPS) as f32;
+
 /// Evaluation parameters.
 #[derive(Debug, Clone)]
 pub struct EvalConfig {
@@ -94,11 +104,6 @@ pub struct EvalConfig {
     pub route_seed: u64,
     /// Traffic scale relative to the paper's counts.
     pub traffic_scale: f64,
-    /// Allowed time per meter of route (the "budget time"); generous enough
-    /// that only genuinely lost vehicles time out.
-    pub seconds_per_meter: f64,
-    /// Success radius around the destination, meters.
-    pub arrival_radius: f32,
 }
 
 impl Default for EvalConfig {
@@ -108,8 +113,6 @@ impl Default for EvalConfig {
             world_seed: 1000,
             route_seed: 2000,
             traffic_scale: 1.0,
-            seconds_per_meter: 0.45,
-            arrival_radius: 12.0,
         }
     }
 }
@@ -120,8 +123,6 @@ impl EvalConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         ConfigError::require_nonzero("trials", self.trials)?;
         ConfigError::require_non_negative("traffic_scale", self.traffic_scale)?;
-        ConfigError::require_positive("seconds_per_meter", self.seconds_per_meter)?;
-        ConfigError::require_positive("arrival_radius", self.arrival_radius as f64)?;
         Ok(())
     }
 }
@@ -331,10 +332,8 @@ struct Rollout {
     ego: FreeVehicle,
     tracker: RouteTracker,
     destination: Vec2,
-    arrival_radius: f32,
     /// The "budget time": past it the trial is a timeout.
     budget: f64,
-    dt: f32,
     /// Seconds since the trial started.
     t: f64,
     bev: Bev,
@@ -345,14 +344,12 @@ struct Rollout {
 
 impl Rollout {
     /// Puts the test vehicle at the head of `route` in `world`.
-    fn new(world: World, route: Route, cfg: &EvalConfig) -> Self {
+    fn new(world: World, route: Route) -> Self {
         let map_len = route.length(world.map());
         let tracker = RouteTracker::new(route);
         Self {
             destination: tracker.destination(world.map()),
-            arrival_radius: cfg.arrival_radius,
-            budget: (map_len as f64 * cfg.seconds_per_meter).max(60.0),
-            dt: (1.0 / world.config().fps) as f32,
+            budget: (map_len as f64 * SECONDS_PER_METER).max(60.0),
             t: 0.0,
             ego: FreeVehicle::new(tracker.view(0.0).pose(world.map())),
             tracker,
@@ -378,7 +375,7 @@ impl Rollout {
             trial as u64,
         ));
         let route = draw_route(&world, task, &mut route_rng);
-        Self::new(world, route, cfg)
+        Self::new(world, route)
     }
 
     /// One control tick, shown to `observe` before the vehicle moves;
@@ -395,7 +392,7 @@ impl Rollout {
         let (world, ego, tracker) = (&mut self.world, &mut self.ego, &mut self.tracker);
         tracker.update(world.map(), ego.pose.pos, 25.0);
         // Arrived?
-        if ego.pose.pos.distance(self.destination) <= self.arrival_radius {
+        if ego.pose.pos.distance(self.destination) <= ARRIVAL_RADIUS_M {
             return Some((TrialEnd::Success, self.t));
         }
         let progress = tracker.view(ego.speed);
@@ -429,8 +426,8 @@ impl Rollout {
 
         // Low-level control: pure pursuit on the mean of the last two
         // waypoints, speed from the first (time-spaced at dt).
-        let (yaw_rate, target_speed) = steer(&self.wp, command, ego.speed, self.dt);
-        ego.step(yaw_rate, target_speed, self.dt);
+        let (yaw_rate, target_speed) = steer(&self.wp, command, ego.speed, DT);
+        ego.step(yaw_rate, target_speed, DT);
 
         // Judge.
         if world.collides(ego.pose.pos, 1.5) {
@@ -440,7 +437,7 @@ impl Rollout {
             return Some((TrialEnd::OffRoute, self.t));
         }
         world.step();
-        self.t += self.dt as f64;
+        self.t += DT as f64;
         None
     }
 
@@ -601,35 +598,23 @@ mod tests {
             world_seed: 5,
             route_seed: 6,
             traffic_scale: 0.5,
-            seconds_per_meter: 0.6,
-            arrival_radius: 10.0,
         };
         assert_eq!(cfg.validate(), Ok(()));
         assert_eq!(EvalConfig { traffic_scale: 0.0, ..cfg.clone() }.validate(), Ok(()));
         assert!(EvalConfig { trials: 0, ..cfg.clone() }.validate().is_err());
-        assert!(EvalConfig { seconds_per_meter: -1.0, ..cfg.clone() }.validate().is_err());
-        assert!(EvalConfig { traffic_scale: f64::NAN, ..cfg.clone() }.validate().is_err());
-        assert!(EvalConfig { arrival_radius: 0.0, ..cfg }.validate().is_err());
+        assert!(EvalConfig { traffic_scale: f64::NAN, ..cfg }.validate().is_err());
     }
 
     /// Destructured without `..`: adding or removing a field fails to
     /// compile here until the count is a decision someone made.
     #[test]
-    fn defaults_are_the_paper_setup_over_six_fields() {
-        let EvalConfig {
-            trials,
-            world_seed,
-            route_seed,
-            traffic_scale,
-            seconds_per_meter,
-            arrival_radius,
-        } = EvalConfig::default();
+    fn defaults_are_the_paper_setup_over_four_fields() {
+        let EvalConfig { trials, world_seed, route_seed, traffic_scale } = EvalConfig::default();
         assert_eq!(trials, 25);
         assert_eq!(world_seed, 1000);
         assert_eq!(route_seed, 2000);
         assert_eq!(traffic_scale, 1.0);
-        assert_eq!(seconds_per_meter, 0.45);
-        assert_eq!(arrival_radius, 12.0);
+        assert_eq!((SECONDS_PER_METER, ARRIVAL_RADIUS_M), (0.45, 12.0));
         assert_eq!(EvalConfig::default().validate(), Ok(()));
     }
 
@@ -693,7 +678,6 @@ mod tests {
             world_seed: 1042,
             route_seed: 2042,
             traffic_scale: 0.2,
-            ..EvalConfig::default()
         };
         for task in [Task::Straight, Task::OneTurn, Task::NaviEmpty] {
             let r = privileged_success_rate(task, &cfg);
@@ -795,7 +779,7 @@ mod tests {
         let mut rendered = format!("frames {} {:016x}\n", frames.len(), h.0);
 
         let spec =
-            DrivingLearner::spec_for(world.config().bev.feature_len(), world.config().n_waypoints);
+            DrivingLearner::spec_for(world.config().bev.feature_len(), simworld::world::N_WAYPOINTS);
         let mut learner =
             DrivingLearner::new(&spec, 3e-3, &mut rand::rngs::StdRng::seed_from_u64(2));
         let mut batches = frames.chunks(64).cycle();
@@ -847,7 +831,7 @@ mod tests {
             collect_datasets(&mut world, &CollectConfig { seconds: 240.0, stride: 1, balance_commands: true });
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         let spec =
-            DrivingLearner::spec_for(world.config().bev.feature_len(), world.config().n_waypoints);
+            DrivingLearner::spec_for(world.config().bev.feature_len(), simworld::world::N_WAYPOINTS);
         let mut learner = DrivingLearner::new(&spec, 3e-3, &mut rng);
         // Train on the pooled data.
         let all: Vec<&crate::Frame> =

@@ -183,7 +183,7 @@ mod tests {
         let bev = &w.config().bev;
         assert_eq!(f.input_dim(), bev.feature_len() + NAV_FEATURES);
         assert_eq!(f.blocks().len(), bev.feature_len() - 1, "one byte per block");
-        assert_eq!(f.n_waypoints(), w.config().n_waypoints);
+        assert_eq!(f.n_waypoints(), simworld::world::N_WAYPOINTS);
         assert_eq!(f.scalars().len(), 1 + NAV_FEATURES + 2 * f.n_waypoints());
     }
 

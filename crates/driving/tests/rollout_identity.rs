@@ -27,7 +27,7 @@ fn learner_and_frames(seconds: f64) -> (DrivingLearner, Vec<Frame>) {
         .flat_map(|d| d.samples().iter().cloned())
         .collect();
     let spec =
-        DrivingLearner::spec_for(world.config().bev.feature_len(), world.config().n_waypoints);
+        DrivingLearner::spec_for(world.config().bev.feature_len(), simworld::world::N_WAYPOINTS);
     let learner = DrivingLearner::new(&spec, 3e-3, &mut rand::rngs::StdRng::seed_from_u64(8));
     (learner, frames)
 }

@@ -17,7 +17,8 @@ use driving::{DrivingLearner, Frame};
 use experiments::report::Table;
 use experiments::{exit_on_error, run_method, Args, Condition, Method, Scenario};
 use lbchat::learner::mean_loss;
-use lbchat::{LbChatConfig, Learner, Vehicle, WeightedDataset};
+use lbchat::config::BATCH_SIZE;
+use lbchat::{Learner, Vehicle, WeightedDataset};
 use rand::SeedableRng;
 use simworld::expert::Command;
 
@@ -39,8 +40,7 @@ fn main() {
     let fleet_iters = cell_iters * s.scale.n_vehicles;
     let learner = vec![s.make_learners().swap_remove(0)];
     let dataset = vec![WeightedDataset::new(frames, weights)];
-    let batch_size = LbChatConfig::default().batch_size;
-    let mut pooled = Vehicle::fleet(learner, dataset, batch_size, |n| n).remove(0);
+    let mut pooled = Vehicle::fleet(learner, dataset, BATCH_SIZE, |n| n).remove(0);
     let mut rng = rand::rngs::StdRng::seed_from_u64(s.scale.seed);
     pooled.train(cell_iters, &mut rng, |_, _, _| {});
     let at_cell = pooled.learner.clone();

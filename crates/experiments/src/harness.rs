@@ -34,7 +34,6 @@ pub fn eval_config(s: &Scenario) -> EvalConfig {
         // Keep eval traffic proportional to the training world's scale so
         // reduced runs stay comparable.
         traffic_scale: (s.scale.n_background as f64 / 50.0).clamp(0.2, 1.0),
-        ..EvalConfig::default()
     }
 }
 

@@ -228,16 +228,16 @@ pub fn run_method_obs(
             run_algo(&rt, ProxSkip::new(s.make_learners(), s.datasets.clone(), cfg), s)
         }
         Method::RsuL => {
-            let cfg = RsuLConfig { model_bytes, ..RsuLConfig::default() };
+            let cfg = RsuLConfig { model_bytes };
             let rsus = s.rsu_positions.clone();
             run_algo(&rt, RsuL::new(s.make_learners(), s.datasets.clone(), rsus, cfg), s)
         }
         Method::DflDds => {
-            let cfg = DflDdsConfig { model_bytes, ..DflDdsConfig::default() };
+            let cfg = DflDdsConfig { model_bytes };
             run_algo(&rt, DflDds::new(s.make_learners(), s.datasets.clone(), cfg), s)
         }
         Method::Dp => {
-            let cfg = DpConfig { model_bytes, ..DpConfig::default() };
+            let cfg = DpConfig { model_bytes };
             run_algo(&rt, Dp::new(s.make_learners(), s.datasets.clone(), cfg), s)
         }
     }

@@ -159,7 +159,7 @@ impl Scenario {
 
         let spec = DrivingLearner::spec_for(
             world.config().bev.feature_len(),
-            world.config().n_waypoints,
+            simworld::world::N_WAYPOINTS,
         );
 
         // RSUs at four spread town crossings plus one rural junction —

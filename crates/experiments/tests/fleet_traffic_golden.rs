@@ -110,7 +110,7 @@ fn render_run() -> String {
     let mut algo = Dp::new(
         learners,
         datasets,
-        DpConfig { model_bytes: 4 * 1024 * 1024, ..DpConfig::default() },
+        DpConfig { model_bytes: 4 * 1024 * 1024 },
     );
     let cfg = RuntimeConfig {
         duration: HORIZON_S,

@@ -30,7 +30,7 @@ fn every_recorded_frame_decodes_to_a_fresh_observation() {
         n_pedestrians: s.scale.n_pedestrians,
         ..WorldConfig::default()
     });
-    let frames = (s.scale.data_seconds * world.config().fps).ceil() as usize;
+    let frames = (s.scale.data_seconds * simworld::world::FPS).ceil() as usize;
     let cfg = world.config().clone();
     let blocks = cfg.bev.feature_len() - 1;
     let (mut bev, mut fresh, mut decoded) = (Bev::blank(cfg.bev.cells), Vec::new(), Vec::new());
@@ -49,7 +49,7 @@ fn every_recorded_frame_decodes_to_a_fresh_observation() {
             // One byte per block; the speed, the navigation scalars and the
             // waypoints as floats.
             assert_eq!(frame.blocks().len(), blocks);
-            assert_eq!(frame.scalars().len(), 1 + NAV_FEATURES + 2 * cfg.n_waypoints);
+            assert_eq!(frame.scalars().len(), 1 + NAV_FEATURES + 2 * simworld::world::N_WAYPOINTS);
             nonzero += frame.blocks().iter().filter(|&&k| k > 0).count();
         }
         world.step();

@@ -20,6 +20,10 @@ pub const DEAD_LINK_ATTEMPTS: u32 = 40;
 /// factor of the Eq. (5) neighbour priority.
 pub const PAPER_BANDWIDTH_BPS: f64 = 31e6;
 
+/// Size of one assist message (location, speed, route, bandwidth) in bytes
+/// (§IV-A: 184 B).
+pub const ASSIST_BYTES: usize = 184;
+
 /// Radio parameters (defaults are the paper's §IV-A values).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RadioConfig {
@@ -31,8 +35,6 @@ pub struct RadioConfig {
     pub range_m: f32,
     /// Maximum retransmissions per packet after the first attempt.
     pub max_retx: u32,
-    /// Size of the assist message (route + bandwidth info) in bytes.
-    pub assist_bytes: usize,
 }
 
 impl Default for RadioConfig {
@@ -42,7 +44,6 @@ impl Default for RadioConfig {
             bandwidth_bps: PAPER_BANDWIDTH_BPS,
             range_m: 500.0,
             max_retx: 3,
-            assist_bytes: 184,
         }
     }
 }
@@ -526,12 +527,14 @@ mod tests {
 
     #[test]
     fn default_config_matches_paper() {
-        let c = RadioConfig::default();
-        assert_eq!(c.packet_bytes, 1500);
-        assert_eq!(c.bandwidth_bps, 31e6);
-        assert_eq!(c.range_m, 500.0);
-        assert_eq!(c.max_retx, 3);
-        assert_eq!(c.assist_bytes, 184);
+        // Destructured without `..`: adding or removing a field fails to
+        // compile here until the count is a decision someone made.
+        let RadioConfig { packet_bytes, bandwidth_bps, range_m, max_retx } = RadioConfig::default();
+        assert_eq!(packet_bytes, 1500);
+        assert_eq!(bandwidth_bps, 31e6);
+        assert_eq!(range_m, 500.0);
+        assert_eq!(max_retx, 3);
+        assert_eq!(ASSIST_BYTES, 184);
     }
 
     #[test]

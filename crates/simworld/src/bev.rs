@@ -45,31 +45,37 @@ pub mod channel {
     pub const COUNT: usize = 4;
 }
 
+/// Side length of one BEV cell in meters.
+pub const CELL_M: f32 = 2.0;
+
+/// How far ahead of the vehicle the BEV grid center sits, in meters.
+pub const FORWARD_OFFSET_M: f32 = 16.0;
+
 /// Geometry of the BEV grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BevConfig {
     /// Cells per side (square grid).
+    /// One value in every non-test caller; kept only because the
+    /// stand-alone `lbchat_e2e` benchmark package names it.
     pub cells: usize,
-    /// Cell side length in meters.
-    pub cell_m: f32,
-    /// How far ahead of the vehicle the grid center sits, in meters.
-    pub forward_offset: f32,
     /// Pooling factor for the feature vector: each `pool x pool` cell block
     /// becomes one float. Must divide `cells`.
+    /// One value in every non-test caller; kept only because the
+    /// stand-alone `lbchat_e2e` benchmark package names it.
     pub pool: usize,
 }
 
 impl Default for BevConfig {
     fn default() -> Self {
         // 24 cells * 2 m = 48 m square window, centered 16 m ahead.
-        Self { cells: 24, cell_m: 2.0, forward_offset: 16.0, pool: 4 }
+        Self { cells: 24, pool: 4 }
     }
 }
 
 impl BevConfig {
     /// Side length of the window in meters.
     pub fn window_m(&self) -> f32 {
-        self.cells as f32 * self.cell_m
+        self.cells as f32 * CELL_M
     }
 
     /// Length of the pooled feature vector including the speed scalar.
@@ -271,13 +277,13 @@ pub(crate) fn rasterize_skipping(
     // table. The final sums keep the reference's exact association:
     // world = pos + (c·ex − s·ey, s·ex + c·ey).
     for iy in 0..n {
-        let ex = cfg.forward_offset - half + (iy as f32 + 0.5) * cfg.cell_m;
+        let ex = FORWARD_OFFSET_M - half + (iy as f32 + 0.5) * CELL_M;
         let (c_ex, s_ex) = (c_fwd * ex, s_fwd * ex);
         let row_base = iy * n;
         let row_end = row_base + n;
         let row = &mut channels[channel::ROAD][row_base..row_end];
         for (ix, cell) in row.iter_mut().enumerate() {
-            let ey = half - (ix as f32 + 0.5) * cfg.cell_m;
+            let ey = half - (ix as f32 + 0.5) * CELL_M;
             let (s_ey, c_ey) = (s_fwd * ey, c_fwd * ey);
             let world = Vec2::new(pose.pos.x + (c_ex - s_ey), pose.pos.y + (s_ex + c_ey));
             // `reset` cleared the row, so the branchless store matches the
@@ -293,16 +299,12 @@ pub(crate) fn rasterize_skipping(
         let d = world - pose.pos;
         Vec2::new(c_inv * d.x - s_inv * d.y, s_inv * d.x + c_inv * d.y)
     };
-    // Dividing by a power-of-two cell size (the default) is exactly a
-    // multiply by its reciprocal — same trick as `RoadRaster::is_road`.
-    let inv_cell = crate::world::exact_reciprocal(cfg.cell_m);
-    let over_cell = |v: f32| match inv_cell {
-        Some(inv) => v * inv,
-        None => v / cfg.cell_m,
-    };
+    // A division by the power-of-two `CELL_M`, which the compiler emits as
+    // the bit-identical multiply by its exact reciprocal.
+    let over_cell = |v: f32| v / CELL_M;
     let mut stamp = |ch: usize, ego: Vec2, radius_cells: i32| {
         // Invert the cell-center mapping used for the road channel.
-        let fy = over_cell(ego.x - cfg.forward_offset + half) - 0.5;
+        let fy = over_cell(ego.x - FORWARD_OFFSET_M + half) - 0.5;
         let fx = over_cell(half - ego.y) - 0.5;
         let (cx, cy) = (fx.round() as i32, fy.round() as i32);
         for dy in -radius_cells..=radius_cells {
@@ -368,6 +370,16 @@ mod tests {
         // A single horizontal road along y = 500.
         let pts: Vec<Vec2> = (0..=500).map(|i| Vec2::new(i as f32 * 2.0, 500.0)).collect();
         RoadRaster::from_polylines(1000.0, 2.0, &[pts], 4.0)
+    }
+
+    /// Destructured without `..`: adding or removing a field fails to
+    /// compile here until the count is a decision someone made.
+    #[test]
+    fn defaults_are_the_paper_window_over_two_fields() {
+        let BevConfig { cells, pool } = BevConfig::default();
+        assert_eq!((cells, pool), (24, 4));
+        assert_eq!((CELL_M, FORWARD_OFFSET_M), (2.0, 16.0));
+        assert_eq!(BevConfig::default().window_m(), 48.0);
     }
 
     #[test]

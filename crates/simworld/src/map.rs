@@ -68,39 +68,20 @@ pub struct RoadNetwork {
     out_offsets: Vec<u32>,
     /// CSR column data: edge ids grouped by source node.
     out_flat: Vec<EdgeId>,
-    /// Side length of the (square) map in meters.
-    extent: f32,
 }
 
-/// Parameters of the procedural map generator.
-#[derive(Debug, Clone)]
-pub struct MapConfig {
-    /// Side length of the square map in meters.
-    pub extent: f32,
-    /// Number of town-grid intersections per axis.
-    pub grid: usize,
-    /// Spacing between town intersections in meters.
-    pub block: f32,
-    /// South-west corner of the town grid.
-    pub town_origin: Vec2,
-    /// Number of nodes on the rural loop.
-    pub rural_nodes: usize,
-    /// Random jitter (m) applied to rural road midpoints for gentle curves.
-    pub rural_jitter: f32,
-}
-
-impl Default for MapConfig {
-    fn default() -> Self {
-        Self {
-            extent: 1000.0,
-            grid: 6,
-            block: 110.0,
-            town_origin: Vec2::new(80.0, 80.0),
-            rural_nodes: 10,
-            rural_jitter: 40.0,
-        }
-    }
-}
+/// Side length of the square map in meters (§IV-A: "about 1km×1km").
+pub const MAP_EXTENT_M: f32 = 1000.0;
+/// Town-grid intersections per axis.
+pub const TOWN_GRID: usize = 6;
+/// Spacing between town intersections in meters.
+pub const TOWN_BLOCK_M: f32 = 110.0;
+/// South-west corner of the town grid.
+pub const TOWN_ORIGIN: Vec2 = Vec2::new(80.0, 80.0);
+/// Nodes on the rural loop.
+pub const RURAL_NODES: usize = 10;
+/// Random jitter (m) applied to rural road midpoints for gentle curves.
+pub const RURAL_JITTER_M: f32 = 40.0;
 
 /// Builds the CSR `(offsets, flat)` adjacency from an edge list: a
 /// counting pass sizes each row, a prefix sum places it, and a fill pass
@@ -126,32 +107,21 @@ fn csr_adjacency(n_nodes: usize, edges: &[Edge]) -> (Vec<u32>, Vec<EdgeId>) {
 }
 
 impl RoadNetwork {
-    /// Generates the default 1 km × 1 km town + rural map from a seed.
+    /// Generates the 1 km × 1 km town + rural map from a seed.
     pub fn generate(seed: u64) -> Self {
-        Self::generate_with(&MapConfig::default(), seed)
-    }
-
-    /// Generates a map with explicit parameters.
-    ///
-    /// # Panics
-    /// Panics if the grid has fewer than 2 nodes per axis or the rural loop
-    /// fewer than 3 nodes.
-    pub fn generate_with(cfg: &MapConfig, seed: u64) -> Self {
-        assert!(cfg.grid >= 2, "town grid needs at least 2x2 intersections");
-        assert!(cfg.rural_nodes >= 3, "rural loop needs at least 3 nodes");
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut nodes = Vec::new();
         let mut edges: Vec<Edge> = Vec::new();
 
         // --- Town grid ---
-        let g = cfg.grid;
+        let g = TOWN_GRID;
         let node_id = |ix: usize, iy: usize| ix * g + iy;
         for ix in 0..g {
             for iy in 0..g {
                 nodes.push(Node {
                     pos: Vec2::new(
-                        cfg.town_origin.x + ix as f32 * cfg.block,
-                        cfg.town_origin.y + iy as f32 * cfg.block,
+                        TOWN_ORIGIN.x + ix as f32 * TOWN_BLOCK_M,
+                        TOWN_ORIGIN.y + iy as f32 * TOWN_BLOCK_M,
                     ),
                 });
             }
@@ -191,16 +161,16 @@ impl RoadNetwork {
         let town_nw = node_id(0, g - 1);
         let mut loop_ids: Vec<NodeId> = vec![town_se, town_ne];
         let margin = 90.0f32;
-        for k in 0..cfg.rural_nodes {
+        for k in 0..RURAL_NODES {
             // Sweep from east edge (south) up and around to the north edge
             // (west) — a quarter-circle-ish arc in the map's NE corner.
-            let t = (k as f32 + 1.0) / (cfg.rural_nodes as f32 + 1.0);
+            let t = (k as f32 + 1.0) / (RURAL_NODES as f32 + 1.0);
             let angle = -std::f32::consts::FRAC_PI_2 + t * std::f32::consts::PI;
-            let center = Vec2::new(cfg.extent * 0.45, cfg.extent * 0.45);
-            let radius = cfg.extent * 0.5 - margin;
+            let center = Vec2::new(MAP_EXTENT_M * 0.45, MAP_EXTENT_M * 0.45);
+            let radius = MAP_EXTENT_M * 0.5 - margin;
             let pos = Vec2::new(
-                (center.x + radius * angle.cos()).clamp(margin, cfg.extent - margin),
-                (center.y + radius * angle.sin()).clamp(margin, cfg.extent - margin),
+                (center.x + radius * angle.cos()).clamp(margin, MAP_EXTENT_M - margin),
+                (center.y + radius * angle.sin()).clamp(margin, MAP_EXTENT_M - margin),
             );
             nodes.push(Node { pos });
             loop_ids.push(nodes.len() - 1);
@@ -210,12 +180,12 @@ impl RoadNetwork {
             let (a, b) = (w[0], w[1]);
             let midpoint = nodes[a].pos.lerp(nodes[b].pos, 0.5);
             let dir = (nodes[b].pos - nodes[a].pos).normalized().perp();
-            let jitter: f32 = rng.random_range(-cfg.rural_jitter..cfg.rural_jitter);
+            let jitter: f32 = rng.random_range(-RURAL_JITTER_M..RURAL_JITTER_M);
             add_road(&mut edges, &nodes, a, b, RoadKind::Rural, Some(midpoint + dir * jitter));
         }
 
         let (out_offsets, out_flat) = csr_adjacency(nodes.len(), &edges);
-        Self { nodes, edges, out_offsets, out_flat, extent: cfg.extent }
+        Self { nodes, edges, out_offsets, out_flat }
     }
 
     /// Number of intersections.
@@ -226,11 +196,6 @@ impl RoadNetwork {
     /// Number of directed edges.
     pub fn n_edges(&self) -> usize {
         self.edges.len()
-    }
-
-    /// Side length of the square map in meters.
-    pub fn extent(&self) -> f32 {
-        self.extent
     }
 
     /// Intersection `id`.
@@ -326,8 +291,8 @@ mod tests {
         let m = RoadNetwork::generate(2);
         for e in m.edges() {
             for p in &e.polyline {
-                assert!(p.x >= 0.0 && p.x <= m.extent(), "x out of map: {p:?}");
-                assert!(p.y >= 0.0 && p.y <= m.extent(), "y out of map: {p:?}");
+                assert!(p.x >= 0.0 && p.x <= MAP_EXTENT_M, "x out of map: {p:?}");
+                assert!(p.y >= 0.0 && p.y <= MAP_EXTENT_M, "y out of map: {p:?}");
             }
         }
     }

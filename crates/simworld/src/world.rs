@@ -29,7 +29,7 @@
 use crate::agents::{advance_on_route, radii, AgentId, Pedestrian, VehicleRef};
 use crate::bev::{rasterize_skipping, Bev, BevConfig, Pose};
 use crate::expert::{command_for, forward_gap, hazard_ahead, waypoints_timed, Command};
-use crate::map::{EdgeId, MapConfig, RoadNetwork};
+use crate::map::{EdgeId, RoadNetwork, MAP_EXTENT_M, TOWN_BLOCK_M, TOWN_GRID, TOWN_ORIGIN};
 use crate::route::{Route, RoutingTable};
 use rand::{Rng, RngExt, SeedableRng};
 use simnet::geom::Vec2;
@@ -88,7 +88,7 @@ impl RoadRaster {
     pub fn from_map(map: &RoadNetwork) -> Self {
         let polys: Vec<Vec<Vec2>> =
             map.edges().iter().map(|e| e.polyline.clone()).collect();
-        Self::from_polylines(map.extent(), 2.0, &polys, 4.0)
+        Self::from_polylines(MAP_EXTENT_M, 2.0, &polys, 4.0)
     }
 
     fn mark_disc(&mut self, center: Vec2, radius: f32) {
@@ -141,6 +141,12 @@ impl FleetScale {
     }
 }
 
+/// Simulation frame rate in frames per second (§IV-A: 2 fps).
+pub const FPS: f64 = 2.0;
+
+/// Waypoints per supervision frame.
+pub const N_WAYPOINTS: usize = 5;
+
 /// World construction parameters (§IV-A defaults).
 #[derive(Debug, Clone)]
 pub struct WorldConfig {
@@ -156,12 +162,6 @@ pub struct WorldConfig {
     pub n_fleet: usize,
     /// Number of pedestrians. Paper: 250.
     pub n_pedestrians: usize,
-    /// Simulation frame rate (frames per second). Paper: 2.
-    pub fps: f64,
-    /// Map generation parameters.
-    pub map: MapConfig,
-    /// Waypoints per supervision frame.
-    pub n_waypoints: usize,
     /// BEV geometry.
     pub bev: BevConfig,
 }
@@ -174,9 +174,6 @@ impl Default for WorldConfig {
             n_background: 50,
             n_fleet: 0,
             n_pedestrians: 250,
-            fps: 2.0,
-            map: MapConfig::default(),
-            n_waypoints: 5,
             bev: BevConfig::default(),
         }
     }
@@ -275,7 +272,7 @@ impl World {
             routes.push(route);
         }
 
-        let town_area = town_area_of(&config.map);
+        let town_area = town_area();
         let mut peds = Vec::with_capacity(config.n_pedestrians);
         for _ in 0..config.n_pedestrians {
             let p = Pedestrian::spawn_in(town_area, &mut rng);
@@ -371,7 +368,7 @@ impl World {
         self.pos[..self.ped_base].to_vec()
     }
 
-    /// Advances the world by one frame (`1 / fps` seconds): the pure
+    /// Advances the world by one frame (`1 / FPS` seconds): the pure
     /// intent phase, then the serial id-ordered apply pass.
     pub fn step(&mut self) {
         let mut intents = std::mem::take(&mut self.intents);
@@ -454,7 +451,7 @@ impl World {
         }
         const REACH: f32 = 10.5;
         let p = v.position(&self.map);
-        let (lo, hi) = town_area_of(&self.config.map);
+        let (lo, hi) = town_area();
         let dx = (lo.x - p.x).max(p.x - hi.x).max(0.0);
         let dy = (lo.y - p.y).max(p.y - hi.y).max(0.0);
         if dx * dx + dy * dy > REACH * REACH {
@@ -468,7 +465,7 @@ impl World {
     /// pre-step pedestrian positions from the `pos` column because every
     /// vehicle id precedes every pedestrian id — no snapshot copy needed.
     fn apply(&mut self, intents: &[f32]) {
-        let dt = (1.0 / self.config.fps) as f32;
+        let dt = (1.0 / FPS) as f32;
         for (id, &intent) in intents.iter().enumerate() {
             let still_going = advance_on_route(
                 &self.map,
@@ -504,7 +501,7 @@ impl World {
             }
         }
 
-        let town = town_area_of(&self.config.map);
+        let town = town_area();
         let base = self.ped_base;
         for j in 0..self.peds.len() {
             self.peds[j].step(town, dt, &mut self.rng);
@@ -558,8 +555,8 @@ impl World {
         waypoints_timed(
             &self.map,
             v,
-            self.config.n_waypoints,
-            (1.0 / self.config.fps) as f32,
+            N_WAYPOINTS,
+            (1.0 / FPS) as f32,
             self.speed_rule(v, gap),
         )
     }
@@ -600,7 +597,7 @@ impl World {
     /// positions each frame — the paper's "run the vehicles for an
     /// additional 120 hours and collect their locations" step.
     pub fn record_trace(&mut self, seconds: f64) -> MobilityTrace {
-        let frames = (seconds * self.config.fps).ceil() as usize + 1;
+        let frames = (seconds * FPS).ceil() as usize + 1;
         let mut positions: Vec<Vec<Vec2>> =
             vec![Vec::with_capacity(frames); self.config.n_experts];
         for _ in 0..frames {
@@ -609,7 +606,7 @@ impl World {
             }
             self.step();
         }
-        MobilityTrace::new(self.config.fps, positions)
+        MobilityTrace::new(FPS, positions)
     }
 
     /// The precomputed routing table over this world's map.
@@ -634,15 +631,9 @@ impl World {
 
 /// The town rectangle pedestrians roam, `(min, max)` corners — the same
 /// f32 expression the reference world evaluates.
-fn town_area_of(map: &MapConfig) -> (Vec2, Vec2) {
-    (
-        map.town_origin,
-        map.town_origin
-            + Vec2::new(
-                (map.grid - 1) as f32 * map.block,
-                (map.grid - 1) as f32 * map.block,
-            ),
-    )
+fn town_area() -> (Vec2, Vec2) {
+    let side = (TOWN_GRID - 1) as f32 * TOWN_BLOCK_M;
+    (TOWN_ORIGIN, TOWN_ORIGIN + Vec2::new(side, side))
 }
 
 /// Leader gap for one vehicle against the sorted `(edge, s)` gap index:
@@ -689,27 +680,16 @@ mod tests {
     /// Destructured without `..`: adding or removing a field fails to
     /// compile here until the count is a decision someone made.
     #[test]
-    fn defaults_are_the_paper_world_over_nine_fields() {
-        let WorldConfig {
-            seed,
-            n_experts,
-            n_background,
-            n_fleet,
-            n_pedestrians,
-            fps,
-            map,
-            n_waypoints,
-            bev,
-        } = WorldConfig::default();
+    fn defaults_are_the_paper_world_over_six_fields() {
+        let WorldConfig { seed, n_experts, n_background, n_fleet, n_pedestrians, bev } =
+            WorldConfig::default();
         assert_eq!(seed, 0);
         assert_eq!(n_experts, 32);
         assert_eq!(n_background, 50);
         assert_eq!(n_fleet, 0);
         assert_eq!(n_pedestrians, 250);
-        assert_eq!(fps, 2.0);
-        assert_eq!(map.extent, 1000.0);
-        assert_eq!(n_waypoints, 5);
         assert_eq!(bev, BevConfig::default());
+        assert_eq!((FPS, N_WAYPOINTS, MAP_EXTENT_M), (2.0, 5, 1000.0));
     }
 
     #[test]
@@ -782,7 +762,7 @@ mod tests {
         let bev = expert_bev(&w);
         let cfg = &w.config().bev;
         assert_eq!(bev.features(cfg.pool).len(), cfg.feature_len());
-        assert_eq!(w.expert_waypoints(w.expert_view(0)).len(), 2 * w.config().n_waypoints);
+        assert_eq!(w.expert_waypoints(w.expert_view(0)).len(), 2 * N_WAYPOINTS);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use simworld::bev::{self, rasterize, rasterize_into, Bev, BevConfig, Pose};
 use simworld::map::{RoadKind, RoadNetwork};
 use router_reference::Router;
 use simworld::route::RoutingTable;
-use simworld::world::{World, WorldConfig};
+use simworld::world::{World, WorldConfig, N_WAYPOINTS};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -144,9 +144,9 @@ proptest! {
         let feats = bev.features(cfg.pool);
         prop_assert_eq!(feats.len(), cfg.feature_len());
         prop_assert!(feats.iter().all(|f| (0.0..=1.0).contains(f)));
-        prop_assert_eq!(waypoints.len(), 2 * w.config().n_waypoints);
+        prop_assert_eq!(waypoints.len(), 2 * N_WAYPOINTS);
         // Ego-frame waypoints are bounded by the speed-based horizon.
-        let horizon = 25.0 * w.config().n_waypoints as f32; // max speed * n
+        let horizon = 25.0 * N_WAYPOINTS as f32; // max speed * n
         for c in waypoints.chunks(2) {
             prop_assert!(c[0].abs() <= horizon && c[1].abs() <= horizon);
         }

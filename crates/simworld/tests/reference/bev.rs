@@ -6,7 +6,7 @@
 //! pins this module: edit it only together with it.
 
 use simnet::geom::Vec2;
-use simworld::bev::{channel, Bev, BevConfig, Pose};
+use simworld::bev::{channel, Bev, BevConfig, Pose, CELL_M, FORWARD_OFFSET_M};
 use simworld::world::RoadRaster;
 
 /// What the reference rasterizer produces: the state a [`Bev`] holds, in
@@ -55,8 +55,8 @@ pub fn rasterize(
     for iy in 0..n {
         for ix in 0..n {
             let ego = Vec2::new(
-                cfg.forward_offset - half + (iy as f32 + 0.5) * cfg.cell_m,
-                half - (ix as f32 + 0.5) * cfg.cell_m,
+                FORWARD_OFFSET_M - half + (iy as f32 + 0.5) * CELL_M,
+                half - (ix as f32 + 0.5) * CELL_M,
             );
             let world = pose.to_world(ego);
             if road.is_road(world) {
@@ -68,8 +68,8 @@ pub fn rasterize(
 
     let stamp = |ch: usize, world: Vec2, radius_cells: i32, channels: &mut [Vec<bool>; 4]| {
         let ego = pose.to_ego(world);
-        let fy = (ego.x - cfg.forward_offset + half) / cfg.cell_m - 0.5;
-        let fx = (half - ego.y) / cfg.cell_m - 0.5;
+        let fy = (ego.x - FORWARD_OFFSET_M + half) / CELL_M - 0.5;
+        let fx = (half - ego.y) / CELL_M - 0.5;
         let (cx, cy) = (fx.round() as i32, fy.round() as i32);
         for dy in -radius_cells..=radius_cells {
             for dx in -radius_cells..=radius_cells {

@@ -21,14 +21,17 @@
 //! pin this module: edit it only together with them. Since the library
 //! stopped bundling an expert's supervision into one struct,
 //! [`World::observe_expert`] returns its parts as a tuple, composed here
-//! from the library's label functions.
+//! from the library's label functions. The frame rate, waypoint count and
+//! town geometry, once fields of [`WorldConfig`], are read from the
+//! library's constants ([`FPS`], [`N_WAYPOINTS`], `simworld::map`'s
+//! `TOWN_*`), in the same expressions.
 
 use simworld::agents::{radii, Pedestrian};
 use simworld::bev::{rasterize, Bev, Pose};
 use simworld::expert::{command_for, hazard_ahead, next_turn_info, waypoints_timed, Command};
-use simworld::map::RoadNetwork;
+use simworld::map::{RoadNetwork, TOWN_BLOCK_M, TOWN_GRID, TOWN_ORIGIN};
 use simworld::route::Route;
-use simworld::world::{RoadRaster, WorldConfig};
+use simworld::world::{RoadRaster, WorldConfig, FPS, N_WAYPOINTS};
 use rand::{Rng, RngExt, SeedableRng};
 use simnet::geom::Vec2;
 use simnet::trace::MobilityTrace;
@@ -76,11 +79,11 @@ impl World {
         let experts = (0..config.n_experts).map(|_| spawn(&mut rng)).collect();
         let background = (0..config.n_background).map(|_| spawn(&mut rng)).collect();
         let town_area = (
-            config.map.town_origin,
-            config.map.town_origin
+            TOWN_ORIGIN,
+            TOWN_ORIGIN
                 + Vec2::new(
-                    (config.map.grid - 1) as f32 * config.map.block,
-                    (config.map.grid - 1) as f32 * config.map.block,
+                    (TOWN_GRID - 1) as f32 * TOWN_BLOCK_M,
+                    (TOWN_GRID - 1) as f32 * TOWN_BLOCK_M,
                 ),
         );
         let pedestrians =
@@ -140,7 +143,7 @@ impl World {
 
     /// Advances the world by one frame (`1 / fps` seconds).
     pub fn step(&mut self) {
-        let dt = (1.0 / self.config.fps) as f32;
+        let dt = (1.0 / FPS) as f32;
         let gaps = self.compute_gaps();
         let ped_positions: Vec<Vec2> = self.pedestrians.iter().map(|p| p.pos).collect();
         let router = Router::new(&self.map);
@@ -169,11 +172,11 @@ impl World {
         }
 
         let town_area = (
-            self.config.map.town_origin,
-            self.config.map.town_origin
+            TOWN_ORIGIN,
+            TOWN_ORIGIN
                 + Vec2::new(
-                    (self.config.map.grid - 1) as f32 * self.config.map.block,
-                    (self.config.map.grid - 1) as f32 * self.config.map.block,
+                    (TOWN_GRID - 1) as f32 * TOWN_BLOCK_M,
+                    (TOWN_GRID - 1) as f32 * TOWN_BLOCK_M,
                 ),
         );
         for p in &mut self.pedestrians {
@@ -249,8 +252,8 @@ impl World {
         let waypoints = waypoints_timed(
             &self.map,
             v.view(),
-            self.config.n_waypoints,
-            (1.0 / self.config.fps) as f32,
+            N_WAYPOINTS,
+            (1.0 / FPS) as f32,
             v_target,
         );
         let command = command_for(&self.map, v.view());
@@ -312,7 +315,7 @@ impl World {
     /// positions each frame — the paper's "run the vehicles for an
     /// additional 120 hours and collect their locations" step.
     pub fn record_trace(&mut self, seconds: f64) -> MobilityTrace {
-        let frames = (seconds * self.config.fps).ceil() as usize + 1;
+        let frames = (seconds * FPS).ceil() as usize + 1;
         let mut positions: Vec<Vec<Vec2>> =
             vec![Vec::with_capacity(frames); self.experts.len()];
         for _ in 0..frames {
@@ -321,7 +324,7 @@ impl World {
             }
             self.step();
         }
-        MobilityTrace::new(self.config.fps, positions)
+        MobilityTrace::new(FPS, positions)
     }
 
     /// Future route samples of expert `idx` (assist-message content).

@@ -25,7 +25,7 @@ fn main() {
     // Train a model so per-sample losses are informative.
     let spec = DrivingLearner::spec_for(
         world.config().bev.feature_len(),
-        world.config().n_waypoints,
+        simworld::world::N_WAYPOINTS,
     );
     let mut learner = DrivingLearner::new(&spec, 3e-3, &mut rng);
     let data = &datasets[0];

@@ -32,7 +32,7 @@ fn main() {
     // --- Each trains a local model on its own data. ---
     let spec = DrivingLearner::spec_for(
         world.config().bev.feature_len(),
-        world.config().n_waypoints,
+        simworld::world::N_WAYPOINTS,
     );
     let mut init_rng = rand::rngs::StdRng::seed_from_u64(99);
     let mut learner_a = DrivingLearner::new(&spec, 3e-3, &mut init_rng);

@@ -11,7 +11,7 @@ fn trained_learner_and_data() -> (DrivingLearner, Vec<lbchat::WeightedDataset<dr
     let datasets = collect_datasets(&mut world, &CollectConfig { seconds: 180.0, stride: 1, balance_commands: true });
     let spec = DrivingLearner::spec_for(
         world.config().bev.feature_len(),
-        world.config().n_waypoints,
+        simworld::world::N_WAYPOINTS,
     );
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
     let mut learner = DrivingLearner::new(&spec, 3e-3, &mut rng);
