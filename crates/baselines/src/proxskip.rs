@@ -87,11 +87,10 @@ impl<L: Learner> Rule<L> for ProxSkipRule {
     /// ProxSkip local step).
     fn after_step(&self, v: usize, node: &mut Vehicle<L>) {
         if self.config.cv_gamma != 0.0 {
-            let mut p = node.learner.params().clone();
-            p.axpy(self.config.cv_gamma * 0.01, &self.variates[v]);
             // Not `adopt`: the drift is part of the local step, so the
             // optimizer keeps its momentum.
-            node.learner.set_params(p);
+            let alpha = self.config.cv_gamma * 0.01;
+            node.learner.add_scaled_params(alpha, &self.variates[v]);
         }
     }
 

@@ -29,6 +29,20 @@ pub trait Learner {
     /// Implementations panic if the length differs from [`Learner::params`].
     fn set_params(&mut self, params: ParamVec);
 
+    /// Adds `alpha · v` to the parameters outside the optimizer (a
+    /// local-step correction such as ProxSkip's control-variate drift),
+    /// keeping optimizer state. Default: a clone of [`Learner::params`],
+    /// `axpy`, then [`Learner::set_params`]; an override must leave the
+    /// same bits without the copy.
+    ///
+    /// # Panics
+    /// Panics if `v`'s length differs from [`Learner::params`].
+    fn add_scaled_params(&mut self, alpha: f32, v: &ParamVec) {
+        let mut p = self.params().clone();
+        p.axpy(alpha, v);
+        self.set_params(p);
+    }
+
     /// Per-sample loss `f(x; d)` under the current parameters. Default:
     /// [`Learner::loss_with`] at [`Learner::params`].
     fn loss(&self, sample: &Self::Sample) -> f32 {

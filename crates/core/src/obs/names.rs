@@ -93,10 +93,8 @@ registry! {
         TrainBatch = "train.batch",
         /// Samples those minibatches contained.
         TrainSamples = "train.samples",
-        /// Pairs the encounter grid distance-tested.
+        /// Pairs the encounter scan distance-tested.
         NetEncounterCandidates = "net.encounter.candidates",
-        /// Grid cells occupied by a free vehicle.
-        NetEncounterCells = "net.encounter.cells",
         /// Contact estimates the runtime computed.
         NetContactEstimates = "net.contact.estimates",
         /// Bytes the `ψ·S` cost model charged per LbChat model send.

@@ -10,7 +10,7 @@
 //! [`CollabAlgorithm::fixed_priority`]. A method that gives every pair the
 //! same finite priority is matched *streamed*: greedy matching over a
 //! stable sort of equal scores is the encounter scan's own ascending
-//! `(i, j)` order, so a pair opens as the grid visits it, with no candidate
+//! `(i, j)` order, so a pair opens as the scan visits it, with no candidate
 //! list, no sort and one contact estimate per opened pair (a method whose
 //! fixed priority is `-inf` opens nothing; its scan still runs for the
 //! `net.encounter.*` counters). A method that ranks by the estimate is
@@ -69,8 +69,8 @@ struct FrameLoop<'a, A: CollabAlgorithm> {
     cooldown: PairCooldown,
     train_debt: Vec<f64>,
     next_eval: f64,
-    /// Spatial-hash encounter discovery — bit-identical to the all-pairs
-    /// sweep `simnet`'s tests hold it to, O(local density) per frame.
+    /// Encounter discovery: one position snapshot per frame, then the
+    /// ascending all-pairs sweep over the free roster.
     grid: EncounterGrid,
     /// Per-frame shared-route cache: each agent's future route is sampled
     /// at most once per frame, however many candidate pairs it appears in.
@@ -112,7 +112,7 @@ struct Candidate {
 const _: () = assert!(std::mem::size_of::<Candidate>() <= 24);
 
 impl Candidate {
-    /// Descending priority, ties by `(i, j)`. The grid emits pairs in
+    /// Descending priority, ties by `(i, j)`. The scan emits pairs in
     /// ascending `(i, j)` order, so an unstable sort by this order lists
     /// candidates exactly as a stable sort by priority alone would.
     fn rank(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
@@ -194,12 +194,11 @@ impl<'a, A: CollabAlgorithm> FrameLoop<'a, A> {
     /// Fills [`FrameLoop::opened`] with the frame's sessions, greedily by
     /// descending priority — each vehicle serves its best-scored neighbor
     /// first (§III-A) — over the vehicles free at this frame only: a busy
-    /// vehicle can open no session, and the grid visits pairs in roster
+    /// vehicle can open no session, and the scan visits pairs in roster
     /// order, so scanning the free roster yields exactly the pairs a
     /// whole-fleet scan would keep after dropping the busy ones, in the
-    /// same order (DESIGN.md §4). Encounters come from the spatial hash —
-    /// bit-identical to the all-pairs sweep — and each agent's shared route
-    /// is interpolated at most once per frame through the route cache.
+    /// same order (DESIGN.md §4). Each agent's shared route is interpolated
+    /// at most once per frame through the route cache.
     fn match_pairs(&mut self, algo: &A, t: f64) {
         self.free.clear();
         self.free.extend((0..self.n).filter(|&v| self.busy_until[v] <= t));
@@ -234,7 +233,7 @@ impl<'a, A: CollabAlgorithm> FrameLoop<'a, A> {
             predictor.estimate(fut_i, fut_j, dt)
         };
         let stats = match algo.fixed_priority() {
-            // Streamed: equal scores open in the grid's (i, j) order, so a
+            // Streamed: equal scores open in the scan's (i, j) order, so a
             // pair opens as it is visited and only opened pairs are
             // estimated; the candidate list stays empty.
             Some(score) if score.is_finite() => grid.visit_encounters(trace, t, range_m, free, |e| {
@@ -275,7 +274,6 @@ impl<'a, A: CollabAlgorithm> FrameLoop<'a, A> {
         }
         if cfg.obs.enabled() {
             cfg.obs.add(Counter::NetEncounterCandidates, stats.candidates);
-            cfg.obs.add(Counter::NetEncounterCells, stats.cells);
             cfg.obs.add(Counter::NetContactEstimates, estimated);
         }
     }
@@ -366,8 +364,8 @@ mod tests {
     /// reallocated: once the first frames have sized them (frame 0 is the
     /// peak — everyone free, nothing cooling down) no later frame grows the
     /// roster, the candidate list, the taken marks or the opened sessions,
-    /// nor the grid and the route cache behind them. 32 vehicles on a
-    /// 140 m lattice: every vehicle has several radio neighbours, so
+    /// nor the encounter scan and the route cache behind them. 32 vehicles
+    /// on a 140 m lattice: every vehicle has several radio neighbours, so
     /// matching, sessions and cooldowns stay busy.
     #[test]
     fn warm_frames_do_not_grow_the_matching_buffers() {
@@ -407,7 +405,7 @@ mod tests {
         assert!(fl.metrics.sessions > n as u64, "the fleet kept chatting: {}", fl.metrics.sessions);
     }
 
-    /// A method that gives every pair one priority is matched as the grid
+    /// A method that gives every pair one priority is matched as the scan
     /// visits the pairs: on a fleet where every pair is in range at frame
     /// 0, sessions open frame after frame while the candidate list and the
     /// ranking estimates are never allocated.
@@ -445,9 +443,9 @@ mod tests {
     /// 30 vehicles on a 140 m lattice, every pair scored from three
     /// priority tiers (hundreds of ties each) or given one fixed priority:
     /// the order ties are broken in decides who is matched. Both paths must
-    /// open the pairs as greedy matching over a *stable* sort of the grid's
+    /// open the pairs as greedy matching over a *stable* sort of the scan's
     /// ascending `(i, j)` order opens them — the ranked path through its
-    /// sort's tie order, the streamed path by matching in the grid's order.
+    /// sort's tie order, the streamed path by matching in the scan's order.
     #[test]
     fn equal_priorities_open_in_pair_order() {
         let n = 30;
@@ -458,7 +456,7 @@ mod tests {
         let range_m = cfg.radio.range_m;
         EncounterGrid::new().encounters_into(&trace, 0.0, range_m, &everyone, &mut grid_pairs);
         let grid_pairs: Vec<(usize, usize)> = grid_pairs.iter().map(|e| (e.a, e.b)).collect();
-        assert!(grid_pairs.is_sorted(), "the grid visits pairs in (i, j) order");
+        assert!(grid_pairs.is_sorted(), "the scan visits pairs in (i, j) order");
         assert!(grid_pairs.len() > 150, "a dense frame: {} pairs", grid_pairs.len());
         let tier = |i: usize, j: usize| ((7 * i + 3 * j) % 3) as f64;
         for fixed in [None, Some(1.5)] {

@@ -1170,7 +1170,7 @@ mod tests {
     fn assert_same_chatter_run(cfg: RuntimeConfig, vehicles: &[(f32, f32)]) {
         let trace = lane_trace(vehicles, cfg.duration);
         // Ranked by the estimate, then with a fixed priority: the runtime
-        // matches the second run as the grid visits its pairs and predicts
+        // matches the second run as the scan visits its pairs and predicts
         // only the opened pairs' contacts, the reference loop ranks every
         // pair through its estimate, and a method that never matches opens
         // nothing.

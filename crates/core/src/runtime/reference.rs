@@ -15,8 +15,8 @@
 //!   the triangular [`super::PairCooldown`];
 //! - it estimates every candidate's contact **eagerly** and ranks it
 //!   through `pair_priority`, where the runtime, for a method with a fixed
-//!   priority, keeps no candidate list and opens pairs as the grid visits
-//!   them, estimating only the pairs that open;
+//!   priority, keeps no candidate list and opens pairs as the encounter
+//!   scan visits them, estimating only the pairs that open;
 //! - it ranks candidates with a **stable** sort by priority, where the
 //!   runtime sorts a ranking method's candidates unstably by priority and
 //!   then `(i, j)`.
@@ -27,9 +27,9 @@
 //!
 //! One shared exception: encounter discovery and route sampling go through
 //! [`EncounterGrid`] and [`RouteCache`], the same components the runtime
-//! uses, not through the all-pairs sweep or per-call route sampling. Those
-//! two (the sweep in `simnet`'s tests / [`MobilityTrace::future`]) are
-//! `simnet`'s oracles: the grid and the cache are proptested byte-identical
+//! uses, not through per-pair [`MobilityTrace::distance`] calls or per-call
+//! route sampling. Those two (with [`MobilityTrace::future`]) are
+//! `simnet`'s oracles: the scan and the cache are proptested byte-identical
 //! to them, so this loop's semantics are unchanged.
 
 use super::{drive_session, emit_round, CollabAlgorithm, FrameCtx, RuntimeConfig, SessionCtx};
@@ -86,14 +86,13 @@ pub(super) fn run<A: CollabAlgorithm>(
             algo.on_frame(&mut fctx);
         }
 
-        // 2. Encounters among free vehicles (grid ≡ all-pairs, routes
+        // 2. Encounters among free vehicles (the encounter scan, routes
         // sampled once per agent per frame — see the module docs).
         routes.begin_frame();
         let stats =
             grid.encounters_into(trace, time, cfg.radio.range_m, &active, &mut encounters);
         if cfg.obs.enabled() {
             cfg.obs.add(Counter::NetEncounterCandidates, stats.candidates);
-            cfg.obs.add(Counter::NetEncounterCells, stats.cells);
         }
         let mut candidates: Vec<(f64, usize, usize, ContactEstimate)> = Vec::new();
         for e in &encounters {

@@ -198,6 +198,12 @@ impl Learner for DrivingLearner {
         self.policy.set_params(params);
     }
 
+    /// In place: the default's bits without its parameter copy.
+    fn add_scaled_params(&mut self, alpha: f32, v: &ParamVec) {
+        self.frozen.take();
+        self.policy.params_mut().axpy(alpha, v);
+    }
+
     fn loss_with(&self, params: &ParamVec, sample: &Frame) -> f32 {
         INPUT.with_borrow_mut(|input| {
             sample.features_into(input);
@@ -313,5 +319,61 @@ mod tests {
         let f = frame(Command::Straight, 0.3);
         // Zero model predicts zeros: loss = mean |0 - 0.3|.
         assert!((l.loss(&f) - 0.3).abs() < 1e-6);
+    }
+
+    /// A driving learner that takes every provided [`Learner`] method's
+    /// default body.
+    struct Defaults(DrivingLearner);
+
+    impl Learner for Defaults {
+        type Sample = Frame;
+        fn params(&self) -> &ParamVec {
+            self.0.params()
+        }
+        fn set_params(&mut self, params: ParamVec) {
+            self.0.set_params(params);
+        }
+        fn loss_with(&self, params: &ParamVec, sample: &Frame) -> f32 {
+            self.0.loss_with(params, sample)
+        }
+        fn train_step(&mut self, batch: &[(&Frame, f32)]) -> f32 {
+            self.0.train_step(batch)
+        }
+        fn group_of(&self, sample: &Frame) -> usize {
+            self.0.group_of(sample)
+        }
+        fn n_groups(&self) -> usize {
+            self.0.n_groups()
+        }
+    }
+
+    #[test]
+    fn in_place_add_scaled_matches_the_default() {
+        let v = learner(7).params().clone();
+        let f = frame(Command::Left, 0.4);
+        let mut features = Vec::new();
+        f.features_into(&mut features);
+        let mut scratch = TrainScratch::default();
+        let predict = |l: &DrivingLearner, scratch: &mut TrainScratch| {
+            let mut out = Vec::new();
+            l.predict_into(&features, Command::Left, &mut out, scratch);
+            out.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        let (mut in_place, mut default) = (learner(6), Defaults(learner(6)));
+        // Freeze both first: the update must drop the stale snapshot.
+        let before = predict(&in_place, &mut scratch);
+        predict(&default.0, &mut scratch);
+        for _ in 0..3 {
+            in_place.add_scaled_params(-0.37, &v);
+            default.add_scaled_params(-0.37, &v);
+        }
+        let bits = |l: &DrivingLearner| {
+            l.params().as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&in_place), bits(&default.0));
+        assert_ne!(bits(&in_place), bits(&learner(6)), "the update moved the parameters");
+        let after = predict(&in_place, &mut scratch);
+        assert_eq!(after, predict(&default.0, &mut scratch));
+        assert_ne!(after, before, "the prediction follows the new parameters");
     }
 }

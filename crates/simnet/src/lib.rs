@@ -16,8 +16,8 @@
 //!   between two agents for the packet loop.
 //! * [`contact`] — contact-duration prediction and delivery-probability
 //!   estimation from shared future routes (the 184-byte assist messages).
-//! * [`grid`] — spatial-hash encounter discovery, bit-identical to the
-//!   all-pairs sweep it replaces on the runtime hot path.
+//! * [`grid`] — encounter discovery: one all-pairs sweep per frame over a
+//!   position snapshot of the roster, in ascending `(i, j)` order.
 //!
 //! All randomness is caller-seeded; the crate never touches a global RNG.
 

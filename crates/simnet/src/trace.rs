@@ -35,9 +35,11 @@ impl MobilityTrace {
     /// frames per second. All agents must have the same number of frames.
     ///
     /// # Panics
-    /// Panics if `fps <= 0`, there are no agents, or series lengths differ.
+    /// Panics if `fps` is not finite and positive (an infinite rate makes
+    /// the frame step `1 / fps` zero), there are no agents, or series
+    /// lengths differ.
     pub fn new(fps: f64, positions: Vec<Vec<Vec2>>) -> Self {
-        assert!(fps > 0.0, "fps must be positive");
+        assert!(fps > 0.0 && fps.is_finite(), "fps must be finite and positive");
         assert!(!positions.is_empty(), "trace needs at least one agent");
         let n = positions[0].len();
         assert!(
@@ -441,6 +443,12 @@ mod tests {
     #[should_panic(expected = "same number of frames")]
     fn ragged_series_panics() {
         let _ = MobilityTrace::new(2.0, vec![vec![Vec2::ZERO; 3], vec![Vec2::ZERO; 4]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "fps must be finite and positive")]
+    fn infinite_fps_panics() {
+        let _ = MobilityTrace::new(f64::INFINITY, vec![vec![Vec2::ZERO; 3]]);
     }
 
     #[test]

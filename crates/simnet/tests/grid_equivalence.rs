@@ -1,28 +1,39 @@
-//! Equivalence proofs for the optimized contact-discovery arms.
+//! Equivalence proofs for the contact-discovery arms.
 //!
-//! The spatial-hash grid is held to the all-pairs sweep in
-//! `all_pairs/mod.rs`, and the route cache to [`MobilityTrace::future`];
-//! these proptests pin the optimized versions **bit-identical** to them
-//! over random fleets, ranges, cell-straddling geometry, and the exact
-//! `d == range_m` boundary.
-
-mod all_pairs;
+//! The encounter scan is held to an oracle that shares no code with it —
+//! every roster pair filtered through [`MobilityTrace::distance`] — and
+//! the route cache to [`MobilityTrace::future`]; these proptests pin both
+//! **bit-identical** to their oracles over random fleets, ranges,
+//! near-boundary geometry, and the exact `d == range_m` boundary.
 
 use proptest::prelude::*;
 use simnet::geom::Vec2;
 use simnet::grid::EncounterGrid;
 use simnet::trace::{AgentId, Encounter, MobilityTrace, RouteCache};
 
-/// Asserts the grid's encounter list is byte-for-byte the sweep's.
+/// Every roster pair, in `(i, j)` order, kept when
+/// [`MobilityTrace::distance`] puts it within `range`.
+fn oracle(trace: &MobilityTrace, t: f64, range: f32, active: &[AgentId]) -> Vec<Encounter> {
+    let pairs = active
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &a)| active[i + 1..].iter().map(move |&b| (a, b)));
+    pairs
+        .map(|(a, b)| Encounter { a, b, distance: trace.distance(a, b, t) })
+        .filter(|e| e.distance <= range)
+        .collect()
+}
+
+/// Asserts the scan's encounter list is byte-for-byte the oracle's.
 fn assert_arms_agree(trace: &MobilityTrace, t: f64, range: f32, active: &[AgentId]) -> Result<(), TestCaseError> {
-    let sweep = all_pairs::sweep(trace, t, range, active);
+    let want = oracle(trace, t, range, active);
     let mut grid = EncounterGrid::new();
-    let mut fast: Vec<Encounter> = Vec::new();
-    grid.encounters_into(trace, t, range, active, &mut fast);
-    prop_assert_eq!(sweep.len(), fast.len(), "encounter counts diverged");
-    for (s, f) in sweep.iter().zip(&fast) {
-        prop_assert_eq!((s.a, s.b), (f.a, f.b), "pair order diverged");
-        prop_assert_eq!(s.distance.to_bits(), f.distance.to_bits(), "distance bits diverged");
+    let mut got: Vec<Encounter> = Vec::new();
+    grid.encounters_into(trace, t, range, active, &mut got);
+    prop_assert_eq!(want.len(), got.len(), "encounter counts diverged");
+    for (w, g) in want.iter().zip(&got) {
+        prop_assert_eq!((w.a, w.b), (g.a, g.b), "pair order diverged");
+        prop_assert_eq!(w.distance.to_bits(), g.distance.to_bits(), "distance bits diverged");
     }
     Ok(())
 }
@@ -49,9 +60,9 @@ proptest! {
     }
 
     #[test]
-    fn grid_matches_all_pairs_when_pairs_straddle_cells(
+    fn grid_matches_all_pairs_near_the_range_boundary(
         // Pairs placed range·(1 ± ε) apart around an arbitrary origin:
-        // every pair sits near the accept boundary and near a cell wall.
+        // every pair sits near the accept boundary.
         origin in -5000.0f32..5000.0,
         range in 10.0f32..600.0,
         eps in -0.02f32..0.02,
@@ -76,13 +87,13 @@ proptest! {
         let d = p0.distance(p1);
         prop_assume!(d > 0.0 && d.is_finite());
         let trace = parked_trace(&[(x0, y0), (x1, y1)]);
-        // Range equal to the computed f32 distance: `d <= range_m` accepts
-        // in the sweep, so the grid must emit the identical encounter…
-        prop_assert_eq!(all_pairs::sweep(&trace, 0.0, d, &[0, 1]).len(), 1);
+        // Range equal to the computed f32 distance: `d <= range_m` accepts,
+        // so the scan must emit the identical encounter…
+        prop_assert_eq!(oracle(&trace, 0.0, d, &[0, 1]).len(), 1);
         assert_arms_agree(&trace, 0.0, d, &[0, 1])?;
         // …and one ulp below must reject in both arms.
         let below = f32::from_bits(d.to_bits() - 1);
-        prop_assert_eq!(all_pairs::sweep(&trace, 0.0, below, &[0, 1]).len(), 0);
+        prop_assert_eq!(oracle(&trace, 0.0, below, &[0, 1]).len(), 0);
         assert_arms_agree(&trace, 0.0, below, &[0, 1])?;
     }
 
@@ -112,9 +123,9 @@ proptest! {
     }
 }
 
-/// The grid's steady-state contract: after a cold first scan, repeated
+/// The scan's steady-state contract: after a cold first scan, repeated
 /// scans over the same fleet (moving through time) allocate nothing —
-/// the mirror of PR 8's `route_grows()` regression test.
+/// the mirror of the route cache's `grew()` regression test.
 #[test]
 fn grid_and_route_cache_reach_zero_steady_state_allocation() {
     let n = 200;
