@@ -102,10 +102,10 @@ pub fn eval_set(datasets: &[WeightedDataset<Frame>], per_vehicle: usize) -> Vec<
     let mut out = Vec::new();
     for d in datasets {
         let n = d.len();
-        if n == 0 {
+        let take = per_vehicle.min(n);
+        if take == 0 {
             continue;
         }
-        let take = per_vehicle.min(n);
         let stride = (n / take).max(1);
         for k in 0..take {
             out.push(d.sample((k * stride).min(n - 1)).clone());
@@ -150,5 +150,12 @@ mod tests {
         let ds = collect_datasets(&mut w, &CollectConfig { seconds: 20.0, stride: 1, balance_commands: true });
         let eval = eval_set(&ds, 5);
         assert_eq!(eval.len(), 5 * 8);
+    }
+
+    #[test]
+    fn eval_set_of_zero_per_vehicle_is_empty() {
+        let mut w = World::new(WorldConfig::small(7));
+        let ds = collect_datasets(&mut w, &CollectConfig { seconds: 5.0, stride: 1, balance_commands: true });
+        assert!(eval_set(&ds, 0).is_empty());
     }
 }

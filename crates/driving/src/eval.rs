@@ -214,22 +214,18 @@ impl RouteTracker {
 )]
 fn draw_route<R: rand::Rng + ?Sized>(world: &World, task: Task, rng: &mut R) -> Route {
     let map = world.map();
-    for _ in 0..4000 {
-        let a = map.random_node(rng);
-        let b = map.random_node(rng);
-        let Some(route) = world.router().route(a, b) else { continue };
+    let shaped = |route: &Route| {
         let len = route.length(map);
         let turns = route.turn_count(map);
-        let ok = match task {
+        match task {
             Task::Straight => turns == 0 && (150.0..500.0).contains(&len),
             Task::OneTurn => turns == 1 && (180.0..600.0).contains(&len),
             _ => turns >= 2 && len >= 350.0,
-        };
-        if ok {
-            return route;
         }
-    }
-    panic!("could not draw a route for task {task:?} — map too small?");
+    };
+    world
+        .random_route_where(shaped, rng)
+        .unwrap_or_else(|| panic!("could not draw a route for task {task:?} — map too small?"))
 }
 
 /// The low-level controller: pure pursuit on the farthest waypoints.

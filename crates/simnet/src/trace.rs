@@ -32,16 +32,18 @@ pub struct Encounter {
 
 impl MobilityTrace {
     /// Creates a trace from per-agent position series recorded at `fps`
-    /// frames per second. All agents must have the same number of frames.
+    /// frames per second. All agents must have the same number of frames,
+    /// and at least one.
     ///
     /// # Panics
     /// Panics if `fps` is not finite and positive (an infinite rate makes
-    /// the frame step `1 / fps` zero), there are no agents, or series
-    /// lengths differ.
+    /// the frame step `1 / fps` zero), there are no agents, the series are
+    /// empty, or series lengths differ.
     pub fn new(fps: f64, positions: Vec<Vec<Vec2>>) -> Self {
         assert!(fps > 0.0 && fps.is_finite(), "fps must be finite and positive");
         assert!(!positions.is_empty(), "trace needs at least one agent");
         let n = positions[0].len();
+        assert!(n > 0, "trace needs at least one frame");
         assert!(
             positions.iter().all(|p| p.len() == n),
             "all agents must have the same number of frames"
@@ -66,21 +68,16 @@ impl MobilityTrace {
 
     /// Total duration covered, in seconds.
     pub fn duration(&self) -> f64 {
-        if self.n_frames() == 0 {
-            0.0
-        } else {
-            (self.n_frames() - 1) as f64 / self.fps
-        }
+        (self.n_frames() - 1) as f64 / self.fps
     }
 
     /// Position of `agent` at time `t` (seconds), linearly interpolated
     /// between frames and clamped to the trace ends.
     ///
     /// # Panics
-    /// Panics if `agent` is out of range or the trace has zero frames.
+    /// Panics if `agent` is out of range.
     pub fn position(&self, agent: AgentId, t: f64) -> Vec2 {
         let series = &self.positions[agent];
-        assert!(!series.is_empty(), "trace has no frames");
         let ft = (t * self.fps).max(0.0);
         // `ft >= 0`: truncation is the floor, without `f64::floor`'s call.
         let i = ft as usize;
@@ -89,7 +86,7 @@ impl MobilityTrace {
             return a.lerp(*b, frac);
         }
         // Past the last frame (or at it exactly): clamp to the end.
-        *series.last().unwrap_or(&Vec2::ZERO)
+        series[series.len() - 1]
     }
 
     /// Distance between two agents at time `t`.
@@ -187,7 +184,6 @@ impl PairTrack<'_> {
     /// The cached segment holding frame index `i`, loading it on a miss.
     fn segment(&mut self, i: usize) -> PairSegment {
         let (a, b) = (self.a, self.b);
-        assert!(!a.is_empty(), "trace has no frames");
         let last = a.len() - 1;
         let index = i.min(last);
         match self.seg {
@@ -443,6 +439,12 @@ mod tests {
     #[should_panic(expected = "same number of frames")]
     fn ragged_series_panics() {
         let _ = MobilityTrace::new(2.0, vec![vec![Vec2::ZERO; 3], vec![Vec2::ZERO; 4]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one frame")]
+    fn empty_series_panics() {
+        let _ = MobilityTrace::new(2.0, vec![Vec::new(), Vec::new()]);
     }
 
     #[test]

@@ -228,12 +228,12 @@ fn random_point<R: Rng + ?Sized>(area: (Vec2, Vec2), rng: &mut R) -> Vec2 {
 mod tests {
     use super::*;
     use crate::map::RoadNetwork;
-    use crate::route::RoutingTable;
+    use crate::route::shortest_route;
     use rand::SeedableRng;
 
     fn setup() -> (RoadNetwork, Route) {
         let map = RoadNetwork::generate(1);
-        let route = RoutingTable::new(&map).route(0, map.n_nodes() - 1).unwrap();
+        let route = shortest_route(&map, 0, map.n_nodes() - 1).unwrap();
         (map, route)
     }
 

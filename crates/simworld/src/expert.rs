@@ -203,10 +203,10 @@ mod tests {
     use super::*;
     use crate::agents::advance_on_route;
     use crate::map::RoadNetwork;
-    use crate::route::{Route, RoutingTable};
+    use crate::route::{shortest_route, Route};
 
     fn route_on(map: &RoadNetwork, from: usize, to: usize) -> Route {
-        RoutingTable::new(map).route(from, to).unwrap()
+        shortest_route(map, from, to).unwrap()
     }
 
     /// Standing at the start of `route`.

@@ -8,7 +8,7 @@
 //!
 //! * [`map`] — the road network: a Manhattan-style town grid plus a rural
 //!   loop, directed lane edges with polylines and per-kind speed limits.
-//! * [`route`] — Dijkstra routing and turn/command classification.
+//! * [`route`] — per-query Dijkstra routing, turn/command classification.
 //! * [`agents`] — kinematic vehicles with car-following, plus roaming
 //!   pedestrians (the paper's 50 background cars and 250 pedestrians).
 //! * [`expert`] — the privileged expert autopilot: pure-pursuit steering
@@ -52,5 +52,5 @@ pub use agents::{AgentId, VehicleRef};
 pub use bev::{Bev, BevConfig};
 pub use expert::Command;
 pub use map::{EdgeId, NodeId, RoadKind, RoadNetwork};
-pub use route::{Route, RoutingTable};
+pub use route::{shortest_route, Route};
 pub use world::{World, WorldConfig};

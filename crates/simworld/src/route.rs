@@ -4,16 +4,12 @@
 //! stand-in for the navigation service the paper assumes ("future routes in
 //! next few minutes, which can be obtained from navigation services").
 //!
-//! Routes come from the precomputed [`RoutingTable`]: one all-sources
-//! Dijkstra sweep at construction, after which every query is an
-//! allocation-free predecessor walk. It reproduces the per-query Dijkstra
-//! of the reference world (`tests/reference/router.rs`) *exactly* — same
-//! comparator, same relaxation order, no early exit (see
-//! [`RoutingTable::new`]) — which `routing_table_matches_router_on_all_pairs`
-//! pins for every pair.
+//! Routes are computed per query by [`shortest_route`]. The paper's world
+//! asks for a few hundred routes per scenario (a spawn per vehicle, then a
+//! reroute per arrival, plus the evaluator's draws) on a map of a few
+//! dozen nodes, so no query outgrows one early-exit Dijkstra.
 
 use crate::map::{EdgeId, NodeId, RoadNetwork};
-use simnet::geom::Vec2;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -53,19 +49,6 @@ impl Route {
                 )
             })
             .count()
-    }
-
-    /// Concatenated polyline of the whole route.
-    pub fn polyline(&self, map: &RoadNetwork) -> Vec<Vec2> {
-        let mut out: Vec<Vec2> = Vec::new();
-        for &eid in &self.edges {
-            for p in &map.edge(eid).polyline {
-                if out.last().map_or(true, |l| l.distance(*p) > 1e-6) {
-                    out.push(*p);
-                }
-            }
-        }
-        out
     }
 }
 
@@ -110,11 +93,8 @@ struct QueueItem {
 impl Eq for QueueItem {}
 impl Ord for QueueItem {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on distance. `total_cmp` agrees with the former
-        // `partial_cmp(..).unwrap_or(Equal)` on every value that can occur
-        // here (finite, non-negative, never -0.0 except the shared source
-        // zero), so heap order — and thus tie-breaking between
-        // equal-length paths — is unchanged.
+        // Min-heap on distance: the reference router's comparator, so
+        // equal-length paths break ties the same way.
         other.dist.total_cmp(&self.dist)
     }
 }
@@ -124,129 +104,52 @@ impl PartialOrd for QueueItem {
     }
 }
 
-/// All-pairs shortest-path table: one full Dijkstra per source node at
-/// construction, stored as a flattened predecessor-edge matrix. Queries
-/// walk predecessors backward — no heap, no per-query allocation
-/// ([`RoutingTable::route_into`] refills a caller-owned buffer).
+/// Shortest route (by length) from `from` to `to` over `map`, or `None`
+/// when `from == to` or `to` is unreachable (never on generated maps,
+/// which are strongly connected).
 ///
-/// Paths are identical to a per-query Dijkstra's that stops when the
-/// target pops off the heap: each source sweep runs the same relaxation
-/// loop with the same heap comparator and edge order, only without the
-/// early exit. Early exit cannot change reconstruction —
-/// when the target pops off the heap every node on its predecessor chain
-/// (strictly smaller distance, positive edge lengths) is already
-/// finalized, and finalized predecessor entries never change again.
-#[derive(Debug, Clone)]
-pub struct RoutingTable {
-    n_nodes: usize,
-    /// `prev[src * n_nodes + node]`: the edge entering `node` on the
-    /// shortest path from `src`, `None` for `node == src` or unreachable.
-    prev: Vec<Option<EdgeId>>,
-    /// `edge_from[e]`: source node of edge `e` (copied out of the map so
-    /// queries need no map borrow).
-    edge_from: Vec<NodeId>,
-    /// Edge count of the longest shortest path over all pairs — the
-    /// capacity bound that makes per-vehicle route buffers allocation-free
-    /// for the lifetime of the world.
-    max_route_edges: usize,
-}
-
-impl RoutingTable {
-    /// Precomputes shortest paths from every source node of `map`.
-    pub fn new(map: &RoadNetwork) -> Self {
-        let n = map.n_nodes();
-        let mut prev: Vec<Option<EdgeId>> = vec![None; n * n];
-        let mut dist = vec![f32::INFINITY; n];
-        let mut heap: BinaryHeap<QueueItem> = BinaryHeap::new();
-        for src in 0..n {
-            dist.fill(f32::INFINITY);
-            heap.clear();
-            let row_base = src * n;
-            let row_end = row_base + n;
-            let row = &mut prev[row_base..row_end];
-            dist[src] = 0.0;
-            heap.push(QueueItem { dist: 0.0, node: src });
-            while let Some(QueueItem { dist: d, node }) = heap.pop() {
-                if d > dist[node] {
-                    continue;
-                }
-                for &eid in map.out_edges(node) {
-                    let e = map.edge(eid);
-                    let nd = d + e.length;
-                    if nd < dist[e.to] {
-                        dist[e.to] = nd;
-                        row[e.to] = Some(eid);
-                        heap.push(QueueItem { dist: nd, node: e.to });
-                    }
-                }
+/// One Dijkstra per query, stopping when the target pops off the heap —
+/// the comparator, relaxation order and early exit of the reference
+/// router (`tests/reference/router.rs`), so every path (and with it every
+/// tie between equal-length paths) is that router's, which
+/// `shortest_route_matches_router_on_all_pairs` pins for every pair.
+pub fn shortest_route(map: &RoadNetwork, from: NodeId, to: NodeId) -> Option<Route> {
+    if from == to {
+        return None;
+    }
+    let n = map.n_nodes();
+    let mut dist = vec![f32::INFINITY; n];
+    let mut prev: Vec<Option<EdgeId>> = vec![None; n];
+    let mut heap = BinaryHeap::new();
+    dist[from] = 0.0;
+    heap.push(QueueItem { dist: 0.0, node: from });
+    while let Some(QueueItem { dist: d, node }) = heap.pop() {
+        if d > dist[node] {
+            continue;
+        }
+        if node == to {
+            break;
+        }
+        for &eid in map.out_edges(node) {
+            let e = map.edge(eid);
+            let nd = d + e.length;
+            if nd < dist[e.to] {
+                dist[e.to] = nd;
+                prev[e.to] = Some(eid);
+                heap.push(QueueItem { dist: nd, node: e.to });
             }
         }
-        let edge_from: Vec<NodeId> = map.edges().iter().map(|e| e.from).collect();
-        let mut max_route_edges = 0;
-        for src in 0..n {
-            for dst in 0..n {
-                let mut len = 0usize;
-                let mut cur = dst;
-                let row_base = src * n;
-                while cur != src {
-                    let cell = row_base + cur;
-                    let Some(eid) = prev[cell] else { break };
-                    len += 1;
-                    cur = edge_from[eid];
-                }
-                if cur == src {
-                    max_route_edges = max_route_edges.max(len);
-                }
-            }
-        }
-        Self { n_nodes: n, prev, edge_from, max_route_edges }
     }
-
-    /// Edge count of the longest shortest path between any node pair.
-    pub fn max_route_edges(&self) -> usize {
-        self.max_route_edges
+    let mut edges = Vec::new();
+    let mut cur = to;
+    while cur != from {
+        // An unreached `to` has no predecessor: no route.
+        let eid = prev[cur]?;
+        edges.push(eid);
+        cur = map.edge(eid).from;
     }
-
-    /// Refills `edges` with the shortest route from `from` to `to`.
-    /// Returns `None` when no route exists (`from == to`, or unreachable —
-    /// never on generated maps), leaving `edges` empty; otherwise
-    /// `Some(grew)` where `grew` reports whether the buffer had to
-    /// reallocate (a warm buffer sized to [`RoutingTable::max_route_edges`]
-    /// never does — the zero-allocation regression test counts exactly
-    /// this signal).
-    pub fn route_into(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        edges: &mut Vec<EdgeId>,
-    ) -> Option<bool> {
-        edges.clear();
-        if from == to {
-            return None;
-        }
-        let cap_before = edges.capacity();
-        let row_base = from * self.n_nodes;
-        let mut cur = to;
-        while cur != from {
-            let cell = row_base + cur;
-            let Some(eid) = self.prev[cell] else {
-                edges.clear();
-                return None;
-            };
-            edges.push(eid);
-            cur = self.edge_from[eid];
-        }
-        edges.reverse();
-        Some(edges.capacity() > cap_before)
-    }
-
-    /// Shortest route from `from` to `to` as an owned [`Route`] — the
-    /// convenience the evaluator and tests use.
-    pub fn route(&self, from: NodeId, to: NodeId) -> Option<Route> {
-        let mut edges = Vec::new();
-        self.route_into(from, to, &mut edges)?;
-        Some(Route { edges })
-    }
+    edges.reverse();
+    Some(Route { edges })
 }
 
 #[cfg(test)]
@@ -257,8 +160,7 @@ mod tests {
     #[test]
     fn routes_connect_endpoints() {
         let m = RoadNetwork::generate(1);
-        let r = RoutingTable::new(&m);
-        let route = r.route(0, m.n_nodes() - 1).expect("strongly connected");
+        let route = shortest_route(&m, 0, m.n_nodes() - 1).expect("strongly connected");
         assert_eq!(m.edge(route.edges[0]).from, 0);
         assert_eq!(route.destination(&m), m.n_nodes() - 1);
         // consecutive edges chain
@@ -270,27 +172,25 @@ mod tests {
     #[test]
     fn same_node_has_no_route() {
         let m = RoadNetwork::generate(1);
-        assert!(RoutingTable::new(&m).route(3, 3).is_none());
+        assert!(shortest_route(&m, 3, 3).is_none());
     }
 
     #[test]
     fn routes_are_shortest() {
         let m = RoadNetwork::generate(2);
-        let r = RoutingTable::new(&m);
         // Triangle inequality spot check: route(a,c) <= route(a,b)+route(b,c)
         let (a, b, c) = (0, m.n_nodes() / 2, m.n_nodes() - 1);
-        let ac = r.route(a, c).unwrap().length(&m);
-        let ab = r.route(a, b).unwrap().length(&m);
-        let bc = r.route(b, c).unwrap().length(&m);
+        let ac = shortest_route(&m, a, c).unwrap().length(&m);
+        let ab = shortest_route(&m, a, b).unwrap().length(&m);
+        let bc = shortest_route(&m, b, c).unwrap().length(&m);
         assert!(ac <= ab + bc + 1e-3);
     }
 
     #[test]
     fn turn_classification_on_grid() {
         let m = RoadNetwork::generate(3);
-        let r = RoutingTable::new(&m);
         // Gather some routes and check every classified turn is sane.
-        let route = r.route(0, m.n_nodes() - 1).unwrap();
+        let route = shortest_route(&m, 0, m.n_nodes() - 1).unwrap();
         for w in route.edges.windows(2) {
             let _ = classify_turn(&m, w[0], w[1]); // must not panic
         }
@@ -299,36 +199,9 @@ mod tests {
     #[test]
     fn turn_count_zero_for_straight_grid_route() {
         let m = RoadNetwork::generate(4);
-        let r = RoutingTable::new(&m);
         // Nodes 0 and 1 in the town grid are adjacent along one axis: a
         // single-edge route has no turns.
-        let route = r.route(0, 1).unwrap();
+        let route = shortest_route(&m, 0, 1).unwrap();
         assert_eq!(route.turn_count(&m), 0);
-    }
-
-    #[test]
-    fn warm_route_buffer_never_reallocates() {
-        let m = RoadNetwork::generate(6);
-        let table = RoutingTable::new(&m);
-        let mut buf = Vec::with_capacity(table.max_route_edges());
-        let n = m.n_nodes();
-        for a in 0..n {
-            for b in 0..n {
-                if let Some(grew) = table.route_into(a, b, &mut buf) {
-                    assert!(!grew, "pair ({a},{b}) grew a warm buffer");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn polyline_is_continuous() {
-        let m = RoadNetwork::generate(5);
-        let r = RoutingTable::new(&m);
-        let route = r.route(0, m.n_nodes() - 1).unwrap();
-        let poly = route.polyline(&m);
-        for w in poly.windows(2) {
-            assert!(w[0].distance(w[1]) < 400.0, "polyline jump detected");
-        }
     }
 }

@@ -16,10 +16,11 @@
 //!
 //! 1. *Intent* — for every vehicle, compute its final target speed
 //!    (speed limits, turn slowdown, car-following against a pre-built gap
-//!    index, pedestrian braking) from pre-step state only. The phase draws
-//!    no randomness and writes only its own `intents[i]` slot, so its
-//!    result is the same for any evaluation order, which
-//!    [`World::step_permuted`] exposes for the property suite.
+//!    index, pedestrian braking) from pre-step state only. Its result is
+//!    the same for any evaluation order, and the signature says so:
+//!    `intent_for` takes `&self`, so it cannot write the world, and every
+//!    draw needs the `&mut StdRng` only the apply pass holds, so it cannot
+//!    draw.
 //! 2. *Apply* — serial, in ascending [`AgentId`] order: integrate every
 //!    vehicle, then step every pedestrian. All RNG draws (reroutes,
 //!    pedestrian waypoints) happen here, in id order — exactly the draw
@@ -30,7 +31,7 @@ use crate::agents::{advance_on_route, radii, AgentId, Pedestrian, VehicleRef};
 use crate::bev::{rasterize_skipping, Bev, BevConfig, Pose};
 use crate::expert::{command_for, forward_gap, hazard_ahead, waypoints_timed, Command};
 use crate::map::{EdgeId, RoadNetwork, MAP_EXTENT_M, TOWN_BLOCK_M, TOWN_GRID, TOWN_ORIGIN};
-use crate::route::{Route, RoutingTable};
+use crate::route::{shortest_route, Route};
 use rand::{Rng, RngExt, SeedableRng};
 use simnet::geom::Vec2;
 use simnet::trace::MobilityTrace;
@@ -147,6 +148,9 @@ pub const FPS: f64 = 2.0;
 /// Waypoints per supervision frame.
 pub const N_WAYPOINTS: usize = 5;
 
+/// Node pairs [`World::random_route_where`] draws before it gives up.
+const ROUTE_DRAWS: usize = 4000;
+
 /// World construction parameters (§IV-A defaults).
 #[derive(Debug, Clone)]
 pub struct WorldConfig {
@@ -204,7 +208,6 @@ pub struct World {
     config: WorldConfig,
     map: RoadNetwork,
     raster: RoadRaster,
-    table: RoutingTable,
     // --- agent columns, indexed by AgentId ---
     /// World position: vehicles refresh it in the apply pass; pedestrians
     /// mirror theirs after stepping. `pos[ped_base..]` is the contiguous
@@ -214,9 +217,7 @@ pub struct World {
     speed: Vec<f32>,
     edge_idx: Vec<usize>,
     s: Vec<f32>,
-    /// Route buffer of each vehicle. Capacity is reserved to
-    /// [`RoutingTable::max_route_edges`] up front so reroutes never
-    /// allocate.
+    /// Route of each vehicle; an arrival replaces it with a fresh one.
     routes: Vec<Route>,
     /// Pedestrian waypoint state, `peds[j]` ↔ agent id `ped_base + j`.
     peds: Vec<Pedestrian>,
@@ -226,13 +227,11 @@ pub struct World {
     gap_index: Vec<(EdgeId, f32)>,
     rng: rand::rngs::StdRng,
     time: f64,
-    route_grows: u64,
 }
 
 impl World {
-    /// Builds a world: generates the map, precomputes the routing table,
-    /// spawns experts and background traffic on random routes, and
-    /// scatters pedestrians over the town.
+    /// Builds a world: generates the map, spawns experts and background
+    /// traffic on random routes, and scatters pedestrians over the town.
     ///
     /// # Panics
     /// Panics if `config.n_fleet` is not 0: the world has no fleet.
@@ -240,11 +239,9 @@ impl World {
         assert_eq!(config.n_fleet, 0, "the world has no fleet vehicles; n_fleet must be 0");
         let map = RoadNetwork::generate(config.seed);
         let raster = RoadRaster::from_map(&map);
-        let table = RoutingTable::new(&map);
         let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed.wrapping_add(0x9E3779B9));
         let n_vehicles = config.n_experts + config.n_background;
         let n_agents = n_vehicles + config.n_pedestrians;
-        let reserve = table.max_route_edges();
 
         let mut pos = Vec::with_capacity(n_agents);
         let speed = vec![0.0f32; n_vehicles];
@@ -253,17 +250,16 @@ impl World {
         let mut routes: Vec<Route> = Vec::with_capacity(n_vehicles);
 
         // Experts then background: the exact draw sequence of the reference
-        // world (route retries included — `route_into` fails iff the two
-        // endpoints coincide, same as the reference world's router).
+        // world (route retries included — a pair has no route iff its two
+        // endpoints coincide).
         for s_slot in &mut s {
-            let mut route = Route { edges: Vec::with_capacity(reserve) };
-            loop {
+            let route = loop {
                 let a = map.random_node(&mut rng);
                 let b = map.random_node(&mut rng);
-                if table.route_into(a, b, &mut route.edges).is_some() {
-                    break;
+                if let Some(r) = shortest_route(&map, a, b) {
+                    break r;
                 }
-            }
+            };
             let first = route.edges[0];
             // Spread vehicles along their first edge.
             let spawn_s = rng.random_range(0.0..map.edge(first).length * 0.8);
@@ -284,7 +280,6 @@ impl World {
             config,
             map,
             raster,
-            table,
             pos,
             speed,
             edge_idx,
@@ -296,7 +291,6 @@ impl World {
             gap_index: Vec::new(),
             rng,
             time: 0.0,
-            route_grows: 0,
         }
     }
 
@@ -328,14 +322,6 @@ impl World {
     /// Total number of agents across all kinds.
     pub fn n_agents(&self) -> usize {
         self.pos.len()
-    }
-
-    /// How many route-buffer reallocations have happened since
-    /// construction. Stays 0 after spawn in steady state — buffers are
-    /// reserved to the routing table's worst case — which the
-    /// zero-allocation regression test asserts.
-    pub fn route_grows(&self) -> u64 {
-        self.route_grows
     }
 
     /// A borrowed view of road-vehicle `id` (experts and background).
@@ -381,31 +367,6 @@ impl World {
         self.gap_index = gap_index;
     }
 
-    /// [`World::step`] with the intent phase evaluated serially in a
-    /// pseudo-random agent order derived from `perm_seed`. Because intents
-    /// are pure functions of pre-step state, the result must be bit-for-bit
-    /// identical to `step` for every permutation — the property the
-    /// bit-identity suite checks to certify the phase is order-free.
-    pub fn step_permuted(&mut self, perm_seed: u64) {
-        let mut intents = std::mem::take(&mut self.intents);
-        let mut gap_index = std::mem::take(&mut self.gap_index);
-        self.build_gap_index(&mut gap_index);
-        intents.clear();
-        intents.resize(self.ped_base, 0.0);
-        let mut order: Vec<AgentId> = (0..self.ped_base).collect();
-        let mut prng = rand::rngs::StdRng::seed_from_u64(perm_seed);
-        for i in (1..order.len()).rev() {
-            let j = prng.random_range(0..=i);
-            order.swap(i, j);
-        }
-        for &id in &order {
-            intents[id] = self.intent_for(id, &gap_index);
-        }
-        self.apply(&intents);
-        self.intents = intents;
-        self.gap_index = gap_index;
-    }
-
     /// Rebuilds the leader-gap index: `(edge, s)` of every vehicle, sorted
     /// by edge then progress. Pushed in ascending id order and
     /// stable-sorted, this is element-for-element the order the reference
@@ -419,8 +380,9 @@ impl World {
     }
 
     /// The final target speed of vehicle `id` from pre-step state: speed
-    /// limits + turn slowdown + car-following + pedestrian braking. Pure —
-    /// no RNG, no writes — so the visit order never shows.
+    /// limits + turn slowdown + car-following + pedestrian braking. `&self`
+    /// and no RNG in reach: no write, no draw, so the visit order never
+    /// shows.
     fn intent_for(&self, id: AgentId, gap_index: &[(EdgeId, f32)]) -> f32 {
         let v = self.vehicle_view(id);
         self.speed_rule(v, gap_from_index(&self.map, gap_index, v))
@@ -483,17 +445,12 @@ impl World {
                 // Arrived: plan a fresh random route from the destination,
                 // carrying speed across the reroute (reference semantics).
                 let here = self.routes[id].destination(&self.map);
-                loop {
+                self.routes[id] = loop {
                     let next = self.map.random_node(&mut self.rng);
-                    if let Some(grew) =
-                        self.table.route_into(here, next, &mut self.routes[id].edges)
-                    {
-                        if grew {
-                            self.route_grows += 1;
-                        }
-                        break;
+                    if let Some(r) = shortest_route(&self.map, here, next) {
+                        break r;
                     }
-                }
+                };
                 self.edge_idx[id] = 0;
                 self.s[id] = 0.0;
                 let eid = self.routes[id].edges[0];
@@ -609,23 +566,33 @@ impl World {
         MobilityTrace::new(FPS, positions)
     }
 
-    /// The precomputed routing table over this world's map.
-    pub fn router(&self) -> &RoutingTable {
-        &self.table
+    /// Draws node pairs `(a, b)` from `rng` until the route between one
+    /// satisfies `accept`; `None` after 4 000 pairs without one.
+    /// A pair with no route (`a == b`) counts as a draw.
+    pub fn random_route_where<R: Rng + ?Sized>(
+        &self,
+        mut accept: impl FnMut(&Route) -> bool,
+        rng: &mut R,
+    ) -> Option<Route> {
+        (0..ROUTE_DRAWS).find_map(|_| {
+            let a = self.map.random_node(rng);
+            let b = self.map.random_node(rng);
+            shortest_route(&self.map, a, b).filter(|r| accept(r))
+        })
     }
 
     /// Draws a random route with at least `min_len` meters, for evaluation
     /// tasks.
+    ///
+    /// # Panics
+    /// Panics if none of the routes of 4 000 draws is `min_len` long.
+    #[expect(
+        clippy::panic,
+        reason = "a length no route of the map reaches is a caller bug no draw can serve"
+    )]
     pub fn random_route<R: Rng + ?Sized>(&self, min_len: f32, rng: &mut R) -> Route {
-        loop {
-            let a = self.map.random_node(rng);
-            let b = self.map.random_node(rng);
-            if let Some(r) = self.table.route(a, b) {
-                if r.length(&self.map) >= min_len {
-                    return r;
-                }
-            }
-        }
+        self.random_route_where(|r| r.length(&self.map) >= min_len, rng)
+            .unwrap_or_else(|| panic!("no route of at least {min_len} m in {ROUTE_DRAWS} draws"))
     }
 }
 
@@ -831,35 +798,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "no route of at least")]
+    fn random_route_gives_up_on_an_unreachable_length() {
+        let w = small_world();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        w.random_route(1.0e6, &mut rng);
+    }
+
+    #[test]
     #[should_panic(expected = "n_fleet must be 0")]
     fn a_fleet_is_refused() {
         World::new(WorldConfig { n_fleet: 1, ..WorldConfig::small(3) });
-    }
-
-    #[test]
-    fn permuted_intent_order_is_bit_identical() {
-        let mut a = World::new(WorldConfig::small(31));
-        let mut b = World::new(WorldConfig::small(31));
-        for k in 0..120 {
-            a.step();
-            b.step_permuted(0xBAD5EED ^ k);
-        }
-        for (p, q) in a.pos.iter().zip(&b.pos) {
-            assert_eq!(p.x.to_bits(), q.x.to_bits());
-            assert_eq!(p.y.to_bits(), q.y.to_bits());
-        }
-        for (p, q) in a.speed.iter().zip(&b.speed) {
-            assert_eq!(p.to_bits(), q.to_bits());
-        }
-    }
-
-    #[test]
-    fn routes_never_reallocate_after_spawn() {
-        let mut w = World::new(WorldConfig::small(41));
-        assert_eq!(w.route_grows(), 0, "spawn must reserve the worst case");
-        for _ in 0..900 {
-            w.step();
-        }
-        assert_eq!(w.route_grows(), 0, "steady-state reroutes must not allocate");
     }
 }

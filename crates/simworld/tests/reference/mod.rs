@@ -5,7 +5,7 @@
 //! `lbchat`'s `tests/reference/`): vehicles and
 //! pedestrians as owned structs, a fresh per-step [`Router`] (the
 //! per-query Dijkstra in `router.rs`, also the oracle of
-//! `simworld::route::RoutingTable`), and a
+//! `simworld::route::shortest_route`), and a
 //! single serial step loop interleaving movement with RNG reroute draws.
 //! `simworld::world::World` must reproduce this world bit for bit — the
 //! property tests in `soa_identity.rs` and the golden trajectory fixture
@@ -344,7 +344,7 @@ impl World {
     }
 
     /// A per-query Dijkstra router borrowed over this world's map (the
-    /// pre-[`simworld::route::RoutingTable`] search the new world replaced).
+    /// search `simworld::route::shortest_route` reproduces).
     pub fn router(&self) -> Router<'_> {
         Router::new(&self.map)
     }

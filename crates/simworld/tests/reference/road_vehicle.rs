@@ -113,12 +113,12 @@ impl RoadVehicle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simworld::route::RoutingTable;
+    use simworld::route::shortest_route;
 
     #[test]
     fn predicted_future_starts_at_position() {
         let map = RoadNetwork::generate(1);
-        let route = RoutingTable::new(&map).route(0, map.n_nodes() - 1).unwrap();
+        let route = shortest_route(&map, 0, map.n_nodes() - 1).unwrap();
         let v = RoadVehicle::new(route);
         let f = v.predict_future(&map, 0.5, 10);
         assert_eq!(f.len(), 10);

@@ -1,11 +1,11 @@
 //! The per-query Dijkstra router, retained verbatim as the oracle
-//! `simworld::route::RoutingTable` is pinned to.
+//! `simworld::route::shortest_route` is pinned to.
 //!
 //! One Dijkstra per `route` call, stopping when the target pops off the
 //! heap. The reference world (`mod.rs` beside this file) routes with it,
-//! and `routing_table_matches_router_on_all_pairs` in `properties.rs` holds
-//! the table's paths to its paths for every node pair. It reaches the
-//! library only through its public API.
+//! and `shortest_route_matches_router_on_all_pairs` in `properties.rs`
+//! holds the library's paths to its paths for every node pair. It reaches
+//! the library only through its public API.
 
 use simworld::map::{EdgeId, NodeId, RoadNetwork};
 use simworld::route::Route;
@@ -27,7 +27,7 @@ struct QueueItem {
 impl Eq for QueueItem {}
 impl Ord for QueueItem {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on distance, the comparator `RoutingTable` uses.
+        // Min-heap on distance, the comparator `shortest_route` uses.
         other.dist.total_cmp(&self.dist)
     }
 }
