@@ -88,9 +88,9 @@ impl<'a> MagnitudeOrder<'a> {
     /// Narrows `dense` in place from the cut at `from` to the cut at `psi`
     /// by zeroing the components `from` keeps and `psi` drops. Applied to
     /// the vector itself at `from = 1`, and then along any descending ψ
-    /// walk, it leaves [`compress_dense`] of the vector at each ψ bit for
-    /// bit, so a whole grid ([`crate::phi::PhiCurve::sample`]) reuses one
-    /// buffer.
+    /// walk, it leaves `top_k(..).to_dense()` of the vector at each ψ bit
+    /// for bit, so a whole grid ([`crate::phi::PhiCurve::sample`]) reuses
+    /// one buffer, and [`compress_dense`] is one narrowed clone.
     ///
     /// # Panics
     /// Panics if `psi` or `from` is outside `[0, 1]`, or if `psi > from`.
@@ -133,9 +133,25 @@ fn top_k_count(n: usize, psi: f32) -> usize {
     }
 }
 
-/// Applies top-k and densifies in one step — the receiver's view `x̂^ψ`.
+/// Applies top-k and densifies in one step — the receiver's view `x̂^ψ`,
+/// bit-identical to `top_k(params, psi).to_dense()`: the clone of
+/// `params` narrowed to the cut at `psi` ([`MagnitudeOrder::narrow`]),
+/// so no sparse form is built. `ψ = 1` is a plain clone and `ψ = 0` all
+/// zeros; neither orders the components.
+///
+/// # Panics
+/// Panics if `psi` is outside `[0, 1]`.
 pub fn compress_dense(params: &ParamVec, psi: f32) -> ParamVec {
-    top_k(params, psi).to_dense()
+    assert!((0.0..=1.0).contains(&psi), "psi must be in [0, 1]");
+    match top_k_count(params.len(), psi) {
+        0 => ParamVec::zeros(params.len()),
+        k if k == params.len() => params.clone(),
+        _ => {
+            let mut dense = params.clone();
+            MagnitudeOrder::new(params).narrow(&mut dense, 1.0, psi);
+            dense
+        }
+    }
 }
 
 /// Bytes on the wire for a model whose *dense* wire size is `wire_bytes`,
@@ -385,7 +401,8 @@ mod tests {
             for &psi in requests {
                 let mut dense = p.clone();
                 order.narrow(&mut dense, 1.0, psi);
-                assert_eq!(bits(&dense), bits(&compress_dense(&p, psi)), "psi={psi}");
+                assert_eq!(bits(&dense), bits(&top_k(&p, psi).to_dense()), "psi={psi}");
+                assert_eq!(bits(&compress_dense(&p, psi)), bits(&dense), "psi={psi}");
                 assert_eq!(bits(&dense), bits(&top_k_dense_oracle(&p, psi)), "psi={psi}");
                 // NaN survivors: compare the sparse form through its bits too.
                 let (a, b) = (order.top_k(psi), top_k(&p, psi));

@@ -12,6 +12,7 @@
 use crate::dataset::WeightedDataset;
 use crate::learner::{slice_losses, Learner};
 use rand::{Rng, RngExt};
+use std::cell::RefCell;
 
 /// A weighted coreset: samples with their coreset weights `w_C(d)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,14 +101,18 @@ impl Default for CoresetConfig {
 
 /// Reusable scratch buffers for [`construct_with_scratch`].
 ///
-/// Construction at size 150 from a 10k-frame dataset allocates a loss
-/// vector, per-layer index vectors, and a key vector per layer on every
-/// call; nodes rebuild their coreset after every chat, so that churn is a
-/// measured hot path (`coreset.construct_us` in `lbchat_e2e`). A scratch
-/// carried across calls removes every per-call allocation. The buffers
-/// hold no state between calls — reusing one scratch across datasets and
-/// learners is always correct, and results are bit-identical to a fresh
-/// scratch.
+/// Construction at size 150 from a 10k-frame dataset needs a loss vector,
+/// per-layer index vectors, and a key vector per layer. Every LbChat node
+/// rebuilds its coreset every `coreset_refresh_iters` trained iterations,
+/// and again at the next chat after an Eq. (8) aggregation, so allocating
+/// them per call is a measured hot path (`coreset.construct_us` in
+/// `lbchat_e2e`). Sample indices are `u32`, so a scratch costs at most 20
+/// bytes a sample. The buffers hold no state between calls — reusing one
+/// scratch across datasets and learners is always correct, and results
+/// are bit-identical to a fresh scratch — so [`construct`] keeps one per
+/// thread rather than one per node: a fleet's nodes take turns on
+/// whichever thread runs them, and the scratch is sized by the largest
+/// dataset that thread has built from, not by the fleet.
 #[derive(Debug, Default, Clone)]
 pub struct CoresetScratch {
     losses: Vec<f32>,
@@ -115,8 +120,8 @@ pub struct CoresetScratch {
     layer_start: Vec<usize>,
     layer_fill: Vec<usize>,
     layer_weights: Vec<f32>,
-    order: Vec<usize>,
-    keyed: Vec<(f32, usize)>,
+    order: Vec<u32>,
+    keyed: Vec<(f32, u32)>,
 }
 
 impl CoresetScratch {
@@ -124,6 +129,35 @@ impl CoresetScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Heap bytes the buffers hold (their capacities).
+    fn heap_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let Self { losses, layer_of, layer_start, layer_fill, layer_weights, order, keyed } = self;
+        bytes(losses)
+            + bytes(layer_of)
+            + bytes(layer_start)
+            + bytes(layer_fill)
+            + bytes(layer_weights)
+            + bytes(order)
+            + bytes(keyed)
+    }
+}
+
+thread_local! {
+    /// This thread's coreset scratch: every [`construct`] on the thread
+    /// builds through it. Freed when the thread ends.
+    static SCRATCH: RefCell<CoresetScratch> = RefCell::new(CoresetScratch::new());
+}
+
+/// Heap bytes the calling thread's coreset scratch holds — zero before the
+/// thread's first [`construct`] over a dataset larger than its target
+/// size, and steady once it has built from its largest dataset, however
+/// many nodes share it.
+pub fn scratch_bytes() -> usize {
+    SCRATCH.with_borrow(CoresetScratch::heap_bytes)
 }
 
 /// The Efraimidis–Spirakis reservoir key `u^(1/w)`.
@@ -147,13 +181,13 @@ fn sampling_key<R: Rng + ?Sized>(rng: &mut R, weight: f32) -> f32 {
 /// descending sort produces, made total so partial selection can't diverge
 /// from it.
 #[inline]
-fn key_order(a: &(f32, usize), b: &(f32, usize)) -> std::cmp::Ordering {
+fn key_order(a: &(f32, u32), b: &(f32, u32)) -> std::cmp::Ordering {
     b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
 }
 
 /// Keeps the `quota` best entries of `keyed` under [`key_order`], sorted,
 /// without fully sorting the rest (O(m + q log q) instead of O(m log m)).
-fn select_best(keyed: &mut Vec<(f32, usize)>, quota: usize) {
+fn select_best(keyed: &mut Vec<(f32, u32)>, quota: usize) {
     if quota < keyed.len() {
         keyed.select_nth_unstable_by(quota - 1, key_order);
         keyed.truncate(quota);
@@ -178,9 +212,12 @@ fn select_best(keyed: &mut Vec<(f32, usize)>, quota: usize) {
 /// `config.size` are copied wholesale (already their own best coreset).
 ///
 /// Output is bit-identical to Algorithm 1 as first implemented, which
-/// `tests/reference/` keeps as the oracle; callers on a hot loop should
-/// prefer [`construct_with_scratch`], which additionally reuses
-/// buffers across calls.
+/// `tests/reference/` keeps as the oracle. Builds through the calling
+/// thread's [`CoresetScratch`], so repeated calls allocate only the
+/// coreset they return.
+///
+/// # Panics
+/// As [`construct_with_scratch`].
 pub fn construct<L, R>(
     learner: &L,
     dataset: &WeightedDataset<L::Sample>,
@@ -191,10 +228,15 @@ where
     L: Learner,
     R: Rng + ?Sized,
 {
-    construct_with_scratch(learner, dataset, config, rng, &mut CoresetScratch::new())
+    SCRATCH.with_borrow_mut(|scratch| construct_with_scratch(learner, dataset, config, rng, scratch))
 }
 
-/// [`construct`] with caller-owned scratch buffers; see [`CoresetScratch`].
+/// [`construct`] with caller-owned scratch buffers instead of the
+/// thread's; see [`CoresetScratch`].
+///
+/// # Panics
+/// Panics if the dataset is larger than `config.size` and holds more than
+/// `u32::MAX` samples (the scratch indexes samples by `u32`).
 pub fn construct_with_scratch<L, R>(
     learner: &L,
     dataset: &WeightedDataset<L::Sample>,
@@ -213,6 +255,7 @@ where
     if n <= config.size {
         return Coreset::new(dataset.samples().to_vec(), dataset.weights().to_vec());
     }
+    assert!(n <= u32::MAX as usize, "a coreset is built from at most u32::MAX samples");
 
     // Per-sample losses under the current model, in one evaluation pass.
     slice_losses(learner, learner.params(), dataset.samples(), &mut scratch.losses);
@@ -252,7 +295,7 @@ where
     scratch.order.resize(n, 0);
     for (i, &layer) in scratch.layer_of.iter().enumerate() {
         let slot = &mut scratch.layer_fill[layer as usize];
-        scratch.order[*slot] = i;
+        scratch.order[*slot] = i as u32;
         *slot += 1;
     }
 
@@ -265,7 +308,7 @@ where
         nonempty += usize::from(!idx.is_empty());
         scratch
             .layer_weights
-            .push(idx.iter().map(|&i| dataset.weight(i)).sum::<f32>());
+            .push(idx.iter().map(|&i| dataset.weight(i as usize)).sum::<f32>());
     }
     let total_weight: f32 = scratch.layer_weights.iter().sum();
     let budget = config.size.max(nonempty);
@@ -284,13 +327,15 @@ where
         scratch.keyed.clear();
         scratch
             .keyed
-            .extend(layer.iter().map(|&i| (sampling_key(rng, dataset.weight(i)), i)));
+            .extend(layer.iter().map(|&i| (sampling_key(rng, dataset.weight(i as usize)), i)));
         select_best(&mut scratch.keyed, quota);
-        let picked_weight: f32 = scratch.keyed.iter().map(|&(_, i)| dataset.weight(i)).sum();
+        let picked_weight: f32 =
+            scratch.keyed.iter().map(|&(_, i)| dataset.weight(i as usize)).sum();
         // w_C(d) = (layer total weight) / (picked total weight), scaled by
         // the sample's own original weight so non-uniform weights survive.
         let scale = scratch.layer_weights[layer_idx] / picked_weight;
         for &(_, i) in &scratch.keyed {
+            let i = i as usize;
             samples.push(dataset.sample(i).clone());
             weights.push(dataset.weight(i) * scale);
         }
@@ -305,6 +350,10 @@ where
 ///
 /// Output is bit-identical to the first implementation, which
 /// `tests/reference/` keeps as the oracle.
+///
+/// # Panics
+/// Panics if a coreset larger than `size` holds more than `u32::MAX`
+/// samples.
 pub fn reduce<S: Clone, R: Rng + ?Sized>(
     coreset: Coreset<S>,
     size: usize,
@@ -313,15 +362,19 @@ pub fn reduce<S: Clone, R: Rng + ?Sized>(
     if coreset.len() <= size || size == 0 {
         return coreset;
     }
+    assert!(coreset.len() <= u32::MAX as usize, "a coreset holds at most u32::MAX samples");
     let total = coreset.total_weight();
-    let mut keyed: Vec<(f32, usize)> = (0..coreset.len())
-        .map(|i| (sampling_key(rng, coreset.weights()[i]), i))
+    let mut keyed: Vec<(f32, u32)> = coreset
+        .weights()
+        .iter()
+        .enumerate()
+        .map(|(i, &w)| (sampling_key(rng, w), i as u32))
         .collect();
     select_best(&mut keyed, size);
-    let picked: f32 = keyed.iter().map(|&(_, i)| coreset.weights()[i]).sum();
+    let picked: f32 = keyed.iter().map(|&(_, i)| coreset.weights()[i as usize]).sum();
     let scale = total / picked;
-    let samples = keyed.iter().map(|&(_, i)| coreset.samples()[i].clone()).collect();
-    let weights = keyed.iter().map(|&(_, i)| coreset.weights()[i] * scale).collect();
+    let samples = keyed.iter().map(|&(_, i)| coreset.samples()[i as usize].clone()).collect();
+    let weights = keyed.iter().map(|&(_, i)| coreset.weights()[i as usize] * scale).collect();
     Coreset::new(samples, weights)
 }
 
@@ -514,7 +567,7 @@ mod tests {
         let d = noisy_dataset(900);
         let cfg = CoresetConfig { size: 80 };
         let reused = construct_with_scratch(&l, &d, &cfg, &mut rng(), &mut scratch);
-        let fresh = construct(&l, &d, &cfg, &mut rng());
+        let fresh = construct_with_scratch(&l, &d, &cfg, &mut rng(), &mut CoresetScratch::new());
         assert_eq!(reused, fresh);
     }
 

@@ -14,7 +14,7 @@
 use crate::aggregate::aggregate_sparse_aware;
 use crate::compress::{pair_wire_bytes, wire_bytes};
 use crate::config::LbChatConfig;
-use crate::coreset::{construct_with_scratch, reduce, Coreset, CoresetConfig, CoresetScratch};
+use crate::coreset::{construct, reduce, Coreset, CoresetConfig};
 use crate::dataset::WeightedDataset;
 use crate::learner::{mean_eval_loss, Learner, TrainStats};
 use crate::obs::{Counter, EventKind, Gauge};
@@ -88,8 +88,10 @@ impl<L: Learner> Vehicle<L> {
             let idx = self.batcher.next_batch(rng);
             let trained = !idx.is_empty();
             if trained {
-                let batch: Vec<(&L::Sample, f32)> =
-                    idx.iter().map(|&i| (self.dataset.sample(i), self.dataset.weight(i))).collect();
+                let batch: Vec<(&L::Sample, f32)> = idx
+                    .iter()
+                    .map(|&i| (self.dataset.sample(i as usize), self.dataset.weight(i as usize)))
+                    .collect();
                 self.learner.train_step(&batch);
             }
             after_step(self, trained, rng);
@@ -112,14 +114,10 @@ impl<L: Learner> Vehicle<L> {
         self.batcher.grow(self.train_len);
     }
 
-    /// Algorithm 1 over the whole dataset with the current model.
-    fn coreset<R: Rng + ?Sized>(
-        &self,
-        size: usize,
-        rng: &mut R,
-        scratch: &mut CoresetScratch,
-    ) -> Coreset<L::Sample> {
-        construct_with_scratch(&self.learner, &self.dataset, &CoresetConfig { size }, rng, scratch)
+    /// Algorithm 1 over the whole dataset with the current model, built
+    /// through the calling thread's scratch.
+    fn coreset<R: Rng + ?Sized>(&self, size: usize, rng: &mut R) -> Coreset<L::Sample> {
+        construct(&self.learner, &self.dataset, &CoresetConfig { size }, rng)
     }
 }
 
@@ -128,9 +126,6 @@ pub struct LbChatNode<L: Learner> {
     /// The vehicle (learner, dataset, minibatcher).
     pub vehicle: Vehicle<L>,
     coreset: Coreset<L::Sample>,
-    /// Reused by every coreset rebuild; results are bit-identical to a
-    /// fresh construction (see [`CoresetScratch`]).
-    scratch: CoresetScratch,
     iters_since_refresh: usize,
     coreset_stale: bool,
 }
@@ -138,9 +133,8 @@ pub struct LbChatNode<L: Learner> {
 impl<L: Learner> LbChatNode<L> {
     /// Wraps `vehicle` and builds its initial coreset.
     pub fn new<R: Rng + ?Sized>(vehicle: Vehicle<L>, config: &LbChatConfig, rng: &mut R) -> Self {
-        let mut scratch = CoresetScratch::new();
-        let coreset = vehicle.coreset(config.coreset_size, rng, &mut scratch);
-        Self { vehicle, coreset, scratch, iters_since_refresh: 0, coreset_stale: false }
+        let coreset = vehicle.coreset(config.coreset_size, rng);
+        Self { vehicle, coreset, iters_since_refresh: 0, coreset_stale: false }
     }
 
     /// The current coreset.
@@ -157,12 +151,12 @@ impl<L: Learner> LbChatNode<L> {
         config: &LbChatConfig,
         rng: &mut R,
     ) -> TrainStats {
-        let Self { vehicle, coreset, scratch, iters_since_refresh, coreset_stale } = self;
+        let Self { vehicle, coreset, iters_since_refresh, coreset_stale } = self;
         vehicle.train(iters, rng, |vehicle, trained, rng| {
             if trained {
                 *iters_since_refresh += 1;
                 if *iters_since_refresh >= config.coreset_refresh_iters {
-                    *coreset = vehicle.coreset(config.coreset_size, rng, scratch);
+                    *coreset = vehicle.coreset(config.coreset_size, rng);
                     (*iters_since_refresh, *coreset_stale) = (0, false);
                 }
             }
@@ -172,7 +166,7 @@ impl<L: Learner> LbChatNode<L> {
     /// Rebuilds the coreset from the (possibly expanded) dataset with the
     /// current model (Algorithm 1).
     pub fn refresh_coreset<R: Rng + ?Sized>(&mut self, config: &LbChatConfig, rng: &mut R) {
-        self.coreset = self.vehicle.coreset(config.coreset_size, rng, &mut self.scratch);
+        self.coreset = self.vehicle.coreset(config.coreset_size, rng);
         (self.iters_since_refresh, self.coreset_stale) = (0, false);
     }
 

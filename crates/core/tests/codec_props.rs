@@ -1,10 +1,12 @@
 //! Property tests for the model codec (`lbchat::compress`): top-k through
-//! `Codec` is bit-identical to the free function the share paths call and
-//! draws no randomness, `decode(encode(x))` reproduces `apply(x)` exactly,
-//! and the one decoder answers any damage to a valid buffer with `Ok` or a
-//! typed `WireError`, never a panic.
+//! `Codec` and the free `compress_dense` the share paths call are
+//! bit-identical to the densified sparse top-k and draw no randomness,
+//! `decode(encode(x))` reproduces `apply(x)` exactly, and the one decoder
+//! answers any damage to a valid buffer with `Ok` or a typed `WireError`,
+//! never a panic.
 
 use lbchat::compress::{compress_dense, top_k, Codec, WireModel};
+use lbchat::phi::DEFAULT_PSI_GRID;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -13,6 +15,27 @@ use vnn::ParamVec;
 
 fn params_strategy() -> impl Strategy<Value = ParamVec> {
     prop::collection::vec(-10.0f32..10.0, 1..200).prop_map(ParamVec::from_vec)
+}
+
+/// Parameters whose order only bits settle: `±0.0`, NaNs of either sign and
+/// runs of equal magnitudes (`±1.5`) among ordinary values.
+fn tricky_params_strategy() -> impl Strategy<Value = ParamVec> {
+    prop::collection::vec((0u8..8, -10.0f32..10.0), 1..200).prop_map(|rows| {
+        let value = |(kind, v)| match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f32::NAN,
+            3 => -f32::NAN,
+            4 => 1.5,
+            5 => -1.5,
+            _ => v,
+        };
+        ParamVec::from_vec(rows.into_iter().map(value).collect())
+    })
+}
+
+fn bits(v: &ParamVec) -> Vec<u32> {
+    v.as_slice().iter().map(|x| x.to_bits()).collect()
 }
 
 /// Header bytes before the first record: `[magic: u8][dense_len: u32]`.
@@ -50,8 +73,8 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let via_codec = Codec::TopK.apply(&params, psi, &mut rng);
-        let via_free = compress_dense(&params, psi);
-        prop_assert_eq!(via_codec.as_slice(), via_free.as_slice());
+        let via_sparse = top_k(&params, psi).to_dense();
+        prop_assert_eq!(bits(&via_codec), bits(&via_sparse));
         // The codec must not consume entropy: a fresh same-seed rng still
         // agrees with the one threaded through it.
         let mut fresh = StdRng::seed_from_u64(seed);
@@ -77,6 +100,21 @@ proptest! {
             applied.as_slice(),
             "receiver and sender views must match bit for bit"
         );
+    }
+
+    /// The receiver's view without the sparse round trip: at ψ = 0, the
+    /// smallest cut 1/n, the whole φ grid and ψ = 1.
+    #[test]
+    fn compress_dense_is_the_densified_top_k(params in tricky_params_strategy()) {
+        let n = params.len() as f32;
+        let psis = [0.0, 1.0 / n].into_iter().chain(DEFAULT_PSI_GRID.iter().copied()).chain([1.0]);
+        for psi in psis {
+            prop_assert_eq!(
+                bits(&compress_dense(&params, psi)),
+                bits(&top_k(&params, psi).to_dense()),
+                "psi={}", psi
+            );
+        }
     }
 
     /// Every prefix, every 1–16-byte extension and every single-byte flip

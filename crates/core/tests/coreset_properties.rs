@@ -154,8 +154,9 @@ proptest! {
     ) {
         let learner = Line::unit();
         let cfg = CoresetConfig { size };
-        let fresh = construct(
-            &learner, &data, &cfg, &mut rand::rngs::StdRng::seed_from_u64(seed));
+        let fresh = construct_with_scratch(
+            &learner, &data, &cfg, &mut rand::rngs::StdRng::seed_from_u64(seed),
+            &mut CoresetScratch::new());
         // A scratch dirtied by an unrelated call must not leak state.
         let mut scratch = CoresetScratch::new();
         let other = WeightedDataset::uniform(

@@ -58,9 +58,9 @@ pub fn command_weight(command: Command, turn_distance_norm: f32) -> f32 {
 ///
 /// Each kept frame observes the experts in id order on the calling thread,
 /// through one reused BEV and feature buffer, and [`Frame::pack`] stores
-/// each observation: one count byte per pooled BEV block, the speed,
-/// navigation scalars and waypoints as `f32`, each payload allocated at its
-/// exact length.
+/// each observation in one allocation of exact length: the speed,
+/// navigation scalars and waypoints as `f32`, then one count byte per
+/// pooled BEV block.
 pub fn collect_datasets(world: &mut World, cfg: &CollectConfig) -> Vec<WeightedDataset<Frame>> {
     let n = world.n_experts();
     let frames = (cfg.seconds * FPS).ceil() as usize;
@@ -141,7 +141,7 @@ mod tests {
         let mut w = World::new(WorldConfig::small(6));
         let ds = collect_datasets(&mut w, &CollectConfig { seconds: 20.0, stride: 1, balance_commands: true });
         // Different routes ⇒ different features.
-        assert_ne!(ds[0].sample(0).blocks(), ds[1].sample(0).blocks());
+        assert!(!ds[0].sample(0).blocks().eq(ds[1].sample(0).blocks()));
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Recorded frames store their BEV losslessly.
 //!
 //! [`Frame::pack`] keeps each pooled BEV block as its occupancy count, one
-//! byte, and decodes it as `k as f32 * (1 / pool²)`, the product the BEV's
-//! pooling computes. This file replays the world a quick-scale
-//! [`Scenario`] collected its datasets from and holds every recorded frame
-//! to a fresh [`observe_into`] of the same expert at the same frame, bit
-//! for bit; checks what a frame stores; and checks that a value off the
-//! occupancy grid cannot be packed.
+//! byte packed four to a word, and decodes it as `k as f32 * (1 / pool²)`,
+//! the product the BEV's pooling computes. This file replays the world a
+//! quick-scale [`Scenario`] collected its datasets from and holds every
+//! recorded frame to a fresh [`observe_into`] of the same expert at the
+//! same frame, bit for bit; checks what a frame stores; checks block counts
+//! that leave the last word ragged and every count of a 4×4 block; and
+//! checks that a value off the occupancy grid cannot be packed.
 
 use driving::frame::{observe_into, NAV_FEATURES};
 use driving::Frame;
@@ -50,12 +51,38 @@ fn every_recorded_frame_decodes_to_a_fresh_observation() {
             // waypoints as floats.
             assert_eq!(frame.blocks().len(), blocks);
             assert_eq!(frame.scalars().len(), 1 + NAV_FEATURES + 2 * simworld::world::N_WAYPOINTS);
-            nonzero += frame.blocks().iter().filter(|&&k| k > 0).count();
+            nonzero += frame.blocks().filter(|&k| k > 0).count();
         }
         world.step();
     }
     assert!(s.datasets.iter().all(|d| d.len() == frames));
     assert!(nonzero > 0, "the replay must have seen occupied blocks");
+}
+
+#[test]
+fn ragged_words_and_every_count_of_a_4x4_block_decode_to_their_bits() {
+    // Counts 0..=16 cycle through the blocks, so from 17 blocks on every
+    // count of a 4×4 block is stored; lengths 1..=3 and 17..=19 leave the
+    // last word one to three counts short.
+    for n_blocks in (0..=8).chain(16..=20) {
+        let counts: Vec<u8> = (0..n_blocks).map(|i| (i % 17) as u8).collect();
+        let mut features: Vec<f32> = counts.iter().map(|&k| f32::from(k) * (1.0 / 16.0)).collect();
+        features.extend([0.7, -0.0, 1.0]);
+        let waypoints = [0.5, -0.25, f32::MIN_POSITIVE, -3.0];
+        let frame = Frame::pack(&features, 4, simworld::expert::Command::Right, &waypoints);
+        assert_eq!(frame.blocks().len(), n_blocks, "{n_blocks} blocks");
+        assert_eq!(frame.blocks().collect::<Vec<u8>>(), counts, "{n_blocks} blocks");
+        assert_eq!(frame.input_dim(), features.len());
+        assert_eq!(bits(frame.waypoints()), bits(&waypoints));
+        assert_eq!(bits(frame.scalars()), bits(&[0.7, -0.0, 1.0, 0.5, -0.25, f32::MIN_POSITIVE, -3.0]));
+        // Decoding overwrites whatever the row held.
+        let mut decoded = vec![f32::NAN; features.len()];
+        frame.input_into(&mut decoded);
+        assert_eq!(bits(&decoded), bits(&features), "{n_blocks} blocks");
+        let mut repacked = Vec::new();
+        frame.features_into(&mut repacked);
+        assert_eq!(Frame::pack(&repacked, 4, frame.command, frame.waypoints()), frame);
+    }
 }
 
 #[test]

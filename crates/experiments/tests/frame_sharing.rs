@@ -1,15 +1,16 @@
 //! Frames are shared, never copied.
 //!
-//! A [`Frame`]'s two payloads — the BEV block counts (`Arc<[u8]>`) and the
-//! speed, navigation scalars and waypoints (`Arc<[f32]>`) — are immutable
-//! shared slices, so every hand-over LbChat makes — a cell taking the
-//! scenario's datasets, a coreset cloned into a chat session, two coresets
-//! merged, the peer's coreset folded into the local dataset (§III-D) —
-//! moves handles. This file holds each of those to pointer equality with
-//! its source, and then a whole quick-scale LbChat cell to the strongest
-//! form of the claim: when it ends, every frame any vehicle holds is one of
-//! the scenario's own buffers, i.e. the run allocated no frame buffer at
-//! all.
+//! A [`Frame`]'s one payload — the speed, navigation scalars and
+//! waypoints, then the packed BEV block counts, in one `Arc<[f32]>` — is
+//! an immutable shared slice, so every hand-over LbChat makes — a cell
+//! taking the scenario's datasets, a coreset cloned into a chat session,
+//! two coresets merged, the peer's coreset folded into the local dataset
+//! (§III-D) — moves handles. This file holds each of those to pointer
+//! equality with its source, checks that the scenario recorded one buffer
+//! per frame, and then holds a whole quick-scale LbChat cell to the
+//! strongest form of the claim: when it ends, every frame any vehicle
+//! holds is one of the scenario's own buffers, i.e. the run allocated no
+//! frame buffer at all.
 
 use driving::Frame;
 use experiments::methods::{lbchat_algorithm, lbchat_config, runtime_config};
@@ -18,8 +19,8 @@ use lbchat::prelude::{ObsSink, Runtime};
 use lbchat::{Coreset, WeightedDataset};
 use std::collections::BTreeSet;
 
-fn shares_payloads(a: &Frame, b: &Frame) -> bool {
-    std::ptr::eq(a.blocks(), b.blocks()) && std::ptr::eq(a.scalars(), b.scalars())
+fn shares_payload(a: &Frame, b: &Frame) -> bool {
+    address(a) == address(b)
 }
 
 fn all_shared(copies: &[Frame], sources: &[Frame]) -> bool {
@@ -27,15 +28,12 @@ fn all_shared(copies: &[Frame], sources: &[Frame]) -> bool {
         && copies
             .iter()
             .zip(sources)
-            .all(|(a, b)| shares_payloads(a, b))
+            .all(|(a, b)| shares_payload(a, b))
 }
 
-/// The addresses of both payloads of `frame`.
-fn addresses(frame: &Frame) -> [usize; 2] {
-    [
-        frame.blocks().as_ptr() as usize,
-        frame.scalars().as_ptr() as usize,
-    ]
+/// The address of `frame`'s payload, which its scalars open.
+fn address(frame: &Frame) -> usize {
+    frame.scalars().as_ptr() as usize
 }
 
 #[test]
@@ -59,17 +57,13 @@ fn hand_overs_share_and_a_cell_allocates_no_frame_buffers() {
         assert_eq!(copy, source, "and equality is still by content");
     }
     // The evaluation set is sampled from the datasets: it shares with them too.
-    let owned: BTreeSet<usize> = fixture.iter().flat_map(|f| addresses(f)).collect();
+    let owned: BTreeSet<usize> = fixture.iter().map(|f| address(f)).collect();
     assert_eq!(
         owned.len(),
-        2 * fixture.len(),
-        "the fixture's own buffers are all distinct"
+        fixture.len(),
+        "one buffer per frame, and the fixture's own buffers are all distinct"
     );
-    assert!(s
-        .eval
-        .iter()
-        .flat_map(addresses)
-        .all(|a| owned.contains(&a)));
+    assert!(s.eval.iter().map(address).all(|a| owned.contains(&a)));
 
     // Coreset clone / merge and §III-D's expansion.
     let (a, b) = (
@@ -108,7 +102,7 @@ fn hand_overs_share_and_a_cell_allocates_no_frame_buffers() {
             .chain(node.coreset().samples())
         {
             assert!(
-                addresses(frame).iter().all(|a| owned.contains(a)),
+                owned.contains(&address(frame)),
                 "vehicle {i} holds a frame buffer the scenario did not record"
             );
         }

@@ -6,9 +6,14 @@ use rand::Rng;
 /// Cycles through a dataset's indices in shuffled epochs, yielding
 /// fixed-size minibatches — the access pattern of the paper's local training
 /// loop (batch size 64).
+///
+/// Indices are `u32`: every vehicle holds one batcher the length of its
+/// training split, so the order costs four bytes a sample, not eight. The
+/// shuffle draws by position, not by element type, so the batches are the
+/// ones a `usize` order would give.
 #[derive(Debug, Clone)]
 pub struct Minibatcher {
-    order: Vec<usize>,
+    order: Vec<u32>,
     cursor: usize,
     batch_size: usize,
 }
@@ -17,10 +22,12 @@ impl Minibatcher {
     /// Creates a batcher over `n` samples.
     ///
     /// # Panics
-    /// Panics if `batch_size == 0`.
+    /// Panics if `batch_size == 0` or `n` exceeds `u32::MAX`.
     pub fn new(n: usize, batch_size: usize) -> Self {
         assert!(batch_size > 0, "batch size must be positive");
-        Self { order: (0..n).collect(), cursor: 0, batch_size }
+        let mut batcher = Self { order: Vec::new(), cursor: 0, batch_size };
+        batcher.grow(n);
+        batcher
     }
 
     /// Number of samples currently covered.
@@ -35,17 +42,20 @@ impl Minibatcher {
 
     /// Grows the index range to `n` samples (local datasets expand when
     /// coresets are absorbed). Newly added indices join the current epoch.
+    ///
+    /// # Panics
+    /// Panics if `n` exceeds `u32::MAX`.
     pub fn grow(&mut self, n: usize) {
-        for i in self.order.len()..n {
-            self.order.push(i);
-        }
+        assert!(n <= u32::MAX as usize, "a minibatcher indexes at most u32::MAX samples");
+        let start = self.order.len() as u32;
+        self.order.extend(start..n as u32);
     }
 
     /// Returns the next minibatch of indices, borrowed from the epoch's
     /// order, reshuffling at epoch boundaries. Returns an empty slice when
     /// the dataset is empty; the final batch of an epoch may be shorter
     /// than `batch_size`.
-    pub fn next_batch<R: Rng + ?Sized>(&mut self, rng: &mut R) -> &[usize] {
+    pub fn next_batch<R: Rng + ?Sized>(&mut self, rng: &mut R) -> &[u32] {
         if self.order.is_empty() {
             return &[];
         }
@@ -72,7 +82,7 @@ mod tests {
         for _ in 0..4 {
             // 4 batches of <=3 = one epoch of 10
             for &i in mb.next_batch(&mut rng) {
-                seen[i] += 1;
+                seen[i as usize] += 1;
             }
         }
         assert!(seen.iter().all(|&c| c == 1), "epoch must cover each index once: {seen:?}");

@@ -74,7 +74,7 @@ proptest! {
         let batches_per_epoch = n.div_ceil(batch);
         for _ in 0..batches_per_epoch {
             for &i in mb.next_batch(&mut rng) {
-                seen[i] += 1;
+                seen[i as usize] += 1;
             }
         }
         prop_assert!(seen.iter().all(|&c| c == 1), "{:?}", seen);
