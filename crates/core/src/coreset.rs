@@ -8,83 +8,14 @@
 //! into concentric *layers* by per-sample loss distance from the best-loss
 //! "center" sample, then draws a weighted random sample from each layer —
 //! yielding a data-independent size, unlike sensitivity-based methods.
+//!
+//! A coreset is itself a [`WeightedDataset`] whose weights are the coreset
+//! weights `w_C(d)`; merging is [`WeightedDataset::merge`].
 
-use crate::dataset::WeightedDataset;
 use crate::learner::{slice_losses, Learner};
+use crate::WeightedDataset;
 use rand::{Rng, RngExt};
 use std::cell::RefCell;
-
-/// A weighted coreset: samples with their coreset weights `w_C(d)`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Coreset<S> {
-    samples: Vec<S>,
-    weights: Vec<f32>,
-}
-
-impl<S: Clone> Coreset<S> {
-    /// Wraps samples with explicit coreset weights.
-    ///
-    /// # Panics
-    /// Panics if lengths differ or any weight is non-positive / non-finite.
-    pub fn new(samples: Vec<S>, weights: Vec<f32>) -> Self {
-        assert_eq!(samples.len(), weights.len(), "sample/weight length mismatch");
-        assert!(
-            weights.iter().all(|w| *w > 0.0 && w.is_finite()),
-            "coreset weights must be positive and finite"
-        );
-        Self { samples, weights }
-    }
-
-    /// An empty coreset.
-    pub fn empty() -> Self {
-        Self { samples: Vec::new(), weights: Vec::new() }
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the coreset is empty.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// The samples.
-    pub fn samples(&self) -> &[S] {
-        &self.samples
-    }
-
-    /// The coreset weights `w_C(d)`.
-    pub fn weights(&self) -> &[f32] {
-        &self.weights
-    }
-
-    /// Total weight (should approximate the total weight of the source
-    /// dataset — the estimator property layered sampling preserves).
-    pub fn total_weight(&self) -> f32 {
-        self.weights.iter().sum()
-    }
-
-    /// Borrowed `(sample, weight)` pairs.
-    pub fn pairs(&self) -> Vec<(&S, f32)> {
-        self.samples.iter().zip(self.weights.iter().copied()).collect()
-    }
-
-    /// Merges two coresets by union (§III-D): if `C_1`, `C_2` are ε-coresets
-    /// of disjoint `D_1`, `D_2`, the union is an ε-coreset of `D_1 ∪ D_2`.
-    pub fn merge(mut self, other: Coreset<S>) -> Coreset<S> {
-        self.samples.extend(other.samples);
-        self.weights.extend(other.weights);
-        self
-    }
-
-    /// Serialized size in bytes on the simulated radio, assuming
-    /// `bytes_per_sample` per sample (feature vector + target + weight).
-    pub fn wire_bytes(&self, bytes_per_sample: usize) -> usize {
-        self.len() * bytes_per_sample
-    }
-}
 
 /// Parameters of Algorithm 1.
 #[derive(Debug, Clone)]
@@ -223,7 +154,7 @@ pub fn construct<L, R>(
     dataset: &WeightedDataset<L::Sample>,
     config: &CoresetConfig,
     rng: &mut R,
-) -> Coreset<L::Sample>
+) -> WeightedDataset<L::Sample>
 where
     L: Learner,
     R: Rng + ?Sized,
@@ -243,17 +174,14 @@ pub fn construct_with_scratch<L, R>(
     config: &CoresetConfig,
     rng: &mut R,
     scratch: &mut CoresetScratch,
-) -> Coreset<L::Sample>
+) -> WeightedDataset<L::Sample>
 where
     L: Learner,
     R: Rng + ?Sized,
 {
     let n = dataset.len();
-    if n == 0 {
-        return Coreset::empty();
-    }
     if n <= config.size {
-        return Coreset::new(dataset.samples().to_vec(), dataset.weights().to_vec());
+        return dataset.clone();
     }
     assert!(n <= u32::MAX as usize, "a coreset is built from at most u32::MAX samples");
 
@@ -340,7 +268,7 @@ where
             weights.push(dataset.weight(i) * scale);
         }
     }
-    Coreset::new(samples, weights)
+    WeightedDataset::new(samples, weights)
 }
 
 /// Reduces a (typically merged) coreset back to `size` samples while
@@ -355,10 +283,10 @@ where
 /// Panics if a coreset larger than `size` holds more than `u32::MAX`
 /// samples.
 pub fn reduce<S: Clone, R: Rng + ?Sized>(
-    coreset: Coreset<S>,
+    coreset: WeightedDataset<S>,
     size: usize,
     rng: &mut R,
-) -> Coreset<S> {
+) -> WeightedDataset<S> {
     if coreset.len() <= size || size == 0 {
         return coreset;
     }
@@ -375,7 +303,7 @@ pub fn reduce<S: Clone, R: Rng + ?Sized>(
     let scale = total / picked;
     let samples = keyed.iter().map(|&(_, i)| coreset.samples()[i as usize].clone()).collect();
     let weights = keyed.iter().map(|&(_, i)| coreset.weights()[i as usize] * scale).collect();
-    Coreset::new(samples, weights)
+    WeightedDataset::new(samples, weights)
 }
 
 /// Empirical ε of a coreset w.r.t. its source dataset under the current
@@ -383,7 +311,7 @@ pub fn reduce<S: Clone, R: Rng + ?Sized>(
 /// (Def. II.2's relative error). Returns 0 when the dataset loss is 0.
 pub fn empirical_epsilon<L: Learner>(
     learner: &L,
-    coreset: &Coreset<L::Sample>,
+    coreset: &WeightedDataset<L::Sample>,
     dataset: &WeightedDataset<L::Sample>,
 ) -> f32 {
     let mut losses = Vec::new();
@@ -484,17 +412,8 @@ mod tests {
     }
 
     #[test]
-    fn merge_concatenates() {
-        let a = Coreset::new(vec![1, 2], vec![1.0, 2.0]);
-        let b = Coreset::new(vec![3], vec![3.0]);
-        let m = a.merge(b);
-        assert_eq!(m.len(), 3);
-        assert_eq!(m.total_weight(), 6.0);
-    }
-
-    #[test]
     fn reduce_preserves_total_weight_and_size() {
-        let c = Coreset::new((0..300).collect(), vec![1.0; 300]);
+        let c = WeightedDataset::new((0..300).collect(), vec![1.0; 300]);
         let total = c.total_weight();
         let r = reduce(c, 100, &mut rng());
         assert_eq!(r.len(), 100);
@@ -503,7 +422,7 @@ mod tests {
 
     #[test]
     fn reduce_noop_when_already_small() {
-        let c = Coreset::new(vec![1, 2, 3], vec![1.0; 3]);
+        let c = WeightedDataset::new(vec![1, 2, 3], vec![1.0; 3]);
         let r = reduce(c.clone(), 10, &mut rng());
         assert_eq!(r, c);
     }

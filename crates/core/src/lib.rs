@@ -14,7 +14,8 @@
 //!    candidate pairs are ranked by `c = z · p · min(B_i, B_j)` (Eq. 5) from
 //!    shared routes and bandwidth, and matched greedily.
 //! 2. **Coreset exchange** ([`coreset`]) — each vehicle maintains a compact
-//!    ε-coreset of its local dataset built by layered sampling (Alg. 1).
+//!    ε-coreset of its local dataset built by layered sampling (Alg. 1);
+//!    a coreset is a [`WeightedDataset`] holding the coreset weights.
 //! 3. **Valuation** ([`valuation`]) — each vehicle evaluates its model on
 //!    the peer's coreset; a large loss gap means the peer's model was
 //!    trained on very different data and is therefore valuable.
@@ -68,7 +69,6 @@ pub mod valuation;
 
 pub use aggregate::AggregationRule;
 pub use config::{ConfigError, LbChatConfig};
-pub use coreset::Coreset;
 pub use dataset::WeightedDataset;
 pub use learner::{Learner, TrainStats};
 pub use node::{LbChatNode, Vehicle};

@@ -56,9 +56,9 @@ impl Metrics {
     }
 
     /// Merges another record into this one: counters add, loss curves
-    /// concatenate and re-sort by time. Used to combine metrics collected by
-    /// parallel workers into one run-level record; merging records whose
-    /// time ranges interleave is well-defined (points sort stably by time).
+    /// concatenate and re-sort stably by time. The `lbchat_e2e` benchmark
+    /// totals a pass's cells this way; the harness keeps one record per
+    /// cell.
     pub fn merge(&mut self, other: &Metrics) {
         self.loss_curve.extend_from_slice(&other.loss_curve);
         self.loss_curve.sort_by(|a, b| a.0.total_cmp(&b.0));

@@ -14,7 +14,7 @@
 use crate::aggregate::aggregate_sparse_aware;
 use crate::compress::{pair_wire_bytes, wire_bytes};
 use crate::config::LbChatConfig;
-use crate::coreset::{construct, reduce, Coreset, CoresetConfig};
+use crate::coreset::{construct, reduce, CoresetConfig};
 use crate::dataset::WeightedDataset;
 use crate::learner::{mean_eval_loss, Learner, TrainStats};
 use crate::obs::{Counter, EventKind, Gauge};
@@ -108,15 +108,15 @@ impl<L: Learner> Vehicle<L> {
 
     /// Appends a received coreset to the training split (§III-D); only a
     /// vehicle that holds nothing out absorbs.
-    fn absorb(&mut self, coreset: &Coreset<L::Sample>) {
-        self.dataset.absorb_coreset(coreset);
+    fn absorb(&mut self, coreset: &WeightedDataset<L::Sample>) {
+        self.dataset.absorb(coreset);
         self.train_len = self.dataset.len();
         self.batcher.grow(self.train_len);
     }
 
     /// Algorithm 1 over the whole dataset with the current model, built
     /// through the calling thread's scratch.
-    fn coreset<R: Rng + ?Sized>(&self, size: usize, rng: &mut R) -> Coreset<L::Sample> {
+    fn coreset<R: Rng + ?Sized>(&self, size: usize, rng: &mut R) -> WeightedDataset<L::Sample> {
         construct(&self.learner, &self.dataset, &CoresetConfig { size }, rng)
     }
 }
@@ -125,7 +125,7 @@ impl<L: Learner> Vehicle<L> {
 pub struct LbChatNode<L: Learner> {
     /// The vehicle (learner, dataset, minibatcher).
     pub vehicle: Vehicle<L>,
-    coreset: Coreset<L::Sample>,
+    coreset: WeightedDataset<L::Sample>,
     iters_since_refresh: usize,
     coreset_stale: bool,
 }
@@ -138,7 +138,7 @@ impl<L: Learner> LbChatNode<L> {
     }
 
     /// The current coreset.
-    pub fn coreset(&self) -> &Coreset<L::Sample> {
+    pub fn coreset(&self) -> &WeightedDataset<L::Sample> {
         &self.coreset
     }
 
@@ -175,13 +175,12 @@ impl<L: Learner> LbChatNode<L> {
     /// frequent encounters) instead of waiting for the next full rebuild.
     pub fn absorb<R: Rng + ?Sized>(
         &mut self,
-        peer_coreset: &Coreset<L::Sample>,
+        peer_coreset: &WeightedDataset<L::Sample>,
         config: &LbChatConfig,
         rng: &mut R,
     ) {
         self.vehicle.absorb(peer_coreset);
-        let merged =
-            std::mem::replace(&mut self.coreset, Coreset::empty()).merge(peer_coreset.clone());
+        let merged = std::mem::take(&mut self.coreset).merge(peer_coreset.clone());
         self.coreset = reduce(merged, config.coreset_size, rng);
     }
 
@@ -193,7 +192,7 @@ impl<L: Learner> LbChatNode<L> {
     fn aggregate_received(
         &mut self,
         peer_params: &ParamVec,
-        peer: &Coreset<L::Sample>,
+        peer: &WeightedDataset<L::Sample>,
         config: &LbChatConfig,
     ) {
         let mut pairs = self.coreset.pairs();
@@ -632,7 +631,7 @@ mod tests {
         let cfg = small_config();
         let mut node = lbchat_node(line_data(1.0, 0.0, 200), &cfg, &mut r);
         let before = node.vehicle.dataset().len();
-        let peer = Coreset::new(
+        let peer = WeightedDataset::new(
             line_data(3.0, 3.0, 40),
             vec![5.0; 40],
         );

@@ -12,7 +12,7 @@
 use crate::compress::MagnitudeOrder;
 use crate::learner::Learner;
 use crate::penalty::{penalized_loss, PenaltyConfig};
-use crate::Coreset;
+use crate::WeightedDataset;
 
 /// Default ψ sampling grid (always includes the endpoints the paper lists).
 pub const DEFAULT_PSI_GRID: &[f32] = &[0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0];
@@ -132,7 +132,7 @@ impl PhiCurve {
     /// increasing within (0, 1].
     pub fn sample<L: Learner>(
         learner: &L,
-        coreset: &Coreset<L::Sample>,
+        coreset: &WeightedDataset<L::Sample>,
         grid: &[f32],
         penalty: &PenaltyConfig,
     ) -> Self {
@@ -249,7 +249,7 @@ mod tests {
         assert!((a.eval(1.0) - 2.0).abs() < 1e-9);
     }
 
-    fn trained_learner_and_coreset() -> (LineLearner, Coreset<crate::learner::testutil::Pt>) {
+    fn trained_learner_and_coreset() -> (LineLearner, WeightedDataset<crate::learner::testutil::Pt>) {
         let mut l = LineLearner::new(0.0, 0.0);
         let data = line_data(2.0, -1.0, 200);
         for _ in 0..300 {

@@ -7,7 +7,7 @@
 
 use crate::learner::Learner;
 use crate::penalty::{penalized_loss, PenaltyConfig};
-use crate::Coreset;
+use crate::WeightedDataset;
 use vnn::ParamVec;
 
 /// Rectified linear unit — the truncation `ε(·)` of Eq. (7).
@@ -21,7 +21,7 @@ pub fn relu(x: f32) -> f32 {
 pub fn coreset_loss<L: Learner>(
     learner: &L,
     params: &ParamVec,
-    coreset: &Coreset<L::Sample>,
+    coreset: &WeightedDataset<L::Sample>,
     penalty: &PenaltyConfig,
 ) -> f32 {
     penalized_loss(learner, params, &coreset.pairs(), penalty)
@@ -80,7 +80,7 @@ mod tests {
     fn different_data_means_higher_value() {
         // Two learners trained on different lines; each coreset reflects its
         // own data. The cross-valuation must exceed the self-valuation.
-        let train = |a: f32, b: f32| -> (LineLearner, Coreset<_>) {
+        let train = |a: f32, b: f32| -> (LineLearner, WeightedDataset<_>) {
             let mut rng = rand::rngs::StdRng::seed_from_u64(3);
             let mut l = LineLearner::new(0.0, 0.0);
             let data = line_data(a, b, 300);

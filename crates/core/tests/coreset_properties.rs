@@ -6,7 +6,7 @@
 mod reference;
 
 use lbchat::coreset::{
-    construct, construct_with_scratch, reduce, Coreset, CoresetConfig, CoresetScratch,
+    construct, construct_with_scratch, reduce, CoresetConfig, CoresetScratch,
 };
 use lbchat::{Learner, WeightedDataset};
 use proptest::prelude::*;
@@ -96,7 +96,7 @@ proptest! {
         target in 1usize..80,
         seed in 0u64..1_000,
     ) {
-        let c = Coreset::new(data.samples().to_vec(), data.weights().to_vec());
+        let c = data.clone();
         let fast = reduce(c.clone(), target, &mut rand::rngs::StdRng::seed_from_u64(seed));
         let slow = reference::reduce(c, target, &mut rand::rngs::StdRng::seed_from_u64(seed));
         prop_assert_eq!(fast.samples(), slow.samples());

@@ -8,7 +8,7 @@
 //! from its largest dataset.
 
 use lbchat::coreset::{
-    construct, construct_with_scratch, scratch_bytes, Coreset, CoresetConfig, CoresetScratch,
+    construct, construct_with_scratch, scratch_bytes, CoresetConfig, CoresetScratch,
 };
 use lbchat::{LbChatConfig, LbChatNode, Learner, Vehicle, WeightedDataset};
 use rand::rngs::StdRng;
@@ -63,7 +63,7 @@ fn dataset(n: usize, salt: usize) -> WeightedDataset<Pt> {
     WeightedDataset::new(samples, weights)
 }
 
-fn bits(c: &Coreset<Pt>) -> Vec<u32> {
+fn bits(c: &WeightedDataset<Pt>) -> Vec<u32> {
     c.samples()
         .iter()
         .flat_map(|p| [p.0, p.1])
@@ -78,7 +78,7 @@ fn fresh(
     d: &WeightedDataset<Pt>,
     cfg: &CoresetConfig,
     rng: &mut StdRng,
-) -> Coreset<Pt> {
+) -> WeightedDataset<Pt> {
     construct_with_scratch(learner, d, cfg, rng, &mut CoresetScratch::new())
 }
 

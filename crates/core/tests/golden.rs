@@ -15,7 +15,7 @@ mod reference;
 use lbchat::coreset::{construct, reduce, CoresetConfig};
 use lbchat::penalty::PenaltyConfig;
 use lbchat::valuation::{coreset_loss, peer_model_value};
-use lbchat::{Coreset, Learner, WeightedDataset};
+use lbchat::{Learner, WeightedDataset};
 use lbchat::obs::json::{parse, Json};
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -90,7 +90,7 @@ fn read_fixture(path: &PathBuf) -> Json {
     parse(&text).expect("fixture parses")
 }
 
-fn coreset_to_json(c: &Coreset<Pt>) -> Json {
+fn coreset_to_json(c: &WeightedDataset<Pt>) -> Json {
     Json::Obj(vec![
         (
             "samples".into(),

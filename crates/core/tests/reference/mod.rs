@@ -6,9 +6,9 @@
 //! through its public API. Those tests are what pins this module: edit it
 //! only together with them. The `partial_cmp(..).expect` holds because
 //! the sampling keys `u^(1/w)` are finite for the positive, finite weights
-//! `Coreset::new` asserts.
+//! `WeightedDataset::new` asserts.
 
-use lbchat::coreset::{Coreset, CoresetConfig};
+use lbchat::coreset::CoresetConfig;
 use lbchat::{Learner, WeightedDataset};
 use rand::{Rng, RngExt};
 
@@ -19,17 +19,17 @@ pub fn construct<L, R>(
     dataset: &WeightedDataset<L::Sample>,
     config: &CoresetConfig,
     rng: &mut R,
-) -> Coreset<L::Sample>
+) -> WeightedDataset<L::Sample>
 where
     L: Learner,
     R: Rng + ?Sized,
 {
     let n = dataset.len();
     if n == 0 {
-        return Coreset::empty();
+        return WeightedDataset::empty();
     }
     if n <= config.size {
-        return Coreset::new(dataset.samples().to_vec(), dataset.weights().to_vec());
+        return WeightedDataset::new(dataset.samples().to_vec(), dataset.weights().to_vec());
     }
 
     let losses: Vec<f32> = dataset.samples().iter().map(|s| learner.loss(s)).collect();
@@ -86,15 +86,15 @@ where
             weights.push(dataset.weight(i) * scale);
         }
     }
-    Coreset::new(samples, weights)
+    WeightedDataset::new(samples, weights)
 }
 
 /// Merge-and-reduce's reduce half exactly as first implemented.
 pub fn reduce<S: Clone, R: Rng + ?Sized>(
-    coreset: Coreset<S>,
+    coreset: WeightedDataset<S>,
     size: usize,
     rng: &mut R,
-) -> Coreset<S> {
+) -> WeightedDataset<S> {
     if coreset.len() <= size || size == 0 {
         return coreset;
     }
@@ -111,5 +111,5 @@ pub fn reduce<S: Clone, R: Rng + ?Sized>(
     let scale = total / picked;
     let samples = keyed.iter().map(|&(_, i)| coreset.samples()[i].clone()).collect();
     let weights = keyed.iter().map(|&(_, i)| coreset.weights()[i] * scale).collect();
-    Coreset::new(samples, weights)
+    WeightedDataset::new(samples, weights)
 }

@@ -16,7 +16,7 @@ use driving::Frame;
 use experiments::methods::{lbchat_algorithm, lbchat_config, runtime_config};
 use experiments::{Condition, Scale, Scenario};
 use lbchat::prelude::{ObsSink, Runtime};
-use lbchat::{Coreset, WeightedDataset};
+use lbchat::WeightedDataset;
 use std::collections::BTreeSet;
 
 fn shares_payload(a: &Frame, b: &Frame) -> bool {
@@ -70,14 +70,14 @@ fn hand_overs_share_and_a_cell_allocates_no_frame_buffers() {
         &s.datasets[0].samples()[..40],
         &s.datasets[1].samples()[..25],
     );
-    let mine = Coreset::new(a.to_vec(), vec![2.0; a.len()]);
-    let theirs = Coreset::new(b.to_vec(), vec![3.0; b.len()]);
+    let mine = WeightedDataset::new(a.to_vec(), vec![2.0; a.len()]);
+    let theirs = WeightedDataset::new(b.to_vec(), vec![3.0; b.len()]);
     assert!(all_shared(mine.clone().samples(), a));
     let merged = mine.clone().merge(theirs.clone());
     assert!(all_shared(&merged.samples()[..a.len()], a));
     assert!(all_shared(&merged.samples()[a.len()..], b));
     let mut local = WeightedDataset::uniform(a.to_vec());
-    local.absorb_coreset(&theirs);
+    local.absorb(&theirs);
     assert!(all_shared(&local.samples()[a.len()..], b));
 
     // A whole LbChat cell at the scenario's quick scale.

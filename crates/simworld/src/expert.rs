@@ -163,8 +163,11 @@ pub fn waypoints_timed(
     out
 }
 
-/// Distance to the nearest car in the forward cone (the privileged
-/// car-following sensor), or `None` when clear within `lookahead`.
+/// Distance to the nearest obstacle in the vehicle's forward cone (ahead by
+/// more than 0.5 m and less than `lookahead`, lateral offset under
+/// `half_width`), or `None` when the cone is clear. The one privileged
+/// sensor: over cars it is the car-following gap, over pedestrians
+/// `.is_some()` is the hazard that makes the expert brake.
 pub fn forward_gap(
     map: &RoadNetwork,
     vehicle: VehicleRef<'_>,
@@ -179,23 +182,6 @@ pub fn forward_gap(
             (ego.x > 0.5 && ego.x < lookahead && ego.y.abs() < half_width).then_some(ego.x)
         })
         .fold(None, |acc: Option<f32>, d| Some(acc.map_or(d, |a| a.min(d))))
-}
-
-/// Privileged hazard check: returns `true` when any obstacle position lies
-/// within a forward cone of the vehicle (distance < `lookahead`, lateral
-/// offset < `half_width`), meaning the expert should brake.
-pub fn hazard_ahead(
-    map: &RoadNetwork,
-    vehicle: VehicleRef<'_>,
-    obstacles: &[Vec2],
-    lookahead: f32,
-    half_width: f32,
-) -> bool {
-    let pose = vehicle.pose(map);
-    obstacles.iter().any(|&o| {
-        let ego = pose.to_ego(o);
-        ego.x > 0.5 && ego.x < lookahead && ego.y.abs() < half_width
-    })
 }
 
 #[cfg(test)]
@@ -284,9 +270,9 @@ mod tests {
         let ahead = pos + heading * 8.0;
         let behind = pos - heading * 8.0;
         let beside = pos + heading.perp() * 8.0;
-        assert!(hazard_ahead(&map, v, &[ahead], 12.0, 3.0));
-        assert!(!hazard_ahead(&map, v, &[behind], 12.0, 3.0));
-        assert!(!hazard_ahead(&map, v, &[beside], 12.0, 3.0));
+        assert!(forward_gap(&map, v, &[ahead], 12.0, 3.0).is_some());
+        assert!(forward_gap(&map, v, &[behind], 12.0, 3.0).is_none());
+        assert!(forward_gap(&map, v, &[beside], 12.0, 3.0).is_none());
     }
 
     #[test]

@@ -29,7 +29,7 @@
 
 use crate::agents::{advance_on_route, radii, AgentId, Pedestrian, VehicleRef};
 use crate::bev::{rasterize_skipping, Bev, BevConfig, Pose};
-use crate::expert::{command_for, forward_gap, hazard_ahead, waypoints_timed, Command};
+use crate::expert::{command_for, forward_gap, waypoints_timed, Command};
 use crate::map::{EdgeId, RoadNetwork, MAP_EXTENT_M, TOWN_BLOCK_M, TOWN_GRID, TOWN_ORIGIN};
 use crate::route::{shortest_route, Route};
 use rand::{Rng, RngExt, SeedableRng};
@@ -400,7 +400,7 @@ impl World {
     }
 
     /// Pedestrian-braking check with a conservative town-bbox prefilter:
-    /// `hazard_ahead` only sees obstacles within
+    /// the forward cone ([`forward_gap`]) only sees obstacles within
     /// `sqrt(lookahead² + half_width²)` ≈ 10.4 m of the vehicle, and
     /// pedestrians never leave the town rectangle (their waypoints and
     /// steps stay inside it), so a vehicle further than that from the
@@ -419,7 +419,7 @@ impl World {
         if dx * dx + dy * dy > REACH * REACH {
             return false;
         }
-        hazard_ahead(&self.map, v, peds, 10.0, 2.5)
+        forward_gap(&self.map, v, peds, 10.0, 2.5).is_some()
     }
 
     /// The serial apply pass: integrate vehicles in ascending id order

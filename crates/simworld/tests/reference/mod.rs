@@ -28,7 +28,7 @@
 
 use simworld::agents::{radii, Pedestrian};
 use simworld::bev::{rasterize, Bev, Pose};
-use simworld::expert::{command_for, hazard_ahead, next_turn_info, waypoints_timed, Command};
+use simworld::expert::{command_for, forward_gap, next_turn_info, waypoints_timed, Command};
 use simworld::map::{RoadNetwork, TOWN_BLOCK_M, TOWN_GRID, TOWN_ORIGIN};
 use simworld::route::Route;
 use simworld::world::{RoadRaster, WorldConfig, FPS, N_WAYPOINTS};
@@ -152,7 +152,7 @@ impl World {
         for (vehicle, &gap) in vehicles.zip(&gaps) {
             let mut target = vehicle.target_speed(&self.map, gap);
             // Privileged braking for pedestrians in the path.
-            if hazard_ahead(&self.map, vehicle.view(), &ped_positions, 10.0, 2.5) {
+            if forward_gap(&self.map, vehicle.view(), &ped_positions, 10.0, 2.5).is_some() {
                 target = 0.0;
             }
             let still_going = vehicle.advance(&self.map, target, dt);
@@ -244,9 +244,9 @@ impl World {
         let peds = self.pedestrian_positions();
         let route_ahead = self.route_ahead_polyline(v, 60.0);
         let bev = rasterize(&self.config.bev, pose, v.speed, &self.raster, &cars, &peds, &route_ahead);
-        let gap = simworld::expert::forward_gap(&self.map, v.view(), &cars, 40.0, 3.0);
+        let gap = forward_gap(&self.map, v.view(), &cars, 40.0, 3.0);
         let mut v_target = v.target_speed(&self.map, gap);
-        if hazard_ahead(&self.map, v.view(), &peds, 10.0, 2.5) {
+        if forward_gap(&self.map, v.view(), &peds, 10.0, 2.5).is_some() {
             v_target = 0.0;
         }
         let waypoints = waypoints_timed(

@@ -112,7 +112,7 @@ fn main() {
 
     // --- Step 5: dataset expansion. ---
     let mut expanded = data_a.clone();
-    expanded.absorb_coreset(&coreset_b);
+    expanded.absorb(&coreset_b);
     println!("\nA's dataset: {} -> {} frames after absorbing B's coreset", data_a.len(), expanded.len());
     let _ = learner_a; // A's side of the merge is symmetric when psi_B > 0
     println!("\ndone — this whole exchange costs ~1.2 MB of coreset traffic before any model bytes move.");

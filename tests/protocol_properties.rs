@@ -5,9 +5,10 @@
 
 use lbchat::aggregate::{aggregate, AggregationRule};
 use lbchat::compress::{compress_dense, top_k, wire_bytes};
-use lbchat::coreset::{reduce, Coreset};
+use lbchat::coreset::reduce;
 use lbchat::optimize::{equal_compression_choice, CompressionProblem};
 use lbchat::phi::{Akima, PhiCurve};
+use lbchat::WeightedDataset;
 use proptest::prelude::*;
 use rand::SeedableRng;
 use vnn::ParamVec;
@@ -47,7 +48,7 @@ proptest! {
         target in 5usize..50,
     ) {
         let n = weights.len();
-        let c = Coreset::new((0..n).collect::<Vec<usize>>(), weights);
+        let c = WeightedDataset::new((0..n).collect::<Vec<usize>>(), weights);
         let total = c.total_weight();
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let r = reduce(c, target, &mut rng);
