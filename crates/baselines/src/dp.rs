@@ -70,8 +70,7 @@ impl<L: Learner> Dp<L> {
 /// Merges a received peer model into `vehicle` on the peer's support,
 /// weighted by both models' mean losses on the vehicle's held-out samples.
 fn merge_received<L: Learner>(vehicle: &mut Vehicle<L>, peer: &ParamVec) {
-    let held_out: Vec<&L::Sample> = vehicle.held_out().iter().collect();
-    let loss = |params| mean_loss(&vehicle.learner, params, &held_out) as f32;
+    let loss = |params| mean_loss(&vehicle.learner, params, vehicle.held_out()) as f32;
     let w_peer = Dp::<L>::merge_weight(loss(vehicle.learner.params()), loss(peer));
     vehicle.adopt(merge_on_support(vehicle.learner.params(), peer, w_peer));
 }

@@ -508,10 +508,7 @@ mod tests {
         let c1 = construct(&l, &d1, &CoresetConfig { size: 150 }, &mut r);
         let c2 = construct(&l, &d2, &CoresetConfig { size: 150 }, &mut r);
         let merged_c = c1.merge(c2);
-        let mut merged_d = d1.clone();
-        for (s, w) in d2.pairs() {
-            merged_d.push(*s, w);
-        }
+        let merged_d = d1.merge(d2);
         let eps = empirical_epsilon(&l, &merged_c, &merged_d);
         assert!(eps < 0.15, "merged epsilon {eps}");
     }

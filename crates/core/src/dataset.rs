@@ -73,11 +73,6 @@ impl<S: Clone> WeightedDataset<S> {
         self.weights.iter().sum()
     }
 
-    /// Borrowed `(sample, weight)` pairs, the shape loss evaluation expects.
-    pub fn pairs(&self) -> Vec<(&S, f32)> {
-        self.samples.iter().zip(self.weights.iter().copied()).collect()
-    }
-
     /// Appends a sample with weight.
     ///
     /// # Panics
@@ -139,15 +134,6 @@ mod tests {
         // Absorbed samples get base weight 1.0, not their coreset weight.
         assert_eq!(d.weights(), &[1.0, 1.0, 1.0, 1.0, 1.0]);
         assert_eq!(d.samples()[2..], [7, 8, 9]);
-    }
-
-    #[test]
-    fn pairs_zip_samples_and_weights() {
-        let d = WeightedDataset::new(vec!["a", "b"], vec![2.0, 3.0]);
-        let p = d.pairs();
-        assert_eq!(p.len(), 2);
-        assert_eq!(*p[0].0, "a");
-        assert_eq!(p[1].1, 3.0);
     }
 
     #[test]

@@ -56,8 +56,9 @@ pub trait Learner {
 
     /// [`Learner::loss_with`] of every sample of `samples`, written to
     /// `out` (cleared first) in sample order — the one evaluation pass
-    /// every loss consumer (valuation, φ, Eq. 8 weighting, coreset
-    /// construction, eval curves) goes through.
+    /// every loss consumer (the Eq. (6) `valuation::coreset_loss` behind
+    /// valuation, φ and Eq. (8) weighting; coreset construction; the eval
+    /// curves' [`mean_loss`]) reaches through `slice_losses`.
     ///
     /// Contract: `out[k]` must equal `loss_with(params, samples[k])` to the
     /// bit. The default is that per-sample loop; override it only to
@@ -96,7 +97,8 @@ pub trait Learner {
 }
 
 /// Per-sample losses of a contiguous run of samples under `params`, written
-/// to `out` through one [`Learner::losses_with`] pass.
+/// to `out` through one [`Learner::losses_with`] pass — the one place the
+/// library calls it.
 pub(crate) fn slice_losses<L: Learner>(
     learner: &L,
     params: &ParamVec,
@@ -107,28 +109,13 @@ pub(crate) fn slice_losses<L: Learner>(
     learner.losses_with(params, &refs, out);
 }
 
-/// Per-sample losses of the samples of `pairs` under `params`, in pair
-/// order, through one [`Learner::losses_with`] pass — the buffer
-/// [`weighted_mean`] and `penalty::group_means` both read, so a penalized
-/// loss evaluates each sample once.
-pub(crate) fn pair_losses<L: Learner>(
-    learner: &L,
-    params: &ParamVec,
-    pairs: &[(&L::Sample, f32)],
-) -> Vec<f32> {
-    let samples: Vec<&L::Sample> = pairs.iter().map(|(s, _)| *s).collect();
-    let mut losses = Vec::new();
-    learner.losses_with(params, &samples, &mut losses);
-    losses
-}
-
 /// `Σ w·loss / Σ w` of already-evaluated per-sample `losses` (parallel to
-/// `pairs`), accumulated in f64 in pair order. Returns 0 for an empty (or
-/// zero-weight) set.
-pub(crate) fn weighted_mean<S>(pairs: &[(&S, f32)], losses: &[f32]) -> f32 {
+/// `weights`), accumulated in f64 in sample order. Returns 0 for an empty
+/// (or zero-weight) set.
+pub(crate) fn weighted_mean(weights: &[f32], losses: &[f32]) -> f32 {
     let mut num = 0.0f64;
     let mut den = 0.0f64;
-    for ((_, w), l) in pairs.iter().zip(losses) {
+    for (w, l) in weights.iter().zip(losses) {
         num += (*w as f64) * *l as f64;
         den += *w as f64;
     }
@@ -139,24 +126,14 @@ pub(crate) fn weighted_mean<S>(pairs: &[(&S, f32)], losses: &[f32]) -> f32 {
     }
 }
 
-/// Convenience: weighted mean loss of a learner over `(sample, weight)`
-/// pairs, `Σ w·f(x;d) / Σ w`. Returns 0 for an empty set.
-pub fn weighted_mean_loss<L: Learner>(
-    learner: &L,
-    params: &ParamVec,
-    pairs: &[(&L::Sample, f32)],
-) -> f32 {
-    weighted_mean(pairs, &pair_losses(learner, params, pairs))
-}
-
 /// Unweighted mean loss of `samples` under `params`, accumulated in f64 in
 /// sample order — the eval-curve statistic. Returns 0 for an empty set.
-pub fn mean_loss<L: Learner>(learner: &L, params: &ParamVec, samples: &[&L::Sample]) -> f64 {
+pub fn mean_loss<L: Learner>(learner: &L, params: &ParamVec, samples: &[L::Sample]) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
     let mut losses = Vec::new();
-    learner.losses_with(params, samples, &mut losses);
+    slice_losses(learner, params, samples, &mut losses);
     let mut acc = 0.0f64;
     for &l in &losses {
         acc += l as f64;
@@ -171,10 +148,9 @@ pub fn mean_eval_loss<'a, L: Learner + 'a>(
     learners: impl IntoIterator<Item = &'a L>,
     eval: &[L::Sample],
 ) -> f64 {
-    let refs: Vec<&L::Sample> = eval.iter().collect();
     let (mut total, mut n) = (0.0f64, 0usize);
     for learner in learners {
-        total += mean_loss(learner, learner.params(), &refs);
+        total += mean_loss(learner, learner.params(), eval);
         n += 1;
     }
     if n == 0 {
@@ -294,19 +270,31 @@ mod tests {
     }
 
     #[test]
-    fn weighted_mean_loss_respects_weights() {
+    fn weighted_mean_respects_weights() {
         let l = LineLearner::new(1.0, 0.0);
         let good = Pt { x: 1.0, y: 1.0, group: 0 }; // loss 0
         let bad = Pt { x: 1.0, y: 3.0, group: 0 }; // loss 4
-        let even = weighted_mean_loss(&l, l.params(), &[(&good, 1.0), (&bad, 1.0)]);
-        assert!((even - 2.0).abs() < 1e-6);
-        let skewed = weighted_mean_loss(&l, l.params(), &[(&good, 3.0), (&bad, 1.0)]);
-        assert!((skewed - 1.0).abs() < 1e-6);
+        let mut losses = Vec::new();
+        slice_losses(&l, l.params(), &[good, bad], &mut losses);
+        assert!((weighted_mean(&[1.0, 1.0], &losses) - 2.0).abs() < 1e-6);
+        assert!((weighted_mean(&[3.0, 1.0], &losses) - 1.0).abs() < 1e-6);
     }
 
     #[test]
     fn empty_set_has_zero_loss() {
         let l = LineLearner::new(1.0, 0.0);
-        assert_eq!(weighted_mean_loss(&l, l.params(), &[]), 0.0);
+        assert_eq!(weighted_mean(&[], &[]), 0.0);
+        assert_eq!(mean_loss(&l, l.params(), &[]), 0.0);
+    }
+
+    #[test]
+    fn mean_eval_loss_is_the_fleet_mean_of_each_mean_loss() {
+        let fleet = [LineLearner::new(1.0, 0.0), LineLearner::new(0.0, 0.0)];
+        let eval = line_data(1.0, 0.5, 20);
+        assert_eq!(mean_eval_loss(std::iter::empty::<&LineLearner>(), &eval), 0.0);
+        assert_eq!(mean_eval_loss(&fleet, &[]), 0.0);
+        let each: Vec<f64> = fleet.iter().map(|l| mean_loss(l, l.params(), &eval)).collect();
+        assert!(each[0] > 0.0 && each[1] > each[0], "{each:?}");
+        assert_eq!(mean_eval_loss(&fleet, &eval), (each[0] + each[1]) / 2.0);
     }
 }

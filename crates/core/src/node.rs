@@ -19,7 +19,6 @@ use crate::dataset::WeightedDataset;
 use crate::learner::{mean_eval_loss, Learner, TrainStats};
 use crate::obs::{Counter, EventKind, Gauge};
 use crate::optimize::{equal_compression_choice, CompressionChoice, CompressionProblem};
-use crate::penalty::penalized_loss;
 use crate::phi::PhiCurve;
 use crate::runtime::{CollabAlgorithm, SessionCtx, SessionStep};
 use crate::valuation::coreset_loss;
@@ -188,19 +187,18 @@ impl<L: Learner> LbChatNode<L> {
     /// both models' penalized losses on the node's *joint* view
     /// `C_self ∪ C_peer` (approximating `D_i ∪ C_j` per §III-D), and adopts
     /// the result; the coreset is stale until the next chat rebuilds it. The
-    /// merged pair list is built once and both models are evaluated over it.
+    /// joint set is built once and both models are evaluated over it.
     fn aggregate_received(
         &mut self,
         peer_params: &ParamVec,
         peer: &WeightedDataset<L::Sample>,
         config: &LbChatConfig,
     ) {
-        let mut pairs = self.coreset.pairs();
-        pairs.extend(peer.pairs());
+        let joint = self.coreset.clone().merge(peer.clone());
         let learner = &self.vehicle.learner;
         let pen = &config.penalty;
-        let own_loss = penalized_loss(learner, learner.params(), &pairs, pen);
-        let peer_loss = penalized_loss(learner, peer_params, &pairs, pen);
+        let own_loss = coreset_loss(learner, learner.params(), &joint, pen);
+        let peer_loss = coreset_loss(learner, peer_params, &joint, pen);
         let merged = aggregate_sparse_aware(
             learner.params(),
             own_loss,
@@ -553,8 +551,8 @@ mod tests {
 
     /// Mean loss of `vehicle`'s model on its whole dataset.
     fn dataset_loss(vehicle: &Vehicle<LineLearner>) -> f64 {
-        let samples: Vec<_> = vehicle.dataset().samples().iter().collect();
-        crate::learner::mean_loss(&vehicle.learner, vehicle.learner.params(), &samples)
+        let samples = vehicle.dataset().samples();
+        crate::learner::mean_loss(&vehicle.learner, vehicle.learner.params(), samples)
     }
 
     #[test]
@@ -583,10 +581,10 @@ mod tests {
     #[test]
     fn validation_loss_uses_holdout() {
         let vehicle = vehicle(line_data(1.0, 0.0, 100), 32, 90);
-        let held_out: Vec<_> = vehicle.held_out().iter().collect();
+        let held_out = vehicle.held_out();
         assert_eq!(held_out.len(), 10);
         let loss = |p: Vec<f32>| {
-            crate::learner::mean_loss(&vehicle.learner, &ParamVec::from_vec(p), &held_out)
+            crate::learner::mean_loss(&vehicle.learner, &ParamVec::from_vec(p), held_out)
         };
         // Zero model on y = x: squared error averaged over held-out xs.
         assert!(loss(vec![0.0, 0.0]) > 0.0);

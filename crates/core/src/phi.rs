@@ -11,7 +11,8 @@
 
 use crate::compress::MagnitudeOrder;
 use crate::learner::Learner;
-use crate::penalty::{penalized_loss, PenaltyConfig};
+use crate::penalty::PenaltyConfig;
+use crate::valuation::coreset_loss;
 use crate::WeightedDataset;
 
 /// Default ψ sampling grid (always includes the endpoints the paper lists).
@@ -141,7 +142,6 @@ impl PhiCurve {
             grid.windows(2).all(|w| w[1] > w[0]) && grid[0] > 0.0 && grid[grid.len() - 1] <= 1.0,
             "psi grid must be strictly increasing within (0, 1]"
         );
-        let pairs = coreset.pairs();
         let psi = grid.to_vec();
         let mut loss = vec![0.0f32; grid.len()];
         // Largest ψ first: each cut of the magnitude order then partitions
@@ -152,7 +152,7 @@ impl PhiCurve {
         for (&p, l) in grid.iter().zip(&mut loss).rev() {
             order.narrow(&mut compressed, from, p);
             from = p;
-            *l = penalized_loss(learner, &compressed, &pairs, penalty);
+            *l = coreset_loss(learner, &compressed, coreset, penalty);
         }
         let fit = Akima::fit(
             &psi.iter().map(|&v| v as f64).collect::<Vec<_>>(),

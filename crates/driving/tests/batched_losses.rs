@@ -11,7 +11,7 @@ use driving::frame::Frame;
 use driving::learner::DrivingLearner;
 use lbchat::compress::compress_dense;
 use lbchat::coreset::{construct_with_scratch, CoresetConfig, CoresetScratch};
-use lbchat::penalty::{penalized_loss, PenaltyConfig};
+use lbchat::penalty::PenaltyConfig;
 use lbchat::phi::{PhiCurve, DEFAULT_PSI_GRID};
 use lbchat::valuation::coreset_loss;
 use lbchat::{Learner, TrainStats, WeightedDataset};
@@ -187,10 +187,9 @@ proptest! {
                 coreset_loss(&batched, params, &coreset, &pen).to_bits(),
                 coreset_loss(&plain, params, &coreset, &pen).to_bits()
             );
-            let pairs = dataset.pairs();
             prop_assert_eq!(
-                penalized_loss(&batched, params, &pairs, &pen).to_bits(),
-                penalized_loss(&plain, params, &pairs, &pen).to_bits()
+                coreset_loss(&batched, params, &dataset, &pen).to_bits(),
+                coreset_loss(&plain, params, &dataset, &pen).to_bits()
             );
         }
 

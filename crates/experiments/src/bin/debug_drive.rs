@@ -59,7 +59,6 @@ fn main() {
     );
     let columns = Task::ALL.iter().map(|t| t.name()).chain(ENDS).chain(["eval loss"]);
     let mut bound = Table::new(title, columns.map(String::from).collect()).corner("Learner");
-    let eval: Vec<&Frame> = s.eval.iter().collect();
     for (name, l) in &learners {
         let results: Vec<TaskResult> =
             Task::ALL.iter().map(|&t| success_rate(l, t, &cfg)).collect();
@@ -67,7 +66,7 @@ fn main() {
             results.iter().map(ends).fold([0; 3], |a, e| std::array::from_fn(|k| a[k] + e[k]));
         let counts = results.iter().map(|r| r.successes).chain(ends_sum);
         let mut cells: Vec<String> = counts.map(|n| n.to_string()).collect();
-        cells.push(format!("{:.2}", mean_loss(*l, l.params(), &eval)));
+        cells.push(format!("{:.2}", mean_loss(*l, l.params(), &s.eval)));
         bound.row(name.as_str(), cells);
     }
     print!("\n{}", bound.render());

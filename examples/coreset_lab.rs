@@ -12,7 +12,8 @@ use driving::{collect_datasets, CollectConfig, DrivingLearner};
 use lbchat::coreset::{construct, empirical_epsilon, reduce, CoresetConfig};
 use lbchat::penalty::PenaltyConfig;
 use lbchat::valuation::coreset_loss;
-use lbchat::Learner;
+use lbchat::config::BATCH_SIZE;
+use lbchat::{Learner, Vehicle};
 use rand::SeedableRng;
 use simworld::world::{World, WorldConfig};
 
@@ -27,13 +28,12 @@ fn main() {
         world.config().bev.feature_len(),
         simworld::world::N_WAYPOINTS,
     );
-    let mut learner = DrivingLearner::new(&spec, 3e-3, &mut rng);
+    let learner = DrivingLearner::new(&spec, 3e-3, &mut rng);
     let data = &datasets[0];
     eprintln!("training a reference model on vehicle 0's {} frames...", data.len());
-    for _ in 0..600 {
-        let batch: Vec<_> = data.pairs().into_iter().take(64).collect();
-        learner.train_step(&batch);
-    }
+    let mut vehicle = Vehicle::fleet(vec![learner], vec![data.clone()], BATCH_SIZE, |n| n).remove(0);
+    vehicle.train(600, &mut rng, |_, _, _| {});
+    let learner = vehicle.learner;
 
     // --- 1. Size vs approximation quality. ---
     println!("coreset size vs empirical epsilon (|D| = {}):", data.len());

@@ -14,7 +14,8 @@ use lbchat::optimize::CompressionProblem;
 use lbchat::penalty::PenaltyConfig;
 use lbchat::phi::{PhiCurve, DEFAULT_PSI_GRID};
 use lbchat::valuation::{coreset_loss, peer_model_value};
-use lbchat::{aggregate, Learner};
+use lbchat::config::BATCH_SIZE;
+use lbchat::{aggregate, Learner, Vehicle};
 use rand::SeedableRng;
 use simworld::world::{World, WorldConfig};
 
@@ -35,16 +36,21 @@ fn main() {
         simworld::world::N_WAYPOINTS,
     );
     let mut init_rng = rand::rngs::StdRng::seed_from_u64(99);
-    let mut learner_a = DrivingLearner::new(&spec, 3e-3, &mut init_rng);
+    let learner_a = DrivingLearner::new(&spec, 3e-3, &mut init_rng);
     let mut init_rng = rand::rngs::StdRng::seed_from_u64(99); // same init!
-    let mut learner_b = DrivingLearner::new(&spec, 3e-3, &mut init_rng);
+    let learner_b = DrivingLearner::new(&spec, 3e-3, &mut init_rng);
     println!("training local models ({} parameters each)...", learner_a.params().len());
-    for _ in 0..400 {
-        let batch_a: Vec<_> = data_a.pairs().into_iter().take(64).collect();
-        let batch_b: Vec<_> = data_b.pairs().into_iter().take(64).collect();
-        learner_a.train_step(&batch_a);
-        learner_b.train_step(&batch_b);
+    let mut fleet = Vehicle::fleet(
+        vec![learner_a, learner_b],
+        vec![data_a.clone(), data_b.clone()],
+        BATCH_SIZE,
+        |n| n,
+    );
+    for vehicle in &mut fleet {
+        vehicle.train(400, &mut rng, |_, _, _| {});
     }
+    let mut learner_b = fleet.pop().expect("two vehicles").learner;
+    let learner_a = fleet.pop().expect("two vehicles").learner;
 
     // --- Step 1: coreset construction (Algorithm 1). ---
     let cfg = CoresetConfig { size: 40 };
@@ -93,9 +99,9 @@ fn main() {
     // the joint coreset view, support-aware (untransmitted components keep
     // B's local values).
     let a_compressed = lbchat::compress::compress_dense(learner_a.params(), choice.psi_i);
-    let joint: Vec<_> = coreset_a.pairs().into_iter().chain(coreset_b.pairs()).collect();
-    let own_loss = lbchat::penalty::penalized_loss(&learner_b, learner_b.params(), &joint, &pen);
-    let peer_loss = lbchat::penalty::penalized_loss(&learner_b, &a_compressed, &joint, &pen);
+    let joint = coreset_a.clone().merge(coreset_b.clone());
+    let own_loss = coreset_loss(&learner_b, learner_b.params(), &joint, &pen);
+    let peer_loss = coreset_loss(&learner_b, &a_compressed, &joint, &pen);
     let merged = aggregate::aggregate_sparse_aware(
         learner_b.params(),
         own_loss,

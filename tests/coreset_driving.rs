@@ -17,15 +17,15 @@ fn trained_learner_and_data() -> (DrivingLearner, Vec<lbchat::WeightedDataset<dr
     let mut learner = DrivingLearner::new(&spec, 3e-3, &mut rng);
     // Rotate through the whole dataset so every frame (including the
     // heavily weighted turn frames) is actually fitted.
-    let pairs = datasets[0].pairs();
+    let (samples, weights) = (datasets[0].samples(), datasets[0].weights());
     for step in 0..600 {
-        let start = (step * 64) % pairs.len();
-        let batch: Vec<_> = pairs
+        let start = (step * 64) % samples.len();
+        let batch: Vec<_> = samples
             .iter()
+            .zip(weights.iter().copied())
             .cycle()
             .skip(start)
             .take(64)
-            .map(|(s, w)| (*s, *w))
             .collect();
         learner.train_step(&batch);
     }
@@ -55,10 +55,7 @@ fn merge_reduce_keeps_approximating_the_union() {
     let reduced = reduce(c0.merge(c1), 80, &mut rng);
     assert_eq!(reduced.len(), 80);
 
-    let mut union = datasets[0].clone();
-    for (s, w) in datasets[1].pairs() {
-        union.push(s.clone(), w);
-    }
+    let union = datasets[0].clone().merge(datasets[1].clone());
     let eps = empirical_epsilon(&learner, &reduced, &union);
     assert!(eps < 0.4, "merge-reduce epsilon on the union: {eps}");
 }
